@@ -1,38 +1,25 @@
 """ceforge: exact-arithmetic finite-injury construction engines and audits."""
 
-from .bitcore import BitString, Dyadic, INFINITE, NegativeResult, ONE, ZERO
+from .bitcore import Dyadic
 from .machines import (
     Exhausted,
     FreeBlockSet,
     MachineEntry,
-    NotPrefixFree,
     PrefixFreeMachine,
-    Request,
-    RequestSet,
     WeightOverflow,
-    check_prefix_free,
-    machine_from_requests,
-    wgt,
 )
 from .approx import (
     BlockOverflow,
     CERealApprox,
-    CESetApprox,
     GenParams,
     Scenario,
     ScenarioError,
-    ScheduleEvent,
-    UniversalSchedule,
-    decode_real,
     encode_real,
     gen_scenario,
-    restrict,
 )
-from .engine import BaseEngine, DualEngine, LemmaViolation, Marker, SingleEngine
+from .engine import DualEngine, LemmaViolation, SingleEngine
 from .audit import (
-    UsageLedger,
     audit_trace,
-    decode_halting,
     report_to_json,
     trace_from_jsonl,
     trace_to_jsonl,
@@ -41,44 +28,24 @@ from .audit import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseEngine",
-    "BitString",
     "BlockOverflow",
     "CERealApprox",
-    "CESetApprox",
     "DualEngine",
     "Dyadic",
     "Exhausted",
     "FreeBlockSet",
     "GenParams",
-    "INFINITE",
     "LemmaViolation",
     "MachineEntry",
-    "Marker",
-    "NegativeResult",
-    "NotPrefixFree",
-    "ONE",
     "PrefixFreeMachine",
-    "Request",
-    "RequestSet",
     "Scenario",
     "ScenarioError",
-    "ScheduleEvent",
     "SingleEngine",
-    "UniversalSchedule",
-    "UsageLedger",
     "WeightOverflow",
-    "ZERO",
     "audit_trace",
-    "check_prefix_free",
-    "decode_halting",
-    "decode_real",
     "encode_real",
     "gen_scenario",
-    "machine_from_requests",
     "report_to_json",
-    "restrict",
     "trace_from_jsonl",
     "trace_to_jsonl",
-    "wgt",
 ]

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .bitcore import INFINITE, Dyadic, ExtendedLength, ZERO
+from .bitcore import Dyadic, ZERO
 from .machines import FreeBlockSet, check_prefix_free
 
 #: Strict upper bound on the adversary schedule weight.
@@ -48,26 +48,11 @@ class CESetApprox:
         entered = self._stage_of.get(element)
         return entered is not None and entered <= stage
 
-    def stage_of(self, element: int) -> int | None:
-        return self._stage_of.get(element)
-
-    def elements_at(self, stage: int) -> set[int]:
-        return {e for e, s in self.schedule if s <= stage}
-
     def restrict(self, n: int, stage: int) -> str:
         """The first ``n`` characteristic bits at ``stage``."""
         return "".join(
             "1" if self.contains(i, stage) else "0" for i in range(n)
         )
-
-
-def restrict(bits: list[int] | CESetApprox, n: int, stage: int = 0) -> str:
-    """First ``n`` characteristic bits of a set approximation or bit vector."""
-    if isinstance(bits, CESetApprox):
-        return bits.restrict(n, stage)
-    return "".join(
-        "1" if i < len(bits) and bits[i] else "0" for i in range(n)
-    )
 
 
 class CERealApprox:
@@ -181,19 +166,6 @@ class UniversalSchedule:
                 f"schedule weight {total} is not below 1/4"
             )
         self.weight = total
-
-    def k_at(self, output: str, stage: int) -> ExtendedLength:
-        """Shortest description length of ``output`` enumerated by ``stage``."""
-        best: ExtendedLength = INFINITE
-        for event in self.events:
-            if event.stage <= stage and event.output == output:
-                if len(event.codeword) < best:
-                    best = len(event.codeword)
-        return best
-
-    def k_at_n(self, n: int, stage: int) -> ExtendedLength:
-        """K(n)[stage], identifying the number ``n`` with the string 0^n."""
-        return self.k_at("0" * n, stage)
 
 
 @dataclass

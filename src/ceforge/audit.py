@@ -87,6 +87,55 @@ def _check(
     checks.append({"name": name, "pass": bool(ok), "witness": witness})
 
 
+# Field types the checks rely on, for each part of a stage record.
+_OPTIONAL_INT = (int, type(None))
+_RECORD_FIELDS = {
+    "stage": (int,),
+    "b_added": _OPTIONAL_INT,
+    "markers": (dict,),
+    "injured": (list,),
+    "m_entries": (list,),
+    "n_entries": (list,),
+}
+_M_ENTRY_FIELDS = {
+    "side": (str,), "justify": (str,), "length": (int,), "n": (int,),
+}
+_N_ENTRY_FIELDS = {
+    "side": (str,), "index": (int,), "version": (int,), "length": (int,),
+}
+
+
+def _require(
+    value: Any, fields: dict[str, tuple[type, ...]], number: int, part: str
+) -> None:
+    """Raise ValueError unless ``value``, the ``part`` of stage record
+    ``number``, is an object with these fields."""
+    if type(value) is not dict:
+        raise ValueError(
+            f"malformed trace: record {number}{part} is not an object"
+        )
+    for key, kinds in fields.items():
+        if type(value.get(key)) not in kinds:
+            raise ValueError(
+                f"malformed trace: record {number}{part} field {key!r} is "
+                "missing or of the wrong type"
+            )
+
+
+def _is_stage_record(record: Any) -> bool:
+    """``_require(record, _RECORD_FIELDS, ...)`` as one fast test: it runs
+    once per stage record, and the audit of a sweep trace reads 10,000."""
+    return (
+        type(record) is dict
+        and type(record.get("stage")) is int
+        and type(record.get("markers")) is dict
+        and type(record.get("injured")) is list
+        and type(record.get("m_entries")) is list
+        and type(record.get("n_entries")) is list
+        and type(record.get("b_added")) in _OPTIONAL_INT
+    )
+
+
 @dataclass
 class _Replay:
     """State rebuilt from the trace records alone."""
@@ -102,16 +151,30 @@ class _Replay:
 
     @classmethod
     def from_records(cls, records: list[dict[str, Any]]) -> "_Replay":
-        if not records or records[0].get("type") != "header":
+        if (
+            not records
+            or not isinstance(records[0], dict)
+            or records[0].get("type") != "header"
+        ):
             raise ValueError("trace must start with a header record")
         header = records[0]
         sides = ("a", "d") if header["engine"] == "dual" else ("a",)
+        snap_fields = {"pos": _OPTIONAL_INT, "c": (int,)}
+        if header["engine"] == "dual":
+            snap_fields.update({f"p_{side}": (str,) for side in sides})
         replay = cls(header=header, stages=records[1:], sides=sides)
-        for record in replay.stages:
-            added = record.get("b_added")
+        for number, record in enumerate(replay.stages, 1):
+            if not _is_stage_record(record):
+                _require(record, _RECORD_FIELDS, number, "")
+            for entry in record["m_entries"]:
+                _require(entry, _M_ENTRY_FIELDS, number, " m_entries")
+            for entry in record["n_entries"]:
+                _require(entry, _N_ENTRY_FIELDS, number, " n_entries")
+            added = record["b_added"]
             if added is not None:
                 replay.b_stage[added] = record["stage"]
             for key, snap in record["markers"].items():
+                _require(snap, snap_fields, number, " markers")
                 replay.timelines.setdefault(int(key), []).append(
                     (record["stage"], snap)
                 )

@@ -1,4 +1,4 @@
-"""Finite bit strings, extended lengths and exact dyadic rationals.
+"""Extended lengths and exact dyadic rationals.
 
 Everything downstream (weight accounting, threshold comparisons, lemma
 audits) compares exact dyadic sums, so this module never touches floats
@@ -21,59 +21,6 @@ ExtendedLength = Union[int, float]
 
 class NegativeResult(ArithmeticError):
     """Raised when a dyadic subtraction would produce a negative value."""
-
-
-class BitString(str):
-    """Finite binary string ordered first by length, then lexicographically."""
-
-    __slots__ = ()
-
-    def __new__(cls, bits: str = "") -> "BitString":
-        if bits.strip("01"):
-            raise ValueError(f"not a bit string: {bits!r}")
-        return super().__new__(cls, bits)
-
-    def _key(self) -> tuple[int, str]:
-        return (len(self), str(self))
-
-    def __lt__(self, other: str) -> bool:
-        if not isinstance(other, str):
-            return NotImplemented
-        return self._key() < (len(other), str(other))
-
-    def __le__(self, other: str) -> bool:
-        if not isinstance(other, str):
-            return NotImplemented
-        return self._key() <= (len(other), str(other))
-
-    def __gt__(self, other: str) -> bool:
-        if not isinstance(other, str):
-            return NotImplemented
-        return self._key() > (len(other), str(other))
-
-    def __ge__(self, other: str) -> bool:
-        if not isinstance(other, str):
-            return NotImplemented
-        return self._key() >= (len(other), str(other))
-
-    def __repr__(self) -> str:
-        return f"BitString({str(self)!r})"
-
-
-def compare(a: str, b: str) -> int:
-    """Length-lexicographic comparison; returns -1, 0 or 1."""
-    ka = (len(a), a)
-    kb = (len(b), b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
-def is_prefix(a: str, b: str) -> bool:
-    """True iff ``a`` is an initial segment of ``b`` (including ``a == b``)."""
-    return b.startswith(a)
 
 
 class Dyadic:
@@ -111,11 +58,15 @@ class Dyadic:
 
     @classmethod
     def parse(cls, text: str) -> "Dyadic":
-        """Parse the serialized form ``"num/2^exp"`` (plain ints allowed)."""
-        if "/2^" in text:
-            num_s, exp_s = text.split("/2^", 1)
-            return cls(int(num_s), int(exp_s))
-        return cls(int(text))
+        """Parse the serialized form ``"num/2^exp"`` (plain ints allowed).
+
+        Malformed text, a negative value included, raises ValueError.
+        """
+        num_s, sep, exp_s = text.partition("/2^")
+        num = int(num_s)
+        if num < 0:
+            raise ValueError(f"negative dyadic: {text!r}")
+        return cls(num, int(exp_s) if sep else 0)
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
         e = max(self.exp, other.exp)
@@ -129,9 +80,6 @@ class Dyadic:
         if n < 0:
             raise NegativeResult(f"{self} - {other} is negative")
         return Dyadic(n, e)
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.num * other.num, self.exp + other.exp)
 
     def _cmp(self, other: "Dyadic") -> int:
         e = max(self.exp, other.exp)

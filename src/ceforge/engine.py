@@ -65,12 +65,9 @@ class _SideTracker:
     def __init__(
         self, side: str, given: CESetApprox, events: list[ScheduleEvent]
     ) -> None:
-        self.side = side
-        self.given = given
-        self.events = events
-        self._events_by_stage: dict[int, list[int]] = {}
-        for idx, event in enumerate(events):
-            self._events_by_stage.setdefault(event.stage, []).append(idx)
+        self._events_by_stage: dict[int, list[ScheduleEvent]] = {}
+        for event in events:
+            self._events_by_stage.setdefault(event.stage, []).append(event)
         self._set_by_stage: dict[int, list[int]] = {}
         for element, stage in given.schedule:
             self._set_by_stage.setdefault(stage, []).append(element)
@@ -81,8 +78,7 @@ class _SideTracker:
         self.width = width
         self._bits = bytearray(b"0" * width)
         self.x_str = self._bits.decode()
-        self._applied: list[int] = []
-        self._match: dict[int, bool] = {}
+        self._applied: list[ScheduleEvent] = []
         # j -> (length, stage, codeword) of the least shortest description
         self.k_best: dict[int, tuple[int, int, str]] = {}
         self._sum_exp = max((len(e.codeword) for e in events), default=1)
@@ -107,17 +103,17 @@ class _SideTracker:
             self.min_changed_pos = min(elements)
             self._recompute_matches()
             self.changed_at_stage = True
-        for idx in self._events_by_stage.get(stage, []):
-            self._applied.append(idx)
-            event = self.events[idx]
-            j = len(event.output)
-            match = event.output == self.x_str[:j]
-            self._match[idx] = match
-            if match:
-                self._offer(j, len(event.codeword), event.stage, event.codeword)
+        for event in self._events_by_stage.get(stage, []):
+            self._applied.append(event)
+            self._offer(event)
 
-    def _offer(self, j: int, length: int, stage: int, codeword: str) -> None:
-        candidate = (length, stage, codeword)
+    def _offer(self, event: ScheduleEvent) -> None:
+        """Keep ``event`` as the best description of X restricted to its
+        output length if it describes the current X and beats the known one."""
+        j = len(event.output)
+        if event.output != self.x_str[:j]:
+            return
+        candidate = (len(event.codeword), event.stage, event.codeword)
         known = self.k_best.get(j)
         if known is None or candidate < known:
             self.k_best[j] = candidate
@@ -127,16 +123,8 @@ class _SideTracker:
 
     def _recompute_matches(self) -> None:
         self.k_best = {}
-        for idx in self._applied:
-            event = self.events[idx]
-            j = len(event.output)
-            match = event.output == self.x_str[:j]
-            self._match[idx] = match
-            if match:
-                candidate = (len(event.codeword), event.stage, event.codeword)
-                known = self.k_best.get(j)
-                if known is None or candidate < known:
-                    self.k_best[j] = candidate
+        for event in self._applied:
+            self._offer(event)
         self._sums_stale = True
         self._dirty = set(self._sum_keys) | set(self.k_best)
 
@@ -204,7 +192,6 @@ class Marker:
     position: int | None = None
     frozen: bool = False
     move_count: int = 0
-    injury_count: int = 0
     machines: dict[str, PrefixFreeMachine] = field(default_factory=dict)
     t: dict[str, int | None] = field(default_factory=dict)
     q: dict[str, Dyadic | None] = field(default_factory=dict)
@@ -223,6 +210,7 @@ class Marker:
 class BaseEngine:
     """Stage loop shared by the one-set and two-set constructions."""
 
+    # The defaults are the one-set construction's; DualEngine overrides them.
     side_names: tuple[str, ...] = ("a",)
     c_offset: int = 3
     use_deficits: bool = False
@@ -246,7 +234,7 @@ class BaseEngine:
         self.markers: list[Marker] = []
         self.move_history: list[int] = []
         self.archived: list[tuple[str, int, PrefixFreeMachine]] = []
-        self.trace: list[dict[str, Any]] = []
+        self._last: dict[str, Any] | None = None
         # Bounds past which nothing in the scenario can change: markers with
         # positions above every described segment length can only act through
         # the halting clause, and once all event stages have passed a no-op
@@ -443,19 +431,25 @@ class BaseEngine:
         )
 
     def step(self) -> dict[str, Any]:
-        """Run one stage and return its trace record."""
+        """Run one stage and return its trace record.
+
+        Past the quiet point a replayed no-op record is a shallow copy of the
+        previous one: the records share their nested containers, so callers
+        must treat returned records as read-only.
+        """
         s_old = self.stage
         stage = s_old + 1
+        last = self._last
         if (
             s_old > self._quiet_after
-            and self.trace
-            and self.trace[-1]["action"] == "noop"
+            and last is not None
+            and last["action"] == "noop"
         ):
             # Past the last scheduled event a no-op stage reproduces itself:
             # sums, cursors and clauses all read the same unchanged state.
-            record = dict(self.trace[-1])
+            record = dict(last)
             record["stage"] = stage
-            self.trace.append(record)
+            self._last = record
             self.stage = stage
             return record
         self._note(stage)
@@ -604,7 +598,6 @@ class BaseEngine:
                     other.position = None
                     other.frozen = False
                     other.c += 1
-                    other.injury_count += 1
                     for side in self.side_names:
                         self.archived.append(
                             (side, other.index, other.machines[side])
@@ -633,7 +626,7 @@ class BaseEngine:
 
         record["markers"] = self._marker_snapshot(touched)
         record["weights"] = self._weight_snapshot(n_entries)
-        self.trace.append(record)
+        self._last = record
         self.stage = stage
         return record
 
@@ -692,24 +685,6 @@ class BaseEngine:
 class SingleEngine(BaseEngine):
     """One given set A: builds B, machine M and per-marker machines N_i."""
 
-    side_names = ("a",)
-    c_offset = 3
-    use_deficits = False
-    cursor_inclusive = False
-    engine_name = "single"
-
-    # Public accessors -----------------------------------------------------
-
-    def t_of(self, index: int) -> int | None:
-        return self.markers[index].t["a"]
-
-    def q_of(self, index: int) -> Dyadic | None:
-        return self.markers[index].q["a"]
-
-    @property
-    def m_machine(self) -> PrefixFreeMachine:
-        return self.sides["a"].machine
-
 
 class DualEngine(BaseEngine):
     """Two given sets A and D: one marker system, machines M_a and M_d."""
@@ -719,9 +694,3 @@ class DualEngine(BaseEngine):
     use_deficits = True
     cursor_inclusive = True
     engine_name = "dual"
-
-    def t_x_of(self, index: int, side: str) -> int | None:
-        return self.markers[index].t[side]
-
-    def q_x_of(self, index: int, side: str) -> Dyadic | None:
-        return self.markers[index].q[side]

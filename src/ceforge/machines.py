@@ -1,4 +1,4 @@
-"""Bounded request sets, online code-space allocation and prefix-free machines.
+"""Online code-space allocation and prefix-free machines.
 
 The allocator keeps the classical invariant "at most one free block of each
 length", which makes every allocation deterministic: take the longest free
@@ -8,7 +8,7 @@ split-off siblings to the free set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bitcore import INFINITE, Dyadic, ExtendedLength, ONE, ZERO
 
@@ -18,44 +18,11 @@ class Exhausted(RuntimeError):
 
 
 class WeightOverflow(RuntimeError):
-    """Appending a request would push the total weight to 1 or beyond."""
+    """Describing an output would push a machine's weight to 1 or beyond."""
 
 
 class NotPrefixFree(ValueError):
     """A set of codewords contains a proper prefix pair."""
-
-
-@dataclass(frozen=True)
-class Request:
-    """A demand to describe ``target`` with a codeword of ``length`` bits."""
-
-    target: str
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("request length must be positive")
-
-    @property
-    def weight(self) -> Dyadic:
-        return Dyadic.pow2_neg(self.length)
-
-
-@dataclass
-class RequestSet:
-    """Ordered request list whose total weight stays strictly below 1."""
-
-    requests: list[Request] = field(default_factory=list)
-    total_weight: Dyadic = ZERO
-
-    def append(self, request: Request) -> None:
-        new_weight = self.total_weight + request.weight
-        if new_weight >= ONE:
-            raise WeightOverflow(
-                f"request set weight would reach {new_weight}"
-            )
-        self.requests.append(request)
-        self.total_weight = new_weight
 
 
 class FreeBlockSet:
@@ -63,12 +30,6 @@ class FreeBlockSet:
 
     def __init__(self) -> None:
         self.free: dict[int, str] = {0: ""}
-
-    def free_weight(self) -> Dyadic:
-        total = ZERO
-        for length in self.free:
-            total = total + Dyadic.pow2_neg(length)
-        return total
 
     def allocate(self, length: int) -> str:
         """Return a fresh codeword of exactly ``length`` bits.
@@ -135,41 +96,14 @@ class PrefixFreeMachine:
             self._min_len[output] = length
         return entry
 
-    def k_of(self, output: str, stage: int | None = None) -> ExtendedLength:
-        """Minimum codeword length describing ``output`` by ``stage``.
-
-        ``stage=None`` queries the current state (the hot path); an explicit
-        stage scans the stamped entries.
-        """
-        if stage is None:
-            return self._min_len.get(output, INFINITE)
-        best: ExtendedLength = INFINITE
-        for entry in self.entries:
-            if entry.stage <= stage and entry.output == output:
-                if len(entry.codeword) < best:
-                    best = len(entry.codeword)
-        return best
+    def k_of(self, output: str) -> ExtendedLength:
+        """Minimum codeword length describing ``output`` so far."""
+        return self._min_len.get(output, INFINITE)
 
     def reset(self) -> "PrefixFreeMachine":
         """Discard all computations: seal this version, return a fresh one."""
         self._sealed = True
         return PrefixFreeMachine(self.name, self.version + 1)
-
-    def dump(self) -> str:
-        """One line per entry: ``codeword TAB output TAB stage``."""
-        return "\n".join(
-            f"{e.codeword}\t{e.output}\t{e.stage}" for e in self.entries
-        )
-
-
-def machine_from_requests(
-    requests: RequestSet, name: str = "M"
-) -> PrefixFreeMachine:
-    """Realize a bounded request set as a prefix-free machine, in list order."""
-    machine = PrefixFreeMachine(name)
-    for i, request in enumerate(requests.requests):
-        machine.describe(request.target, request.length, stage=i)
-    return machine
 
 
 def check_prefix_free(codewords: list[str]) -> None:
@@ -178,12 +112,3 @@ def check_prefix_free(codewords: list[str]) -> None:
     for a, b in zip(ordered, ordered[1:]):
         if b.startswith(a):
             raise NotPrefixFree(f"{a!r} is a prefix of {b!r}")
-
-
-def wgt(codewords: list[str]) -> Dyadic:
-    """Exact weight of a prefix-free set of codewords."""
-    check_prefix_free(codewords)
-    total = ZERO
-    for word in codewords:
-        total = total + Dyadic.pow2_neg(len(word))
-    return total

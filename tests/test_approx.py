@@ -17,9 +17,10 @@ from ceforge.approx import (
     decode_real,
     encode_real,
     gen_scenario,
-    restrict,
 )
 from ceforge.bitcore import Dyadic, INFINITE
+
+from oracles import k_at, k_at_n
 
 
 class TestCESetApprox:
@@ -33,9 +34,6 @@ class TestCESetApprox:
         ce = CESetApprox([(1, 3)])
         with pytest.raises(ScenarioError):
             ce.add(1, 7)
-
-    def test_restrict_helper_on_bit_vector(self):
-        assert restrict([0, 1, 1], 5) == "01100"
 
 
 class TestCERealApprox:
@@ -100,6 +98,9 @@ class TestBlockEncoding:
 
 
 class TestUniversalSchedule:
+    """The weight bound, and the naive K scans of ``oracles`` checked by
+    hand before they check the engine."""
+
     def test_weight_bound_enforced(self):
         heavy = [
             ScheduleEvent(1, "00", "0"),
@@ -115,14 +116,14 @@ class TestUniversalSchedule:
                 ScheduleEvent(4, "0001", "11"),
             ]
         )
-        assert sched.k_at("11", 0) is INFINITE
-        assert sched.k_at("11", 1) == 5
-        assert sched.k_at("11", 4) == 4
+        assert k_at(sched, "11", 0) is INFINITE
+        assert k_at(sched, "11", 1) == 5
+        assert k_at(sched, "11", 4) == 4
 
     def test_k_at_n_uses_zero_string(self):
         sched = UniversalSchedule([ScheduleEvent(2, "0001", "000")])
-        assert sched.k_at_n(3, 2) == 4
-        assert sched.k_at_n(2, 2) is INFINITE
+        assert k_at_n(sched, 3, 2) == 4
+        assert k_at_n(sched, 2, 2) is INFINITE
 
 
 class TestScenarioSerialization:

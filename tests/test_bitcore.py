@@ -5,16 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ceforge.bitcore import (
-    BitString,
-    Dyadic,
-    INFINITE,
-    NegativeResult,
-    ONE,
-    ZERO,
-    compare,
-    is_prefix,
-)
+from ceforge.bitcore import Dyadic, INFINITE, NegativeResult, ONE, ZERO
 
 dyadics = st.builds(
     Dyadic,
@@ -45,6 +36,9 @@ class TestDyadic:
         for d in (ZERO, ONE, Dyadic(5, 3), Dyadic(7, 60)):
             assert Dyadic.parse(str(d)) == d
         assert Dyadic.parse("3") == Dyadic(3)
+        for text in ("-1/2^0", "-3", "x/2^1", "1/2^"):
+            with pytest.raises(ValueError):
+                Dyadic.parse(text)
 
     def test_subtraction_below_zero_raises(self):
         with pytest.raises(NegativeResult):
@@ -58,10 +52,6 @@ class TestDyadic:
     @given(dyadics, dyadics)
     def test_add_matches_fractions(self, a, b):
         assert as_fraction(a + b) == as_fraction(a) + as_fraction(b)
-
-    @given(dyadics, dyadics)
-    def test_mul_matches_fractions(self, a, b):
-        assert as_fraction(a * b) == as_fraction(a) * as_fraction(b)
 
     @given(dyadics, dyadics)
     def test_sub_matches_fractions(self, a, b):
@@ -93,24 +83,3 @@ class TestInfinite:
         # an undescribed string satisfies any finite threshold strictly
         assert INFINITE > 7 + 3
 
-
-class TestBitString:
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            BitString("012")
-
-    def test_length_lex_order(self):
-        assert BitString("1") < BitString("00")
-        assert BitString("01") < BitString("10")
-        assert BitString("") < BitString("0")
-
-    def test_compare(self):
-        assert compare("1", "00") == -1
-        assert compare("10", "10") == 0
-        assert compare("11", "10") == 1
-
-    def test_is_prefix(self):
-        assert is_prefix("", "0")
-        assert is_prefix("01", "010")
-        assert is_prefix("01", "01")
-        assert not is_prefix("1", "01")

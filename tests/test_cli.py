@@ -6,6 +6,8 @@ import pytest
 
 from ceforge.cli import EXIT_LEMMA, EXIT_OK, EXIT_SCENARIO, main
 
+from conftest import load_jsonl
+
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -102,6 +104,67 @@ class TestAudit:
         )
         assert code == EXIT_LEMMA
         assert json.loads(out)["pass"] is False
+
+
+def _markers_as_list(records):
+    records[1]["markers"] = list(records[1]["markers"].values())
+
+
+def _n_length_null(records):
+    entry = next(r for r in records[1:] if r["n_entries"])["n_entries"][0]
+    entry["length"] = None
+
+
+def _m_justify_as_list(records):
+    entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
+    entry["justify"] = [entry["justify"]]
+
+
+def _stage_as_string(records):
+    records[2] = "noop"
+
+
+def _stage_as_list(records):
+    records[2] = [records[2]]
+
+
+def _header_as_list(records):
+    records[0] = [records[0]]
+
+
+def _negative_deficit(records):
+    records[1]["markers"]["0"]["p_a"] = "-1/2^0"
+
+
+@pytest.mark.parametrize(
+    "fixture, corrupt",
+    [
+        ("single_scripted", _markers_as_list),
+        ("single_scripted", _n_length_null),
+        ("dual_scripted", _m_justify_as_list),
+        ("single_scripted", _stage_as_string),
+        ("single_scripted", _stage_as_list),
+        ("single_scripted", _header_as_list),
+        ("dual_scripted", _negative_deficit),
+    ],
+    ids=lambda value: getattr(value, "__name__", value).lstrip("_"),
+)
+def test_malformed_trace_exits_two(
+    capsys, tmp_path, data_dir, fixture, corrupt
+):
+    records = load_jsonl(data_dir / f"{fixture}_trace.jsonl")
+    corrupt(records)
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run_cli(
+        capsys,
+        "audit",
+        "--scenario", str(data_dir / f"{fixture}.json"),
+        "--trace", str(trace),
+    )
+    assert code == EXIT_SCENARIO
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
 
 
 class TestKc:

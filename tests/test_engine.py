@@ -5,10 +5,21 @@ the engine ran, so these serve as the independent oracle for the reference
 traces bundled under tests/data.
 """
 
+import math
+
 import pytest
 
-from ceforge import DualEngine, LemmaViolation, SingleEngine, gen_scenario
+from ceforge import (
+    DualEngine,
+    LemmaViolation,
+    SingleEngine,
+    gen_scenario,
+    trace_to_jsonl,
+)
 from ceforge.bitcore import Dyadic
+from ceforge.engine import _ZeroTracker
+
+from oracles import k_at_n, machine_k_at
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +89,8 @@ class TestSingleScripted:
         engine, _ = single_run
         assert sorted(engine.b_stage) == [1, 5]
         assert engine.markers[0].frozen
-        assert engine.t_of(0) == 3
-        assert engine.q_of(0) == Dyadic.pow2_neg(7)
+        assert engine.markers[0].t["a"] == 3
+        assert engine.markers[0].q["a"] == Dyadic.pow2_neg(7)
 
 
 class TestDualScripted:
@@ -126,7 +137,7 @@ class TestDualScripted:
             if marker.position is None:
                 continue
             for side in ("a", "d"):
-                q = engine.q_x_of(marker.index, side)
+                q = marker.q[side]
                 if q is not None:
                     assert marker.p[side] <= q
                     assert q <= Dyadic.pow2_neg(marker.c)
@@ -145,10 +156,10 @@ class TestEngineProperties:
 
     def test_abandoned_positions_enter_b(self):
         engine = SingleEngine(gen_scenario(17))
-        engine.run(3_000)
+        records = engine.run(3_000)
         moved = {
             record["b_added"]
-            for record in engine.trace
+            for record in records[1:]
             if record["action"] == "act"
         }
         assert moved <= set(engine.b_stage)
@@ -162,3 +173,96 @@ class TestEngineProperties:
 
     def test_lemma_violation_is_raising_type(self):
         assert issubclass(LemmaViolation, RuntimeError)
+
+
+class _Naive:
+    """Turns off the engine's three shortcuts: the quiet-phase replay, the
+    past-max-key skip and the ``_compute_t`` stamp cache."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self._quiet_after = math.inf
+        self._max_key_bound = math.inf
+
+    def step(self):
+        for marker in self.markers:
+            for side in marker._t_stamp:
+                marker._t_stamp[side] = -1
+        return super().step()
+
+    def _compute_t(self, marker, side, s_old):
+        # A second, independent cache miss: a change to the cache condition
+        # that ignores the stamp must not turn this engine's cache back on.
+        self.zero.changed_at_stage = True
+        super()._compute_t(marker, side, s_old)
+
+
+class _NaiveSingle(_Naive, SingleEngine):
+    pass
+
+
+class _NaiveDual(_Naive, DualEngine):
+    pass
+
+
+def _thresholds(engine):
+    return [(marker.t, marker.q) for marker in engine.markers]
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+@pytest.mark.parametrize(
+    "fast_cls, naive_cls",
+    [(SingleEngine, _NaiveSingle), (DualEngine, _NaiveDual)],
+    ids=["single", "dual"],
+)
+def test_shortcuts_match_naive_path(fast_cls, naive_cls, seed):
+    """Same JSONL record at every stage; up to the quiet point, where the
+    fast engine stops computing, also the same thresholds t and q."""
+    stages = 1_500
+    scenario = gen_scenario(seed)
+    fast, naive = fast_cls(scenario), naive_cls(scenario)
+    assert trace_to_jsonl(fast.run(1)) == trace_to_jsonl(naive.run(1))
+    for stage in range(2, stages + 1):
+        record = trace_to_jsonl([fast.step()])
+        assert record == trace_to_jsonl([naive.step()]), stage
+        if stage <= fast._quiet_after:
+            assert _thresholds(fast) == _thresholds(naive), stage
+    # The horizon reaches past the quiet point, and some marker sits where
+    # the past-max-key skip applies, so both shortcuts are exercised.
+    assert fast._quiet_after < stages - 1
+    assert any(
+        m.position is not None and m.position > fast._max_key_bound
+        for m in fast.markers
+    )
+
+
+class TestAgainstOracles:
+    def test_zero_tracker_matches_naive_scan(self):
+        scenario = gen_scenario(4)
+        schedule = scenario.schedule
+        tracker = _ZeroTracker(schedule.events)
+        lengths = range(max(len(e.output) for e in schedule.events) + 2)
+        last = max(e.stage for e in schedule.events)
+        checkpoints = set(range(1, last + 2, 97)) | {last, last + 1}
+        for stage in range(1, last + 2):
+            tracker.apply(stage)
+            if stage in checkpoints:
+                for n in lengths:
+                    assert tracker.k_of(n) == k_at_n(schedule, n, stage), (
+                        stage, n,
+                    )
+
+    @pytest.mark.parametrize("engine_cls", [SingleEngine, DualEngine])
+    def test_machine_k_of_is_minimum_over_entries(self, engine_cls):
+        engine = engine_cls(gen_scenario(9))
+        engine.run(1_500)
+        machines = [tracker.machine for tracker in engine.sides.values()]
+        machines += [m for _, _, m in engine.archived]
+        machines += [
+            m for marker in engine.markers for m in marker.machines.values()
+        ]
+        assert sum(len(m.entries) for m in machines) > 0
+        for machine in machines:
+            outputs = {entry.output for entry in machine.entries}
+            for output in outputs | {"2"}:
+                assert machine.k_of(output) == machine_k_at(machine, output)

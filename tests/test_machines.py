@@ -5,19 +5,26 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from ceforge.audit import _wgt
 from ceforge.bitcore import Dyadic, INFINITE, ONE, ZERO
 from ceforge.machines import (
     Exhausted,
     FreeBlockSet,
     NotPrefixFree,
     PrefixFreeMachine,
-    Request,
-    RequestSet,
     WeightOverflow,
     check_prefix_free,
-    machine_from_requests,
-    wgt,
 )
+
+from oracles import machine_k_at
+
+
+def machine_from(requests: list[tuple[str, int]]) -> PrefixFreeMachine:
+    """Describe each ``(target, length)`` request in order, stage = index."""
+    machine = PrefixFreeMachine()
+    for stage, (target, length) in enumerate(requests):
+        machine.describe(target, length, stage)
+    return machine
 
 
 class TestFreeBlockSet:
@@ -46,56 +53,49 @@ class TestFreeBlockSet:
         for length in (3, 1, 4, 4):
             free.allocate(length)
             spent = spent + Dyadic.pow2_neg(length)
-        assert free.free_weight() + spent == ONE
+        assert _wgt(set(free.free.values())) + spent == ONE
 
 
 class TestRequestSet:
+    """A machine realizes a request stream whose weight stays below 1."""
+
     def test_rejects_weight_one(self):
-        rs = RequestSet()
-        rs.append(Request("0", 1))
+        machine = machine_from([("0", 1)])
         with pytest.raises(WeightOverflow):
-            rs.append(Request("1", 1))
+            machine.describe("1", 1, stage=1)
+        assert machine.weight == Dyadic(1, 1)
 
     def test_tracks_exact_weight(self):
-        rs = RequestSet()
-        rs.append(Request("0", 1))
-        rs.append(Request("11", 2))
-        assert rs.total_weight == Dyadic(3, 2)
-
-    def test_non_positive_length_rejected(self):
-        with pytest.raises(ValueError):
-            Request("0", 0)
+        machine = PrefixFreeMachine()
+        for length, weight in ((1, Dyadic(1, 1)), (3, Dyadic(5, 3)),
+                               (2, Dyadic(7, 3))):
+            machine.describe("0", length, stage=length)
+            assert machine.weight == weight
 
 
 class TestMachineFromRequests:
     def test_empty(self):
-        machine = machine_from_requests(RequestSet())
+        machine = machine_from([])
         assert machine.weight == ZERO
         assert machine.entries == []
 
     def test_two_requests(self):
-        rs = RequestSet()
-        rs.append(Request("0", 1))
-        rs.append(Request("11", 2))
-        machine = machine_from_requests(rs)
+        machine = machine_from([("0", 1), ("11", 2)])
         assert machine.weight == Dyadic(3, 2)
         assert [e.codeword for e in machine.entries] == ["0", "10"]
 
     def test_weight_matches_request_total(self):
         rng = random.Random(3)
-        rs = RequestSet()
-        for i in range(200):
-            length = rng.randint(9, 16)
-            rs.append(Request(format(i, "b"), length))
-        machine = machine_from_requests(rs)
-        assert machine.weight == rs.total_weight
+        requests = [(format(i, "b"), rng.randint(9, 16)) for i in range(200)]
+        machine = machine_from(requests)
+        total = ZERO
+        for _, length in requests:
+            total = total + Dyadic.pow2_neg(length)
+        assert machine.weight == total
         check_prefix_free([e.codeword for e in machine.entries])
 
     def test_duplicate_requests_get_two_codewords(self):
-        rs = RequestSet()
-        rs.append(Request("01", 3))
-        rs.append(Request("01", 3))
-        machine = machine_from_requests(rs)
+        machine = machine_from([("01", 3), ("01", 3)])
         assert len({e.codeword for e in machine.entries}) == 2
 
 
@@ -107,15 +107,18 @@ class TestKOf:
         m = PrefixFreeMachine()
         m.describe("1", 3, stage=1)
         m.describe("1", 2, stage=4)
-        assert m.k_of("1") == 2
-        assert m.k_of("1", stage=1) == 3
-        assert m.k_of("1", stage=0) is INFINITE
+        assert m.k_of("1") == 2 == machine_k_at(m, "1")
+        assert machine_k_at(m, "1", stage=1) == 3
+        assert machine_k_at(m, "1", stage=0) is INFINITE
 
     def test_monotone_in_stage(self):
         m = PrefixFreeMachine()
         m.describe("00", 5, stage=2)
+        before = m.k_of("00")
         m.describe("00", 3, stage=7)
-        assert m.k_of("00", stage=7) <= m.k_of("00", stage=2)
+        assert m.k_of("00") <= before
+        m.describe("00", 6, stage=9)
+        assert m.k_of("00") == 3
 
 
 class TestReset:
@@ -131,15 +134,19 @@ class TestReset:
 
 
 class TestWgt:
+    """The audit's exact weight of a codeword set, and the prefix-free
+    guard that codeword sets pass through."""
+
     def test_complete_code(self):
-        assert wgt(["0", "10", "11"]) == ONE
+        assert _wgt({"0", "10", "11"}) == ONE
 
     def test_empty(self):
-        assert wgt([]) == ZERO
+        assert _wgt(set()) == ZERO
 
     def test_rejects_prefix_pairs(self):
         with pytest.raises(NotPrefixFree):
-            wgt(["0", "01"])
+            check_prefix_free(["0", "01"])
+        check_prefix_free(["0", "10", "11"])
 
 
 @given(st.lists(st.integers(min_value=6, max_value=16), max_size=60))
