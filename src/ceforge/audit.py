@@ -122,20 +122,6 @@ def _require(
             )
 
 
-def _is_stage_record(record: Any) -> bool:
-    """``_require(record, _RECORD_FIELDS, ...)`` as one fast test: it runs
-    once per stage record, and the audit of a sweep trace reads 10,000."""
-    return (
-        type(record) is dict
-        and type(record.get("stage")) is int
-        and type(record.get("markers")) is dict
-        and type(record.get("injured")) is list
-        and type(record.get("m_entries")) is list
-        and type(record.get("n_entries")) is list
-        and type(record.get("b_added")) in _OPTIONAL_INT
-    )
-
-
 @dataclass
 class _Replay:
     """State rebuilt from the trace records alone."""
@@ -164,8 +150,7 @@ class _Replay:
             snap_fields.update({f"p_{side}": (str,) for side in sides})
         replay = cls(header=header, stages=records[1:], sides=sides)
         for number, record in enumerate(replay.stages, 1):
-            if not _is_stage_record(record):
-                _require(record, _RECORD_FIELDS, number, "")
+            _require(record, _RECORD_FIELDS, number, "")
             for entry in record["m_entries"]:
                 _require(entry, _M_ENTRY_FIELDS, number, " m_entries")
             for entry in record["n_entries"]:

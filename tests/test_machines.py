@@ -57,7 +57,8 @@ class TestFreeBlockSet:
 
 
 class TestRequestSet:
-    """A machine realizes a request stream whose weight stays below 1."""
+    """``PrefixFreeMachine.describe`` keeps the exact weight of a stream of
+    description requests and refuses one that would bring it to 1."""
 
     def test_rejects_weight_one(self):
         machine = machine_from([("0", 1)])
@@ -74,6 +75,9 @@ class TestRequestSet:
 
 
 class TestMachineFromRequests:
+    """``PrefixFreeMachine.describe`` over a request stream hands out
+    prefix-free codewords whose weight is the request total."""
+
     def test_empty(self):
         machine = machine_from([])
         assert machine.weight == ZERO
