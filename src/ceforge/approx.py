@@ -65,11 +65,15 @@ class CERealApprox:
     """
 
     def __init__(self, bits_per_stage: list[list[int]]) -> None:
-        if not bits_per_stage:
-            raise ValueError("need at least one stage")
+        if (
+            type(bits_per_stage) is not list
+            or not bits_per_stage
+            or not all(type(v) is list for v in bits_per_stage)
+        ):
+            raise ValueError("need a non-empty list of per-stage bit lists")
         self.bits_per_stage = [list(v) for v in bits_per_stage]
         for vec in self.bits_per_stage:
-            if any(b not in (0, 1) for b in vec):
+            if any(type(b) is not int or b not in (0, 1) for b in vec):
                 raise ValueError("bit vectors must contain only 0/1")
         width = max(len(v) for v in self.bits_per_stage)
         for vec in self.bits_per_stage:

@@ -44,13 +44,24 @@ class UsageLedger:
         self.uses: dict[str, list[_Use]] = {}
 
     def record_use(
-        self, u_codeword: str, m_length: int, stage: int, cause: int | None
+        self,
+        u_codeword: str,
+        m_length: int,
+        n: int,
+        stage: int,
+        cause: int | None,
     ) -> None:
+        """Count one use of ``u_codeword`` by an output-machine entry of
+        ``m_length`` bits describing a segment of length ``n``."""
         if u_codeword not in self.output_of:
             raise LengthMismatch(f"unknown justifying codeword {u_codeword!r}")
         if len(u_codeword) != m_length:
             raise LengthMismatch(
                 f"entry length {m_length} != |{u_codeword!r}|"
+            )
+        if len(self.output_of[u_codeword]) != n:
+            raise LengthMismatch(
+                f"entry n {n} != output length of {u_codeword!r}"
             )
         bucket = self.uses.setdefault(u_codeword, [])
         bucket.append(_Use(stage, cause, len(bucket) + 1))
@@ -209,8 +220,8 @@ def check_weights(
             side = entry["side"]
             ledger = ledgers[side]
             ledger.record_use(
-                entry["justify"], entry["length"], record["stage"],
-                entry["cause"],
+                entry["justify"], entry["length"], entry["n"],
+                record["stage"], entry["cause"],
             )
             m_weight[side] = m_weight[side] + Dyadic.pow2_neg(entry["length"])
             # Only descriptions active at the stage of the transition may
@@ -253,9 +264,26 @@ def check_weights(
         )
         _check(checks, f"container-nesting-{side}", nesting_ok, {})
 
+    # An N-entry is K(0^k) + c bits long for a schedule description of 0^k
+    # and a counter c, and every counter a marker takes shows in a snapshot.
+    max_length = max(
+        (len(e.codeword) for e in scenario.schedule.events), default=0
+    ) + max(
+        (
+            snap["c"]
+            for timeline in replay.timelines.values()
+            for _, snap in timeline
+        ),
+        default=0,
+    )
     n_weights: dict[tuple[str, int, int], Dyadic] = {}
-    for record in replay.stages:
+    for number, record in enumerate(replay.stages, 1):
         for entry in record["n_entries"]:
+            if entry["length"] > max_length:
+                raise ValueError(
+                    f"malformed trace: record {number} n_entries length "
+                    f"{entry['length']} exceeds {max_length}"
+                )
             key = (entry["side"], entry["index"], entry["version"])
             n_weights[key] = n_weights.get(key, ZERO) + Dyadic.pow2_neg(
                 entry["length"]

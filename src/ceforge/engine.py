@@ -31,12 +31,11 @@ class _ZeroTracker:
                 self._by_stage.setdefault(event.stage, []).append(event)
         self.best: dict[int, int] = {}
         self.keys: list[int] = []
-        self.changed_at_stage = False
 
     def apply(self, stage: int) -> dict[int, int]:
-        """Advance to ``stage``; return the lengths that strictly dropped."""
+        """Advance to ``stage``; return the lengths that strictly dropped,
+        new keys included."""
         drops: dict[int, int] = {}
-        self.changed_at_stage = False
         for event in self._by_stage.get(stage, []):
             n = len(event.output)
             length = len(event.codeword)
@@ -46,11 +45,9 @@ class _ZeroTracker:
                 self.best[n] = length
                 bisect.insort(self.keys, n)
                 drops[n] = length
-                self.changed_at_stage = True
             elif length < known:
                 self.best[n] = length
                 drops[n] = length
-                self.changed_at_stage = True
         return drops
 
     def k_of(self, n: int) -> int | float:
@@ -88,12 +85,11 @@ class _SideTracker:
         self.machine = PrefixFreeMachine(f"M_{side}")
         self._deficient: set[int] = set()
         self._dirty: set[int] = set()
-        self.changed_at_stage = False
         self.min_changed_pos: int | None = None
 
     def apply(self, stage: int) -> None:
-        """Fold in the stage's given-set elements and schedule events."""
-        self.changed_at_stage = False
+        """Fold in the stage's given-set elements and schedule events;
+        ``min_changed_pos`` is the least element added, if any."""
         self.min_changed_pos = None
         elements = self._set_by_stage.get(stage, [])
         if elements:
@@ -102,7 +98,6 @@ class _SideTracker:
             self.x_str = self._bits.decode()
             self.min_changed_pos = min(elements)
             self._recompute_matches()
-            self.changed_at_stage = True
         for event in self._events_by_stage.get(stage, []):
             self._applied.append(event)
             self._offer(event)
@@ -119,7 +114,6 @@ class _SideTracker:
             self.k_best[j] = candidate
             self._sums_stale = True
             self._dirty.add(j)
-            self.changed_at_stage = True
 
     def _recompute_matches(self) -> None:
         self.k_best = {}
@@ -196,7 +190,6 @@ class Marker:
     t: dict[str, int | None] = field(default_factory=dict)
     q: dict[str, Dyadic | None] = field(default_factory=dict)
     p: dict[str, Dyadic] = field(default_factory=dict)
-    _t_stamp: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for side in self.sides:
@@ -204,11 +197,31 @@ class Marker:
             self.t[side] = None
             self.q[side] = None
             self.p[side] = ZERO
-            self._t_stamp[side] = -1
 
 
 class BaseEngine:
-    """Stage loop shared by the one-set and two-set constructions."""
+    """Stage loop shared by the one-set and two-set constructions.
+
+    Each placed marker i keeps, per side, a threshold t: the least key
+    n <= s_old of the zero tracker at which N_i fails to describe X|n within
+    K(0^n) + c_i, and q = 2^-(K(0^t) + c_i).  A stage recomputes t and q only
+    for the (index, side) pairs in ``_dirty``, in index order.  A pair is
+    marked dirty when an input of its t changes:
+
+    * the marker is placed: a fresh marker, or an injured one coming back
+      with a reset machine and c + 1 (unplaced markers have no t);
+    * its N-machine grows (``_enumerate_n``);
+    * the zero tracker gets a new key or a drop at n: pairs whose t is None
+      or t >= n.  A change above t cannot move the least key, and one below
+      t is repaired into N first, which marks the pair as growth;
+    * the given set of the side changes at p and above: pairs whose t is
+      None or t > p, since X|n is unchanged for n <= p;
+    * s_old reaches a key that already exists: pairs whose t is None, since
+      a defined t already lies at or below the previous s_old.
+
+    An offer that only improves the side tracker's ``k_best`` marks nothing:
+    K(X|j) feeds the attention sums and the deficiency cursor, not t.
+    """
 
     # The defaults are the one-set construction's; DualEngine overrides them.
     side_names: tuple[str, ...] = ("a",)
@@ -255,6 +268,10 @@ class BaseEngine:
         first = self._materialize(0)
         first.position = 1
         self._note(1)
+        # (marker index, side) pairs whose t and q the next stage recomputes.
+        # Marker 0 needs no mark: no key exists yet, and every key it could
+        # find later arrives through one of the rules for a t that is None.
+        self._dirty: set[tuple[int, str]] = set()
         # Emitted with the first stage record so the trace carries the
         # initial placement.
         self._pending_touched: set[int] = {0}
@@ -292,65 +309,65 @@ class BaseEngine:
     # -- per-stage parameters ----------------------------------------------
 
     def _compute_t(self, marker: Marker, side: str, s_old: int) -> None:
+        """Recompute ``t`` and ``q`` of a dirty pair from scratch."""
         tracker = self.sides[side]
         machine = marker.machines[side]
-        stamp = len(machine.entries) + (machine.version << 20)
-        cache_ok = (
-            not self.zero.changed_at_stage
-            and not tracker.changed_at_stage
-            and tracker.min_changed_pos is None
-            and marker._t_stamp[side] == stamp
-            and marker.t[side] is not None
-        )
+        best = self.zero.best
+        found: int | None = None
+        for n in self.zero.keys:
+            if n > s_old:
+                break
+            if machine.k_of(tracker.x_str[:n]) > best[n] + marker.c:
+                found = n
+                break
         old_t = marker.t[side]
-        if not cache_ok:
-            found: int | None = None
-            for t in self.zero.keys:
-                if t > s_old:
-                    break
-                threshold = self.zero.best[t] + marker.c
-                if machine.k_of(tracker.x_str[:t]) > threshold:
-                    found = t
-                    break
-            # Conditional monotonicity: if X did not change below the old
-            # value, t may not decrease.
-            if (
-                old_t is not None
-                and found is not None
-                and (
-                    tracker.min_changed_pos is None
-                    or tracker.min_changed_pos >= old_t
-                )
-                and marker._t_stamp[side] == stamp
-            ):
-                assert found >= old_t, (
-                    f"t_{side}[{marker.index}] dropped {old_t}->{found} "
-                    "without a set change below it"
-                )
-            marker.t[side] = found
-            marker._t_stamp[side] = stamp
-        t = marker.t[side]
-        if t is None:
-            marker.q[side] = None
-        else:
-            # Freshly placed positions exceed every stage bound, so t stays
-            # below them; the initial marker on position 1 and frozen
-            # positions are the two legitimate exceptions.
-            if (
-                marker.position is not None
-                and not marker.frozen
-                and (marker.index > 0 or marker.move_count > 0)
-            ):
-                assert t < marker.position, (
-                    f"t_{side}[{marker.index}]={t} not below marker position "
-                    f"{marker.position}"
-                )
-            k_t = self.zero.k_of(t)
-            marker.q[side] = (
-                None
-                if k_t is INFINITE
-                else Dyadic.pow2_neg(int(k_t) + marker.c)
+        # Conditional monotonicity: unless X changed below the old value, t
+        # may not decrease.  Growth of the machine only raises t, a reset
+        # leaves it None, and drops of K(0^n) below t were repaired first.
+        changed = tracker.min_changed_pos
+        if (
+            old_t is not None
+            and found is not None
+            and (changed is None or changed >= old_t)
+        ):
+            assert found >= old_t, (
+                f"t_{side}[{marker.index}] dropped {old_t}->{found} "
+                "without a set change below it"
             )
+        marker.t[side] = found
+        if found is None:
+            marker.q[side] = None
+            return
+        # Freshly placed positions exceed every stage bound, so t stays below
+        # them; the initial marker on position 1 and frozen positions are the
+        # two legitimate exceptions.  Positions only grow while t is kept,
+        # so checking when t changes is enough.
+        if (
+            marker.position is not None
+            and not marker.frozen
+            and (marker.index > 0 or marker.move_count > 0)
+        ):
+            assert found < marker.position, (
+                f"t_{side}[{marker.index}]={found} not below marker position "
+                f"{marker.position}"
+            )
+        # q = 2^-(K(0^t) + c), a dyadic with numerator 1 and exponent
+        # K(0^t) + c: rebuild it only when t, K(0^t) or c moved.
+        length = best[found] + marker.c
+        q = marker.q[side]
+        if q is None or q.exp != length:
+            marker.q[side] = Dyadic.pow2_neg(length)
+
+    def _mark_from(self, lowest: int | float, sides: tuple[str, ...]) -> None:
+        """Mark dirty each placed pair on ``sides`` whose t is None or at
+        least ``lowest``."""
+        for marker in self.markers:
+            if marker.position is None:
+                continue
+            for side in sides:
+                t = marker.t[side]
+                if t is None or t >= lowest:
+                    self._dirty.add((marker.index, side))
 
     def _attention(
         self, marker: Marker, s_old: int, stage: int
@@ -419,6 +436,7 @@ class BaseEngine:
             raise LemmaViolation(
                 f"N_{side}{marker.index} v{machine.version}: {exc}"
             ) from exc
+        self._dirty.add((marker.index, side))
         record.append(
             {
                 "side": side,
@@ -480,10 +498,19 @@ class BaseEngine:
                                 n_entries,
                             )
 
-        for marker in self.markers:
-            if marker.position is not None:
-                for side in self.side_names:
-                    self._compute_t(marker, side, s_old)
+        # Mark the pairs whose t has a changed input (see the class
+        # docstring), then recompute just those.
+        if zero_drops:
+            # The pairs whose t is None are among these.
+            self._mark_from(min(zero_drops), self.side_names)
+        elif s_old in self.zero.best:
+            self._mark_from(INFINITE, self.side_names)
+        for side, tracker in self.sides.items():
+            if tracker.min_changed_pos is not None:
+                self._mark_from(tracker.min_changed_pos + 1, (side,))
+        for index, side in sorted(self._dirty):
+            self._compute_t(self.markers[index], side, s_old)
+        self._dirty.clear()
 
         attention_index: int | None = None
         fired: dict[str, bool] = {side: False for side in self.side_names}
@@ -547,6 +574,9 @@ class BaseEngine:
             ):
                 marker = self._materialize(least_undef)
                 marker.position = self._fresh()
+                self._dirty.update(
+                    (least_undef, side) for side in self.side_names
+                )
                 record["action"] = "place"
                 record["placed"] = [least_undef, marker.position]
                 touched.add(least_undef)
@@ -606,7 +636,6 @@ class BaseEngine:
                         other.t[side] = None
                         other.q[side] = None
                         other.p[side] = ZERO
-                        other._t_stamp[side] = -1
             self.move_history.append(attention_index)
             for side in self.side_names:
                 if fired[side]:

@@ -42,10 +42,10 @@ def tiny_scenario() -> Scenario:
 class TestUsageLedger:
     def test_containers_nest_with_use_counts(self, tiny_scenario):
         ledger = UsageLedger(tiny_scenario, "a")
-        ledger.record_use("0000", 4, stage=1, cause=0)
+        ledger.record_use("0000", 4, 2, stage=1, cause=0)
         assert ledger.containers() == {0: {"0000"}}
-        ledger.record_use("0000", 4, stage=2, cause=0)
-        ledger.record_use("0001", 4, stage=2, cause=1)
+        ledger.record_use("0000", 4, 2, stage=2, cause=0)
+        ledger.record_use("0001", 4, 3, stage=2, cause=1)
         assert ledger.containers() == {0: {"0000", "0001"}, 1: {"0000"}}
         assert ledger.use_count("0000") == 2
         assert ledger.use_count("0001") == 1
@@ -53,12 +53,18 @@ class TestUsageLedger:
     def test_unknown_codeword_rejected(self, tiny_scenario):
         ledger = UsageLedger(tiny_scenario, "a")
         with pytest.raises(LengthMismatch):
-            ledger.record_use("1111", 4, stage=1, cause=None)
+            ledger.record_use("1111", 4, 2, stage=1, cause=None)
 
     def test_length_mismatch_rejected(self, tiny_scenario):
         ledger = UsageLedger(tiny_scenario, "a")
         with pytest.raises(LengthMismatch):
-            ledger.record_use("0000", 5, stage=1, cause=None)
+            ledger.record_use("0000", 5, 2, stage=1, cause=None)
+
+    def test_segment_length_mismatch_rejected(self, tiny_scenario):
+        # "0000" describes "00", so it cannot justify a segment of length 3
+        ledger = UsageLedger(tiny_scenario, "a")
+        with pytest.raises(LengthMismatch):
+            ledger.record_use("0000", 4, 3, stage=1, cause=None)
 
     def test_is_active_tracks_given_set(self, tiny_scenario):
         ledger = UsageLedger(tiny_scenario, "a")

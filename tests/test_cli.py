@@ -136,6 +136,16 @@ def _negative_deficit(records):
     records[1]["markers"]["0"]["p_a"] = "-1/2^0"
 
 
+def _m_n_huge(records):
+    entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
+    entry["n"] = 10**12
+
+
+def _n_length_huge(records):
+    entry = next(r for r in records[1:] if r["n_entries"])["n_entries"][0]
+    entry["length"] = 10**12
+
+
 @pytest.mark.parametrize(
     "fixture, corrupt",
     [
@@ -146,6 +156,8 @@ def _negative_deficit(records):
         ("single_scripted", _stage_as_list),
         ("single_scripted", _header_as_list),
         ("dual_scripted", _negative_deficit),
+        ("dual_scripted", _m_n_huge),
+        ("single_scripted", _n_length_huge),
     ],
     ids=lambda value: getattr(value, "__name__", value).lstrip("_"),
 )
@@ -203,3 +215,16 @@ class TestEncodeReal:
         real.write_text("[[0, 0], [0, 1], [1, 0], [1, 1]]")
         code, _, _ = run_cli(capsys, "encode-real", str(real))
         assert code == EXIT_SCENARIO
+
+    @pytest.mark.parametrize(
+        "text",
+        ["5", "[5]", "[]", '"01"', '["01"]', "[[0], 1]", "[[2]]", "[[true]]",
+         "[[0.0]]", '{"0": [0]}'],
+    )
+    def test_malformed_real_exits_two(self, capsys, tmp_path, text):
+        real = tmp_path / "real.json"
+        real.write_text(text)
+        code, out, err = run_cli(capsys, "encode-real", str(real))
+        assert code == EXIT_SCENARIO
+        assert out == ""
+        assert len(err.splitlines()) == 1, err

@@ -5,12 +5,15 @@ the engine ran, so these serve as the independent oracle for the reference
 traces bundled under tests/data.
 """
 
+import functools
+import hashlib
 import math
 
 import pytest
 
 from ceforge import (
     DualEngine,
+    GenParams,
     LemmaViolation,
     SingleEngine,
     gen_scenario,
@@ -176,8 +179,9 @@ class TestEngineProperties:
 
 
 class _Naive:
-    """Turns off the engine's three shortcuts: the quiet-phase replay, the
-    past-max-key skip and the ``_compute_t`` stamp cache."""
+    """Turns off the engine's shortcuts: the quiet-phase replay, the
+    past-max-key skip and the dirty set, so that every placed marker's t
+    and q are recomputed from scratch at every stage."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
@@ -186,15 +190,15 @@ class _Naive:
 
     def step(self):
         for marker in self.markers:
-            for side in marker._t_stamp:
-                marker._t_stamp[side] = -1
+            if marker.position is None:
+                continue
+            for side in self.side_names:
+                self._dirty.add((marker.index, side))
+                # A second, independent rebuild: a change to the test that
+                # decides when q is rebuilt must not keep this engine's
+                # stale q as well.
+                marker.q[side] = None
         return super().step()
-
-    def _compute_t(self, marker, side, s_old):
-        # A second, independent cache miss: a change to the cache condition
-        # that ignores the stamp must not turn this engine's cache back on.
-        self.zero.changed_at_stage = True
-        super()._compute_t(marker, side, s_old)
 
 
 class _NaiveSingle(_Naive, SingleEngine):
@@ -209,17 +213,41 @@ def _thresholds(engine):
     return [(marker.t, marker.q) for marker in engine.markers]
 
 
-@pytest.mark.parametrize("seed", [2, 5])
+#: The benchmark's dense-x4 shape: four times the events and given-set
+#: elements, active over most of the horizon.
+DENSE_X4 = GenParams(
+    stages=6_000,
+    events=1_600,
+    active_stages=4_800,
+    set_size=56,
+    element_bound=192,
+    max_length=18,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _scenario(seed, dense):
+    return gen_scenario(seed, DENSE_X4 if dense else None)
+
+
+@pytest.mark.parametrize(
+    "seed, dense",
+    [
+        pytest.param(2, False, id="2"),
+        pytest.param(5, False, id="5"),
+        pytest.param(1, True, id="dense"),
+    ],
+)
 @pytest.mark.parametrize(
     "fast_cls, naive_cls",
     [(SingleEngine, _NaiveSingle), (DualEngine, _NaiveDual)],
     ids=["single", "dual"],
 )
-def test_shortcuts_match_naive_path(fast_cls, naive_cls, seed):
+def test_shortcuts_match_naive_path(fast_cls, naive_cls, seed, dense):
     """Same JSONL record at every stage; up to the quiet point, where the
     fast engine stops computing, also the same thresholds t and q."""
     stages = 1_500
-    scenario = gen_scenario(seed)
+    scenario = _scenario(seed, dense)
     fast, naive = fast_cls(scenario), naive_cls(scenario)
     assert trace_to_jsonl(fast.run(1)) == trace_to_jsonl(naive.run(1))
     for stage in range(2, stages + 1):
@@ -227,13 +255,43 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, seed):
         assert record == trace_to_jsonl([naive.step()]), stage
         if stage <= fast._quiet_after:
             assert _thresholds(fast) == _thresholds(naive), stage
-    # The horizon reaches past the quiet point, and some marker sits where
-    # the past-max-key skip applies, so both shortcuts are exercised.
-    assert fast._quiet_after < stages - 1
+    # Some marker sits where the past-max-key skip applies, and the sweep
+    # horizon reaches past the quiet point (the dense one is active
+    # throughout), so every shortcut is exercised.
     assert any(
         m.position is not None and m.position > fast._max_key_bound
         for m in fast.markers
     )
+    if not dense:
+        assert fast._quiet_after < stages - 1
+
+
+#: sha256 of the full-horizon JSONL traces, recorded before the stamp cache
+#: gave way to the dirty set.
+FROZEN_TRACES = {
+    (0, "single"): "5f64da637600752872ea0cf612e23f90e53de2bcabf7ad6897615f8fea83896b",
+    (0, "dual"): "825c63b8011b9b3add90bd9f791044f0acf9bf6d8a53094ddd1a862ba4857109",
+    (2, "single"): "d59c4de5f71ada45a5c2668002f79dac47dfbf9f5318963f0685eded4ad0a9a8",
+    (2, "dual"): "eb3086d38700e8b6e4f4c633deec585efb51ea5e723c1c29034776818f001b19",
+}
+
+
+@pytest.mark.parametrize(
+    "seed, engine_cls",
+    [
+        (seed, cls)
+        for seed in (0, 2)
+        for cls in (SingleEngine, DualEngine)
+    ],
+    ids=lambda value: getattr(value, "engine_name", value),
+)
+def test_generated_traces_are_byte_frozen(seed, engine_cls):
+    """Full-horizon traces of generated scenarios, quiet phase and all
+    markers included, stay byte-identical."""
+    scenario = gen_scenario(seed)
+    text = trace_to_jsonl(engine_cls(scenario).run(scenario.stages))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == FROZEN_TRACES[seed, engine_cls.engine_name]
 
 
 class TestAgainstOracles:
