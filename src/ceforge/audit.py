@@ -4,6 +4,14 @@ Everything here is recomputed from the serialized trace plus the scenario;
 the auditor never reads engine internals, so it is an independent path over
 the same events.  Marker records in the trace are deltas: each stage lists
 the full state of just the markers that changed at that stage.
+
+The audit does work linear in the trace size.  ``_Replay.from_records``
+reads the records once and builds every per-marker index the checks need
+in that pass: the marker timelines with their stage lists (so
+``marker_at`` only bisects), the injury stages of each marker and the stage
+at which each position entered B.  ``_check_reuse_bounds`` groups each
+ledger's reuses by the marker that caused them once, and ``check_coverage``
+walks the records with one B buffer that it slices for every segment.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from .approx import Scenario
 from .bitcore import Dyadic, INFINITE, ZERO
@@ -110,6 +118,7 @@ _RECORD_FIELDS = {
 }
 _M_ENTRY_FIELDS = {
     "side": (str,), "justify": (str,), "length": (int,), "n": (int,),
+    "cause": _OPTIONAL_INT,
 }
 _N_ENTRY_FIELDS = {
     "side": (str,), "index": (int,), "version": (int,), "length": (int,),
@@ -145,6 +154,10 @@ class _Replay:
     timelines: dict[int, list[tuple[int, dict[str, Any]]]] = field(
         default_factory=dict
     )
+    # index -> the stages of its timeline, for bisecting
+    timeline_stages: dict[int, list[int]] = field(default_factory=dict)
+    # index -> the stages at which it was injured, in order
+    injuries: dict[int, list[int]] = field(default_factory=dict)
 
     @classmethod
     def from_records(cls, records: list[dict[str, Any]]) -> "_Replay":
@@ -155,25 +168,71 @@ class _Replay:
         ):
             raise ValueError("trace must start with a header record")
         header = records[0]
+        c_offset = header.get("c_offset")
+        if type(c_offset) is not int:
+            raise ValueError(
+                "malformed trace: header field 'c_offset' is missing or of "
+                "the wrong type"
+            )
         sides = ("a", "d") if header["engine"] == "dual" else ("a",)
         snap_fields = {"pos": _OPTIONAL_INT, "c": (int,)}
         if header["engine"] == "dual":
             snap_fields.update({f"p_{side}": (str,) for side in sides})
         replay = cls(header=header, stages=records[1:], sides=sides)
+        previous = None
+        acts = 0
         for number, record in enumerate(replay.stages, 1):
             _require(record, _RECORD_FIELDS, number, "")
             for entry in record["m_entries"]:
                 _require(entry, _M_ENTRY_FIELDS, number, " m_entries")
             for entry in record["n_entries"]:
                 _require(entry, _N_ENTRY_FIELDS, number, " n_entries")
+            stage = record["stage"]
+            if previous is not None and stage <= previous:
+                raise ValueError(
+                    f"malformed trace: record {number} stage {stage} does "
+                    f"not follow stage {previous}"
+                )
+            previous = stage
             added = record["b_added"]
             if added is not None:
-                replay.b_stage[added] = record["stage"]
+                # a position in B gets no attention, so it enters B once
+                if added in replay.b_stage:
+                    raise ValueError(
+                        f"malformed trace: record {number} adds position "
+                        f"{added} to B again"
+                    )
+                replay.b_stage[added] = stage
+                acts += 1
+            for index in record["injured"]:
+                if type(index) is not int:
+                    raise ValueError(
+                        f"malformed trace: record {number} injured index "
+                        f"{index!r} is not an int"
+                    )
+                replay.injuries.setdefault(index, []).append(stage)
             for key, snap in record["markers"].items():
                 _require(snap, snap_fields, number, " markers")
-                replay.timelines.setdefault(int(key), []).append(
-                    (record["stage"], snap)
-                )
+                index = int(key)
+                # Markers appear one index at a time.  A marker's c starts
+                # at c_offset + index plus the earlier acts of lower
+                # markers and grows by one at each injury, which comes
+                # with an act, so it never exceeds c_offset + index + acts.
+                if (
+                    index not in replay.timelines
+                    and index != len(replay.timelines)
+                ):
+                    raise ValueError(
+                        f"malformed trace: record {number} marker {index} "
+                        f"appears before marker {len(replay.timelines)}"
+                    )
+                if snap["c"] > c_offset + index + acts:
+                    raise ValueError(
+                        f"malformed trace: record {number} marker {index} c "
+                        f"{snap['c']} exceeds {c_offset + index + acts}"
+                    )
+                replay.timelines.setdefault(index, []).append((stage, snap))
+                replay.timeline_stages.setdefault(index, []).append(stage)
         return replay
 
     @property
@@ -184,17 +243,22 @@ class _Replay:
         entered = self.b_stage.get(position)
         return entered is not None and entered <= stage
 
-    def b_restrict(self, n: int, stage: int) -> str:
-        return "".join(
-            "1" if self.in_b(i, stage) else "0" for i in range(n)
-        )
+    def b_walk(self, bits: bytearray) -> Iterator[dict[str, Any]]:
+        """Yield the records in order, first setting the position each one
+        adds to B, so that ``bits`` holds B below ``len(bits)``, as ``0``
+        and ``1`` bytes, at the stage of the record yielded."""
+        for record in self.stages:
+            added = record["b_added"]
+            if added is not None and 0 <= added < len(bits):
+                bits[added] = ord("1")
+            yield record
 
     def marker_at(self, index: int, stage: int) -> dict[str, Any] | None:
         """Marker state after the given stage, or None if never materialized."""
         timeline = self.timelines.get(index)
         if not timeline:
             return None
-        pos = bisect.bisect_right([s for s, _ in timeline], stage) - 1
+        pos = bisect.bisect_right(self.timeline_stages[index], stage) - 1
         return timeline[pos][1] if pos >= 0 else None
 
     def marker_indices(self) -> list[int]:
@@ -364,12 +428,24 @@ def check_markers(
     return checks
 
 
-def _injury_stages(replay: _Replay, index: int) -> list[int]:
-    return [
-        record["stage"]
-        for record in replay.stages
-        if index in record["injured"]
-    ]
+def _reuses_by_cause(ledger: UsageLedger) -> dict[int, list[tuple[int, str]]]:
+    """Marker index -> ``(stage, codeword)`` of every reuse (a use after the
+    first) it caused, in stage order."""
+    grouped: dict[int, list[tuple[int, str]]] = {}
+    for codeword, uses in ledger.uses.items():
+        for use in uses:
+            if use.ordinal >= 2 and use.cause is not None:
+                grouped.setdefault(use.cause, []).append((use.stage, codeword))
+    for reuses in grouped.values():
+        reuses.sort()
+    return grouped
+
+
+def _reused(reuses: list[tuple[int, str]], start: int, end: int) -> set[str]:
+    """Codewords of the stage-ordered ``reuses`` made in ``[start, end]``."""
+    lo = bisect.bisect_left(reuses, (start,))
+    hi = bisect.bisect_left(reuses, (end + 1,))
+    return {codeword for _, codeword in reuses[lo:hi]}
 
 
 def _check_reuse_bounds(
@@ -383,11 +459,13 @@ def _check_reuse_bounds(
     checks: list[dict[str, Any]] = []
     dual = replay.header["engine"] == "dual"
     final = replay.final_stage
+    by_cause = {
+        side: _reuses_by_cause(ledger) for side, ledger in ledgers.items()
+    }
     ok = True
     witness: dict[str, Any] = {}
     for index in replay.marker_indices():
-        boundaries = _injury_stages(replay, index)
-        cuts = [0] + boundaries + [final + 1]
+        cuts = [0] + replay.injuries.get(index, []) + [final + 1]
         for lo, hi in zip(cuts, cuts[1:]):
             start, end = lo + 1, hi - 1
             if start > end:
@@ -404,14 +482,7 @@ def _check_reuse_bounds(
                 continue
             c = start_snap["c"]
             for side, ledger in ledgers.items():
-                reused = {
-                    codeword
-                    for codeword, uses in ledger.uses.items()
-                    for use in uses
-                    if use.cause == index
-                    and start <= use.stage <= end
-                    and use.ordinal >= 2
-                }
+                reused = _reused(by_cause[side].get(index, []), start, end)
                 active = {
                     cw for cw in reused if ledger.is_active(cw, end)
                 }
@@ -484,19 +555,23 @@ def check_coverage(
     checks: list[dict[str, Any]] = []
     final = replay.final_stage
     cutoff = final - final // 4
+    # Every segment here is a schedule output: an entry's n is the output
+    # length of its justifying event (``UsageLedger.record_use``).
+    width = max((len(e.output) for e in scenario.schedule.events), default=0)
+    # K_M over the replayed entries: each entry described the stagewise B
+    # segment of its length.
+    k_m: dict[str, dict[str, int]] = {side: {} for side in replay.sides}
+    bits = bytearray(b"0" * width)
+    for record in replay.b_walk(bits):
+        for entry in record["m_entries"]:
+            described = bits[: entry["n"]].decode()
+            side_k_m = k_m[entry["side"]]
+            known = side_k_m.get(described)
+            if known is None or entry["length"] < known:
+                side_k_m[described] = entry["length"]
+    b_final = bits.decode()
     for side in replay.sides:
         given = scenario.set_a if side == "a" else scenario.set_d
-        # K_M over the replayed entries: each entry described the stagewise
-        # B segment of its length.
-        k_m: dict[str, int] = {}
-        for record in replay.stages:
-            for entry in record["m_entries"]:
-                if entry["side"] != side:
-                    continue
-                described = replay.b_restrict(entry["n"], record["stage"])
-                known = k_m.get(described)
-                if known is None or entry["length"] < known:
-                    k_m[described] = entry["length"]
         # Largest n undisturbed over the final quarter: no B or given-set
         # change below it, and no late schedule event describing a segment
         # at or below it.
@@ -507,10 +582,11 @@ def check_coverage(
         for element, stage in given.schedule:
             if stage > cutoff and element < quiet_bound:
                 quiet_bound = element
+        given_final = given.restrict(width, final)
         k_a: dict[int, int] = {}
         for event in scenario.schedule.events:
             n = len(event.output)
-            if event.output == given.restrict(n, final):
+            if event.output == given_final[:n]:
                 known = k_a.get(n)
                 if known is None or len(event.codeword) < known:
                     k_a[n] = len(event.codeword)
@@ -521,13 +597,13 @@ def check_coverage(
         for n in sorted(k_a):
             if n >= quiet_bound:
                 break
-            segment = replay.b_restrict(n, final)
-            if k_m.get(segment, INFINITE) > k_a[n]:
+            segment = b_final[:n]
+            if k_m[side].get(segment, INFINITE) > k_a[n]:
                 ok = False
                 witness = {
                     "side": side, "n": n,
                     "k_given": k_a[n],
-                    "k_m": k_m.get(segment),
+                    "k_m": k_m[side].get(segment),
                 }
                 break
         _check(checks, f"coverage-{side}", ok, witness)

@@ -83,6 +83,8 @@ class _SideTracker:
         self._sum_prefix: list[int] = [0]
         self._sums_stale = False
         self.machine = PrefixFreeMachine(f"M_{side}")
+        # str(machine.weight), kept up to date by the one place M grows
+        self.weight_str = str(self.machine.weight)
         self._deficient: set[int] = set()
         self._dirty: set[int] = set()
         self.min_changed_pos: int | None = None
@@ -116,11 +118,14 @@ class _SideTracker:
             self._dirty.add(j)
 
     def _recompute_matches(self) -> None:
+        # Every j that had a description joins the dirty set, and ``_offer``
+        # adds every j that now has one, so no j that lost its description
+        # stays deficient.
+        self._dirty.update(self.k_best)
         self.k_best = {}
         for event in self._applied:
             self._offer(event)
         self._sums_stale = True
-        self._dirty = set(self._sum_keys) | set(self.k_best)
 
     def _refresh_sums(self) -> None:
         if not self._sums_stale:
@@ -250,12 +255,14 @@ class BaseEngine:
         self._last: dict[str, Any] | None = None
         # Bounds past which nothing in the scenario can change: markers with
         # positions above every described segment length can only act through
-        # the halting clause, and once all event stages have passed a no-op
-        # stage repeats forever.
+        # the halting clause, and once all event stages have passed and the
+        # deficiency cursor's bound has reached every segment length, a no-op
+        # stage repeats forever.  An exclusive cursor reaches length j only
+        # when the previous stage is past j.
         self._max_key_bound = max((len(e.output) for e in events), default=0)
         self._halting_indices = {e for e, _ in scenario.halting.schedule}
         self._quiet_after = max(
-            [self._max_key_bound]
+            [self._max_key_bound + (0 if self.cursor_inclusive else 1)]
             + [e.stage for e in events]
             + [s for _, s in scenario.halting.schedule]
             + [s for _, s in scenario.set_a.schedule]
@@ -408,6 +415,7 @@ class BaseEngine:
             entry = tracker.machine.describe(self.b_str[:k], length, stage)
         except WeightOverflow as exc:
             raise LemmaViolation(f"M_{side}: {exc}") from exc
+        tracker.weight_str = str(tracker.machine.weight)
         tracker.mark_dirty(k)
         record.append(
             {
@@ -681,7 +689,7 @@ class BaseEngine:
         """Output-machine weights, plus new weights of N-machines that grew."""
         weights: dict[str, Any] = {}
         for side, tracker in self.sides.items():
-            weights[f"m_{side}"] = str(tracker.machine.weight)
+            weights[f"m_{side}"] = tracker.weight_str
         changed: dict[str, str] = {}
         for entry in n_entries:
             marker = self.markers[entry["index"]]

@@ -1,11 +1,30 @@
+import functools
 import json
 import pathlib
 
 import pytest
 
-from ceforge import Scenario
+from ceforge import GenParams, Scenario, gen_scenario
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+#: The benchmark's dense-x4 shape: four times the events and given-set
+#: elements, active over most of the horizon.
+DENSE_X4 = GenParams(
+    stages=6_000,
+    events=1_600,
+    active_stages=4_800,
+    set_size=56,
+    element_bound=192,
+    max_length=18,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def generated(seed: int, dense: bool = False) -> Scenario:
+    """``gen_scenario(seed)``, in the dense-x4 shape when ``dense``; built
+    once per test run, so callers must not change it."""
+    return gen_scenario(seed, DENSE_X4 if dense else None)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,8 @@
 """Naive reference scans for the incremental structures in ``ceforge``.
 
-Each oracle recomputes a shortest-description length from scratch by
-scanning every stamped event or entry, so it shares no bookkeeping with the
-code it checks.
+Each oracle recomputes its value from scratch by scanning every stamped
+event, entry, trace record or ledger use, so it shares no bookkeeping with
+the code it checks.
 """
 
 from ceforge.bitcore import INFINITE
@@ -35,4 +35,33 @@ def machine_k_at(machine, output: str, stage=INFINITE):
             if entry.stage <= stage and entry.output == output
         ),
         default=INFINITE,
+    )
+
+
+def injury_stages(replay, index: int) -> list[int]:
+    """Stages at which marker ``index`` was injured, from every record."""
+    return [
+        record["stage"]
+        for record in replay.stages
+        if index in record["injured"]
+    ]
+
+
+def reused(ledger, index: int, start: int, end: int) -> set[str]:
+    """Codewords whose uses after the first include one caused by marker
+    ``index`` within stages ``[start, end]``, from the full ledger."""
+    return {
+        codeword
+        for codeword, uses in ledger.uses.items()
+        for use in uses
+        if use.cause == index
+        and start <= use.stage <= end
+        and use.ordinal >= 2
+    }
+
+
+def b_restrict(replay, n: int, stage: int) -> str:
+    """The first ``n`` bits of B at ``stage``."""
+    return "".join(
+        "1" if replay.in_b(i, stage) else "0" for i in range(n)
     )

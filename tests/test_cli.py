@@ -146,6 +146,38 @@ def _n_length_huge(records):
     entry["length"] = 10**12
 
 
+def _c_huge_with_n_length_huge(records):
+    records[1]["markers"]["0"]["c"] = 10**12
+    _n_length_huge(records)
+
+
+def _c_offset_missing(records):
+    del records[0]["c_offset"]
+
+
+def _marker_index_skipped(records):
+    records[1]["markers"]["2"] = records[1]["markers"].pop("0")
+
+
+def _stage_repeated(records):
+    records[2]["stage"] = records[1]["stage"]
+
+
+def _b_added_twice(records):
+    acts = [r for r in records[1:] if r["b_added"] is not None]
+    acts[1]["b_added"] = acts[0]["b_added"]
+
+
+def _injured_as_string(records):
+    record = next(r for r in records[1:] if r["injured"])
+    record["injured"] = [str(index) for index in record["injured"]]
+
+
+def _m_cause_as_list(records):
+    entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
+    entry["cause"] = [entry["cause"]]
+
+
 @pytest.mark.parametrize(
     "fixture, corrupt",
     [
@@ -158,6 +190,13 @@ def _n_length_huge(records):
         ("dual_scripted", _negative_deficit),
         ("dual_scripted", _m_n_huge),
         ("single_scripted", _n_length_huge),
+        ("single_scripted", _c_huge_with_n_length_huge),
+        ("dual_scripted", _c_offset_missing),
+        ("single_scripted", _marker_index_skipped),
+        ("dual_scripted", _stage_repeated),
+        ("single_scripted", _b_added_twice),
+        ("dual_scripted", _injured_as_string),
+        ("dual_scripted", _m_cause_as_list),
     ],
     ids=lambda value: getattr(value, "__name__", value).lstrip("_"),
 )

@@ -5,7 +5,6 @@ the engine ran, so these serve as the independent oracle for the reference
 traces bundled under tests/data.
 """
 
-import functools
 import hashlib
 import math
 
@@ -13,15 +12,17 @@ import pytest
 
 from ceforge import (
     DualEngine,
-    GenParams,
     LemmaViolation,
     SingleEngine,
+    audit_trace,
     gen_scenario,
+    report_to_json,
     trace_to_jsonl,
 )
 from ceforge.bitcore import Dyadic
 from ceforge.engine import _ZeroTracker
 
+from conftest import generated
 from oracles import k_at_n, machine_k_at
 
 
@@ -213,23 +214,6 @@ def _thresholds(engine):
     return [(marker.t, marker.q) for marker in engine.markers]
 
 
-#: The benchmark's dense-x4 shape: four times the events and given-set
-#: elements, active over most of the horizon.
-DENSE_X4 = GenParams(
-    stages=6_000,
-    events=1_600,
-    active_stages=4_800,
-    set_size=56,
-    element_bound=192,
-    max_length=18,
-)
-
-
-@functools.lru_cache(maxsize=None)
-def _scenario(seed, dense):
-    return gen_scenario(seed, DENSE_X4 if dense else None)
-
-
 @pytest.mark.parametrize(
     "seed, dense",
     [
@@ -247,7 +231,7 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, seed, dense):
     """Same JSONL record at every stage; up to the quiet point, where the
     fast engine stops computing, also the same thresholds t and q."""
     stages = 1_500
-    scenario = _scenario(seed, dense)
+    scenario = generated(seed, dense)
     fast, naive = fast_cls(scenario), naive_cls(scenario)
     assert trace_to_jsonl(fast.run(1)) == trace_to_jsonl(naive.run(1))
     for stage in range(2, stages + 1):
@@ -267,13 +251,24 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, seed, dense):
 
 
 #: sha256 of the full-horizon JSONL traces, recorded before the stamp cache
-#: gave way to the dirty set.
+#: gave way to the dirty set, and of their audit reports, recorded before the
+#: audit built its indexes in one pass.
 FROZEN_TRACES = {
     (0, "single"): "5f64da637600752872ea0cf612e23f90e53de2bcabf7ad6897615f8fea83896b",
     (0, "dual"): "825c63b8011b9b3add90bd9f791044f0acf9bf6d8a53094ddd1a862ba4857109",
     (2, "single"): "d59c4de5f71ada45a5c2668002f79dac47dfbf9f5318963f0685eded4ad0a9a8",
     (2, "dual"): "eb3086d38700e8b6e4f4c633deec585efb51ea5e723c1c29034776818f001b19",
 }
+FROZEN_REPORTS = {
+    (0, "single"): "ed9b0ea9c727a4e4ac6540ca3e8647b4a6ef8378f39818df46917e469acf4a7a",
+    (0, "dual"): "eb2746415661ee81b7c84ed003db9a16813eded48ec07aae052ec81da8cbdd9e",
+    (2, "single"): "d786009cb102a1c210cf4ae20f82317d8af78dfb849616beab1f03f655a35871",
+    (2, "dual"): "60ce6dbbfb53e4118af088ecf414e256e4c1cbc6836d0d645a3527597db5d94b",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -287,11 +282,13 @@ FROZEN_TRACES = {
 )
 def test_generated_traces_are_byte_frozen(seed, engine_cls):
     """Full-horizon traces of generated scenarios, quiet phase and all
-    markers included, stay byte-identical."""
-    scenario = gen_scenario(seed)
-    text = trace_to_jsonl(engine_cls(scenario).run(scenario.stages))
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == FROZEN_TRACES[seed, engine_cls.engine_name]
+    markers included, and their audit reports stay byte-identical."""
+    scenario = generated(seed)
+    records = engine_cls(scenario).run(scenario.stages)
+    key = seed, engine_cls.engine_name
+    assert _sha256(trace_to_jsonl(records)) == FROZEN_TRACES[key]
+    report = report_to_json(audit_trace(records, scenario))
+    assert _sha256(report) == FROZEN_REPORTS[key]
 
 
 class TestAgainstOracles:
