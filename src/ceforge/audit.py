@@ -3,7 +3,10 @@
 Everything here is recomputed from the serialized trace plus the scenario;
 the auditor never reads engine internals, so it is an independent path over
 the same events.  Marker records in the trace are deltas: each stage lists
-the full state of just the markers that changed at that stage.
+the full state of just the markers that changed at that stage.  The quiet
+tail of a run is one no-op record whose ``repeat`` field counts the stages
+it stands for; such a record changes nothing, so the audit reads it once
+and only its stage span matters.
 
 The audit does work linear in the trace size.  ``_Replay.from_records``
 reads the records once and builds every per-marker index the checks need
@@ -125,6 +128,35 @@ _N_ENTRY_FIELDS = {
 }
 
 
+#: The c of marker i starts at c_offset + i; each engine has its own offset.
+_C_OFFSETS = {"single": 3, "dual": 4}
+
+
+def _repeat(record: dict[str, Any], number: int) -> int:
+    """The number of stages stage record ``number`` stands for.
+
+    A quiet-tail record with ``repeat`` n stands for its own stage and the
+    n - 1 after it.  It may change nothing, so that every index and check
+    reads the same as on the trace with the n records written out.
+    """
+    if "repeat" not in record:
+        return 1
+    repeat = record["repeat"]
+    if type(repeat) is not int or repeat < 2:
+        raise ValueError(
+            f"malformed trace: record {number} repeat {repeat!r} is not an "
+            "int of at least 2"
+        )
+    if record["b_added"] is not None or any(
+        record[key] for key in ("injured", "markers", "m_entries", "n_entries")
+    ):
+        raise ValueError(
+            f"malformed trace: record {number} repeats a stage that changes "
+            "something"
+        )
+    return repeat
+
+
 def _require(
     value: Any, fields: dict[str, tuple[type, ...]], number: int, part: str
 ) -> None:
@@ -158,6 +190,8 @@ class _Replay:
     timeline_stages: dict[int, list[int]] = field(default_factory=dict)
     # index -> the stages at which it was injured, in order
     injuries: dict[int, list[int]] = field(default_factory=dict)
+    # the last stage the records cover
+    final_stage: int = 0
 
     @classmethod
     def from_records(cls, records: list[dict[str, Any]]) -> "_Replay":
@@ -168,18 +202,26 @@ class _Replay:
         ):
             raise ValueError("trace must start with a header record")
         header = records[0]
-        c_offset = header.get("c_offset")
-        if type(c_offset) is not int:
+        engine = header.get("engine")
+        if engine not in _C_OFFSETS:
+            raise ValueError(f"malformed trace: unknown engine {engine!r}")
+        if type(header.get("stages")) is not int:
             raise ValueError(
-                "malformed trace: header field 'c_offset' is missing or of "
+                "malformed trace: header field 'stages' is missing or of "
                 "the wrong type"
             )
-        sides = ("a", "d") if header["engine"] == "dual" else ("a",)
+        c_offset = header.get("c_offset")
+        if type(c_offset) is not int or c_offset != _C_OFFSETS[engine]:
+            raise ValueError(
+                f"malformed trace: header c_offset {c_offset!r} is not the "
+                f"{engine} engine's {_C_OFFSETS[engine]}"
+            )
+        sides = ("a", "d") if engine == "dual" else ("a",)
         snap_fields = {"pos": _OPTIONAL_INT, "c": (int,)}
-        if header["engine"] == "dual":
+        if engine == "dual":
             snap_fields.update({f"p_{side}": (str,) for side in sides})
         replay = cls(header=header, stages=records[1:], sides=sides)
-        previous = None
+        previous = 0  # the last stage the records so far cover
         acts = 0
         for number, record in enumerate(replay.stages, 1):
             _require(record, _RECORD_FIELDS, number, "")
@@ -188,12 +230,12 @@ class _Replay:
             for entry in record["n_entries"]:
                 _require(entry, _N_ENTRY_FIELDS, number, " n_entries")
             stage = record["stage"]
-            if previous is not None and stage <= previous:
+            if number > 1 and stage <= previous:
                 raise ValueError(
                     f"malformed trace: record {number} stage {stage} does "
                     f"not follow stage {previous}"
                 )
-            previous = stage
+            previous = stage + _repeat(record, number) - 1
             added = record["b_added"]
             if added is not None:
                 # a position in B gets no attention, so it enters B once
@@ -233,11 +275,13 @@ class _Replay:
                     )
                 replay.timelines.setdefault(index, []).append((stage, snap))
                 replay.timeline_stages.setdefault(index, []).append(stage)
+        if previous > header["stages"]:
+            raise ValueError(
+                f"malformed trace: records run to stage {previous}, past "
+                f"the header's {header['stages']}"
+            )
+        replay.final_stage = previous
         return replay
-
-    @property
-    def final_stage(self) -> int:
-        return self.stages[-1]["stage"] if self.stages else 0
 
     def in_b(self, position: int, stage: int) -> bool:
         entered = self.b_stage.get(position)

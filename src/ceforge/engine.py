@@ -252,7 +252,6 @@ class BaseEngine:
         self.markers: list[Marker] = []
         self.move_history: list[int] = []
         self.archived: list[tuple[str, int, PrefixFreeMachine]] = []
-        self._last: dict[str, Any] | None = None
         # Bounds past which nothing in the scenario can change: markers with
         # positions above every described segment length can only act through
         # the halting clause, and once all event stages have passed and the
@@ -457,27 +456,9 @@ class BaseEngine:
         )
 
     def step(self) -> dict[str, Any]:
-        """Run one stage and return its trace record.
-
-        Past the quiet point a replayed no-op record is a shallow copy of the
-        previous one: the records share their nested containers, so callers
-        must treat returned records as read-only.
-        """
+        """Run one stage and return its trace record."""
         s_old = self.stage
         stage = s_old + 1
-        last = self._last
-        if (
-            s_old > self._quiet_after
-            and last is not None
-            and last["action"] == "noop"
-        ):
-            # Past the last scheduled event a no-op stage reproduces itself:
-            # sums, cursors and clauses all read the same unchanged state.
-            record = dict(last)
-            record["stage"] = stage
-            self._last = record
-            self.stage = stage
-            return record
         self._note(stage)
         zero_drops = self.zero.apply(stage)
         for tracker in self.sides.values():
@@ -663,7 +644,6 @@ class BaseEngine:
 
         record["markers"] = self._marker_snapshot(touched)
         record["weights"] = self._weight_snapshot(n_entries)
-        self._last = record
         self.stage = stage
         return record
 
@@ -710,12 +690,30 @@ class BaseEngine:
         }
 
     def run(self, stages: int) -> list[dict[str, Any]]:
-        """Execute stages 1..``stages``; returns the full trace."""
+        """Execute stages 1..``stages``; returns the full trace.
+
+        The trace has one record per stage, except that the quiet tail is
+        one no-op record whose ``repeat`` counts the stages it stands for:
+        its own and those after it, which are identical but for ``stage``.
+        """
         if stages < 1:
             raise ValueError("stages must be >= 1")
         records = [self.header(stages)]
-        for _ in range(stages):
-            records.append(self.step())
+        while self.stage < stages:
+            record = self.step()
+            records.append(record)
+            if (
+                self.stage > self._quiet_after
+                and self.stage < stages
+                and record["action"] == "noop"
+                and not record["markers"]
+            ):
+                # Past the last scheduled event a no-op stage reproduces
+                # itself: sums, cursors and clauses all read the same
+                # unchanged state.  A snapshot is emitted once, so a record
+                # that carries one does not repeat.
+                record["repeat"] = stages - self.stage + 1
+                self.stage = stages
         return records
 
 

@@ -19,6 +19,20 @@ DENSE_X4 = GenParams(
     max_length=18,
 )
 
+#: All activity at stage 1, so the quiet point is the longest segment.
+ONE_EVENT = GenParams(
+    stages=40, events=1, active_stages=1, set_size=1, element_bound=2,
+    halting_size=0, zero_budget_share=0.0, min_length=2, max_length=2,
+    max_output=1,
+)
+#: No events and no schedules: the dual engine's quiet point is 0, so the
+#: first no-op past it is stage 1's, which carries marker 0's snapshot.
+EMPTY = GenParams(
+    stages=30, events=0, active_stages=1, set_size=0, element_bound=2,
+    halting_size=0, zero_budget_share=0.0, min_length=2, max_length=2,
+    max_output=1,
+)
+
 
 @functools.lru_cache(maxsize=None)
 def generated(seed: int, dense: bool = False) -> Scenario:

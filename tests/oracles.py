@@ -65,3 +65,17 @@ def b_restrict(replay, n: int, stage: int) -> str:
     return "".join(
         "1" if replay.in_b(i, stage) else "0" for i in range(n)
     )
+
+
+def expand_repeats(records):
+    """The trace with every ``repeat`` record written out as one record per
+    stage it stands for, as the engine wrote traces before it folded them."""
+    expanded = []
+    for record in records:
+        if "repeat" not in record:
+            expanded.append(record)
+            continue
+        base = {key: value for key, value in record.items() if key != "repeat"}
+        for offset in range(record["repeat"]):
+            expanded.append({**base, "stage": record["stage"] + offset})
+    return expanded

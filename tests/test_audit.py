@@ -27,7 +27,7 @@ from ceforge.audit import (
 )
 from ceforge.engine import DualEngine, SingleEngine
 
-from conftest import generated, load_jsonl
+from conftest import EMPTY, ONE_EVENT, generated, load_jsonl
 
 
 @pytest.fixture()
@@ -125,6 +125,21 @@ class TestReplay:
         assert oracles.b_restrict(replay, 6, 2) == "000000"
         assert oracles.b_restrict(replay, 6, 3) == "010000"
         assert oracles.b_restrict(replay, 6, 6) == "010001"
+
+    def test_repeat_record_stands_for_its_stages(
+        self, data_dir, dual_scripted
+    ):
+        # The dual fixture's last record, an empty no-op at stage 8, folded
+        # over a horizon raised to 9.
+        records = load_jsonl(data_dir / "dual_scripted_trace.jsonl")
+        records[0]["stages"] = 9
+        records[-1]["repeat"] = 2
+        assert _Replay.from_records(records).final_stage == 9
+        expanded = oracles.expand_repeats(records)
+        assert [r["stage"] for r in expanded[-2:]] == [8, 9]
+        assert report_to_json(audit_trace(records, dual_scripted)) == (
+            report_to_json(audit_trace(expanded, dual_scripted))
+        )
 
 
 class TestAuditVerdicts:
@@ -309,12 +324,6 @@ _SMALL = GenParams(
     stages=300, events=40, active_stages=150, set_size=8, element_bound=24,
     max_length=10,
 )
-#: All activity at stage 1, so the quiet point is the longest segment.
-_ONE_EVENT = GenParams(
-    stages=40, events=1, active_stages=1, set_size=1, element_bound=2,
-    halting_size=0, zero_budget_share=0.0, min_length=2, max_length=2,
-    max_output=1,
-)
 
 
 @settings(
@@ -330,7 +339,10 @@ _ONE_EVENT = GenParams(
 @example(seed=42, params=_SMALL)
 # The single engine used to start replaying no-op stages one stage before
 # its exclusive cursor reached the longest segment, which it never described.
-@example(seed=0, params=_ONE_EVENT)
+@example(seed=0, params=ONE_EVENT)
+# The dual engine used to replay stage 1's no-op, marker snapshot and all,
+# over the quiet tail.
+@example(seed=0, params=EMPTY)
 def test_small_scenarios_run_and_audit_clean(seed, params):
     scenario = gen_scenario(seed, params)
     for engine_cls in (SingleEngine, DualEngine):
@@ -339,3 +351,5 @@ def test_small_scenarios_run_and_audit_clean(seed, params):
         failed = [c["name"] for c in report["checks"] if not c["pass"]]
         assert report["pass"], (engine_cls.engine_name, failed)
         _assert_indexes_match_oracles(records, scenario)
+        expanded = audit_trace(oracles.expand_repeats(records), scenario)
+        assert report_to_json(report) == report_to_json(expanded)

@@ -178,6 +178,80 @@ def _m_cause_as_list(records):
     entry["cause"] = [entry["cause"]]
 
 
+def _c_offset_huge(records):
+    records[0]["c_offset"] = 10**12
+    _c_huge_with_n_length_huge(records)
+
+
+def _engine_unknown(records):
+    records[0]["engine"] = "triple"
+
+
+def _c_offset_of_other_engine(records):
+    records[0]["c_offset"] = 4
+
+
+def _stages_as_string(records):
+    records[0]["stages"] = str(records[0]["stages"])
+
+
+def _stages_short(records):
+    records[0]["stages"] -= 1
+
+
+# The dual fixture's last record is an empty no-op at stage 8; with the
+# horizon raised to 9 it may stand for stages 8 and 9 with ``repeat`` 2.
+# Each case below breaks one rule of that otherwise valid fold.
+
+
+def _folded(records, repeat=2):
+    records[0]["stages"] = 9
+    records[-1]["repeat"] = repeat
+    return records[-1]
+
+
+def _repeat_as_string(records):
+    _folded(records, "2")
+
+
+def _repeat_as_bool(records):
+    _folded(records, True)
+
+
+def _repeat_zero(records):
+    _folded(records, 0)
+
+
+def _repeat_one(records):
+    _folded(records, 1)
+
+
+def _repeat_with_b_added(records):
+    _folded(records)["b_added"] = 9
+
+
+def _repeat_with_m_entry(records):
+    entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
+    _folded(records)["m_entries"] = [entry]
+
+
+def _repeat_with_marker(records):
+    _folded(records)["markers"] = {"1": records[7]["markers"]["1"]}
+
+
+def _repeat_overlaps_next(records):
+    records[2]["repeat"] = 2  # stage 2 through 3, and record 3 is stage 3
+
+
+def _repeat_past_stages(records):
+    records[-1]["repeat"] = 2
+
+
+def _repeat_huge(records):
+    # must exit at once: no loop or allocation per stage
+    records[-1]["repeat"] = 10**18
+
+
 @pytest.mark.parametrize(
     "fixture, corrupt",
     [
@@ -197,6 +271,21 @@ def _m_cause_as_list(records):
         ("single_scripted", _b_added_twice),
         ("dual_scripted", _injured_as_string),
         ("dual_scripted", _m_cause_as_list),
+        ("single_scripted", _c_offset_huge),
+        ("single_scripted", _engine_unknown),
+        ("single_scripted", _c_offset_of_other_engine),
+        ("dual_scripted", _stages_as_string),
+        ("dual_scripted", _stages_short),
+        ("dual_scripted", _repeat_as_string),
+        ("dual_scripted", _repeat_as_bool),
+        ("dual_scripted", _repeat_zero),
+        ("dual_scripted", _repeat_one),
+        ("dual_scripted", _repeat_with_b_added),
+        ("dual_scripted", _repeat_with_m_entry),
+        ("dual_scripted", _repeat_with_marker),
+        ("single_scripted", _repeat_overlaps_next),
+        ("dual_scripted", _repeat_past_stages),
+        ("dual_scripted", _repeat_huge),
     ],
     ids=lambda value: getattr(value, "__name__", value).lstrip("_"),
 )

@@ -22,8 +22,8 @@ from ceforge import (
 from ceforge.bitcore import Dyadic
 from ceforge.engine import _ZeroTracker
 
-from conftest import generated
-from oracles import k_at_n, machine_k_at
+from conftest import EMPTY, ONE_EVENT, generated
+from oracles import expand_repeats, k_at_n, machine_k_at
 
 
 @pytest.fixture(scope="module")
@@ -180,9 +180,9 @@ class TestEngineProperties:
 
 
 class _Naive:
-    """Turns off the engine's shortcuts: the quiet-phase replay, the
-    past-max-key skip and the dirty set, so that every placed marker's t
-    and q are recomputed from scratch at every stage."""
+    """Turns off the engine's shortcuts: the quiet-tail fold, the
+    past-max-key skip and the dirty set, so that every stage is computed
+    and every placed marker's t and q are recomputed from scratch."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
@@ -214,24 +214,30 @@ def _thresholds(engine):
     return [(marker.t, marker.q) for marker in engine.markers]
 
 
-@pytest.mark.parametrize(
-    "seed, dense",
-    [
-        pytest.param(2, False, id="2"),
-        pytest.param(5, False, id="5"),
-        pytest.param(1, True, id="dense"),
-    ],
-)
+#: Lockstep scenarios by test id: two sweep seeds, the dense-x4 seed, and
+#: two tiny ones that settle at once, so the fold starts right past the
+#: quiet point.
+LOCKSTEP = {
+    "2": lambda: generated(2),
+    "5": lambda: generated(5),
+    "dense": lambda: generated(1, dense=True),
+    "one": lambda: gen_scenario(0, ONE_EVENT),
+    "empty": lambda: gen_scenario(0, EMPTY),
+}
+
+
+@pytest.mark.parametrize("name", list(LOCKSTEP))
 @pytest.mark.parametrize(
     "fast_cls, naive_cls",
     [(SingleEngine, _NaiveSingle), (DualEngine, _NaiveDual)],
     ids=["single", "dual"],
 )
-def test_shortcuts_match_naive_path(fast_cls, naive_cls, seed, dense):
-    """Same JSONL record at every stage; up to the quiet point, where the
-    fast engine stops computing, also the same thresholds t and q."""
-    stages = 1_500
-    scenario = generated(seed, dense)
+def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
+    """Stepping in lockstep: the same JSONL record at every stage, and the
+    same thresholds t and q up to the quiet point.  Run whole: the fast
+    trace, its quiet tail written out, is the naive trace byte for byte."""
+    scenario = LOCKSTEP[name]()
+    stages = min(1_500, scenario.stages)
     fast, naive = fast_cls(scenario), naive_cls(scenario)
     assert trace_to_jsonl(fast.run(1)) == trace_to_jsonl(naive.run(1))
     for stage in range(2, stages + 1):
@@ -246,13 +252,17 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, seed, dense):
         m.position is not None and m.position > fast._max_key_bound
         for m in fast.markers
     )
-    if not dense:
+    if name != "dense":
         assert fast._quiet_after < stages - 1
+    folded = fast_cls(scenario).run(stages)
+    assert trace_to_jsonl(expand_repeats(folded)) == (
+        trace_to_jsonl(naive_cls(scenario).run(stages))
+    )
 
 
-#: sha256 of the full-horizon JSONL traces, recorded before the stamp cache
-#: gave way to the dirty set, and of their audit reports, recorded before the
-#: audit built its indexes in one pass.
+#: sha256 of the full-horizon JSONL traces with the quiet tail written out,
+#: recorded before the stamp cache gave way to the dirty set, and of their
+#: audit reports, recorded before the audit built its indexes in one pass.
 FROZEN_TRACES = {
     (0, "single"): "5f64da637600752872ea0cf612e23f90e53de2bcabf7ad6897615f8fea83896b",
     (0, "dual"): "825c63b8011b9b3add90bd9f791044f0acf9bf6d8a53094ddd1a862ba4857109",
@@ -264,6 +274,15 @@ FROZEN_REPORTS = {
     (0, "dual"): "eb2746415661ee81b7c84ed003db9a16813eded48ec07aae052ec81da8cbdd9e",
     (2, "single"): "d786009cb102a1c210cf4ae20f82317d8af78dfb849616beab1f03f655a35871",
     (2, "dual"): "60ce6dbbfb53e4118af088ecf414e256e4c1cbc6836d0d645a3527597db5d94b",
+}
+
+
+#: sha256 of the same traces as the engine writes them, quiet tail folded.
+FOLDED_TRACES = {
+    (0, "single"): "fbc2e587f5fffe918ed8d4d010946d17fad1a6d50a4f4f1111ba3f2583890739",
+    (0, "dual"): "fa74cf22f3d8e32dbcb5ec7f2a2d7c5b4cf1021e684cb4f6497da9856fb4e3ba",
+    (2, "single"): "f26a09cb4207e75b0de414a8d5eeee9e1d6d6582d64e8d510b439464a481c9d7",
+    (2, "dual"): "1764f6b900b06cc1e0560107b0a914d910f6cd1d216454929345ea9d7193fe4d",
 }
 
 
@@ -286,7 +305,10 @@ def test_generated_traces_are_byte_frozen(seed, engine_cls):
     scenario = generated(seed)
     records = engine_cls(scenario).run(scenario.stages)
     key = seed, engine_cls.engine_name
-    assert _sha256(trace_to_jsonl(records)) == FROZEN_TRACES[key]
+    assert _sha256(trace_to_jsonl(records)) == FOLDED_TRACES[key]
+    assert _sha256(trace_to_jsonl(expand_repeats(records))) == (
+        FROZEN_TRACES[key]
+    )
     report = report_to_json(audit_trace(records, scenario))
     assert _sha256(report) == FROZEN_REPORTS[key]
 
