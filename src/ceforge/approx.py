@@ -230,6 +230,10 @@ class GenParams:
     ``zero_budget_share`` controls how much of the adversary's activity goes
     to descriptions of 0^n versus evolving initial segments of the given
     sets; the split is a free parameter of the generator.
+
+    ``min_length`` and ``max_length`` bound only the drawn codeword length.
+    Each event may spend at most half of the budget left, so once the 1/4
+    budget is spent, lengths grow past ``max_length`` with the event index.
     """
 
     stages: int = 10_000
@@ -253,12 +257,18 @@ class GenParams:
 def _pick_length(
     rng: random.Random, params: GenParams, remaining: Dyadic
 ) -> int:
-    length = rng.randint(params.min_length, params.max_length)
-    # Never spend more than half the remaining budget on one event, so the
-    # stream can always continue and the total stays strictly below 1/4.
-    while Dyadic.pow2_neg(length - 1) > remaining:
-        length += 1
-    return length
+    """The drawn length, raised until the event costs at most half of
+    ``remaining``, so the stream can always continue and the total stays
+    strictly below 1/4.
+
+    With ``remaining = num / 2**exp`` and ``num > 0``, ``2**-(length - 1) <=
+    remaining`` holds exactly when ``length >= exp - num.bit_length() + 2``,
+    so the shortest such length is that bound or the drawn one, whichever is
+    larger.  ``remaining`` stays positive: the starting budget is, and each
+    event takes at most half of what is left.
+    """
+    drawn = rng.randint(params.min_length, params.max_length)
+    return max(drawn, remaining.exp - remaining.num.bit_length() + 2)
 
 
 def gen_scenario(seed: int, params: GenParams | None = None) -> Scenario:

@@ -50,6 +50,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     stages = args.stages if args.stages is not None else scenario.stages
+    if stages < 1:
+        print(f"scenario error: stages must be >= 1, got {stages}",
+              file=sys.stderr)
+        return EXIT_SCENARIO
     engine_cls = SingleEngine if args.engine == "single" else DualEngine
     engine = engine_cls(scenario)
     try:
@@ -78,6 +82,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.stages is not None:
         params.stages = args.stages
         params.active_stages = min(params.active_stages, args.stages)
+    try:
+        params.validate()
+    except ValueError as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO
     scenario = gen_scenario(args.seed, params)
     text = scenario.to_json()
     if args.out:

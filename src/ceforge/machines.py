@@ -26,7 +26,18 @@ class NotPrefixFree(ValueError):
 
 
 class FreeBlockSet:
-    """Prefix-free cover of the unallocated code space, one block per length."""
+    """Prefix-free cover of the unallocated code space, one block per length.
+
+    ``free`` maps each length ``d`` of a free block to the codeword returned
+    by the split that filed it; the block itself is that codeword's first
+    ``d - 1`` bits followed by ``1``, and the root ``""`` is the only block of
+    length 0.  A split from a block of length ``b`` to a codeword ``w`` of
+    length ``L`` uncovers exactly the siblings ``w[:d - 1] + "1"`` for
+    ``b < d <= L``, one per length, so it stores the one string ``w`` under
+    each new length instead of spelling out every sibling.  The lengths it
+    files were free of blocks before, because ``b`` was the longest free
+    length up to ``L``; so the one-block-per-length invariant holds.
+    """
 
     def __init__(self) -> None:
         self.free: dict[int, str] = {0: ""}
@@ -40,14 +51,17 @@ class FreeBlockSet:
         """
         if length < 0:
             raise ValueError("length must be a natural number")
-        candidates = [l for l in self.free if l <= length]
-        if not candidates:
-            raise Exhausted(f"no free block of length <= {length}")
-        base_len = max(candidates)
-        block = self.free.pop(base_len)
-        for depth in range(base_len, length):
-            self.free[depth + 1] = block + "0" * (depth - base_len) + "1"
-        return block + "0" * (length - base_len)
+        free = self.free
+        base_len = length
+        while base_len not in free:
+            if base_len == 0:
+                raise Exhausted(f"no free block of length <= {length}")
+            base_len -= 1
+        split = free.pop(base_len)
+        block = split[: base_len - 1] + "1" if base_len else ""
+        codeword = block + "0" * (length - base_len)
+        free.update(dict.fromkeys(range(base_len + 1, length + 1), codeword))
+        return codeword
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ event, entry, trace record or ledger use, so it shares no bookkeeping with
 the code it checks.
 """
 
-from ceforge.bitcore import INFINITE
+from ceforge.bitcore import Dyadic, INFINITE
+from ceforge.machines import Exhausted
 
 
 def k_at(schedule, output: str, stage: int):
@@ -79,3 +80,40 @@ def expand_repeats(records):
         for offset in range(record["repeat"]):
             expanded.append({**base, "stage": record["stage"] + offset})
     return expanded
+
+
+def pick_length_loop(rng, params, remaining) -> int:
+    """The generator's codeword length found by raising the drawn length one
+    bit at a time until the event costs at most half of ``remaining``."""
+    length = rng.randint(params.min_length, params.max_length)
+    # Never spend more than half the remaining budget on one event, so the
+    # stream can always continue and the total stays strictly below 1/4.
+    while Dyadic.pow2_neg(length - 1) > remaining:
+        length += 1
+    return length
+
+
+class EagerFreeBlockSet:
+    """Prefix-free cover of the unallocated code space, one block per length,
+    with every free block spelled out as its own string."""
+
+    def __init__(self) -> None:
+        self.free: dict[int, str] = {0: ""}
+
+    def allocate(self, length: int) -> str:
+        """Return a fresh codeword of exactly ``length`` bits.
+
+        Takes the longest free block of length <= ``length`` (unique by the
+        one-block-per-length invariant), returns its leftmost depth-``length``
+        extension and re-files the sibling blocks uncovered by the split.
+        """
+        if length < 0:
+            raise ValueError("length must be a natural number")
+        candidates = [l for l in self.free if l <= length]
+        if not candidates:
+            raise Exhausted(f"no free block of length <= {length}")
+        base_len = max(candidates)
+        block = self.free.pop(base_len)
+        for depth in range(base_len, length):
+            self.free[depth + 1] = block + "0" * (depth - base_len) + "1"
+        return block + "0" * (length - base_len)

@@ -1,5 +1,6 @@
 """Set/real approximations, the block encoder, and scenario generation."""
 
+import hashlib
 import random
 
 import pytest
@@ -16,11 +17,13 @@ from ceforge.approx import (
     block_range,
     decode_real,
     encode_real,
+    _pick_length,
     gen_scenario,
 )
 from ceforge.bitcore import Dyadic, INFINITE
 
-from oracles import k_at, k_at_n
+from conftest import generated
+from oracles import k_at, k_at_n, pick_length_loop
 
 
 class TestCESetApprox:
@@ -162,3 +165,66 @@ class TestGenScenario:
     def test_params_validated(self):
         with pytest.raises(ValueError):
             gen_scenario(0, GenParams(stages=10, active_stages=20))
+
+
+def _budgets():
+    """Remaining budgets from 1/4 down to 2^-2000: exact powers of two,
+    numerators on either side of a bit-length boundary, and random ones."""
+    rng = random.Random(5)
+    exps = sorted({2, 3, 4, 5, 64, 65, 1999, 2000} | set(range(6, 2000, 97)))
+    for exp in exps:
+        nums = {1}
+        for bits in {1, 2, exp // 2, exp - 3, exp - 2}:
+            if 1 <= bits <= exp - 2:
+                nums |= {(1 << bits) - 1, (1 << bits) + 1, 1 << bits}
+        nums.add(rng.randrange(1, (1 << (exp - 2)) + 1))
+        for num in nums:
+            if 0 < num <= 1 << (exp - 2):
+                yield Dyadic(num, exp)
+
+
+def test_pick_length_closed_form_matches_loop():
+    cases = 0
+    for remaining in _budgets():
+        answer = pick_length_loop(
+            random.Random(0), GenParams(min_length=1, max_length=1), remaining
+        )
+        for drawn in {1, answer - 1, answer, answer + 1, answer + 40}:
+            if drawn < 1:
+                continue
+            params = GenParams(min_length=drawn, max_length=drawn)
+            assert _pick_length(random.Random(0), params, remaining) == (
+                pick_length_loop(random.Random(0), params, remaining)
+            )
+            cases += 1
+    assert cases > 1_000
+
+
+def _ladder_k8() -> GenParams:
+    params = GenParams()
+    for name in ("stages", "events", "active_stages", "element_bound",
+                 "set_size"):
+        setattr(params, name, getattr(params, name) * 8)
+    params.max_length = 22
+    return params
+
+
+#: sha256 of ``Scenario.to_json()``, recorded with the generator that
+#: raised each codeword length one bit at a time and spelled out every free
+#: block.
+FROZEN_SCENARIOS = {
+    "sweep-0": "481134193f252ee8fcc8620088cbd861781b9d6abb1668e42e9e6a548c8a4099",
+    "dense-x4-1": "1ce565b8f283047eb83addfe2bffbbdf91a7dc7b622092a01c81bd182f9fedc0",
+    "ladder-k8-0": "199fdba749e7bcd6a4800fb3e9292bf6230456f71475ad50d888eb9dfaa70e9d",
+}
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN_SCENARIOS))
+def test_generated_scenarios_are_byte_frozen(key):
+    scenario = {
+        "sweep-0": lambda: generated(0),
+        "dense-x4-1": lambda: generated(1, dense=True),
+        "ladder-k8-0": lambda: gen_scenario(0, _ladder_k8()),
+    }[key]()
+    digest = hashlib.sha256(scenario.to_json().encode()).hexdigest()
+    assert digest == FROZEN_SCENARIOS[key]

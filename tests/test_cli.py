@@ -27,6 +27,15 @@ class TestGen:
         assert code == EXIT_OK
         assert json.loads(out)["stages"] == 50
 
+    @pytest.mark.parametrize("stages", ["0", "-5"])
+    def test_stages_below_one_exit_two(self, capsys, stages):
+        code, out, err = run_cli(
+            capsys, "gen", "--seed", "1", "--stages", stages
+        )
+        assert code == EXIT_SCENARIO
+        assert not out
+        assert err.startswith("scenario error:") and err.count("\n") == 1
+
 
 class TestRun:
     def test_demo_scenario_exits_clean(self, capsys, tmp_path, data_dir):
@@ -66,6 +75,30 @@ class TestRun:
         )
         code, _, _ = run_cli(capsys, "run", "--scenario", str(heavy))
         assert code == EXIT_SCENARIO
+
+    @pytest.mark.parametrize("stages", ["0", "-3"])
+    def test_stages_flag_below_one_exits_two(self, capsys, data_dir, stages):
+        code, out, err = run_cli(
+            capsys,
+            "run",
+            "--scenario", str(data_dir / "demo_scenario.json"),
+            "--stages", stages,
+        )
+        assert code == EXIT_SCENARIO
+        assert not out
+        assert err.startswith("scenario error:") and err.count("\n") == 1
+
+    def test_scenario_stages_below_one_exits_two(
+        self, capsys, tmp_path, data_dir
+    ):
+        payload = json.loads((data_dir / "demo_scenario.json").read_text())
+        payload["stages"] = -4
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "run", "--scenario", str(bad))
+        assert code == EXIT_SCENARIO
+        assert not out
+        assert err.startswith("scenario error:") and err.count("\n") == 1
 
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, _ = run_cli(

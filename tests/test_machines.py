@@ -16,7 +16,7 @@ from ceforge.machines import (
     check_prefix_free,
 )
 
-from oracles import machine_k_at
+from oracles import EagerFreeBlockSet, machine_k_at
 
 
 def machine_from(requests: list[tuple[str, int]]) -> PrefixFreeMachine:
@@ -25,6 +25,11 @@ def machine_from(requests: list[tuple[str, int]]) -> PrefixFreeMachine:
     for stage, (target, length) in enumerate(requests):
         machine.describe(target, length, stage)
     return machine
+
+
+def spelled(free) -> dict[int, str]:
+    """The free blocks of ``free``, each written out as its own string."""
+    return {d: w[: d - 1] + "1" if d else "" for d, w in free.free.items()}
 
 
 class TestFreeBlockSet:
@@ -44,7 +49,7 @@ class TestFreeBlockSet:
         rng = random.Random(9)
         for _ in range(200):
             free.allocate(rng.randint(9, 24))
-            lengths = [len(b) for b in free.free.values()]
+            lengths = [len(b) for b in spelled(free).values()]
             assert sorted(lengths) == sorted(set(lengths))
 
     def test_free_weight_accounts_for_allocations(self):
@@ -53,7 +58,68 @@ class TestFreeBlockSet:
         for length in (3, 1, 4, 4):
             free.allocate(length)
             spent = spent + Dyadic.pow2_neg(length)
-        assert _wgt(set(free.free.values())) + spent == ONE
+        assert _wgt(set(spelled(free).values())) + spent == ONE
+
+
+class TestAgainstEagerAllocator:
+    """``FreeBlockSet`` hands out the codewords of the allocator that spells
+    out every free block, and leaves the same free blocks behind."""
+
+    @staticmethod
+    def lockstep(lengths):
+        fast, eager = FreeBlockSet(), EagerFreeBlockSet()
+        exhausted = 0
+        for length in lengths:
+            try:
+                expected = eager.allocate(length)
+            except Exhausted:
+                with pytest.raises(Exhausted):
+                    fast.allocate(length)
+                exhausted += 1
+            else:
+                assert fast.allocate(length) == expected
+            assert spelled(fast) == eager.free
+        return fast, eager, exhausted
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_short_lengths(self, seed):
+        rng = random.Random(f"short:{seed}")
+        self.lockstep([rng.randint(18, 26) for _ in range(3_000)])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_lengths(self, seed):
+        # Lengths that grow with the request index, as the generator's do
+        # once its budget is spent, mixed with short ones that must fall
+        # back to shallower blocks or find none.
+        rng = random.Random(f"long:{seed}")
+        lengths = [
+            rng.randint(1, 12) if rng.random() < 0.3 else
+            rng.randint(i // 2, i + 5)
+            for i in range(2_000)
+        ]
+        _, _, exhausted = self.lockstep(lengths)
+        assert exhausted
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fill_to_exactly_one(self, seed):
+        rng = random.Random(f"fill:{seed}")
+        fast, eager, _ = self.lockstep(
+            [rng.randint(1, 40) for _ in range(60)]
+        )
+        # Take every free block whole, so the weight reaches exactly 1.
+        for length in sorted(eager.free):
+            assert fast.allocate(length) == eager.allocate(length)
+        assert fast.free == eager.free == {}
+        for length in (0, 1, 2_000):
+            with pytest.raises(Exhausted):
+                eager.allocate(length)
+            with pytest.raises(Exhausted):
+                fast.allocate(length)
+
+    def test_length_zero_takes_the_whole_space(self):
+        fast, _, exhausted = self.lockstep([0, 0, 3])
+        assert exhausted == 2
+        assert fast.free == {}
 
 
 class TestRequestSet:
