@@ -654,6 +654,30 @@ def check_coverage(
     return checks
 
 
+def _require_deficits(replay: _Replay, scenario: Scenario) -> None:
+    """Raise ValueError unless every snapshot deficit ``num/2^exp`` has
+    0 <= exp <= the longest schedule codeword.
+
+    A deficit is a sum of weights 2^-K(X|j), each a multiple of 2^-(that
+    length), so no exponent outside the range can occur; one far outside
+    it would cost memory in the first comparison or in parsing itself.
+    """
+    if replay.header["engine"] != "dual":
+        return
+    longest = max(
+        (len(e.codeword) for e in scenario.schedule.events), default=0
+    )
+    for index, timeline in replay.timelines.items():
+        for stage, snap in timeline:
+            for side in replay.sides:
+                _, sep, exp = snap[f"p_{side}"].partition("/2^")
+                if sep and not 0 <= int(exp) <= longest:
+                    raise ValueError(
+                        f"malformed trace: marker {index} at stage {stage} "
+                        f"has p_{side} with an exponent outside 0..{longest}"
+                    )
+
+
 def check_deficits(replay: _Replay) -> list[dict[str, Any]]:
     """Dual runs only: every recorded deficit stays at most 2^-c."""
     checks: list[dict[str, Any]] = []
@@ -683,6 +707,7 @@ def audit_trace(
 ) -> dict[str, Any]:
     """Full audit of a trace against its scenario; pure and deterministic."""
     replay = _Replay.from_records(records)
+    _require_deficits(replay, scenario)
     checks, ledgers = check_weights(replay, scenario)
     checks.extend(check_markers(replay, scenario, ledgers))
     checks.extend(check_coverage(replay, scenario))

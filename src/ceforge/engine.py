@@ -2,8 +2,8 @@
 
 The engine is strictly sequential and fully deterministic: a scenario plus a
 stage budget reproduces the same trace byte for byte.  All weight comparisons
-are exact dyadics; the only floating value anywhere is the INFINITE length
-sentinel for strings that have no description yet.
+are exact, on ints at one dyadic scale or on dyadics; the only floating value
+anywhere is the INFINITE length sentinel for undescribed strings.
 """
 
 from __future__ import annotations
@@ -13,12 +13,18 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .approx import CESetApprox, Scenario, ScheduleEvent
-from .bitcore import Dyadic, INFINITE, ZERO
+from .bitcore import Dyadic, INFINITE
 from .machines import PrefixFreeMachine, WeightOverflow
 
 
 class LemmaViolation(RuntimeError):
     """A machine weight bound failed while the construction ran."""
+
+
+def _fires(s: int, p: int, length: int, sum_exp: int) -> bool:
+    """Sum clause: s > 0 reaches q - p, floored at 0, for q = 2^-``length``.
+    s and p count units of 2^-``sum_exp``, so s + p >= q compares ints."""
+    return s > 0 and (s + p) << length >= 1 << sum_exp
 
 
 class _ZeroTracker:
@@ -57,7 +63,8 @@ class _ZeroTracker:
 
 class _SideTracker:
     """Per given set X: K(X restricted to j), the output machine M_x,
-    the deficiency cursor, and exact interval sums of 2^-K(X|j)."""
+    the deficiency cursor, and exact interval sums of 2^-K(X|j), as ints in
+    units of 2^-``sum_exp`` (the longest codeword), like marker deficits."""
 
     def __init__(
         self, side: str, given: CESetApprox, events: list[ScheduleEvent]
@@ -68,23 +75,22 @@ class _SideTracker:
         self._set_by_stage: dict[int, list[int]] = {}
         for element, stage in given.schedule:
             self._set_by_stage.setdefault(stage, []).append(element)
-        width = max((len(e.output) for e in events), default=0)
-        width = max(
-            width, max((el + 1 for el, _ in given.schedule), default=0)
+        # Only segments up to the longest output are read, so X is kept that
+        # far; fresh positions lie above ``width``, which counts every element.
+        segment = max((len(e.output) for e in events), default=0)
+        self.width = max(
+            segment, max((el + 1 for el, _ in given.schedule), default=0)
         )
-        self.width = width
-        self._bits = bytearray(b"0" * width)
+        self._bits = bytearray(b"0" * segment)
         self.x_str = self._bits.decode()
         self._applied: list[ScheduleEvent] = []
         # j -> (length, stage, codeword) of the least shortest description
         self.k_best: dict[int, tuple[int, int, str]] = {}
-        self._sum_exp = max((len(e.codeword) for e in events), default=1)
+        self.sum_exp = max((len(e.codeword) for e in events), default=1)
         self._sum_keys: list[int] = []
         self._sum_prefix: list[int] = [0]
         self._sums_stale = False
         self.machine = PrefixFreeMachine(f"M_{side}")
-        # str(machine.weight), kept up to date by the one place M grows
-        self.weight_str = str(self.machine.weight)
         self._deficient: set[int] = set()
         self._dirty: set[int] = set()
         self.min_changed_pos: int | None = None
@@ -96,7 +102,8 @@ class _SideTracker:
         elements = self._set_by_stage.get(stage, [])
         if elements:
             for element in elements:
-                self._bits[element] = ord("1")
+                if element < len(self._bits):
+                    self._bits[element] = ord("1")
             self.x_str = self._bits.decode()
             self.min_changed_pos = min(elements)
             self._recompute_matches()
@@ -134,7 +141,7 @@ class _SideTracker:
         prefix = [0]
         for j in self._sum_keys:
             prefix.append(
-                prefix[-1] + (1 << (self._sum_exp - self.k_best[j][0]))
+                prefix[-1] + (1 << (self.sum_exp - self.k_best[j][0]))
             )
         self._sum_prefix = prefix
         self._sums_stale = False
@@ -147,14 +154,15 @@ class _SideTracker:
         """Codeword of the least shortest description of X restricted to j."""
         return self.k_best[j][2]
 
-    def sum_range(self, lo_exclusive: int, hi_inclusive: int) -> Dyadic:
-        """Exact sum of 2^-K(X|j) over described j in (lo, hi]."""
+    def sum_range(self, lo_exclusive: int, hi_inclusive: int) -> int:
+        """Exact sum of 2^-K(X|j) over described j in (lo, hi], in units
+        of 2^-``sum_exp``."""
         self._refresh_sums()
         lo = bisect.bisect_right(self._sum_keys, lo_exclusive)
         hi = bisect.bisect_right(self._sum_keys, hi_inclusive)
         if hi <= lo:
-            return ZERO
-        return Dyadic(self._sum_prefix[hi] - self._sum_prefix[lo], self._sum_exp)
+            return 0
+        return self._sum_prefix[hi] - self._sum_prefix[lo]
 
     def mark_b_change(self, position: int) -> None:
         for j in self.k_best:
@@ -193,15 +201,13 @@ class Marker:
     move_count: int = 0
     machines: dict[str, PrefixFreeMachine] = field(default_factory=dict)
     t: dict[str, int | None] = field(default_factory=dict)
-    q: dict[str, Dyadic | None] = field(default_factory=dict)
-    p: dict[str, Dyadic] = field(default_factory=dict)
+    p: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for side in self.sides:
             self.machines[side] = PrefixFreeMachine(f"N_{side}{self.index}")
             self.t[side] = None
-            self.q[side] = None
-            self.p[side] = ZERO
+            self.p[side] = 0
 
 
 class BaseEngine:
@@ -209,9 +215,10 @@ class BaseEngine:
 
     Each placed marker i keeps, per side, a threshold t: the least key
     n <= s_old of the zero tracker at which N_i fails to describe X|n within
-    K(0^n) + c_i, and q = 2^-(K(0^t) + c_i).  A stage recomputes t and q only
-    for the (index, side) pairs in ``_dirty``, in index order.  A pair is
-    marked dirty when an input of its t changes:
+    K(0^n) + c_i.  Its weight q = 2^-(K(0^t) + c_i) is derived, not stored,
+    and compared in ints with sums and deficits (``_fires``).  A stage
+    recomputes t only for the (index, side) pairs in ``_dirty``, in index
+    order.  A pair is marked dirty when an input of its t changes:
 
     * the marker is placed: a fresh marker, or an injured one coming back
       with a reset machine and c + 1 (unplaced markers have no t);
@@ -246,9 +253,6 @@ class BaseEngine:
         }
         self.stage = 0
         self.b_stage: dict[int, int] = {}
-        width = max(t.width for t in self.sides.values())
-        self._b_bits = bytearray(b"0" * width)
-        self.b_str = self._b_bits.decode()
         self.markers: list[Marker] = []
         self.move_history: list[int] = []
         self.archived: list[tuple[str, int, PrefixFreeMachine]] = []
@@ -259,6 +263,9 @@ class BaseEngine:
         # stage repeats forever.  An exclusive cursor reaches length j only
         # when the previous stage is past j.
         self._max_key_bound = max((len(e.output) for e in events), default=0)
+        # B is read only in described segments, so it is kept that far.
+        self._b_bits = bytearray(b"0" * self._max_key_bound)
+        self.b_str = self._b_bits.decode()
         self._halting_indices = {e for e, _ in scenario.halting.schedule}
         self._quiet_after = max(
             [self._max_key_bound + (0 if self.cursor_inclusive else 1)]
@@ -268,19 +275,16 @@ class BaseEngine:
             + [s for _, s in scenario.set_d.schedule],
         )
         self._max_seen = 0
-        self._note(width)
+        self._note(max(t.width for t in self.sides.values()))
         self._note(max((len(e.codeword) for e in events), default=0))
         # At stage 0 the first marker is placed on position 1.
         first = self._materialize(0)
         first.position = 1
         self._note(1)
-        # (marker index, side) pairs whose t and q the next stage recomputes.
+        # (marker index, side) pairs whose t the next stage recomputes.
         # Marker 0 needs no mark: no key exists yet, and every key it could
         # find later arrives through one of the rules for a t that is None.
         self._dirty: set[tuple[int, str]] = set()
-        # Emitted with the first stage record so the trace carries the
-        # initial placement.
-        self._pending_touched: set[int] = {0}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -315,7 +319,7 @@ class BaseEngine:
     # -- per-stage parameters ----------------------------------------------
 
     def _compute_t(self, marker: Marker, side: str, s_old: int) -> None:
-        """Recompute ``t`` and ``q`` of a dirty pair from scratch."""
+        """Recompute ``t`` of a dirty pair from scratch."""
         tracker = self.sides[side]
         machine = marker.machines[side]
         best = self.zero.best
@@ -341,15 +345,13 @@ class BaseEngine:
                 "without a set change below it"
             )
         marker.t[side] = found
-        if found is None:
-            marker.q[side] = None
-            return
         # Freshly placed positions exceed every stage bound, so t stays below
         # them; the initial marker on position 1 and frozen positions are the
         # two legitimate exceptions.  Positions only grow while t is kept,
         # so checking when t changes is enough.
         if (
-            marker.position is not None
+            found is not None
+            and marker.position is not None
             and not marker.frozen
             and (marker.index > 0 or marker.move_count > 0)
         ):
@@ -357,12 +359,6 @@ class BaseEngine:
                 f"t_{side}[{marker.index}]={found} not below marker position "
                 f"{marker.position}"
             )
-        # q = 2^-(K(0^t) + c), a dyadic with numerator 1 and exponent
-        # K(0^t) + c: rebuild it only when t, K(0^t) or c moved.
-        length = best[found] + marker.c
-        q = marker.q[side]
-        if q is None or q.exp != length:
-            marker.q[side] = Dyadic.pow2_neg(length)
 
     def _mark_from(self, lowest: int | float, sides: tuple[str, ...]) -> None:
         """Mark dirty each placed pair on ``sides`` whose t is None or at
@@ -377,7 +373,7 @@ class BaseEngine:
 
     def _attention(
         self, marker: Marker, s_old: int, stage: int
-    ) -> tuple[bool, dict[str, bool], dict[str, Dyadic]]:
+    ) -> tuple[bool, dict[str, bool], dict[str, int]]:
         sums = {
             side: self.sides[side].sum_range(marker.position, s_old)
             for side in self.side_names
@@ -386,12 +382,13 @@ class BaseEngine:
             return False, {side: False for side in self.side_names}, sums
         fired = {}
         for side in self.side_names:
-            q = marker.q[side]
-            if q is None:
-                fired[side] = False
-                continue
-            threshold = q - marker.p[side] if q >= marker.p[side] else ZERO
-            fired[side] = sums[side] > ZERO and sums[side] >= threshold
+            t = marker.t[side]
+            fired[side] = t is not None and _fires(
+                sums[side],
+                marker.p[side],
+                self.zero.best[t] + marker.c,
+                self.sides[side].sum_exp,
+            )
         return (
             self._in_halting(marker.index, stage) or any(fired.values()),
             fired,
@@ -414,7 +411,6 @@ class BaseEngine:
             entry = tracker.machine.describe(self.b_str[:k], length, stage)
         except WeightOverflow as exc:
             raise LemmaViolation(f"M_{side}: {exc}") from exc
-        tracker.weight_str = str(tracker.machine.weight)
         tracker.mark_dirty(k)
         record.append(
             {
@@ -503,7 +499,7 @@ class BaseEngine:
 
         attention_index: int | None = None
         fired: dict[str, bool] = {side: False for side in self.side_names}
-        sums: dict[str, Dyadic] = {}
+        sums: dict[str, int] = {}
         for marker in self.markers:
             if marker.position is None:
                 continue
@@ -536,8 +532,8 @@ class BaseEngine:
             "m_entries": [],
             "n_entries": n_entries,
         }
-        touched = set(self._pending_touched)
-        self._pending_touched.clear()
+        # The first record carries the initial placement of marker 0.
+        touched = {0} if s_old == 0 else set()
 
         if attention_index is None:
             cursors = {
@@ -623,8 +619,7 @@ class BaseEngine:
                         )
                         other.machines[side] = other.machines[side].reset()
                         other.t[side] = None
-                        other.q[side] = None
-                        other.p[side] = ZERO
+                        other.p[side] = 0
             self.move_history.append(attention_index)
             for side in self.side_names:
                 if fired[side]:
@@ -634,13 +629,13 @@ class BaseEngine:
                         marker,
                         side,
                         t,
-                        int(self.zero.k_of(t)) + marker.c,
+                        self.zero.best[t] + marker.c,
                         stage,
                         n_entries,
                     )
-                    marker.p[side] = ZERO
-                elif self.use_deficits and marker.q[side] is not None:
-                    marker.p[side] = marker.p[side] + sums[side]
+                    marker.p[side] = 0
+                elif self.use_deficits and marker.t[side] is not None:
+                    marker.p[side] += sums[side]
 
         record["markers"] = self._marker_snapshot(touched)
         record["weights"] = self._weight_snapshot(n_entries)
@@ -659,7 +654,8 @@ class BaseEngine:
             }
             if self.use_deficits:
                 for side in self.side_names:
-                    entry[f"p_{side}"] = str(marker.p[side])
+                    p = Dyadic(marker.p[side], self.sides[side].sum_exp)
+                    entry[f"p_{side}"] = str(p)
             snapshot[str(index)] = entry
         return snapshot
 
@@ -669,7 +665,7 @@ class BaseEngine:
         """Output-machine weights, plus new weights of N-machines that grew."""
         weights: dict[str, Any] = {}
         for side, tracker in self.sides.items():
-            weights[f"m_{side}"] = tracker.weight_str
+            weights[f"m_{side}"] = str(tracker.machine.weight)
         changed: dict[str, str] = {}
         for entry in n_entries:
             marker = self.markers[entry["index"]]

@@ -5,7 +5,7 @@ event, entry, trace record or ledger use, so it shares no bookkeeping with
 the code it checks.
 """
 
-from ceforge.bitcore import Dyadic, INFINITE
+from ceforge.bitcore import Dyadic, INFINITE, ZERO
 from ceforge.machines import Exhausted
 
 
@@ -25,6 +25,24 @@ def k_at(schedule, output: str, stage: int):
 def k_at_n(schedule, n: int, stage: int):
     """K(n)[stage], identifying the number ``n`` with the string 0^n."""
     return k_at(schedule, "0" * n, stage)
+
+
+def fires_dyadic(s, p, q) -> bool:
+    """The sum clause in dyadics: the sum ``s`` is positive and reaches the
+    threshold q - p, floored at 0."""
+    threshold = q - p if q >= p else ZERO
+    return s > ZERO and s >= threshold
+
+
+def thresholds(engine, marker, side):
+    """``(q, p)`` of a marker on ``side`` as dyadics, with q = 2^-(K(0^t) + c)
+    read off the schedule at the engine's stage; None while t is undefined."""
+    t = marker.t[side]
+    if t is None:
+        return None
+    k = k_at_n(engine.scenario.schedule, t, engine.stage)
+    q = Dyadic.pow2_neg(k + marker.c)
+    return q, Dyadic(marker.p[side], engine.sides[side].sum_exp)
 
 
 def machine_k_at(machine, output: str, stage=INFINITE):

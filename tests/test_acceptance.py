@@ -25,6 +25,7 @@ from ceforge.engine import DualEngine, SingleEngine
 from ceforge.machines import FreeBlockSet
 
 from conftest import load_jsonl
+from oracles import thresholds
 
 SEEDS = range(50)
 HALF = Dyadic.pow2_neg(1)
@@ -167,9 +168,10 @@ def test_criterion_07_dual_analogues(sweep):
             assert _check(run.report, name), (run.seed, name)
         for marker in run.engine.markers:
             for side in ("a", "d"):
-                q = marker.q[side]
-                if q is not None:
-                    assert marker.p[side] <= q, (run.seed, marker.index)
+                pair = thresholds(run.engine, marker, side)
+                if pair is not None:
+                    q, p = pair
+                    assert p <= q, (run.seed, marker.index)
                     assert q <= Dyadic.pow2_neg(marker.c), (
                         run.seed, marker.index,
                     )

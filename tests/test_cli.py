@@ -100,6 +100,35 @@ class TestRun:
         assert not out
         assert err.startswith("scenario error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("engine", ["single", "dual"])
+    def test_huge_given_element_runs_and_audits(
+        self, capsys, tmp_path, data_dir, engine
+    ):
+        # Only segments up to the longest schedule output are read, so an
+        # element far past them must not size any buffer.
+        payload = json.loads((data_dir / "single_scripted.json").read_text())
+        payload["set_a"].append([10**12, 2])
+        scenario = tmp_path / "huge.json"
+        scenario.write_text(json.dumps(payload))
+        trace = tmp_path / "trace.jsonl"
+        first = tmp_path / "first.json"
+        second = tmp_path / "second.json"
+        code = main(
+            [
+                "run", "--scenario", str(scenario), "--engine", engine,
+                "--trace-out", str(trace), "--report-out", str(first),
+            ]
+        )
+        assert code in (EXIT_OK, EXIT_LEMMA)
+        capsys.readouterr()
+        assert main(
+            [
+                "audit", "--scenario", str(scenario), "--trace", str(trace),
+                "--report-out", str(second),
+            ]
+        ) == code
+        assert first.read_text() == second.read_text()
+
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "run", "--scenario", str(tmp_path / "nope.json")
@@ -167,6 +196,14 @@ def _header_as_list(records):
 
 def _negative_deficit(records):
     records[1]["markers"]["0"]["p_a"] = "-1/2^0"
+
+
+def _deficit_exponent_huge(records):
+    records[1]["markers"]["0"]["p_a"] = "1/2^1000000000000"
+
+
+def _deficit_exponent_negative(records):
+    records[1]["markers"]["0"]["p_a"] = "1/2^-1000000000000"
 
 
 def _m_n_huge(records):
@@ -295,6 +332,8 @@ def _repeat_huge(records):
         ("single_scripted", _stage_as_list),
         ("single_scripted", _header_as_list),
         ("dual_scripted", _negative_deficit),
+        ("dual_scripted", _deficit_exponent_huge),
+        ("dual_scripted", _deficit_exponent_negative),
         ("dual_scripted", _m_n_huge),
         ("single_scripted", _n_length_huge),
         ("single_scripted", _c_huge_with_n_length_huge),

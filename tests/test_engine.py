@@ -9,6 +9,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ceforge import (
     DualEngine,
@@ -20,10 +22,16 @@ from ceforge import (
     trace_to_jsonl,
 )
 from ceforge.bitcore import Dyadic
-from ceforge.engine import _ZeroTracker
+from ceforge.engine import _ZeroTracker, _fires
 
 from conftest import EMPTY, ONE_EVENT, generated
-from oracles import expand_repeats, k_at_n, machine_k_at
+from oracles import (
+    expand_repeats,
+    fires_dyadic,
+    k_at_n,
+    machine_k_at,
+    thresholds,
+)
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +102,8 @@ class TestSingleScripted:
         assert sorted(engine.b_stage) == [1, 5]
         assert engine.markers[0].frozen
         assert engine.markers[0].t["a"] == 3
-        assert engine.markers[0].q["a"] == Dyadic.pow2_neg(7)
+        q, _ = thresholds(engine, engine.markers[0], "a")
+        assert q == Dyadic.pow2_neg(7)
 
 
 class TestDualScripted:
@@ -141,9 +150,10 @@ class TestDualScripted:
             if marker.position is None:
                 continue
             for side in ("a", "d"):
-                q = marker.q[side]
-                if q is not None:
-                    assert marker.p[side] <= q
+                pair = thresholds(engine, marker, side)
+                if pair is not None:
+                    q, p = pair
+                    assert p <= q
                     assert q <= Dyadic.pow2_neg(marker.c)
 
 
@@ -182,7 +192,7 @@ class TestEngineProperties:
 class _Naive:
     """Turns off the engine's shortcuts: the quiet-tail fold, the
     past-max-key skip and the dirty set, so that every stage is computed
-    and every placed marker's t and q are recomputed from scratch."""
+    and every placed marker's t is recomputed from scratch."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
@@ -195,10 +205,6 @@ class _Naive:
                 continue
             for side in self.side_names:
                 self._dirty.add((marker.index, side))
-                # A second, independent rebuild: a change to the test that
-                # decides when q is rebuilt must not keep this engine's
-                # stale q as well.
-                marker.q[side] = None
         return super().step()
 
 
@@ -211,7 +217,7 @@ class _NaiveDual(_Naive, DualEngine):
 
 
 def _thresholds(engine):
-    return [(marker.t, marker.q) for marker in engine.markers]
+    return [(marker.t, marker.p) for marker in engine.markers]
 
 
 #: Lockstep scenarios by test id: two sweep seeds, the dense-x4 seed, and
@@ -234,8 +240,9 @@ LOCKSTEP = {
 )
 def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     """Stepping in lockstep: the same JSONL record at every stage, and the
-    same thresholds t and q up to the quiet point.  Run whole: the fast
-    trace, its quiet tail written out, is the naive trace byte for byte."""
+    same thresholds t and deficits p up to the quiet point.  Run whole: the
+    fast trace, its quiet tail written out, is the naive trace byte for
+    byte."""
     scenario = LOCKSTEP[name]()
     stages = min(1_500, scenario.stages)
     fast, naive = fast_cls(scenario), naive_cls(scenario)
@@ -343,3 +350,53 @@ class TestAgainstOracles:
             outputs = {entry.output for entry in machine.entries}
             for output in outputs | {"2"}:
                 assert machine.k_of(output) == machine_k_at(machine, output)
+
+
+@st.composite
+def _fire_cases(draw):
+    """(s, p, length, sum_exp), with s often within two units of q - p."""
+    sum_exp = draw(st.integers(0, 40))
+    length = draw(st.integers(0, 80))
+    # q in units of 2^-sum_exp; 0 when q is below one unit
+    q = 1 << (sum_exp - length) if length <= sum_exp else 0
+    p = draw(st.integers(0, 2 * q + 4))
+    near = max(0, q - p + draw(st.integers(-2, 2)))
+    s = draw(st.one_of(st.just(near), st.integers(0, 2 * q + 4)))
+    return s, p, length, sum_exp
+
+
+class TestFireRule:
+    """The engine's sum clause in ints against the same rule in dyadics."""
+
+    @staticmethod
+    def _dyadic(s, p, length, sum_exp):
+        return fires_dyadic(
+            Dyadic(s, sum_exp), Dyadic(p, sum_exp), Dyadic.pow2_neg(length)
+        )
+
+    # sum_exp 5 unless noted; q = 2^-3 is 4 units of 2^-5
+    @pytest.mark.parametrize(
+        "s, p, length, sum_exp, fires",
+        [
+            (0, 0, 3, 5, False),  # s = 0
+            (0, 9, 3, 5, False),  # s = 0 with p > q
+            (1, 9, 3, 5, True),  # p > q: the threshold floors at 0
+            (1, 4, 3, 5, True),  # p = q
+            (3, 1, 3, 5, True),  # s + p = q exactly
+            (1, 3, 3, 5, True),  # s + p = q, mostly deficit
+            (2, 1, 3, 5, False),  # one unit short
+            (4, 0, 3, 5, True),  # s = q, no deficit
+            (3, 0, 3, 5, False),
+            (1, 0, 80, 5, True),  # large c: q far below one unit
+            (2**50 - 7, 7, 20, 70, True),  # large scale, s + p = q
+            (2**50 - 8, 7, 20, 70, False),
+        ],
+    )
+    def test_edge_cases(self, s, p, length, sum_exp, fires):
+        assert self._dyadic(s, p, length, sum_exp) is fires
+        assert _fires(s, p, length, sum_exp) is fires
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(case=_fire_cases())
+    def test_matches_dyadic_rule(self, case):
+        assert _fires(*case) is self._dyadic(*case)
