@@ -43,6 +43,17 @@ def _load_scenario(path: str) -> Scenario:
     return Scenario.from_json(Path(path).read_text())
 
 
+def _write(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; on failure print one ``output error``
+    line and return False."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = _load_scenario(args.scenario)
@@ -62,12 +73,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"lemma violation: {exc}", file=sys.stderr)
         return EXIT_LEMMA
     if args.trace_out:
-        Path(args.trace_out).write_text(trace_to_jsonl(records))
+        if not _write(args.trace_out, trace_to_jsonl(records)):
+            return EXIT_FAIL
         log.info("trace written to %s", args.trace_out)
     report = audit_trace(records, scenario)
     text = report_to_json(report)
     if args.report_out:
-        Path(args.report_out).write_text(text + "\n")
+        if not _write(args.report_out, text + "\n"):
+            return EXIT_FAIL
     else:
         print(text)
     if not report["pass"]:
@@ -90,7 +103,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     scenario = gen_scenario(args.seed, params)
     text = scenario.to_json()
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        if not _write(args.out, text + "\n"):
+            return EXIT_FAIL
     else:
         print(text)
     return EXIT_OK
@@ -106,7 +120,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         return EXIT_SCENARIO
     text = report_to_json(report)
     if args.report_out:
-        Path(args.report_out).write_text(text + "\n")
+        if not _write(args.report_out, text + "\n"):
+            return EXIT_FAIL
     else:
         print(text)
     return EXIT_OK if report["pass"] else EXIT_LEMMA
@@ -126,12 +141,12 @@ def cmd_kc(args: argparse.Namespace) -> int:
             if not line or line.startswith("#"):
                 continue
             target, length = line.split()
-            rows.append((free.allocate(int(length)), target))
+            rows.append(f"{free.allocate(int(length))}\t{target}\n")
     except (OSError, ValueError, Exhausted) as exc:
         print(f"request error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
-    for codeword, target in rows:
-        print(f"{codeword}\t{target}")
+    # One write for the whole table: a stream holds 10^5 rows and more.
+    sys.stdout.write("".join(rows))
     return EXIT_OK
 
 

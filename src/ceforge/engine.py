@@ -638,7 +638,9 @@ class BaseEngine:
                     marker.p[side] += sums[side]
 
         record["markers"] = self._marker_snapshot(touched)
-        record["weights"] = self._weight_snapshot(n_entries)
+        record["weights"] = self._weight_snapshot(
+            record["m_entries"], n_entries
+        )
         self.stage = stage
         return record
 
@@ -660,12 +662,15 @@ class BaseEngine:
         return snapshot
 
     def _weight_snapshot(
-        self, n_entries: list[dict[str, Any]]
+        self, m_entries: list[dict[str, Any]], n_entries: list[dict[str, Any]]
     ) -> dict[str, Any]:
-        """Output-machine weights, plus new weights of N-machines that grew."""
+        """Change record of machine weights: ``m_<side>`` for each output
+        machine that grew this stage, and the new weights of the N-machines
+        that grew.  An output machine is never reset, so its weight at any
+        stage is the last ``m_<side>`` written, or 0 before the first."""
         weights: dict[str, Any] = {}
-        for side, tracker in self.sides.items():
-            weights[f"m_{side}"] = str(tracker.machine.weight)
+        for side in sorted({entry["side"] for entry in m_entries}):
+            weights[f"m_{side}"] = str(self.sides[side].machine.weight)
         changed: dict[str, str] = {}
         for entry in n_entries:
             marker = self.markers[entry["index"]]

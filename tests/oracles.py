@@ -100,6 +100,41 @@ def expand_repeats(records):
     return expanded
 
 
+def m_weight_changes(records):
+    """Per stage record, ``{"m_<side>": weight}`` for each side with an
+    m-entry in it, the weight being the running sum of 2^-``length`` over
+    that side's m-entries so far."""
+    totals = {}
+    changes = []
+    for record in records[1:]:
+        changed = {}
+        for entry in record["m_entries"]:
+            key = f"m_{entry['side']}"
+            totals[key] = totals.get(key, ZERO) + Dyadic.pow2_neg(
+                entry["length"]
+            )
+            changed[key] = str(totals[key])
+        changes.append(changed)
+    return changes
+
+
+def carry_weights(records):
+    """The trace with each output machine's weight written into every stage
+    record, carried from the last record that wrote it and ``"0/2^0"``
+    before the first, as the engine wrote traces before it wrote a weight
+    only where it changed."""
+    sides = ("a", "d") if records[0]["engine"] == "dual" else ("a",)
+    current = {f"m_{side}": "0/2^0" for side in sides}
+    carried = [records[0]]
+    for record in records[1:]:
+        weights = record["weights"]
+        current.update(
+            (key, value) for key, value in weights.items() if key != "n"
+        )
+        carried.append({**record, "weights": {**weights, **current}})
+    return carried
+
+
 def pick_length_loop(rng, params, remaining) -> int:
     """The generator's codeword length found by raising the drawn length one
     bit at a time until the event costs at most half of ``remaining``."""

@@ -1,12 +1,15 @@
 """Command-line entry points, exercised in-process via ``main``."""
 
+import io
 import json
+import random
 
 import pytest
 
-from ceforge.cli import EXIT_LEMMA, EXIT_OK, EXIT_SCENARIO, main
+from ceforge.cli import EXIT_FAIL, EXIT_LEMMA, EXIT_OK, EXIT_SCENARIO, main
 
-from conftest import load_jsonl
+from conftest import DATA, load_jsonl
+from oracles import EagerFreeBlockSet
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -393,6 +396,59 @@ class TestKc:
         code, _, err = run_cli(capsys, "kc", str(requests))
         assert code == EXIT_SCENARIO
         assert "request error" in err
+
+    def test_exhaustion_mid_stream_prints_no_rows(self, capsys, tmp_path):
+        # "c" finds no free block of length <= 1, and "d" would still fit.
+        requests = tmp_path / "req.txt"
+        requests.write_text("a 1\nb 2\nc 1\nd 2\n")
+        code, out, err = run_cli(capsys, "kc", str(requests))
+        assert code == EXIT_SCENARIO
+        assert out == ""
+        assert err.startswith("request error:") and err.count("\n") == 1
+
+    def test_table_matches_per_row_output(self, capsys, tmp_path):
+        rng = random.Random(8)
+        lines, requests, room = ["# seeded stream", ""], [], 1 << 24
+        for i in range(3_000):
+            length = rng.randint(10, 24)
+            if 1 << (24 - length) <= room:
+                room -= 1 << (24 - length)
+                lines.append(f"t{i} {length}")
+                requests.append((f"t{i}", length))
+        path = tmp_path / "req.txt"
+        path.write_text("\n".join(lines) + "\n")
+        expected = io.StringIO()
+        free = EagerFreeBlockSet()
+        for target, length in requests:
+            print(f"{free.allocate(length)}\t{target}", file=expected)
+        code, out, _ = run_cli(capsys, "kc", str(path))
+        assert code == EXIT_OK
+        assert len(requests) > 1_000
+        assert out == expected.getvalue()
+
+
+_SCRIPTED = str(DATA / "single_scripted.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--seed", "3", "--out"],
+        ["run", "--scenario", _SCRIPTED, "--trace-out"],
+        ["run", "--scenario", _SCRIPTED, "--report-out"],
+        [
+            "audit", "--scenario", _SCRIPTED,
+            "--trace", str(DATA / "single_scripted_trace.jsonl"),
+            "--report-out",
+        ],
+    ],
+    ids=["gen-out", "run-trace-out", "run-report-out", "audit-report-out"],
+)
+def test_unwritable_output_path_exits_one(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "missing" / "out"))
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err.startswith("output error:") and err.count("\n") == 1
 
 
 class TestEncodeReal:

@@ -24,11 +24,13 @@ from ceforge import (
 from ceforge.bitcore import Dyadic
 from ceforge.engine import _ZeroTracker, _fires
 
-from conftest import EMPTY, ONE_EVENT, generated
+from conftest import EMPTY, ONE_EVENT, generated, written_m_weights
 from oracles import (
+    carry_weights,
     expand_repeats,
     fires_dyadic,
     k_at_n,
+    m_weight_changes,
     machine_k_at,
     thresholds,
 )
@@ -240,18 +242,23 @@ LOCKSTEP = {
 )
 def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     """Stepping in lockstep: the same JSONL record at every stage, and the
-    same thresholds t and deficits p up to the quiet point.  Run whole: the
-    fast trace, its quiet tail written out, is the naive trace byte for
-    byte."""
+    same thresholds t and deficits p up to the quiet point.  Each record
+    writes an output machine's weight just when it has an m-entry on that
+    side, and the weight is the sum over that side's m-entries so far.
+    Run whole: the fast trace, its quiet tail written out, is the naive
+    trace byte for byte."""
     scenario = LOCKSTEP[name]()
     stages = min(1_500, scenario.stages)
     fast, naive = fast_cls(scenario), naive_cls(scenario)
-    assert trace_to_jsonl(fast.run(1)) == trace_to_jsonl(naive.run(1))
+    records = fast.run(1)
+    assert trace_to_jsonl(records) == trace_to_jsonl(naive.run(1))
     for stage in range(2, stages + 1):
-        record = trace_to_jsonl([fast.step()])
+        records.append(fast.step())
+        record = trace_to_jsonl(records[-1:])
         assert record == trace_to_jsonl([naive.step()]), stage
         if stage <= fast._quiet_after:
             assert _thresholds(fast) == _thresholds(naive), stage
+    assert written_m_weights(records) == m_weight_changes(records)
     # Some marker sits where the past-max-key skip applies, and the sweep
     # horizon reaches past the quiet point (the dense one is active
     # throughout), so every shortcut is exercised.
@@ -267,9 +274,10 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     )
 
 
-#: sha256 of the full-horizon JSONL traces with the quiet tail written out,
-#: recorded before the stamp cache gave way to the dirty set, and of their
-#: audit reports, recorded before the audit built its indexes in one pass.
+#: sha256 of the full-horizon JSONL traces with the quiet tail written out
+#: and the output-machine weights carried into every record, recorded before
+#: the stamp cache gave way to the dirty set, and of their audit reports,
+#: recorded before the audit built its indexes in one pass.
 FROZEN_TRACES = {
     (0, "single"): "5f64da637600752872ea0cf612e23f90e53de2bcabf7ad6897615f8fea83896b",
     (0, "dual"): "825c63b8011b9b3add90bd9f791044f0acf9bf6d8a53094ddd1a862ba4857109",
@@ -284,12 +292,13 @@ FROZEN_REPORTS = {
 }
 
 
-#: sha256 of the same traces as the engine writes them, quiet tail folded.
+#: sha256 of the same traces as the engine writes them: quiet tail folded,
+#: and each output-machine weight written only where that machine grew.
 FOLDED_TRACES = {
-    (0, "single"): "fbc2e587f5fffe918ed8d4d010946d17fad1a6d50a4f4f1111ba3f2583890739",
-    (0, "dual"): "fa74cf22f3d8e32dbcb5ec7f2a2d7c5b4cf1021e684cb4f6497da9856fb4e3ba",
-    (2, "single"): "f26a09cb4207e75b0de414a8d5eeee9e1d6d6582d64e8d510b439464a481c9d7",
-    (2, "dual"): "1764f6b900b06cc1e0560107b0a914d910f6cd1d216454929345ea9d7193fe4d",
+    (0, "single"): "2a574813f8cabd7458f2206d4e8eb6bf837a1c0d40d4d0fe8f2bd61231ad8924",
+    (0, "dual"): "6d282bb1e57aa0ddb60fb12b1123adc0cf4a04f43ac073043dc33e7499e93453",
+    (2, "single"): "17780696e7109d95921b6534ada25cfda960ba1a06439621e05d4cb15d7da5a7",
+    (2, "dual"): "ad309239c7f2283b11745606e768ea1ba2f6d9b40ebea79e8abf2c80aa2372b1",
 }
 
 
@@ -313,9 +322,9 @@ def test_generated_traces_are_byte_frozen(seed, engine_cls):
     records = engine_cls(scenario).run(scenario.stages)
     key = seed, engine_cls.engine_name
     assert _sha256(trace_to_jsonl(records)) == FOLDED_TRACES[key]
-    assert _sha256(trace_to_jsonl(expand_repeats(records))) == (
-        FROZEN_TRACES[key]
-    )
+    assert _sha256(
+        trace_to_jsonl(carry_weights(expand_repeats(records)))
+    ) == FROZEN_TRACES[key]
     report = report_to_json(audit_trace(records, scenario))
     assert _sha256(report) == FROZEN_REPORTS[key]
 
