@@ -172,6 +172,23 @@ class UniversalSchedule:
         self.weight = total
 
 
+def _json_int(value: object, what: str) -> int:
+    """``value`` if it is a JSON integer; a float (``1e999`` included) or a
+    bool is a ScenarioError."""
+    if type(value) is not int:
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_set(pairs: list) -> CESetApprox:
+    return CESetApprox(
+        [
+            (_json_int(element, "set element"), _json_int(stage, "set stage"))
+            for element, stage in pairs
+        ]
+    )
+
+
 @dataclass
 class Scenario:
     """One engine input: adversary schedule plus the given c.e. sets."""
@@ -202,7 +219,7 @@ class Scenario:
             raise ScenarioError(f"malformed scenario JSON: {exc}") from exc
         try:
             events = [
-                ScheduleEvent(int(s), str(c), str(o))
+                ScheduleEvent(_json_int(s, "event stage"), str(c), str(o))
                 for s, c, o in payload["universal_events"]
             ]
             for event in events:
@@ -212,10 +229,10 @@ class Scenario:
                     raise ScenarioError("empty codeword")
             return cls(
                 schedule=UniversalSchedule(events),
-                set_a=CESetApprox([tuple(p) for p in payload["set_a"]]),
-                set_d=CESetApprox([tuple(p) for p in payload["set_d"]]),
-                halting=CESetApprox([tuple(p) for p in payload["halting"]]),
-                stages=int(payload["stages"]),
+                set_a=_json_set(payload["set_a"]),
+                set_d=_json_set(payload["set_d"]),
+                halting=_json_set(payload["halting"]),
+                stages=_json_int(payload["stages"], "stages"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ScenarioError):

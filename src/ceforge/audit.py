@@ -7,9 +7,10 @@ the full state of just the markers that changed at that stage.  The quiet
 tail of a run is one no-op record whose ``repeat`` field counts the stages
 it stands for; such a record changes nothing, so the audit reads it once
 and only its stage span matters.  The audit recomputes every machine weight
-from the ``m_entries`` and ``n_entries`` and never reads a record's
-``weights``, so a trace that writes the output-machine weights in every
-record, as the engine once did, audits to the same report.
+from the ``m_entries`` and ``n_entries``: a machine's weight is the sum of
+2^-``length`` over its entries.  The engine writes no ``weights`` field, and
+the audit reads none, so a trace with or without one (older traces wrote
+it) audits to the same report.
 
 The audit does work linear in the trace size.  ``_Replay.from_records``
 reads the records once and builds every per-marker index the checks need

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -28,19 +26,12 @@ EXIT_FAIL = 1
 EXIT_SCENARIO = 2
 EXIT_LEMMA = 3
 
-log = logging.getLogger("ceforge")
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("CEFORGE_LOG", "WARNING").upper()
-    logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-
-
 def _load_scenario(path: str) -> Scenario:
-    return Scenario.from_json(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file is not UTF-8: {exc}") from exc
+    return Scenario.from_json(text)
 
 
 def _write(path: str, text: str) -> bool:
@@ -75,7 +66,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.trace_out:
         if not _write(args.trace_out, trace_to_jsonl(records)):
             return EXIT_FAIL
-        log.info("trace written to %s", args.trace_out)
     report = audit_trace(records, scenario)
     text = report_to_json(report)
     if args.report_out:
@@ -204,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -374,12 +374,12 @@ class BaseEngine:
     def _attention(
         self, marker: Marker, s_old: int, stage: int
     ) -> tuple[bool, dict[str, bool], dict[str, int]]:
+        if marker.position in self.b_stage:
+            return False, {side: False for side in self.side_names}, {}
         sums = {
             side: self.sides[side].sum_range(marker.position, s_old)
             for side in self.side_names
         }
-        if marker.position is None or marker.position in self.b_stage:
-            return False, {side: False for side in self.side_names}, sums
         fired = {}
         for side in self.side_names:
             t = marker.t[side]
@@ -638,9 +638,6 @@ class BaseEngine:
                     marker.p[side] += sums[side]
 
         record["markers"] = self._marker_snapshot(touched)
-        record["weights"] = self._weight_snapshot(
-            record["m_entries"], n_entries
-        )
         self.stage = stage
         return record
 
@@ -660,26 +657,6 @@ class BaseEngine:
                     entry[f"p_{side}"] = str(p)
             snapshot[str(index)] = entry
         return snapshot
-
-    def _weight_snapshot(
-        self, m_entries: list[dict[str, Any]], n_entries: list[dict[str, Any]]
-    ) -> dict[str, Any]:
-        """Change record of machine weights: ``m_<side>`` for each output
-        machine that grew this stage, and the new weights of the N-machines
-        that grew.  An output machine is never reset, so its weight at any
-        stage is the last ``m_<side>`` written, or 0 before the first."""
-        weights: dict[str, Any] = {}
-        for side in sorted({entry["side"] for entry in m_entries}):
-            weights[f"m_{side}"] = str(self.sides[side].machine.weight)
-        changed: dict[str, str] = {}
-        for entry in n_entries:
-            marker = self.markers[entry["index"]]
-            machine = marker.machines[entry["side"]]
-            if machine.version == entry["version"]:
-                key = f"{entry['side']}:{entry['index']}:{machine.version}"
-                changed[key] = str(machine.weight)
-        weights["n"] = changed
-        return weights
 
     def header(self, stages: int) -> dict[str, Any]:
         return {

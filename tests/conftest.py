@@ -64,10 +64,3 @@ def demo_scenario() -> Scenario:
 def load_jsonl(path: pathlib.Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text().splitlines() if line]
 
-
-def written_m_weights(records: list[dict]) -> list[dict]:
-    """Per stage record, the output-machine weights it writes."""
-    return [
-        {k: v for k, v in record["weights"].items() if k != "n"}
-        for record in records[1:]
-    ]

@@ -100,39 +100,34 @@ def expand_repeats(records):
     return expanded
 
 
-def m_weight_changes(records):
-    """Per stage record, ``{"m_<side>": weight}`` for each side with an
-    m-entry in it, the weight being the running sum of 2^-``length`` over
-    that side's m-entries so far."""
-    totals = {}
-    changes = []
+def restore_weights(records):
+    """The trace with the ``weights`` field the engine once wrote, rebuilt
+    from the entries.  ``m_<side>`` is the running sum of 2^-``length`` over
+    that side's m-entries, written into every stage record (``"0/2^0"``
+    before the first).  ``n`` maps ``side:index:version`` to the running sum
+    over that N-machine version's n-entries, for each n-entry in the record
+    whose index is not injured in it: an injured marker's machine is reset
+    later in the same stage, so the engine wrote no weight for it."""
+    sides = ("a", "d") if records[0]["engine"] == "dual" else ("a",)
+    m_totals = {f"m_{side}": ZERO for side in sides}
+    n_totals = {}
+    restored = [records[0]]
     for record in records[1:]:
-        changed = {}
         for entry in record["m_entries"]:
             key = f"m_{entry['side']}"
-            totals[key] = totals.get(key, ZERO) + Dyadic.pow2_neg(
+            m_totals[key] += Dyadic.pow2_neg(entry["length"])
+        n_weights = {}
+        for entry in record["n_entries"]:
+            key = f"{entry['side']}:{entry['index']}:{entry['version']}"
+            n_totals[key] = n_totals.get(key, ZERO) + Dyadic.pow2_neg(
                 entry["length"]
             )
-            changed[key] = str(totals[key])
-        changes.append(changed)
-    return changes
-
-
-def carry_weights(records):
-    """The trace with each output machine's weight written into every stage
-    record, carried from the last record that wrote it and ``"0/2^0"``
-    before the first, as the engine wrote traces before it wrote a weight
-    only where it changed."""
-    sides = ("a", "d") if records[0]["engine"] == "dual" else ("a",)
-    current = {f"m_{side}": "0/2^0" for side in sides}
-    carried = [records[0]]
-    for record in records[1:]:
-        weights = record["weights"]
-        current.update(
-            (key, value) for key, value in weights.items() if key != "n"
-        )
-        carried.append({**record, "weights": {**weights, **current}})
-    return carried
+            if entry["index"] not in record["injured"]:
+                n_weights[key] = str(n_totals[key])
+        weights = {key: str(total) for key, total in m_totals.items()}
+        weights["n"] = n_weights
+        restored.append({**record, "weights": weights})
+    return restored
 
 
 def pick_length_loop(rng, params, remaining) -> int:

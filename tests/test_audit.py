@@ -29,13 +29,7 @@ from ceforge.audit import (
 )
 from ceforge.engine import DualEngine, SingleEngine
 
-from conftest import (
-    EMPTY,
-    ONE_EVENT,
-    generated,
-    load_jsonl,
-    written_m_weights,
-)
+from conftest import EMPTY, ONE_EVENT, generated, load_jsonl
 
 
 @pytest.fixture()
@@ -208,29 +202,25 @@ class TestTraceSerialization:
         "name, digest",
         [
             # sha256 of the scripted fixtures as recorded when every record
-            # wrote both output-machine weights.
+            # wrote a ``weights`` field with both output-machine weights.
             ("single", "3d1fee764c8b8fd654d633f3869eae0ec72aac07322575a0cde2c48e24e366a9"),
             ("dual", "6c10b3164fa24a52c2f0b258c913e9101b7f4de3eebe67d171dcd82a270f6cdc"),
         ],
     )
-    def test_carried_weights_restore_the_old_fixture(
+    def test_restored_weights_rebuild_the_old_fixture(
         self, data_dir, name, digest
     ):
         records = load_jsonl(data_dir / f"{name}_scripted_trace.jsonl")
-        text = trace_to_jsonl(oracles.carry_weights(records))
+        text = trace_to_jsonl(oracles.restore_weights(records))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _assert_indexes_match_oracles(records, scenario):
-    """Every index the audit builds once equals the naive scan it replaced,
-    and so does every output-machine weight the engine writes: a record
-    writes ``m_<side>`` just when it has an m-entry on that side, and the
-    weight is the sum over that side's m-entries so far.  A trace with the
-    weights carried into every record, as the engine once wrote them,
-    audits to the same report."""
-    assert written_m_weights(records) == oracles.m_weight_changes(records)
+    """Every index the audit builds once equals the naive scan it replaced.
+    A trace with the ``weights`` field restored, as the engine once wrote
+    it, audits to the same report."""
     assert report_to_json(
-        audit_trace(oracles.carry_weights(records), scenario)
+        audit_trace(oracles.restore_weights(records), scenario)
     ) == report_to_json(audit_trace(records, scenario))
     replay = _Replay.from_records(records)
     _, ledgers = check_weights(replay, scenario)

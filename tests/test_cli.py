@@ -171,6 +171,37 @@ class TestAudit:
         assert json.loads(out)["pass"] is False
 
 
+#: Edits of the scripted scenario that must make ``run`` and ``audit`` exit
+#: 2: numbers that are not JSON integers (``1e999`` parses as an infinite
+#: float), and a file that is not UTF-8.
+_BAD_SCENARIOS = {
+    "element-3.5": (b'"set_a":[[2,4]]', b'"set_a":[[3.5,2]]'),
+    "stage-2.5": (b'"set_a":[[2,4]]', b'"set_a":[[3,2.5]]'),
+    "element-true": (b'"set_a":[[2,4]]', b'"set_a":[[true,2]]'),
+    "element-1e999": (b'"set_a":[[2,4]]', b'"set_a":[[1e999,2]]'),
+    "stages-1e999": (b'"stages":6', b'"stages":1e999'),
+    "event-stage-1e999": (b'[[1,"0000"', b'[[1e999,"0000"'),
+    "not-utf8": (b"{", b"\xff\xfe{"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+@pytest.mark.parametrize("case", list(_BAD_SCENARIOS))
+def test_bad_scenario_file_exits_two(capsys, tmp_path, case, command):
+    old, new = _BAD_SCENARIOS[case]
+    text = (DATA / "single_scripted.json").read_bytes()
+    assert text.count(old) == 1
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(text.replace(old, new))
+    argv = [command, "--scenario", str(scenario)]
+    if command == "audit":
+        argv += ["--trace", str(DATA / "single_scripted_trace.jsonl")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_SCENARIO
+    assert out == ""
+    assert err.startswith("scenario error:") and err.count("\n") == 1
+
+
 def _markers_as_list(records):
     records[1]["markers"] = list(records[1]["markers"].values())
 

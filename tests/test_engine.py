@@ -21,17 +21,16 @@ from ceforge import (
     report_to_json,
     trace_to_jsonl,
 )
-from ceforge.bitcore import Dyadic
+from ceforge.bitcore import Dyadic, ZERO
 from ceforge.engine import _ZeroTracker, _fires
 
-from conftest import EMPTY, ONE_EVENT, generated, written_m_weights
+from conftest import EMPTY, ONE_EVENT, generated
 from oracles import (
-    carry_weights,
     expand_repeats,
     fires_dyadic,
     k_at_n,
-    m_weight_changes,
     machine_k_at,
+    restore_weights,
     thresholds,
 )
 
@@ -242,11 +241,9 @@ LOCKSTEP = {
 )
 def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     """Stepping in lockstep: the same JSONL record at every stage, and the
-    same thresholds t and deficits p up to the quiet point.  Each record
-    writes an output machine's weight just when it has an m-entry on that
-    side, and the weight is the sum over that side's m-entries so far.
-    Run whole: the fast trace, its quiet tail written out, is the naive
-    trace byte for byte."""
+    same thresholds t and deficits p up to the quiet point.  Run whole: the
+    fast trace, its quiet tail written out, is the naive trace byte for
+    byte."""
     scenario = LOCKSTEP[name]()
     stages = min(1_500, scenario.stages)
     fast, naive = fast_cls(scenario), naive_cls(scenario)
@@ -258,7 +255,6 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
         assert record == trace_to_jsonl([naive.step()]), stage
         if stage <= fast._quiet_after:
             assert _thresholds(fast) == _thresholds(naive), stage
-    assert written_m_weights(records) == m_weight_changes(records)
     # Some marker sits where the past-max-key skip applies, and the sweep
     # horizon reaches past the quiet point (the dense one is active
     # throughout), so every shortcut is exercised.
@@ -275,7 +271,7 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
 
 
 #: sha256 of the full-horizon JSONL traces with the quiet tail written out
-#: and the output-machine weights carried into every record, recorded before
+#: and the ``weights`` field the engine once wrote restored, recorded before
 #: the stamp cache gave way to the dirty set, and of their audit reports,
 #: recorded before the audit built its indexes in one pass.
 FROZEN_TRACES = {
@@ -293,12 +289,12 @@ FROZEN_REPORTS = {
 
 
 #: sha256 of the same traces as the engine writes them: quiet tail folded,
-#: and each output-machine weight written only where that machine grew.
+#: and no ``weights`` field.
 FOLDED_TRACES = {
-    (0, "single"): "2a574813f8cabd7458f2206d4e8eb6bf837a1c0d40d4d0fe8f2bd61231ad8924",
-    (0, "dual"): "6d282bb1e57aa0ddb60fb12b1123adc0cf4a04f43ac073043dc33e7499e93453",
-    (2, "single"): "17780696e7109d95921b6534ada25cfda960ba1a06439621e05d4cb15d7da5a7",
-    (2, "dual"): "ad309239c7f2283b11745606e768ea1ba2f6d9b40ebea79e8abf2c80aa2372b1",
+    (0, "single"): "7281418183957b5dc355159334f5bd6598af0cb6ce4669ddc8b733b48bd77231",
+    (0, "dual"): "962b4291520d4c95a129173d1bc4da2ff70fc5aa10428e932d8d7c7d14272aef",
+    (2, "single"): "8baa312fa01cd49057d9d08f94b385afa1a59d9480fcde2bdea63336f1605808",
+    (2, "dual"): "5d1cac691e5fc58c798412c5ea11c192147121a4d45a521e4fbff0a46375e79f",
 }
 
 
@@ -323,10 +319,50 @@ def test_generated_traces_are_byte_frozen(seed, engine_cls):
     key = seed, engine_cls.engine_name
     assert _sha256(trace_to_jsonl(records)) == FOLDED_TRACES[key]
     assert _sha256(
-        trace_to_jsonl(carry_weights(expand_repeats(records)))
+        trace_to_jsonl(restore_weights(expand_repeats(records)))
     ) == FROZEN_TRACES[key]
     report = report_to_json(audit_trace(records, scenario))
     assert _sha256(report) == FROZEN_REPORTS[key]
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sweep", "dense"])
+@pytest.mark.parametrize(
+    "engine_cls", [SingleEngine, DualEngine], ids=["single", "dual"]
+)
+def test_entry_lengths_sum_to_machine_weights(engine_cls, dense):
+    """The trace holds every machine weight: the sum of 2^-``length`` over
+    a side's m-entries is the weight of that output machine, and the sum
+    over the n-entries of one (side, index, version) is the weight of that
+    N-machine version, live or archived.  Versions with no entry weigh 0."""
+    scenario = generated(1 if dense else 0, dense)
+    engine = engine_cls(scenario)
+    records = engine.run(scenario.stages)
+    m_sums = {side: ZERO for side in engine.side_names}
+    n_sums = {}
+    for record in records[1:]:
+        for entry in record["m_entries"]:
+            m_sums[entry["side"]] += Dyadic.pow2_neg(entry["length"])
+        for entry in record["n_entries"]:
+            key = entry["side"], entry["index"], entry["version"]
+            n_sums[key] = n_sums.get(key, ZERO) + Dyadic.pow2_neg(
+                entry["length"]
+            )
+    assert all(m_sums.values()) and n_sums
+    for side, tracker in engine.sides.items():
+        assert tracker.machine.weight == m_sums[side], side
+    machines = {
+        (side, index, machine.version): machine
+        for side, index, machine in engine.archived
+    }
+    for marker in engine.markers:
+        for side, machine in marker.machines.items():
+            machines[side, marker.index, machine.version] = machine
+    assert len(machines) == len(engine.archived) + sum(
+        len(marker.machines) for marker in engine.markers
+    )
+    for key, machine in machines.items():
+        assert machine.weight == n_sums.get(key, ZERO), key
+    assert set(n_sums) <= set(machines)
 
 
 class TestAgainstOracles:
