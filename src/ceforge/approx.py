@@ -80,14 +80,14 @@ class CERealApprox:
             vec.extend([0] * (width - len(vec)))
         self.width = width
         for prev, cur in zip(self.bits_per_stage, self.bits_per_stage[1:]):
-            for n in range(width):
-                if prev[n] == 1 and cur[n] == 0:
-                    if not any(
-                        prev[i] == 0 and cur[i] == 1 for i in range(n)
-                    ):
-                        raise ValueError(
-                            f"bit {n} drops without a more significant rise"
-                        )
+            # Equal-width bit lists compare as binary expansions, most
+            # significant bit first: a drop is the first differing bit
+            # going from 1 to 0.
+            if cur < prev:
+                n = next(i for i in range(width) if cur[i] != prev[i])
+                raise ValueError(
+                    f"bit {n} drops without a more significant rise"
+                )
 
     @property
     def stages(self) -> int:
@@ -180,10 +180,29 @@ def _json_int(value: object, what: str) -> int:
     return value
 
 
-def _json_set(pairs: list) -> CESetApprox:
+def _json_stage(value: object, what: str, least: int = 1) -> int:
+    """``value`` if it is a JSON integer of at least ``least``.  The
+    engine's stage loop starts at 1, so an event or given-set element
+    stamped earlier would never be applied."""
+    stage = _json_int(value, what)
+    if stage < least:
+        raise ScenarioError(f"{what} must be at least {least}, got {stage}")
+    return stage
+
+
+def _json_str(value: object, what: str) -> str:
+    if type(value) is not str:
+        raise ScenarioError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _json_set(pairs: list, least_stage: int = 1) -> CESetApprox:
     return CESetApprox(
         [
-            (_json_int(element, "set element"), _json_int(stage, "set stage"))
+            (
+                _json_int(element, "set element"),
+                _json_stage(stage, "set stage", least_stage),
+            )
             for element, stage in pairs
         ]
     )
@@ -219,7 +238,11 @@ class Scenario:
             raise ScenarioError(f"malformed scenario JSON: {exc}") from exc
         try:
             events = [
-                ScheduleEvent(_json_int(s, "event stage"), str(c), str(o))
+                ScheduleEvent(
+                    _json_stage(s, "event stage"),
+                    _json_str(c, "codeword"),
+                    _json_str(o, "output"),
+                )
                 for s, c, o in payload["universal_events"]
             ]
             for event in events:
@@ -231,7 +254,9 @@ class Scenario:
                 schedule=UniversalSchedule(events),
                 set_a=_json_set(payload["set_a"]),
                 set_d=_json_set(payload["set_d"]),
-                halting=_json_set(payload["halting"]),
+                # Halting stamps may be 0: the engine reads them through
+                # ``contains``, which holds at every stage from the stamp on.
+                halting=_json_set(payload["halting"], least_stage=0),
                 stages=_json_int(payload["stages"], "stages"),
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -451,17 +451,20 @@ def check_markers(
     _check(checks, "marker-monotone-stages", mono_ok, mono_witness)
 
     # Cross-index ordering needs only the stages where some marker changed;
-    # between change stages the configuration is constant.
+    # between change stages the configuration is constant.  Markers appear
+    # one index at a time (``from_records``), so ``current`` is a list.
     order_ok, order_witness = True, {}
-    current: dict[int, int | None] = {}
+    current: list[int | None] = []
     for record in replay.stages:
         if not record["markers"]:
             continue
         for key, snap in record["markers"].items():
-            current[int(key)] = snap["pos"]
-        defined = [
-            (i, p) for i, p in sorted(current.items()) if p is not None
-        ]
+            index = int(key)
+            if index == len(current):
+                current.append(snap["pos"])
+            else:
+                current[index] = snap["pos"]
+        defined = [(i, p) for i, p in enumerate(current) if p is not None]
         for (i, p1), (j, p2) in zip(defined, defined[1:]):
             if not p1 < p2:
                 order_ok = False

@@ -198,7 +198,6 @@ class Marker:
     c: int
     position: int | None = None
     frozen: bool = False
-    move_count: int = 0
     machines: dict[str, PrefixFreeMachine] = field(default_factory=dict)
     t: dict[str, int | None] = field(default_factory=dict)
     p: dict[str, int] = field(default_factory=dict)
@@ -233,6 +232,16 @@ class BaseEngine:
 
     An offer that only improves the side tracker's ``k_best`` marks nothing:
     K(X|j) feeds the attention sums and the deficiency cursor, not t.
+
+    Two invariants keep the marker bookkeeping free of scans:
+
+    * the placed markers are always ``markers[:placed]``: a place takes the
+      least unplaced index, an act by i unplaces every index above i, and
+      marker 0 is never injured;
+    * a marker index placed for the first time gets
+      c = ``c_offset`` + index + (number of acts so far): every act so far
+      was by a lower index, and each put one new position into B, so the
+      count is ``len(b_stage)``.
     """
 
     # The defaults are the one-set construction's; DualEngine overrides them.
@@ -254,7 +263,8 @@ class BaseEngine:
         self.stage = 0
         self.b_stage: dict[int, int] = {}
         self.markers: list[Marker] = []
-        self.move_history: list[int] = []
+        # Placed markers are always ``markers[:placed]``.
+        self.placed = 1
         self.archived: list[tuple[str, int, PrefixFreeMachine]] = []
         # Bounds past which nothing in the scenario can change: markers with
         # positions above every described segment length can only act through
@@ -278,8 +288,7 @@ class BaseEngine:
         self._note(max(t.width for t in self.sides.values()))
         self._note(max((len(e.codeword) for e in events), default=0))
         # At stage 0 the first marker is placed on position 1.
-        first = self._materialize(0)
-        first.position = 1
+        self._materialize(0).position = 1
         self._note(1)
         # (marker index, side) pairs whose t the next stage recomputes.
         # Marker 0 needs no mark: no key exists yet, and every key it could
@@ -298,10 +307,11 @@ class BaseEngine:
         return value
 
     def _materialize(self, index: int) -> Marker:
-        while len(self.markers) <= index:
-            i = len(self.markers)
-            c = self.c_offset + i + sum(1 for n in self.move_history if n < i)
-            self.markers.append(Marker(index=i, sides=self.side_names, c=c))
+        if index == len(self.markers):
+            # Every act so far was by a lower index and put one position
+            # into B.
+            c = self.c_offset + index + len(self.b_stage)
+            self.markers.append(Marker(index, self.side_names, c))
         return self.markers[index]
 
     def _b_add(self, position: int, stage: int) -> None:
@@ -346,15 +356,10 @@ class BaseEngine:
             )
         marker.t[side] = found
         # Freshly placed positions exceed every stage bound, so t stays below
-        # them; the initial marker on position 1 and frozen positions are the
-        # two legitimate exceptions.  Positions only grow while t is kept,
-        # so checking when t changes is enough.
-        if (
-            found is not None
-            and marker.position is not None
-            and not marker.frozen
-            and (marker.index > 0 or marker.move_count > 0)
-        ):
+        # them; the initial position 1 (every fresh one is at least 2) and
+        # frozen positions are the two legitimate exceptions.  Positions only
+        # grow while t is kept, so checking when t changes is enough.
+        if found is not None and not marker.frozen and marker.position != 1:
             assert found < marker.position, (
                 f"t_{side}[{marker.index}]={found} not below marker position "
                 f"{marker.position}"
@@ -363,9 +368,7 @@ class BaseEngine:
     def _mark_from(self, lowest: int | float, sides: tuple[str, ...]) -> None:
         """Mark dirty each placed pair on ``sides`` whose t is None or at
         least ``lowest``."""
-        for marker in self.markers:
-            if marker.position is None:
-                continue
+        for marker in self.markers[: self.placed]:
             for side in sides:
                 t = marker.t[side]
                 if t is None or t >= lowest:
@@ -465,9 +468,7 @@ class BaseEngine:
         n_entries: list[dict[str, Any]] = []
         if zero_drops:
             drops_sorted = sorted(zero_drops.items())
-            for marker in self.markers:
-                if marker.position is None:
-                    continue
+            for marker in self.markers[: self.placed]:
                 for side in self.side_names:
                     t = marker.t[side]
                     if t is None:
@@ -500,9 +501,7 @@ class BaseEngine:
         attention_index: int | None = None
         fired: dict[str, bool] = {side: False for side in self.side_names}
         sums: dict[str, int] = {}
-        for marker in self.markers:
-            if marker.position is None:
-                continue
+        for marker in self.markers[: self.placed]:
             if (
                 marker.position > self._max_key_bound
                 and marker.index not in self._halting_indices
@@ -546,25 +545,15 @@ class BaseEngine:
             for z in cursors.values():
                 if z is not None:
                     self._note(z)
-            least_undef = next(
-                (
-                    m.index
-                    for m in self.markers
-                    if m.position is None
-                ),
-                len(self.markers),
-            )
-            if all(z is not None for z in cursors.values()) and all(
-                least_undef < z for z in cursors.values()
-            ):
-                marker = self._materialize(least_undef)
+            index = self.placed
+            if all(z is not None and index < z for z in cursors.values()):
+                marker = self._materialize(index)
                 marker.position = self._fresh()
-                self._dirty.update(
-                    (least_undef, side) for side in self.side_names
-                )
+                self.placed += 1
+                self._dirty.update((index, side) for side in self.side_names)
                 record["action"] = "place"
-                record["placed"] = [least_undef, marker.position]
-                touched.add(least_undef)
+                record["placed"] = [index, marker.position]
+                touched.add(index)
             elif any(z is not None for z in cursors.values()):
                 record["action"] = "describe"
                 for side in self.side_names:
@@ -596,7 +585,6 @@ class BaseEngine:
                 record["frozen"] = True
             else:
                 marker.position = self._fresh()
-                marker.move_count += 1
             for side in self.side_names:
                 tracker = self.sides[side]
                 for k in sorted(tracker.k_best):
@@ -606,21 +594,20 @@ class BaseEngine:
                         self._describe_output(
                             side, k, stage, attention_index, record["m_entries"]
                         )
-            for other in self.markers:
-                if other.index > attention_index:
-                    record["injured"].append(other.index)
-                    touched.add(other.index)
-                    other.position = None
-                    other.frozen = False
-                    other.c += 1
-                    for side in self.side_names:
-                        self.archived.append(
-                            (side, other.index, other.machines[side])
-                        )
-                        other.machines[side] = other.machines[side].reset()
-                        other.t[side] = None
-                        other.p[side] = 0
-            self.move_history.append(attention_index)
+            for other in self.markers[attention_index + 1 :]:
+                record["injured"].append(other.index)
+                touched.add(other.index)
+                other.position = None
+                other.frozen = False
+                other.c += 1
+                for side in self.side_names:
+                    self.archived.append(
+                        (side, other.index, other.machines[side])
+                    )
+                    other.machines[side] = other.machines[side].reset()
+                    other.t[side] = None
+                    other.p[side] = 0
+            self.placed = attention_index + 1
             for side in self.side_names:
                 if fired[side]:
                     t = marker.t[side]

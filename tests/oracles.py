@@ -86,6 +86,24 @@ def b_restrict(replay, n: int, stage: int) -> str:
     )
 
 
+def least_unplaced(markers) -> int:
+    """Least index whose marker has no position, ``len(markers)`` if every
+    marker has one."""
+    return next(
+        (m.index for m in markers if m.position is None), len(markers)
+    )
+
+
+def first_drop(prev, cur):
+    """Least bit n that goes from 1 to 0 between the bit lists ``prev`` and
+    ``cur`` with no more significant bit going from 0 to 1, else None."""
+    for n in range(len(prev)):
+        if prev[n] == 1 and cur[n] == 0:
+            if not any(prev[i] == 0 and cur[i] == 1 for i in range(n)):
+                return n
+    return None
+
+
 def expand_repeats(records):
     """The trace with every ``repeat`` record written out as one record per
     stage it stands for, as the engine wrote traces before it folded them."""

@@ -1,6 +1,7 @@
 """Set/real approximations, the block encoder, and scenario generation."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from ceforge.approx import (
 from ceforge.bitcore import Dyadic, INFINITE
 
 from conftest import generated
-from oracles import k_at, k_at_n, pick_length_loop
+from oracles import first_drop, k_at, k_at_n, pick_length_loop
 
 
 class TestCESetApprox:
@@ -45,6 +46,23 @@ class TestCERealApprox:
         CERealApprox([[0, 1], [1, 0]])
         with pytest.raises(ValueError):
             CERealApprox([[0, 1], [0, 0]])
+
+    def test_drop_check_matches_bitwise_scan(self):
+        """Every pair of 3- or 4-bit stages (3-bit ones pad to 4): accepted
+        exactly when the bitwise scan finds no drop, else the error names
+        the bit the scan finds."""
+        vectors = [
+            list(bits)
+            for width in (3, 4)
+            for bits in itertools.product((0, 1), repeat=width)
+        ]
+        for prev, cur in itertools.product(vectors, repeat=2):
+            drop = first_drop(*(v + [0] * (4 - len(v)) for v in (prev, cur)))
+            if drop is None:
+                CERealApprox([prev, cur])
+            else:
+                with pytest.raises(ValueError, match=rf"^bit {drop} drops"):
+                    CERealApprox([prev, cur])
 
     def test_change_stages_count_initial_value(self):
         real = CERealApprox([[0, 1], [1, 0], [1, 1]])
@@ -149,6 +167,15 @@ class TestScenarioSerialization:
                 '{"universal_events": [[1, "2x", "0"]], "set_a": [],'
                 ' "set_d": [], "halting": [], "stages": 5}'
             )
+
+    def test_halting_stamp_zero_accepted(self):
+        # The engine reads halting stamps through ``contains``, so a stamp
+        # of 0 holds from stage 1 on, unlike a given-set stamp of 0.
+        scenario = Scenario.from_json(
+            '{"universal_events": [], "set_a": [], "set_d": [],'
+            ' "halting": [[0, 0]], "stages": 5}'
+        )
+        assert scenario.halting.contains(0, 1)
 
 
 class TestGenScenario:

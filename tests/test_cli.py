@@ -173,7 +173,8 @@ class TestAudit:
 
 #: Edits of the scripted scenario that must make ``run`` and ``audit`` exit
 #: 2: numbers that are not JSON integers (``1e999`` parses as an infinite
-#: float), and a file that is not UTF-8.
+#: float), event and given-set stages below 1 (the stage loop starts at 1),
+#: codewords and outputs that are not strings, and a file that is not UTF-8.
 _BAD_SCENARIOS = {
     "element-3.5": (b'"set_a":[[2,4]]', b'"set_a":[[3.5,2]]'),
     "stage-2.5": (b'"set_a":[[2,4]]', b'"set_a":[[3,2.5]]'),
@@ -181,6 +182,12 @@ _BAD_SCENARIOS = {
     "element-1e999": (b'"set_a":[[2,4]]', b'"set_a":[[1e999,2]]'),
     "stages-1e999": (b'"stages":6', b'"stages":1e999'),
     "event-stage-1e999": (b'[[1,"0000"', b'[[1e999,"0000"'),
+    "event-stage-0": (b'[[1,"0000"', b'[[0,"0000"'),
+    "event-stage-minus-3": (b'[[1,"0000"', b'[[-3,"0000"'),
+    "set-a-stage-0": (b'"set_a":[[2,4]]', b'"set_a":[[2,0]]'),
+    "set-d-stage-0": (b'"set_d":[]', b'"set_d":[[2,0]]'),
+    "codeword-number": (b'[1,"0000","00"]', b'[1,1111,"00"]'),
+    "output-number": (b'"0001","000"]', b'"0001",0]'),
     "not-utf8": (b"{", b"\xff\xfe{"),
 }
 

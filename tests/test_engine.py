@@ -29,6 +29,7 @@ from oracles import (
     expand_repeats,
     fires_dyadic,
     k_at_n,
+    least_unplaced,
     machine_k_at,
     restore_weights,
     thresholds,
@@ -221,6 +222,22 @@ def _thresholds(engine):
     return [(marker.t, marker.p) for marker in engine.markers]
 
 
+def _check_marker_invariants(engine, record, seen, acts):
+    """The two invariants of ``BaseEngine`` after the stage of ``record``:
+    the placed markers are ``markers[:placed]``, and an index's first
+    snapshot (its first placement) has c = c_offset + index + the ``acts``
+    act records before it.  ``seen`` holds the indices snapshotted so far;
+    returns the act count including ``record``."""
+    assert engine.placed == least_unplaced(engine.markers)
+    assert all(m.position is None for m in engine.markers[engine.placed :])
+    for key, snap in record["markers"].items():
+        index = int(key)
+        if index not in seen:
+            seen.add(index)
+            assert snap["c"] == engine.c_offset + index + acts, record
+    return acts + (record["action"] == "act")
+
+
 #: Lockstep scenarios by test id: two sweep seeds, the dense-x4 seed, and
 #: two tiny ones that settle at once, so the fold starts right past the
 #: quiet point.
@@ -243,18 +260,22 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     """Stepping in lockstep: the same JSONL record at every stage, and the
     same thresholds t and deficits p up to the quiet point.  Run whole: the
     fast trace, its quiet tail written out, is the naive trace byte for
-    byte."""
+    byte.  At every stage the marker invariants of ``BaseEngine`` hold
+    against scans of the markers and the records."""
     scenario = LOCKSTEP[name]()
     stages = min(1_500, scenario.stages)
     fast, naive = fast_cls(scenario), naive_cls(scenario)
     records = fast.run(1)
     assert trace_to_jsonl(records) == trace_to_jsonl(naive.run(1))
+    seen = set()
+    acts = _check_marker_invariants(fast, records[-1], seen, 0)
     for stage in range(2, stages + 1):
         records.append(fast.step())
         record = trace_to_jsonl(records[-1:])
         assert record == trace_to_jsonl([naive.step()]), stage
         if stage <= fast._quiet_after:
             assert _thresholds(fast) == _thresholds(naive), stage
+        acts = _check_marker_invariants(fast, records[-1], seen, acts)
     # Some marker sits where the past-max-key skip applies, and the sweep
     # horizon reaches past the quiet point (the dense one is active
     # throughout), so every shortcut is exercised.
