@@ -136,18 +136,6 @@ def encode_real(real: CERealApprox, stages: int | None = None) -> CESetApprox:
     return result
 
 
-def decode_real(encoded: CESetApprox, stage: int, n: int) -> list[int]:
-    """Recover bits ``0..n-1`` at ``stage`` from flip-count parities."""
-    bits = []
-    for k in range(n):
-        lo, hi = block_range(k)
-        count = sum(
-            1 for pos in range(lo, hi) if encoded.contains(pos, stage)
-        )
-        bits.append(count % 2)
-    return bits
-
-
 @dataclass(frozen=True)
 class ScheduleEvent:
     stage: int

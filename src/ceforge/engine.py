@@ -61,6 +61,10 @@ class _ZeroTracker:
         return INFINITE if value is None else value
 
 
+def _output_length(event: ScheduleEvent) -> int:
+    return len(event.output)
+
+
 class _SideTracker:
     """Per given set X: K(X restricted to j), the output machine M_x,
     the deficiency cursor, and exact interval sums of 2^-K(X|j), as ints in
@@ -83,11 +87,13 @@ class _SideTracker:
         )
         self._bits = bytearray(b"0" * segment)
         self.x_str = self._bits.decode()
+        # Applied events, sorted by output length.
         self._applied: list[ScheduleEvent] = []
         # j -> (length, stage, codeword) of the least shortest description
         self.k_best: dict[int, tuple[int, int, str]] = {}
+        # The keys of ``k_best``, sorted.
+        self._keys: list[int] = []
         self.sum_exp = max((len(e.codeword) for e in events), default=1)
-        self._sum_keys: list[int] = []
         self._sum_prefix: list[int] = [0]
         self._sums_stale = False
         self.machine = PrefixFreeMachine(f"M_{side}")
@@ -106,9 +112,9 @@ class _SideTracker:
                     self._bits[element] = ord("1")
             self.x_str = self._bits.decode()
             self.min_changed_pos = min(elements)
-            self._recompute_matches()
+            self._recompute_matches(self.min_changed_pos)
         for event in self._events_by_stage.get(stage, []):
-            self._applied.append(event)
+            bisect.insort(self._applied, event, key=_output_length)
             self._offer(event)
 
     def _offer(self, event: ScheduleEvent) -> None:
@@ -119,27 +125,35 @@ class _SideTracker:
             return
         candidate = (len(event.codeword), event.stage, event.codeword)
         known = self.k_best.get(j)
+        if known is None:
+            bisect.insort(self._keys, j)
         if known is None or candidate < known:
             self.k_best[j] = candidate
             self._sums_stale = True
             self._dirty.add(j)
 
-    def _recompute_matches(self) -> None:
-        # Every j that had a description joins the dirty set, and ``_offer``
-        # adds every j that now has one, so no j that lost its description
-        # stays deficient.
-        self._dirty.update(self.k_best)
-        self.k_best = {}
-        for event in self._applied:
+    def _recompute_matches(self, position: int) -> None:
+        # X|j is unchanged for j <= ``position``, and so is its best
+        # description.  Above it, every j that had a description joins the
+        # dirty set, and ``_offer`` adds every j that now has one, so no j
+        # that lost its description stays deficient.
+        cut = bisect.bisect_right(self._keys, position)
+        for j in self._keys[cut:]:
+            del self.k_best[j]
+        self._dirty.update(self._keys[cut:])
+        del self._keys[cut:]
+        start = bisect.bisect_right(
+            self._applied, position, key=_output_length
+        )
+        for event in self._applied[start:]:
             self._offer(event)
         self._sums_stale = True
 
     def _refresh_sums(self) -> None:
         if not self._sums_stale:
             return
-        self._sum_keys = sorted(self.k_best)
         prefix = [0]
-        for j in self._sum_keys:
+        for j in self._keys:
             prefix.append(
                 prefix[-1] + (1 << (self.sum_exp - self.k_best[j][0]))
             )
@@ -158,16 +172,16 @@ class _SideTracker:
         """Exact sum of 2^-K(X|j) over described j in (lo, hi], in units
         of 2^-``sum_exp``."""
         self._refresh_sums()
-        lo = bisect.bisect_right(self._sum_keys, lo_exclusive)
-        hi = bisect.bisect_right(self._sum_keys, hi_inclusive)
+        lo = bisect.bisect_right(self._keys, lo_exclusive)
+        hi = bisect.bisect_right(self._keys, hi_inclusive)
         if hi <= lo:
             return 0
         return self._sum_prefix[hi] - self._sum_prefix[lo]
 
     def mark_b_change(self, position: int) -> None:
-        for j in self.k_best:
-            if j > position:
-                self._dirty.add(j)
+        """Mark dirty every described j > ``position``: B|j changed."""
+        cut = bisect.bisect_right(self._keys, position)
+        self._dirty.update(self._keys[cut:])
 
     def mark_dirty(self, j: int) -> None:
         self._dirty.add(j)
@@ -233,7 +247,7 @@ class BaseEngine:
     An offer that only improves the side tracker's ``k_best`` marks nothing:
     K(X|j) feeds the attention sums and the deficiency cursor, not t.
 
-    Two invariants keep the marker bookkeeping free of scans:
+    These invariants and indexes keep the marker bookkeeping free of scans:
 
     * the placed markers are always ``markers[:placed]``: a place takes the
       least unplaced index, an act by i unplaces every index above i, and
@@ -241,7 +255,17 @@ class BaseEngine:
     * a marker index placed for the first time gets
       c = ``c_offset`` + index + (number of acts so far): every act so far
       was by a lower index, and each put one new position into B, so the
-      count is ``len(b_stage)``.
+      count is ``len(b_stage)``;
+    * the attention walk visits only ``_candidates``, the sorted indices of
+      the placed markers that ``_can_act``.  A marker's position changes
+      only when it is placed, acts or is injured, so the list changes only
+      then: a place appends the new index if it can act, and an act by i
+      drops every index from i up and puts i back if it can still act;
+    * the placed pairs are indexed by t: ``_t_sorted`` holds (t, index,
+      side) for each defined t, sorted, and ``_t_none`` the pairs whose t
+      is None.  Both change where t does: on place (None), in
+      ``_compute_t`` and on injury (the pair leaves).  The zero-drop repair
+      and ``_mark_from`` read off a tail of ``_t_sorted``.
     """
 
     # The defaults are the one-set construction's; DualEngine overrides them.
@@ -264,11 +288,18 @@ class BaseEngine:
         self.b_stage: dict[int, int] = {}
         self.markers: list[Marker] = []
         # Placed markers are always ``markers[:placed]``.
-        self.placed = 1
+        self.placed = 0
+        # Sorted indices of the placed markers that ``_can_act``.
+        self._candidates: list[int] = []
+        # Placed (t, index, side) with t defined, sorted; placed (index, side)
+        # pairs whose t is None.
+        self._t_sorted: list[tuple[int, int, str]] = []
+        self._t_none: set[tuple[int, str]] = set()
         self.archived: list[tuple[str, int, PrefixFreeMachine]] = []
-        # Bounds past which nothing in the scenario can change: markers with
-        # positions above every described segment length can only act through
-        # the halting clause, and once all event stages have passed and the
+        # Bounds past which nothing in the scenario can change: a marker with
+        # a position above every described segment length has zero sums and
+        # can only act through the halting clause (``_can_act``,
+        # ``_attention``), and once all event stages have passed and the
         # deficiency cursor's bound has reached every segment length, a no-op
         # stage repeats forever.  An exclusive cursor reaches length j only
         # when the previous stage is past j.
@@ -288,7 +319,7 @@ class BaseEngine:
         self._note(max(t.width for t in self.sides.values()))
         self._note(max((len(e.codeword) for e in events), default=0))
         # At stage 0 the first marker is placed on position 1.
-        self._materialize(0).position = 1
+        self._place(0, 1)
         self._note(1)
         # (marker index, side) pairs whose t the next stage recomputes.
         # Marker 0 needs no mark: no key exists yet, and every key it could
@@ -313,6 +344,25 @@ class BaseEngine:
             c = self.c_offset + index + len(self.b_stage)
             self.markers.append(Marker(index, self.side_names, c))
         return self.markers[index]
+
+    def _place(self, index: int, position: int) -> Marker:
+        """Place the least unplaced marker, ``index``, on ``position``."""
+        marker = self._materialize(index)
+        marker.position = position
+        self.placed = index + 1
+        self._t_none.update((index, side) for side in self.side_names)
+        if self._can_act(marker):
+            self._candidates.append(index)
+        return marker
+
+    def _can_act(self, marker: Marker) -> bool:
+        """Whether some clause can fire for the placed ``marker``: its
+        position lies within a described segment, or its index ever enters
+        the halting set.  This rule alone decides ``_candidates``."""
+        return (
+            marker.position <= self._max_key_bound
+            or marker.index in self._halting_indices
+        )
 
     def _b_add(self, position: int, stage: int) -> None:
         self.b_stage[position] = stage
@@ -355,6 +405,18 @@ class BaseEngine:
                 "without a set change below it"
             )
         marker.t[side] = found
+        if found != old_t:
+            pair = (marker.index, side)
+            if old_t is None:
+                self._t_none.discard(pair)
+            else:
+                del self._t_sorted[
+                    bisect.bisect_left(self._t_sorted, (old_t, *pair))
+                ]
+            if found is None:
+                self._t_none.add(pair)
+            else:
+                bisect.insort(self._t_sorted, (found, *pair))
         # Freshly placed positions exceed every stage bound, so t stays below
         # them; the initial position 1 (every fresh one is at least 2) and
         # frozen positions are the two legitimate exceptions.  Positions only
@@ -368,17 +430,34 @@ class BaseEngine:
     def _mark_from(self, lowest: int | float, sides: tuple[str, ...]) -> None:
         """Mark dirty each placed pair on ``sides`` whose t is None or at
         least ``lowest``."""
-        for marker in self.markers[: self.placed]:
-            for side in sides:
-                t = marker.t[side]
-                if t is None or t >= lowest:
-                    self._dirty.add((marker.index, side))
+        start = bisect.bisect_left(self._t_sorted, (lowest,))
+        self._dirty.update(
+            (index, side)
+            for _, index, side in self._t_sorted[start:]
+            if side in sides
+        )
+        self._dirty.update(pair for pair in self._t_none if pair[1] in sides)
+
+    def _pairs_above(self, lowest: int) -> list[tuple[int, str, int]]:
+        """The placed pairs whose t exceeds ``lowest``, as (index, side, t)
+        in index then side order (side names sort in their declared
+        order)."""
+        start = bisect.bisect_left(self._t_sorted, (lowest + 1,))
+        return sorted((i, side, t) for t, i, side in self._t_sorted[start:])
 
     def _attention(
         self, marker: Marker, s_old: int, stage: int
     ) -> tuple[bool, dict[str, bool], dict[str, int]]:
         if marker.position in self.b_stage:
             return False, {side: False for side in self.side_names}, {}
+        if marker.position > self._max_key_bound:
+            # Every described segment ends below the position: the sums are
+            # 0, so only the halting clause can fire.
+            return (
+                self._in_halting(marker.index, stage),
+                {side: False for side in self.side_names},
+                {side: 0 for side in self.side_names},
+            )
         sums = {
             side: self.sides[side].sum_range(marker.position, s_old)
             for side in self.side_names
@@ -468,21 +547,14 @@ class BaseEngine:
         n_entries: list[dict[str, Any]] = []
         if zero_drops:
             drops_sorted = sorted(zero_drops.items())
-            for marker in self.markers[: self.placed]:
-                for side in self.side_names:
-                    t = marker.t[side]
-                    if t is None:
-                        continue
-                    for k, new_len in drops_sorted:
-                        if k < t:
-                            self._enumerate_n(
-                                marker,
-                                side,
-                                k,
-                                new_len + marker.c,
-                                stage,
-                                n_entries,
-                            )
+            for index, side, t in self._pairs_above(drops_sorted[0][0]):
+                marker = self.markers[index]
+                for k, new_len in drops_sorted:
+                    if k < t:
+                        length = new_len + marker.c
+                        self._enumerate_n(
+                            marker, side, k, length, stage, n_entries
+                        )
 
         # Mark the pairs whose t has a changed input (see the class
         # docstring), then recompute just those.
@@ -501,19 +573,14 @@ class BaseEngine:
         attention_index: int | None = None
         fired: dict[str, bool] = {side: False for side in self.side_names}
         sums: dict[str, int] = {}
-        for marker in self.markers[: self.placed]:
-            if (
-                marker.position > self._max_key_bound
-                and marker.index not in self._halting_indices
-            ):
-                # No described segment reaches past this position and the
-                # index never enters the halting set: no clause can fire.
-                continue
+        # A placed marker that is not a candidate sits above every described
+        # segment and never enters the halting set: no clause can fire.
+        for index in self._candidates:
             wants, marker_fired, marker_sums = self._attention(
-                marker, s_old, stage
+                self.markers[index], s_old, stage
             )
             if wants:
-                attention_index = marker.index
+                attention_index = index
                 fired = marker_fired
                 sums = marker_sums
                 break
@@ -547,9 +614,7 @@ class BaseEngine:
                     self._note(z)
             index = self.placed
             if all(z is not None and index < z for z in cursors.values()):
-                marker = self._materialize(index)
-                marker.position = self._fresh()
-                self.placed += 1
+                marker = self._place(index, self._fresh())
                 self._dirty.update((index, side) for side in self.side_names)
                 record["action"] = "place"
                 record["placed"] = [index, marker.position]
@@ -608,6 +673,19 @@ class BaseEngine:
                     other.t[side] = None
                     other.p[side] = 0
             self.placed = attention_index + 1
+            del self._candidates[
+                bisect.bisect_left(self._candidates, attention_index) :
+            ]
+            if self._can_act(marker):
+                self._candidates.append(attention_index)
+            self._t_sorted = [
+                entry
+                for entry in self._t_sorted
+                if entry[1] <= attention_index
+            ]
+            self._t_none = {
+                pair for pair in self._t_none if pair[0] <= attention_index
+            }
             for side in self.side_names:
                 if fired[side]:
                     t = marker.t[side]

@@ -5,6 +5,7 @@ event, entry, trace record or ledger use, so it shares no bookkeeping with
 the code it checks.
 """
 
+from ceforge.approx import block_range
 from ceforge.bitcore import Dyadic, INFINITE, ZERO
 from ceforge.machines import Exhausted
 
@@ -92,6 +93,103 @@ def least_unplaced(markers) -> int:
     return next(
         (m.index for m in markers if m.position is None), len(markers)
     )
+
+
+def candidates(engine) -> list[int]:
+    """Indices of the placed markers that may act, by the engine's rule,
+    from a walk over every placed marker."""
+    return [
+        m.index for m in engine.markers[: engine.placed] if engine._can_act(m)
+    ]
+
+
+def t_sorted(engine) -> list[tuple]:
+    """Sorted (t, index, side) of every placed pair with t defined."""
+    return sorted(
+        (m.t[side], m.index, side)
+        for m in engine.markers[: engine.placed]
+        for side in engine.side_names
+        if m.t[side] is not None
+    )
+
+
+def t_none(engine) -> set[tuple]:
+    """(index, side) of every placed pair whose t is None."""
+    return {
+        (m.index, side)
+        for m in engine.markers[: engine.placed]
+        for side in engine.side_names
+        if m.t[side] is None
+    }
+
+
+def pairs_above(engine, lowest: int) -> list[tuple]:
+    """(index, side, t) of every placed pair with t > ``lowest``, walking
+    the markers in index order and each marker's sides in order."""
+    return [
+        (m.index, side, m.t[side])
+        for m in engine.markers[: engine.placed]
+        for side in engine.side_names
+        if m.t[side] is not None and m.t[side] > lowest
+    ]
+
+
+def marked_from(engine, lowest, sides) -> set[tuple]:
+    """(index, side) of every placed pair on ``sides`` whose t is None or
+    at least ``lowest``."""
+    return {
+        (m.index, side)
+        for m in engine.markers[: engine.placed]
+        for side in sides
+        if m.t[side] is None or m.t[side] >= lowest
+    }
+
+
+def recompute_matches(applied, x_str: str, k_best: dict):
+    """A side tracker's full recompute after its set changed: every applied
+    event that describes ``x_str`` is offered again from scratch.  Returns
+    the new best descriptions, j -> (length, stage, codeword), and the j to
+    mark dirty: each j that had a description in ``k_best`` or has one
+    now."""
+    best = {}
+    for event in applied:
+        j = len(event.output)
+        if event.output != x_str[:j]:
+            continue
+        candidate = (len(event.codeword), event.stage, event.codeword)
+        if j not in best or candidate < best[j]:
+            best[j] = candidate
+    return best, set(k_best) | set(best)
+
+
+def stale_deficiency(tracker, b_str: str) -> set[int]:
+    """The j outside the tracker's dirty set whose kept deficiency is
+    wrong: j is deficient when it has a best description and the output
+    machine describes B|j with a longer codeword."""
+    stale = set()
+    for j in set(tracker.k_best) | tracker._deficient:
+        if j in tracker._dirty:
+            continue
+        best = tracker.k_best.get(j)
+        wanted = best is not None and machine_k_at(
+            tracker.machine, b_str[:j]
+        ) > best[0]
+        if wanted != (j in tracker._deficient):
+            stale.add(j)
+    return stale
+
+
+def decode_real(encoded, stage: int, n: int) -> list[int]:
+    """Recover bits ``0..n-1`` of a block-encoded real at ``stage`` from
+    flip-count parities."""
+    bits = []
+    for k in range(n):
+        lo, hi = block_range(k)
+        count = sum(
+            1 for pos in range(lo, hi) if encoded.contains(pos, stage)
+        )
+        bits.append(count % 2)
+    return bits
 
 
 def first_drop(prev, cur):

@@ -15,7 +15,6 @@ import pytest
 from ceforge.approx import (
     CERealApprox,
     block_range,
-    decode_real,
     encode_real,
     gen_scenario,
 )
@@ -25,7 +24,7 @@ from ceforge.engine import DualEngine, SingleEngine
 from ceforge.machines import FreeBlockSet
 
 from conftest import load_jsonl
-from oracles import thresholds
+from oracles import decode_real, thresholds
 
 SEEDS = range(50)
 HALF = Dyadic.pow2_neg(1)

@@ -16,7 +16,6 @@ from ceforge.approx import (
     ScheduleEvent,
     UniversalSchedule,
     block_range,
-    decode_real,
     encode_real,
     _pick_length,
     gen_scenario,
@@ -24,7 +23,13 @@ from ceforge.approx import (
 from ceforge.bitcore import Dyadic, INFINITE
 
 from conftest import generated
-from oracles import first_drop, k_at, k_at_n, pick_length_loop
+from oracles import (
+    decode_real,
+    first_drop,
+    k_at,
+    k_at_n,
+    pick_length_loop,
+)
 
 
 class TestCESetApprox:

@@ -25,6 +25,7 @@ from ceforge.bitcore import Dyadic, ZERO
 from ceforge.engine import _ZeroTracker, _fires
 
 from conftest import EMPTY, ONE_EVENT, generated
+import oracles
 from oracles import (
     expand_repeats,
     fires_dyadic,
@@ -193,13 +194,23 @@ class TestEngineProperties:
 
 class _Naive:
     """Turns off the engine's shortcuts: the quiet-tail fold, the
-    past-max-key skip and the dirty set, so that every stage is computed
-    and every placed marker's t is recomputed from scratch."""
+    past-max-key candidate filter and zero sums, the dirty set and the t
+    index, so that every stage is computed, the attention walk, the
+    zero-drop repair and ``_mark_from`` walk every placed marker, and every
+    placed marker's t is recomputed from scratch."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self._quiet_after = math.inf
         self._max_key_bound = math.inf
+        # Marker 0 was placed under the real bound.
+        self._candidates = oracles.candidates(self)
+
+    def _pairs_above(self, lowest):
+        return oracles.pairs_above(self, lowest)
+
+    def _mark_from(self, lowest, sides):
+        self._dirty.update(oracles.marked_from(self, lowest, sides))
 
     def step(self):
         for marker in self.markers:
@@ -220,6 +231,72 @@ class _NaiveDual(_Naive, DualEngine):
 
 def _thresholds(engine):
     return [(marker.t, marker.p) for marker in engine.markers]
+
+
+def _pin_indexes(engine):
+    """Check each index lookup of ``engine`` against the walk it replaces,
+    at every call: the pairs the zero-drop repair visits and the pairs
+    ``_mark_from`` marks, and per side tracker the descriptions and dirty
+    j after a set change (against the full recompute) and the j a change
+    of B marks."""
+    pairs_above, mark_from = engine._pairs_above, engine._mark_from
+
+    def checked_pairs_above(lowest):
+        pairs = pairs_above(lowest)
+        assert pairs == oracles.pairs_above(engine, lowest), lowest
+        return pairs
+
+    def checked_mark_from(lowest, sides):
+        kept, engine._dirty = engine._dirty, set()
+        mark_from(lowest, sides)
+        assert engine._dirty == oracles.marked_from(engine, lowest, sides)
+        engine._dirty |= kept
+
+    engine._pairs_above = checked_pairs_above
+    engine._mark_from = checked_mark_from
+    for tracker in engine.sides.values():
+        _pin_tracker(tracker)
+
+
+def _pin_tracker(tracker):
+    recompute, mark_b_change = (
+        tracker._recompute_matches, tracker.mark_b_change
+    )
+
+    def checked_recompute(position):
+        old, dirty = dict(tracker.k_best), set(tracker._dirty)
+        recompute(position)
+        best, marked = oracles.recompute_matches(
+            tracker._applied, tracker.x_str, old
+        )
+        assert tracker.k_best == best
+        assert tracker._dirty == dirty | {j for j in marked if j > position}
+        # What is left unmarked keeps its description.
+        assert all(old.get(j) == best.get(j) for j in marked if j <= position)
+
+    def checked_mark_b_change(position):
+        dirty = set(tracker._dirty)
+        mark_b_change(position)
+        above = {j for j in tracker.k_best if j > position}
+        assert tracker._dirty == dirty | above
+
+    tracker._recompute_matches = checked_recompute
+    tracker.mark_b_change = checked_mark_b_change
+
+
+def _check_indexes(engine):
+    """The engine's marker indexes and side-tracker keys against scans of
+    every placed marker and every applied event."""
+    assert engine._candidates == oracles.candidates(engine)
+    assert engine._t_sorted == oracles.t_sorted(engine)
+    assert engine._t_none == oracles.t_none(engine)
+    for tracker in engine.sides.values():
+        best, _ = oracles.recompute_matches(
+            tracker._applied, tracker.x_str, {}
+        )
+        assert tracker.k_best == best
+        assert tracker._keys == sorted(best)
+        assert not oracles.stale_deficiency(tracker, engine.b_str)
 
 
 def _check_marker_invariants(engine, record, seen, acts):
@@ -261,14 +338,18 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     same thresholds t and deficits p up to the quiet point.  Run whole: the
     fast trace, its quiet tail written out, is the naive trace byte for
     byte.  At every stage the marker invariants of ``BaseEngine`` hold
-    against scans of the markers and the records."""
+    against scans of the markers and the records, and every index lookup
+    matches the walk it replaces."""
     scenario = LOCKSTEP[name]()
     stages = min(1_500, scenario.stages)
     fast, naive = fast_cls(scenario), naive_cls(scenario)
+    _pin_indexes(fast)
+    _check_indexes(fast)
     records = fast.run(1)
     assert trace_to_jsonl(records) == trace_to_jsonl(naive.run(1))
     seen = set()
     acts = _check_marker_invariants(fast, records[-1], seen, 0)
+    _check_indexes(fast)
     for stage in range(2, stages + 1):
         records.append(fast.step())
         record = trace_to_jsonl(records[-1:])
@@ -276,6 +357,7 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
         if stage <= fast._quiet_after:
             assert _thresholds(fast) == _thresholds(naive), stage
         acts = _check_marker_invariants(fast, records[-1], seen, acts)
+        _check_indexes(fast)
     # Some marker sits where the past-max-key skip applies, and the sweep
     # horizon reaches past the quiet point (the dense one is active
     # throughout), so every shortcut is exercised.
