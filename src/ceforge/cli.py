@@ -26,6 +26,11 @@ EXIT_FAIL = 1
 EXIT_SCENARIO = 2
 EXIT_LEMMA = 3
 
+#: Longest codeword ``kc`` allocates: the table spells every codeword out in
+#: bits, so a longer one is a bad request, refused before it is built.
+KC_LENGTH_BOUND = 1 << 20
+
+
 def _load_scenario(path: str) -> Scenario:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -130,8 +135,13 @@ def cmd_kc(args: argparse.Namespace) -> int:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            target, length = line.split()
-            rows.append(f"{free.allocate(int(length))}\t{target}\n")
+            target, field = line.split()
+            length = int(field)
+            if length > KC_LENGTH_BOUND:
+                raise ValueError(
+                    f"length {length} exceeds the bound {KC_LENGTH_BOUND}"
+                )
+            rows.append(f"{free.allocate(length)}\t{target}\n")
     except (OSError, ValueError, Exhausted) as exc:
         print(f"request error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO

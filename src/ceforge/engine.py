@@ -257,10 +257,12 @@ class BaseEngine:
       was by a lower index, and each put one new position into B, so the
       count is ``len(b_stage)``;
     * the attention walk visits only ``_candidates``, the sorted indices of
-      the placed markers that ``_can_act``.  A marker's position changes
-      only when it is placed, acts or is injured, so the list changes only
-      then: a place appends the new index if it can act, and an act by i
-      drops every index from i up and puts i back if it can still act;
+      the placed markers that ``_can_act``: those not frozen whose position
+      lies within a described segment or whose index ever halts.  A
+      marker's position and frozen flag change only when it is placed,
+      acts or is injured, so the list changes only then: a place appends
+      the new index if it can act, and an act by i drops every index from
+      i up and puts i back if it can still act (not if the act froze it);
     * the placed pairs are indexed by t: ``_t_sorted`` holds (t, index,
       side) for each defined t, sorted, and ``_t_none`` the pairs whose t
       is None.  Both change where t does: on place (None), in
@@ -356,10 +358,12 @@ class BaseEngine:
         return marker
 
     def _can_act(self, marker: Marker) -> bool:
-        """Whether some clause can fire for the placed ``marker``: its
-        position lies within a described segment, or its index ever enters
-        the halting set.  This rule alone decides ``_candidates``."""
-        return (
+        """Whether some clause can fire for the placed ``marker``: it is not
+        frozen (a frozen position is in B until the marker is injured, and
+        ``_attention`` refuses a position in B), and its position lies
+        within a described segment or its index ever enters the halting
+        set.  This rule alone decides ``_candidates``."""
+        return not marker.frozen and (
             marker.position <= self._max_key_bound
             or marker.index in self._halting_indices
         )
@@ -573,8 +577,9 @@ class BaseEngine:
         attention_index: int | None = None
         fired: dict[str, bool] = {side: False for side in self.side_names}
         sums: dict[str, int] = {}
-        # A placed marker that is not a candidate sits above every described
-        # segment and never enters the halting set: no clause can fire.
+        # A placed marker that is not a candidate is frozen on a position in
+        # B, or sits above every described segment and never enters the
+        # halting set: no clause can fire.
         for index in self._candidates:
             wants, marker_fired, marker_sums = self._attention(
                 self.markers[index], s_old, stage

@@ -3,11 +3,15 @@
 The allocator keeps the classical invariant "at most one free block of each
 length", which makes every allocation deterministic: take the longest free
 block that still fits, hand out its leftmost extension, and return the
-split-off siblings to the free set.
+split-off siblings to the free set.  The siblings of one split share a
+prefix, so the free lengths are stored as runs, one per split, each with the
+split's codeword; an allocation costs a bisection over the runs plus the
+bits of the codeword it returns, however many lengths it uncovers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .bitcore import INFINITE, Dyadic, ExtendedLength, ONE, ZERO
@@ -28,40 +32,67 @@ class NotPrefixFree(ValueError):
 class FreeBlockSet:
     """Prefix-free cover of the unallocated code space, one block per length.
 
-    ``free`` maps each length ``d`` of a free block to the codeword returned
-    by the split that filed it; the block itself is that codeword's first
-    ``d - 1`` bits followed by ``1``, and the root ``""`` is the only block of
-    length 0.  A split from a block of length ``b`` to a codeword ``w`` of
-    length ``L`` uncovers exactly the siblings ``w[:d - 1] + "1"`` for
-    ``b < d <= L``, one per length, so it stores the one string ``w`` under
-    each new length instead of spelling out every sibling.  The lengths it
-    files were free of blocks before, because ``b`` was the longest free
-    length up to ``L``; so the one-block-per-length invariant holds.
+    The free lengths are kept as sorted, disjoint runs ``lo..hi``, and every
+    length ``d`` of a run shares the codeword ``w`` returned by the split that
+    filed it: the block of length ``d`` is ``w[:d - 1] + "1"``, and the root
+    ``""`` is the only block of length 0.  A split from a block of length
+    ``b`` to a codeword ``w`` of length ``L`` uncovers exactly the siblings
+    ``w[:d - 1] + "1"`` for ``b < d <= L``, one per length, so it files the
+    one run ``b + 1..L`` under ``w`` instead of spelling out every sibling.
+    Those lengths were free of blocks before, because ``b`` was the longest
+    free length up to ``L``; so the runs stay disjoint and the
+    one-block-per-length invariant holds.  ``_lo``, ``_hi`` and ``_split``
+    hold the runs' bounds and codewords, in increasing order of length.
     """
 
     def __init__(self) -> None:
-        self.free: dict[int, str] = {0: ""}
+        self._lo: list[int] = [0]
+        self._hi: list[int] = [0]
+        self._split: list[str] = [""]
 
     def allocate(self, length: int) -> str:
         """Return a fresh codeword of exactly ``length`` bits.
 
         Takes the longest free block of length <= ``length`` (unique by the
         one-block-per-length invariant), returns its leftmost depth-``length``
-        extension and re-files the sibling blocks uncovered by the split.
+        extension and files the sibling blocks uncovered by the split as one
+        run.  Costs a bisection over the runs plus the codeword's own bits.
         """
         if length < 0:
             raise ValueError("length must be a natural number")
-        free = self.free
-        base_len = length
-        while base_len not in free:
-            if base_len == 0:
-                raise Exhausted(f"no free block of length <= {length}")
-            base_len -= 1
-        split = free.pop(base_len)
-        block = split[: base_len - 1] + "1" if base_len else ""
-        codeword = block + "0" * (length - base_len)
-        free.update(dict.fromkeys(range(base_len + 1, length + 1), codeword))
-        return codeword
+        lo, hi, split = self._lo, self._hi, self._split
+        i = bisect_right(lo, length) - 1
+        if i < 0:
+            raise Exhausted(f"no free block of length <= {length}")
+        run_lo, run_hi, w = lo[i], hi[i], split[i]
+        if run_hi < length:
+            # Split the run's top block; every run after i starts above
+            # length, so the uncovered siblings file as the run
+            # run_hi + 1..length just after it.
+            block = w[: run_hi - 1] + "1" if run_hi else ""
+            codeword = block + "0" * (length - run_hi)
+            if run_lo == run_hi:
+                # The run's one length is spent: the new run takes its slot.
+                lo[i], hi[i], split[i] = run_hi + 1, length, codeword
+            else:
+                hi[i] = run_hi - 1
+                lo.insert(i + 1, run_hi + 1)
+                hi.insert(i + 1, length)
+                split.insert(i + 1, codeword)
+            return codeword
+        # The run holds a block of exactly this length: take it out.
+        if run_lo == run_hi:
+            del lo[i], hi[i], split[i]
+        elif length == run_hi:
+            hi[i] = length - 1
+        elif length == run_lo:
+            lo[i] = length + 1
+        else:
+            hi[i] = length - 1
+            lo.insert(i + 1, length + 1)
+            hi.insert(i + 1, run_hi)
+            split.insert(i + 1, w)
+        return w[: length - 1] + "1" if length else ""
 
 
 @dataclass(frozen=True)

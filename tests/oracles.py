@@ -281,3 +281,14 @@ class EagerFreeBlockSet:
         for depth in range(base_len, length):
             self.free[depth + 1] = block + "0" * (depth - base_len) + "1"
         return block + "0" * (length - base_len)
+
+
+def spelled(free) -> dict[int, str]:
+    """The free blocks of the ``FreeBlockSet`` ``free`` by length, each
+    written out as its own string, from a walk over every length of every
+    run."""
+    return {
+        d: w[: d - 1] + "1" if d else ""
+        for lo, hi, w in zip(free._lo, free._hi, free._split)
+        for d in range(lo, hi + 1)
+    }

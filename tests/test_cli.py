@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from ceforge.cli import EXIT_FAIL, EXIT_LEMMA, EXIT_OK, EXIT_SCENARIO, main
+from ceforge.cli import (
+    EXIT_FAIL,
+    EXIT_LEMMA,
+    EXIT_OK,
+    EXIT_SCENARIO,
+    KC_LENGTH_BOUND,
+    main,
+)
 
 from conftest import DATA, load_jsonl
 from oracles import EagerFreeBlockSet
@@ -439,6 +446,28 @@ class TestKc:
         # "c" finds no free block of length <= 1, and "d" would still fit.
         requests = tmp_path / "req.txt"
         requests.write_text("a 1\nb 2\nc 1\nd 2\n")
+        code, out, err = run_cli(capsys, "kc", str(requests))
+        assert code == EXIT_SCENARIO
+        assert out == ""
+        assert err.startswith("request error:") and err.count("\n") == 1
+
+    def test_length_at_the_bound_is_allocated(self, capsys, tmp_path):
+        requests = tmp_path / "req.txt"
+        requests.write_text(f"x {KC_LENGTH_BOUND}\ny 1\n")
+        code, out, _ = run_cli(capsys, "kc", str(requests))
+        assert code == EXIT_OK
+        assert out == "0" * KC_LENGTH_BOUND + "\tx\n1\ty\n"
+
+    @pytest.mark.parametrize(
+        "length",
+        [str(KC_LENGTH_BOUND + 1), "99999999999999999999"],
+        ids=["bound+1", "10^20"],
+    )
+    def test_length_above_the_bound_exits_two(
+        self, capsys, tmp_path, length
+    ):
+        requests = tmp_path / "req.txt"
+        requests.write_text(f"x 1\ny {length}\n")
         code, out, err = run_cli(capsys, "kc", str(requests))
         assert code == EXIT_SCENARIO
         assert out == ""

@@ -193,18 +193,21 @@ class TestEngineProperties:
 
 
 class _Naive:
-    """Turns off the engine's shortcuts: the quiet-tail fold, the
-    past-max-key candidate filter and zero sums, the dirty set and the t
-    index, so that every stage is computed, the attention walk, the
-    zero-drop repair and ``_mark_from`` walk every placed marker, and every
-    placed marker's t is recomputed from scratch."""
+    """Turns off the engine's shortcuts: the quiet-tail fold, the candidate
+    filter (past-max-key and frozen markers) and zero sums, the dirty set
+    and the t index, so that every stage is computed, the attention walk,
+    the zero-drop repair and ``_mark_from`` walk every placed marker, and
+    every placed marker's t is recomputed from scratch."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self._quiet_after = math.inf
         self._max_key_bound = math.inf
-        # Marker 0 was placed under the real bound.
+        # Marker 0 was placed under the real rule.
         self._candidates = oracles.candidates(self)
+
+    def _can_act(self, marker):
+        return True
 
     def _pairs_above(self, lowest):
         return oracles.pairs_above(self, lowest)

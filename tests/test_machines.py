@@ -16,7 +16,7 @@ from ceforge.machines import (
     check_prefix_free,
 )
 
-from oracles import EagerFreeBlockSet, machine_k_at
+from oracles import EagerFreeBlockSet, machine_k_at, spelled
 
 
 def machine_from(requests: list[tuple[str, int]]) -> PrefixFreeMachine:
@@ -27,15 +27,15 @@ def machine_from(requests: list[tuple[str, int]]) -> PrefixFreeMachine:
     return machine
 
 
-def spelled(free) -> dict[int, str]:
-    """The free blocks of ``free``, each written out as its own string."""
-    return {d: w[: d - 1] + "1" if d else "" for d, w in free.free.items()}
-
-
 class TestFreeBlockSet:
     def test_complete_tree_allocation(self):
         free = FreeBlockSet()
         assert [free.allocate(n) for n in (1, 2, 2)] == ["0", "10", "11"]
+
+    def test_huge_first_request_files_one_run(self):
+        free = FreeBlockSet()
+        assert free.allocate(10**6) == "0" * 10**6
+        assert free.allocate(1) == "1"
 
     def test_raw_allocator_fills_to_exactly_one(self):
         free = FreeBlockSet()
@@ -101,6 +101,22 @@ class TestAgainstEagerAllocator:
         assert exhausted
 
     @pytest.mark.parametrize("seed", range(3))
+    def test_fresh_sets_with_a_long_first_request(self, seed):
+        # The engine's N-machines: a freshly reset set whose first request
+        # is K(0^t) + c bits long, then requests both shorter and longer.
+        rng = random.Random(f"fresh:{seed}")
+        for _ in range(4):
+            first = rng.randint(500, 3_000)
+            self.lockstep(
+                [first]
+                + [
+                    rng.randint(1, 40) if rng.random() < 0.3 else
+                    rng.randint(first - 300, first + 300)
+                    for _ in range(25)
+                ]
+            )
+
+    @pytest.mark.parametrize("seed", range(3))
     def test_fill_to_exactly_one(self, seed):
         rng = random.Random(f"fill:{seed}")
         fast, eager, _ = self.lockstep(
@@ -109,7 +125,7 @@ class TestAgainstEagerAllocator:
         # Take every free block whole, so the weight reaches exactly 1.
         for length in sorted(eager.free):
             assert fast.allocate(length) == eager.allocate(length)
-        assert fast.free == eager.free == {}
+        assert spelled(fast) == eager.free == {}
         for length in (0, 1, 2_000):
             with pytest.raises(Exhausted):
                 eager.allocate(length)
@@ -119,7 +135,7 @@ class TestAgainstEagerAllocator:
     def test_length_zero_takes_the_whole_space(self):
         fast, _, exhausted = self.lockstep([0, 0, 3])
         assert exhausted == 2
-        assert fast.free == {}
+        assert spelled(fast) == {}
 
 
 class TestRequestSet:
