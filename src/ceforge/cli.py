@@ -108,10 +108,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     try:
         scenario = _load_scenario(args.scenario)
-        records = trace_from_jsonl(Path(args.trace).read_text())
-        report = audit_trace(records, scenario)
-    except (OSError, ScenarioError, ValueError, KeyError) as exc:
+    except (OSError, ScenarioError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO
+    try:
+        trace_text = Path(args.trace).read_text(encoding="utf-8")
+        report = audit_trace(trace_from_jsonl(trace_text), scenario)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     text = report_to_json(report)
     if args.report_out:

@@ -27,40 +27,6 @@ def _fires(s: int, p: int, length: int, sum_exp: int) -> bool:
     return s > 0 and (s + p) << length >= 1 << sum_exp
 
 
-class _ZeroTracker:
-    """Stagewise shortest-description lengths for the strings 0^n."""
-
-    def __init__(self, events: list[ScheduleEvent]) -> None:
-        self._by_stage: dict[int, list[ScheduleEvent]] = {}
-        for event in events:
-            if not event.output.strip("0"):
-                self._by_stage.setdefault(event.stage, []).append(event)
-        self.best: dict[int, int] = {}
-        self.keys: list[int] = []
-
-    def apply(self, stage: int) -> dict[int, int]:
-        """Advance to ``stage``; return the lengths that strictly dropped,
-        new keys included."""
-        drops: dict[int, int] = {}
-        for event in self._by_stage.get(stage, []):
-            n = len(event.output)
-            length = len(event.codeword)
-            known = self.best.get(n)
-            if known is None:
-                # A first description is a drop from infinity.
-                self.best[n] = length
-                bisect.insort(self.keys, n)
-                drops[n] = length
-            elif length < known:
-                self.best[n] = length
-                drops[n] = length
-        return drops
-
-    def k_of(self, n: int) -> int | float:
-        value = self.best.get(n)
-        return INFINITE if value is None else value
-
-
 def _output_length(event: ScheduleEvent) -> int:
     return len(event.output)
 
@@ -68,7 +34,11 @@ def _output_length(event: ScheduleEvent) -> int:
 class _SideTracker:
     """Per given set X: K(X restricted to j), the output machine M_x,
     the deficiency cursor, and exact interval sums of 2^-K(X|j), as ints in
-    units of 2^-``sum_exp`` (the longest codeword), like marker deficits."""
+    units of 2^-``sum_exp`` (the longest codeword), like marker deficits.
+
+    The engine's table of K(0^n) is one more of these: the empty set, fed
+    only the events whose output is all zeros, so that its ``k_best[n][0]``
+    is K(0^n) and ``apply`` returns where it dropped."""
 
     def __init__(
         self, side: str, given: CESetApprox, events: list[ScheduleEvent]
@@ -94,16 +64,16 @@ class _SideTracker:
         # The keys of ``k_best``, sorted.
         self._keys: list[int] = []
         self.sum_exp = max((len(e.codeword) for e in events), default=1)
-        self._sum_prefix: list[int] = [0]
-        self._sums_stale = False
         self.machine = PrefixFreeMachine(f"M_{side}")
         self._deficient: set[int] = set()
         self._dirty: set[int] = set()
         self.min_changed_pos: int | None = None
 
-    def apply(self, stage: int) -> None:
+    def apply(self, stage: int) -> dict[int, int]:
         """Fold in the stage's given-set elements and schedule events;
-        ``min_changed_pos`` is the least element added, if any."""
+        ``min_changed_pos`` is the least element added, if any.  Returns
+        the lengths the stage's events strictly dropped, j -> new length,
+        a first description included."""
         self.min_changed_pos = None
         elements = self._set_by_stage.get(stage, [])
         if elements:
@@ -113,24 +83,31 @@ class _SideTracker:
             self.x_str = self._bits.decode()
             self.min_changed_pos = min(elements)
             self._recompute_matches(self.min_changed_pos)
+        drops: dict[int, int] = {}
         for event in self._events_by_stage.get(stage, []):
             bisect.insort(self._applied, event, key=_output_length)
-            self._offer(event)
+            if self._offer(event):
+                # Events come in (stage, codeword) order, so one of equal
+                # length never replaces: every improvement is a drop.
+                drops[len(event.output)] = len(event.codeword)
+        return drops
 
-    def _offer(self, event: ScheduleEvent) -> None:
+    def _offer(self, event: ScheduleEvent) -> bool:
         """Keep ``event`` as the best description of X restricted to its
-        output length if it describes the current X and beats the known one."""
+        output length if it describes the current X and beats the known one;
+        return whether it was kept."""
         j = len(event.output)
         if event.output != self.x_str[:j]:
-            return
+            return False
         candidate = (len(event.codeword), event.stage, event.codeword)
         known = self.k_best.get(j)
         if known is None:
             bisect.insort(self._keys, j)
-        if known is None or candidate < known:
-            self.k_best[j] = candidate
-            self._sums_stale = True
-            self._dirty.add(j)
+        elif not candidate < known:
+            return False
+        self.k_best[j] = candidate
+        self._dirty.add(j)
+        return True
 
     def _recompute_matches(self, position: int) -> None:
         # X|j is unchanged for j <= ``position``, and so is its best
@@ -147,18 +124,6 @@ class _SideTracker:
         )
         for event in self._applied[start:]:
             self._offer(event)
-        self._sums_stale = True
-
-    def _refresh_sums(self) -> None:
-        if not self._sums_stale:
-            return
-        prefix = [0]
-        for j in self._keys:
-            prefix.append(
-                prefix[-1] + (1 << (self.sum_exp - self.k_best[j][0]))
-            )
-        self._sum_prefix = prefix
-        self._sums_stale = False
 
     def k_len(self, j: int) -> int | float:
         best = self.k_best.get(j)
@@ -171,12 +136,11 @@ class _SideTracker:
     def sum_range(self, lo_exclusive: int, hi_inclusive: int) -> int:
         """Exact sum of 2^-K(X|j) over described j in (lo, hi], in units
         of 2^-``sum_exp``."""
-        self._refresh_sums()
         lo = bisect.bisect_right(self._keys, lo_exclusive)
         hi = bisect.bisect_right(self._keys, hi_inclusive)
-        if hi <= lo:
-            return 0
-        return self._sum_prefix[hi] - self._sum_prefix[lo]
+        return sum(
+            1 << (self.sum_exp - self.k_best[j][0]) for j in self._keys[lo:hi]
+        )
 
     def mark_b_change(self, position: int) -> None:
         """Mark dirty every described j > ``position``: B|j changed."""
@@ -227,18 +191,19 @@ class BaseEngine:
     """Stage loop shared by the one-set and two-set constructions.
 
     Each placed marker i keeps, per side, a threshold t: the least key
-    n <= s_old of the zero tracker at which N_i fails to describe X|n within
-    K(0^n) + c_i.  Its weight q = 2^-(K(0^t) + c_i) is derived, not stored,
-    and compared in ints with sums and deficits (``_fires``).  A stage
-    recomputes t only for the (index, side) pairs in ``_dirty``, in index
-    order.  A pair is marked dirty when an input of its t changes:
+    n <= s_old of the K(0^n) table ``zero`` at which N_i fails to describe
+    X|n within K(0^n) + c_i.  Its weight q = 2^-(K(0^t) + c_i) is derived,
+    not stored, and compared in ints with sums and deficits (``_fires``).
+    A stage recomputes t only for the (index, side) pairs in ``_dirty``, in
+    index order.  A pair is marked dirty when an input of its t changes:
 
     * the marker is placed: a fresh marker, or an injured one coming back
       with a reset machine and c + 1 (unplaced markers have no t);
     * its N-machine grows (``_enumerate_n``);
-    * the zero tracker gets a new key or a drop at n: pairs whose t is None
-      or t >= n.  A change above t cannot move the least key, and one below
-      t is repaired into N first, which marks the pair as growth;
+    * ``zero`` gets a new key or a drop at n (``zero.apply`` returns
+      both): pairs whose t is None or t >= n.  A change above t cannot
+      move the least key, and one below t is repaired into N first, which
+      marks the pair as growth;
     * the given set of the side changes at p and above: pairs whose t is
       None or t > p, since X|n is unchanged for n <= p;
     * s_old reaches a key that already exists: pairs whose t is None, since
@@ -264,10 +229,13 @@ class BaseEngine:
       the new index if it can act, and an act by i drops every index from
       i up and puts i back if it can still act (not if the act froze it);
     * the placed pairs are indexed by t: ``_t_sorted`` holds (t, index,
-      side) for each defined t, sorted, and ``_t_none`` the pairs whose t
-      is None.  Both change where t does: on place (None), in
-      ``_compute_t`` and on injury (the pair leaves).  The zero-drop repair
-      and ``_mark_from`` read off a tail of ``_t_sorted``.
+      side) for every placed pair, sorted, with ``INFINITE`` for a t that is
+      None.  It changes where t does: on place (None), in ``_compute_t``
+      and on injury (the pair leaves).  The zero-drop repair and
+      ``_mark_from`` each read one slice of it;
+    * a fresh position is one past the larger of the stage and the last
+      fresh position, which starts at the longest codeword, every side's
+      ``width`` and the initial position 1 (``_fresh``).
     """
 
     # The defaults are the one-set construction's; DualEngine overrides them.
@@ -280,7 +248,8 @@ class BaseEngine:
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
         events = scenario.schedule.events
-        self.zero = _ZeroTracker(events)
+        zero_events = [e for e in events if not e.output.strip("0")]
+        self.zero = _SideTracker("z", CESetApprox(), zero_events)
         given = {"a": scenario.set_a, "d": scenario.set_d}
         self.sides = {
             name: _SideTracker(name, given[name], events)
@@ -293,10 +262,8 @@ class BaseEngine:
         self.placed = 0
         # Sorted indices of the placed markers that ``_can_act``.
         self._candidates: list[int] = []
-        # Placed (t, index, side) with t defined, sorted; placed (index, side)
-        # pairs whose t is None.
-        self._t_sorted: list[tuple[int, int, str]] = []
-        self._t_none: set[tuple[int, str]] = set()
+        # Placed (t, index, side), sorted, with INFINITE for a t of None.
+        self._t_sorted: list[tuple[int | float, int, str]] = []
         self.archived: list[tuple[str, int, PrefixFreeMachine]] = []
         # Bounds past which nothing in the scenario can change: a marker with
         # a position above every described segment length has zero sums and
@@ -317,12 +284,13 @@ class BaseEngine:
             + [s for _, s in scenario.set_a.schedule]
             + [s for _, s in scenario.set_d.schedule],
         )
-        self._max_seen = 0
-        self._note(max(t.width for t in self.sides.values()))
-        self._note(max((len(e.codeword) for e in events), default=0))
+        self._last_fresh = max(
+            1,
+            *(t.width for t in self.sides.values()),
+            *(len(e.codeword) for e in events),
+        )
         # At stage 0 the first marker is placed on position 1.
         self._place(0, 1)
-        self._note(1)
         # (marker index, side) pairs whose t the next stage recomputes.
         # Marker 0 needs no mark: no key exists yet, and every key it could
         # find later arrives through one of the rules for a t that is None.
@@ -330,14 +298,12 @@ class BaseEngine:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _note(self, value: int) -> None:
-        if value > self._max_seen:
-            self._max_seen = value
-
-    def _fresh(self) -> int:
-        value = self._max_seen + 1
-        self._max_seen = value
-        return value
+    def _fresh(self, stage: int) -> int:
+        """A position above every position so far, ``stage``, the longest
+        codeword and every side's ``width``.  Every position so far is 1 or
+        an earlier fresh one, so the running maximum needs no other input."""
+        self._last_fresh = max(self._last_fresh, stage) + 1
+        return self._last_fresh
 
     def _materialize(self, index: int) -> Marker:
         if index == len(self.markers):
@@ -352,7 +318,8 @@ class BaseEngine:
         marker = self._materialize(index)
         marker.position = position
         self.placed = index + 1
-        self._t_none.update((index, side) for side in self.side_names)
+        for side in self.side_names:
+            bisect.insort(self._t_sorted, (INFINITE, index, side))
         if self._can_act(marker):
             self._candidates.append(index)
         return marker
@@ -375,7 +342,6 @@ class BaseEngine:
             self.b_str = self._b_bits.decode()
         for tracker in self.sides.values():
             tracker.mark_b_change(position)
-        self._note(position)
 
     def _in_halting(self, index: int, stage: int) -> bool:
         return self.scenario.halting.contains(index, stage)
@@ -386,12 +352,12 @@ class BaseEngine:
         """Recompute ``t`` of a dirty pair from scratch."""
         tracker = self.sides[side]
         machine = marker.machines[side]
-        best = self.zero.best
+        best = self.zero.k_best
         found: int | None = None
-        for n in self.zero.keys:
+        for n in self.zero._keys:
             if n > s_old:
                 break
-            if machine.k_of(tracker.x_str[:n]) > best[n] + marker.c:
+            if machine.k_of(tracker.x_str[:n]) > best[n][0] + marker.c:
                 found = n
                 break
         old_t = marker.t[side]
@@ -411,16 +377,12 @@ class BaseEngine:
         marker.t[side] = found
         if found != old_t:
             pair = (marker.index, side)
-            if old_t is None:
-                self._t_none.discard(pair)
-            else:
-                del self._t_sorted[
-                    bisect.bisect_left(self._t_sorted, (old_t, *pair))
-                ]
-            if found is None:
-                self._t_none.add(pair)
-            else:
-                bisect.insort(self._t_sorted, (found, *pair))
+            old_key = INFINITE if old_t is None else old_t
+            del self._t_sorted[
+                bisect.bisect_left(self._t_sorted, (old_key, *pair))
+            ]
+            new_key = INFINITE if found is None else found
+            bisect.insort(self._t_sorted, (new_key, *pair))
         # Freshly placed positions exceed every stage bound, so t stays below
         # them; the initial position 1 (every fresh one is at least 2) and
         # frozen positions are the two legitimate exceptions.  Positions only
@@ -433,21 +395,23 @@ class BaseEngine:
 
     def _mark_from(self, lowest: int | float, sides: tuple[str, ...]) -> None:
         """Mark dirty each placed pair on ``sides`` whose t is None or at
-        least ``lowest``."""
+        least ``lowest``: a tail of ``_t_sorted``, where None sorts last."""
         start = bisect.bisect_left(self._t_sorted, (lowest,))
         self._dirty.update(
             (index, side)
             for _, index, side in self._t_sorted[start:]
             if side in sides
         )
-        self._dirty.update(pair for pair in self._t_none if pair[1] in sides)
 
     def _pairs_above(self, lowest: int) -> list[tuple[int, str, int]]:
         """The placed pairs whose t exceeds ``lowest``, as (index, side, t)
         in index then side order (side names sort in their declared
         order)."""
         start = bisect.bisect_left(self._t_sorted, (lowest + 1,))
-        return sorted((i, side, t) for t, i, side in self._t_sorted[start:])
+        stop = bisect.bisect_left(self._t_sorted, (INFINITE,))
+        return sorted(
+            (i, side, t) for t, i, side in self._t_sorted[start:stop]
+        )
 
     def _attention(
         self, marker: Marker, s_old: int, stage: int
@@ -472,7 +436,7 @@ class BaseEngine:
             fired[side] = t is not None and _fires(
                 sums[side],
                 marker.p[side],
-                self.zero.best[t] + marker.c,
+                self.zero.k_best[t][0] + marker.c,
                 self.sides[side].sum_exp,
             )
         return (
@@ -541,7 +505,6 @@ class BaseEngine:
         """Run one stage and return its trace record."""
         s_old = self.stage
         stage = s_old + 1
-        self._note(stage)
         zero_drops = self.zero.apply(stage)
         for tracker in self.sides.values():
             tracker.apply(stage)
@@ -565,7 +528,7 @@ class BaseEngine:
         if zero_drops:
             # The pairs whose t is None are among these.
             self._mark_from(min(zero_drops), self.side_names)
-        elif s_old in self.zero.best:
+        elif s_old in self.zero.k_best:
             self._mark_from(INFINITE, self.side_names)
         for side, tracker in self.sides.items():
             if tracker.min_changed_pos is not None:
@@ -614,12 +577,9 @@ class BaseEngine:
                 for side in self.side_names
             }
             record["z"] = cursors
-            for z in cursors.values():
-                if z is not None:
-                    self._note(z)
             index = self.placed
             if all(z is not None and index < z for z in cursors.values()):
-                marker = self._place(index, self._fresh())
+                marker = self._place(index, self._fresh(stage))
                 self._dirty.update((index, side) for side in self.side_names)
                 record["action"] = "place"
                 record["placed"] = [index, marker.position]
@@ -654,12 +614,14 @@ class BaseEngine:
                 marker.frozen = True
                 record["frozen"] = True
             else:
-                marker.position = self._fresh()
+                marker.position = self._fresh(stage)
             for side in self.side_names:
                 tracker = self.sides[side]
-                for k in sorted(tracker.k_best):
-                    if not old_position < k < s_old:
-                        continue
+                keys = tracker._keys
+                for k in keys[
+                    bisect.bisect_right(keys, old_position) :
+                    bisect.bisect_left(keys, s_old)
+                ]:
                     if tracker.machine.k_of(old_b_str[:k]) <= tracker.k_len(k):
                         self._describe_output(
                             side, k, stage, attention_index, record["m_entries"]
@@ -688,9 +650,6 @@ class BaseEngine:
                 for entry in self._t_sorted
                 if entry[1] <= attention_index
             ]
-            self._t_none = {
-                pair for pair in self._t_none if pair[0] <= attention_index
-            }
             for side in self.side_names:
                 if fired[side]:
                     t = marker.t[side]
@@ -699,7 +658,7 @@ class BaseEngine:
                         marker,
                         side,
                         t,
-                        self.zero.best[t] + marker.c,
+                        self.zero.k_best[t][0] + marker.c,
                         stage,
                         n_entries,
                     )

@@ -104,23 +104,13 @@ def candidates(engine) -> list[int]:
 
 
 def t_sorted(engine) -> list[tuple]:
-    """Sorted (t, index, side) of every placed pair with t defined."""
+    """Sorted (t, index, side) of every placed pair, with ``INFINITE`` for
+    a t that is None."""
     return sorted(
-        (m.t[side], m.index, side)
+        (INFINITE if m.t[side] is None else m.t[side], m.index, side)
         for m in engine.markers[: engine.placed]
         for side in engine.side_names
-        if m.t[side] is not None
     )
-
-
-def t_none(engine) -> set[tuple]:
-    """(index, side) of every placed pair whose t is None."""
-    return {
-        (m.index, side)
-        for m in engine.markers[: engine.placed]
-        for side in engine.side_names
-        if m.t[side] is None
-    }
 
 
 def pairs_above(engine, lowest: int) -> list[tuple]:

@@ -425,6 +425,36 @@ def test_malformed_trace_exits_two(
     assert code == EXIT_SCENARIO
     assert out == ""
     assert len(err.splitlines()) == 1, err
+    assert err.startswith("trace error:"), err
+
+
+#: Trace files that cannot be read as JSONL at all: the scripted trace with
+#: one line that is not JSON, or with bytes that are not UTF-8.  None is a
+#: missing trace path.
+_UNREADABLE_TRACES = {
+    "not-json": lambda text: text.replace(b"\n", b"\n{oops\n", 1),
+    "not-utf8": lambda text: b"\xff\xfe" + text,
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("case", list(_UNREADABLE_TRACES))
+def test_unreadable_trace_exits_two(capsys, tmp_path, data_dir, case):
+    trace = tmp_path / "trace.jsonl"
+    corrupt = _UNREADABLE_TRACES[case]
+    if corrupt is not None:
+        text = (data_dir / "single_scripted_trace.jsonl").read_bytes()
+        trace.write_bytes(corrupt(text))
+    code, out, err = run_cli(
+        capsys,
+        "audit",
+        "--scenario", str(data_dir / "single_scripted.json"),
+        "--trace", str(trace),
+    )
+    assert code == EXIT_SCENARIO
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("trace error:"), err
 
 
 class TestKc:

@@ -22,7 +22,7 @@ from ceforge import (
     trace_to_jsonl,
 )
 from ceforge.bitcore import Dyadic, ZERO
-from ceforge.engine import _ZeroTracker, _fires
+from ceforge.engine import _fires
 
 from conftest import EMPTY, ONE_EVENT, generated
 import oracles
@@ -292,7 +292,6 @@ def _check_indexes(engine):
     every placed marker and every applied event."""
     assert engine._candidates == oracles.candidates(engine)
     assert engine._t_sorted == oracles.t_sorted(engine)
-    assert engine._t_none == oracles.t_none(engine)
     for tracker in engine.sides.values():
         best, _ = oracles.recompute_matches(
             tracker._applied, tracker.x_str, {}
@@ -302,12 +301,30 @@ def _check_indexes(engine):
         assert not oracles.stale_deficiency(tracker, engine.b_str)
 
 
-def _check_marker_invariants(engine, record, seen, acts):
-    """The two invariants of ``BaseEngine`` after the stage of ``record``:
-    the placed markers are ``markers[:placed]``, and an index's first
-    snapshot (its first placement) has c = c_offset + index + the ``acts``
-    act records before it.  ``seen`` holds the indices snapshotted so far;
-    returns the act count including ``record``."""
+def _fresh_floor(scenario, side_names):
+    """The bound every fresh position exceeds besides its stage and the
+    earlier positions: the longest codeword and each side's width (the
+    longest output, and one past every element of the side's given set)."""
+    events = scenario.schedule.events
+    given = {"a": scenario.set_a, "d": scenario.set_d}
+    return max(
+        [len(e.codeword) for e in events]
+        + [len(e.output) for e in events]
+        + [el + 1 for side in side_names for el, _ in given[side].schedule],
+        default=0,
+    )
+
+
+def _check_marker_invariants(engine, record, seen, acts, positions):
+    """The invariants of ``BaseEngine`` after the stage of ``record``: the
+    placed markers are ``markers[:placed]``; an index's first snapshot
+    (its first placement) has c = c_offset + index + the ``acts`` act
+    records before it; a position placed or moved to in ``record`` exceeds
+    its stage, every position in the ``positions`` of the records before
+    it and ``_fresh_floor``; and an act's m-entries lie strictly between
+    its abandoned position and the previous stage.  ``seen`` holds the
+    indices snapshotted so far; ``positions`` gains the record's
+    positions.  Returns the act count including ``record``."""
     assert engine.placed == least_unplaced(engine.markers)
     assert all(m.position is None for m in engine.markers[engine.placed :])
     for key, snap in record["markers"].items():
@@ -315,6 +332,24 @@ def _check_marker_invariants(engine, record, seen, acts):
         if index not in seen:
             seen.add(index)
             assert snap["c"] == engine.c_offset + index + acts, record
+    fresh = None
+    if record["action"] == "place":
+        fresh = record["placed"][1]
+    elif record["action"] == "act" and not record["frozen"]:
+        fresh = record["markers"][str(record["acting"])]["pos"]
+    if fresh is not None:
+        floor = _fresh_floor(engine.scenario, engine.side_names)
+        assert fresh > max(record["stage"], floor, *positions), record
+    positions.update(
+        snap["pos"]
+        for snap in record["markers"].values()
+        if snap["pos"] is not None
+    )
+    # An act describes B's old segments only strictly between the
+    # abandoned position and the previous stage.
+    for entry in record["m_entries"]:
+        if entry["cause"] is not None:
+            assert record["b_added"] < entry["n"] < record["stage"] - 1
     return acts + (record["action"] == "act")
 
 
@@ -350,8 +385,8 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     _check_indexes(fast)
     records = fast.run(1)
     assert trace_to_jsonl(records) == trace_to_jsonl(naive.run(1))
-    seen = set()
-    acts = _check_marker_invariants(fast, records[-1], seen, 0)
+    seen, positions = set(), set()
+    acts = _check_marker_invariants(fast, records[-1], seen, 0, positions)
     _check_indexes(fast)
     for stage in range(2, stages + 1):
         records.append(fast.step())
@@ -359,7 +394,9 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
         assert record == trace_to_jsonl([naive.step()]), stage
         if stage <= fast._quiet_after:
             assert _thresholds(fast) == _thresholds(naive), stage
-        acts = _check_marker_invariants(fast, records[-1], seen, acts)
+        acts = _check_marker_invariants(
+            fast, records[-1], seen, acts, positions
+        )
         _check_indexes(fast)
     # Some marker sits where the past-max-key skip applies, and the sweep
     # horizon reaches past the quiet point (the dense one is active
@@ -473,19 +510,58 @@ def test_entry_lengths_sum_to_machine_weights(engine_cls, dense):
 
 class TestAgainstOracles:
     def test_zero_tracker_matches_naive_scan(self):
+        """The engine's K(0^n) table against the schedule scan, and the
+        drops ``apply`` returns against the n where the scan fell: an
+        event stamped at a stage is the only way K(0^n) can change there,
+        so the n of that stage's events are the ones to compare."""
         scenario = gen_scenario(4)
         schedule = scenario.schedule
-        tracker = _ZeroTracker(schedule.events)
+        table = SingleEngine(scenario).zero
         lengths = range(max(len(e.output) for e in schedule.events) + 2)
         last = max(e.stage for e in schedule.events)
         checkpoints = set(range(1, last + 2, 97)) | {last, last + 1}
+        dropped = 0
         for stage in range(1, last + 2):
-            tracker.apply(stage)
+            drops = table.apply(stage)
+            stamped = {
+                len(e.output) for e in schedule.events if e.stage == stage
+            }
+            fell = {}
+            for n in stamped:
+                now = k_at_n(schedule, n, stage)
+                if now < k_at_n(schedule, n, stage - 1):
+                    fell[n] = now
+            assert drops == fell, stage
+            dropped += len(drops)
             if stage in checkpoints:
                 for n in lengths:
-                    assert tracker.k_of(n) == k_at_n(schedule, n, stage), (
+                    assert table.k_len(n) == k_at_n(schedule, n, stage), (
                         stage, n,
                     )
+        assert dropped > 0
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sweep", "dense"])
+    def test_sum_range_matches_naive_sum(self, dense):
+        """Every interval sum (lo, hi] of 2^-K(X|j), on both sides at
+        checkpoints through the active phase, against a sum over
+        ``k_best``."""
+        scenario = generated(1 if dense else 0, dense)
+        engine = DualEngine(scenario)
+        top = engine._max_key_bound + 2
+        last = max(e.stage for e in scenario.schedule.events)
+        for checkpoint in (last // 4, last // 2, 3 * last // 4, last + 1):
+            while engine.stage < checkpoint:
+                engine.step()
+            for tracker in engine.sides.values():
+                assert tracker.k_best
+                for lo in range(-1, top):
+                    naive = 0
+                    for hi in range(-1, top):
+                        if hi > lo and hi in tracker.k_best:
+                            naive += 1 << (
+                                tracker.sum_exp - tracker.k_best[hi][0]
+                            )
+                        assert tracker.sum_range(lo, hi) == naive, (lo, hi)
 
     @pytest.mark.parametrize("engine_cls", [SingleEngine, DualEngine])
     def test_machine_k_of_is_minimum_over_entries(self, engine_cls):
