@@ -14,11 +14,11 @@ it) audits to the same report.
 
 The audit does work linear in the trace size.  ``_Replay.from_records``
 reads the records once and builds every per-marker index the checks need
-in that pass: the marker timelines with their stage lists (so
-``marker_at`` only bisects), the injury stages of each marker and the stage
-at which each position entered B.  ``_check_reuse_bounds`` groups each
-ledger's reuses by the marker that caused them once, and ``check_coverage``
-walks the records with one B buffer that it slices for every segment.
+in that pass: the marker timelines (``marker_at`` bisects them by stage),
+the injury stages of each marker and the stage at which each position
+entered B.  ``_check_reuse_bounds`` groups each ledger's reuses by the
+marker that caused them once, and ``check_coverage`` walks the records with
+one B buffer that it slices for every segment.
 """
 
 from __future__ import annotations
@@ -130,6 +130,7 @@ _M_ENTRY_FIELDS = {
 _N_ENTRY_FIELDS = {
     "side": (str,), "index": (int,), "version": (int,), "length": (int,),
 }
+_ENTRY_FIELDS = {"m_entries": _M_ENTRY_FIELDS, "n_entries": _N_ENTRY_FIELDS}
 
 
 #: The c of marker i starts at c_offset + i; each engine has its own offset.
@@ -190,8 +191,6 @@ class _Replay:
     timelines: dict[int, list[tuple[int, dict[str, Any]]]] = field(
         default_factory=dict
     )
-    # index -> the stages of its timeline, for bisecting
-    timeline_stages: dict[int, list[int]] = field(default_factory=dict)
     # index -> the stages at which it was injured, in order
     injuries: dict[int, list[int]] = field(default_factory=dict)
     # the last stage the records cover
@@ -229,10 +228,14 @@ class _Replay:
         acts = 0
         for number, record in enumerate(replay.stages, 1):
             _require(record, _RECORD_FIELDS, number, "")
-            for entry in record["m_entries"]:
-                _require(entry, _M_ENTRY_FIELDS, number, " m_entries")
-            for entry in record["n_entries"]:
-                _require(entry, _N_ENTRY_FIELDS, number, " n_entries")
+            for part, fields in _ENTRY_FIELDS.items():
+                for entry in record[part]:
+                    _require(entry, fields, number, f" {part}")
+                    if entry["side"] not in sides:
+                        raise ValueError(
+                            f"malformed trace: record {number} {part} side "
+                            f"{entry['side']!r} is not a {engine} engine side"
+                        )
             stage = record["stage"]
             if number > 1 and stage <= previous:
                 raise ValueError(
@@ -278,7 +281,6 @@ class _Replay:
                         f"{snap['c']} exceeds {c_offset + index + acts}"
                     )
                 replay.timelines.setdefault(index, []).append((stage, snap))
-                replay.timeline_stages.setdefault(index, []).append(stage)
         if previous > header["stages"]:
             raise ValueError(
                 f"malformed trace: records run to stage {previous}, past "
@@ -306,7 +308,7 @@ class _Replay:
         timeline = self.timelines.get(index)
         if not timeline:
             return None
-        pos = bisect.bisect_right(self.timeline_stages[index], stage) - 1
+        pos = bisect.bisect_right(timeline, stage, key=lambda e: e[0]) - 1
         return timeline[pos][1] if pos >= 0 else None
 
     def marker_indices(self) -> list[int]:

@@ -222,12 +222,12 @@ class BaseEngine:
       was by a lower index, and each put one new position into B, so the
       count is ``len(b_stage)``;
     * the attention walk visits only ``_candidates``, the sorted indices of
-      the placed markers that ``_can_act``: those not frozen whose position
-      lies within a described segment or whose index ever halts.  A
-      marker's position and frozen flag change only when it is placed,
-      acts or is injured, so the list changes only then: a place appends
-      the new index if it can act, and an act by i drops every index from
-      i up and puts i back if it can still act (not if the act froze it);
+      the placed markers that ``_can_act`` at the stage: those not frozen
+      whose position lies within a described segment or whose index has
+      entered the halting set.  The list changes only with these inputs: a
+      place appends the new index if it can act, an act by i drops every
+      index from i up and puts i back if it can still act (not if the act
+      froze it), and an index joins at its halting stamp if it can act;
     * the placed pairs are indexed by t: ``_t_sorted`` holds (t, index,
       side) for every placed pair, sorted, with ``INFINITE`` for a t that is
       None.  It changes where t does: on place (None), in ``_compute_t``
@@ -266,9 +266,9 @@ class BaseEngine:
         self._t_sorted: list[tuple[int | float, int, str]] = []
         self.archived: list[tuple[str, int, PrefixFreeMachine]] = []
         # Bounds past which nothing in the scenario can change: a marker with
-        # a position above every described segment length has zero sums and
-        # can only act through the halting clause (``_can_act``,
-        # ``_attention``), and once all event stages have passed and the
+        # a position above every described segment length has zero sums, so
+        # it can act only once its index enters the halting set
+        # (``_can_act``), and once all event stages have passed and the
         # deficiency cursor's bound has reached every segment length, a no-op
         # stage repeats forever.  An exclusive cursor reaches length j only
         # when the previous stage is past j.
@@ -276,11 +276,14 @@ class BaseEngine:
         # B is read only in described segments, so it is kept that far.
         self._b_bits = bytearray(b"0" * self._max_key_bound)
         self.b_str = self._b_bits.decode()
-        self._halting_indices = {e for e, _ in scenario.halting.schedule}
+        # stage -> the indices that enter the halting set then
+        self._halting_by_stage: dict[int, list[int]] = {}
+        for index, stamp in scenario.halting.schedule:
+            self._halting_by_stage.setdefault(stamp, []).append(index)
         self._quiet_after = max(
             [self._max_key_bound + (0 if self.cursor_inclusive else 1)]
             + [e.stage for e in events]
-            + [s for _, s in scenario.halting.schedule]
+            + list(self._halting_by_stage)
             + [s for _, s in scenario.set_a.schedule]
             + [s for _, s in scenario.set_d.schedule],
         )
@@ -289,8 +292,9 @@ class BaseEngine:
             *(t.width for t in self.sides.values()),
             *(len(e.codeword) for e in events),
         )
-        # At stage 0 the first marker is placed on position 1.
-        self._place(0, 1)
+        # At stage 0 the first marker is placed on position 1; halting stamps
+        # may be 0, and no later stage joins them.
+        self._place(0, 1, 0)
         # (marker index, side) pairs whose t the next stage recomputes.
         # Marker 0 needs no mark: no key exists yet, and every key it could
         # find later arrives through one of the rules for a t that is None.
@@ -313,38 +317,36 @@ class BaseEngine:
             self.markers.append(Marker(index, self.side_names, c))
         return self.markers[index]
 
-    def _place(self, index: int, position: int) -> Marker:
+    def _place(self, index: int, position: int, stage: int) -> Marker:
         """Place the least unplaced marker, ``index``, on ``position``."""
         marker = self._materialize(index)
         marker.position = position
         self.placed = index + 1
         for side in self.side_names:
             bisect.insort(self._t_sorted, (INFINITE, index, side))
-        if self._can_act(marker):
+        if self._can_act(marker, stage):
             self._candidates.append(index)
         return marker
 
-    def _can_act(self, marker: Marker) -> bool:
-        """Whether some clause can fire for the placed ``marker``: it is not
-        frozen (a frozen position is in B until the marker is injured, and
-        ``_attention`` refuses a position in B), and its position lies
-        within a described segment or its index ever enters the halting
-        set.  This rule alone decides ``_candidates``."""
+    def _can_act(self, marker: Marker, stage: int) -> bool:
+        """Whether some clause can fire for the placed ``marker`` at
+        ``stage``: it is not frozen (a frozen position is in B, and a
+        position enters B once), and its position lies within a described
+        segment or its index has entered the halting set (above every
+        segment the sums are 0).  This rule alone decides ``_candidates``."""
         return not marker.frozen and (
             marker.position <= self._max_key_bound
-            or marker.index in self._halting_indices
+            or self.scenario.halting.contains(marker.index, stage)
         )
 
     def _b_add(self, position: int, stage: int) -> None:
+        assert position not in self.b_stage, f"{position} enters B again"
         self.b_stage[position] = stage
         if position < len(self._b_bits):
             self._b_bits[position] = ord("1")
             self.b_str = self._b_bits.decode()
         for tracker in self.sides.values():
             tracker.mark_b_change(position)
-
-    def _in_halting(self, index: int, stage: int) -> bool:
-        return self.scenario.halting.contains(index, stage)
 
     # -- per-stage parameters ----------------------------------------------
 
@@ -416,16 +418,9 @@ class BaseEngine:
     def _attention(
         self, marker: Marker, s_old: int, stage: int
     ) -> tuple[bool, dict[str, bool], dict[str, int]]:
-        if marker.position in self.b_stage:
-            return False, {side: False for side in self.side_names}, {}
-        if marker.position > self._max_key_bound:
-            # Every described segment ends below the position: the sums are
-            # 0, so only the halting clause can fire.
-            return (
-                self._in_halting(marker.index, stage),
-                {side: False for side in self.side_names},
-                {side: 0 for side in self.side_names},
-            )
+        """Whether the candidate ``marker`` wants attention, the sum clauses
+        that fire and the sums.  It is not frozen: its position is 1 or
+        fresh, never in B."""
         sums = {
             side: self.sides[side].sum_range(marker.position, s_old)
             for side in self.side_names
@@ -439,11 +434,8 @@ class BaseEngine:
                 self.zero.k_best[t][0] + marker.c,
                 self.sides[side].sum_exp,
             )
-        return (
-            self._in_halting(marker.index, stage) or any(fired.values()),
-            fired,
-            sums,
-        )
+        halts = self.scenario.halting.contains(marker.index, stage)
+        return halts or any(fired.values()), fired, sums
 
     # -- stage actions ------------------------------------------------------
 
@@ -537,20 +529,22 @@ class BaseEngine:
             self._compute_t(self.markers[index], side, s_old)
         self._dirty.clear()
 
+        # A placed index that enters the halting set now joins the walk.
+        for index in self._halting_by_stage.get(stage, []):
+            if (
+                index < self.placed
+                and index not in self._candidates
+                and self._can_act(self.markers[index], stage)
+            ):
+                bisect.insort(self._candidates, index)
+
         attention_index: int | None = None
-        fired: dict[str, bool] = {side: False for side in self.side_names}
-        sums: dict[str, int] = {}
-        # A placed marker that is not a candidate is frozen on a position in
-        # B, or sits above every described segment and never enters the
-        # halting set: no clause can fire.
         for index in self._candidates:
-            wants, marker_fired, marker_sums = self._attention(
+            wants, fired, sums = self._attention(
                 self.markers[index], s_old, stage
             )
             if wants:
                 attention_index = index
-                fired = marker_fired
-                sums = marker_sums
                 break
 
         record: dict[str, Any] = {
@@ -579,7 +573,7 @@ class BaseEngine:
             record["z"] = cursors
             index = self.placed
             if all(z is not None and index < z for z in cursors.values()):
-                marker = self._place(index, self._fresh(stage))
+                marker = self._place(index, self._fresh(stage), stage)
                 self._dirty.update((index, side) for side in self.side_names)
                 record["action"] = "place"
                 record["placed"] = [index, marker.position]
@@ -594,7 +588,7 @@ class BaseEngine:
                         )
         else:
             marker = self.markers[attention_index]
-            clause_a = self._in_halting(attention_index, stage)
+            clause_a = self.scenario.halting.contains(attention_index, stage)
             record["action"] = "act"
             record["acting"] = attention_index
             touched.add(attention_index)
@@ -643,7 +637,7 @@ class BaseEngine:
             del self._candidates[
                 bisect.bisect_left(self._candidates, attention_index) :
             ]
-            if self._can_act(marker):
+            if self._can_act(marker, stage):
                 self._candidates.append(attention_index)
             self._t_sorted = [
                 entry

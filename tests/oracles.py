@@ -96,10 +96,12 @@ def least_unplaced(markers) -> int:
 
 
 def candidates(engine) -> list[int]:
-    """Indices of the placed markers that may act, by the engine's rule,
-    from a walk over every placed marker."""
+    """Indices of the placed markers that may act at the engine's stage, by
+    the engine's rule, from a walk over every placed marker."""
     return [
-        m.index for m in engine.markers[: engine.placed] if engine._can_act(m)
+        m.index
+        for m in engine.markers[: engine.placed]
+        if engine._can_act(m, engine.stage)
     ]
 
 

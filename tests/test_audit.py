@@ -229,10 +229,6 @@ def _assert_indexes_match_oracles(records, scenario):
     }
     final = replay.final_stage
     for index in set(replay.timelines) | set(replay.injuries):
-        timeline = replay.timelines.get(index, [])
-        assert replay.timeline_stages.get(index, []) == [
-            stage for stage, _ in timeline
-        ]
         injuries = oracles.injury_stages(replay, index)
         assert replay.injuries.get(index, []) == injuries, index
         cuts = [0] + injuries + [final + 1]

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from ceforge import DualEngine, SingleEngine, audit_trace, trace_to_jsonl
+from ceforge.bitcore import Dyadic, ZERO
 from ceforge.cli import (
     EXIT_FAIL,
     EXIT_LEMMA,
@@ -15,7 +17,7 @@ from ceforge.cli import (
     main,
 )
 
-from conftest import DATA, load_jsonl
+from conftest import DATA, generated, load_jsonl
 from oracles import EagerFreeBlockSet
 
 
@@ -309,6 +311,24 @@ def _c_offset_of_other_engine(records):
     records[0]["c_offset"] = 4
 
 
+def _n_side_unknown(records):
+    entry = next(r for r in records[1:] if r["n_entries"])["n_entries"][0]
+    entry["side"] = "q"
+
+
+def _m_side_unknown(records):
+    entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
+    entry["side"] = "z"
+
+
+#: Faults whose message must name the value at fault: a bare KeyError
+#: would print only the side.
+_NAMED = {
+    _n_side_unknown: "side 'q' is not",
+    _m_side_unknown: "side 'z' is not",
+}
+
+
 def _stages_as_string(records):
     records[0]["stages"] = str(records[0]["stages"])
 
@@ -406,6 +426,8 @@ def _repeat_huge(records):
         ("single_scripted", _repeat_overlaps_next),
         ("dual_scripted", _repeat_past_stages),
         ("dual_scripted", _repeat_huge),
+        ("single_scripted", _n_side_unknown),
+        ("dual_scripted", _m_side_unknown),
     ],
     ids=lambda value: getattr(value, "__name__", value).lstrip("_"),
 )
@@ -426,6 +448,62 @@ def test_malformed_trace_exits_two(
     assert out == ""
     assert len(err.splitlines()) == 1, err
     assert err.startswith("trace error:"), err
+    assert _NAMED.get(corrupt, "") in err, err
+
+
+def _overweight_n_machine(records):
+    """Add length-2 n-entries to the record of the first n-entry until that
+    entry's (side, index, version) weighs more than 1/2 in the trace, and
+    return them.  Length 2 lies within the audit's ``max_length`` rule."""
+    record = next(r for r in records[1:] if r["n_entries"])
+    first = record["n_entries"][0]
+    key = first["side"], first["index"], first["version"]
+    weight = sum(
+        (
+            Dyadic.pow2_neg(entry["length"])
+            for r in records[1:]
+            for entry in r["n_entries"]
+            if (entry["side"], entry["index"], entry["version"]) == key
+        ),
+        ZERO,
+    )
+    added = []
+    while weight <= Dyadic.pow2_neg(1):
+        added.append({**first, "length": 2})
+        weight += Dyadic.pow2_neg(2)
+    record["n_entries"] += added
+    return added
+
+
+@pytest.mark.parametrize("engine_cls", [SingleEngine, DualEngine])
+def test_overweight_n_machine_fails_the_audit(capsys, tmp_path, engine_cls):
+    """A passing sweep trace with one N-machine version pushed past weight
+    1/2 fails ``n-machine-bounds`` alone (exit 3).  The same entries under
+    a side the engine does not have are a malformed trace (exit 2)."""
+    scenario = generated(0)
+    records = engine_cls(scenario).run(scenario.stages)
+    assert audit_trace(records, scenario)["pass"]
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(scenario.to_json())
+    trace = tmp_path / "trace.jsonl"
+    added = _overweight_n_machine(records)
+    for side, code in ((added[0]["side"], EXIT_LEMMA), ("q", EXIT_SCENARIO)):
+        for entry in added:
+            entry["side"] = side
+        trace.write_text(trace_to_jsonl(records))
+        got, out, err = run_cli(
+            capsys,
+            "audit", "--scenario", str(scenario_path), "--trace", str(trace),
+        )
+        assert got == code, err
+        if code == EXIT_LEMMA:
+            report = json.loads(out)
+            failed = [c["name"] for c in report["checks"] if not c["pass"]]
+            assert failed == ["n-machine-bounds"]
+        else:
+            assert out == ""
+            assert err.startswith("trace error: malformed trace:"), err
+            assert "side 'q'" in err and len(err.splitlines()) == 1, err
 
 
 #: Trace files that cannot be read as JSONL at all: the scripted trace with

@@ -6,6 +6,7 @@ traces bundled under tests/data.
 """
 
 import hashlib
+import json
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from ceforge import (
     DualEngine,
     LemmaViolation,
+    Scenario,
     SingleEngine,
     audit_trace,
     gen_scenario,
@@ -194,20 +196,27 @@ class TestEngineProperties:
 
 class _Naive:
     """Turns off the engine's shortcuts: the quiet-tail fold, the candidate
-    filter (past-max-key and frozen markers) and zero sums, the dirty set
-    and the t index, so that every stage is computed, the attention walk,
-    the zero-drop repair and ``_mark_from`` walk every placed marker, and
-    every placed marker's t is recomputed from scratch."""
+    filter (frozen markers, and markers above every described segment whose
+    index has not entered the halting set) with its halting join, the dirty
+    set and the t index, so that every stage is computed, the attention
+    walk, the zero-drop repair and ``_mark_from`` walk every placed marker,
+    and every placed marker's t is recomputed from scratch."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self._quiet_after = math.inf
-        self._max_key_bound = math.inf
         # Marker 0 was placed under the real rule.
         self._candidates = oracles.candidates(self)
 
-    def _can_act(self, marker):
+    def _can_act(self, marker, stage):
         return True
+
+    def _attention(self, marker, s_old, stage):
+        # A position in B needs no attention: this is the rule the
+        # candidate filter's frozen exclusion stands for.
+        if marker.position in self.b_stage:
+            return False, {side: False for side in self.side_names}, {}
+        return super()._attention(marker, s_old, stage)
 
     def _pairs_above(self, lowest):
         return oracles.pairs_above(self, lowest)
@@ -353,15 +362,40 @@ def _check_marker_invariants(engine, record, seen, acts, positions):
     return acts + (record["action"] == "act")
 
 
-#: Lockstep scenarios by test id: two sweep seeds, the dense-x4 seed, and
-#: two tiny ones that settle at once, so the fold starts right past the
-#: quiet point.
+def _written(**fields):
+    """A scenario written out here: no events and no schedules but
+    ``fields``."""
+    payload = {"universal_events": [], "set_a": [], "set_d": [], **fields}
+    return Scenario.from_json(json.dumps(payload))
+
+
+#: Lockstep scenarios by test id: two sweep seeds, the dense-x4 seed, two
+#: tiny ones that settle at once, so the fold starts right past the quiet
+#: point, and three written here:
+#:
+#: * "wide": given-set elements beyond every output and codeword length, so
+#:   the first fresh position is one past A's width (single) or D's (dual);
+#:   index 1 enters the halting set at stage 12, when its marker sits on
+#:   a fresh position above every described segment;
+#: * "halt-0", "halt-1": no events, so marker 0's position 1 lies above
+#:   every described segment, and index 0 enters the halting set at stage
+#:   0 or 1.  Marker 0 is a candidate from construction (stage 0) in the
+#:   first, and joins only at stage 1 in the second.
 LOCKSTEP = {
     "2": lambda: generated(2),
     "5": lambda: generated(5),
     "dense": lambda: generated(1, dense=True),
     "one": lambda: gen_scenario(0, ONE_EVENT),
     "empty": lambda: gen_scenario(0, EMPTY),
+    "wide": lambda: _written(
+        universal_events=[[1, "0000", "00"], [2, "0001", "000"]],
+        set_a=[[20, 30]],
+        set_d=[[30, 40]],
+        halting=[[1, 12]],
+        stages=60,
+    ),
+    "halt-0": lambda: _written(halting=[[0, 0]], stages=20),
+    "halt-1": lambda: _written(halting=[[0, 1]], stages=20),
 }
 
 
@@ -398,7 +432,8 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
             fast, records[-1], seen, acts, positions
         )
         _check_indexes(fast)
-    # Some marker sits where the past-max-key skip applies, and the sweep
+    # Some marker sits above every described segment, where it is a
+    # candidate only once its index has entered the halting set, and the
     # horizon reaches past the quiet point (the dense one is active
     # throughout), so every shortcut is exercised.
     assert any(
