@@ -17,8 +17,9 @@ reads the records once and builds every per-marker index the checks need
 in that pass: the marker timelines (``marker_at`` bisects them by stage),
 the injury stages of each marker and the stage at which each position
 entered B.  ``_check_reuse_bounds`` groups each ledger's reuses by the
-marker that caused them once, and ``check_coverage`` walks the records with
-one B buffer that it slices for every segment.
+marker that caused them once, ``check_markers`` re-tests marker order only
+at the pairs a record's marker changes touch, and ``check_coverage`` walks
+the records with one B buffer that it slices for every segment.
 """
 
 from __future__ import annotations
@@ -125,10 +126,11 @@ _RECORD_FIELDS = {
 }
 _M_ENTRY_FIELDS = {
     "side": (str,), "justify": (str,), "length": (int,), "n": (int,),
-    "cause": _OPTIONAL_INT,
+    "cause": _OPTIONAL_INT, "codeword": (str,),
 }
 _N_ENTRY_FIELDS = {
     "side": (str,), "index": (int,), "version": (int,), "length": (int,),
+    "codeword": (str,),
 }
 _ENTRY_FIELDS = {"m_entries": _M_ENTRY_FIELDS, "n_entries": _N_ENTRY_FIELDS}
 
@@ -235,6 +237,15 @@ class _Replay:
                         raise ValueError(
                             f"malformed trace: record {number} {part} side "
                             f"{entry['side']!r} is not a {engine} engine side"
+                        )
+                    word, length = entry["codeword"], entry["length"]
+                    # two counts run faster than one strip("01")
+                    if len(word) != length or (
+                        word.count("0") + word.count("1") != length
+                    ):
+                        raise ValueError(
+                            f"malformed trace: record {number} {part} "
+                            f"codeword is not {length} bits of 0 and 1"
                         )
             stage = record["stage"]
             if number > 1 and stage <= previous:
@@ -452,28 +463,62 @@ def check_markers(
                 }
     _check(checks, "marker-monotone-stages", mono_ok, mono_witness)
 
-    # Cross-index ordering needs only the stages where some marker changed;
-    # between change stages the configuration is constant.  Markers appear
-    # one index at a time (``from_records``), so ``current`` is a list.
+    # Cross-index ordering: each placed marker's position lies below that
+    # of the next placed index.  Between change records the configuration
+    # is constant, and a record can only change the pairs that start at a
+    # changed index or at its placed predecessor.  So each change record
+    # first applies every change to ``current`` (markers appear one index
+    # at a time, ``from_records``) and to ``placed``, the sorted placed
+    # indices, and then re-tests just those pairs.  ``bad`` holds each
+    # placed i whose pair with its placed successor is out of order.  The
+    # witness is the last violation a full scan would report: the greatest
+    # i in ``bad`` at the last change record where ``bad`` is non-empty,
+    # with j its placed successor.
     order_ok, order_witness = True, {}
     current: list[int | None] = []
+    placed: list[int] = []
+    bad: set[int] = set()
     for record in replay.stages:
         if not record["markers"]:
             continue
+        changed = []
         for key, snap in record["markers"].items():
             index = int(key)
+            pos = snap["pos"]
             if index == len(current):
-                current.append(snap["pos"])
+                current.append(None)
+            if (current[index] is None) != (pos is None):
+                if pos is None:
+                    del placed[bisect.bisect_left(placed, index)]
+                else:
+                    bisect.insort(placed, index)
+            current[index] = pos
+            changed.append(index)
+        for index in changed:
+            k = bisect.bisect_left(placed, index)
+            if k < len(placed) and placed[k] == index:
+                starts = (k - 1, k)
             else:
-                current[index] = snap["pos"]
-        defined = [(i, p) for i, p in enumerate(current) if p is not None]
-        for (i, p1), (j, p2) in zip(defined, defined[1:]):
-            if not p1 < p2:
-                order_ok = False
-                order_witness = {
-                    "stage": record["stage"], "i": i, "j": j,
-                    "pos_i": p1, "pos_j": p2,
-                }
+                bad.discard(index)
+                starts = (k - 1,)
+            for t in starts:
+                if t < 0:
+                    continue
+                i = placed[t]
+                if t + 1 < len(placed) and not (
+                    current[i] < current[placed[t + 1]]
+                ):
+                    bad.add(i)
+                else:
+                    bad.discard(i)
+        if bad:
+            order_ok = False
+            i = max(bad)
+            j = placed[bisect.bisect_right(placed, i)]
+            order_witness = {
+                "stage": record["stage"], "i": i, "j": j,
+                "pos_i": current[i], "pos_j": current[j],
+            }
     _check(checks, "marker-monotone-indices", order_ok, order_witness)
     _check(checks, "marker-consistency", consist_ok, consist_witness)
 
@@ -745,14 +790,16 @@ def audit_trace(
     }
 
 
+# ``json.dumps`` with non-default arguments builds a new encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def report_to_json(report: dict[str, Any]) -> str:
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(report)
 
 
 def trace_to_jsonl(records: list[dict[str, Any]]) -> str:
-    return "\n".join(
-        json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records
-    ) + "\n"
+    return "\n".join(map(_ENCODER.encode, records)) + "\n"
 
 
 def trace_from_jsonl(text: str) -> list[dict[str, Any]]:

@@ -87,6 +87,32 @@ def b_restrict(replay, n: int, stage: int) -> str:
     )
 
 
+def monotone_indices(replay):
+    """``(ok, witness)`` of the cross-index ordering check from a full scan:
+    at each record that changes a marker, every pair of consecutive placed
+    indices is compared, and the witness is the last pair out of order."""
+    ok, witness = True, {}
+    current = []
+    for record in replay.stages:
+        if not record["markers"]:
+            continue
+        for key, snap in record["markers"].items():
+            index = int(key)
+            if index == len(current):
+                current.append(snap["pos"])
+            else:
+                current[index] = snap["pos"]
+        defined = [(i, p) for i, p in enumerate(current) if p is not None]
+        for (i, p1), (j, p2) in zip(defined, defined[1:]):
+            if not p1 < p2:
+                ok = False
+                witness = {
+                    "stage": record["stage"], "i": i, "j": j,
+                    "pos_i": p1, "pos_j": p2,
+                }
+    return ok, witness
+
+
 def least_unplaced(markers) -> int:
     """Least index whose marker has no position, ``len(markers)`` if every
     marker has one."""

@@ -1,6 +1,7 @@
 """Independent trace replay and the bound checks it performs."""
 
 import hashlib
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,7 @@ from ceforge.audit import (
     _reused,
     _reuses_by_cause,
     audit_trace,
+    check_markers,
     check_weights,
     report_to_json,
     trace_from_jsonl,
@@ -215,6 +217,12 @@ class TestTraceSerialization:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _ordering_entry(checks):
+    """``(pass, witness)`` of the ``marker-monotone-indices`` check."""
+    entry = next(c for c in checks if c["name"] == "marker-monotone-indices")
+    return entry["pass"], entry["witness"]
+
+
 def _assert_indexes_match_oracles(records, scenario):
     """Every index the audit builds once equals the naive scan it replaced.
     A trace with the ``weights`` field restored, as the engine once wrote
@@ -224,6 +232,9 @@ def _assert_indexes_match_oracles(records, scenario):
     ) == report_to_json(audit_trace(records, scenario))
     replay = _Replay.from_records(records)
     _, ledgers = check_weights(replay, scenario)
+    assert _ordering_entry(
+        check_markers(replay, scenario, ledgers)
+    ) == oracles.monotone_indices(replay)
     by_cause = {
         side: _reuses_by_cause(ledger) for side, ledger in ledgers.items()
     }
@@ -261,6 +272,55 @@ def test_indexes_match_oracles(engine_cls, dense):
     scenario = generated(1 if dense else 0, dense)
     records = engine_cls(scenario).run(scenario.stages)
     _assert_indexes_match_oracles(records, scenario)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "engine_cls", [SingleEngine, DualEngine], ids=["single", "dual"]
+)
+def test_ordering_check_matches_full_scan(engine_cls, seed):
+    """Sweep seed 0 and dense-x4 seed 1 are compared in
+    ``test_indexes_match_oracles``."""
+    scenario = generated(seed)
+    records = engine_cls(scenario).run(scenario.stages)
+    report = audit_trace(records, scenario)
+    assert _ordering_entry(report["checks"]) == oracles.monotone_indices(
+        _Replay.from_records(records)
+    )
+
+
+@pytest.mark.parametrize(
+    "engine_cls, cases",
+    [(SingleEngine, 200), (DualEngine, 60)],
+    ids=["single", "dual"],
+)
+def test_ordering_check_matches_full_scan_when_corrupted(engine_cls, cases):
+    """Seeded corruptions of a passing sweep trace, each setting 1-6
+    snapshot positions to None or to a random int, audit to the same
+    ordering verdict and witness as the full scan.  Most of them fail the
+    check; some of those are repaired by a later record, so the witness is
+    not always the first violation."""
+    scenario = generated(0)
+    records = engine_cls(scenario).run(scenario.stages)
+    replay = _Replay.from_records(records)
+    _, ledgers = check_weights(replay, scenario)
+    snaps = [
+        snap for record in replay.stages for snap in record["markers"].values()
+    ]
+    top = max(snap["pos"] for snap in snaps if snap["pos"] is not None)
+    rng = random.Random(cases)
+    failed = 0
+    for _ in range(cases):
+        picked = rng.sample(snaps, rng.randint(1, 6))
+        saved = [snap["pos"] for snap in picked]
+        for snap in picked:
+            snap["pos"] = rng.choice([None, rng.randint(0, top + 1)])
+        got = _ordering_entry(check_markers(replay, scenario, ledgers))
+        assert got == oracles.monotone_indices(replay), saved
+        failed += not got[0]
+        for snap, pos in zip(picked, saved):
+            snap["pos"] = pos
+    assert cases // 2 < failed < cases
 
 
 class _CountingList(list):

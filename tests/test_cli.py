@@ -7,6 +7,7 @@ import random
 import pytest
 
 from ceforge import DualEngine, SingleEngine, audit_trace, trace_to_jsonl
+from ceforge.audit import _Replay
 from ceforge.bitcore import Dyadic, ZERO
 from ceforge.cli import (
     EXIT_FAIL,
@@ -321,11 +322,31 @@ def _m_side_unknown(records):
     entry["side"] = "z"
 
 
+def _m_codeword_short(records):
+    entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
+    entry["codeword"] = entry["codeword"][1:]
+
+
+def _n_codeword_not_bits(records):
+    entry = next(r for r in records[1:] if r["n_entries"])["n_entries"][0]
+    entry["codeword"] = "2" + entry["codeword"][1:]
+
+
+def _n_length_past_bound(records):
+    # the codeword matches, so the audit's N-entry length rule must refuse it
+    entry = next(r for r in records[1:] if r["n_entries"])["n_entries"][0]
+    entry["length"] = 200
+    entry["codeword"] = "0" * 200
+
+
 #: Faults whose message must name the value at fault: a bare KeyError
 #: would print only the side.
 _NAMED = {
     _n_side_unknown: "side 'q' is not",
     _m_side_unknown: "side 'z' is not",
+    _m_codeword_short: "record 5 m_entries codeword is not 4 bits",
+    _n_codeword_not_bits: "record 3 n_entries codeword is not 7 bits",
+    _n_length_past_bound: "record 3 n_entries length 200 exceeds",
 }
 
 
@@ -428,6 +449,9 @@ def _repeat_huge(records):
         ("dual_scripted", _repeat_huge),
         ("single_scripted", _n_side_unknown),
         ("dual_scripted", _m_side_unknown),
+        ("dual_scripted", _m_codeword_short),
+        ("single_scripted", _n_codeword_not_bits),
+        ("single_scripted", _n_length_past_bound),
     ],
     ids=lambda value: getattr(value, "__name__", value).lstrip("_"),
 )
@@ -469,7 +493,7 @@ def _overweight_n_machine(records):
     )
     added = []
     while weight <= Dyadic.pow2_neg(1):
-        added.append({**first, "length": 2})
+        added.append({**first, "length": 2, "codeword": "00"})
         weight += Dyadic.pow2_neg(2)
     record["n_entries"] += added
     return added
@@ -506,12 +530,67 @@ def test_overweight_n_machine_fails_the_audit(capsys, tmp_path, engine_cls):
             assert "side 'q'" in err and len(err.splitlines()) == 1, err
 
 
+@pytest.mark.parametrize("repaired", [False, True], ids=["kept", "repaired"])
+def test_swapped_markers_fail_the_ordering_check(capsys, tmp_path, repaired):
+    """Two placed markers of a passing sweep trace that never move again
+    take each other's position in one record: ``ceforge audit`` exits 3 and
+    names ``marker-monotone-indices``.  Kept, the swap is still out of order
+    at the last record that changes a marker.  Repaired, a record three
+    changes later writes the true snapshots back, and the witness is the
+    change record before it: the last stage the order was violated."""
+    scenario = generated(0)
+    records = SingleEngine(scenario).run(scenario.stages)
+    final = _Replay.from_records(records).final_markers()
+    i, j = sorted(
+        index for index, snap in final.items() if snap["pos"] is not None
+    )[:2]
+    changes = [r for r in records[1:] if r["markers"]]
+    settled = max(
+        number for number, r in enumerate(changes)
+        if str(i) in r["markers"] or str(j) in r["markers"]
+    )
+    swap = changes[settled + 1]
+    swap["markers"][str(i)] = {**final[i], "pos": final[j]["pos"]}
+    swap["markers"][str(j)] = {**final[j], "pos": final[i]["pos"]}
+    last_violated = changes[-1]
+    if repaired:
+        changes[settled + 4]["markers"].update(
+            {str(i): final[i], str(j): final[j]}
+        )
+        last_violated = changes[settled + 3]
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(scenario.to_json())
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(trace_to_jsonl(records))
+    code, out, err = run_cli(
+        capsys,
+        "audit", "--scenario", str(scenario_path), "--trace", str(trace),
+    )
+    assert code == EXIT_LEMMA, err
+    check = next(
+        c for c in json.loads(out)["checks"]
+        if c["name"] == "marker-monotone-indices"
+    )
+    assert not check["pass"]
+    witness = check["witness"]
+    assert witness["stage"] == last_violated["stage"] > swap["stage"]
+    assert i <= witness["i"] < witness["j"] <= j
+    assert witness["pos_i"] >= witness["pos_j"]
+
+
 #: Trace files that cannot be read as JSONL at all: the scripted trace with
-#: one line that is not JSON, or with bytes that are not UTF-8.  None is a
-#: missing trace path.
+#: one line that is not JSON, with bytes that are not UTF-8, with a record
+#: split over two lines, or with two records on one line.  None is a
+#: missing trace path.  The last two read as the scripted trace if the lines
+#: are joined into one JSON array, so a decode that did that would accept
+#: them.
 _UNREADABLE_TRACES = {
     "not-json": lambda text: text.replace(b"\n", b"\n{oops\n", 1),
     "not-utf8": lambda text: b"\xff\xfe" + text,
+    "split-record": lambda text: text.replace(
+        b',"n_entries"', b'\n"n_entries"', 1
+    ),
+    "two-records-on-a-line": lambda text: text.replace(b"}\n{", b"},{", 1),
     "missing": None,
 }
 
