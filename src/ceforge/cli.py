@@ -31,12 +31,17 @@ EXIT_LEMMA = 3
 KC_LENGTH_BOUND = 1 << 20
 
 
-def _load_scenario(path: str) -> Scenario:
+def _load_scenario(path: str) -> Scenario | None:
+    """Read the scenario at ``path``; on failure print one ``scenario
+    error`` line and return None."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Scenario.from_json(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
-        raise ScenarioError(f"scenario file is not UTF-8: {exc}") from exc
-    return Scenario.from_json(text)
+        message = f"scenario file is not UTF-8: {exc}"
+    except (OSError, ScenarioError) as exc:
+        message = str(exc)
+    print(f"scenario error: {message}", file=sys.stderr)
+    return None
 
 
 def _write(path: str, text: str) -> bool:
@@ -51,10 +56,8 @@ def _write(path: str, text: str) -> bool:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = _load_scenario(args.scenario)
-    except (OSError, ScenarioError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
+    scenario = _load_scenario(args.scenario)
+    if scenario is None:
         return EXIT_SCENARIO
     stages = args.stages if args.stages is not None else scenario.stages
     if stages < 1:
@@ -106,10 +109,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    try:
-        scenario = _load_scenario(args.scenario)
-    except (OSError, ScenarioError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
+    scenario = _load_scenario(args.scenario)
+    if scenario is None:
         return EXIT_SCENARIO
     try:
         trace_text = Path(args.trace).read_text(encoding="utf-8")

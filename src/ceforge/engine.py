@@ -27,14 +27,14 @@ def _fires(s: int, p: int, length: int, sum_exp: int) -> bool:
     return s > 0 and (s + p) << length >= 1 << sum_exp
 
 
-def _output_length(event: ScheduleEvent) -> int:
-    return len(event.output)
-
-
 class _SideTracker:
     """Per given set X: K(X restricted to j), the output machine M_x,
     the deficiency cursor, and exact interval sums of 2^-K(X|j), as ints in
     units of 2^-``sum_exp`` (the longest codeword), like marker deficits.
+
+    Invariant: ``_least`` holds the least applied description of every
+    output, matching X or not, and for every applied output length j,
+    ``k_best[j]`` is ``_least[x_str[:j]]``, or absent.
 
     The engine's table of K(0^n) is one more of these: the empty set, fed
     only the events whose output is all zeros, so that its ``k_best[n][0]``
@@ -57,8 +57,10 @@ class _SideTracker:
         )
         self._bits = bytearray(b"0" * segment)
         self.x_str = self._bits.decode()
-        # Applied events, sorted by output length.
-        self._applied: list[ScheduleEvent] = []
+        # output -> (length, stage, codeword) of its least applied description
+        self._least: dict[str, tuple[int, int, str]] = {}
+        # The distinct applied output lengths, sorted.
+        self._lengths: list[int] = []
         # j -> (length, stage, codeword) of the least shortest description
         self.k_best: dict[int, tuple[int, int, str]] = {}
         # The keys of ``k_best``, sorted.
@@ -85,53 +87,48 @@ class _SideTracker:
             self._recompute_matches(self.min_changed_pos)
         drops: dict[int, int] = {}
         for event in self._events_by_stage.get(stage, []):
-            bisect.insort(self._applied, event, key=_output_length)
-            if self._offer(event):
-                # Events come in (stage, codeword) order, so one of equal
-                # length never replaces: every improvement is a drop.
-                drops[len(event.output)] = len(event.codeword)
+            j = len(event.output)
+            candidate = (len(event.codeword), event.stage, event.codeword)
+            least = self._least.get(event.output)
+            if least is None:
+                i = bisect.bisect_left(self._lengths, j)
+                if i == len(self._lengths) or self._lengths[i] != j:
+                    self._lengths.insert(i, j)
+            elif not candidate < least:
+                continue
+            self._least[event.output] = candidate
+            if event.output != self.x_str[:j]:
+                continue
+            if j not in self.k_best:
+                bisect.insort(self._keys, j)
+            self.k_best[j] = candidate
+            self._dirty.add(j)
+            # Events come in (stage, codeword) order, so one of equal
+            # length never replaces: every improvement is a drop.
+            drops[j] = candidate[0]
         return drops
-
-    def _offer(self, event: ScheduleEvent) -> bool:
-        """Keep ``event`` as the best description of X restricted to its
-        output length if it describes the current X and beats the known one;
-        return whether it was kept."""
-        j = len(event.output)
-        if event.output != self.x_str[:j]:
-            return False
-        candidate = (len(event.codeword), event.stage, event.codeword)
-        known = self.k_best.get(j)
-        if known is None:
-            bisect.insort(self._keys, j)
-        elif not candidate < known:
-            return False
-        self.k_best[j] = candidate
-        self._dirty.add(j)
-        return True
 
     def _recompute_matches(self, position: int) -> None:
         # X|j is unchanged for j <= ``position``, and so is its best
         # description.  Above it, every j that had a description joins the
-        # dirty set, and ``_offer`` adds every j that now has one, so no j
+        # dirty set, and so does every j whose new X|j has one, so no j
         # that lost its description stays deficient.
         cut = bisect.bisect_right(self._keys, position)
         for j in self._keys[cut:]:
             del self.k_best[j]
         self._dirty.update(self._keys[cut:])
         del self._keys[cut:]
-        start = bisect.bisect_right(
-            self._applied, position, key=_output_length
-        )
-        for event in self._applied[start:]:
-            self._offer(event)
+        start = bisect.bisect_right(self._lengths, position)
+        for j in self._lengths[start:]:
+            best = self._least.get(self.x_str[:j])
+            if best is not None:
+                self.k_best[j] = best
+                self._keys.append(j)
+                self._dirty.add(j)
 
     def k_len(self, j: int) -> int | float:
         best = self.k_best.get(j)
         return INFINITE if best is None else best[0]
-
-    def best_event(self, j: int) -> str:
-        """Codeword of the least shortest description of X restricted to j."""
-        return self.k_best[j][2]
 
     def sum_range(self, lo_exclusive: int, hi_inclusive: int) -> int:
         """Exact sum of 2^-K(X|j) over described j in (lo, hi], in units
@@ -209,7 +206,7 @@ class BaseEngine:
     * s_old reaches a key that already exists: pairs whose t is None, since
       a defined t already lies at or below the previous s_old.
 
-    An offer that only improves the side tracker's ``k_best`` marks nothing:
+    An event that only improves the side tracker's ``k_best`` marks nothing:
     K(X|j) feeds the attention sums and the deficiency cursor, not t.
 
     These invariants and indexes keep the marker bookkeeping free of scans:
@@ -448,7 +445,7 @@ class BaseEngine:
         record: list[dict[str, Any]],
     ) -> None:
         tracker = self.sides[side]
-        length = int(tracker.k_len(k))
+        length, _, justify = tracker.k_best[k]
         try:
             entry = tracker.machine.describe(self.b_str[:k], length, stage)
         except WeightOverflow as exc:
@@ -460,7 +457,7 @@ class BaseEngine:
                 "n": k,
                 "length": length,
                 "codeword": entry.codeword,
-                "justify": tracker.best_event(k),
+                "justify": justify,
                 "cause": cause,
             }
         )

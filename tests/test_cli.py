@@ -578,6 +578,65 @@ def test_swapped_markers_fail_the_ordering_check(capsys, tmp_path, repaired):
     assert witness["pos_i"] >= witness["pos_j"]
 
 
+def _drop_last_m_entries(side):
+    """Drop the side's m-entries from the last record that has any."""
+
+    def mutate(records):
+        last = [
+            r for r in records[1:]
+            if any(entry["side"] == side for entry in r["m_entries"])
+        ][-1]
+        last["m_entries"] = [
+            entry for entry in last["m_entries"] if entry["side"] != side
+        ]
+
+    return mutate
+
+
+def _overdrawn_deficit(records):
+    """Set ``p_a`` to 1/2 in the last snapshot of the highest marker placed
+    at the end; every c is at least 3, so the bound 2^-c is below it."""
+    final = _Replay.from_records(records).final_markers()
+    index = max(i for i, snap in final.items() if snap["pos"] is not None)
+    last = [r for r in records[1:] if str(index) in r["markers"]][-1]
+    last["markers"][str(index)]["p_a"] = "1/2^1"
+
+
+@pytest.mark.parametrize(
+    "engine_cls, check, mutate",
+    [
+        (DualEngine, "deficit-bounds", _overdrawn_deficit),
+        (SingleEngine, "coverage-a", _drop_last_m_entries("a")),
+        (DualEngine, "coverage-a", _drop_last_m_entries("a")),
+        (DualEngine, "coverage-d", _drop_last_m_entries("d")),
+    ],
+    ids=["dual-deficit-bounds", "single-coverage-a", "dual-coverage-a",
+         "dual-coverage-d"],
+)
+def test_corrupted_trace_fails_its_check(
+    capsys, tmp_path, engine_cls, check, mutate
+):
+    """A passing sweep trace with one corruption fails exactly the check
+    that exists for it (exit 3): a deficit above 2^-c fails
+    ``deficit-bounds``, and an output machine that misses the last
+    descriptions of a side fails that side's coverage."""
+    scenario = generated(0)
+    records = engine_cls(scenario).run(scenario.stages)
+    assert audit_trace(records, scenario)["pass"]
+    mutate(records)
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(scenario.to_json())
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(trace_to_jsonl(records))
+    code, out, err = run_cli(
+        capsys,
+        "audit", "--scenario", str(scenario_path), "--trace", str(trace),
+    )
+    assert code == EXIT_LEMMA, err
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+    assert failed == [check]
+
+
 #: Trace files that cannot be read as JSONL at all: the scripted trace with
 #: one line that is not JSON, with bytes that are not UTF-8, with a record
 #: split over two lines, or with two records on one line.  None is a

@@ -23,8 +23,9 @@ from ceforge import (
     report_to_json,
     trace_to_jsonl,
 )
+from ceforge.approx import CESetApprox, ScheduleEvent, UniversalSchedule
 from ceforge.bitcore import Dyadic, ZERO
-from ceforge.engine import _fires
+from ceforge.engine import _SideTracker, _fires
 
 from conftest import EMPTY, ONE_EVENT, generated
 import oracles
@@ -267,10 +268,16 @@ def _pin_indexes(engine):
     engine._pairs_above = checked_pairs_above
     engine._mark_from = checked_mark_from
     for tracker in engine.sides.values():
-        _pin_tracker(tracker)
+        _pin_tracker(engine, tracker)
 
 
-def _pin_tracker(tracker):
+def _applied_events(engine):
+    """The scenario's events applied by the end of ``engine.stage``."""
+    events = engine.scenario.schedule.events
+    return [e for e in events if e.stage <= engine.stage]
+
+
+def _pin_tracker(engine, tracker):
     recompute, mark_b_change = (
         tracker._recompute_matches, tracker.mark_b_change
     )
@@ -279,7 +286,7 @@ def _pin_tracker(tracker):
         old, dirty = dict(tracker.k_best), set(tracker._dirty)
         recompute(position)
         best, marked = oracles.recompute_matches(
-            tracker._applied, tracker.x_str, old
+            _applied_events(engine), tracker.x_str, old
         )
         assert tracker.k_best == best
         assert tracker._dirty == dirty | {j for j in marked if j > position}
@@ -303,7 +310,7 @@ def _check_indexes(engine):
     assert engine._t_sorted == oracles.t_sorted(engine)
     for tracker in engine.sides.values():
         best, _ = oracles.recompute_matches(
-            tracker._applied, tracker.x_str, {}
+            _applied_events(engine), tracker.x_str, {}
         )
         assert tracker.k_best == best
         assert tracker._keys == sorted(best)
@@ -574,6 +581,35 @@ class TestAgainstOracles:
                         stage, n,
                     )
         assert dropped > 0
+
+    def test_side_tracker_keeps_least_description_per_output(self):
+        """A scripted tracker: X gains element 1 at stage 4, which turns
+        X|2 from 00 into 01 and leaves X|3 = 010 with no description.
+        (a) The shorter description of 01, kept while 01 does not match X,
+        becomes ``k_best[2]`` at the change; (b) a later description of
+        equal length replaces neither the matching output's nor the other
+        one's; (c) the change deletes ``k_best[3]`` and marks 3 dirty."""
+        events = [
+            ScheduleEvent(1, "000000", "00"),
+            ScheduleEvent(1, "000001", "01"),
+            ScheduleEvent(1, "000010", "000"),
+            ScheduleEvent(2, "00010", "01"),
+            ScheduleEvent(2, "00011", "00"),
+            ScheduleEvent(3, "00100", "00"),
+            ScheduleEvent(3, "00101", "01"),
+        ]
+        UniversalSchedule(events)  # a valid schedule: prefix-free, < 1/4
+        tracker = _SideTracker("a", CESetApprox([(1, 4)]), events)
+        assert tracker.apply(1) == {2: 6, 3: 6}
+        assert tracker.apply(2) == {2: 5}
+        assert tracker.apply(3) == {}
+        assert tracker.k_best == {2: (5, 2, "00011"), 3: (6, 1, "000010")}
+        tracker._dirty.clear()
+        assert tracker.apply(4) == {}
+        assert tracker.min_changed_pos == 1
+        assert tracker.k_best == {2: (5, 2, "00010")}
+        assert tracker._keys == [2]
+        assert tracker._dirty == {2, 3}
 
     @pytest.mark.parametrize("dense", [False, True], ids=["sweep", "dense"])
     def test_sum_range_matches_naive_sum(self, dense):
