@@ -50,9 +50,11 @@ class CESetApprox:
 
     def restrict(self, n: int, stage: int) -> str:
         """The first ``n`` characteristic bits at ``stage``."""
-        return "".join(
-            "1" if self.contains(i, stage) else "0" for i in range(n)
-        )
+        bits = bytearray(b"0" * n)
+        for element, entered in self.schedule:
+            if element < n and entered <= stage:
+                bits[element] = ord("1")
+        return bits.decode()
 
 
 class CERealApprox:
@@ -222,7 +224,9 @@ class Scenario:
     def from_json(cls, text: str) -> "Scenario":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError also covers an integer past the interpreter's digit
+            # limit, and RecursionError arrays or objects nested too deep.
             raise ScenarioError(f"malformed scenario JSON: {exc}") from exc
         try:
             events = [

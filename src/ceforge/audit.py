@@ -16,10 +16,12 @@ The audit does work linear in the trace size.  ``_Replay.from_records``
 reads the records once and builds every per-marker index the checks need
 in that pass: the marker timelines (``marker_at`` bisects them by stage),
 the injury stages of each marker and the stage at which each position
-entered B.  ``_check_reuse_bounds`` groups each ledger's reuses by the
-marker that caused them once, ``check_markers`` re-tests marker order only
-at the pairs a record's marker changes touch, and ``check_coverage`` walks
-the records with one B buffer that it slices for every segment.
+entered B.  ``check_weights`` walks the records once more, and its
+``UsageLedger`` files each reuse under the marker that caused it as the
+walk reaches it, so ``_check_reuse_bounds`` visits only the markers that
+caused a reuse.  ``check_markers`` re-tests marker order only at the pairs
+a record's marker changes touch, and ``check_coverage`` walks the records
+with one B buffer that it slices for every segment.
 """
 
 from __future__ import annotations
@@ -37,18 +39,14 @@ class LengthMismatch(ValueError):
     """An output-machine entry does not match its justifying codeword."""
 
 
-@dataclass
-class _Use:
-    stage: int
-    cause: int | None
-    ordinal: int  # 1-based use count of the justifying event after this use
-
-
 class UsageLedger:
     """Reuse accounting for one side's output machine against the schedule.
 
-    ``S_k`` is the set of schedule descriptions used at least ``k + 1`` times;
-    the containers are nested by construction of the counts.
+    ``uses`` counts the entries each schedule description justifies, and
+    ``reuses`` maps each marker index to the ``(stage, codeword)`` of every
+    use after the first that it caused, in stage order.  ``S_k`` is the set
+    of schedule descriptions used at least ``k + 1`` times; the containers
+    are nested by construction of the counts.
     """
 
     def __init__(self, scenario: Scenario, side: str) -> None:
@@ -57,7 +55,8 @@ class UsageLedger:
         self.output_of = {
             e.codeword: e.output for e in scenario.schedule.events
         }
-        self.uses: dict[str, list[_Use]] = {}
+        self.uses: dict[str, int] = {}
+        self.reuses: dict[int, list[tuple[int, str]]] = {}
 
     def record_use(
         self,
@@ -66,9 +65,10 @@ class UsageLedger:
         n: int,
         stage: int,
         cause: int | None,
-    ) -> None:
+    ) -> int:
         """Count one use of ``u_codeword`` by an output-machine entry of
-        ``m_length`` bits describing a segment of length ``n``."""
+        ``m_length`` bits describing a segment of length ``n``, and return
+        its use count.  Uses must be recorded in stage order."""
         if u_codeword not in self.output_of:
             raise LengthMismatch(f"unknown justifying codeword {u_codeword!r}")
         if len(u_codeword) != m_length:
@@ -79,17 +79,17 @@ class UsageLedger:
             raise LengthMismatch(
                 f"entry n {n} != output length of {u_codeword!r}"
             )
-        bucket = self.uses.setdefault(u_codeword, [])
-        bucket.append(_Use(stage, cause, len(bucket) + 1))
-
-    def use_count(self, u_codeword: str) -> int:
-        return len(self.uses.get(u_codeword, []))
+        count = self.uses.get(u_codeword, 0) + 1
+        self.uses[u_codeword] = count
+        if count >= 2 and cause is not None:
+            self.reuses.setdefault(cause, []).append((stage, u_codeword))
+        return count
 
     def containers(self) -> dict[int, set[str]]:
         """``k -> S_k`` for every nonempty container."""
         result: dict[int, set[str]] = {}
-        for codeword, uses in self.uses.items():
-            for k in range(len(uses)):
+        for codeword, count in self.uses.items():
+            for k in range(count):
                 result.setdefault(k, set()).add(codeword)
         return result
 
@@ -208,7 +208,7 @@ class _Replay:
             raise ValueError("trace must start with a header record")
         header = records[0]
         engine = header.get("engine")
-        if engine not in _C_OFFSETS:
+        if type(engine) is not str or engine not in _C_OFFSETS:
             raise ValueError(f"malformed trace: unknown engine {engine!r}")
         if type(header.get("stages")) is not int:
             raise ValueError(
@@ -277,7 +277,8 @@ class _Replay:
                 # Markers appear one index at a time.  A marker's c starts
                 # at c_offset + index plus the earlier acts of lower
                 # markers and grows by one at each injury, which comes
-                # with an act, so it never exceeds c_offset + index + acts.
+                # with an act, so it lies between c_offset + index and
+                # c_offset + index + acts.
                 if (
                     index not in replay.timelines
                     and index != len(replay.timelines)
@@ -286,10 +287,11 @@ class _Replay:
                         f"malformed trace: record {number} marker {index} "
                         f"appears before marker {len(replay.timelines)}"
                     )
-                if snap["c"] > c_offset + index + acts:
+                least = c_offset + index
+                if not least <= snap["c"] <= least + acts:
                     raise ValueError(
                         f"malformed trace: record {number} marker {index} c "
-                        f"{snap['c']} exceeds {c_offset + index + acts}"
+                        f"{snap['c']} lies outside {least}..{least + acts}"
                     )
                 replay.timelines.setdefault(index, []).append((stage, snap))
         if previous > header["stages"]:
@@ -322,9 +324,6 @@ class _Replay:
         pos = bisect.bisect_right(timeline, stage, key=lambda e: e[0]) - 1
         return timeline[pos][1] if pos >= 0 else None
 
-    def marker_indices(self) -> list[int]:
-        return sorted(self.timelines)
-
     def final_markers(self) -> dict[int, dict[str, Any]]:
         return {
             index: timeline[-1][1]
@@ -340,27 +339,48 @@ def check_weights(
     m_weight = {side: ZERO for side in replay.sides}
     transitions_ok = True
     transition_witness: dict[str, Any] = {}
-    for record in replay.stages:
+    # An N-entry is K(0^k) + c bits long for a schedule description of 0^k
+    # and a counter c, and every counter a marker takes shows in a snapshot.
+    max_length = max(
+        (len(e.codeword) for e in scenario.schedule.events), default=0
+    ) + max(
+        (
+            snap["c"]
+            for timeline in replay.timelines.values()
+            for _, snap in timeline
+        ),
+        default=0,
+    )
+    n_weights: dict[tuple[str, int, int], Dyadic] = {}
+    for number, record in enumerate(replay.stages, 1):
+        stage = record["stage"]
         for entry in record["m_entries"]:
             side = entry["side"]
             ledger = ledgers[side]
-            ledger.record_use(
-                entry["justify"], entry["length"], entry["n"],
-                record["stage"], entry["cause"],
+            count = ledger.record_use(
+                entry["justify"], entry["length"], entry["n"], stage,
+                entry["cause"],
             )
             m_weight[side] = m_weight[side] + Dyadic.pow2_neg(entry["length"])
             # Only descriptions active at the stage of the transition may
             # move one container deeper.
-            count = ledger.use_count(entry["justify"])
-            if count >= 2 and not ledger.is_active(
-                entry["justify"], record["stage"]
-            ):
+            if count >= 2 and not ledger.is_active(entry["justify"], stage):
                 transitions_ok = False
                 transition_witness = {
                     "side": side,
                     "codeword": entry["justify"],
-                    "stage": record["stage"],
+                    "stage": stage,
                 }
+        for entry in record["n_entries"]:
+            if entry["length"] > max_length:
+                raise ValueError(
+                    f"malformed trace: record {number} n_entries length "
+                    f"{entry['length']} exceeds {max_length}"
+                )
+            key = (entry["side"], entry["index"], entry["version"])
+            n_weights[key] = n_weights.get(key, ZERO) + Dyadic.pow2_neg(
+                entry["length"]
+            )
     _check(checks, "active-transitions", transitions_ok, transition_witness)
 
     for side in replay.sides:
@@ -389,30 +409,6 @@ def check_weights(
         )
         _check(checks, f"container-nesting-{side}", nesting_ok, {})
 
-    # An N-entry is K(0^k) + c bits long for a schedule description of 0^k
-    # and a counter c, and every counter a marker takes shows in a snapshot.
-    max_length = max(
-        (len(e.codeword) for e in scenario.schedule.events), default=0
-    ) + max(
-        (
-            snap["c"]
-            for timeline in replay.timelines.values()
-            for _, snap in timeline
-        ),
-        default=0,
-    )
-    n_weights: dict[tuple[str, int, int], Dyadic] = {}
-    for number, record in enumerate(replay.stages, 1):
-        for entry in record["n_entries"]:
-            if entry["length"] > max_length:
-                raise ValueError(
-                    f"malformed trace: record {number} n_entries length "
-                    f"{entry['length']} exceeds {max_length}"
-                )
-            key = (entry["side"], entry["index"], entry["version"])
-            n_weights[key] = n_weights.get(key, ZERO) + Dyadic.pow2_neg(
-                entry["length"]
-            )
     half = Dyadic.pow2_neg(1)
     strict = replay.header["engine"] == "dual"
     n_ok = True
@@ -526,19 +522,6 @@ def check_markers(
     return checks
 
 
-def _reuses_by_cause(ledger: UsageLedger) -> dict[int, list[tuple[int, str]]]:
-    """Marker index -> ``(stage, codeword)`` of every reuse (a use after the
-    first) it caused, in stage order."""
-    grouped: dict[int, list[tuple[int, str]]] = {}
-    for codeword, uses in ledger.uses.items():
-        for use in uses:
-            if use.ordinal >= 2 and use.cause is not None:
-                grouped.setdefault(use.cause, []).append((use.stage, codeword))
-    for reuses in grouped.values():
-        reuses.sort()
-    return grouped
-
-
 def _reused(reuses: list[tuple[int, str]], start: int, end: int) -> set[str]:
     """Codewords of the stage-ordered ``reuses`` made in ``[start, end]``."""
     lo = bisect.bisect_left(reuses, (start,))
@@ -553,16 +536,20 @@ def _check_reuse_bounds(
 ) -> list[dict[str, Any]]:
     """Per uninjured interval of each marker, the weight of the schedule
     descriptions it reused and that stay active at the interval end is at
-    most 2^-c (plus the end-of-interval deficit on each side, dual case)."""
+    most 2^-c (plus the end-of-interval deficit on each side, dual case).
+
+    Only the markers that caused a reuse are visited.  In any other
+    interval the weight is 0 on every side and every bound is at least 0,
+    so the interval passes.  A failing interval holds a reuse, so the
+    witness is still the last failure in index order.
+    """
     checks: list[dict[str, Any]] = []
     dual = replay.header["engine"] == "dual"
     final = replay.final_stage
-    by_cause = {
-        side: _reuses_by_cause(ledger) for side, ledger in ledgers.items()
-    }
+    causes = set().union(*(ledger.reuses for ledger in ledgers.values()))
     ok = True
     witness: dict[str, Any] = {}
-    for index in replay.marker_indices():
+    for index in sorted(causes):
         cuts = [0] + replay.injuries.get(index, []) + [final + 1]
         for lo, hi in zip(cuts, cuts[1:]):
             start, end = lo + 1, hi - 1
@@ -580,7 +567,7 @@ def _check_reuse_bounds(
                 continue
             c = start_snap["c"]
             for side, ledger in ledgers.items():
-                reused = _reused(by_cause[side].get(index, []), start, end)
+                reused = _reused(ledger.reuses.get(index, []), start, end)
                 active = {
                     cw for cw in reused if ledger.is_active(cw, end)
                 }

@@ -115,7 +115,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     try:
         trace_text = Path(args.trace).read_text(encoding="utf-8")
         report = audit_trace(trace_from_jsonl(trace_text), scenario)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     text = report_to_json(report)
@@ -161,7 +161,7 @@ def cmd_encode_real(args: argparse.Namespace) -> int:
         vectors = json.loads(Path(args.real).read_text())
         real = CERealApprox(vectors)
         encoded = encode_real(real)
-    except (OSError, ValueError, BlockOverflow) as exc:
+    except (OSError, ValueError, BlockOverflow, RecursionError) as exc:
         print(f"real error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
     for element, stage in sorted(encoded.schedule):

@@ -126,10 +126,6 @@ class _SideTracker:
                 self._keys.append(j)
                 self._dirty.add(j)
 
-    def k_len(self, j: int) -> int | float:
-        best = self.k_best.get(j)
-        return INFINITE if best is None else best[0]
-
     def sum_range(self, lo_exclusive: int, hi_inclusive: int) -> int:
         """Exact sum of 2^-K(X|j) over described j in (lo, hi], in units
         of 2^-``sum_exp``."""
@@ -613,7 +609,10 @@ class BaseEngine:
                     bisect.bisect_right(keys, old_position) :
                     bisect.bisect_left(keys, s_old)
                 ]:
-                    if tracker.machine.k_of(old_b_str[:k]) <= tracker.k_len(k):
+                    if (
+                        tracker.machine.k_of(old_b_str[:k])
+                        <= tracker.k_best[k][0]
+                    ):
                         self._describe_output(
                             side, k, stage, attention_index, record["m_entries"]
                         )

@@ -1,8 +1,8 @@
 """Naive reference scans for the incremental structures in ``ceforge``.
 
 Each oracle recomputes its value from scratch by scanning every stamped
-event, entry, trace record or ledger use, so it shares no bookkeeping with
-the code it checks.
+event, entry or trace record, so it shares no bookkeeping with the code it
+checks.
 """
 
 from ceforge.approx import block_range
@@ -67,17 +67,80 @@ def injury_stages(replay, index: int) -> list[int]:
     ]
 
 
-def reused(ledger, index: int, start: int, end: int) -> set[str]:
-    """Codewords whose uses after the first include one caused by marker
-    ``index`` within stages ``[start, end]``, from the full ledger."""
+def reuses(replay, side: str) -> dict[int, list[tuple[int, str]]]:
+    """Marker index -> ``(stage, codeword)`` of every use after the first of
+    a schedule description on ``side`` that names that marker as its cause,
+    in trace order, counted from the m-entries of every record."""
+    uses: dict[str, int] = {}
+    result: dict[int, list[tuple[int, str]]] = {}
+    for record in replay.stages:
+        for entry in record["m_entries"]:
+            if entry["side"] != side:
+                continue
+            codeword = entry["justify"]
+            uses[codeword] = uses.get(codeword, 0) + 1
+            if uses[codeword] >= 2 and entry["cause"] is not None:
+                result.setdefault(entry["cause"], []).append(
+                    (record["stage"], codeword)
+                )
+    return result
+
+
+def reused(replay, side: str, index: int, start: int, end: int) -> set[str]:
+    """Codewords on ``side`` whose uses after the first include one caused
+    by marker ``index`` within stages ``[start, end]``, from the records."""
     return {
         codeword
-        for codeword, uses in ledger.uses.items()
-        for use in uses
-        if use.cause == index
-        and start <= use.stage <= end
-        and use.ordinal >= 2
+        for stage, codeword in reuses(replay, side).get(index, [])
+        if start <= stage <= end
     }
+
+
+def reuse_bounds(replay, scenario) -> dict:
+    """The ``reuse-bounds`` check entry from a full scan: every uninjured
+    interval of every marker, with the reuses counted from the records and
+    the active descriptions read off the scenario."""
+    dual = replay.header["engine"] == "dual"
+    final = replay.final_stage
+    output_of = {e.codeword: e.output for e in scenario.schedule.events}
+    by_side = {side: reuses(replay, side) for side in replay.sides}
+    ok, witness = True, {}
+    for index in sorted(replay.timelines):
+        cuts = [0] + injury_stages(replay, index) + [final + 1]
+        for lo, hi in zip(cuts, cuts[1:]):
+            start, end = lo + 1, hi - 1
+            if start > end or scenario.halting.contains(index, end):
+                continue
+            start_snap = replay.marker_at(index, start)
+            end_snap = replay.marker_at(index, end)
+            if (
+                start_snap is None
+                or end_snap is None
+                or end_snap["pos"] is None
+            ):
+                continue
+            for side in replay.sides:
+                given = scenario.set_a if side == "a" else scenario.set_d
+                weight = ZERO
+                for codeword in {
+                    codeword
+                    for stage, codeword in by_side[side].get(index, [])
+                    if start <= stage <= end
+                }:
+                    output = output_of[codeword]
+                    if output == given.restrict(len(output), end):
+                        weight = weight + Dyadic.pow2_neg(len(codeword))
+                bound = Dyadic.pow2_neg(start_snap["c"])
+                if dual:
+                    bound = bound + Dyadic.parse(end_snap[f"p_{side}"])
+                if not weight <= bound:
+                    ok = False
+                    witness = {
+                        "index": index, "side": side,
+                        "interval": [start, end],
+                        "weight": str(weight), "bound": str(bound),
+                    }
+    return {"name": "reuse-bounds", "pass": ok, "witness": witness}
 
 
 def b_restrict(replay, n: int, stage: int) -> str:

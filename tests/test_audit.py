@@ -21,7 +21,6 @@ from ceforge.audit import (
     UsageLedger,
     _Replay,
     _reused,
-    _reuses_by_cause,
     audit_trace,
     check_markers,
     check_weights,
@@ -54,13 +53,12 @@ def tiny_scenario() -> Scenario:
 class TestUsageLedger:
     def test_containers_nest_with_use_counts(self, tiny_scenario):
         ledger = UsageLedger(tiny_scenario, "a")
-        ledger.record_use("0000", 4, 2, stage=1, cause=0)
+        assert ledger.record_use("0000", 4, 2, stage=1, cause=0) == 1
         assert ledger.containers() == {0: {"0000"}}
-        ledger.record_use("0000", 4, 2, stage=2, cause=0)
-        ledger.record_use("0001", 4, 3, stage=2, cause=1)
+        assert ledger.record_use("0000", 4, 2, stage=2, cause=0) == 2
+        assert ledger.record_use("0001", 4, 3, stage=2, cause=1) == 1
         assert ledger.containers() == {0: {"0000", "0001"}, 1: {"0000"}}
-        assert ledger.use_count("0000") == 2
-        assert ledger.use_count("0001") == 1
+        assert ledger.uses == {"0000": 2, "0001": 1}
 
     def test_unknown_codeword_rejected(self, tiny_scenario):
         ledger = UsageLedger(tiny_scenario, "a")
@@ -88,24 +86,30 @@ class TestUsageLedger:
         ledger = UsageLedger(tiny_scenario, "d")
         assert ledger.is_active("0001", 9)
 
-    def test_reuses_by_cause_match_full_scan(self, tiny_scenario):
-        # "0000" is first used before "0001" but reused after it, so the
-        # grouped reuses of marker 0 are out of stage order until sorted.
+    def test_reuses_filed_by_cause_as_they_arrive(self, tiny_scenario):
+        # A first use is no reuse, even with a cause, and a reuse with no
+        # cause is filed nowhere.  "0000" is first used before "0001" but
+        # reused after it, so marker 0's reuses follow the stage order of
+        # the reuses, not of the first uses.
         ledger = UsageLedger(tiny_scenario, "a")
-        ledger.record_use("0000", 4, 2, stage=1, cause=None)
+        ledger.record_use("0000", 4, 2, stage=1, cause=2)
         ledger.record_use("0001", 4, 3, stage=1, cause=None)
         ledger.record_use("0001", 4, 3, stage=2, cause=0)
+        ledger.record_use("0000", 4, 2, stage=3, cause=None)
         ledger.record_use("0000", 4, 2, stage=4, cause=0)
         ledger.record_use("0001", 4, 3, stage=4, cause=1)
-        by_cause = _reuses_by_cause(ledger)
-        for index in range(3):
+        assert ledger.reuses == {
+            0: [(2, "0001"), (4, "0000")],
+            1: [(4, "0001")],
+        }
+        for reuses in ledger.reuses.values():
             for start in range(1, 6):
                 for end in range(start - 1, 6):
-                    assert _reused(
-                        by_cause.get(index, []), start, end
-                    ) == oracles.reused(ledger, index, start, end), (
-                        index, start, end,
-                    )
+                    assert _reused(reuses, start, end) == {
+                        codeword
+                        for stage, codeword in reuses
+                        if start <= stage <= end
+                    }, (reuses, start, end)
 
 
 class TestReplay:
@@ -174,8 +178,8 @@ class TestAuditVerdicts:
         records = SingleEngine(demo_scenario).run(demo_scenario.stages)
         report = audit_trace(records, demo_scenario)
         replay = _Replay.from_records(records)
-        assert [row["index"] for row in report["coding_table"]] == (
-            replay.marker_indices()
+        assert [row["index"] for row in report["coding_table"]] == sorted(
+            replay.timelines
         )
 
     def test_stable_markers_agree_with_halting_set(self, demo_scenario):
@@ -232,19 +236,20 @@ def _assert_indexes_match_oracles(records, scenario):
     ) == report_to_json(audit_trace(records, scenario))
     replay = _Replay.from_records(records)
     _, ledgers = check_weights(replay, scenario)
-    assert _ordering_entry(
-        check_markers(replay, scenario, ledgers)
-    ) == oracles.monotone_indices(replay)
-    by_cause = {
-        side: _reuses_by_cause(ledger) for side, ledger in ledgers.items()
-    }
-    final = replay.final_stage
+    marker_checks = check_markers(replay, scenario, ledgers)
+    assert _ordering_entry(marker_checks) == oracles.monotone_indices(replay)
+    assert next(
+        c for c in marker_checks if c["name"] == "reuse-bounds"
+    ) == oracles.reuse_bounds(replay, scenario)
     for index in set(replay.timelines) | set(replay.injuries):
-        injuries = oracles.injury_stages(replay, index)
-        assert replay.injuries.get(index, []) == injuries, index
-        cuts = [0] + injuries + [final + 1]
-        for side, ledger in ledgers.items():
-            reuses = by_cause[side].get(index, [])
+        assert replay.injuries.get(index, []) == oracles.injury_stages(
+            replay, index
+        ), index
+    final = replay.final_stage
+    for side, ledger in ledgers.items():
+        assert ledger.reuses == oracles.reuses(replay, side), side
+        for index, reuses in ledger.reuses.items():
+            cuts = [0] + replay.injuries.get(index, []) + [final + 1]
             # the uninjured intervals the check reads, and intervals that
             # start or end at each reuse
             intervals = [(lo + 1, hi - 1) for lo, hi in zip(cuts, cuts[1:])]
@@ -253,7 +258,7 @@ def _assert_indexes_match_oracles(records, scenario):
                 intervals.append((stage + 1, final))
             for start, end in intervals:
                 assert _reused(reuses, start, end) == oracles.reused(
-                    ledger, index, start, end
+                    replay, side, index, start, end
                 ), (index, side, start, end)
     width = max((len(e.output) for e in scenario.schedule.events), default=0)
     bits = bytearray(b"0" * width)
@@ -271,6 +276,33 @@ def _assert_indexes_match_oracles(records, scenario):
 def test_indexes_match_oracles(engine_cls, dense):
     scenario = generated(1 if dense else 0, dense)
     records = engine_cls(scenario).run(scenario.stages)
+    _assert_indexes_match_oracles(records, scenario)
+
+
+#: A scenario whose dual run has caused reuses: marker 0 has no threshold
+#: before the first K(0^n) key, then acts at once and reuses descriptions
+#: that are still active.
+_CAUSED_REUSES = GenParams(
+    stages=74, events=4, active_stages=12, set_size=2, element_bound=5,
+    halting_size=0, zero_budget_share=0.0, min_length=2, max_length=2,
+    max_output=4,
+)
+
+
+def test_caused_reuses_match_oracles():
+    scenario = gen_scenario(9898, _CAUSED_REUSES)
+    records = DualEngine(scenario).run(scenario.stages)
+    _, ledgers = check_weights(_Replay.from_records(records), scenario)
+    assert any(ledger.reuses for ledger in ledgers.values())
+    _assert_indexes_match_oracles(records, scenario)
+
+
+@pytest.mark.parametrize("name", ["single", "dual"])
+def test_scripted_fixtures_match_oracles(data_dir, name):
+    scenario = Scenario.from_json(
+        (data_dir / f"{name}_scripted.json").read_text()
+    )
+    records = load_jsonl(data_dir / f"{name}_scripted_trace.jsonl")
     _assert_indexes_match_oracles(records, scenario)
 
 
@@ -334,9 +366,9 @@ class _CountingList(list):
 
 
 #: Passes ``audit_trace`` makes over the stage records after the replay is
-#: built: the entry and N-entry scans of ``check_weights``, the marker
-#: ordering scan and the coverage walk.
-AUDIT_PASSES = 4
+#: built: the entry scan of ``check_weights``, the marker ordering scan and
+#: the coverage walk.
+AUDIT_PASSES = 3
 
 
 def test_audit_passes_do_not_grow_with_markers(

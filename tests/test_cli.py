@@ -3,11 +3,12 @@
 import io
 import json
 import random
+import sys
 
 import pytest
 
 from ceforge import DualEngine, SingleEngine, audit_trace, trace_to_jsonl
-from ceforge.audit import _Replay
+from ceforge.audit import _Replay, check_weights
 from ceforge.bitcore import Dyadic, ZERO
 from ceforge.cli import (
     EXIT_FAIL,
@@ -308,6 +309,19 @@ def _engine_unknown(records):
     records[0]["engine"] = "triple"
 
 
+def _engine_as_list(records):
+    records[0]["engine"] = ["single"]
+
+
+def _engine_as_object(records):
+    records[0]["engine"] = {"single": 3}
+
+
+def _c_below_offset(records):
+    # marker 0's c starts at the header's c_offset, 3
+    records[1]["markers"]["0"]["c"] = -1
+
+
 def _c_offset_of_other_engine(records):
     records[0]["c_offset"] = 4
 
@@ -342,6 +356,8 @@ def _n_length_past_bound(records):
 #: Faults whose message must name the value at fault: a bare KeyError
 #: would print only the side.
 _NAMED = {
+    _engine_as_list: "unknown engine ['single']",
+    _c_below_offset: "marker 0 c -1 lies outside 3..3",
     _n_side_unknown: "side 'q' is not",
     _m_side_unknown: "side 'z' is not",
     _m_codeword_short: "record 5 m_entries codeword is not 4 bits",
@@ -434,6 +450,9 @@ def _repeat_huge(records):
         ("dual_scripted", _m_cause_as_list),
         ("single_scripted", _c_offset_huge),
         ("single_scripted", _engine_unknown),
+        ("single_scripted", _engine_as_list),
+        ("dual_scripted", _engine_as_object),
+        ("single_scripted", _c_below_offset),
         ("single_scripted", _c_offset_of_other_engine),
         ("dual_scripted", _stages_as_string),
         ("dual_scripted", _stages_short),
@@ -581,7 +600,7 @@ def test_swapped_markers_fail_the_ordering_check(capsys, tmp_path, repaired):
 def _drop_last_m_entries(side):
     """Drop the side's m-entries from the last record that has any."""
 
-    def mutate(records):
+    def mutate(records, scenario):
         last = [
             r for r in records[1:]
             if any(entry["side"] == side for entry in r["m_entries"])
@@ -593,13 +612,79 @@ def _drop_last_m_entries(side):
     return mutate
 
 
-def _overdrawn_deficit(records):
+def _overdrawn_deficit(records, scenario):
     """Set ``p_a`` to 1/2 in the last snapshot of the highest marker placed
     at the end; every c is at least 3, so the bound 2^-c is below it."""
     final = _Replay.from_records(records).final_markers()
     index = max(i for i, snap in final.items() if snap["pos"] is not None)
     last = [r for r in records[1:] if str(index) in r["markers"]][-1]
     last["markers"][str(index)]["p_a"] = "1/2^1"
+
+
+def _last_change(records, scenario):
+    """The replay, the side-a ledger and the last record that is not a
+    folded quiet tail: entries added there come after every other use."""
+    replay = _Replay.from_records(records)
+    _, ledgers = check_weights(replay, scenario)
+    last = [r for r in records[1:] if "repeat" not in r][-1]
+    return replay, ledgers["a"], last
+
+
+def _reused_inactive(records, scenario):
+    """Repeat, with no cause, a side-a m-entry whose justifying description
+    was used once and no longer matches A at the last change record.  The
+    repeat moves an inactive description one container deeper."""
+    _, ledger, last = _last_change(records, scenario)
+    entry = next(
+        entry
+        for record in records[1:]
+        for entry in record["m_entries"]
+        if entry["side"] == "a"
+        and ledger.uses[entry["justify"]] == 1
+        and not ledger.is_active(entry["justify"], last["stage"])
+    )
+    last["m_entries"].append({**entry, "cause": None})
+
+
+def _overdrawn_reuses(records, scenario):
+    """At the last change record, file reuses of side-a descriptions that
+    were used once and stay active to the end under the highest marker the
+    check reads there, until their weight passes the marker's 2^-c (plus
+    its final ``p_a`` on the dual engine).  That marker is placed at the
+    end, outside the halting set, and has a snapshot by the start of its
+    last uninjured interval."""
+    replay, ledger, last = _last_change(records, scenario)
+    stage, final = last["stage"], replay.final_stage
+
+    def start(index):
+        return replay.injuries.get(index, [0])[-1] + 1
+
+    index = max(
+        index
+        for index, snap in replay.final_markers().items()
+        if snap["pos"] is not None
+        and not scenario.halting.contains(index, final)
+        and start(index) <= stage
+        and replay.marker_at(index, start(index)) is not None
+    )
+    snap = replay.final_markers()[index]
+    bound = Dyadic.pow2_neg(snap["c"])
+    if "p_a" in snap:
+        bound += Dyadic.parse(snap["p_a"])
+    weight = ZERO
+    for codeword in sorted(ledger.uses, key=len):
+        if weight > bound:
+            break
+        if ledger.uses[codeword] == 1 and all(
+            ledger.is_active(codeword, at) for at in (stage, final)
+        ):
+            weight += Dyadic.pow2_neg(len(codeword))
+            last["m_entries"].append({
+                "side": "a", "justify": codeword, "length": len(codeword),
+                "n": len(ledger.output_of[codeword]), "cause": index,
+                "codeword": "0" * len(codeword),
+            })
+    assert weight > bound, (index, weight, bound)
 
 
 @pytest.mark.parametrize(
@@ -609,21 +694,30 @@ def _overdrawn_deficit(records):
         (SingleEngine, "coverage-a", _drop_last_m_entries("a")),
         (DualEngine, "coverage-a", _drop_last_m_entries("a")),
         (DualEngine, "coverage-d", _drop_last_m_entries("d")),
+        (SingleEngine, "active-transitions", _reused_inactive),
+        (DualEngine, "active-transitions", _reused_inactive),
+        (SingleEngine, "reuse-bounds", _overdrawn_reuses),
+        (DualEngine, "reuse-bounds", _overdrawn_reuses),
     ],
     ids=["dual-deficit-bounds", "single-coverage-a", "dual-coverage-a",
-         "dual-coverage-d"],
+         "dual-coverage-d", "single-active-transitions",
+         "dual-active-transitions", "single-reuse-bounds",
+         "dual-reuse-bounds"],
 )
 def test_corrupted_trace_fails_its_check(
     capsys, tmp_path, engine_cls, check, mutate
 ):
     """A passing sweep trace with one corruption fails exactly the check
     that exists for it (exit 3): a deficit above 2^-c fails
-    ``deficit-bounds``, and an output machine that misses the last
-    descriptions of a side fails that side's coverage."""
+    ``deficit-bounds``, an output machine that misses the last
+    descriptions of a side fails that side's coverage, a reuse of a
+    description that no longer matches the given set fails
+    ``active-transitions``, and reuses caused by one marker that weigh
+    more than its bound fail ``reuse-bounds``."""
     scenario = generated(0)
     records = engine_cls(scenario).run(scenario.stages)
     assert audit_trace(records, scenario)["pass"]
-    mutate(records)
+    mutate(records, scenario)
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(scenario.to_json())
     trace = tmp_path / "trace.jsonl"
@@ -637,12 +731,18 @@ def test_corrupted_trace_fails_its_check(
     assert failed == [check]
 
 
+#: Arrays nested 100,000 deep, past the JSON parser's recursion limit:
+#: ``json.loads`` raises RecursionError, not a JSONDecodeError.
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
 #: Trace files that cannot be read as JSONL at all: the scripted trace with
 #: one line that is not JSON, with bytes that are not UTF-8, with a record
 #: split over two lines, or with two records on one line.  None is a
-#: missing trace path.  The last two read as the scripted trace if the lines
-#: are joined into one JSON array, so a decode that did that would accept
-#: them.
+#: missing trace path.  The split and joined records read as the scripted
+#: trace if the lines are joined into one JSON array, so a decode that did
+#: that would accept them.  Arrays nested too deep to parse replace the
+#: whole trace.
 _UNREADABLE_TRACES = {
     "not-json": lambda text: text.replace(b"\n", b"\n{oops\n", 1),
     "not-utf8": lambda text: b"\xff\xfe" + text,
@@ -650,6 +750,7 @@ _UNREADABLE_TRACES = {
         b',"n_entries"', b'\n"n_entries"', 1
     ),
     "two-records-on-a-line": lambda text: text.replace(b"}\n{", b"},{", 1),
+    "deep-nesting": lambda text: _DEEP.encode(),
     "missing": None,
 }
 
@@ -671,6 +772,36 @@ def test_unreadable_trace_exits_two(capsys, tmp_path, data_dir, case):
     assert out == ""
     assert len(err.splitlines()) == 1, err
     assert err.startswith("trace error:"), err
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+@pytest.mark.parametrize(
+    "text, limit",
+    [("9" * 5000, None), ("9" * 5000, 0), (_DEEP, None)],
+    ids=["long-int", "long-int-no-digit-limit", "deep-nesting"],
+)
+def test_scenario_past_parser_limits_exits_two(
+    capsys, tmp_path, data_dir, command, text, limit
+):
+    """A scenario file that is one bare 5,000-digit integer exits 2 with
+    or without the interpreter's integer digit limit: past the limit
+    ``json.loads`` raises a plain ValueError, and without it an integer is
+    no scenario.  So does a scenario nested too deep to parse."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(text)
+    argv = [command, "--scenario", str(scenario)]
+    if command == "audit":
+        argv += ["--trace", str(data_dir / "single_scripted_trace.jsonl")]
+    saved = sys.get_int_max_str_digits()
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == EXIT_SCENARIO
+    assert out == ""
+    assert err.startswith("scenario error:") and err.count("\n") == 1, err
 
 
 class TestKc:
@@ -788,7 +919,7 @@ class TestEncodeReal:
     @pytest.mark.parametrize(
         "text",
         ["5", "[5]", "[]", '"01"', '["01"]', "[[0], 1]", "[[2]]", "[[true]]",
-         "[[0.0]]", '{"0": [0]}'],
+         "[[0.0]]", '{"0": [0]}', pytest.param(_DEEP, id="deep-nesting")],
     )
     def test_malformed_real_exits_two(self, capsys, tmp_path, text):
         real = tmp_path / "real.json"
