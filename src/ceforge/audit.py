@@ -274,11 +274,11 @@ class _Replay:
             for key, snap in record["markers"].items():
                 _require(snap, snap_fields, number, " markers")
                 index = int(key)
-                # Markers appear one index at a time.  A marker's c starts
-                # at c_offset + index plus the earlier acts of lower
-                # markers and grows by one at each injury, which comes
-                # with an act, so it lies between c_offset + index and
-                # c_offset + index + acts.
+                # Markers appear one index at a time.  A marker's c is
+                # c_offset + index plus the acts of lower markers so far:
+                # set so at each placement, and one more at an injury,
+                # which is such an act.  So it lies between c_offset +
+                # index and c_offset + index + acts.
                 if (
                     index not in replay.timelines
                     and index != len(replay.timelines)
@@ -538,6 +538,14 @@ def _check_reuse_bounds(
     descriptions it reused and that stay active at the interval end is at
     most 2^-c (plus the end-of-interval deficit on each side, dual case).
 
+    An interval counts only if the marker is placed at its end, and c is
+    read off the end snapshot.  A marker causes a reuse only while it is
+    placed, and within an interval it is first unplaced (until the engine
+    places it again, or from stage 1 until it first appears) and then
+    placed, with one c.  So the end c is the one in force at every reuse,
+    and a first interval, which starts before the marker's first
+    snapshot, is checked like any other.
+
     Only the markers that caused a reuse are visited.  In any other
     interval the weight is 0 on every side and every bound is at least 0,
     so the interval passes.  A failing interval holds a reuse, so the
@@ -557,15 +565,10 @@ def _check_reuse_bounds(
                 continue
             if scenario.halting.contains(index, end):
                 continue
-            start_snap = replay.marker_at(index, start)
             end_snap = replay.marker_at(index, end)
-            if (
-                start_snap is None
-                or end_snap is None
-                or end_snap["pos"] is None
-            ):
+            if end_snap is None or end_snap["pos"] is None:
                 continue
-            c = start_snap["c"]
+            c = end_snap["c"]
             for side, ledger in ledgers.items():
                 reused = _reused(ledger.reuses.get(index, []), start, end)
                 active = {

@@ -169,6 +169,8 @@ class Marker:
     c: int
     position: int | None = None
     frozen: bool = False
+    # The act count (``len(b_stage)``) when the marker was last unplaced.
+    unplaced_at: int = 0
     machines: dict[str, PrefixFreeMachine] = field(default_factory=dict)
     t: dict[str, int | None] = field(default_factory=dict)
     p: dict[str, int] = field(default_factory=dict)
@@ -191,7 +193,7 @@ class BaseEngine:
     index order.  A pair is marked dirty when an input of its t changes:
 
     * the marker is placed: a fresh marker, or an injured one coming back
-      with a reset machine and c + 1 (unplaced markers have no t);
+      with a reset machine and a larger c (unplaced markers have no t);
     * its N-machine grows (``_enumerate_n``);
     * ``zero`` gets a new key or a drop at n (``zero.apply`` returns
       both): pairs whose t is None or t >= n.  A change above t cannot
@@ -208,12 +210,17 @@ class BaseEngine:
     These invariants and indexes keep the marker bookkeeping free of scans:
 
     * the placed markers are always ``markers[:placed]``: a place takes the
-      least unplaced index, an act by i unplaces every index above i, and
-      marker 0 is never injured;
-    * a marker index placed for the first time gets
-      c = ``c_offset`` + index + (number of acts so far): every act so far
-      was by a lower index, and each put one new position into B, so the
-      count is ``len(b_stage)``;
+      least unplaced index, an act by i injures ``markers[i + 1 : placed]``
+      and so unplaces every index above i, and marker 0 is never injured.
+      An unplaced marker holds no position, t or machine entry, so an act
+      leaves it as it is;
+    * every placement of marker i, the first and each later one, gives it
+      c = ``c_offset`` + i + (number of acts by lower indices so far).  Each
+      act puts one new position into B, so ``len(b_stage)`` counts them.
+      An injury adds the act that made it and notes the count in
+      ``unplaced_at``; every act while i is unplaced is by a lower index,
+      so a placement adds the acts since.  A new marker starts at
+      ``c_offset`` + i with a count of 0;
     * the attention walk visits only ``_candidates``, the sorted indices of
       the placed markers that ``_can_act`` at the stage: those not frozen
       whose position lies within a described segment or whose index has
@@ -302,17 +309,16 @@ class BaseEngine:
         self._last_fresh = max(self._last_fresh, stage) + 1
         return self._last_fresh
 
-    def _materialize(self, index: int) -> Marker:
-        if index == len(self.markers):
-            # Every act so far was by a lower index and put one position
-            # into B.
-            c = self.c_offset + index + len(self.b_stage)
-            self.markers.append(Marker(index, self.side_names, c))
-        return self.markers[index]
-
     def _place(self, index: int, position: int, stage: int) -> Marker:
         """Place the least unplaced marker, ``index``, on ``position``."""
-        marker = self._materialize(index)
+        if index == len(self.markers):
+            self.markers.append(
+                Marker(index, self.side_names, self.c_offset + index)
+            )
+        marker = self.markers[index]
+        # Every act while the marker was unplaced was by a lower index and
+        # put one position into B.
+        marker.c += len(self.b_stage) - marker.unplaced_at
         marker.position = position
         self.placed = index + 1
         for side in self.side_names:
@@ -616,12 +622,13 @@ class BaseEngine:
                         self._describe_output(
                             side, k, stage, attention_index, record["m_entries"]
                         )
-            for other in self.markers[attention_index + 1 :]:
+            for other in self.markers[attention_index + 1 : self.placed]:
                 record["injured"].append(other.index)
                 touched.add(other.index)
                 other.position = None
                 other.frozen = False
                 other.c += 1
+                other.unplaced_at = len(self.b_stage)
                 for side in self.side_names:
                     self.archived.append(
                         (side, other.index, other.machines[side])

@@ -98,8 +98,9 @@ def reused(replay, side: str, index: int, start: int, end: int) -> set[str]:
 
 def reuse_bounds(replay, scenario) -> dict:
     """The ``reuse-bounds`` check entry from a full scan: every uninjured
-    interval of every marker, with the reuses counted from the records and
-    the active descriptions read off the scenario."""
+    interval of every marker that is placed at its end, with the reuses
+    counted from the records, the active descriptions read off the
+    scenario and c read off the end snapshot."""
     dual = replay.header["engine"] == "dual"
     final = replay.final_stage
     output_of = {e.codeword: e.output for e in scenario.schedule.events}
@@ -111,13 +112,8 @@ def reuse_bounds(replay, scenario) -> dict:
             start, end = lo + 1, hi - 1
             if start > end or scenario.halting.contains(index, end):
                 continue
-            start_snap = replay.marker_at(index, start)
             end_snap = replay.marker_at(index, end)
-            if (
-                start_snap is None
-                or end_snap is None
-                or end_snap["pos"] is None
-            ):
+            if end_snap is None or end_snap["pos"] is None:
                 continue
             for side in replay.sides:
                 given = scenario.set_a if side == "a" else scenario.set_d
@@ -130,7 +126,7 @@ def reuse_bounds(replay, scenario) -> dict:
                     output = output_of[codeword]
                     if output == given.restrict(len(output), end):
                         weight = weight + Dyadic.pow2_neg(len(codeword))
-                bound = Dyadic.pow2_neg(start_snap["c"])
+                bound = Dyadic.pow2_neg(end_snap["c"])
                 if dual:
                     bound = bound + Dyadic.parse(end_snap[f"p_{side}"])
                 if not weight <= bound:
@@ -295,6 +291,45 @@ def expand_repeats(records):
         for offset in range(record["repeat"]):
             expanded.append({**base, "stage": record["stage"] + offset})
     return expanded
+
+
+def injure_unplaced(records):
+    """The trace as the engine wrote it when an act also injured the
+    markers above the acting one that were already unplaced.  Each such
+    index joins the act's ``injured`` list (kept sorted) and gets a
+    snapshot with no position, c + 1, not frozen, and deficits of 0 on the
+    dual engine; every later n-entry of that index takes a version one
+    higher.  A marker that comes back must have the c it would have had
+    under that rule."""
+    dual = records[0]["engine"] == "dual"
+    c, pos, bumps = {}, {}, {}
+    rewritten = [records[0]]
+    for record in records[1:]:
+        record = {
+            **record,
+            "markers": dict(record["markers"]),
+            "n_entries": [
+                {**e, "version": e["version"] + bumps.get(e["index"], 0)}
+                for e in record["n_entries"]
+            ],
+        }
+        if record["action"] == "act":
+            idle = [i for i in pos if i > record["acting"] and pos[i] is None]
+            record["injured"] = sorted(record["injured"] + idle)
+            for index in idle:
+                snap = {"pos": None, "c": c[index] + 1, "frozen": False}
+                if dual:
+                    snap.update(p_a="0/2^0", p_d="0/2^0")
+                record["markers"][str(index)] = snap
+                bumps[index] = bumps.get(index, 0) + 1
+        for key, snap in record["markers"].items():
+            index = int(key)
+            was_unplaced = index in pos and pos[index] is None
+            if was_unplaced and snap["pos"] is not None:
+                assert snap["c"] == c[index], (record["stage"], index)
+            c[index], pos[index] = snap["c"], snap["pos"]
+        rewritten.append(record)
+    return rewritten
 
 
 def restore_weights(records):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from ceforge import DualEngine, SingleEngine, audit_trace, trace_to_jsonl
-from ceforge.audit import _Replay, check_weights
+from ceforge.audit import _Replay, check_weights, stable_indices
 from ceforge.bitcore import Dyadic, ZERO
 from ceforge.cli import (
     EXIT_FAIL,
@@ -646,45 +646,107 @@ def _reused_inactive(records, scenario):
     last["m_entries"].append({**entry, "cause": None})
 
 
-def _overdrawn_reuses(records, scenario):
-    """At the last change record, file reuses of side-a descriptions that
-    were used once and stay active to the end under the highest marker the
-    check reads there, until their weight passes the marker's 2^-c (plus
-    its final ``p_a`` on the dual engine).  That marker is placed at the
-    end, outside the halting set, and has a snapshot by the start of its
-    last uninjured interval."""
-    replay, ledger, last = _last_change(records, scenario)
-    stage, final = last["stage"], replay.final_stage
-
-    def start(index):
-        return replay.injuries.get(index, [0])[-1] + 1
-
-    index = max(
-        index
-        for index, snap in replay.final_markers().items()
-        if snap["pos"] is not None
-        and not scenario.halting.contains(index, final)
-        and start(index) <= stage
-        and replay.marker_at(index, start(index)) is not None
+def _repeated_active(records, scenario):
+    """Repeat, with no cause, the shortest side-a description that matches
+    A at the last change record, until it is used as many times as it has
+    bits.  Used u times, it lies in container S_(u-1), whose bound is
+    2^-u, and it alone weighs 2^-(its length)."""
+    _, ledger, last = _last_change(records, scenario)
+    codeword = min(
+        (cw for cw in ledger.output_of if ledger.is_active(cw, last["stage"])),
+        key=len,
     )
-    snap = replay.final_markers()[index]
+    for _ in range(len(codeword) - ledger.uses.get(codeword, 0)):
+        last["m_entries"].append({
+            "side": "a", "justify": codeword, "length": len(codeword),
+            "n": len(ledger.output_of[codeword]), "cause": None,
+            "codeword": "0" * len(codeword),
+        })
+
+
+def _moved_coding_position(records, scenario):
+    """Move the highest stable marker whose position is in B, in its last
+    snapshot, to the least position above it that never enters B: its
+    index is in the halting set, but B no longer says so."""
+    replay = _Replay.from_records(records)
+    final = replay.final_markers()
+    index = max(
+        i for i in stable_indices(replay)
+        if replay.in_b(final[i]["pos"], replay.final_stage)
+    )
+    pos = final[index]["pos"] + 1
+    while pos in replay.b_stage:
+        pos += 1
+    last = [r for r in records[1:] if str(index) in r["markers"]][-1]
+    last["markers"][str(index)]["pos"] = pos
+
+
+def _overdraw(records, scenario, index, number, end):
+    """At record ``number``, file side-a reuses caused by marker ``index``
+    of descriptions used once so far that match A at that record and at
+    stage ``end``, the end of the marker's uninjured interval, until their
+    weight passes the bound there: 2^-c of the marker's snapshot at
+    ``end``, plus its ``p_a`` on the dual engine."""
+    record = records[number]
+    snap = _Replay.from_records(records).marker_at(index, end)
     bound = Dyadic.pow2_neg(snap["c"])
     if "p_a" in snap:
         bound += Dyadic.parse(snap["p_a"])
+    _, ledgers = check_weights(
+        _Replay.from_records(records[: number + 1]), scenario
+    )
+    ledger = ledgers["a"]
     weight = ZERO
     for codeword in sorted(ledger.uses, key=len):
         if weight > bound:
             break
         if ledger.uses[codeword] == 1 and all(
-            ledger.is_active(codeword, at) for at in (stage, final)
+            ledger.is_active(codeword, at) for at in (record["stage"], end)
         ):
             weight += Dyadic.pow2_neg(len(codeword))
-            last["m_entries"].append({
+            record["m_entries"].append({
                 "side": "a", "justify": codeword, "length": len(codeword),
                 "n": len(ledger.output_of[codeword]), "cause": index,
                 "codeword": "0" * len(codeword),
             })
     assert weight > bound, (index, weight, bound)
+
+
+def _overdrawn_reuses(records, scenario):
+    """Overdraw (``_overdraw``), at the last change record, the last
+    uninjured interval of the highest marker that is placed at the end,
+    outside the halting set, and last injured, if ever, before that
+    record."""
+    replay, _, last = _last_change(records, scenario)
+    stage, final = last["stage"], replay.final_stage
+    index = max(
+        index
+        for index, snap in replay.final_markers().items()
+        if snap["pos"] is not None
+        and not scenario.halting.contains(index, final)
+        and replay.injuries.get(index, [0])[-1] < stage
+    )
+    _overdraw(records, scenario, index, records.index(last), final)
+
+
+def _overdrawn_first_interval(records, scenario):
+    """Overdraw (``_overdraw``), at its last stage, the first uninjured
+    interval of the highest marker that first appears after stage 1 and
+    is later injured, outside the halting set at the interval's end.  The
+    interval starts at stage 1, before the marker's first snapshot."""
+    replay = _Replay.from_records(records)
+    firsts = [
+        (index, replay.injuries[index][0] - 1)
+        for index, timeline in replay.timelines.items()
+        if timeline[0][0] > 1 and index in replay.injuries
+    ]
+    index, end = max(
+        (index, end)
+        for index, end in firsts
+        if not scenario.halting.contains(index, end)
+    )
+    number = next(n for n, r in enumerate(records) if n and r["stage"] == end)
+    _overdraw(records, scenario, index, number, end)
 
 
 @pytest.mark.parametrize(
@@ -698,11 +760,19 @@ def _overdrawn_reuses(records, scenario):
         (DualEngine, "active-transitions", _reused_inactive),
         (SingleEngine, "reuse-bounds", _overdrawn_reuses),
         (DualEngine, "reuse-bounds", _overdrawn_reuses),
+        (SingleEngine, "reuse-bounds", _overdrawn_first_interval),
+        (DualEngine, "reuse-bounds", _overdrawn_first_interval),
+        (SingleEngine, "decanter-bounds-a", _repeated_active),
+        (DualEngine, "decanter-bounds-a", _repeated_active),
+        (SingleEngine, "coding", _moved_coding_position),
+        (DualEngine, "coding", _moved_coding_position),
     ],
     ids=["dual-deficit-bounds", "single-coverage-a", "dual-coverage-a",
          "dual-coverage-d", "single-active-transitions",
          "dual-active-transitions", "single-reuse-bounds",
-         "dual-reuse-bounds"],
+         "dual-reuse-bounds", "single-reuse-bounds-first-interval",
+         "dual-reuse-bounds-first-interval", "single-decanter-bounds-a",
+         "dual-decanter-bounds-a", "single-coding", "dual-coding"],
 )
 def test_corrupted_trace_fails_its_check(
     capsys, tmp_path, engine_cls, check, mutate
@@ -712,8 +782,12 @@ def test_corrupted_trace_fails_its_check(
     ``deficit-bounds``, an output machine that misses the last
     descriptions of a side fails that side's coverage, a reuse of a
     description that no longer matches the given set fails
-    ``active-transitions``, and reuses caused by one marker that weigh
-    more than its bound fail ``reuse-bounds``."""
+    ``active-transitions``, reuses caused by one marker that weigh more
+    than its bound fail ``reuse-bounds``, in the last uninjured interval
+    and in a first one that starts before the marker appears, uncaused
+    repeats of one active description that fill a container past its
+    bound fail ``decanter-bounds-a``, and a stable marker moved off its
+    position in B fails ``coding``."""
     scenario = generated(0)
     records = engine_cls(scenario).run(scenario.stages)
     assert audit_trace(records, scenario)["pass"]

@@ -8,6 +8,7 @@ traces bundled under tests/data.
 import hashlib
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ import oracles
 from oracles import (
     expand_repeats,
     fires_dyadic,
+    injure_unplaced,
     k_at_n,
     least_unplaced,
     machine_k_at,
@@ -331,23 +333,36 @@ def _fresh_floor(scenario, side_names):
     )
 
 
-def _check_marker_invariants(engine, record, seen, acts, positions):
-    """The invariants of ``BaseEngine`` after the stage of ``record``: the
-    placed markers are ``markers[:placed]``; an index's first snapshot
-    (its first placement) has c = c_offset + index + the ``acts`` act
-    records before it; a position placed or moved to in ``record`` exceeds
-    its stage, every position in the ``positions`` of the records before
-    it and ``_fresh_floor``; and an act's m-entries lie strictly between
-    its abandoned position and the previous stage.  ``seen`` holds the
-    indices snapshotted so far; ``positions`` gains the record's
-    positions.  Returns the act count including ``record``."""
+def _check_marker_invariants(engine, record, seen):
+    """The invariants of ``BaseEngine`` after the stage of ``record``,
+    against what the records before it showed.  ``seen`` holds each
+    index's last position (``pos``), every position (``positions``), the
+    acting index of each act record (``acting``) and how many machines the
+    engine had archived (``archived``), and gains ``record``.
+
+    The placed markers are ``markers[:placed]``; every snapshot of a
+    placed marker has c = c_offset + index + the act records by a lower
+    index so far; every index an act injures was placed before it, and
+    every machine the engine archives at the stage is one of such a
+    marker; a position placed or moved to in ``record`` exceeds its stage,
+    every earlier position and ``_fresh_floor``; and an act's m-entries lie
+    strictly between its abandoned position and the previous stage."""
     assert engine.placed == least_unplaced(engine.markers)
     assert all(m.position is None for m in engine.markers[engine.placed :])
+    placed = set()
+    if record["action"] == "act":
+        seen.acting.append(record["acting"])
+        placed = {i for i, pos in seen.pos.items() if pos is not None}
+    assert set(record["injured"]) <= placed, record
+    archived = engine.archived[seen.archived :]
+    seen.archived = len(engine.archived)
+    assert {index for _, index, _ in archived} <= placed, record
     for key, snap in record["markers"].items():
         index = int(key)
-        if index not in seen:
-            seen.add(index)
-            assert snap["c"] == engine.c_offset + index + acts, record
+        if snap["pos"] is not None:
+            lower = sum(acting < index for acting in seen.acting)
+            assert snap["c"] == engine.c_offset + index + lower, record
+        seen.pos[index] = snap["pos"]
     fresh = None
     if record["action"] == "place":
         fresh = record["placed"][1]
@@ -355,8 +370,8 @@ def _check_marker_invariants(engine, record, seen, acts, positions):
         fresh = record["markers"][str(record["acting"])]["pos"]
     if fresh is not None:
         floor = _fresh_floor(engine.scenario, engine.side_names)
-        assert fresh > max(record["stage"], floor, *positions), record
-    positions.update(
+        assert fresh > max(record["stage"], floor, *seen.positions), record
+    seen.positions.update(
         snap["pos"]
         for snap in record["markers"].values()
         if snap["pos"] is not None
@@ -366,7 +381,6 @@ def _check_marker_invariants(engine, record, seen, acts, positions):
     for entry in record["m_entries"]:
         if entry["cause"] is not None:
             assert record["b_added"] < entry["n"] < record["stage"] - 1
-    return acts + (record["action"] == "act")
 
 
 def _written(**fields):
@@ -426,8 +440,8 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     _check_indexes(fast)
     records = fast.run(1)
     assert trace_to_jsonl(records) == trace_to_jsonl(naive.run(1))
-    seen, positions = set(), set()
-    acts = _check_marker_invariants(fast, records[-1], seen, 0, positions)
+    seen = SimpleNamespace(pos={}, positions=set(), acting=[], archived=0)
+    _check_marker_invariants(fast, records[-1], seen)
     _check_indexes(fast)
     for stage in range(2, stages + 1):
         records.append(fast.step())
@@ -435,9 +449,7 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
         assert record == trace_to_jsonl([naive.step()]), stage
         if stage <= fast._quiet_after:
             assert _thresholds(fast) == _thresholds(naive), stage
-        acts = _check_marker_invariants(
-            fast, records[-1], seen, acts, positions
-        )
+        _check_marker_invariants(fast, records[-1], seen)
         _check_indexes(fast)
     # Some marker sits above every described segment, where it is a
     # candidate only once its index has entered the halting set, and the
@@ -455,10 +467,11 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     )
 
 
-#: sha256 of the full-horizon JSONL traces with the quiet tail written out
-#: and the ``weights`` field the engine once wrote restored, recorded before
-#: the stamp cache gave way to the dirty set, and of their audit reports,
-#: recorded before the audit built its indexes in one pass.
+#: sha256 of the full-horizon JSONL traces with the quiet tail written out,
+#: the ``weights`` field the engine once wrote restored and the injuries of
+#: unplaced markers put back, recorded before the stamp cache gave way to
+#: the dirty set, and of their audit reports, recorded before the audit
+#: built its indexes in one pass.
 FROZEN_TRACES = {
     (0, "single"): "5f64da637600752872ea0cf612e23f90e53de2bcabf7ad6897615f8fea83896b",
     (0, "dual"): "825c63b8011b9b3add90bd9f791044f0acf9bf6d8a53094ddd1a862ba4857109",
@@ -473,8 +486,9 @@ FROZEN_REPORTS = {
 }
 
 
-#: sha256 of the same traces as the engine writes them: quiet tail folded,
-#: and no ``weights`` field.
+#: sha256 of the same traces with the quiet tail folded and no ``weights``
+#: field, as the engine writes them, but with the injuries of unplaced
+#: markers put back.
 FOLDED_TRACES = {
     (0, "single"): "7281418183957b5dc355159334f5bd6598af0cb6ce4669ddc8b733b48bd77231",
     (0, "dual"): "962b4291520d4c95a129173d1bc4da2ff70fc5aa10428e932d8d7c7d14272aef",
@@ -498,16 +512,20 @@ def _sha256(text):
 )
 def test_generated_traces_are_byte_frozen(seed, engine_cls):
     """Full-horizon traces of generated scenarios, quiet phase and all
-    markers included, and their audit reports stay byte-identical."""
+    markers included, and their audit reports stay byte-identical.  The
+    traces are pinned as written under the rule that an act also injures
+    unplaced markers, and such a trace audits to the same report."""
     scenario = generated(seed)
     records = engine_cls(scenario).run(scenario.stages)
     key = seed, engine_cls.engine_name
-    assert _sha256(trace_to_jsonl(records)) == FOLDED_TRACES[key]
+    old_rule = injure_unplaced(records)
+    assert _sha256(trace_to_jsonl(old_rule)) == FOLDED_TRACES[key]
     assert _sha256(
-        trace_to_jsonl(restore_weights(expand_repeats(records)))
+        trace_to_jsonl(restore_weights(expand_repeats(old_rule)))
     ) == FROZEN_TRACES[key]
     report = report_to_json(audit_trace(records, scenario))
     assert _sha256(report) == FROZEN_REPORTS[key]
+    assert report_to_json(audit_trace(old_rule, scenario)) == report
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["sweep", "dense"])
