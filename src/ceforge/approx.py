@@ -12,11 +12,13 @@ import json
 import random
 from dataclasses import dataclass
 
-from .bitcore import Dyadic, ZERO
+from .bitcore import Dyadic
 from .machines import FreeBlockSet, check_prefix_free
 
-#: Strict upper bound on the adversary schedule weight.
-SCHEDULE_WEIGHT_BOUND = Dyadic.pow2_neg(2)
+#: Integers a scenario may hold lie below this: 2^53 bounds the integers
+#: that every JSON reader agrees on (RFC 8259), and it keeps every integer
+#: the engine writes into a trace below 2^63.
+JSON_INT_BOUND = 1 << 53
 
 
 class BlockOverflow(RuntimeError):
@@ -152,21 +154,25 @@ class UniversalSchedule:
     def __init__(self, events: list[ScheduleEvent]) -> None:
         self.events = sorted(events, key=lambda e: (e.stage, e.codeword))
         check_prefix_free([e.codeword for e in self.events])
-        total = ZERO
-        for event in self.events:
-            total = total + Dyadic.pow2_neg(len(event.codeword))
-        if not total < SCHEDULE_WEIGHT_BOUND:
+        # One integer sum at the longest codeword's scale (at least 2, the
+        # scale of the 1/4 bound).
+        lengths = [len(e.codeword) for e in self.events]
+        scale = max([2, *lengths])
+        total = sum(1 << (scale - length) for length in lengths)
+        self.weight = Dyadic(total, scale)
+        if total >= 1 << (scale - 2):
             raise ScenarioError(
-                f"schedule weight {total} is not below 1/4"
+                f"schedule weight {self.weight} is not below 1/4"
             )
-        self.weight = total
 
 
 def _json_int(value: object, what: str) -> int:
-    """``value`` if it is a JSON integer; a float (``1e999`` included) or a
-    bool is a ScenarioError."""
+    """``value`` if it is a JSON integer below ``JSON_INT_BOUND``; a float
+    (``1e999`` included), a bool or a larger integer is a ScenarioError."""
     if type(value) is not int:
         raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    if value >= JSON_INT_BOUND:
+        raise ScenarioError(f"{what} must be below 2^53")
     return value
 
 
@@ -238,8 +244,10 @@ class Scenario:
                 for s, c, o in payload["universal_events"]
             ]
             for event in events:
-                if event.codeword.strip("01") or event.output.strip("01"):
-                    raise ScenarioError("codewords/outputs must be binary")
+                # two counts run faster than one strip("01")
+                for word in (event.codeword, event.output):
+                    if word.count("0") + word.count("1") != len(word):
+                        raise ScenarioError("codewords/outputs must be binary")
                 if not event.codeword:
                     raise ScenarioError("empty codeword")
             return cls(
@@ -284,25 +292,27 @@ class GenParams:
     def validate(self) -> None:
         if self.stages < 1 or self.events < 0:
             raise ValueError("stages must be >= 1 and events >= 0")
+        if self.stages >= JSON_INT_BOUND:
+            raise ValueError("stages must be below 2^53")
         if not 1 <= self.active_stages <= self.stages:
             raise ValueError("active_stages must lie in [1, stages]")
 
 
 def _pick_length(
-    rng: random.Random, params: GenParams, remaining: Dyadic
+    rng: random.Random, params: GenParams, left: int, scale: int
 ) -> int:
-    """The drawn length, raised until the event costs at most half of
-    ``remaining``, so the stream can always continue and the total stays
-    strictly below 1/4.
+    """The drawn length, raised until the event costs at most half of the
+    budget ``left / 2**scale`` still unspent, so the stream can always
+    continue and the total stays strictly below 1/4.
 
-    With ``remaining = num / 2**exp`` and ``num > 0``, ``2**-(length - 1) <=
-    remaining`` holds exactly when ``length >= exp - num.bit_length() + 2``,
-    so the shortest such length is that bound or the drawn one, whichever is
-    larger.  ``remaining`` stays positive: the starting budget is, and each
-    event takes at most half of what is left.
+    With ``left > 0``, ``2**-(length - 1) <= left / 2**scale`` holds exactly
+    when ``length >= scale - left.bit_length() + 2``, so the shortest such
+    length is that bound or the drawn one, whichever is larger.  ``left``
+    stays positive: the starting budget is, and each event takes at most
+    half of what is left.
     """
     drawn = rng.randint(params.min_length, params.max_length)
-    return max(drawn, remaining.exp - remaining.num.bit_length() + 2)
+    return max(drawn, scale - left.bit_length() + 2)
 
 
 def gen_scenario(seed: int, params: GenParams | None = None) -> Scenario:
@@ -326,8 +336,11 @@ def gen_scenario(seed: int, params: GenParams | None = None) -> Scenario:
             halting.add(n, rng.randint(1, params.active_stages))
 
     free = FreeBlockSet()
-    budget = SCHEDULE_WEIGHT_BOUND - Dyadic.pow2_neg(params.max_length + 2)
-    spent = ZERO
+    # The budget 1/4 - 2^-(max_length + 2) as ``left / 2**scale``; the
+    # scale grows to each longer codeword's length, so every cost is an
+    # integer.
+    scale = params.max_length + 2
+    left = (1 << params.max_length) - 1
     events: list[ScheduleEvent] = []
     described: list[str] = []
     for _ in range(params.events):
@@ -352,9 +365,12 @@ def gen_scenario(seed: int, params: GenParams | None = None) -> Scenario:
                     1, max(2, min(2 * stage, params.max_output))
                 )
             output = source.restrict(n, stage)
-        length = _pick_length(rng, params, budget - spent)
+        length = _pick_length(rng, params, left, scale)
+        if length > scale:
+            left <<= length - scale
+            scale = length
+        left -= 1 << (scale - length)
         codeword = free.allocate(length)
-        spent = spent + Dyadic.pow2_neg(length)
         events.append(ScheduleEvent(stage, codeword, output))
         described.append(output)
 

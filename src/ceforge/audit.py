@@ -22,6 +22,20 @@ walk reaches it, so ``_check_reuse_bounds`` visits only the markers that
 caused a reuse.  ``check_markers`` re-tests marker order only at the pairs
 a record's marker changes touch, and ``check_coverage`` walks the records
 with one B buffer that it slices for every segment.
+
+``trace_to_jsonl`` writes each record with orjson, with sorted keys; its
+lines equal those of the standard library's encoder with sorted keys and
+compact separators byte for byte, because a trace holds only ASCII
+strings, booleans, nulls and integers below 2^63 (a scenario's integers
+lie below 2^53, see ``approx.JSON_INT_BOUND``).  Everything that reads
+input from outside the program stays on the standard library's ``json``:
+reading traces, and all scenario I/O.  So does writing reports, which can
+echo integers read from a trace.  orjson 3.8.3 crashes the interpreter
+with a segmentation fault on a line nested about 200,000 deep (seen at
+200,000 and 1,000,000; 100,000 parses), reads integers past 64 bits as
+floats, and raises on such integers when it writes them; the standard
+library raises RecursionError on deep nesting and keeps every integer
+exact.
 """
 
 from __future__ import annotations
@@ -30,6 +44,8 @@ import bisect
 import json
 from dataclasses import dataclass, field
 from typing import Any, Iterator
+
+import orjson
 
 from .approx import Scenario
 from .bitcore import Dyadic, INFINITE, ZERO
@@ -789,7 +805,14 @@ def report_to_json(report: dict[str, Any]) -> str:
 
 
 def trace_to_jsonl(records: list[dict[str, Any]]) -> str:
-    return "\n".join(map(_ENCODER.encode, records)) + "\n"
+    # Each line is decoded as it is made: decoding one joined bytes object
+    # would hold a second copy of the whole trace.
+    return "".join(
+        [
+            orjson.dumps(record, option=orjson.OPT_SORT_KEYS).decode() + "\n"
+            for record in records
+        ]
+    )
 
 
 def trace_from_jsonl(text: str) -> list[dict[str, Any]]:

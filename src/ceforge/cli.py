@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 from .approx import (
+    JSON_INT_BOUND,
     CERealApprox,
     BlockOverflow,
     GenParams,
@@ -63,6 +64,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if stages < 1:
         print(f"scenario error: stages must be >= 1, got {stages}",
               file=sys.stderr)
+        return EXIT_SCENARIO
+    if stages >= JSON_INT_BOUND:
+        print("scenario error: stages must be below 2^53", file=sys.stderr)
         return EXIT_SCENARIO
     engine_cls = SingleEngine if args.engine == "single" else DualEngine
     engine = engine_cls(scenario)
@@ -133,20 +137,20 @@ def cmd_kc(args: argparse.Namespace) -> int:
     Drives the raw allocator, so a stream of total weight exactly 1 is
     honoured (the container types enforce the strict bound instead).
     """
-    free = FreeBlockSet()
+    allocate = FreeBlockSet().allocate
     rows = []
     try:
         for line in Path(args.requests).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
                 continue
-            target, field = line.split()
+            target, field = fields
             length = int(field)
             if length > KC_LENGTH_BOUND:
                 raise ValueError(
                     f"length {length} exceeds the bound {KC_LENGTH_BOUND}"
                 )
-            rows.append(f"{free.allocate(length)}\t{target}\n")
+            rows.append(f"{allocate(length)}\t{target}\n")
     except (OSError, ValueError, Exhausted) as exc:
         print(f"request error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO

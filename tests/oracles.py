@@ -5,6 +5,8 @@ event, entry or trace record, so it shares no bookkeeping with the code it
 checks.
 """
 
+import json
+
 from ceforge.approx import block_range
 from ceforge.bitcore import Dyadic, INFINITE, ZERO
 from ceforge.machines import Exhausted
@@ -408,3 +410,10 @@ def spelled(free) -> dict[int, str]:
         for lo, hi, w in zip(free._lo, free._hi, free._split)
         for d in range(lo, hi + 1)
     }
+
+
+def jsonl_stdlib(records) -> str:
+    """The trace as JSON Lines from the standard library's encoder, with
+    sorted keys and compact separators."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    return "\n".join(map(encoder.encode, records)) + "\n"

@@ -134,6 +134,15 @@ class TestUniversalSchedule:
         ]
         with pytest.raises(ScenarioError):
             UniversalSchedule(heavy)
+        # exactly 1/4, and one codeword shorter than the bound's scale
+        for codewords in (["00"], ["010", "011"], ["0"]):
+            events = [ScheduleEvent(1, c, "0") for c in codewords]
+            with pytest.raises(ScenarioError, match="is not below 1/4"):
+                UniversalSchedule(events)
+        assert UniversalSchedule([]).weight == 0
+        assert UniversalSchedule(
+            [ScheduleEvent(1, "010", "0"), ScheduleEvent(1, "0110", "1")]
+        ).weight == Dyadic(3, 4)
 
     def test_k_at_takes_minimum_in_time(self):
         sched = UniversalSchedule(
@@ -173,6 +182,16 @@ class TestScenarioSerialization:
                 ' "set_d": [], "halting": [], "stages": 5}'
             )
 
+    @pytest.mark.parametrize(
+        "codeword, output", [("01 ", "0"), ("01", "0\u00b91"), ("01", "1x")]
+    )
+    def test_non_binary_word_rejected(self, codeword, output):
+        with pytest.raises(ScenarioError, match="must be binary"):
+            Scenario.from_json(
+                f'{{"universal_events": [[1, "{codeword}", "{output}"]],'
+                ' "set_a": [], "set_d": [], "halting": [], "stages": 5}'
+            )
+
     def test_halting_stamp_zero_accepted(self):
         # The engine reads halting stamps through ``contains``, so a stamp
         # of 0 holds from stage 1 on, unlike a given-set stamp of 0.
@@ -192,7 +211,12 @@ class TestGenScenario:
 
     def test_schedule_weight_under_quarter(self):
         for seed in range(5):
-            assert gen_scenario(seed).schedule.weight < Dyadic.pow2_neg(2)
+            schedule = gen_scenario(seed).schedule
+            assert schedule.weight < Dyadic.pow2_neg(2)
+            total = Dyadic(0)
+            for event in schedule.events:
+                total = total + Dyadic.pow2_neg(len(event.codeword))
+            assert schedule.weight == total
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
@@ -225,9 +249,9 @@ def test_pick_length_closed_form_matches_loop():
             if drawn < 1:
                 continue
             params = GenParams(min_length=drawn, max_length=drawn)
-            assert _pick_length(random.Random(0), params, remaining) == (
-                pick_length_loop(random.Random(0), params, remaining)
-            )
+            assert _pick_length(
+                random.Random(0), params, remaining.num, remaining.exp
+            ) == pick_length_loop(random.Random(0), params, remaining)
             cases += 1
     assert cases > 1_000
 

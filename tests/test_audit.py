@@ -1,6 +1,7 @@
 """Independent trace replay and the bound checks it performs."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -30,7 +31,7 @@ from ceforge.audit import (
 )
 from ceforge.engine import DualEngine, SingleEngine
 
-from conftest import EMPTY, ONE_EVENT, generated, load_jsonl
+from conftest import DATA, EMPTY, ONE_EVENT, generated, load_jsonl
 
 
 @pytest.fixture()
@@ -219,6 +220,49 @@ class TestTraceSerialization:
         records = load_jsonl(data_dir / f"{name}_scripted_trace.jsonl")
         text = trace_to_jsonl(oracles.restore_weights(records))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+#: Scenarios whose traces ``trace_to_jsonl`` must write as the standard
+#: library's encoder does: sweep seeds 0-3, the dense-x4 seed, the small
+#: shape, the caused-reuses scenario, both scripted fixtures, and index 0
+#: halting at stage 0 with no events.
+_WRITER_SCENARIOS = {
+    "sweep-0": lambda: generated(0),
+    "sweep-1": lambda: generated(1),
+    "sweep-2": lambda: generated(2),
+    "sweep-3": lambda: generated(3),
+    "dense-x4-1": lambda: generated(1, dense=True),
+    "small-0": lambda: gen_scenario(
+        0, GenParams(stages=1_000, events=60, active_stages=300)
+    ),
+    "caused-reuses": lambda: gen_scenario(9898, _CAUSED_REUSES),
+    "single-scripted": lambda: Scenario.from_json(
+        (DATA / "single_scripted.json").read_text()
+    ),
+    "dual-scripted": lambda: Scenario.from_json(
+        (DATA / "dual_scripted.json").read_text()
+    ),
+    "halt-0": lambda: Scenario.from_json(
+        '{"universal_events":[],"set_a":[],"set_d":[],'
+        '"halting":[[0,0]],"stages":20}'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_WRITER_SCENARIOS))
+@pytest.mark.parametrize(
+    "engine_cls", [SingleEngine, DualEngine], ids=["single", "dual"]
+)
+def test_writer_matches_stdlib_encoder(engine_cls, name):
+    scenario = _WRITER_SCENARIOS[name]()
+    records = engine_cls(scenario).run(scenario.stages)
+    text, expected = trace_to_jsonl(records), oracles.jsonl_stdlib(records)
+    # Line by line, so that a failure shows one line, not a diff of the
+    # whole trace.
+    for line, want in itertools.zip_longest(
+        text.split("\n"), expected.split("\n")
+    ):
+        assert line == want
 
 
 def _ordering_entry(checks):

@@ -50,6 +50,16 @@ class TestGen:
         assert not out
         assert err.startswith("scenario error:") and err.count("\n") == 1
 
+    def test_stages_of_2_pow_53_exit_two(self, capsys, tmp_path):
+        out_path = tmp_path / "scenario.json"
+        code, out, err = run_cli(
+            capsys, "gen", "--seed", "1", "--stages", str(2**53),
+            "--out", str(out_path),
+        )
+        assert code == EXIT_SCENARIO
+        assert not out and not out_path.exists()
+        assert err == "scenario error: stages must be below 2^53\n"
+
 
 class TestRun:
     def test_demo_scenario_exits_clean(self, capsys, tmp_path, data_dir):
@@ -101,6 +111,17 @@ class TestRun:
         assert code == EXIT_SCENARIO
         assert not out
         assert err.startswith("scenario error:") and err.count("\n") == 1
+
+    def test_stages_flag_of_2_pow_53_exits_two(self, capsys, data_dir):
+        code, out, err = run_cli(
+            capsys,
+            "run",
+            "--scenario", str(data_dir / "demo_scenario.json"),
+            "--stages", str(2**53),
+        )
+        assert code == EXIT_SCENARIO
+        assert not out
+        assert err == "scenario error: stages must be below 2^53\n"
 
     def test_scenario_stages_below_one_exits_two(
         self, capsys, tmp_path, data_dir
@@ -185,7 +206,8 @@ class TestAudit:
 #: Edits of the scripted scenario that must make ``run`` and ``audit`` exit
 #: 2: numbers that are not JSON integers (``1e999`` parses as an infinite
 #: float), event and given-set stages below 1 (the stage loop starts at 1),
-#: codewords and outputs that are not strings, and a file that is not UTF-8.
+#: codewords and outputs that are not strings, a file that is not UTF-8,
+#: and integers of 2^53 or more, past the range JSON readers agree on.
 _BAD_SCENARIOS = {
     "element-3.5": (b'"set_a":[[2,4]]', b'"set_a":[[3.5,2]]'),
     "stage-2.5": (b'"set_a":[[2,4]]', b'"set_a":[[3,2.5]]'),
@@ -200,6 +222,8 @@ _BAD_SCENARIOS = {
     "codeword-number": (b'[1,"0000","00"]', b'[1,1111,"00"]'),
     "output-number": (b'"0001","000"]', b'"0001",0]'),
     "not-utf8": (b"{", b"\xff\xfe{"),
+    "element-2^53": (b'"set_a":[[2,4]]', b'"set_a":[[9007199254740992,4]]'),
+    "stages-2^53": (b'"stages":6', b'"stages":9007199254740992'),
 }
 
 
@@ -825,6 +849,9 @@ _UNREADABLE_TRACES = {
     ),
     "two-records-on-a-line": lambda text: text.replace(b"}\n{", b"},{", 1),
     "deep-nesting": lambda text: _DEEP.encode(),
+    # orjson 3.8.3 crashes the interpreter on this one; the standard
+    # library's parser refuses it.
+    "million-deep": lambda text: b"[" * 1_000_000 + b"]" * 1_000_000,
     "missing": None,
 }
 
@@ -885,6 +912,24 @@ class TestKc:
         code, out, _ = run_cli(capsys, "kc", str(requests))
         assert code == EXIT_OK
         assert out.splitlines() == ["0\tx", "10\ty", "11\tz"]
+
+    def test_comments_and_blank_lines_are_skipped(self, capsys, tmp_path):
+        requests = tmp_path / "req.txt"
+        requests.write_text(
+            "# header\n\n  \t\nx 1\n   # indented 2\n\t#tab\ny 2\n"
+        )
+        code, out, _ = run_cli(capsys, "kc", str(requests))
+        assert code == EXIT_OK
+        assert out.splitlines() == ["0\tx", "10\ty"]
+
+    @pytest.mark.parametrize("line", ["y 2 z", "y", "y 2 # note"])
+    def test_line_without_two_fields_exits_two(self, capsys, tmp_path, line):
+        requests = tmp_path / "req.txt"
+        requests.write_text(f"x 1\n{line}\n")
+        code, out, err = run_cli(capsys, "kc", str(requests))
+        assert code == EXIT_SCENARIO
+        assert out == ""
+        assert err.startswith("request error:") and err.count("\n") == 1
 
     def test_exhaustion_exits_two(self, capsys, tmp_path):
         requests = tmp_path / "req.txt"
