@@ -118,19 +118,17 @@ def block_range(k: int) -> tuple[int, int]:
     return (1 << k) - 1, (1 << (k + 1)) - 1
 
 
-def encode_real(real: CERealApprox, stages: int | None = None) -> CESetApprox:
+def encode_real(real: CERealApprox) -> CESetApprox:
     """Encode a c.e. real's oscillations into a c.e. set, block by block.
 
     Block ``k`` occupies positions ``[2**k - 1, 2**(k+1) - 1)``; the ``j``-th
     change of bit ``k`` enumerates the largest block element not yet present,
     stamped with the stage of the change.
     """
-    if stages is None:
-        stages = real.stages
     result = CESetApprox()
     for k in range(real.width):
         lo, hi = block_range(k)
-        changes = [s for s in real.change_stages(k) if s < stages]
+        changes = real.change_stages(k)
         if len(changes) > hi - lo:
             raise BlockOverflow(
                 f"bit {k} changed {len(changes)} times, block holds {hi - lo}"

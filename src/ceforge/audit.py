@@ -12,6 +12,15 @@ from the ``m_entries`` and ``n_entries``: a machine's weight is the sum of
 the audit reads none, so a trace with or without one (older traces wrote
 it) audits to the same report.
 
+Whether a trace is well formed is decided in one place.
+``_Replay.from_records`` tests every rule whose failure makes the audit
+refuse the trace (a ValueError, exit 2 at the command line): field types,
+stage order, sides, codewords, marker c and deficits, the N-entry length
+bound and each M-entry's justifying description.  It does so in the one
+pass it makes over every record, entry and snapshot, before any named
+check runs.  So a report is written only for a well-formed trace, and the
+named checks never raise.
+
 The audit does work linear in the trace size.  ``_Replay.from_records``
 reads the records once and builds every per-marker index the checks need
 in that pass: the marker timelines (``marker_at`` bisects them by stage),
@@ -23,7 +32,8 @@ caused a reuse.  ``check_markers`` re-tests marker order only at the pairs
 a record's marker changes touch, and ``check_coverage`` walks the records
 with one B buffer that it slices for every segment.
 
-``trace_to_jsonl`` writes each record with orjson, with sorted keys; its
+``trace_to_jsonl`` writes each record with orjson, with sorted keys (it
+imports orjson itself, so commands that write no trace never load it); its
 lines equal those of the standard library's encoder with sorted keys and
 compact separators byte for byte, because a trace holds only ASCII
 strings, booleans, nulls and integers below 2^63 (a scenario's integers
@@ -45,14 +55,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-import orjson
-
 from .approx import Scenario
 from .bitcore import Dyadic, INFINITE, ZERO
-
-
-class LengthMismatch(ValueError):
-    """An output-machine entry does not match its justifying codeword."""
 
 
 class UsageLedger:
@@ -66,7 +70,6 @@ class UsageLedger:
     """
 
     def __init__(self, scenario: Scenario, side: str) -> None:
-        self.side = side
         self.given = scenario.set_a if side == "a" else scenario.set_d
         self.output_of = {
             e.codeword: e.output for e in scenario.schedule.events
@@ -75,26 +78,10 @@ class UsageLedger:
         self.reuses: dict[int, list[tuple[int, str]]] = {}
 
     def record_use(
-        self,
-        u_codeword: str,
-        m_length: int,
-        n: int,
-        stage: int,
-        cause: int | None,
+        self, u_codeword: str, stage: int, cause: int | None
     ) -> int:
-        """Count one use of ``u_codeword`` by an output-machine entry of
-        ``m_length`` bits describing a segment of length ``n``, and return
-        its use count.  Uses must be recorded in stage order."""
-        if u_codeword not in self.output_of:
-            raise LengthMismatch(f"unknown justifying codeword {u_codeword!r}")
-        if len(u_codeword) != m_length:
-            raise LengthMismatch(
-                f"entry length {m_length} != |{u_codeword!r}|"
-            )
-        if len(self.output_of[u_codeword]) != n:
-            raise LengthMismatch(
-                f"entry n {n} != output length of {u_codeword!r}"
-            )
+        """Count one use of the schedule description ``u_codeword`` and
+        return its use count.  Uses must be recorded in stage order."""
         count = self.uses.get(u_codeword, 0) + 1
         self.uses[u_codeword] = count
         if count >= 2 and cause is not None:
@@ -197,6 +184,21 @@ def _require(
             )
 
 
+def _is_deficit(text: str, longest: int) -> bool:
+    """Whether ``text`` reads (``Dyadic.parse``) as ``num/2^exp`` with
+    num >= 0 and 0 <= exp <= ``longest``, the longest schedule codeword.
+
+    A deficit is a sum of weights 2^-K(X|j), each a multiple of 2^-(that
+    length), so no exponent outside the range can occur; one far outside
+    it would cost memory in the first comparison or in parsing itself.
+    """
+    num, sep, exp = text.partition("/2^")
+    try:
+        return int(num) >= 0 and (not sep or 0 <= int(exp) <= longest)
+    except ValueError:
+        return False
+
+
 @dataclass
 class _Replay:
     """State rebuilt from the trace records alone."""
@@ -215,7 +217,12 @@ class _Replay:
     final_stage: int = 0
 
     @classmethod
-    def from_records(cls, records: list[dict[str, Any]]) -> "_Replay":
+    def from_records(
+        cls, records: list[dict[str, Any]], scenario: Scenario
+    ) -> "_Replay":
+        """Replay ``records``, a trace of ``scenario``; raise ValueError
+        unless it is well formed.  Every rule of a well-formed trace is
+        tested here, so the named checks never meet a malformed one."""
         if (
             not records
             or not isinstance(records[0], dict)
@@ -239,11 +246,15 @@ class _Replay:
             )
         sides = ("a", "d") if engine == "dual" else ("a",)
         snap_fields = {"pos": _OPTIONAL_INT, "c": (int,)}
-        if engine == "dual":
-            snap_fields.update({f"p_{side}": (str,) for side in sides})
+        deficits = [f"p_{side}" for side in sides] if engine == "dual" else []
+        snap_fields.update({key: (str,) for key in deficits})
+        output_of = {e.codeword: e.output for e in scenario.schedule.events}
+        longest = max(map(len, output_of), default=0)
         replay = cls(header=header, stages=records[1:], sides=sides)
         previous = 0  # the last stage the records so far cover
         acts = 0
+        top_c = 0  # the largest c of any snapshot
+        n_longest, n_number = 0, 0  # the longest N-entry and its record
         for number, record in enumerate(replay.stages, 1):
             _require(record, _RECORD_FIELDS, number, "")
             for part, fields in _ENTRY_FIELDS.items():
@@ -262,6 +273,24 @@ class _Replay:
                         raise ValueError(
                             f"malformed trace: record {number} {part} "
                             f"codeword is not {length} bits of 0 and 1"
+                        )
+                    if part == "n_entries":
+                        if length > n_longest:
+                            n_longest, n_number = length, number
+                        continue
+                    # An M-entry describes the output of the schedule
+                    # description it names, at that description's length.
+                    justify, n = entry["justify"], entry["n"]
+                    output = output_of.get(justify)
+                    if (
+                        output is None
+                        or len(justify) != length
+                        or len(output) != n
+                    ):
+                        raise ValueError(
+                            f"malformed trace: record {number} m_entries "
+                            f"justify {justify!r} is not a schedule codeword "
+                            f"of {length} bits with an output of {n} bits"
                         )
             stage = record["stage"]
             if number > 1 and stage <= previous:
@@ -303,17 +332,34 @@ class _Replay:
                         f"malformed trace: record {number} marker {index} "
                         f"appears before marker {len(replay.timelines)}"
                     )
+                c = snap["c"]
                 least = c_offset + index
-                if not least <= snap["c"] <= least + acts:
+                if not least <= c <= least + acts:
                     raise ValueError(
                         f"malformed trace: record {number} marker {index} c "
-                        f"{snap['c']} lies outside {least}..{least + acts}"
+                        f"{c} lies outside {least}..{least + acts}"
                     )
+                top_c = max(top_c, c)
+                for name in deficits:
+                    if not _is_deficit(snap[name], longest):
+                        raise ValueError(
+                            f"malformed trace: record {number} marker "
+                            f"{index} {name} {snap[name]!r} is not num/2^exp "
+                            f"with num >= 0 and exp in 0..{longest}"
+                        )
                 replay.timelines.setdefault(index, []).append((stage, snap))
         if previous > header["stages"]:
             raise ValueError(
                 f"malformed trace: records run to stage {previous}, past "
                 f"the header's {header['stages']}"
+            )
+        # An N-entry is K(0^k) + c bits long for a schedule description of
+        # 0^k and a counter c, and every counter a marker takes shows in a
+        # snapshot.
+        if n_longest > longest + top_c:
+            raise ValueError(
+                f"malformed trace: record {n_number} n_entries length "
+                f"{n_longest} exceeds {longest + top_c}"
             )
         replay.final_stage = previous
         return replay
@@ -355,28 +401,13 @@ def check_weights(
     m_weight = {side: ZERO for side in replay.sides}
     transitions_ok = True
     transition_witness: dict[str, Any] = {}
-    # An N-entry is K(0^k) + c bits long for a schedule description of 0^k
-    # and a counter c, and every counter a marker takes shows in a snapshot.
-    max_length = max(
-        (len(e.codeword) for e in scenario.schedule.events), default=0
-    ) + max(
-        (
-            snap["c"]
-            for timeline in replay.timelines.values()
-            for _, snap in timeline
-        ),
-        default=0,
-    )
     n_weights: dict[tuple[str, int, int], Dyadic] = {}
-    for number, record in enumerate(replay.stages, 1):
+    for record in replay.stages:
         stage = record["stage"]
         for entry in record["m_entries"]:
             side = entry["side"]
             ledger = ledgers[side]
-            count = ledger.record_use(
-                entry["justify"], entry["length"], entry["n"], stage,
-                entry["cause"],
-            )
+            count = ledger.record_use(entry["justify"], stage, entry["cause"])
             m_weight[side] = m_weight[side] + Dyadic.pow2_neg(entry["length"])
             # Only descriptions active at the stage of the transition may
             # move one container deeper.
@@ -388,11 +419,6 @@ def check_weights(
                     "stage": stage,
                 }
         for entry in record["n_entries"]:
-            if entry["length"] > max_length:
-                raise ValueError(
-                    f"malformed trace: record {number} n_entries length "
-                    f"{entry['length']} exceeds {max_length}"
-                )
             key = (entry["side"], entry["index"], entry["version"])
             n_weights[key] = n_weights.get(key, ZERO) + Dyadic.pow2_neg(
                 entry["length"]
@@ -660,7 +686,7 @@ def check_coverage(
     final = replay.final_stage
     cutoff = final - final // 4
     # Every segment here is a schedule output: an entry's n is the output
-    # length of its justifying event (``UsageLedger.record_use``).
+    # length of its justifying event (``_Replay.from_records``).
     width = max((len(e.output) for e in scenario.schedule.events), default=0)
     # K_M over the replayed entries: each entry described the stagewise B
     # segment of its length.
@@ -714,30 +740,6 @@ def check_coverage(
     return checks
 
 
-def _require_deficits(replay: _Replay, scenario: Scenario) -> None:
-    """Raise ValueError unless every snapshot deficit ``num/2^exp`` has
-    0 <= exp <= the longest schedule codeword.
-
-    A deficit is a sum of weights 2^-K(X|j), each a multiple of 2^-(that
-    length), so no exponent outside the range can occur; one far outside
-    it would cost memory in the first comparison or in parsing itself.
-    """
-    if replay.header["engine"] != "dual":
-        return
-    longest = max(
-        (len(e.codeword) for e in scenario.schedule.events), default=0
-    )
-    for index, timeline in replay.timelines.items():
-        for stage, snap in timeline:
-            for side in replay.sides:
-                _, sep, exp = snap[f"p_{side}"].partition("/2^")
-                if sep and not 0 <= int(exp) <= longest:
-                    raise ValueError(
-                        f"malformed trace: marker {index} at stage {stage} "
-                        f"has p_{side} with an exponent outside 0..{longest}"
-                    )
-
-
 def check_deficits(replay: _Replay) -> list[dict[str, Any]]:
     """Dual runs only: every recorded deficit stays at most 2^-c."""
     checks: list[dict[str, Any]] = []
@@ -766,8 +768,7 @@ def audit_trace(
     records: list[dict[str, Any]], scenario: Scenario
 ) -> dict[str, Any]:
     """Full audit of a trace against its scenario; pure and deterministic."""
-    replay = _Replay.from_records(records)
-    _require_deficits(replay, scenario)
+    replay = _Replay.from_records(records, scenario)
     checks, ledgers = check_weights(replay, scenario)
     checks.extend(check_markers(replay, scenario, ledgers))
     checks.extend(check_coverage(replay, scenario))
@@ -805,6 +806,10 @@ def report_to_json(report: dict[str, Any]) -> str:
 
 
 def trace_to_jsonl(records: list[dict[str, Any]]) -> str:
+    # Imported here, so that commands that write no trace do not pay for
+    # orjson's own imports.
+    import orjson
+
     # Each line is decoded as it is made: decoding one joined bytes object
     # would hold a second copy of the whole trace.
     return "".join(

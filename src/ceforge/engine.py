@@ -451,7 +451,7 @@ class BaseEngine:
         try:
             entry = tracker.machine.describe(self.b_str[:k], length, stage)
         except WeightOverflow as exc:
-            raise LemmaViolation(f"M_{side}: {exc}") from exc
+            raise LemmaViolation(str(exc)) from exc
         tracker.mark_dirty(k)
         record.append(
             {
@@ -477,9 +477,7 @@ class BaseEngine:
         try:
             entry = machine.describe(self.sides[side].x_str[:k], length, stage)
         except WeightOverflow as exc:
-            raise LemmaViolation(
-                f"N_{side}{marker.index} v{machine.version}: {exc}"
-            ) from exc
+            raise LemmaViolation(str(exc)) from exc
         self._dirty.add((marker.index, side))
         record.append(
             {

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import pathlib
 
@@ -64,3 +65,10 @@ def demo_scenario() -> Scenario:
 def load_jsonl(path: pathlib.Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text().splitlines() if line]
 
+
+def assert_same_lines(text: str, expected: str) -> None:
+    """Assert that two traces are equal, line by line, so that a failure
+    shows the first line that differs, not a diff of whole traces."""
+    pairs = itertools.zip_longest(text.split("\n"), expected.split("\n"))
+    for number, (line, want) in enumerate(pairs, 1):
+        assert line == want, f"line {number}"

@@ -1,7 +1,6 @@
 """Independent trace replay and the bound checks it performs."""
 
 import hashlib
-import itertools
 import random
 
 import pytest
@@ -18,7 +17,6 @@ from ceforge.approx import (
     gen_scenario,
 )
 from ceforge.audit import (
-    LengthMismatch,
     UsageLedger,
     _Replay,
     _reused,
@@ -31,7 +29,14 @@ from ceforge.audit import (
 )
 from ceforge.engine import DualEngine, SingleEngine
 
-from conftest import DATA, EMPTY, ONE_EVENT, generated, load_jsonl
+from conftest import (
+    DATA,
+    EMPTY,
+    ONE_EVENT,
+    assert_same_lines,
+    generated,
+    load_jsonl,
+)
 
 
 @pytest.fixture()
@@ -54,28 +59,12 @@ def tiny_scenario() -> Scenario:
 class TestUsageLedger:
     def test_containers_nest_with_use_counts(self, tiny_scenario):
         ledger = UsageLedger(tiny_scenario, "a")
-        assert ledger.record_use("0000", 4, 2, stage=1, cause=0) == 1
+        assert ledger.record_use("0000", stage=1, cause=0) == 1
         assert ledger.containers() == {0: {"0000"}}
-        assert ledger.record_use("0000", 4, 2, stage=2, cause=0) == 2
-        assert ledger.record_use("0001", 4, 3, stage=2, cause=1) == 1
+        assert ledger.record_use("0000", stage=2, cause=0) == 2
+        assert ledger.record_use("0001", stage=2, cause=1) == 1
         assert ledger.containers() == {0: {"0000", "0001"}, 1: {"0000"}}
         assert ledger.uses == {"0000": 2, "0001": 1}
-
-    def test_unknown_codeword_rejected(self, tiny_scenario):
-        ledger = UsageLedger(tiny_scenario, "a")
-        with pytest.raises(LengthMismatch):
-            ledger.record_use("1111", 4, 2, stage=1, cause=None)
-
-    def test_length_mismatch_rejected(self, tiny_scenario):
-        ledger = UsageLedger(tiny_scenario, "a")
-        with pytest.raises(LengthMismatch):
-            ledger.record_use("0000", 5, 2, stage=1, cause=None)
-
-    def test_segment_length_mismatch_rejected(self, tiny_scenario):
-        # "0000" describes "00", so it cannot justify a segment of length 3
-        ledger = UsageLedger(tiny_scenario, "a")
-        with pytest.raises(LengthMismatch):
-            ledger.record_use("0000", 4, 3, stage=1, cause=None)
 
     def test_is_active_tracks_given_set(self, tiny_scenario):
         ledger = UsageLedger(tiny_scenario, "a")
@@ -93,12 +82,12 @@ class TestUsageLedger:
         # reused after it, so marker 0's reuses follow the stage order of
         # the reuses, not of the first uses.
         ledger = UsageLedger(tiny_scenario, "a")
-        ledger.record_use("0000", 4, 2, stage=1, cause=2)
-        ledger.record_use("0001", 4, 3, stage=1, cause=None)
-        ledger.record_use("0001", 4, 3, stage=2, cause=0)
-        ledger.record_use("0000", 4, 2, stage=3, cause=None)
-        ledger.record_use("0000", 4, 2, stage=4, cause=0)
-        ledger.record_use("0001", 4, 3, stage=4, cause=1)
+        ledger.record_use("0000", stage=1, cause=2)
+        ledger.record_use("0001", stage=1, cause=None)
+        ledger.record_use("0001", stage=2, cause=0)
+        ledger.record_use("0000", stage=3, cause=None)
+        ledger.record_use("0000", stage=4, cause=0)
+        ledger.record_use("0001", stage=4, cause=1)
         assert ledger.reuses == {
             0: [(2, "0001"), (4, "0000")],
             1: [(4, "0001")],
@@ -114,13 +103,13 @@ class TestUsageLedger:
 
 
 class TestReplay:
-    def test_requires_header(self):
+    def test_requires_header(self, single_scripted):
         with pytest.raises(ValueError):
-            _Replay.from_records([{"stage": 1}])
+            _Replay.from_records([{"stage": 1}], single_scripted)
 
-    def test_marker_timeline_lookup(self, data_dir):
+    def test_marker_timeline_lookup(self, data_dir, single_scripted):
         records = load_jsonl(data_dir / "single_scripted_trace.jsonl")
-        replay = _Replay.from_records(records)
+        replay = _Replay.from_records(records, single_scripted)
         assert replay.marker_at(0, 0) is None  # records start at stage 1
         assert replay.marker_at(0, 2)["pos"] == 1
         assert replay.marker_at(0, 3)["pos"] == 5
@@ -128,9 +117,9 @@ class TestReplay:
         assert replay.marker_at(1, 5)["pos"] is None  # just injured
         assert replay.marker_at(1, 6)["pos"] == 7
 
-    def test_b_restrict(self, data_dir):
+    def test_b_restrict(self, data_dir, single_scripted):
         records = load_jsonl(data_dir / "single_scripted_trace.jsonl")
-        replay = _Replay.from_records(records)
+        replay = _Replay.from_records(records, single_scripted)
         assert oracles.b_restrict(replay, 6, 2) == "000000"
         assert oracles.b_restrict(replay, 6, 3) == "010000"
         assert oracles.b_restrict(replay, 6, 6) == "010001"
@@ -143,7 +132,7 @@ class TestReplay:
         records = load_jsonl(data_dir / "dual_scripted_trace.jsonl")
         records[0]["stages"] = 9
         records[-1]["repeat"] = 2
-        assert _Replay.from_records(records).final_stage == 9
+        assert _Replay.from_records(records, dual_scripted).final_stage == 9
         expanded = oracles.expand_repeats(records)
         assert [r["stage"] for r in expanded[-2:]] == [8, 9]
         assert report_to_json(audit_trace(records, dual_scripted)) == (
@@ -178,7 +167,7 @@ class TestAuditVerdicts:
     def test_coding_table_covers_every_marker(self, demo_scenario):
         records = SingleEngine(demo_scenario).run(demo_scenario.stages)
         report = audit_trace(records, demo_scenario)
-        replay = _Replay.from_records(records)
+        replay = _Replay.from_records(records, demo_scenario)
         assert [row["index"] for row in report["coding_table"]] == sorted(
             replay.timelines
         )
@@ -256,13 +245,7 @@ _WRITER_SCENARIOS = {
 def test_writer_matches_stdlib_encoder(engine_cls, name):
     scenario = _WRITER_SCENARIOS[name]()
     records = engine_cls(scenario).run(scenario.stages)
-    text, expected = trace_to_jsonl(records), oracles.jsonl_stdlib(records)
-    # Line by line, so that a failure shows one line, not a diff of the
-    # whole trace.
-    for line, want in itertools.zip_longest(
-        text.split("\n"), expected.split("\n")
-    ):
-        assert line == want
+    assert_same_lines(trace_to_jsonl(records), oracles.jsonl_stdlib(records))
 
 
 def _ordering_entry(checks):
@@ -278,7 +261,7 @@ def _assert_indexes_match_oracles(records, scenario):
     assert report_to_json(
         audit_trace(oracles.restore_weights(records), scenario)
     ) == report_to_json(audit_trace(records, scenario))
-    replay = _Replay.from_records(records)
+    replay = _Replay.from_records(records, scenario)
     _, ledgers = check_weights(replay, scenario)
     marker_checks = check_markers(replay, scenario, ledgers)
     assert _ordering_entry(marker_checks) == oracles.monotone_indices(replay)
@@ -336,7 +319,9 @@ _CAUSED_REUSES = GenParams(
 def test_caused_reuses_match_oracles():
     scenario = gen_scenario(9898, _CAUSED_REUSES)
     records = DualEngine(scenario).run(scenario.stages)
-    _, ledgers = check_weights(_Replay.from_records(records), scenario)
+    _, ledgers = check_weights(
+        _Replay.from_records(records, scenario), scenario
+    )
     assert any(ledger.reuses for ledger in ledgers.values())
     _assert_indexes_match_oracles(records, scenario)
 
@@ -361,7 +346,7 @@ def test_ordering_check_matches_full_scan(engine_cls, seed):
     records = engine_cls(scenario).run(scenario.stages)
     report = audit_trace(records, scenario)
     assert _ordering_entry(report["checks"]) == oracles.monotone_indices(
-        _Replay.from_records(records)
+        _Replay.from_records(records, scenario)
     )
 
 
@@ -378,7 +363,7 @@ def test_ordering_check_matches_full_scan_when_corrupted(engine_cls, cases):
     not always the first violation."""
     scenario = generated(0)
     records = engine_cls(scenario).run(scenario.stages)
-    replay = _Replay.from_records(records)
+    replay = _Replay.from_records(records, scenario)
     _, ledgers = check_weights(replay, scenario)
     snaps = [
         snap for record in replay.stages for snap in record["markers"].values()
@@ -423,8 +408,8 @@ def test_audit_passes_do_not_grow_with_markers(
     build = _Replay.from_records
     counted = []
 
-    def counting(records):
-        replay = build(records)
+    def counting(records, scenario):
+        replay = build(records, scenario)
         replay.stages = _CountingList(replay.stages)
         counted.append(replay)
         return replay

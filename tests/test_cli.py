@@ -18,6 +18,7 @@ from ceforge.cli import (
     KC_LENGTH_BOUND,
     main,
 )
+from ceforge.machines import PrefixFreeMachine
 
 from conftest import DATA, generated, load_jsonl
 from oracles import EagerFreeBlockSet
@@ -169,6 +170,32 @@ class TestRun:
             capsys, "run", "--scenario", str(tmp_path / "nope.json")
         )
         assert code == EXIT_SCENARIO
+
+    @pytest.mark.parametrize("engine", ["single", "dual"])
+    def test_lemma_violation_exits_three(self, capsys, monkeypatch, engine):
+        """A machine that describes at length 0 reaches weight 1 with its
+        first entry: ``run`` prints one ``lemma violation`` line that names
+        the machine once."""
+        describe = PrefixFreeMachine.describe
+        monkeypatch.setattr(
+            PrefixFreeMachine,
+            "describe",
+            lambda self, output, length, stage: describe(
+                self, output, 0, stage
+            ),
+        )
+        code, out, err = run_cli(
+            capsys, "run", "--scenario", str(DATA / "single_scripted.json"),
+            "--engine", engine,
+        )
+        assert code == EXIT_LEMMA
+        assert out == ""
+        assert err.startswith("lemma violation: ") and err.endswith(
+            " v0: weight would reach 1/2^0\n"
+        ), err
+        assert err.count("\n") == 1, err
+        name = err.removeprefix("lemma violation: ").split(" ")[0]
+        assert err.count(name) == 1, err
 
 
 class TestAudit:
@@ -377,6 +404,38 @@ def _n_length_past_bound(records):
     entry["codeword"] = "0" * 200
 
 
+def _m_justify_unknown(records):
+    # four bits, as the entry's codeword, but no schedule description
+    entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
+    entry["justify"] = "1111"
+
+
+def _m_length_not_justify(records):
+    # the codeword matches, so the justifying description's length must
+    # refuse it
+    entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
+    entry["length"] += 1
+    entry["codeword"] += "0"
+
+
+def _m_n_not_output(records):
+    # "0000" describes "00", so it cannot justify a segment of length 3
+    entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
+    entry["n"] = 3
+
+
+# Marker 1 is unplaced at stage 7, so no named check reads these deficits:
+# the replay must refuse them itself.
+
+
+def _deficit_not_a_number(records):
+    records[7]["markers"]["1"]["p_a"] = "abc"
+
+
+def _deficit_negative_unplaced(records):
+    records[7]["markers"]["1"]["p_a"] = "-5/2^3"
+
+
 #: Faults whose message must name the value at fault: a bare KeyError
 #: would print only the side.
 _NAMED = {
@@ -387,6 +446,17 @@ _NAMED = {
     _m_codeword_short: "record 5 m_entries codeword is not 4 bits",
     _n_codeword_not_bits: "record 3 n_entries codeword is not 7 bits",
     _n_length_past_bound: "record 3 n_entries length 200 exceeds",
+    _m_justify_unknown: "record 5 m_entries justify '1111' is not a",
+    _m_length_not_justify: (
+        "record 5 m_entries justify '0000' is not a schedule codeword of 5 "
+        "bits"
+    ),
+    _m_n_not_output: (
+        "record 5 m_entries justify '0000' is not a schedule codeword of 4 "
+        "bits with an output of 3 bits"
+    ),
+    _deficit_not_a_number: "record 7 marker 1 p_a 'abc' is not num/2^exp",
+    _deficit_negative_unplaced: "record 7 marker 1 p_a '-5/2^3' is not",
 }
 
 
@@ -495,6 +565,11 @@ def _repeat_huge(records):
         ("dual_scripted", _m_codeword_short),
         ("single_scripted", _n_codeword_not_bits),
         ("single_scripted", _n_length_past_bound),
+        ("dual_scripted", _m_justify_unknown),
+        ("dual_scripted", _m_length_not_justify),
+        ("dual_scripted", _m_n_not_output),
+        ("dual_scripted", _deficit_not_a_number),
+        ("dual_scripted", _deficit_negative_unplaced),
     ],
     ids=lambda value: getattr(value, "__name__", value).lstrip("_"),
 )
@@ -521,7 +596,7 @@ def test_malformed_trace_exits_two(
 def _overweight_n_machine(records):
     """Add length-2 n-entries to the record of the first n-entry until that
     entry's (side, index, version) weighs more than 1/2 in the trace, and
-    return them.  Length 2 lies within the audit's ``max_length`` rule."""
+    return them.  Length 2 lies within the audit's N-entry length bound."""
     record = next(r for r in records[1:] if r["n_entries"])
     first = record["n_entries"][0]
     key = first["side"], first["index"], first["version"]
@@ -583,7 +658,7 @@ def test_swapped_markers_fail_the_ordering_check(capsys, tmp_path, repaired):
     change record before it: the last stage the order was violated."""
     scenario = generated(0)
     records = SingleEngine(scenario).run(scenario.stages)
-    final = _Replay.from_records(records).final_markers()
+    final = _Replay.from_records(records, scenario).final_markers()
     i, j = sorted(
         index for index, snap in final.items() if snap["pos"] is not None
     )[:2]
@@ -639,7 +714,7 @@ def _drop_last_m_entries(side):
 def _overdrawn_deficit(records, scenario):
     """Set ``p_a`` to 1/2 in the last snapshot of the highest marker placed
     at the end; every c is at least 3, so the bound 2^-c is below it."""
-    final = _Replay.from_records(records).final_markers()
+    final = _Replay.from_records(records, scenario).final_markers()
     index = max(i for i, snap in final.items() if snap["pos"] is not None)
     last = [r for r in records[1:] if str(index) in r["markers"]][-1]
     last["markers"][str(index)]["p_a"] = "1/2^1"
@@ -648,7 +723,7 @@ def _overdrawn_deficit(records, scenario):
 def _last_change(records, scenario):
     """The replay, the side-a ledger and the last record that is not a
     folded quiet tail: entries added there come after every other use."""
-    replay = _Replay.from_records(records)
+    replay = _Replay.from_records(records, scenario)
     _, ledgers = check_weights(replay, scenario)
     last = [r for r in records[1:] if "repeat" not in r][-1]
     return replay, ledgers["a"], last
@@ -692,7 +767,7 @@ def _moved_coding_position(records, scenario):
     """Move the highest stable marker whose position is in B, in its last
     snapshot, to the least position above it that never enters B: its
     index is in the halting set, but B no longer says so."""
-    replay = _Replay.from_records(records)
+    replay = _Replay.from_records(records, scenario)
     final = replay.final_markers()
     index = max(
         i for i in stable_indices(replay)
@@ -712,12 +787,13 @@ def _overdraw(records, scenario, index, number, end):
     weight passes the bound there: 2^-c of the marker's snapshot at
     ``end``, plus its ``p_a`` on the dual engine."""
     record = records[number]
-    snap = _Replay.from_records(records).marker_at(index, end)
+    snap = _Replay.from_records(records, scenario).marker_at(index, end)
     bound = Dyadic.pow2_neg(snap["c"])
     if "p_a" in snap:
         bound += Dyadic.parse(snap["p_a"])
     _, ledgers = check_weights(
-        _Replay.from_records(records[: number + 1]), scenario
+        _Replay.from_records(records[: number + 1], scenario),
+        scenario,
     )
     ledger = ledgers["a"]
     weight = ZERO
@@ -758,7 +834,7 @@ def _overdrawn_first_interval(records, scenario):
     interval of the highest marker that first appears after stage 1 and
     is later injured, outside the halting set at the interval's end.  The
     interval starts at stage 1, before the marker's first snapshot."""
-    replay = _Replay.from_records(records)
+    replay = _Replay.from_records(records, scenario)
     firsts = [
         (index, replay.injuries[index][0] - 1)
         for index, timeline in replay.timelines.items()
