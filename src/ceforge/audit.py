@@ -3,10 +3,12 @@
 Everything here is recomputed from the serialized trace plus the scenario;
 the auditor never reads engine internals, so it is an independent path over
 the same events.  Marker records in the trace are deltas: each stage lists
-the full state of just the markers that changed at that stage.  The quiet
-tail of a run is one no-op record whose ``repeat`` field counts the stages
-it stands for; such a record changes nothing, so the audit reads it once
-and only its stage span matters.  The audit recomputes every machine weight
+the full state of just the markers that changed at that stage.  Each run
+of consecutive bare no-op stages (no marker snapshot, no entry), the quiet
+tail among them, is one record whose ``repeat`` field counts the stages it
+stands for; such a record changes nothing, so the audit reads it once and
+only its stage span matters, and every index reads the same as on the
+trace with the run written out.  The audit recomputes every machine weight
 from the ``m_entries`` and ``n_entries``: a machine's weight is the sum of
 2^-``length`` over its entries.  The engine writes no ``weights`` field, and
 the audit reads none, so a trace with or without one (older traces wrote
@@ -15,8 +17,8 @@ it) audits to the same report.
 Whether a trace is well formed is decided in one place.
 ``_Replay.from_records`` tests every rule whose failure makes the audit
 refuse the trace (a ValueError, exit 2 at the command line): field types,
-stage order, sides, codewords, marker c and deficits, the N-entry length
-bound and each M-entry's justifying description.  It does so in the one
+stage order, sides, codewords, marker keys, c and deficits, the N-entry
+length bound and each M-entry's justifying description.  It does so in the one
 pass it makes over every record, entry and snapshot, before any named
 check runs.  So a report is written only for a well-formed trace, and the
 named checks never raise.
@@ -55,7 +57,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from .approx import Scenario
+from .approx import JSON_INT_BOUND, Scenario
 from .bitcore import Dyadic, INFINITE, ZERO
 
 
@@ -145,9 +147,11 @@ _C_OFFSETS = {"single": 3, "dual": 4}
 def _repeat(record: dict[str, Any], number: int) -> int:
     """The number of stages stage record ``number`` stands for.
 
-    A quiet-tail record with ``repeat`` n stands for its own stage and the
-    n - 1 after it.  It may change nothing, so that every index and check
-    reads the same as on the trace with the n records written out.
+    A record with ``repeat`` n stands for its own stage and the n - 1
+    after it, a run of identical no-op stages anywhere in the trace (the
+    engine folds every such run, the quiet tail included).  It may change
+    nothing, so that every index and check reads the same as on the trace
+    with the n records written out.
     """
     if "repeat" not in record:
         return 1
@@ -197,6 +201,19 @@ def _is_deficit(text: str, longest: int) -> bool:
         return int(num) >= 0 and (not sep or 0 <= int(exp) <= longest)
     except ValueError:
         return False
+
+
+def _is_index(key: str) -> bool:
+    """Whether ``key`` is a natural below 2^53 in decimal without leading
+    zeros, the one way a trace may write a marker index.  The length test
+    comes first, so ``int`` never meets a key past its digit limit."""
+    return (
+        key.isascii()
+        and key.isdigit()
+        and (key == "0" or key[0] != "0")
+        and len(key) <= len(str(JSON_INT_BOUND))
+        and int(key) < JSON_INT_BOUND
+    )
 
 
 @dataclass
@@ -317,6 +334,13 @@ class _Replay:
                     )
                 replay.injuries.setdefault(index, []).append(stage)
             for key, snap in record["markers"].items():
+                # One key per index: "0" and "00" may not both name marker 0.
+                if not _is_index(key):
+                    raise ValueError(
+                        f"malformed trace: record {number} marker key "
+                        f"{key!r} is not a natural below 2^53 in decimal "
+                        "without leading zeros"
+                    )
                 _require(snap, snap_fields, number, " markers")
                 index = int(key)
                 # Markers appear one index at a time.  A marker's c is

@@ -235,7 +235,16 @@ class BaseEngine:
       ``_mark_from`` each read one slice of it;
     * a fresh position is one past the larger of the stage and the last
       fresh position, which starts at the longest codeword, every side's
-      ``width`` and the initial position 1 (``_fresh``).
+      ``width`` and the initial position 1 (``_fresh``);
+    * the stage clock: after a bare no-op at stage s (no act, place or
+      describe, no marker snapshot and no n-entry), every input a stage
+      reads stays as it is until the first of these stages, so ``run``
+      steps next there (``_next_change``): the next stamp in ``_stamps``;
+      k + 1 for the least key k >= s of ``zero`` (s_old reaches a key) or
+      of a side tracker (the upper bound of ``sum_range`` passes it); and
+      the least deficient j of a side plus 2, or plus 1 on an inclusive
+      cursor (the cursor's bound reaches it).  With no such stage the run
+      ends in one record.
     """
 
     # The defaults are the one-set construction's; DualEngine overrides them.
@@ -265,13 +274,9 @@ class BaseEngine:
         # Placed (t, index, side), sorted, with INFINITE for a t of None.
         self._t_sorted: list[tuple[int | float, int, str]] = []
         self.archived: list[tuple[str, int, PrefixFreeMachine]] = []
-        # Bounds past which nothing in the scenario can change: a marker with
-        # a position above every described segment length has zero sums, so
-        # it can act only once its index enters the halting set
-        # (``_can_act``), and once all event stages have passed and the
-        # deficiency cursor's bound has reached every segment length, a no-op
-        # stage repeats forever.  An exclusive cursor reaches length j only
-        # when the previous stage is past j.
+        # A marker with a position above every described segment has zero
+        # sums, so it can act only once its index enters the halting set
+        # (``_can_act``).
         self._max_key_bound = max((len(e.output) for e in events), default=0)
         # B is read only in described segments, so it is kept that far.
         self._b_bits = bytearray(b"0" * self._max_key_bound)
@@ -280,12 +285,12 @@ class BaseEngine:
         self._halting_by_stage: dict[int, list[int]] = {}
         for index, stamp in scenario.halting.schedule:
             self._halting_by_stage.setdefault(stamp, []).append(index)
-        self._quiet_after = max(
-            [self._max_key_bound + (0 if self.cursor_inclusive else 1)]
-            + [e.stage for e in events]
-            + list(self._halting_by_stage)
-            + [s for _, s in scenario.set_a.schedule]
-            + [s for _, s in scenario.set_d.schedule],
+        # Every stage at which an input arrives, sorted: an event, an
+        # element of a side's given set or a halting stamp.
+        self._stamps = sorted(
+            {e.stage for e in events}
+            | set(self._halting_by_stage)
+            | {s for name in self.side_names for _, s in given[name].schedule}
         )
         self._last_fresh = max(
             1,
@@ -691,31 +696,58 @@ class BaseEngine:
             "k_index": "s+1",
         }
 
+    def _next_change(self) -> int | float:
+        """After a bare no-op at ``self.stage``, the first later stage whose
+        record can differ from it in more than ``stage``, INFINITE if none
+        (see the class docstring)."""
+        s = self.stage
+        nexts = []
+        i = bisect.bisect_right(self._stamps, s)
+        if i < len(self._stamps):
+            nexts.append(self._stamps[i])
+        for tracker in (self.zero, *self.sides.values()):
+            keys = tracker._keys
+            i = bisect.bisect_left(keys, s)
+            if i < len(keys):
+                nexts.append(keys[i] + 1)
+        reach = 1 if self.cursor_inclusive else 2
+        for tracker in self.sides.values():
+            if tracker._deficient:
+                nexts.append(min(tracker._deficient) + reach)
+        return min(nexts, default=INFINITE)
+
     def run(self, stages: int) -> list[dict[str, Any]]:
         """Execute stages 1..``stages``; returns the full trace.
 
-        The trace has one record per stage, except that the quiet tail is
-        one no-op record whose ``repeat`` counts the stages it stands for:
-        its own and those after it, which are identical but for ``stage``.
+        The trace has one record per stage, except that each maximal run of
+        bare no-ops (no-op records with no marker snapshot and no n-entry,
+        whose cursors are all None) is one record whose ``repeat`` counts
+        the stages it stands for: its own and those after it, which are
+        identical but for ``stage``.  The quiet tail is one such run.  After
+        a bare no-op the loop steps next at ``_next_change``, not at every
+        stage in between.
         """
         if stages < 1:
             raise ValueError("stages must be >= 1")
         records = [self.header(stages)]
+        folding: dict[str, Any] | None = None  # the open run's record
         while self.stage < stages:
             record = self.step()
-            records.append(record)
             if (
-                self.stage > self._quiet_after
-                and self.stage < stages
-                and record["action"] == "noop"
-                and not record["markers"]
+                record["action"] != "noop"
+                or record["markers"]
+                or record["n_entries"]
             ):
-                # Past the last scheduled event a no-op stage reproduces
-                # itself: sums, cursors and clauses all read the same
-                # unchanged state.  A snapshot is emitted once, so a record
-                # that carries one does not repeat.
-                record["repeat"] = stages - self.stage + 1
-                self.stage = stages
+                records.append(record)
+                folding = None
+                continue
+            if folding is None:
+                folding = record
+                records.append(record)
+            # The stages before the next change repeat this one.
+            self.stage = min(self._next_change() - 1, stages)
+            if self.stage > folding["stage"]:
+                folding["repeat"] = self.stage - folding["stage"] + 1
         return records
 
 

@@ -295,6 +295,63 @@ def expand_repeats(records):
     return expanded
 
 
+def is_bare(record) -> bool:
+    """Whether a stage record is a bare no-op: a no-op with no marker
+    snapshot and no n-entry."""
+    return (
+        record["action"] == "noop"
+        and not record["markers"]
+        and not record["n_entries"]
+    )
+
+
+def mergeable_pairs(records) -> list[tuple[int, int]]:
+    """The stages of each two adjacent stage records that could be written
+    as one: both bare no-ops with equal cursors ``z``."""
+    return [
+        (first["stage"], second["stage"])
+        for first, second in zip(records[1:], records[2:])
+        if is_bare(first) and is_bare(second) and first["z"] == second["z"]
+    ]
+
+
+def quiet_after(scenario, inclusive: bool) -> int:
+    """The stage past which the engine once folded the no-op records: the
+    last event, given-set or halting stamp, or the longest output (one
+    past it on an exclusive cursor), whichever is latest."""
+    events = scenario.schedule.events
+    longest = max((len(e.output) for e in events), default=0)
+    return max(
+        [longest + (0 if inclusive else 1)]
+        + [e.stage for e in events]
+        + [stamp for _, stamp in scenario.halting.schedule]
+        + [stage for _, stage in scenario.set_a.schedule]
+        + [stage for _, stage in scenario.set_d.schedule]
+    )
+
+
+def fold_quiet_tail(records, scenario):
+    """The trace as the engine wrote it when it folded the quiet tail
+    alone: every ``repeat`` record written out, then the first no-op record
+    past ``quiet_after`` that carries no marker snapshot, unless it is the
+    last stage, stands with ``repeat`` for itself and every stage after
+    it, which must all be bare no-ops."""
+    expanded = expand_repeats(records)
+    stages = records[0]["stages"]
+    bound = quiet_after(scenario, records[0]["engine"] == "dual")
+    for number, record in enumerate(expanded[1:], 1):
+        stage = record["stage"]
+        if (
+            bound < stage < stages
+            and record["action"] == "noop"
+            and not record["markers"]
+        ):
+            assert all(map(is_bare, expanded[number:])), stage
+            tail = {**record, "repeat": stages - stage + 1}
+            return expanded[:number] + [tail]
+    return expanded
+
+
 def injure_unplaced(records):
     """The trace as the engine wrote it when an act also injured the
     markers above the acting one that were already unplaced.  Each such

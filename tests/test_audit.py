@@ -255,13 +255,19 @@ def _ordering_entry(checks):
 
 
 def _assert_indexes_match_oracles(records, scenario):
-    """Every index the audit builds once equals the naive scan it replaced.
-    A trace with the ``weights`` field restored, as the engine once wrote
-    it, audits to the same report."""
+    """Every index the audit builds once equals the naive scan it replaced,
+    and the same index of the trace with its ``repeat`` records written
+    out.  A trace with the ``weights`` field restored, as the engine once
+    wrote it, audits to the same report.  No two adjacent records of the
+    trace could be folded into one."""
     assert report_to_json(
         audit_trace(oracles.restore_weights(records), scenario)
     ) == report_to_json(audit_trace(records, scenario))
+    assert not oracles.mergeable_pairs(records)
     replay = _Replay.from_records(records, scenario)
+    expanded = _Replay.from_records(oracles.expand_repeats(records), scenario)
+    for name in ("b_stage", "timelines", "injuries", "final_stage"):
+        assert getattr(replay, name) == getattr(expanded, name), name
     _, ledgers = check_weights(replay, scenario)
     marker_checks = check_markers(replay, scenario, ledgers)
     assert _ordering_entry(marker_checks) == oracles.monotone_indices(replay)

@@ -1,5 +1,6 @@
 """Command-line entry points, exercised in-process via ``main``."""
 
+import copy
 import io
 import json
 import random
@@ -436,6 +437,15 @@ def _deficit_negative_unplaced(records):
     records[7]["markers"]["1"]["p_a"] = "-5/2^3"
 
 
+def _marker_key_padded(records):
+    # "00" would be a second snapshot of marker 0 in the same record
+    records[1]["markers"]["00"] = dict(records[1]["markers"]["0"])
+
+
+def _marker_key_not_a_number(records):
+    records[1]["markers"]["x"] = records[1]["markers"].pop("0")
+
+
 #: Faults whose message must name the value at fault: a bare KeyError
 #: would print only the side.
 _NAMED = {
@@ -457,6 +467,8 @@ _NAMED = {
     ),
     _deficit_not_a_number: "record 7 marker 1 p_a 'abc' is not num/2^exp",
     _deficit_negative_unplaced: "record 7 marker 1 p_a '-5/2^3' is not",
+    _marker_key_padded: "record 1 marker key '00' is not a natural",
+    _marker_key_not_a_number: "record 1 marker key 'x' is not a natural",
 }
 
 
@@ -570,6 +582,8 @@ def _repeat_huge(records):
         ("dual_scripted", _m_n_not_output),
         ("dual_scripted", _deficit_not_a_number),
         ("dual_scripted", _deficit_negative_unplaced),
+        ("dual_scripted", _marker_key_padded),
+        ("single_scripted", _marker_key_not_a_number),
     ],
     ids=lambda value: getattr(value, "__name__", value).lstrip("_"),
 )
@@ -696,6 +710,27 @@ def test_swapped_markers_fail_the_ordering_check(capsys, tmp_path, repaired):
     assert witness["pos_i"] >= witness["pos_j"]
 
 
+def _record_at(records, stage):
+    """The number of the record of ``stage``.  A ``repeat`` record that
+    stands for it is split first, around a record of the stage alone, so
+    that a mutation may add entries there."""
+    number, record = next(
+        (n, r) for n, r in enumerate(records) if n
+        and r["stage"] <= stage < r["stage"] + r.get("repeat", 1)
+    )
+    first, last = record["stage"], record["stage"] + record.get("repeat", 1)
+    base = {key: value for key, value in record.items() if key != "repeat"}
+    pieces = []
+    for lo, hi in ((first, stage), (stage, stage + 1), (stage + 1, last)):
+        if lo < hi:
+            piece = {**copy.deepcopy(base), "stage": lo}
+            if hi - lo > 1:
+                piece["repeat"] = hi - lo
+            pieces.append(piece)
+    records[number : number + 1] = pieces
+    return number + (stage > first)
+
+
 def _drop_last_m_entries(side):
     """Drop the side's m-entries from the last record that has any."""
 
@@ -720,13 +755,13 @@ def _overdrawn_deficit(records, scenario):
     last["markers"][str(index)]["p_a"] = "1/2^1"
 
 
-def _last_change(records, scenario):
-    """The replay, the side-a ledger and the last record that is not a
-    folded quiet tail: entries added there come after every other use."""
+def _last_change(records, scenario, side="a"):
+    """The replay, the ledger of ``side`` and the last record that is not a
+    ``repeat`` record: entries added there come after every other use."""
     replay = _Replay.from_records(records, scenario)
     _, ledgers = check_weights(replay, scenario)
     last = [r for r in records[1:] if "repeat" not in r][-1]
-    return replay, ledgers["a"], last
+    return replay, ledgers[side], last
 
 
 def _reused_inactive(records, scenario):
@@ -745,22 +780,29 @@ def _reused_inactive(records, scenario):
     last["m_entries"].append({**entry, "cause": None})
 
 
-def _repeated_active(records, scenario):
-    """Repeat, with no cause, the shortest side-a description that matches
-    A at the last change record, until it is used as many times as it has
-    bits.  Used u times, it lies in container S_(u-1), whose bound is
-    2^-u, and it alone weighs 2^-(its length)."""
-    _, ledger, last = _last_change(records, scenario)
-    codeword = min(
-        (cw for cw in ledger.output_of if ledger.is_active(cw, last["stage"])),
-        key=len,
-    )
-    for _ in range(len(codeword) - ledger.uses.get(codeword, 0)):
-        last["m_entries"].append({
-            "side": "a", "justify": codeword, "length": len(codeword),
-            "n": len(ledger.output_of[codeword]), "cause": None,
-            "codeword": "0" * len(codeword),
-        })
+def _repeated_active(side):
+    """Repeat, with no cause, the shortest description on ``side`` that
+    matches its given set at the last change record, until it is used as
+    many times as it has bits.  Used u times, it lies in container
+    S_(u-1), whose bound is 2^-u, and it alone weighs 2^-(its length)."""
+
+    def mutate(records, scenario):
+        _, ledger, last = _last_change(records, scenario, side)
+        codeword = min(
+            (
+                cw for cw in ledger.output_of
+                if ledger.is_active(cw, last["stage"])
+            ),
+            key=len,
+        )
+        for _ in range(len(codeword) - ledger.uses.get(codeword, 0)):
+            last["m_entries"].append({
+                "side": side, "justify": codeword, "length": len(codeword),
+                "n": len(ledger.output_of[codeword]), "cause": None,
+                "codeword": "0" * len(codeword),
+            })
+
+    return mutate
 
 
 def _moved_coding_position(records, scenario):
@@ -845,8 +887,7 @@ def _overdrawn_first_interval(records, scenario):
         for index, end in firsts
         if not scenario.halting.contains(index, end)
     )
-    number = next(n for n, r in enumerate(records) if n and r["stage"] == end)
-    _overdraw(records, scenario, index, number, end)
+    _overdraw(records, scenario, index, _record_at(records, end), end)
 
 
 @pytest.mark.parametrize(
@@ -862,8 +903,9 @@ def _overdrawn_first_interval(records, scenario):
         (DualEngine, "reuse-bounds", _overdrawn_reuses),
         (SingleEngine, "reuse-bounds", _overdrawn_first_interval),
         (DualEngine, "reuse-bounds", _overdrawn_first_interval),
-        (SingleEngine, "decanter-bounds-a", _repeated_active),
-        (DualEngine, "decanter-bounds-a", _repeated_active),
+        (SingleEngine, "decanter-bounds-a", _repeated_active("a")),
+        (DualEngine, "decanter-bounds-a", _repeated_active("a")),
+        (DualEngine, "decanter-bounds-d", _repeated_active("d")),
         (SingleEngine, "coding", _moved_coding_position),
         (DualEngine, "coding", _moved_coding_position),
     ],
@@ -872,7 +914,8 @@ def _overdrawn_first_interval(records, scenario):
          "dual-active-transitions", "single-reuse-bounds",
          "dual-reuse-bounds", "single-reuse-bounds-first-interval",
          "dual-reuse-bounds-first-interval", "single-decanter-bounds-a",
-         "dual-decanter-bounds-a", "single-coding", "dual-coding"],
+         "dual-decanter-bounds-a", "dual-decanter-bounds-d", "single-coding",
+         "dual-coding"],
 )
 def test_corrupted_trace_fails_its_check(
     capsys, tmp_path, engine_cls, check, mutate
@@ -886,8 +929,8 @@ def test_corrupted_trace_fails_its_check(
     than its bound fail ``reuse-bounds``, in the last uninjured interval
     and in a first one that starts before the marker appears, uncaused
     repeats of one active description that fill a container past its
-    bound fail ``decanter-bounds-a``, and a stable marker moved off its
-    position in B fails ``coding``."""
+    bound fail that side's ``decanter-bounds``, and a stable marker moved
+    off its position in B fails ``coding``."""
     scenario = generated(0)
     records = engine_cls(scenario).run(scenario.stages)
     assert audit_trace(records, scenario)["pass"]

@@ -5,9 +5,9 @@ the engine ran, so these serve as the independent oracle for the reference
 traces bundled under tests/data.
 """
 
+import copy
 import hashlib
 import json
-import math
 from types import SimpleNamespace
 
 import pytest
@@ -33,6 +33,7 @@ import oracles
 from oracles import (
     expand_repeats,
     fires_dyadic,
+    fold_quiet_tail,
     injure_unplaced,
     k_at_n,
     least_unplaced,
@@ -198,18 +199,22 @@ class TestEngineProperties:
 
 
 class _Naive:
-    """Turns off the engine's shortcuts: the quiet-tail fold, the candidate
-    filter (frozen markers, and markers above every described segment whose
-    index has not entered the halting set) with its halting join, the dirty
-    set and the t index, so that every stage is computed, the attention
-    walk, the zero-drop repair and ``_mark_from`` walk every placed marker,
-    and every placed marker's t is recomputed from scratch."""
+    """Turns off the engine's shortcuts: the jump of the stage clock, the
+    candidate filter (frozen markers, and markers above every described
+    segment whose index has not entered the halting set) with its halting
+    join, the dirty set and the t index, so that every stage is computed,
+    the attention walk, the zero-drop repair and ``_mark_from`` walk every
+    placed marker, and every placed marker's t is recomputed from
+    scratch."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
-        self._quiet_after = math.inf
         # Marker 0 was placed under the real rule.
         self._candidates = oracles.candidates(self)
+
+    def _next_change(self):
+        # Step every stage; ``run`` still folds what it steps.
+        return self.stage + 1
 
     def _can_act(self, marker, stage):
         return True
@@ -401,7 +406,17 @@ def _written(**fields):
 #: * "halt-0", "halt-1": no events, so marker 0's position 1 lies above
 #:   every described segment, and index 0 enters the halting set at stage
 #:   0 or 1.  Marker 0 is a candidate from construction (stage 0) in the
-#:   first, and joins only at stage 1 in the second.
+#:   first, and joins only at stage 1 in the second;
+#: * "keys": K(0^2) is 7 from stage 1, and from stage 2, A|4 = 0111 has a
+#:   description of 6 bits.  Marker 0 on position 1 gets its threshold t
+#:   = 2 at stage 3, when s_old reaches the key 2 of the K(0^n) table, and
+#:   on the single engine its side-a sum reaches the 6-bit description at
+#:   stage 5, when s_old reaches the key 4, a stage before the exclusive
+#:   cursor could reach 4.  Between stamps, only the clock's key rules
+#:   stop there;
+#: * "late-zero": K(0^19) arrives at stage 3, but D changes below 19 at
+#:   stage 4, so only the K(0^n) table keeps the key 19, and marker 0's t
+#:   can change only at stage 20, long after the last stamp.
 LOCKSTEP = {
     "2": lambda: generated(2),
     "5": lambda: generated(5),
@@ -417,6 +432,21 @@ LOCKSTEP = {
     ),
     "halt-0": lambda: _written(halting=[[0, 0]], stages=20),
     "halt-1": lambda: _written(halting=[[0, 1]], stages=20),
+    "keys": lambda: _written(
+        universal_events=[[1, "0000000", "00"], [2, "000001", "0111"]],
+        set_a=[[1, 2], [2, 2], [3, 2]],
+        halting=[],
+        stages=30,
+    ),
+    "late-zero": lambda: _written(
+        universal_events=[
+            [3, "000000", "0" * 19], [4, "00000100", "000000010000"]
+        ],
+        set_a=[[7, 2]],
+        set_d=[[2, 4]],
+        halting=[],
+        stages=30,
+    ),
 }
 
 
@@ -428,13 +458,16 @@ LOCKSTEP = {
 )
 def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     """Stepping in lockstep: the same JSONL record at every stage, and the
-    same thresholds t and deficits p up to the quiet point.  Run whole: the
-    fast trace, its quiet tail written out, is the naive trace byte for
-    byte.  At every stage the marker invariants of ``BaseEngine`` hold
-    against scans of the markers and the records, and every index lookup
-    matches the walk it replaces."""
+    same thresholds t and deficits p up to the quiet point.  Every stage
+    that the stage clock would skip after a bare no-op repeats that no-op's
+    record but for ``stage``, and its thresholds.  Run whole: the fast
+    trace is the naive trace, which steps every stage, byte for byte,
+    folded and written out.  At every stage the marker invariants of
+    ``BaseEngine`` hold against scans of the markers and the records, and
+    every index lookup matches the walk it replaces."""
     scenario = LOCKSTEP[name]()
     stages = min(1_500, scenario.stages)
+    quiet = oracles.quiet_after(scenario, fast_cls.cursor_inclusive)
     fast, naive = fast_cls(scenario), naive_cls(scenario)
     _pin_indexes(fast)
     _check_indexes(fast)
@@ -443,28 +476,45 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     seen = SimpleNamespace(pos={}, positions=set(), acting=[], archived=0)
     _check_marker_invariants(fast, records[-1], seen)
     _check_indexes(fast)
+    skipped = 0  # the stages the clock would skip
+    jump = None  # the last bare no-op, while the clock would skip
     for stage in range(2, stages + 1):
         records.append(fast.step())
         record = trace_to_jsonl(records[-1:])
         assert record == trace_to_jsonl([naive.step()]), stage
-        if stage <= fast._quiet_after:
+        if stage <= quiet:
             assert _thresholds(fast) == _thresholds(naive), stage
+        if jump is not None and stage < jump.to:
+            assert {**records[-1], "stage": jump.stage} == jump.record, stage
+            assert _thresholds(fast) == jump.thresholds, stage
+            skipped += 1
+        elif oracles.is_bare(records[-1]):
+            jump = SimpleNamespace(
+                to=fast._next_change(), stage=stage, record=records[-1],
+                thresholds=copy.deepcopy(_thresholds(fast)),
+            )
+        else:
+            jump = None
         _check_marker_invariants(fast, records[-1], seen)
         _check_indexes(fast)
     # Some marker sits above every described segment, where it is a
-    # candidate only once its index has entered the halting set, and the
+    # candidate only once its index has entered the halting set, the
     # horizon reaches past the quiet point (the dense one is active
-    # throughout), so every shortcut is exercised.
+    # throughout) and the clock skips some stage, so every shortcut is
+    # exercised.
     assert any(
         m.position is not None and m.position > fast._max_key_bound
         for m in fast.markers
     )
     if name != "dense":
-        assert fast._quiet_after < stages - 1
+        assert quiet < stages - 1
+    assert skipped
     folded = fast_cls(scenario).run(stages)
+    stepped = naive_cls(scenario).run(stages)
+    assert_same_lines(trace_to_jsonl(folded), trace_to_jsonl(stepped))
     assert_same_lines(
         trace_to_jsonl(expand_repeats(folded)),
-        trace_to_jsonl(naive_cls(scenario).run(stages)),
+        trace_to_jsonl(expand_repeats(stepped)),
     )
 
 
@@ -487,9 +537,10 @@ FROZEN_REPORTS = {
 }
 
 
-#: sha256 of the same traces with the quiet tail folded and no ``weights``
-#: field, as the engine writes them, but with the injuries of unplaced
-#: markers put back.
+#: sha256 of the same traces with no ``weights`` field, folded as the
+#: engine wrote them before it folded every run of bare no-ops (the quiet
+#: tail alone, ``oracles.fold_quiet_tail``), and with the injuries of
+#: unplaced markers put back.
 FOLDED_TRACES = {
     (0, "single"): "7281418183957b5dc355159334f5bd6598af0cb6ce4669ddc8b733b48bd77231",
     (0, "dual"): "962b4291520d4c95a129173d1bc4da2ff70fc5aa10428e932d8d7c7d14272aef",
@@ -514,12 +565,13 @@ def _sha256(text):
 def test_generated_traces_are_byte_frozen(seed, engine_cls):
     """Full-horizon traces of generated scenarios, quiet phase and all
     markers included, and their audit reports stay byte-identical.  The
-    traces are pinned as written under the rule that an act also injures
-    unplaced markers, and such a trace audits to the same report."""
+    traces are pinned as written under the rules that only the quiet tail
+    is folded and that an act also injures unplaced markers, and such a
+    trace audits to the same report."""
     scenario = generated(seed)
     records = engine_cls(scenario).run(scenario.stages)
     key = seed, engine_cls.engine_name
-    old_rule = injure_unplaced(records)
+    old_rule = injure_unplaced(fold_quiet_tail(records, scenario))
     assert _sha256(trace_to_jsonl(old_rule)) == FOLDED_TRACES[key]
     assert _sha256(
         trace_to_jsonl(restore_weights(expand_repeats(old_rule)))
@@ -527,6 +579,36 @@ def test_generated_traces_are_byte_frozen(seed, engine_cls):
     report = report_to_json(audit_trace(records, scenario))
     assert _sha256(report) == FROZEN_REPORTS[key]
     assert report_to_json(audit_trace(old_rule, scenario)) == report
+
+
+@pytest.mark.parametrize(
+    "seed, dense",
+    [(0, False), (1, False), (2, False), (3, False), (1, True)],
+    ids=["sweep-0", "sweep-1", "sweep-2", "sweep-3", "dense-1"],
+)
+@pytest.mark.parametrize(
+    "engine_cls", [SingleEngine, DualEngine], ids=["single", "dual"]
+)
+def test_no_op_runs_are_folded_maximally(engine_cls, seed, dense):
+    """No two adjacent records of a written trace are bare no-ops with
+    equal cursors, which ``run`` would have written as one.  Runs are
+    folded before the quiet tail too, and the stage clock steps fewer
+    stages than lie before the quiet point."""
+    scenario = generated(seed, dense)
+    engine = engine_cls(scenario)
+    steps = 0
+    step = engine.step
+
+    def counted():
+        nonlocal steps
+        steps += 1
+        return step()
+
+    engine.step = counted
+    records = engine.run(scenario.stages)
+    assert oracles.mergeable_pairs(records) == []
+    assert any("repeat" in record for record in records[1:-1])
+    assert steps < oracles.quiet_after(scenario, engine_cls.cursor_inclusive)
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["sweep", "dense"])
