@@ -195,12 +195,23 @@ def _is_deficit(text: str, longest: int) -> bool:
     A deficit is a sum of weights 2^-K(X|j), each a multiple of 2^-(that
     length), so no exponent outside the range can occur; one far outside
     it would cost memory in the first comparison or in parsing itself.
+
+    ``int`` refuses a numerator past the interpreter's digit limit.  Past
+    it, one is read only if a value below 1 could have it: such a
+    numerator lies below 2^``longest``, so it has at most ``longest`` // 3
+    + 1 digits, and no deficit makes the audit convert a number longer
+    than the scenario's longest codeword allows.
     """
     num, sep, exp = text.partition("/2^")
     try:
-        return int(num) >= 0 and (not sep or 0 <= int(exp) <= longest)
+        if sep and not 0 <= int(exp) <= longest:
+            return False
     except ValueError:
         return False
+    try:
+        return int(num) >= 0
+    except ValueError:
+        return len(num) <= longest // 3 + 1 and num.isascii() and num.isdigit()
 
 
 def _is_index(key: str) -> bool:

@@ -19,6 +19,32 @@ INFINITE: Final = math.inf
 ExtendedLength = Union[int, float]
 
 
+def decimal_str(n: int) -> str:
+    """The decimal digits of ``n`` at any size.  ``str`` refuses an int past
+    the interpreter's digit limit (4,300 digits by default), and then
+    ``decimal.Decimal``, which that limit does not cover, converts it."""
+    try:
+        return str(n)
+    except ValueError:
+        import decimal  # only here: most runs never need it
+
+        return str(decimal.Decimal(n))
+
+
+def decimal_int(text: str) -> int:
+    """The int that ``text`` writes, as ``int`` reads it, at any size: past
+    the interpreter's digit limit, ASCII decimal digits are read through
+    ``decimal.Decimal``.  Anything else raises ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        if not (text.isascii() and text.isdigit()):
+            raise
+        import decimal
+
+        return int(decimal.Decimal(text))
+
+
 class NegativeResult(ArithmeticError):
     """Raised when a dyadic subtraction would produce a negative value."""
 
@@ -58,15 +84,16 @@ class Dyadic:
 
     @classmethod
     def parse(cls, text: str) -> "Dyadic":
-        """Parse the serialized form ``"num/2^exp"`` (plain ints allowed).
+        """Parse the serialized form ``"num/2^exp"`` (plain ints allowed), at
+        any size.
 
         Malformed text, a negative value included, raises ValueError.
         """
         num_s, sep, exp_s = text.partition("/2^")
-        num = int(num_s)
+        num = decimal_int(num_s)
         if num < 0:
             raise ValueError(f"negative dyadic: {text!r}")
-        return cls(num, int(exp_s) if sep else 0)
+        return cls(num, decimal_int(exp_s) if sep else 0)
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
         e = max(self.exp, other.exp)
@@ -113,7 +140,7 @@ class Dyadic:
         return self.num != 0
 
     def __str__(self) -> str:
-        return f"{self.num}/2^{self.exp}"
+        return f"{decimal_str(self.num)}/2^{decimal_str(self.exp)}"
 
     def __repr__(self) -> str:
         return f"Dyadic({self.num}, {self.exp})"

@@ -4,6 +4,7 @@ and drive the standalone code-allocation and real-encoding tools."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from .approx import (
     gen_scenario,
 )
 from .audit import audit_trace, report_to_json, trace_from_jsonl, trace_to_jsonl
+from .bitcore import decimal_str
 from .engine import DualEngine, LemmaViolation, SingleEngine
 from .machines import Exhausted, FreeBlockSet
 
@@ -168,12 +170,22 @@ def cmd_encode_real(args: argparse.Namespace) -> int:
     except (OSError, ValueError, BlockOverflow, RecursionError) as exc:
         print(f"real error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
-    for element, stage in sorted(encoded.schedule):
-        print(f"{element}\t{stage}")
+    # One write for the whole table, as ``kc`` does.  Block k's elements lie
+    # near 2^k, so a wide real's can pass ``str``'s digit limit.
+    sys.stdout.write(
+        "".join(
+            f"{decimal_str(element)}\t{stage}\n"
+            for element, stage in sorted(encoded.schedule)
+        )
+    )
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call in a process and shared after
+    it: parsing leaves it as it was, and building it costs about as much as
+    a small command's own work."""
     parser = argparse.ArgumentParser(
         prog="ceforge",
         description="Deterministic marker-construction engines and audits",
@@ -186,35 +198,39 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--engine", choices=("single", "dual"), default="single")
     run.add_argument("--trace-out", default=None)
     run.add_argument("--report-out", default=None)
-    run.set_defaults(func=cmd_run)
 
     gen = sub.add_parser("gen", help="generate a scenario from a seed")
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--stages", type=int, default=None)
     gen.add_argument("--out", default=None)
-    gen.set_defaults(func=cmd_gen)
 
     audit = sub.add_parser("audit", help="audit an existing trace")
     audit.add_argument("--scenario", required=True)
     audit.add_argument("--trace", required=True)
     audit.add_argument("--report-out", default=None)
-    audit.set_defaults(func=cmd_audit)
 
     kc = sub.add_parser("kc", help="allocate codewords for a request file")
     kc.add_argument("requests")
-    kc.set_defaults(func=cmd_kc)
 
     enc = sub.add_parser(
         "encode-real", help="encode a staged real as a set schedule"
     )
     enc.add_argument("real")
-    enc.set_defaults(func=cmd_encode_real)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # Looked up at each call, not kept in the shared parser, so that a
+    # ``cmd_*`` replaced on the module after the first call is the one run.
+    commands = {
+        "run": cmd_run,
+        "gen": cmd_gen,
+        "audit": cmd_audit,
+        "kc": cmd_kc,
+        "encode-real": cmd_encode_real,
+    }
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

@@ -73,9 +73,10 @@ class _SideTracker:
 
     def apply(self, stage: int) -> dict[int, int]:
         """Fold in the stage's given-set elements and schedule events;
-        ``min_changed_pos`` is the least element added, if any.  Returns
-        the lengths the stage's events strictly dropped, j -> new length,
-        a first description included."""
+        ``min_changed_pos`` is the least element added, if any, until the
+        engine's ``step`` has read it.  Returns the lengths the stage's
+        events strictly dropped, j -> new length, a first description
+        included."""
         self.min_changed_pos = None
         elements = self._set_by_stage.get(stage, [])
         if elements:
@@ -148,6 +149,8 @@ class _SideTracker:
     ) -> int | None:
         """Least j (< bound, or <= bound when inclusive) where the output
         machine describes the current B segment worse than K(X|j)."""
+        if not self._dirty and not self._deficient:
+            return None
         for j in self._dirty:
             best = self.k_best.get(j)
             if best is not None and self.machine.k_of(b_str[:j]) > best[0]:
@@ -239,12 +242,19 @@ class BaseEngine:
     * the stage clock: after a bare no-op at stage s (no act, place or
       describe, no marker snapshot and no n-entry), every input a stage
       reads stays as it is until the first of these stages, so ``run``
-      steps next there (``_next_change``): the next stamp in ``_stamps``;
+      stops next there (``_next_stop``): the next stamp in ``_stamps``;
       k + 1 for the least key k >= s of ``zero`` (s_old reaches a key) or
       of a side tracker (the upper bound of ``sum_range`` passes it); and
       the least deficient j of a side plus 2, or plus 1 on an inclusive
       cursor (the cursor's bound reaches it).  With no such stage the run
-      ends in one record.
+      ends in one record.  A stop that is only an event or given-set stamp
+      (no halting stamp, and every other stop lies later) has its inputs
+      applied by ``run`` first.  If K(0^n) did not drop, no side tracker
+      has a dirty j and no element arrived, the stage repeats the no-op,
+      since the no-op's cursors emptied every side's ``_dirty``; the clock
+      goes on from it and ``step`` does not run.  Otherwise ``step`` runs
+      at that stage on the inputs already applied.  Either way a
+      tracker's ``apply`` runs only at its own stamps (``_apply``).
     """
 
     # The defaults are the one-set construction's; DualEngine overrides them.
@@ -495,13 +505,27 @@ class BaseEngine:
             }
         )
 
-    def step(self) -> dict[str, Any]:
-        """Run one stage and return its trace record."""
+    def _apply(self, stage: int) -> dict[int, int]:
+        """Fold in the inputs that arrive at ``stage``, calling each
+        tracker's ``apply`` only at its own stamps, the stages of its events
+        and given-set elements; returns the drops of K(0^n)."""
+        for tracker in self.sides.values():
+            if (
+                stage in tracker._events_by_stage
+                or stage in tracker._set_by_stage
+            ):
+                tracker.apply(stage)
+        if stage in self.zero._events_by_stage:
+            return self.zero.apply(stage)
+        return {}
+
+    def step(self, applied: dict[int, int] | None = None) -> dict[str, Any]:
+        """Run one stage and return its trace record.  ``applied`` holds
+        the drops of K(0^n) when ``run`` has already applied the stage's
+        inputs (``_apply``)."""
         s_old = self.stage
         stage = s_old + 1
-        zero_drops = self.zero.apply(stage)
-        for tracker in self.sides.values():
-            tracker.apply(stage)
+        zero_drops = self._apply(stage) if applied is None else applied
 
         # Repair drops below the previous stage's t first: this is what keeps
         # t from sliding backwards when only description lengths improve.
@@ -530,6 +554,8 @@ class BaseEngine:
         for index, side in sorted(self._dirty):
             self._compute_t(self.markers[index], side, s_old)
         self._dirty.clear()
+        for tracker in self.sides.values():
+            tracker.min_changed_pos = None
 
         # A placed index that enters the halting set now joins the walk.
         for index in self._halting_by_stage.get(stage, []):
@@ -696,25 +722,36 @@ class BaseEngine:
             "k_index": "s+1",
         }
 
-    def _next_change(self) -> int | float:
+    def _next_stop(self) -> tuple[int | float, bool]:
         """After a bare no-op at ``self.stage``, the first later stage whose
-        record can differ from it in more than ``stage``, INFINITE if none
-        (see the class docstring)."""
+        record can differ from it in more than ``stage``, INFINITE if none,
+        and whether that stage is only an event or given-set stamp (see the
+        class docstring)."""
         s = self.stage
-        nexts = []
-        i = bisect.bisect_right(self._stamps, s)
-        if i < len(self._stamps):
-            nexts.append(self._stamps[i])
+        stop: int | float = INFINITE
         for tracker in (self.zero, *self.sides.values()):
             keys = tracker._keys
             i = bisect.bisect_left(keys, s)
             if i < len(keys):
-                nexts.append(keys[i] + 1)
+                stop = min(stop, keys[i] + 1)
         reach = 1 if self.cursor_inclusive else 2
         for tracker in self.sides.values():
             if tracker._deficient:
-                nexts.append(min(tracker._deficient) + reach)
-        return min(nexts, default=INFINITE)
+                stop = min(stop, min(tracker._deficient) + reach)
+        i = bisect.bisect_right(self._stamps, s)
+        if i < len(self._stamps) and self._stamps[i] < stop:
+            stamp = self._stamps[i]
+            return stamp, stamp not in self._halting_by_stage
+        return stop, False
+
+    def _changes_nothing(self, zero_drops: dict[int, int]) -> bool:
+        """Whether the inputs ``_apply`` just folded in after a bare no-op
+        leave every input a stage reads as it was: K(0^n) did not drop, and
+        no side tracker has a dirty j or a new element."""
+        return not zero_drops and all(
+            not tracker._dirty and tracker.min_changed_pos is None
+            for tracker in self.sides.values()
+        )
 
     def run(self, stages: int) -> list[dict[str, Any]]:
         """Execute stages 1..``stages``; returns the full trace.
@@ -724,15 +761,20 @@ class BaseEngine:
         whose cursors are all None) is one record whose ``repeat`` counts
         the stages it stands for: its own and those after it, which are
         identical but for ``stage``.  The quiet tail is one such run.  After
-        a bare no-op the loop steps next at ``_next_change``, not at every
-        stage in between.
+        a bare no-op the loop stops next at ``_next_stop``, not at every
+        stage in between.  At a stop that is only an event or given-set
+        stamp it applies the inputs first, and steps only if they change
+        something a stage reads; otherwise the stage joins the run.
         """
         if stages < 1:
             raise ValueError("stages must be >= 1")
         records = [self.header(stages)]
         folding: dict[str, Any] | None = None  # the open run's record
+        # The drops of K(0^n) at the next stage, once its inputs are applied.
+        applied: dict[int, int] | None = None
         while self.stage < stages:
-            record = self.step()
+            record = self.step(applied)
+            applied = None
             if (
                 record["action"] != "noop"
                 or record["markers"]
@@ -744,8 +786,18 @@ class BaseEngine:
             if folding is None:
                 folding = record
                 records.append(record)
-            # The stages before the next change repeat this one.
-            self.stage = min(self._next_change() - 1, stages)
+            # The stages before the next stop repeat this one, and so does
+            # a stop whose inputs change nothing a stage reads.
+            while True:
+                stop, stamp_only = self._next_stop()
+                if stamp_only and stop <= stages:
+                    drops = self._apply(stop)
+                    if self._changes_nothing(drops):
+                        self.stage = stop
+                        continue
+                    applied = drops
+                break
+            self.stage = min(stop - 1, stages)
             if self.stage > folding["stage"]:
                 folding["repeat"] = self.stage - folding["stage"] + 1
         return records

@@ -1,11 +1,21 @@
 """Exact dyadic arithmetic against an independent Fraction oracle."""
 
+import decimal
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ceforge.bitcore import Dyadic, INFINITE, NegativeResult, ONE, ZERO
+from ceforge.bitcore import (
+    Dyadic,
+    INFINITE,
+    NegativeResult,
+    ONE,
+    ZERO,
+    decimal_int,
+    decimal_str,
+)
 
 dyadics = st.builds(
     Dyadic,
@@ -39,6 +49,19 @@ class TestDyadic:
         for text in ("-1/2^0", "-3", "x/2^1", "1/2^"):
             with pytest.raises(ValueError):
                 Dyadic.parse(text)
+
+    def test_str_and_parse_past_the_digit_limit(self):
+        """A numerator of 4,516 digits, past ``str``'s default limit, is
+        written and read back exactly."""
+        d = Dyadic((1 << 15_000) - 1, 15_000)
+        text = str(d)
+        num, _, exp = text.partition("/2^")
+        assert len(num) == 4_516 and exp == "15000"
+        assert num == str(decimal.Decimal(d.num))
+        assert Dyadic.parse(text) == d
+        for bad in ("-" + text, "1" * 5_000 + "x/2^1", "1" * 5_000 + "/2^x"):
+            with pytest.raises(ValueError):
+                Dyadic.parse(bad)
 
     def test_subtraction_below_zero_raises(self):
         with pytest.raises(NegativeResult):
@@ -83,3 +106,24 @@ class TestInfinite:
         # an undescribed string satisfies any finite threshold strictly
         assert INFINITE > 7 + 3
 
+
+
+class TestDecimal:
+    @pytest.mark.parametrize("bits", [0, 1, 64, 14_000, 15_000, 40_000])
+    def test_matches_str_and_int_without_a_limit(self, bits):
+        n = (1 << bits) - 1
+        text = decimal_str(n)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert text == str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert decimal_int(text) == n
+
+    def test_int_rules_under_the_limit(self):
+        assert decimal_int("+7") == 7
+        assert decimal_int("-7") == -7
+        for bad in ("", "x", "1.5", "1e5", "9" * 5_000 + " ", "٣" * 5_000):
+            with pytest.raises(ValueError):
+                decimal_int(bad)

@@ -1,6 +1,7 @@
 """Command-line entry points, exercised in-process via ``main``."""
 
 import copy
+import decimal
 import io
 import json
 import random
@@ -11,6 +12,7 @@ import pytest
 from ceforge import DualEngine, SingleEngine, audit_trace, trace_to_jsonl
 from ceforge.audit import _Replay, check_weights, stable_indices
 from ceforge.bitcore import Dyadic, ZERO
+from ceforge import cli
 from ceforge.cli import (
     EXIT_FAIL,
     EXIT_LEMMA,
@@ -171,6 +173,33 @@ class TestRun:
             capsys, "run", "--scenario", str(tmp_path / "nope.json")
         )
         assert code == EXIT_SCENARIO
+
+    @pytest.mark.parametrize("engine", ["single", "dual"])
+    def test_long_codewords_run_and_audit(self, capsys, tmp_path, engine):
+        """A codeword of 15,000 bits gives the report's ``m-weight-a``
+        witness numerators past ``str``'s default limit of 4,300 digits:
+        ``run`` and ``audit`` write them exactly, and their reports are
+        byte-identical."""
+        trace, paths = _long_codeword_trace(capsys, tmp_path, engine)
+        report = tmp_path / "audit.json"
+        code, out, err = run_cli(
+            capsys, "audit", "--scenario", str(paths["scenario"]),
+            "--trace", str(trace), "--report-out", str(report),
+        )
+        assert (code, out, err) == (EXIT_OK, "", "")
+        assert report.read_text() == paths["report"].read_text()
+        checks = json.loads(report.read_text())["checks"]
+        witness = next(c for c in checks if c["name"] == "m-weight-a")
+        lengths = [
+            entry["length"]
+            for record in load_jsonl(trace)[1:]
+            for entry in record["m_entries"]
+            if entry["side"] == "a"
+        ]
+        assert max(lengths) == 15_000
+        m = Dyadic.parse(witness["witness"]["m"])
+        assert (m.num, m.exp) == _pow2_sum(lengths)
+        assert len(witness["witness"]["m"].partition("/")[0]) > 4_300
 
     @pytest.mark.parametrize("engine", ["single", "dual"])
     def test_lemma_violation_exits_three(self, capsys, monkeypatch, engine):
@@ -1109,6 +1138,84 @@ class TestKc:
         assert out == expected.getvalue()
 
 
+#: Two events, the second with a codeword of 15,000 bits, so that the
+#: dyadic weights the report and the dual engine's deficits write can have
+#: numerators past ``str``'s default limit of 4,300 digits.
+LONG_CODEWORDS = {
+    "universal_events": [[1, "001", "0"], [1, "1" + "0" * 14_999, "00"]],
+    "set_a": [],
+    "set_d": [],
+    "halting": [],
+    "stages": 30,
+}
+
+
+def _long_codeword_trace(capsys, tmp_path, engine):
+    """Run ``LONG_CODEWORDS`` on ``engine``; returns the trace path and the
+    paths of the scenario and the report, which ``run`` must write with
+    exit 0 and nothing on stdout or stderr."""
+    paths = {
+        "scenario": tmp_path / "long.json", "report": tmp_path / "run.json"
+    }
+    paths["scenario"].write_text(json.dumps(LONG_CODEWORDS))
+    trace = tmp_path / "trace.jsonl"
+    code, out, err = run_cli(
+        capsys, "run", "--scenario", str(paths["scenario"]),
+        "--engine", engine, "--trace-out", str(trace),
+        "--report-out", str(paths["report"]),
+    )
+    assert (code, out, err) == (EXIT_OK, "", "")
+    return trace, paths
+
+
+def _pow2_sum(lengths):
+    """(num, exp) in lowest terms of the sum of 2^-length over
+    ``lengths``."""
+    exp = max(lengths)
+    num = sum(1 << (exp - length) for length in lengths)
+    while num % 2 == 0 and exp > 0:
+        num, exp = num // 2, exp - 1
+    return num, exp
+
+
+def _digits(n):
+    """``n`` in decimal past ``str``'s digit limit."""
+    return str(decimal.Decimal(n))
+
+
+@pytest.mark.parametrize(
+    "numerator, code, failed",
+    [
+        # 3/16 + 2^-15000 > 2^-c = 1/16: read exactly, the bound fails.
+        ((3 << 14_996) + 1, EXIT_LEMMA, ["deficit-bounds"]),
+        # 5,002 digits: more than a value below 1 at 2^-15000 can have.
+        (10**5_001, EXIT_SCENARIO, None),
+    ],
+    ids=["read", "too-long"],
+)
+def test_deficit_numerator_past_the_digit_limit(
+    capsys, tmp_path, numerator, code, failed
+):
+    """A deficit whose numerator has more than 4,300 digits is read exactly
+    when a value below 1 at the longest codeword's scale could have it, and
+    is a trace error when it is longer."""
+    trace, paths = _long_codeword_trace(capsys, tmp_path, "dual")
+    records = load_jsonl(trace)
+    records[1]["markers"]["0"]["p_a"] = f"{_digits(numerator)}/2^15000"
+    trace.write_text(trace_to_jsonl(records))
+    got, out, err = run_cli(
+        capsys, "audit", "--scenario", str(paths["scenario"]),
+        "--trace", str(trace),
+    )
+    assert got == code
+    if failed is None:
+        assert out == ""
+        assert err.startswith("trace error: ") and err.count("\n") == 1
+    else:
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks if not c["pass"]] == failed
+
+
 _SCRIPTED = str(DATA / "single_scripted.json")
 
 
@@ -1154,6 +1261,28 @@ class TestEncodeReal:
         code, _, _ = run_cli(capsys, "encode-real", str(real))
         assert code == EXIT_SCENARIO
 
+    def test_wide_real(self, capsys, tmp_path):
+        """Bits 0 and 14,999 rise at stage 1.  Block 14,999's last element
+        is 2^15000 - 2, whose 4,516 digits pass ``str``'s default limit."""
+        real = tmp_path / "real.json"
+        real.write_text(json.dumps([[0], [1] + [0] * 14_998 + [1]]))
+        code, out, err = run_cli(capsys, "encode-real", str(real))
+        assert (code, err) == (EXIT_OK, "")
+        assert out == f"0\t1\n{_digits((1 << 15_000) - 2)}\t1\n"
+
+    def test_wide_overflow_prints_nothing(self, capsys, tmp_path):
+        """Bit 1 changes three times, once more than its block holds, and
+        bit 14,999 rises: the error leaves stdout empty."""
+        real = tmp_path / "real.json"
+        wide = [0] * 14_998 + [1]
+        real.write_text(
+            json.dumps([[0, 1] + wide, [1, 0] + wide, [1, 1] + wide])
+        )
+        code, out, err = run_cli(capsys, "encode-real", str(real))
+        assert code == EXIT_SCENARIO
+        assert out == ""
+        assert err.startswith("real error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "text",
         ["5", "[5]", "[]", '"01"', '["01"]', "[[0], 1]", "[[2]]", "[[true]]",
@@ -1166,3 +1295,45 @@ class TestEncodeReal:
         assert code == EXIT_SCENARIO
         assert out == ""
         assert len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize(
+    "command", ["run", "audit", "gen", "kc", "encode-real"]
+)
+def test_main_parses_again_after_an_error(
+    capsys, monkeypatch, tmp_path, command
+):
+    """``main`` builds its parser once per process: a command gives the
+    same exit code and output a second time, after an argparse error
+    (exit 2 through SystemExit) in between.  The parser keeps no command
+    function: a ``cmd_*`` replaced on the module later is the one run."""
+    trace = tmp_path / "trace.jsonl"
+    requests = tmp_path / "req.txt"
+    requests.write_text("x 1\ny 2\nz 2\n")
+    real = tmp_path / "real.json"
+    real.write_text("[[0, 0], [0, 1]]")
+    scenario = str(DATA / "demo_scenario.json")
+    argv = {
+        "run": ["run", "--scenario", scenario, "--engine", "dual"],
+        "audit": ["audit", "--scenario", scenario, "--trace", str(trace)],
+        "gen": ["gen", "--seed", "3", "--stages", "40"],
+        "kc": ["kc", str(requests)],
+        "encode-real": ["encode-real", str(real)],
+    }[command]
+    assert main(
+        ["run", "--scenario", scenario, "--trace-out", str(trace)]
+    ) == EXIT_OK
+    capsys.readouterr()
+    first = run_cli(capsys, *argv)
+    assert first[0] == EXIT_OK and first[1], first
+    with pytest.raises(SystemExit) as error:
+        main([command, "--no-such-option"])
+    assert error.value.code == EXIT_SCENARIO
+    assert "error:" in capsys.readouterr().err
+    assert run_cli(capsys, *argv) == first
+    ran = []
+    monkeypatch.setattr(
+        cli, "cmd_" + command.replace("-", "_"), lambda args: ran.append(args)
+    )
+    assert main(argv) is None
+    assert [args.command for args in ran] == [command]

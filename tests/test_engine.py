@@ -199,22 +199,28 @@ class TestEngineProperties:
 
 
 class _Naive:
-    """Turns off the engine's shortcuts: the jump of the stage clock, the
-    candidate filter (frozen markers, and markers above every described
-    segment whose index has not entered the halting set) with its halting
-    join, the dirty set and the t index, so that every stage is computed,
-    the attention walk, the zero-drop repair and ``_mark_from`` walk every
-    placed marker, and every placed marker's t is recomputed from
-    scratch."""
+    """Turns off the engine's shortcuts: the jump of the stage clock and
+    its stamps applied without a step, the trackers applied only at their
+    stamps, the candidate filter (frozen markers, and markers above every
+    described segment whose index has not entered the halting set) with
+    its halting join, the dirty set and the t index, so that every stage is
+    stepped, every tracker is applied at every stage, the attention walk,
+    the zero-drop repair and ``_mark_from`` walk every placed marker, and
+    every placed marker's t is recomputed from scratch."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         # Marker 0 was placed under the real rule.
         self._candidates = oracles.candidates(self)
 
-    def _next_change(self):
+    def _next_stop(self):
         # Step every stage; ``run`` still folds what it steps.
-        return self.stage + 1
+        return self.stage + 1, False
+
+    def _apply(self, stage):
+        for tracker in self.sides.values():
+            tracker.apply(stage)
+        return self.zero.apply(stage)
 
     def _can_act(self, marker, stage):
         return True
@@ -232,13 +238,13 @@ class _Naive:
     def _mark_from(self, lowest, sides):
         self._dirty.update(oracles.marked_from(self, lowest, sides))
 
-    def step(self):
+    def step(self, applied=None):
         for marker in self.markers:
             if marker.position is None:
                 continue
             for side in self.side_names:
                 self._dirty.add((marker.index, side))
-        return super().step()
+        return super().step(applied)
 
 
 class _NaiveSingle(_Naive, SingleEngine):
@@ -312,10 +318,12 @@ def _pin_tracker(engine, tracker):
 
 def _check_indexes(engine):
     """The engine's marker indexes and side-tracker keys against scans of
-    every placed marker and every applied event."""
+    every placed marker and every applied event.  No set change is left
+    for a later stage to read."""
     assert engine._candidates == oracles.candidates(engine)
     assert engine._t_sorted == oracles.t_sorted(engine)
     for tracker in engine.sides.values():
+        assert tracker.min_changed_pos is None
         best, _ = oracles.recompute_matches(
             _applied_events(engine), tracker.x_str, {}
         )
@@ -416,7 +424,20 @@ def _written(**fields):
 #:   stop there;
 #: * "late-zero": K(0^19) arrives at stage 3, but D changes below 19 at
 #:   stage 4, so only the K(0^n) table keeps the key 19, and marker 0's t
-#:   can change only at stage 20, long after the last stamp.
+#:   can change only at stage 20, long after the last stamp;
+#: * "stamps": the events at stages 7 and 20 describe 11 and 111, which
+#:   match no segment of A or D, so the clock applies them without a step.
+#:   A gains 9 at stage 9 and D gains 8 at stage 13, above every described
+#:   segment: the clock steps there on the inputs it applied, and the step
+#:   is a bare no-op that extends the open run.  Index 5 enters the halting
+#:   set at stage 12, a stamp the clock steps at;
+#: * "element": A gains 1 at stage 2 and 0 at stage 10, so no output ever
+#:   matches A and side a keeps no key.  Marker 0 gets t = 4 at stage 5,
+#:   from K(0^4), and the first description of 00, at stage 6, is repaired
+#:   into N_0 below t.  The element at stage 10 changes no K(X|j) but
+#:   changes X|2, which N_0 describes: the clock must step there, and on
+#:   the single engine t drops to 2.  From stage 12, 110 = A|3 is
+#:   described, and a marker is placed above it.
 LOCKSTEP = {
     "2": lambda: generated(2),
     "5": lambda: generated(5),
@@ -447,7 +468,34 @@ LOCKSTEP = {
         halting=[],
         stages=30,
     ),
+    "stamps": lambda: _written(
+        universal_events=[
+            [1, "0000000", "00"],
+            [7, "0000001", "11"],
+            [10, "00000100", "000"],
+            [20, "0000101", "111"],
+        ],
+        set_a=[[9, 9]],
+        set_d=[[8, 13]],
+        halting=[[5, 12]],
+        stages=30,
+    ),
+    "element": lambda: _written(
+        universal_events=[
+            [1, "0000000", "0000"],
+            [1, "0000001", "00000000"],
+            [6, "000001", "00"],
+            [12, "00001", "110"],
+        ],
+        set_a=[[1, 2], [0, 10]],
+        halting=[],
+        stages=30,
+    ),
 }
+
+#: The lockstep scenarios on which the clock applies some stamp without a
+#: step.
+ABSORBING = {"2", "5", "dense", "stamps"}
 
 
 @pytest.mark.parametrize("name", list(LOCKSTEP))
@@ -460,11 +508,14 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     """Stepping in lockstep: the same JSONL record at every stage, and the
     same thresholds t and deficits p up to the quiet point.  Every stage
     that the stage clock would skip after a bare no-op repeats that no-op's
-    record but for ``stage``, and its thresholds.  Run whole: the fast
-    trace is the naive trace, which steps every stage, byte for byte,
-    folded and written out.  At every stage the marker invariants of
-    ``BaseEngine`` hold against scans of the markers and the records, and
-    every index lookup matches the walk it replaces."""
+    record but for ``stage``, and its thresholds; so does every stamp that
+    it would apply without a step, which the fast engine does here as
+    ``run`` does, while the naive engine steps it.  Run whole: the fast
+    trace is the naive trace, which steps every stage and applies every
+    tracker at every stage, byte for byte, folded and written out.  At
+    every stage the marker invariants of ``BaseEngine`` hold against scans
+    of the markers and the records, and every index lookup matches the
+    walk it replaces."""
     scenario = LOCKSTEP[name]()
     stages = min(1_500, scenario.stages)
     quiet = oracles.quiet_after(scenario, fast_cls.cursor_inclusive)
@@ -476,21 +527,37 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     seen = SimpleNamespace(pos={}, positions=set(), acting=[], archived=0)
     _check_marker_invariants(fast, records[-1], seen)
     _check_indexes(fast)
-    skipped = 0  # the stages the clock would skip
+    skipped = absorbed = 0  # the stages the clock would skip, and absorb
     jump = None  # the last bare no-op, while the clock would skip
     for stage in range(2, stages + 1):
-        records.append(fast.step())
+        absorbs = False
+        if jump is not None and stage == jump.to and jump.stamp_only:
+            drops = fast._apply(stage)
+            absorbs = fast._changes_nothing(drops)
+            if absorbs:
+                fast.stage = stage
+                records.append({**jump.record, "stage": stage})
+            else:
+                records.append(fast.step(drops))
+        else:
+            records.append(fast.step())
         record = trace_to_jsonl(records[-1:])
         assert record == trace_to_jsonl([naive.step()]), stage
         if stage <= quiet:
             assert _thresholds(fast) == _thresholds(naive), stage
-        if jump is not None and stage < jump.to:
+        if jump is not None and (stage < jump.to or absorbs):
             assert {**records[-1], "stage": jump.stage} == jump.record, stage
             assert _thresholds(fast) == jump.thresholds, stage
-            skipped += 1
+            if absorbs:
+                jump.to, jump.stamp_only = fast._next_stop()
+                absorbed += 1
+            else:
+                skipped += 1
         elif oracles.is_bare(records[-1]):
+            to, stamp_only = fast._next_stop()
             jump = SimpleNamespace(
-                to=fast._next_change(), stage=stage, record=records[-1],
+                to=to, stamp_only=stamp_only, stage=stage,
+                record=records[-1],
                 thresholds=copy.deepcopy(_thresholds(fast)),
             )
         else:
@@ -500,8 +567,8 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     # Some marker sits above every described segment, where it is a
     # candidate only once its index has entered the halting set, the
     # horizon reaches past the quiet point (the dense one is active
-    # throughout) and the clock skips some stage, so every shortcut is
-    # exercised.
+    # throughout), the clock skips some stage and, where a stamp changes
+    # nothing, absorbs it, so every shortcut is exercised.
     assert any(
         m.position is not None and m.position > fast._max_key_bound
         for m in fast.markers
@@ -509,6 +576,7 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     if name != "dense":
         assert quiet < stages - 1
     assert skipped
+    assert absorbed or name not in ABSORBING
     folded = fast_cls(scenario).run(stages)
     stepped = naive_cls(scenario).run(stages)
     assert_same_lines(trace_to_jsonl(folded), trace_to_jsonl(stepped))
@@ -599,16 +667,71 @@ def test_no_op_runs_are_folded_maximally(engine_cls, seed, dense):
     steps = 0
     step = engine.step
 
-    def counted():
+    def counted(*args):
         nonlocal steps
         steps += 1
-        return step()
+        return step(*args)
 
     engine.step = counted
     records = engine.run(scenario.stages)
     assert oracles.mergeable_pairs(records) == []
     assert any("repeat" in record for record in records[1:-1])
     assert steps < oracles.quiet_after(scenario, engine_cls.cursor_inclusive)
+
+
+@pytest.mark.parametrize(
+    "engine_cls", [SingleEngine, DualEngine], ids=["single", "dual"]
+)
+def test_clock_steps_no_stamp_it_could_absorb(engine_cls):
+    """On dense-x4 seed 1, ``run`` steps no stage right after a bare no-op
+    that it could have let join the run unstepped: a stage that is no
+    halting stamp and no stop of a key or a deficient cursor, brings no
+    given-set element, and leaves the described lengths ``k_best`` of
+    every tracker as they were.  The K(0^n) table and the side trackers
+    are read as the step before left them."""
+    scenario = generated(1, dense=True)
+    engine = engine_cls(scenario)
+    trackers = (engine.zero, *engine.sides.values())
+    reach = 1 if engine_cls.cursor_inclusive else 2
+    given = {"a": scenario.set_a, "d": scenario.set_d}
+    forced = {stamp for _, stamp in scenario.halting.schedule} | {
+        stage
+        for side in engine.side_names
+        for _, stage in given[side].schedule
+    }
+    step = engine.step
+    last = None  # what the last step left behind
+    absorbable = []
+
+    def checked(*args):
+        nonlocal last
+        record = step(*args)
+        stage = record["stage"]
+        best = [dict(tracker.k_best) for tracker in trackers]
+        if (
+            last is not None
+            and last.bare
+            and stage not in forced
+            and stage - 1 not in last.keys
+            and stage not in last.cursor_stops
+            and best == last.best
+        ):
+            absorbable.append(stage)
+        last = SimpleNamespace(
+            bare=oracles.is_bare(record),
+            best=best,
+            keys={k for tracker in trackers for k in tracker._keys},
+            cursor_stops={
+                min(tracker._deficient) + reach
+                for tracker in engine.sides.values()
+                if tracker._deficient
+            },
+        )
+        return record
+
+    engine.step = checked
+    engine.run(scenario.stages)
+    assert absorbable == []
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["sweep", "dense"])
