@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from .approx import CESetApprox, Scenario, ScheduleEvent
 from .bitcore import Dyadic, INFINITE
@@ -21,64 +21,103 @@ class LemmaViolation(RuntimeError):
     """A machine weight bound failed while the construction ran."""
 
 
+#: (output, (length, stage, codeword)) of each event that improved the
+#: least description of its output, as the schedule's ``apply`` returns.
+_Improved = list[tuple[str, tuple[int, int, str]]]
+
+
+def _by_stage(pairs: Iterable[tuple[Any, int]]) -> dict[int, list[Any]]:
+    """stage -> the items stamped at it, in order, from (item, stage)
+    pairs."""
+    by_stage: dict[int, list[Any]] = {}
+    for item, stage in pairs:
+        by_stage.setdefault(stage, []).append(item)
+    return by_stage
+
+
 def _fires(s: int, p: int, length: int, sum_exp: int) -> bool:
     """Sum clause: s > 0 reaches q - p, floored at 0, for q = 2^-``length``.
     s and p count units of 2^-``sum_exp``, so s + p >= q compares ints."""
     return s > 0 and (s + p) << length >= 1 << sum_exp
 
 
-class _SideTracker:
-    """Per given set X: K(X restricted to j), the output machine M_x,
-    the deficiency cursor, and exact interval sums of 2^-K(X|j), as ints in
-    units of 2^-``sum_exp`` (the longest codeword), like marker deficits.
+class _Schedule:
+    """The universal machine's enumeration, folded once per engine: the
+    description index that the K(0^n) table and every given set's K(X|j)
+    table read, and none of them copies.
 
-    Invariant: ``_least`` holds the least applied description of every
-    output, matching X or not, and for every applied output length j,
-    ``k_best[j]`` is ``_least[x_str[:j]]``, or absent.
+    ``_least`` holds the least applied description of every output,
+    ``_lengths`` the distinct applied output lengths, sorted; ``sum_exp``
+    is the longest codeword (the scale of the interval sums and deficits)
+    and ``longest`` the longest output."""
 
-    The engine's table of K(0^n) is one more of these: the empty set, fed
-    only the events whose output is all zeros, so that its ``k_best[n][0]``
-    is K(0^n) and ``apply`` returns where it dropped."""
-
-    def __init__(
-        self, side: str, given: CESetApprox, events: list[ScheduleEvent]
-    ) -> None:
-        self._events_by_stage: dict[int, list[ScheduleEvent]] = {}
-        for event in events:
-            self._events_by_stage.setdefault(event.stage, []).append(event)
-        self._set_by_stage: dict[int, list[int]] = {}
-        for element, stage in given.schedule:
-            self._set_by_stage.setdefault(stage, []).append(element)
-        # Only segments up to the longest output are read, so X is kept that
-        # far; fresh positions lie above ``width``, which counts every element.
-        segment = max((len(e.output) for e in events), default=0)
-        self.width = max(
-            segment, max((el + 1 for el, _ in given.schedule), default=0)
-        )
-        self._bits = bytearray(b"0" * segment)
-        self.x_str = self._bits.decode()
-        # output -> (length, stage, codeword) of its least applied description
+    def __init__(self, events: list[ScheduleEvent]) -> None:
+        self._events_by_stage = _by_stage((e, e.stage) for e in events)
+        # output -> (length, stage, codeword), its least applied description
         self._least: dict[str, tuple[int, int, str]] = {}
-        # The distinct applied output lengths, sorted.
         self._lengths: list[int] = []
+        self.sum_exp = max((len(e.codeword) for e in events), default=1)
+        self.longest = max((len(e.output) for e in events), default=0)
+
+    def apply(self, stage: int) -> _Improved:
+        """Fold in the stage's events; returns (output, description) of
+        each event that improved ``_least``, in event order."""
+        improved = []
+        for event in self._events_by_stage.get(stage, []):
+            candidate = (len(event.codeword), event.stage, event.codeword)
+            least = self._least.get(event.output)
+            if least is None:
+                j = len(event.output)
+                i = bisect.bisect_left(self._lengths, j)
+                if i == len(self._lengths) or self._lengths[i] != j:
+                    self._lengths.insert(i, j)
+            elif not candidate < least:
+                continue
+            self._least[event.output] = candidate
+            improved.append((event.output, candidate))
+        return improved
+
+
+class _Table:
+    """K(X restricted to j) for one given set X, read off the shared
+    ``_Schedule``.  The engine's table of K(0^n) is one of these over the
+    empty set, so that its ``k_best[n][0]`` is K(0^n) and ``apply``
+    returns where it dropped.
+
+    Invariant: for every applied output length j, ``k_best[j]`` is the
+    schedule's ``_least[x_str[:j]]``, or absent."""
+
+    def __init__(self, given: CESetApprox, schedule: _Schedule) -> None:
+        self.schedule = schedule
+        self._set_by_stage = _by_stage(given.schedule)
+        # Only segments up to the longest output are read, so X is kept that
+        # far; fresh positions lie above every element (``BaseEngine``).
+        self._bits = bytearray(b"0" * schedule.longest)
+        self.x_str = self._bits.decode()
         # j -> (length, stage, codeword) of the least shortest description
         self.k_best: dict[int, tuple[int, int, str]] = {}
         # The keys of ``k_best``, sorted.
         self._keys: list[int] = []
-        self.sum_exp = max((len(e.codeword) for e in events), default=1)
-        self.machine = PrefixFreeMachine(f"M_{side}")
-        self._deficient: set[int] = set()
-        self._dirty: set[int] = set()
         self.min_changed_pos: int | None = None
 
-    def apply(self, stage: int) -> dict[int, int]:
-        """Fold in the stage's given-set elements and schedule events;
+    def apply(self, stage: int, improved: _Improved) -> dict[int, int]:
+        """Fold in the stage's given-set elements, then ``improved``, what
+        the schedule's ``apply`` returned for the stage.
         ``min_changed_pos`` is the least element added, if any, until the
-        engine's ``step`` has read it.  Returns the lengths the stage's
-        events strictly dropped, j -> new length, a first description
-        included."""
-        self.min_changed_pos = None
-        elements = self._set_by_stage.get(stage, [])
+        engine's ``step`` has read it and cleared it.  Returns the lengths
+        the stage's events strictly dropped, j -> new length, a first
+        description included.
+
+        The schedule is folded before the set change, so the recompute
+        above the least element already reads the stage's events.  The
+        table ends as it would with the events folded after the change:
+        ``k_best[j]`` is ``_least[x_str[:j]]`` in either order (an output's
+        last improving event is its least description); ``_keys`` holds
+        each described j once, since the fold inserts only a j not yet in
+        ``k_best``; and the drops are the improved events that match the
+        new X in either order.  So a side's ``_dirty`` gains the same j
+        too."""
+        elements = self._set_by_stage.get(stage)
         if elements:
             for element in elements:
                 if element < len(self._bits):
@@ -87,23 +126,13 @@ class _SideTracker:
             self.min_changed_pos = min(elements)
             self._recompute_matches(self.min_changed_pos)
         drops: dict[int, int] = {}
-        for event in self._events_by_stage.get(stage, []):
-            j = len(event.output)
-            candidate = (len(event.codeword), event.stage, event.codeword)
-            least = self._least.get(event.output)
-            if least is None:
-                i = bisect.bisect_left(self._lengths, j)
-                if i == len(self._lengths) or self._lengths[i] != j:
-                    self._lengths.insert(i, j)
-            elif not candidate < least:
-                continue
-            self._least[event.output] = candidate
-            if event.output != self.x_str[:j]:
+        for output, candidate in improved:
+            j = len(output)
+            if output != self.x_str[:j]:
                 continue
             if j not in self.k_best:
                 bisect.insort(self._keys, j)
             self.k_best[j] = candidate
-            self._dirty.add(j)
             # Events come in (stage, codeword) order, so one of equal
             # length never replaces: every improvement is a drop.
             drops[j] = candidate[0]
@@ -111,38 +140,62 @@ class _SideTracker:
 
     def _recompute_matches(self, position: int) -> None:
         # X|j is unchanged for j <= ``position``, and so is its best
-        # description.  Above it, every j that had a description joins the
-        # dirty set, and so does every j whose new X|j has one, so no j
-        # that lost its description stays deficient.
+        # description; above it, each applied length is looked up afresh.
         cut = bisect.bisect_right(self._keys, position)
         for j in self._keys[cut:]:
             del self.k_best[j]
-        self._dirty.update(self._keys[cut:])
         del self._keys[cut:]
-        start = bisect.bisect_right(self._lengths, position)
-        for j in self._lengths[start:]:
-            best = self._least.get(self.x_str[:j])
+        lengths = self.schedule._lengths
+        for j in lengths[bisect.bisect_right(lengths, position) :]:
+            best = self.schedule._least.get(self.x_str[:j])
             if best is not None:
                 self.k_best[j] = best
                 self._keys.append(j)
-                self._dirty.add(j)
+
+
+class _SideTracker(_Table):
+    """The K(X|j) table of one side, with what the sides read besides: the
+    output machine M_x, the j whose deficiency may have changed
+    (``_dirty``) and those found deficient, the deficiency cursor, and
+    exact interval sums of 2^-K(X|j), as ints in units of 2^-``sum_exp``
+    of the schedule index, like marker deficits."""
+
+    def __init__(
+        self, side: str, given: CESetApprox, schedule: _Schedule
+    ) -> None:
+        super().__init__(given, schedule)
+        self.machine = PrefixFreeMachine(f"M_{side}")
+        self._deficient: set[int] = set()
+        self._dirty: set[int] = set()
+
+    def apply(self, stage: int, improved: _Improved) -> dict[int, int]:
+        drops = super().apply(stage, improved)
+        self._dirty.update(drops)
+        return drops
+
+    def _recompute_matches(self, position: int) -> None:
+        # Every j above ``position`` that had a description joins the dirty
+        # set, and so does every j whose new X|j has one, so no j that lost
+        # its description stays deficient.
+        self.mark_above(position)
+        super()._recompute_matches(position)
+        self.mark_above(position)
 
     def sum_range(self, lo_exclusive: int, hi_inclusive: int) -> int:
         """Exact sum of 2^-K(X|j) over described j in (lo, hi], in units
         of 2^-``sum_exp``."""
         lo = bisect.bisect_right(self._keys, lo_exclusive)
         hi = bisect.bisect_right(self._keys, hi_inclusive)
+        exp = self.schedule.sum_exp
         return sum(
-            1 << (self.sum_exp - self.k_best[j][0]) for j in self._keys[lo:hi]
+            1 << (exp - self.k_best[j][0]) for j in self._keys[lo:hi]
         )
 
-    def mark_b_change(self, position: int) -> None:
-        """Mark dirty every described j > ``position``: B|j changed."""
+    def mark_above(self, position: int) -> None:
+        """Mark dirty every described j > ``position``: B|j or X|j
+        changed."""
         cut = bisect.bisect_right(self._keys, position)
         self._dirty.update(self._keys[cut:])
-
-    def mark_dirty(self, j: int) -> None:
-        self._dirty.add(j)
 
     def deficiency_cursor(
         self, b_str: str, bound: int, inclusive: bool
@@ -159,8 +212,7 @@ class _SideTracker:
                 self._deficient.discard(j)
         self._dirty.clear()
         limit = bound + 1 if inclusive else bound
-        candidates = [j for j in self._deficient if j < limit]
-        return min(candidates) if candidates else None
+        return min((j for j in self._deficient if j < limit), default=None)
 
 
 @dataclass
@@ -237,24 +289,29 @@ class BaseEngine:
       and on injury (the pair leaves).  The zero-drop repair and
       ``_mark_from`` each read one slice of it;
     * a fresh position is one past the larger of the stage and the last
-      fresh position, which starts at the longest codeword, every side's
-      ``width`` and the initial position 1 (``_fresh``);
+      fresh position, which starts at the longest codeword (the index's
+      ``sum_exp``, at least the initial position 1), the longest output
+      and one past every element of a side's given set (``_fresh``);
     * the stage clock: after a bare no-op at stage s (no act, place or
       describe, no marker snapshot and no n-entry), every input a stage
       reads stays as it is until the first of these stages, so ``run``
-      stops next there (``_next_stop``): the next stamp in ``_stamps``;
-      k + 1 for the least key k >= s of ``zero`` (s_old reaches a key) or
-      of a side tracker (the upper bound of ``sum_range`` passes it); and
-      the least deficient j of a side plus 2, or plus 1 on an inclusive
-      cursor (the cursor's bound reaches it).  With no such stage the run
-      ends in one record.  A stop that is only an event or given-set stamp
-      (no halting stamp, and every other stop lies later) has its inputs
-      applied by ``run`` first.  If K(0^n) did not drop, no side tracker
-      has a dirty j and no element arrived, the stage repeats the no-op,
-      since the no-op's cursors emptied every side's ``_dirty``; the clock
-      goes on from it and ``step`` does not run.  Otherwise ``step`` runs
-      at that stage on the inputs already applied.  Either way a
-      tracker's ``apply`` runs only at its own stamps (``_apply``).
+      stops next there (``_next_stop``): the next stamp in ``_stamps``,
+      which takes its event stages from the schedule index, its element
+      stages from the given sets and its halting stages from the halting
+      set; k + 1 for the least key k >= s of ``zero`` (s_old reaches a
+      key) or of a side tracker (the upper bound of ``sum_range`` passes
+      it); and the least deficient j of a side plus 2, or plus 1 on an
+      inclusive cursor (the cursor's bound reaches it).  With no such
+      stage the run ends in one record.  A stop that is only an event or
+      given-set stamp (no halting stamp, and every other stop lies later)
+      has its inputs applied by ``run`` first.  If K(0^n) did not drop, no
+      side tracker has a dirty j and no element arrived, the stage repeats
+      the no-op, since the no-op's cursors emptied every side's
+      ``_dirty``; the clock goes on from it and ``step`` does not run.
+      Otherwise ``step`` runs at that stage on the inputs already applied.
+      Either way the schedule index folds a stage's events once, and a
+      side's table is applied only at an event stamp that improved some
+      description or at its own element stamps (``_apply``).
     """
 
     # The defaults are the one-set construction's; DualEngine overrides them.
@@ -266,12 +323,11 @@ class BaseEngine:
 
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
-        events = scenario.schedule.events
-        zero_events = [e for e in events if not e.output.strip("0")]
-        self.zero = _SideTracker("z", CESetApprox(), zero_events)
+        self.schedule = _Schedule(scenario.schedule.events)
+        self.zero = _Table(CESetApprox(), self.schedule)
         given = {"a": scenario.set_a, "d": scenario.set_d}
         self.sides = {
-            name: _SideTracker(name, given[name], events)
+            name: _SideTracker(name, given[name], self.schedule)
             for name in self.side_names
         }
         self.stage = 0
@@ -287,26 +343,24 @@ class BaseEngine:
         # A marker with a position above every described segment has zero
         # sums, so it can act only once its index enters the halting set
         # (``_can_act``).
-        self._max_key_bound = max((len(e.output) for e in events), default=0)
+        self._max_key_bound = self.schedule.longest
         # B is read only in described segments, so it is kept that far.
         self._b_bits = bytearray(b"0" * self._max_key_bound)
         self.b_str = self._b_bits.decode()
         # stage -> the indices that enter the halting set then
-        self._halting_by_stage: dict[int, list[int]] = {}
-        for index, stamp in scenario.halting.schedule:
-            self._halting_by_stage.setdefault(stamp, []).append(index)
+        self._halting_by_stage = _by_stage(scenario.halting.schedule)
         # Every stage at which an input arrives, sorted: an event, an
         # element of a side's given set or a halting stamp.
+        entered = [p for name in self.side_names for p in given[name].schedule]
         self._stamps = sorted(
-            {e.stage for e in events}
+            set(self.schedule._events_by_stage)
             | set(self._halting_by_stage)
-            | {s for name in self.side_names for _, s in given[name].schedule}
+            | {stage for _, stage in entered}
         )
-        self._last_fresh = max(
-            1,
-            *(t.width for t in self.sides.values()),
-            *(len(e.codeword) for e in events),
-        )
+        # Fresh positions lie past the longest codeword (at least 1, the
+        # initial position), every described segment and every element.
+        floor = [self.schedule.sum_exp, self._max_key_bound]
+        self._last_fresh = max(floor + [element + 1 for element, _ in entered])
         # At stage 0 the first marker is placed on position 1; halting stamps
         # may be 0, and no later stage joins them.
         self._place(0, 1, 0)
@@ -319,8 +373,9 @@ class BaseEngine:
 
     def _fresh(self, stage: int) -> int:
         """A position above every position so far, ``stage``, the longest
-        codeword and every side's ``width``.  Every position so far is 1 or
-        an earlier fresh one, so the running maximum needs no other input."""
+        codeword and output, and every element of a side's given set.  Every
+        position so far is 1 or an earlier fresh one, so the running maximum
+        needs no other input."""
         self._last_fresh = max(self._last_fresh, stage) + 1
         return self._last_fresh
 
@@ -360,7 +415,7 @@ class BaseEngine:
             self._b_bits[position] = ord("1")
             self.b_str = self._b_bits.decode()
         for tracker in self.sides.values():
-            tracker.mark_b_change(position)
+            tracker.mark_above(position)
 
     # -- per-stage parameters ----------------------------------------------
 
@@ -412,12 +467,8 @@ class BaseEngine:
     def _mark_from(self, lowest: int | float, sides: tuple[str, ...]) -> None:
         """Mark dirty each placed pair on ``sides`` whose t is None or at
         least ``lowest``: a tail of ``_t_sorted``, where None sorts last."""
-        start = bisect.bisect_left(self._t_sorted, (lowest,))
-        self._dirty.update(
-            (index, side)
-            for _, index, side in self._t_sorted[start:]
-            if side in sides
-        )
+        tail = self._t_sorted[bisect.bisect_left(self._t_sorted, (lowest,)) :]
+        self._dirty.update((i, side) for _, i, side in tail if side in sides)
 
     def _pairs_above(self, lowest: int) -> list[tuple[int, str, int]]:
         """The placed pairs whose t exceeds ``lowest``, as (index, side, t)
@@ -446,7 +497,7 @@ class BaseEngine:
                 sums[side],
                 marker.p[side],
                 self.zero.k_best[t][0] + marker.c,
-                self.sides[side].sum_exp,
+                self.schedule.sum_exp,
             )
         halts = self.scenario.halting.contains(marker.index, stage)
         return halts or any(fired.values()), fired, sums
@@ -467,7 +518,7 @@ class BaseEngine:
             entry = tracker.machine.describe(self.b_str[:k], length, stage)
         except WeightOverflow as exc:
             raise LemmaViolation(str(exc)) from exc
-        tracker.mark_dirty(k)
+        tracker._dirty.add(k)
         record.append(
             {
                 "side": side,
@@ -506,18 +557,15 @@ class BaseEngine:
         )
 
     def _apply(self, stage: int) -> dict[int, int]:
-        """Fold in the inputs that arrive at ``stage``, calling each
-        tracker's ``apply`` only at its own stamps, the stages of its events
-        and given-set elements; returns the drops of K(0^n)."""
+        """Fold in the inputs that arrive at ``stage``: the schedule's
+        events into the index once, then what they improved into every
+        table.  A side's table is applied only when some event improved or
+        at its own element stamps.  Returns the drops of K(0^n)."""
+        improved = self.schedule.apply(stage)
         for tracker in self.sides.values():
-            if (
-                stage in tracker._events_by_stage
-                or stage in tracker._set_by_stage
-            ):
-                tracker.apply(stage)
-        if stage in self.zero._events_by_stage:
-            return self.zero.apply(stage)
-        return {}
+            if improved or stage in tracker._set_by_stage:
+                tracker.apply(stage, improved)
+        return self.zero.apply(stage, improved)
 
     def step(self, applied: dict[int, int] | None = None) -> dict[str, Any]:
         """Run one stage and return its trace record.  ``applied`` holds
@@ -637,8 +685,7 @@ class BaseEngine:
                 record["frozen"] = True
             else:
                 marker.position = self._fresh(stage)
-            for side in self.side_names:
-                tracker = self.sides[side]
+            for side, tracker in self.sides.items():
                 keys = tracker._keys
                 for k in keys[
                     bisect.bisect_right(keys, old_position) :
@@ -708,7 +755,7 @@ class BaseEngine:
             }
             if self.use_deficits:
                 for side in self.side_names:
-                    p = Dyadic(marker.p[side], self.sides[side].sum_exp)
+                    p = Dyadic(marker.p[side], self.schedule.sum_exp)
                     entry[f"p_{side}"] = str(p)
             snapshot[str(index)] = entry
         return snapshot

@@ -45,7 +45,7 @@ def thresholds(engine, marker, side):
         return None
     k = k_at_n(engine.scenario.schedule, t, engine.stage)
     q = Dyadic.pow2_neg(k + marker.c)
-    return q, Dyadic(marker.p[side], engine.sides[side].sum_exp)
+    return q, Dyadic(marker.p[side], engine.schedule.sum_exp)
 
 
 def machine_k_at(machine, output: str, stage=INFINITE):

@@ -26,7 +26,7 @@ from ceforge import (
 )
 from ceforge.approx import CESetApprox, ScheduleEvent, UniversalSchedule
 from ceforge.bitcore import Dyadic, INFINITE, ZERO
-from ceforge.engine import _SideTracker, _fires
+from ceforge.engine import _Schedule, _SideTracker, _Table, _fires
 
 from conftest import EMPTY, ONE_EVENT, assert_same_lines, generated
 import oracles
@@ -200,13 +200,14 @@ class TestEngineProperties:
 
 class _Naive:
     """Turns off the engine's shortcuts: the jump of the stage clock and
-    its stamps applied without a step, the trackers applied only at their
+    its stamps applied without a step, the tables applied only at their
     stamps, the candidate filter (frozen markers, and markers above every
     described segment whose index has not entered the halting set) with
     its halting join, the dirty set and the t index, so that every stage is
-    stepped, every tracker is applied at every stage, the attention walk,
-    the zero-drop repair and ``_mark_from`` walk every placed marker, and
-    every placed marker's t is recomputed from scratch."""
+    stepped, the schedule is folded and every table is applied at every
+    stage, the attention walk, the zero-drop repair and ``_mark_from`` walk
+    every placed marker, and every placed marker's t is recomputed from
+    scratch."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
@@ -218,9 +219,10 @@ class _Naive:
         return self.stage + 1, False
 
     def _apply(self, stage):
+        improved = self.schedule.apply(stage)
         for tracker in self.sides.values():
-            tracker.apply(stage)
-        return self.zero.apply(stage)
+            tracker.apply(stage, improved)
+        return self.zero.apply(stage, improved)
 
     def _can_act(self, marker, stage):
         return True
@@ -263,9 +265,15 @@ def _pin_indexes(engine):
     """Check each index lookup of ``engine`` against the walk it replaces,
     at every call: the pairs the zero-drop repair visits and the pairs
     ``_mark_from`` marks, and per side tracker the descriptions and dirty
-    j after a set change (against the full recompute) and the j a change
-    of B marks."""
+    j after a set change (against the full recompute over the events the
+    schedule has folded, those of the set change's stage included) and
+    the j a change of B or X marks."""
     pairs_above, mark_from = engine._pairs_above, engine._mark_from
+    fold, folded = engine.schedule.apply, SimpleNamespace(stage=0)
+
+    def noted_fold(stage):
+        folded.stage = stage
+        return fold(stage)
 
     def checked_pairs_above(lowest):
         pairs = pairs_above(lowest)
@@ -280,53 +288,70 @@ def _pin_indexes(engine):
 
     engine._pairs_above = checked_pairs_above
     engine._mark_from = checked_mark_from
+    engine.schedule.apply = noted_fold
     for tracker in engine.sides.values():
-        _pin_tracker(engine, tracker)
+        _pin_tracker(engine, tracker, folded)
 
 
-def _applied_events(engine):
-    """The scenario's events applied by the end of ``engine.stage``."""
-    events = engine.scenario.schedule.events
-    return [e for e in events if e.stage <= engine.stage]
+def _applied_events(engine, stage=None):
+    """The scenario's events applied by the end of ``stage``, by default
+    ``engine.stage``."""
+    stage = engine.stage if stage is None else stage
+    return [e for e in engine.scenario.schedule.events if e.stage <= stage]
 
 
-def _pin_tracker(engine, tracker):
-    recompute, mark_b_change = (
-        tracker._recompute_matches, tracker.mark_b_change
-    )
+def _pin_tracker(engine, tracker, folded):
+    recompute, mark_above = tracker._recompute_matches, tracker.mark_above
 
     def checked_recompute(position):
         old, dirty = dict(tracker.k_best), set(tracker._dirty)
         recompute(position)
+        # Above ``position`` the recompute reads every folded event, those
+        # of the set change's stage included; at or below it, X|j is as it
+        # was, and the fold of the stage's events comes after.
         best, marked = oracles.recompute_matches(
-            _applied_events(engine), tracker.x_str, old
+            _applied_events(engine, folded.stage), tracker.x_str, old
         )
-        assert tracker.k_best == best
+        kept, _ = oracles.recompute_matches(
+            _applied_events(engine, folded.stage - 1), tracker.x_str, old
+        )
+        assert tracker.k_best == {
+            **{j: d for j, d in kept.items() if j <= position},
+            **{j: d for j, d in best.items() if j > position},
+        }
         assert tracker._dirty == dirty | {j for j in marked if j > position}
         # What is left unmarked keeps its description.
-        assert all(old.get(j) == best.get(j) for j in marked if j <= position)
+        assert all(old.get(j) == kept.get(j) for j in marked if j <= position)
 
-    def checked_mark_b_change(position):
+    def checked_mark_above(position):
         dirty = set(tracker._dirty)
-        mark_b_change(position)
+        mark_above(position)
         above = {j for j in tracker.k_best if j > position}
         assert tracker._dirty == dirty | above
 
     tracker._recompute_matches = checked_recompute
-    tracker.mark_b_change = checked_mark_b_change
+    tracker.mark_above = checked_mark_above
 
 
 def _check_indexes(engine):
-    """The engine's marker indexes and side-tracker keys against scans of
-    every placed marker and every applied event.  No set change is left
-    for a later stage to read."""
+    """The engine's marker indexes, K(0^n) table and side-tracker keys
+    against scans of every placed marker and every applied event.  No set
+    change is left for a later stage to read."""
     assert engine._candidates == oracles.candidates(engine)
     assert engine._t_sorted == oracles.t_sorted(engine)
+    applied = _applied_events(engine)
+    zeros = {}  # n -> the applied events whose output is 0^n
+    for event in applied:
+        if "1" not in event.output:
+            zeros.setdefault(len(event.output), []).append(event)
+    assert {n: best[0] for n, best in engine.zero.k_best.items()} == {
+        n: k_at_n(SimpleNamespace(events=events), n, engine.stage)
+        for n, events in zeros.items()
+    }
+    assert engine.zero._keys == sorted(zeros)
     for tracker in engine.sides.values():
         assert tracker.min_changed_pos is None
-        best, _ = oracles.recompute_matches(
-            _applied_events(engine), tracker.x_str, {}
-        )
+        best, _ = oracles.recompute_matches(applied, tracker.x_str, {})
         assert tracker.k_best == best
         assert tracker._keys == sorted(best)
         assert not oracles.stale_deficiency(tracker, engine.b_str)
@@ -334,8 +359,8 @@ def _check_indexes(engine):
 
 def _fresh_floor(scenario, side_names):
     """The bound every fresh position exceeds besides its stage and the
-    earlier positions: the longest codeword and each side's width (the
-    longest output, and one past every element of the side's given set)."""
+    earlier positions: the longest codeword, the longest output, and one
+    past every element of each side's given set."""
     events = scenario.schedule.events
     given = {"a": scenario.set_a, "d": scenario.set_d}
     return max(
@@ -734,6 +759,39 @@ def test_clock_steps_no_stamp_it_could_absorb(engine_cls):
     assert absorbable == []
 
 
+def test_schedule_is_folded_once_into_one_shared_index():
+    """On dense-x4 seed 1 (dual), the K(0^n) table and both sides read one
+    description index, and a run folds each schedule event into it once:
+    the ``_least`` comparisons its ``apply`` makes, one per event of the
+    stage it folds, number the events stamped within the horizon.  No
+    table keeps the index's events, ``_least`` or ``_lengths``, and the
+    K(0^n) table keeps nothing of a side's: no machine, no dirty and no
+    deficient j."""
+    scenario = generated(1, dense=True)
+    engine = DualEngine(scenario)
+    schedule = engine.schedule
+    tables = (engine.zero, *engine.sides.values())
+    assert all(table.schedule is schedule for table in tables)
+    assert type(engine.zero) is _Table
+    fold = schedule.apply
+    folded = []
+
+    def counted(stage):
+        folded.append(stage)
+        return fold(stage)
+
+    schedule.apply = counted
+    engine.run(scenario.stages)
+    compared = sum(len(schedule._events_by_stage.get(s, [])) for s in folded)
+    events = scenario.schedule.events
+    assert compared == sum(e.stage <= scenario.stages for e in events) > 0
+    assert len(folded) == len(set(folded))
+    copies = {"_events_by_stage", "_least", "_lengths"}
+    for table in tables:
+        assert not copies & set(vars(table)), table
+    assert not {"machine", "_dirty", "_deficient"} & set(vars(engine.zero))
+
+
 @pytest.mark.parametrize("dense", [False, True], ids=["sweep", "dense"])
 @pytest.mark.parametrize(
     "engine_cls", [SingleEngine, DualEngine], ids=["single", "dual"]
@@ -782,13 +840,14 @@ class TestAgainstOracles:
         so the n of that stage's events are the ones to compare."""
         scenario = gen_scenario(4)
         schedule = scenario.schedule
-        table = SingleEngine(scenario).zero
+        engine = SingleEngine(scenario)
+        table = engine.zero
         lengths = range(max(len(e.output) for e in schedule.events) + 2)
         last = max(e.stage for e in schedule.events)
         checkpoints = set(range(1, last + 2, 97)) | {last, last + 1}
         dropped = 0
         for stage in range(1, last + 2):
-            drops = table.apply(stage)
+            drops = table.apply(stage, engine.schedule.apply(stage))
             stamped = {
                 len(e.output) for e in schedule.events if e.stage == stage
             }
@@ -823,16 +882,47 @@ class TestAgainstOracles:
             ScheduleEvent(3, "00101", "01"),
         ]
         UniversalSchedule(events)  # a valid schedule: prefix-free, < 1/4
-        tracker = _SideTracker("a", CESetApprox([(1, 4)]), events)
-        assert tracker.apply(1) == {2: 6, 3: 6}
-        assert tracker.apply(2) == {2: 5}
-        assert tracker.apply(3) == {}
+        schedule = _Schedule(events)
+        tracker = _SideTracker("a", CESetApprox([(1, 4)]), schedule)
+
+        def apply(stage):
+            return tracker.apply(stage, schedule.apply(stage))
+
+        assert apply(1) == {2: 6, 3: 6}
+        assert apply(2) == {2: 5}
+        assert apply(3) == {}
         assert tracker.k_best == {2: (5, 2, "00011"), 3: (6, 1, "000010")}
         tracker._dirty.clear()
-        assert tracker.apply(4) == {}
+        assert apply(4) == {}
         assert tracker.min_changed_pos == 1
         assert tracker.k_best == {2: (5, 2, "00010")}
         assert tracker._keys == [2]
+        assert tracker._dirty == {2, 3}
+
+    def test_element_and_improving_event_share_a_stage(self):
+        """X gains element 1 at stage 2, which turns X|2 from 00 into 01,
+        and stage 2 also brings a shorter description of 01 and the first
+        one of 010, now X|3, of a length not applied before.  The schedule
+        is folded before the set change, so the recompute already reads
+        both; the table ends as if they came after it.  ``k_best[2]`` is
+        the shorter description, each length is one key, both are dirty,
+        and the drops are those of the events that match the new X."""
+        events = [
+            ScheduleEvent(1, "000000", "00"),
+            ScheduleEvent(1, "000001", "01"),
+            ScheduleEvent(2, "00010", "01"),
+            ScheduleEvent(2, "000011", "010"),
+        ]
+        UniversalSchedule(events)  # a valid schedule: prefix-free, < 1/4
+        schedule = _Schedule(events)
+        tracker = _SideTracker("a", CESetApprox([(1, 2)]), schedule)
+        assert tracker.apply(1, schedule.apply(1)) == {2: 6}
+        assert tracker._keys == [2]
+        tracker._dirty.clear()
+        assert tracker.apply(2, schedule.apply(2)) == {2: 5, 3: 6}
+        assert tracker.min_changed_pos == 1
+        assert tracker.k_best == {2: (5, 2, "00010"), 3: (6, 2, "000011")}
+        assert tracker._keys == [2, 3]
         assert tracker._dirty == {2, 3}
 
     @pytest.mark.parametrize("dense", [False, True], ids=["sweep", "dense"])
@@ -854,7 +944,8 @@ class TestAgainstOracles:
                     for hi in range(-1, top):
                         if hi > lo and hi in tracker.k_best:
                             naive += 1 << (
-                                tracker.sum_exp - tracker.k_best[hi][0]
+                                engine.schedule.sum_exp
+                                - tracker.k_best[hi][0]
                             )
                         assert tracker.sum_range(lo, hi) == naive, (lo, hi)
 
