@@ -10,9 +10,12 @@ stands for; such a record changes nothing, so the audit reads it once and
 only its stage span matters, and every index reads the same as on the
 trace with the run written out.  The audit recomputes every machine weight
 from the ``m_entries`` and ``n_entries``: a machine's weight is the sum of
-2^-``length`` over its entries.  The engine writes no ``weights`` field, and
-the audit reads none, so a trace with or without one (older traces wrote
-it) audits to the same report.
+2^-``length`` over its entries, summed as an int in units of 2^-(the
+longest entry) and compared by shifts, as are the deficits and their
+bounds; ``Dyadic`` values remain for the containers and the reuse bounds,
+which add weights of different scales, and for report strings.  The
+engine writes no ``weights`` field, and the audit reads none, so a trace
+with or without one (older traces wrote it) audits to the same report.
 
 Whether a trace is well formed is decided in one place.
 ``_Replay.from_records`` tests every rule whose failure makes the audit
@@ -58,7 +61,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from .approx import JSON_INT_BOUND, Scenario
-from .bitcore import Dyadic, INFINITE, ZERO
+from .bitcore import Dyadic, INFINITE, ZERO, dyadic_parts, dyadic_str
 
 
 class UsageLedger:
@@ -189,7 +192,7 @@ def _require(
 
 
 def _is_deficit(text: str, longest: int) -> bool:
-    """Whether ``text`` reads (``Dyadic.parse``) as ``num/2^exp`` with
+    """Whether ``text`` reads (``dyadic_parts``) as ``num/2^exp`` with
     num >= 0 and 0 <= exp <= ``longest``, the longest schedule codeword.
 
     A deficit is a sum of weights 2^-K(X|j), each a multiple of 2^-(that
@@ -243,6 +246,9 @@ class _Replay:
     injuries: dict[int, list[int]] = field(default_factory=dict)
     # the last stage the records cover
     final_stage: int = 0
+    # Every m- and n-entry is at most this long, so its weight is a whole
+    # number of units of 2^-weight_exp.
+    weight_exp: int = 0
 
     @classmethod
     def from_records(
@@ -397,6 +403,8 @@ class _Replay:
                 f"{n_longest} exceeds {longest + top_c}"
             )
         replay.final_stage = previous
+        # An m-entry is as long as its justifying schedule codeword.
+        replay.weight_exp = max(longest, n_longest)
         return replay
 
     def in_b(self, position: int, stage: int) -> bool:
@@ -431,19 +439,24 @@ class _Replay:
 def check_weights(
     replay: _Replay, scenario: Scenario
 ) -> tuple[list[dict[str, Any]], dict[str, UsageLedger]]:
+    """The weight checks.  Machine weights are summed as ints in units of
+    2^-``weight_exp`` (``_Replay``); a ``Dyadic`` is built only for the
+    containers, which compare weights of different scales, and for the
+    report strings."""
     checks: list[dict[str, Any]] = []
     ledgers = {side: UsageLedger(scenario, side) for side in replay.sides}
-    m_weight = {side: ZERO for side in replay.sides}
+    exp = replay.weight_exp
+    m_weight = {side: 0 for side in replay.sides}
     transitions_ok = True
     transition_witness: dict[str, Any] = {}
-    n_weights: dict[tuple[str, int, int], Dyadic] = {}
+    n_weights: dict[tuple[str, int, int], int] = {}
     for record in replay.stages:
         stage = record["stage"]
         for entry in record["m_entries"]:
             side = entry["side"]
             ledger = ledgers[side]
             count = ledger.record_use(entry["justify"], stage, entry["cause"])
-            m_weight[side] = m_weight[side] + Dyadic.pow2_neg(entry["length"])
+            m_weight[side] += 1 << (exp - entry["length"])
             # Only descriptions active at the stage of the transition may
             # move one container deeper.
             if count >= 2 and not ledger.is_active(entry["justify"], stage):
@@ -455,8 +468,8 @@ def check_weights(
                 }
         for entry in record["n_entries"]:
             key = (entry["side"], entry["index"], entry["version"])
-            n_weights[key] = n_weights.get(key, ZERO) + Dyadic.pow2_neg(
-                entry["length"]
+            n_weights[key] = n_weights.get(key, 0) + (
+                1 << (exp - entry["length"])
             )
     _check(checks, "active-transitions", transitions_ok, transition_witness)
 
@@ -474,11 +487,12 @@ def check_weights(
                 witness = {"k": k, "weight": str(weight), "bound": str(bound)}
                 break
         _check(checks, f"decanter-bounds-{side}", bounds_ok, witness)
+        m = Dyadic(m_weight[side], exp)
         _check(
             checks,
             f"m-weight-{side}",
-            m_weight[side] <= total,
-            {"m": str(m_weight[side]), "container_sum": str(total)},
+            m <= total,
+            {"m": str(m), "container_sum": str(total)},
         )
         nesting_ok = all(
             containers.get(k + 1, set()) <= containers[k]
@@ -486,12 +500,13 @@ def check_weights(
         )
         _check(checks, f"container-nesting-{side}", nesting_ok, {})
 
-    half = Dyadic.pow2_neg(1)
+    # A weight w of 1/2 or more has 2w >= 1: 2w units against 2^exp.
+    one = 1 << exp
     strict = replay.header["engine"] == "dual"
     n_ok = True
     n_witness: dict[str, Any] = {}
     for key, weight in sorted(n_weights.items()):
-        ok = weight < half if strict else weight <= half
+        ok = weight << 1 < one if strict else weight << 1 <= one
         if not ok:
             n_ok = False
             side, index, version = key
@@ -499,7 +514,7 @@ def check_weights(
                 "side": side,
                 "index": index,
                 "version": version,
-                "weight": str(weight),
+                "weight": dyadic_str(weight, exp),
             }
             break
     _check(checks, "n-machine-bounds", n_ok, n_witness)
@@ -776,7 +791,8 @@ def check_coverage(
 
 
 def check_deficits(replay: _Replay) -> list[dict[str, Any]]:
-    """Dual runs only: every recorded deficit stays at most 2^-c."""
+    """Dual runs only: every recorded deficit stays at most 2^-c, compared
+    in ints: num/2^exp <= 2^-c when num * 2^c <= 2^exp."""
     checks: list[dict[str, Any]] = []
     if replay.header["engine"] != "dual":
         return checks
@@ -786,14 +802,14 @@ def check_deficits(replay: _Replay) -> list[dict[str, Any]]:
         for stage, snap in timeline:
             if snap["pos"] is None:
                 continue
-            bound = Dyadic.pow2_neg(snap["c"])
+            c = snap["c"]
             for side in replay.sides:
-                p = Dyadic.parse(snap[f"p_{side}"])
-                if not p <= bound:
+                num, exp = dyadic_parts(snap[f"p_{side}"])
+                if num << c > 1 << exp:
                     ok = False
                     witness = {
-                        "stage": stage, "index": index,
-                        "side": side, "p": str(p), "bound": str(bound),
+                        "stage": stage, "index": index, "side": side,
+                        "p": dyadic_str(num, exp), "bound": dyadic_str(1, c),
                     }
     _check(checks, "deficit-bounds", ok, witness)
     return checks

@@ -2,7 +2,13 @@
 
 Everything downstream (weight accounting, threshold comparisons, lemma
 audits) compares exact dyadic sums, so this module never touches floats
-except for the single INFINITE sentinel used for undescribed strings.
+except for the single INFINITE sentinel used for undescribed strings.  On
+hot paths those sums are plain ints counting units of one weight 2^-exp
+(machine weights, the engine's sums and deficits, the audit's entry
+weights and deficit bounds); ``dyadic_str`` and ``dyadic_parts`` write and
+read such a pair in the serialized form ``"num/2^exp"``, and ``Dyadic`` is
+the value type where a weight is compared with others of any scale or
+becomes a report string.
 """
 
 from __future__ import annotations
@@ -45,6 +51,35 @@ def decimal_int(text: str) -> int:
         return int(decimal.Decimal(text))
 
 
+def canonical(num: int, exp: int) -> tuple[int, int]:
+    """``(num, exp)`` for the value num/2^exp, num >= 0, in canonical form:
+    ``num`` odd or zero, ``exp`` >= 0, and 0 for a zero value.  The trailing
+    zero bits are found at once, not one at a time."""
+    if exp < 0:
+        return num << -exp, 0
+    if not num:
+        return 0, 0
+    shift = min((num & -num).bit_length() - 1, exp)
+    return num >> shift, exp - shift
+
+
+def dyadic_str(num: int, exp: int) -> str:
+    """The serialized form ``"num/2^exp"`` of the value num/2^exp, num >= 0,
+    written in canonical form at any size: every weight in a trace or a
+    report is written here."""
+    num, exp = canonical(num, exp)
+    return f"{decimal_str(num)}/2^{decimal_str(exp)}"
+
+
+def dyadic_parts(text: str) -> tuple[int, int]:
+    """The ints ``(num, exp)`` that the serialized form ``"num/2^exp"``
+    writes (a plain int has exp 0), at any size, as written, not made
+    canonical.  Malformed text raises ValueError; a negative ``num`` is
+    returned as such."""
+    num_s, sep, exp_s = text.partition("/2^")
+    return decimal_int(num_s), decimal_int(exp_s) if sep else 0
+
+
 class NegativeResult(ArithmeticError):
     """Raised when a dyadic subtraction would produce a negative value."""
 
@@ -53,7 +88,14 @@ class Dyadic:
     """Exact nonnegative dyadic rational ``num / 2**exp``.
 
     Canonical form: ``num`` is odd or zero, and a zero value has ``exp == 0``.
-    All arithmetic is exact; there is no rounding anywhere.
+    All arithmetic is exact; there is no rounding anywhere.  An integral
+    value equals, and hashes as, the int it is.
+
+    The stage loop and the audit's per-entry sums keep weights as ints at
+    one scale instead (see the module docstring); a ``Dyadic`` is built
+    where a weight is read out (``PrefixFreeMachine.weight``), where sums
+    of different scales meet (the audit's containers and reuse bounds) and
+    where a value becomes a report string.
     """
 
     __slots__ = ("num", "exp")
@@ -61,14 +103,7 @@ class Dyadic:
     def __init__(self, num: int, exp: int = 0) -> None:
         if num < 0:
             raise NegativeResult(f"negative dyadic: {num}/2^{exp}")
-        if exp < 0:
-            num <<= -exp
-            exp = 0
-        while num and num % 2 == 0 and exp > 0:
-            num >>= 1
-            exp -= 1
-        if num == 0:
-            exp = 0
+        num, exp = canonical(num, exp)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 
@@ -89,11 +124,10 @@ class Dyadic:
 
         Malformed text, a negative value included, raises ValueError.
         """
-        num_s, sep, exp_s = text.partition("/2^")
-        num = decimal_int(num_s)
+        num, exp = dyadic_parts(text)
         if num < 0:
             raise ValueError(f"negative dyadic: {text!r}")
-        return cls(num, decimal_int(exp_s) if sep else 0)
+        return cls(num, exp)
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
         e = max(self.exp, other.exp)
@@ -116,7 +150,7 @@ class Dyadic:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = Dyadic(other)
+            return self.exp == 0 and self.num == other
         if not isinstance(other, Dyadic):
             return NotImplemented
         return self.num == other.num and self.exp == other.exp
@@ -134,13 +168,14 @@ class Dyadic:
         return self._cmp(other) >= 0
 
     def __hash__(self) -> int:
-        return hash((self.num, self.exp))
+        # Equal to the int's hash when integral, as ``__eq__`` requires.
+        return hash(self.num) if self.exp == 0 else hash((self.num, self.exp))
 
     def __bool__(self) -> bool:
         return self.num != 0
 
     def __str__(self) -> str:
-        return f"{decimal_str(self.num)}/2^{decimal_str(self.exp)}"
+        return dyadic_str(self.num, self.exp)
 
     def __repr__(self) -> str:
         return f"Dyadic({self.num}, {self.exp})"

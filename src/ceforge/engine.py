@@ -1,9 +1,14 @@
 """Shared stage-loop machinery for the marker construction engines.
 
 The engine is strictly sequential and fully deterministic: a scenario plus a
-stage budget reproduces the same trace byte for byte.  All weight comparisons
-are exact, on ints at one dyadic scale or on dyadics; the only floating value
-anywhere is the INFINITE length sentinel for undescribed strings.
+stage budget reproduces the same trace byte for byte.  Every weight is an
+exact int at one dyadic scale, and the stage loop builds no ``Dyadic``:
+machine weights count units of 2^-(the machine's longest codeword)
+(``PrefixFreeMachine``), interval sums and deficits count units of
+2^-``sum_exp``, and the sum clause compares them by shifts (``_fires``).  A
+deficit becomes the string ``num/2^exp`` only in a marker snapshot
+(``bitcore.dyadic_str``).  The only floating value anywhere is the INFINITE
+length sentinel for undescribed strings.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from .approx import CESetApprox, Scenario, ScheduleEvent
-from .bitcore import Dyadic, INFINITE
+from .bitcore import INFINITE, dyadic_str
 from .machines import PrefixFreeMachine, WeightOverflow
 
 
@@ -560,12 +565,14 @@ class BaseEngine:
         """Fold in the inputs that arrive at ``stage``: the schedule's
         events into the index once, then what they improved into every
         table.  A side's table is applied only when some event improved or
-        at its own element stamps.  Returns the drops of K(0^n)."""
+        at its own element stamps, and the K(0^n) table, which has no
+        elements, only when some event improved.  Returns the drops of
+        K(0^n)."""
         improved = self.schedule.apply(stage)
         for tracker in self.sides.values():
             if improved or stage in tracker._set_by_stage:
                 tracker.apply(stage, improved)
-        return self.zero.apply(stage, improved)
+        return self.zero.apply(stage, improved) if improved else {}
 
     def step(self, applied: dict[int, int] | None = None) -> dict[str, Any]:
         """Run one stage and return its trace record.  ``applied`` holds
@@ -599,9 +606,10 @@ class BaseEngine:
         for side, tracker in self.sides.items():
             if tracker.min_changed_pos is not None:
                 self._mark_from(tracker.min_changed_pos + 1, (side,))
-        for index, side in sorted(self._dirty):
-            self._compute_t(self.markers[index], side, s_old)
-        self._dirty.clear()
+        if self._dirty:
+            for index, side in sorted(self._dirty):
+                self._compute_t(self.markers[index], side, s_old)
+            self._dirty.clear()
         for tracker in self.sides.values():
             tracker.min_changed_pos = None
 
@@ -640,21 +648,25 @@ class BaseEngine:
         touched = {0} if s_old == 0 else set()
 
         if attention_index is None:
-            cursors = {
-                side: self.sides[side].deficiency_cursor(
+            # Place when every side's cursor lies above the next index,
+            # describe when some side has one.
+            index = self.placed
+            cursors: dict[str, int | None] = {}
+            place, describe = True, False
+            for side, tracker in self.sides.items():
+                z = cursors[side] = tracker.deficiency_cursor(
                     self.b_str, s_old, self.cursor_inclusive
                 )
-                for side in self.side_names
-            }
+                place = place and z is not None and index < z
+                describe = describe or z is not None
             record["z"] = cursors
-            index = self.placed
-            if all(z is not None and index < z for z in cursors.values()):
+            if place:
                 marker = self._place(index, self._fresh(stage), stage)
                 self._dirty.update((index, side) for side in self.side_names)
                 record["action"] = "place"
                 record["placed"] = [index, marker.position]
                 touched.add(index)
-            elif any(z is not None for z in cursors.values()):
+            elif describe:
                 record["action"] = "describe"
                 for side in self.side_names:
                     z = cursors[side]
@@ -755,8 +767,9 @@ class BaseEngine:
             }
             if self.use_deficits:
                 for side in self.side_names:
-                    p = Dyadic(marker.p[side], self.schedule.sum_exp)
-                    entry[f"p_{side}"] = str(p)
+                    entry[f"p_{side}"] = dyadic_str(
+                        marker.p[side], self.schedule.sum_exp
+                    )
             snapshot[str(index)] = entry
         return snapshot
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .bitcore import INFINITE, Dyadic, ExtendedLength, ONE, ZERO
+from .bitcore import INFINITE, Dyadic, ExtendedLength, dyadic_str
 
 
 class Exhausted(RuntimeError):
@@ -108,34 +108,49 @@ class PrefixFreeMachine:
     ``reset`` hands back a fresh empty machine with a bumped version number;
     the old object stops growing and serves as the immutable archive needed
     for per-version weight audits.
+
+    The weight is kept as one int, ``_num`` units of 2^-``_exp``, where
+    ``_exp`` is the longest length described so far, so a description costs
+    a shift and an add; ``weight`` reads it out as a ``Dyadic``.  The
+    allocator is built at the first description: most archived versions
+    never get one.
     """
 
     def __init__(self, name: str = "M", version: int = 0) -> None:
         self.name = name
         self.version = version
         self.entries: list[MachineEntry] = []
-        self._free = FreeBlockSet()
-        self._weight = ZERO
+        self._free: FreeBlockSet | None = None
+        self._num = 0
+        self._exp = 0
         self._min_len: dict[str, int] = {}
         self._sealed = False
 
     @property
     def weight(self) -> Dyadic:
-        return self._weight
+        return Dyadic(self._num, self._exp)
 
     def describe(self, output: str, length: int, stage: int) -> MachineEntry:
         """Allocate a codeword of ``length`` bits for ``output``."""
         if self._sealed:
             raise RuntimeError(f"{self.name} v{self.version} was reset")
-        new_weight = self._weight + Dyadic.pow2_neg(length)
-        if new_weight >= ONE:
+        if length < 0:
+            raise ValueError("length must be a natural number")
+        num, exp = self._num, self._exp
+        if length > exp:
+            num, exp = num << (length - exp), length
+        num += 1 << (exp - length)
+        if num >> exp:
             raise WeightOverflow(
-                f"{self.name} v{self.version}: weight would reach {new_weight}"
+                f"{self.name} v{self.version}: weight would reach "
+                f"{dyadic_str(num, exp)}"
             )
+        if self._free is None:
+            self._free = FreeBlockSet()
         codeword = self._free.allocate(length)
         entry = MachineEntry(codeword, output, stage)
         self.entries.append(entry)
-        self._weight = new_weight
+        self._num, self._exp = num, exp
         known = self._min_len.get(output)
         if known is None or length < known:
             self._min_len[output] = length

@@ -12,6 +12,20 @@ from ceforge.bitcore import Dyadic, INFINITE, ZERO
 from ceforge.machines import Exhausted
 
 
+def canonical_loop(num: int, exp: int) -> tuple[int, int]:
+    """The canonical form of num/2^exp, num >= 0, reached one trailing zero
+    bit per loop turn, as ``Dyadic`` once did."""
+    if exp < 0:
+        num <<= -exp
+        exp = 0
+    while num and num % 2 == 0 and exp > 0:
+        num >>= 1
+        exp -= 1
+    if num == 0:
+        exp = 0
+    return num, exp
+
+
 def k_at(schedule, output: str, stage: int):
     """K(output)[stage]: shortest schedule codeword for ``output`` among the
     events enumerated by ``stage``."""

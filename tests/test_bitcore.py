@@ -13,15 +13,38 @@ from ceforge.bitcore import (
     NegativeResult,
     ONE,
     ZERO,
+    canonical,
     decimal_int,
     decimal_str,
+    dyadic_parts,
+    dyadic_str,
 )
+
+from oracles import canonical_loop
 
 dyadics = st.builds(
     Dyadic,
     st.integers(min_value=0, max_value=1 << 40),
     st.integers(min_value=0, max_value=60),
 )
+
+
+#: Numerators of up to 15,040 bits, past the 4,300-digit limit of ``str``
+#: (about 14,280 bits), with up to 15,039 trailing zero bits.
+numerators = st.one_of(
+    st.integers(min_value=0, max_value=1 << 70),
+    st.builds(
+        lambda n, shift: n << shift,
+        st.integers(min_value=0, max_value=1 << 70),
+        st.integers(min_value=0, max_value=200),
+    ),
+    st.builds(
+        lambda n, shift: ((1 << 14_999) + n) << shift,
+        st.sampled_from([0, 1, 3 << 40, (1 << 14_998) - 1]),
+        st.integers(min_value=0, max_value=40),
+    ),
+)
+exponents = st.integers(min_value=-80, max_value=15_100)
 
 
 def as_fraction(d: Dyadic) -> Fraction:
@@ -95,6 +118,47 @@ class TestDyadic:
     @given(dyadics)
     def test_canonical_invariant(self, d):
         assert d.num == 0 or d.num % 2 == 1 or d.exp == 0
+
+    def test_integral_values_equal_and_hash_as_ints(self):
+        assert Dyadic(2) == 2 and hash(Dyadic(2)) == hash(2)
+        assert Dyadic(8, 2) == 2 and hash(Dyadic(8, 2)) == hash(2)
+        assert hash(ZERO) == hash(0) and hash(ONE) == hash(1)
+        assert {Dyadic(2): "x"}.get(2) == "x"
+        assert {2: "x"}.get(Dyadic(4, 1)) == "x"
+        assert Dyadic(1, 1) != 0 and Dyadic(1, 1) != 1
+
+    def test_never_equals_a_negative_int(self):
+        assert (Dyadic(1) == -1) is False
+        assert (ZERO == -1) is False
+        assert Dyadic(1) != -1
+
+
+class TestIntegerShortcuts:
+    """``canonical``, ``dyadic_str`` and ``dyadic_parts`` against the loop
+    that made ``Dyadic`` canonical one trailing zero at a time."""
+
+    @given(numerators, exponents)
+    def test_canonical_matches_the_loop(self, num, exp):
+        expected = canonical_loop(num, exp)
+        assert canonical(num, exp) == expected
+        d = Dyadic(num, exp)
+        assert (d.num, d.exp) == expected
+
+    @given(numerators, exponents)
+    def test_str_matches_dyadic_str(self, num, exp):
+        text = dyadic_str(num, exp)
+        assert text == str(Dyadic(num, exp))
+        n, e = canonical_loop(num, exp)
+        assert text == f"{decimal.Decimal(n)}/2^{e}"
+        assert dyadic_parts(text) == (n, e)
+
+    def test_parts_as_written(self):
+        assert dyadic_parts("4/2^3") == (4, 3)
+        assert dyadic_parts("7") == (7, 0)
+        assert dyadic_parts("-1/2^2") == (-1, 2)
+        for text in ("x/2^1", "1/2^", "1/2^x"):
+            with pytest.raises(ValueError):
+                dyadic_parts(text)
 
 
 class TestInfinite:

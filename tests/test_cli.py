@@ -636,10 +636,12 @@ def test_malformed_trace_exits_two(
     assert _NAMED.get(corrupt, "") in err, err
 
 
-def _overweight_n_machine(records):
-    """Add length-2 n-entries to the record of the first n-entry until that
-    entry's (side, index, version) weighs more than 1/2 in the trace, and
-    return them.  Length 2 lies within the audit's N-entry length bound."""
+def _overweight_n_machine(records, half=False):
+    """Add n-entries to the record of the first n-entry until that entry's
+    (side, index, version) weighs more than 1/2 in the trace, each of
+    length 2, or exactly 1/2 when ``half``, one entry for each bit of the
+    weight missing; return them.  Every length added lies within the
+    audit's N-entry length bound: 2, or at most that version's longest."""
     record = next(r for r in records[1:] if r["n_entries"])
     first = record["n_entries"][0]
     key = first["side"], first["index"], first["version"]
@@ -653,26 +655,51 @@ def _overweight_n_machine(records):
         ZERO,
     )
     added = []
-    while weight <= Dyadic.pow2_neg(1):
+    if half:
+        missing = Dyadic.pow2_neg(1) - weight
+        for bit in range(missing.num.bit_length()):
+            if missing.num >> bit & 1:
+                length = missing.exp - bit
+                added.append(
+                    {**first, "length": length, "codeword": "0" * length}
+                )
+    while not half and weight <= Dyadic.pow2_neg(1):
         added.append({**first, "length": 2, "codeword": "00"})
         weight += Dyadic.pow2_neg(2)
+    assert added
     record["n_entries"] += added
     return added
 
 
-@pytest.mark.parametrize("engine_cls", [SingleEngine, DualEngine])
-def test_overweight_n_machine_fails_the_audit(capsys, tmp_path, engine_cls):
+@pytest.mark.parametrize(
+    "engine_cls, half",
+    [
+        (SingleEngine, False),
+        (DualEngine, False),
+        (SingleEngine, True),
+        (DualEngine, True),
+    ],
+    ids=["SingleEngine", "DualEngine", "SingleEngine-half", "DualEngine-half"],
+)
+def test_overweight_n_machine_fails_the_audit(
+    capsys, tmp_path, engine_cls, half
+):
     """A passing sweep trace with one N-machine version pushed past weight
-    1/2 fails ``n-machine-bounds`` alone (exit 3).  The same entries under
-    a side the engine does not have are a malformed trace (exit 2)."""
+    1/2 fails ``n-machine-bounds`` alone (exit 3).  At exactly 1/2 it
+    passes on the single engine, whose bound is <= 1/2, and fails on the
+    dual engine, whose bound is < 1/2.  The same entries under a side the
+    engine does not have are a malformed trace (exit 2)."""
     scenario = generated(0)
     records = engine_cls(scenario).run(scenario.stages)
     assert audit_trace(records, scenario)["pass"]
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(scenario.to_json())
     trace = tmp_path / "trace.jsonl"
-    added = _overweight_n_machine(records)
-    for side, code in ((added[0]["side"], EXIT_LEMMA), ("q", EXIT_SCENARIO)):
+    added = _overweight_n_machine(records, half)
+    passes = half and engine_cls is SingleEngine
+    sides = ((added[0]["side"], EXIT_OK if passes else EXIT_LEMMA),
+             ("q", EXIT_SCENARIO))
+    for side, code in sides:
         for entry in added:
             entry["side"] = side
         trace.write_text(trace_to_jsonl(records))
@@ -681,10 +708,10 @@ def test_overweight_n_machine_fails_the_audit(capsys, tmp_path, engine_cls):
             "audit", "--scenario", str(scenario_path), "--trace", str(trace),
         )
         assert got == code, err
-        if code == EXIT_LEMMA:
+        if code != EXIT_SCENARIO:
             report = json.loads(out)
             failed = [c["name"] for c in report["checks"] if not c["pass"]]
-            assert failed == ["n-machine-bounds"]
+            assert failed == ([] if passes else ["n-machine-bounds"])
         else:
             assert out == ""
             assert err.startswith("trace error: malformed trace:"), err
@@ -1190,15 +1217,20 @@ def _digits(n):
         ((3 << 14_996) + 1, EXIT_LEMMA, ["deficit-bounds"]),
         # 5,002 digits: more than a value below 1 at 2^-15000 can have.
         (10**5_001, EXIT_SCENARIO, None),
+        # Exactly 2^-c passes; one unit of 2^-15000 more fails.
+        (1 << 14_996, EXIT_OK, []),
+        ((1 << 14_996) + 1, EXIT_LEMMA, ["deficit-bounds"]),
     ],
-    ids=["read", "too-long"],
+    ids=["read", "too-long", "at-bound", "one-unit-above"],
 )
 def test_deficit_numerator_past_the_digit_limit(
     capsys, tmp_path, numerator, code, failed
 ):
     """A deficit whose numerator has more than 4,300 digits is read exactly
     when a value below 1 at the longest codeword's scale could have it, and
-    is a trace error when it is longer."""
+    is a trace error when it is longer.  Marker 0 has c = 4: a deficit of
+    exactly 2^-4 passes ``deficit-bounds`` and one unit of 2^-15000 above
+    it fails."""
     trace, paths = _long_codeword_trace(capsys, tmp_path, "dual")
     records = load_jsonl(trace)
     records[1]["markers"]["0"]["p_a"] = f"{_digits(numerator)}/2^15000"

@@ -1,6 +1,7 @@
 """Online code-space allocation and prefix-free machine behaviour."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -156,6 +157,38 @@ class TestRequestSet:
             assert machine.weight == weight
 
 
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=6),
+            st.integers(min_value=7, max_value=90),
+        ),
+        max_size=60,
+    )
+)
+def test_weight_and_overflow_match_the_dyadic_sum(lengths):
+    """The int weight reads out as the ``Dyadic`` sum of 2^-length over the
+    entries, and ``describe`` raises WeightOverflow, naming the weight it
+    would reach and changing nothing, exactly when that sum would reach 1."""
+    machine = PrefixFreeMachine("N_0")
+    for stage, length in enumerate(lengths):
+        entries = list(machine.entries)
+        after = machine.weight + Dyadic.pow2_neg(length)
+        if after >= ONE:
+            message = f"N_0 v0: weight would reach {after}"
+            with pytest.raises(WeightOverflow, match=re.escape(message)):
+                machine.describe("0", length, stage)
+            assert machine.entries == entries
+        else:
+            machine.describe("0", length, stage)
+        assert machine.weight == sum(
+            (Dyadic.pow2_neg(len(e.codeword)) for e in machine.entries),
+            ZERO,
+        )
+    with pytest.raises(ValueError):
+        machine.describe("0", -1, len(lengths))
+
+
 class TestMachineFromRequests:
     """``PrefixFreeMachine.describe`` over a request stream hands out
     prefix-free codewords whose weight is the request total."""
@@ -212,6 +245,8 @@ class TestReset:
         m = PrefixFreeMachine("N_3")
         m.describe("0", 4, stage=1)
         fresh = m.reset()
+        # The allocator waits for the first description.
+        assert fresh._free is None and m._free is not None
         assert fresh.version == m.version + 1
         assert fresh.k_of("0") is INFINITE
         assert m.entries  # archive keeps the old computations
