@@ -226,6 +226,15 @@ class Scenario:
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
+        """Read a scenario; raise ScenarioError unless it is well formed.
+
+        Each event's ``(stage, codeword, output)`` is tested inline, and
+        the words are tested for being binary on two joins, one of every
+        codeword and one of every output.  ``_json_stage`` and
+        ``_json_str`` are called, and the events walked again in order,
+        only when a test fails, to word the refusal: the first fault named
+        is the one a walk in order meets.
+        """
         try:
             payload = json.loads(text)
         except (ValueError, RecursionError) as exc:
@@ -233,21 +242,35 @@ class Scenario:
             # limit, and RecursionError arrays or objects nested too deep.
             raise ScenarioError(f"malformed scenario JSON: {exc}") from exc
         try:
-            events = [
-                ScheduleEvent(
-                    _json_stage(s, "event stage"),
-                    _json_str(c, "codeword"),
-                    _json_str(o, "output"),
-                )
-                for s, c, o in payload["universal_events"]
-            ]
-            for event in events:
-                # two counts run faster than one strip("01")
-                for word in (event.codeword, event.output):
-                    if word.count("0") + word.count("1") != len(word):
-                        raise ScenarioError("codewords/outputs must be binary")
-                if not event.codeword:
-                    raise ScenarioError("empty codeword")
+            events = []
+            for s, c, o in payload["universal_events"]:
+                if not (
+                    type(s) is int
+                    and 1 <= s < JSON_INT_BOUND
+                    and type(c) is str
+                    and type(o) is str
+                ):
+                    _json_stage(s, "event stage")
+                    _json_str(c, "codeword")
+                    _json_str(o, "output")
+                events.append(ScheduleEvent(s, c, o))
+            codewords = [event.codeword for event in events]
+            outputs = [event.output for event in events]
+            # Codewords and outputs are joined apart, so that only one
+            # join is held at a time; two counts run faster than one
+            # strip("01").
+            if "" in codewords or any(
+                joined.count("0") + joined.count("1") != len(joined)
+                for joined in map("".join, (codewords, outputs))
+            ):
+                for event in events:
+                    for word in (event.codeword, event.output):
+                        if word.count("0") + word.count("1") != len(word):
+                            raise ScenarioError(
+                                "codewords/outputs must be binary"
+                            )
+                    if not event.codeword:
+                        raise ScenarioError("empty codeword")
             return cls(
                 schedule=UniversalSchedule(events),
                 set_a=_json_set(payload["set_a"]),

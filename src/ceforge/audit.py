@@ -24,7 +24,10 @@ stage order, sides, codewords, marker keys, c and deficits, the N-entry
 length bound and each M-entry's justifying description.  It does so in the one
 pass it makes over every record, entry and snapshot, before any named
 check runs.  So a report is written only for a well-formed trace, and the
-named checks never raise.
+named checks never raise.  Inline tests decide, one type test per field;
+the field tables and ``_require`` only word a refusal, once a test has
+failed, and the rules are tested in one fixed order, so a trace that
+breaks several gets the message of the first.
 
 The audit does work linear in the trace size.  ``_Replay.from_records``
 reads the records once and builds every per-marker index the checks need
@@ -44,13 +47,17 @@ compact separators byte for byte, because a trace holds only ASCII
 strings, booleans, nulls and integers below 2^63 (a scenario's integers
 lie below 2^53, see ``approx.JSON_INT_BOUND``).  Everything that reads
 input from outside the program stays on the standard library's ``json``:
-reading traces, and all scenario I/O.  So does writing reports, which can
-echo integers read from a trace.  orjson 3.8.3 crashes the interpreter
-with a segmentation fault on a line nested about 200,000 deep (seen at
-200,000 and 1,000,000; 100,000 parses), reads integers past 64 bits as
-floats, and raises on such integers when it writes them; the standard
-library raises RecursionError on deep nesting and keeps every integer
-exact.
+reading traces, and all scenario I/O.  ``trace_from_jsonl`` decodes each
+line with one call to the standard library's C scanner, the one
+``json.loads`` uses, and hands a line to ``json.loads`` itself only when
+the scanner does not read it to the end; that call skips a blank line and
+words any refusal.  Writing reports, which can echo integers read from a
+trace, stays on the standard library too.  orjson 3.8.3 crashes the
+interpreter with a segmentation fault on a line nested about 200,000 deep
+(seen at 200,000 and 1,000,000; 100,000 parses), reads integers past 64
+bits as floats, and raises on such integers when it writes them; the
+standard library raises RecursionError on deep nesting and keeps every
+integer exact.
 """
 
 from __future__ import annotations
@@ -148,7 +155,8 @@ _C_OFFSETS = {"single": 3, "dual": 4}
 
 
 def _repeat(record: dict[str, Any], number: int) -> int:
-    """The number of stages stage record ``number`` stands for.
+    """The number of stages stage record ``number``, which has a
+    ``repeat`` field, stands for.
 
     A record with ``repeat`` n stands for its own stage and the n - 1
     after it, a run of identical no-op stages anywhere in the trace (the
@@ -156,8 +164,6 @@ def _repeat(record: dict[str, Any], number: int) -> int:
     nothing, so that every index and check reads the same as on the trace
     with the n records written out.
     """
-    if "repeat" not in record:
-        return 1
     repeat = record["repeat"]
     if type(repeat) is not int or repeat < 2:
         raise ValueError(
@@ -178,7 +184,8 @@ def _require(
     value: Any, fields: dict[str, tuple[type, ...]], number: int, part: str
 ) -> None:
     """Raise ValueError unless ``value``, the ``part`` of stage record
-    ``number``, is an object with these fields."""
+    ``number``, is an object with these fields.  ``from_records`` tests
+    the same fields inline and calls this only to word a refusal."""
     if type(value) is not dict:
         raise ValueError(
             f"malformed trace: record {number}{part} is not an object"
@@ -192,29 +199,32 @@ def _require(
 
 
 def _is_deficit(text: str, longest: int) -> bool:
-    """Whether ``text`` reads (``dyadic_parts``) as ``num/2^exp`` with
-    num >= 0 and 0 <= exp <= ``longest``, the longest schedule codeword.
+    """Whether ``text`` reads (``dyadic_parts``) as ``num/2^exp``, or a
+    bare ``num``, with both written in ASCII decimal digits (no sign,
+    space or underscore, which ``int`` would accept) and 0 <= exp <=
+    ``longest``, the longest schedule codeword.
 
     A deficit is a sum of weights 2^-K(X|j), each a multiple of 2^-(that
     length), so no exponent outside the range can occur; one far outside
     it would cost memory in the first comparison or in parsing itself.
 
-    ``int`` refuses a numerator past the interpreter's digit limit.  Past
-    it, one is read only if a value below 1 could have it: such a
+    ``int`` refuses a number past the interpreter's digit limit.  Past
+    it, a numerator is read only if a value below 1 could have it: such a
     numerator lies below 2^``longest``, so it has at most ``longest`` // 3
     + 1 digits, and no deficit makes the audit convert a number longer
     than the scenario's longest codeword allows.
     """
     num, sep, exp = text.partition("/2^")
-    try:
-        if sep and not 0 <= int(exp) <= longest:
-            return False
-    except ValueError:
+    if not (num.isascii() and num.isdigit()) or sep and not (
+        exp.isascii() and exp.isdigit()
+    ):
         return False
     try:
-        return int(num) >= 0
+        if sep and int(exp) > longest:
+            return False
+        return len(num) <= longest // 3 + 1 or int(num) >= 0
     except ValueError:
-        return len(num) <= longest // 3 + 1 and num.isascii() and num.isdigit()
+        return False
 
 
 def _is_index(key: str) -> bool:
@@ -256,7 +266,9 @@ class _Replay:
     ) -> "_Replay":
         """Replay ``records``, a trace of ``scenario``; raise ValueError
         unless it is well formed.  Every rule of a well-formed trace is
-        tested here, so the named checks never meet a malformed one."""
+        tested here, so the named checks never meet a malformed one.  The
+        type of each field is tested inline; ``_require`` and its field
+        tables only word a refusal."""
         if (
             not records
             or not isinstance(records[0], dict)
@@ -280,7 +292,7 @@ class _Replay:
             )
         sides = ("a", "d") if engine == "dual" else ("a",)
         snap_fields = {"pos": _OPTIONAL_INT, "c": (int,)}
-        deficits = [f"p_{side}" for side in sides] if engine == "dual" else []
+        deficits = ["p_a", "p_d"] if engine == "dual" else []
         snap_fields.update({key: (str,) for key in deficits})
         output_of = {e.codeword: e.output for e in scenario.schedule.events}
         longest = max(map(len, output_of), default=0)
@@ -289,50 +301,94 @@ class _Replay:
         acts = 0
         top_c = 0  # the largest c of any snapshot
         n_longest, n_number = 0, 0  # the longest N-entry and its record
+        # Each marker key seen so far, with its index: only a new key is
+        # tested (``_is_index``) and converted.
+        indices: dict[str, int] = {}
+        timelines = replay.timelines
+        # Each field is tested inline, one type test apiece, in agreement
+        # with its field table; ``_require`` is called only on a failed
+        # test, to word the refusal.
         for number, record in enumerate(replay.stages, 1):
-            _require(record, _RECORD_FIELDS, number, "")
-            for part, fields in _ENTRY_FIELDS.items():
-                for entry in record[part]:
-                    _require(entry, fields, number, f" {part}")
-                    if entry["side"] not in sides:
-                        raise ValueError(
-                            f"malformed trace: record {number} {part} side "
-                            f"{entry['side']!r} is not a {engine} engine side"
-                        )
-                    word, length = entry["codeword"], entry["length"]
-                    # two counts run faster than one strip("01")
-                    if len(word) != length or (
-                        word.count("0") + word.count("1") != length
-                    ):
-                        raise ValueError(
-                            f"malformed trace: record {number} {part} "
-                            f"codeword is not {length} bits of 0 and 1"
-                        )
-                    if part == "n_entries":
-                        if length > n_longest:
-                            n_longest, n_number = length, number
-                        continue
-                    # An M-entry describes the output of the schedule
-                    # description it names, at that description's length.
-                    justify, n = entry["justify"], entry["n"]
-                    output = output_of.get(justify)
-                    if (
-                        output is None
-                        or len(justify) != length
-                        or len(output) != n
-                    ):
-                        raise ValueError(
-                            f"malformed trace: record {number} m_entries "
-                            f"justify {justify!r} is not a schedule codeword "
-                            f"of {length} bits with an output of {n} bits"
-                        )
-            stage = record["stage"]
+            if not (
+                type(record) is dict
+                and type(stage := record.get("stage")) is int
+                and (
+                    type(added := record.get("b_added")) is int
+                    or added is None
+                )
+                and type(markers := record.get("markers")) is dict
+                and type(injured := record.get("injured")) is list
+                and type(m_entries := record.get("m_entries")) is list
+                and type(n_entries := record.get("n_entries")) is list
+            ):
+                _require(record, _RECORD_FIELDS, number, "")
+            if m_entries or n_entries:
+                for part, entries in (
+                    ("m_entries", m_entries), ("n_entries", n_entries)
+                ):
+                    for entry in entries:
+                        if not (
+                            type(entry) is dict
+                            and type(side := entry.get("side")) is str
+                            and type(length := entry.get("length")) is int
+                            and type(word := entry.get("codeword")) is str
+                            and (
+                                type(justify := entry.get("justify")) is str
+                                and type(n := entry.get("n")) is int
+                                and (
+                                    type(cause := entry.get("cause")) is int
+                                    or cause is None
+                                )
+                                if part == "m_entries"
+                                else type(entry.get("index")) is int
+                                and type(entry.get("version")) is int
+                            )
+                        ):
+                            _require(
+                                entry, _ENTRY_FIELDS[part], number, f" {part}"
+                            )
+                        if side not in sides:
+                            raise ValueError(
+                                f"malformed trace: record {number} {part} "
+                                f"side {side!r} is not a {engine} engine side"
+                            )
+                        # two counts run faster than one strip("01")
+                        if len(word) != length or (
+                            word.count("0") + word.count("1") != length
+                        ):
+                            raise ValueError(
+                                f"malformed trace: record {number} {part} "
+                                f"codeword is not {length} bits of 0 and 1"
+                            )
+                        if part == "n_entries":
+                            if length > n_longest:
+                                n_longest, n_number = length, number
+                            continue
+                        # An M-entry describes the output of the schedule
+                        # description it names, at that description's
+                        # length.
+                        output = output_of.get(justify)
+                        if (
+                            output is None
+                            or len(justify) != length
+                            or len(output) != n
+                        ):
+                            raise ValueError(
+                                f"malformed trace: record {number} m_entries "
+                                f"justify {justify!r} is not a schedule "
+                                f"codeword of {length} bits with an output "
+                                f"of {n} bits"
+                            )
             if number > 1 and stage <= previous:
                 raise ValueError(
                     f"malformed trace: record {number} stage {stage} does "
                     f"not follow stage {previous}"
                 )
-            previous = stage + _repeat(record, number) - 1
+            previous = (
+                stage + _repeat(record, number) - 1
+                if "repeat" in record else stage
+            )
+            # Read by key, as a missing "b_added" is refused here.
             added = record["b_added"]
             if added is not None:
                 # a position in B gets no attention, so it enters B once
@@ -343,37 +399,46 @@ class _Replay:
                     )
                 replay.b_stage[added] = stage
                 acts += 1
-            for index in record["injured"]:
+            for index in injured:
                 if type(index) is not int:
                     raise ValueError(
                         f"malformed trace: record {number} injured index "
                         f"{index!r} is not an int"
                     )
                 replay.injuries.setdefault(index, []).append(stage)
-            for key, snap in record["markers"].items():
-                # One key per index: "0" and "00" may not both name marker 0.
-                if not _is_index(key):
-                    raise ValueError(
-                        f"malformed trace: record {number} marker key "
-                        f"{key!r} is not a natural below 2^53 in decimal "
-                        "without leading zeros"
+            for key, snap in markers.items():
+                index = indices.get(key)
+                if index is None:
+                    # One key per index: "0" and "00" may not both name
+                    # marker 0.
+                    if not _is_index(key):
+                        raise ValueError(
+                            f"malformed trace: record {number} marker key "
+                            f"{key!r} is not a natural below 2^53 in decimal "
+                            "without leading zeros"
+                        )
+                    index = indices[key] = int(key)
+                if not (
+                    type(snap) is dict
+                    and type(c := snap.get("c")) is int
+                    and (type(pos := snap.get("pos")) is int or pos is None)
+                    and (
+                        not deficits
+                        or type(snap.get("p_a")) is str
+                        and type(snap.get("p_d")) is str
                     )
-                _require(snap, snap_fields, number, " markers")
-                index = int(key)
+                ):
+                    _require(snap, snap_fields, number, " markers")
                 # Markers appear one index at a time.  A marker's c is
                 # c_offset + index plus the acts of lower markers so far:
                 # set so at each placement, and one more at an injury,
                 # which is such an act.  So it lies between c_offset +
                 # index and c_offset + index + acts.
-                if (
-                    index not in replay.timelines
-                    and index != len(replay.timelines)
-                ):
+                if index not in timelines and index != len(timelines):
                     raise ValueError(
                         f"malformed trace: record {number} marker {index} "
-                        f"appears before marker {len(replay.timelines)}"
+                        f"appears before marker {len(timelines)}"
                     )
-                c = snap["c"]
                 least = c_offset + index
                 if not least <= c <= least + acts:
                     raise ValueError(
@@ -388,7 +453,7 @@ class _Replay:
                             f"{index} {name} {snap[name]!r} is not num/2^exp "
                             f"with num >= 0 and exp in 0..{longest}"
                         )
-                replay.timelines.setdefault(index, []).append((stage, snap))
+                timelines.setdefault(index, []).append((stage, snap))
         if previous > header["stages"]:
             raise ValueError(
                 f"malformed trace: records run to stage {previous}, past "
@@ -871,5 +936,29 @@ def trace_to_jsonl(records: list[dict[str, Any]]) -> str:
     )
 
 
+# The standard library's C scanner, as ``json.loads`` calls it.
+_SCAN = json.JSONDecoder().scan_once
+
+
 def trace_from_jsonl(text: str) -> list[dict[str, Any]]:
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    """The records of a JSONL trace, one per line that is not blank.
+
+    Each line is decoded by one call to the standard library's C scanner.
+    Only a line it does not read to the end (leading or trailing
+    whitespace, a BOM, extra data, or no JSON value at all) goes to
+    ``json.loads``: that call skips a blank line, reads a padded one, and
+    otherwise raises what ``json.loads`` raises on the line, so a refusal
+    is worded as before.
+    """
+    records = []
+    for line in text.splitlines():
+        try:
+            record, end = _SCAN(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            if not line.strip():
+                continue
+            record = json.loads(line)
+        records.append(record)
+    return records

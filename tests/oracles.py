@@ -488,3 +488,9 @@ def jsonl_stdlib(records) -> str:
     sorted keys and compact separators."""
     encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
     return "\n".join(map(encoder.encode, records)) + "\n"
+
+
+def trace_from_jsonl_naive(text: str) -> list:
+    """The records of a JSONL trace, one ``json.loads`` per line that is
+    not blank."""
+    return [json.loads(line) for line in text.splitlines() if line.strip()]

@@ -1,6 +1,7 @@
 """Independent trace replay and the bound checks it performs."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -246,6 +247,65 @@ def test_writer_matches_stdlib_encoder(engine_cls, name):
     scenario = _WRITER_SCENARIOS[name]()
     records = engine_cls(scenario).run(scenario.stages)
     assert_same_lines(trace_to_jsonl(records), oracles.jsonl_stdlib(records))
+
+
+#: JSON values a trace line may hold, record or not.
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+#: Padding around a line's value: JSON whitespace, and characters that
+#: ``str.strip`` removes but JSON does not allow.
+_PADDING = st.sampled_from(["", " ", "\t", " \t ", "\xa0", "\u3000"])
+#: Lines that the C scanner does not read to the end, or that raise.
+_AWKWARD_LINES = [
+    "", " ", "\t", "\xa0", "\ufeff{}", "\ufeff", "NaN", "-Infinity",
+    "{} {}", "1 2", '{"a": 1}x', "{", "]", '"\\x"', "1" * 5000,
+    "[" * 100_000 + "]" * 100_000,
+]
+_LINES = st.one_of(
+    st.builds(
+        lambda before, value, after: before + json.dumps(value) + after,
+        _PADDING, _JSON_VALUES, _PADDING,
+    ),
+    st.sampled_from(_AWKWARD_LINES),
+    st.text(max_size=6),
+)
+
+
+def _decoded(decode, text):
+    """What ``decode`` makes of ``text``: the repr of its result (so NaN
+    equals NaN, and 1 differs from 1.0 and True), or the type and message
+    of what it raises."""
+    try:
+        return "ok", repr(decode(text))
+    except Exception as exc:  # RecursionError is one
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    lines=st.lists(_LINES, max_size=6),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final=st.booleans(),
+)
+@example(lines=[" {}", "{} ", "", "  ", "{}"], newline="\n", final=True)
+@example(lines=["\ufeff{}"], newline="\n", final=False)
+@example(lines=["NaN", "[NaN, Infinity]"], newline="\n", final=True)
+@example(lines=["{}", "{} {}"], newline="\n", final=False)
+@example(lines=["1 2"], newline="\n", final=False)
+@example(lines=["[" * 100_000 + "]" * 100_000], newline="\n", final=True)
+def test_trace_decoder_matches_the_naive_decoder(lines, newline, final):
+    text = newline.join(lines) + (newline if final else "")
+    assert _decoded(trace_from_jsonl, text) == _decoded(
+        oracles.trace_from_jsonl_naive, text
+    )
 
 
 def _ordering_entry(checks):

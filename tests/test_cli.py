@@ -10,7 +10,14 @@ import sys
 import pytest
 
 from ceforge import DualEngine, SingleEngine, audit_trace, trace_to_jsonl
-from ceforge.audit import _Replay, check_weights, stable_indices
+from ceforge.audit import (
+    _M_ENTRY_FIELDS,
+    _N_ENTRY_FIELDS,
+    _RECORD_FIELDS,
+    _Replay,
+    check_weights,
+    stable_indices,
+)
 from ceforge.bitcore import Dyadic, ZERO
 from ceforge import cli
 from ceforge.cli import (
@@ -466,6 +473,26 @@ def _deficit_negative_unplaced(records):
     records[7]["markers"]["1"]["p_a"] = "-5/2^3"
 
 
+# Spellings that ``int`` reads but a trace may not write: a deficit is
+# ASCII decimal digits on both sides of "/2^".
+
+
+def _deficit_signed(records):
+    records[1]["markers"]["0"]["p_a"] = "0/2^+0"
+
+
+def _deficit_spaced(records):
+    records[1]["markers"]["0"]["p_a"] = " 0/2^0"
+
+
+def _deficit_underscored(records):
+    records[1]["markers"]["0"]["p_a"] = "0/2^0_0"
+
+
+def _deficit_non_ascii_digits(records):
+    records[1]["markers"]["0"]["p_d"] = "\u0660/2^0"  # ARABIC-INDIC ZERO
+
+
 def _marker_key_padded(records):
     # "00" would be a second snapshot of marker 0 in the same record
     records[1]["markers"]["00"] = dict(records[1]["markers"]["0"])
@@ -497,6 +524,10 @@ _NAMED = {
     _deficit_not_a_number: "record 7 marker 1 p_a 'abc' is not num/2^exp",
     _deficit_negative_unplaced: "record 7 marker 1 p_a '-5/2^3' is not",
     _marker_key_padded: "record 1 marker key '00' is not a natural",
+    _deficit_signed: "record 1 marker 0 p_a '0/2^+0' is not num/2^exp",
+    _deficit_spaced: "record 1 marker 0 p_a ' 0/2^0' is not num/2^exp",
+    _deficit_underscored: "record 1 marker 0 p_a '0/2^0_0' is not num/2^exp",
+    _deficit_non_ascii_digits: "record 1 marker 0 p_d '\u0660/2^0' is not",
     _marker_key_not_a_number: "record 1 marker key 'x' is not a natural",
 }
 
@@ -613,6 +644,10 @@ def _repeat_huge(records):
         ("dual_scripted", _deficit_negative_unplaced),
         ("dual_scripted", _marker_key_padded),
         ("single_scripted", _marker_key_not_a_number),
+        ("dual_scripted", _deficit_signed),
+        ("dual_scripted", _deficit_spaced),
+        ("dual_scripted", _deficit_underscored),
+        ("dual_scripted", _deficit_non_ascii_digits),
     ],
     ids=lambda value: getattr(value, "__name__", value).lstrip("_"),
 )
@@ -634,6 +669,166 @@ def test_malformed_trace_exits_two(
     assert len(err.splitlines()) == 1, err
     assert err.startswith("trace error:"), err
     assert _NAMED.get(corrupt, "") in err, err
+
+
+#: One JSON value of each kind, and a field taken out.
+_MISSING = object()
+_JSON_VALUES = {
+    "missing": _MISSING,
+    "int": 7,
+    "string": "x",
+    "float": 1.5,
+    "bool": True,
+    "null": None,
+    "list": [],
+    "object": {},
+}
+#: A dual snapshot's fields, as the replay's own table holds them.
+_SNAPSHOT_FIELDS = {
+    "pos": (int, type(None)), "c": (int,), "p_a": (str,), "p_d": (str,),
+}
+#: Each part of a stage record with its field table, and the path in the
+#: dual fixture to one well-formed instance: record number first.
+_TYPED_PARTS = {
+    "": (_RECORD_FIELDS, (1,)),
+    " m_entries": (_M_ENTRY_FIELDS, (5, "m_entries", 0)),
+    " n_entries": (_N_ENTRY_FIELDS, (3, "n_entries", 0)),
+    " markers": (_SNAPSHOT_FIELDS, (1, "markers", "0")),
+}
+#: Every field, and the part itself (``None``), with every value its table
+#: does not allow.
+_TYPED_CASES = [
+    (part, key, kind)
+    for part, (table, _) in _TYPED_PARTS.items()
+    for key, kinds in [(None, (dict,)), *table.items()]
+    for kind, value in _JSON_VALUES.items()
+    if (key is not None if value is _MISSING else type(value) not in kinds)
+]
+
+
+@pytest.mark.parametrize(
+    "part, key, kind",
+    _TYPED_CASES,
+    ids=[f"{p.strip() or 'record'}-{k}-{v}" for p, k, v in _TYPED_CASES],
+)
+def test_field_of_the_wrong_type_is_refused_as_its_table_words_it(
+    capsys, tmp_path, data_dir, part, key, kind
+):
+    """The replay tests every field's type inline; a value its field table
+    refuses must exit 2 with the message the table words, so an inline
+    test that lets it through fails here."""
+    records = load_jsonl(data_dir / "dual_scripted_trace.jsonl")
+    table, path = _TYPED_PARTS[part]
+    holder = records
+    for step in path[:-1]:
+        holder = holder[step]
+    value = _JSON_VALUES[kind]
+    if value is not _MISSING:
+        value = copy.deepcopy(value)
+    number = path[0]
+    if key is None:
+        holder[path[-1]] = value
+        want = f"record {number}{part} is not an object"
+    else:
+        fields = holder[path[-1]]
+        if value is _MISSING:
+            del fields[key]
+        else:
+            fields[key] = value
+        want = (
+            f"record {number}{part} field {key!r} is missing or of the "
+            "wrong type"
+        )
+        if value is _MISSING and type(None) in table[key]:
+            # The table reads a missing field that may be null as null; the
+            # first read of it by key refuses the trace.
+            want = None
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run_cli(
+        capsys,
+        "audit",
+        "--scenario", str(data_dir / "dual_scripted.json"),
+        "--trace", str(trace),
+    )
+    message = f"malformed trace: {want}" if want else repr(key)
+    assert (code, out, err) == (
+        EXIT_SCENARIO, "", f"trace error: {message}\n"
+    )
+
+
+def _bad_events():
+    """Event lists that make the scripted scenario exit 2, each with the
+    message that refuses it: the second event with each field replaced by
+    each value it may not hold, and faults in one or two events.  The
+    first fault a walk over the events meets is named, and every event's
+    types are tested before any word is tested for being binary."""
+    first, good = [1, "0000", "00"], [2, "0001", "000"]
+    cases = {
+        "event-stage-zero": (
+            [first, [0, "0001", "000"]],
+            "event stage must be at least 1, got 0",
+        ),
+        "event-stage-2^53": (
+            [first, [2**53, "0001", "000"]],
+            "event stage must be below 2^53",
+        ),
+        "empty": ([[1, "", "00"]], "empty codeword"),
+        "binary-then-type": (
+            [[1, "0020", "00"], [2, "0001", 3]],
+            "output must be a string, got 3",
+        ),
+        "binary-then-empty": (
+            [[1, "0000", "0x"], [2, "", "000"]],
+            "codewords/outputs must be binary",
+        ),
+        "empty-then-binary": (
+            [[1, "", "00"], [2, "0001", "0z0"]],
+            "empty codeword",
+        ),
+        "output-before-empty": (
+            [[1, "", "0y"]],
+            "codewords/outputs must be binary",
+        ),
+    }
+    for index, what, kinds in [
+        (0, "event stage", "an integer"),
+        (1, "codeword", "a string"),
+        (2, "output", "a string"),
+    ]:
+        for kind, value in _JSON_VALUES.items():
+            event = list(good)
+            if value is _MISSING:
+                del event[index]
+                message = (
+                    "bad scenario structure: not enough values to unpack "
+                    "(expected 3, got 2)"
+                )
+            elif type(value) is type(good[index]):
+                continue
+            else:
+                event[index] = value
+                message = f"{what} must be {kinds}, got {value!r}"
+            cases[f"{what.replace(' ', '-')}-{kind}"] = (
+                [first, event], message
+            )
+    return cases
+
+
+_BAD_EVENTS = _bad_events()
+
+
+@pytest.mark.parametrize("case", list(_BAD_EVENTS))
+def test_bad_event_exits_two_naming_the_first_fault(capsys, tmp_path, case):
+    events, message = _BAD_EVENTS[case]
+    payload = json.loads((DATA / "single_scripted.json").read_text())
+    payload["universal_events"] = events
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "run", "--scenario", str(scenario))
+    assert (code, out, err) == (
+        EXIT_SCENARIO, "", f"scenario error: {message}\n"
+    )
 
 
 def _overweight_n_machine(records, half=False):
