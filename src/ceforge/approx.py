@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bitcore import Dyadic
 from .machines import FreeBlockSet, check_prefix_free
@@ -138,8 +139,7 @@ def encode_real(real: CERealApprox) -> CESetApprox:
     return result
 
 
-@dataclass(frozen=True)
-class ScheduleEvent:
+class ScheduleEvent(NamedTuple):
     stage: int
     codeword: str
     output: str
@@ -147,10 +147,15 @@ class ScheduleEvent:
 
 class UniversalSchedule:
     """Stage-stamped enumeration of (codeword, output) pairs standing in
-    for the universal machine; prefix-free domain, weight < 1/4."""
+    for the universal machine; prefix-free domain, weight < 1/4.
+
+    ``events`` are sorted as tuples: codewords are distinct, so that is
+    (stage, codeword) order.  ``output_of`` maps each codeword to its
+    output, the index the audit reads."""
 
     def __init__(self, events: list[ScheduleEvent]) -> None:
-        self.events = sorted(events, key=lambda e: (e.stage, e.codeword))
+        self.events = sorted(events)
+        self.output_of = {e.codeword: e.output for e in self.events}
         check_prefix_free([e.codeword for e in self.events])
         # One integer sum at the longest codeword's scale (at least 2, the
         # scale of the 1/4 bound).
@@ -214,9 +219,8 @@ class Scenario:
 
     def to_json(self) -> str:
         payload = {
-            "universal_events": [
-                [e.stage, e.codeword, e.output] for e in self.schedule.events
-            ],
+            # Each event, a tuple, is written as a JSON array.
+            "universal_events": self.schedule.events,
             "set_a": sorted(self.set_a.schedule),
             "set_d": sorted(self.set_d.schedule),
             "halting": sorted(self.halting.schedule),
@@ -228,12 +232,12 @@ class Scenario:
     def from_json(cls, text: str) -> "Scenario":
         """Read a scenario; raise ScenarioError unless it is well formed.
 
-        Each event's ``(stage, codeword, output)`` is tested inline, and
-        the words are tested for being binary on two joins, one of every
-        codeword and one of every output.  ``_json_stage`` and
-        ``_json_str`` are called, and the events walked again in order,
-        only when a test fails, to word the refusal: the first fault named
-        is the one a walk in order meets.
+        ``_json_stage`` and ``_json_str`` decide each event's ``(stage,
+        codeword, output)`` and word its refusal.  The words are then
+        tested for being binary on two joins, one of every codeword and one
+        of every output; the events are walked again in order only when a
+        join fails, so the first fault named is the one a walk in order
+        meets.
         """
         try:
             payload = json.loads(text)
@@ -242,18 +246,14 @@ class Scenario:
             # limit, and RecursionError arrays or objects nested too deep.
             raise ScenarioError(f"malformed scenario JSON: {exc}") from exc
         try:
-            events = []
-            for s, c, o in payload["universal_events"]:
-                if not (
-                    type(s) is int
-                    and 1 <= s < JSON_INT_BOUND
-                    and type(c) is str
-                    and type(o) is str
-                ):
-                    _json_stage(s, "event stage")
-                    _json_str(c, "codeword")
-                    _json_str(o, "output")
-                events.append(ScheduleEvent(s, c, o))
+            events = [
+                ScheduleEvent(
+                    _json_stage(s, "event stage"),
+                    _json_str(c, "codeword"),
+                    _json_str(o, "output"),
+                )
+                for s, c, o in payload["universal_events"]
+            ]
             codewords = [event.codeword for event in events]
             outputs = [event.output for event in events]
             # Codewords and outputs are joined apart, so that only one

@@ -24,10 +24,12 @@ stage order, sides, codewords, marker keys, c and deficits, the N-entry
 length bound and each M-entry's justifying description.  It does so in the one
 pass it makes over every record, entry and snapshot, before any named
 check runs.  So a report is written only for a well-formed trace, and the
-named checks never raise.  Inline tests decide, one type test per field;
-the field tables and ``_require`` only word a refusal, once a test has
-failed, and the rules are tested in one fixed order, so a trace that
-breaks several gets the message of the first.
+named checks never raise.  The field tables decide each field's type:
+each table is compiled once, at import, into one test of its fields
+(``_Fields``), which a missing field fails even where null is allowed,
+and ``_require`` words the refusal once a test has failed.  The rules
+are tested in one fixed order, so a trace that breaks several gets the
+message of the first.
 
 The audit does work linear in the trace size.  ``_Replay.from_records``
 reads the records once and builds every per-marker index the checks need
@@ -83,9 +85,7 @@ class UsageLedger:
 
     def __init__(self, scenario: Scenario, side: str) -> None:
         self.given = scenario.set_a if side == "a" else scenario.set_d
-        self.output_of = {
-            e.codeword: e.output for e in scenario.schedule.events
-        }
+        self.output_of = scenario.schedule.output_of
         self.uses: dict[str, int] = {}
         self.reuses: dict[int, list[tuple[int, str]]] = {}
 
@@ -129,25 +129,69 @@ def _check(
     checks.append({"name": name, "pass": bool(ok), "witness": witness})
 
 
+#: What a field that is missing reads as: its type is in no table.
+_MISSING = object()
+
+
+class _Fields(dict):
+    """A field table: each field of one part of a stage record, with the
+    types its value may have.  The table is the one statement of those
+    rules.  ``typed`` is its test, compiled once into the ``type(...) is
+    T`` chain one would write by hand, fields in table order; ``_require``
+    words a refusal once the test has failed."""
+
+    def __init__(self, **fields: tuple[type, ...]) -> None:
+        super().__init__(fields)
+        tests = ["type(v) is dict"]
+        for key, kinds in fields.items():
+            first, *rest = [kind.__name__ for kind in kinds]
+            tests.append(
+                f"(type(x := v.get({key!r}, _MISSING)) is {first}"
+                + "".join(f" or type(x) is {name}" for name in rest) + ")"
+            )
+        namespace = {"_MISSING": _MISSING, "NoneType": type(None)}
+        self.typed = eval("lambda v: " + " and ".join(tests), namespace)
+
+
 # Field types the checks rely on, for each part of a stage record.
 _OPTIONAL_INT = (int, type(None))
-_RECORD_FIELDS = {
-    "stage": (int,),
-    "b_added": _OPTIONAL_INT,
-    "markers": (dict,),
-    "injured": (list,),
-    "m_entries": (list,),
-    "n_entries": (list,),
-}
-_M_ENTRY_FIELDS = {
-    "side": (str,), "justify": (str,), "length": (int,), "n": (int,),
-    "cause": _OPTIONAL_INT, "codeword": (str,),
-}
-_N_ENTRY_FIELDS = {
-    "side": (str,), "index": (int,), "version": (int,), "length": (int,),
-    "codeword": (str,),
-}
+_RECORD_FIELDS = _Fields(
+    stage=(int,),
+    b_added=_OPTIONAL_INT,
+    markers=(dict,),
+    injured=(list,),
+    m_entries=(list,),
+    n_entries=(list,),
+)
+_M_ENTRY_FIELDS = _Fields(
+    side=(str,), justify=(str,), length=(int,), n=(int,),
+    cause=_OPTIONAL_INT, codeword=(str,),
+)
+_N_ENTRY_FIELDS = _Fields(
+    side=(str,), index=(int,), version=(int,), length=(int,),
+    codeword=(str,),
+)
 _ENTRY_FIELDS = {"m_entries": _M_ENTRY_FIELDS, "n_entries": _N_ENTRY_FIELDS}
+_SNAPSHOT_FIELDS = {
+    "single": _Fields(pos=_OPTIONAL_INT, c=(int,)),
+    "dual": _Fields(pos=_OPTIONAL_INT, c=(int,), p_a=(str,), p_d=(str,)),
+}
+
+
+def _require(value: Any, fields: _Fields, number: int, part: str) -> None:
+    """Raise ValueError unless ``value``, the ``part`` of stage record
+    ``number``, is an object with these fields.  ``from_records`` calls
+    this once ``fields.typed`` has failed, to word the refusal."""
+    if type(value) is not dict:
+        raise ValueError(
+            f"malformed trace: record {number}{part} is not an object"
+        )
+    for key, kinds in fields.items():
+        if type(value.get(key, _MISSING)) not in kinds:
+            raise ValueError(
+                f"malformed trace: record {number}{part} field {key!r} is "
+                "missing or of the wrong type"
+            )
 
 
 #: The c of marker i starts at c_offset + i; each engine has its own offset.
@@ -178,24 +222,6 @@ def _repeat(record: dict[str, Any], number: int) -> int:
             "something"
         )
     return repeat
-
-
-def _require(
-    value: Any, fields: dict[str, tuple[type, ...]], number: int, part: str
-) -> None:
-    """Raise ValueError unless ``value``, the ``part`` of stage record
-    ``number``, is an object with these fields.  ``from_records`` tests
-    the same fields inline and calls this only to word a refusal."""
-    if type(value) is not dict:
-        raise ValueError(
-            f"malformed trace: record {number}{part} is not an object"
-        )
-    for key, kinds in fields.items():
-        if type(value.get(key)) not in kinds:
-            raise ValueError(
-                f"malformed trace: record {number}{part} field {key!r} is "
-                "missing or of the wrong type"
-            )
 
 
 def _is_deficit(text: str, longest: int) -> bool:
@@ -267,8 +293,8 @@ class _Replay:
         """Replay ``records``, a trace of ``scenario``; raise ValueError
         unless it is well formed.  Every rule of a well-formed trace is
         tested here, so the named checks never meet a malformed one.  The
-        type of each field is tested inline; ``_require`` and its field
-        tables only word a refusal."""
+        field tables decide each field's type through their compiled
+        tests, and ``_require`` words a refusal."""
         if (
             not records
             or not isinstance(records[0], dict)
@@ -291,10 +317,9 @@ class _Replay:
                 f"{engine} engine's {_C_OFFSETS[engine]}"
             )
         sides = ("a", "d") if engine == "dual" else ("a",)
-        snap_fields = {"pos": _OPTIONAL_INT, "c": (int,)}
+        snap_fields = _SNAPSHOT_FIELDS[engine]
         deficits = ["p_a", "p_d"] if engine == "dual" else []
-        snap_fields.update({key: (str,) for key in deficits})
-        output_of = {e.codeword: e.output for e in scenario.schedule.events}
+        output_of = scenario.schedule.output_of
         longest = max(map(len, output_of), default=0)
         replay = cls(header=header, stages=records[1:], sides=sides)
         previous = 0  # the last stage the records so far cover
@@ -305,48 +330,19 @@ class _Replay:
         # tested (``_is_index``) and converted.
         indices: dict[str, int] = {}
         timelines = replay.timelines
-        # Each field is tested inline, one type test apiece, in agreement
-        # with its field table; ``_require`` is called only on a failed
-        # test, to word the refusal.
         for number, record in enumerate(replay.stages, 1):
-            if not (
-                type(record) is dict
-                and type(stage := record.get("stage")) is int
-                and (
-                    type(added := record.get("b_added")) is int
-                    or added is None
-                )
-                and type(markers := record.get("markers")) is dict
-                and type(injured := record.get("injured")) is list
-                and type(m_entries := record.get("m_entries")) is list
-                and type(n_entries := record.get("n_entries")) is list
-            ):
+            if not _RECORD_FIELDS.typed(record):
                 _require(record, _RECORD_FIELDS, number, "")
-            if m_entries or n_entries:
-                for part, entries in (
-                    ("m_entries", m_entries), ("n_entries", n_entries)
-                ):
-                    for entry in entries:
-                        if not (
-                            type(entry) is dict
-                            and type(side := entry.get("side")) is str
-                            and type(length := entry.get("length")) is int
-                            and type(word := entry.get("codeword")) is str
-                            and (
-                                type(justify := entry.get("justify")) is str
-                                and type(n := entry.get("n")) is int
-                                and (
-                                    type(cause := entry.get("cause")) is int
-                                    or cause is None
-                                )
-                                if part == "m_entries"
-                                else type(entry.get("index")) is int
-                                and type(entry.get("version")) is int
-                            )
-                        ):
-                            _require(
-                                entry, _ENTRY_FIELDS[part], number, f" {part}"
-                            )
+            stage = record["stage"]
+            # Most records hold no entry: skip the loop's set-up for them.
+            if record["m_entries"] or record["n_entries"]:
+                for part, fields in _ENTRY_FIELDS.items():
+                    for entry in record[part]:
+                        if not fields.typed(entry):
+                            _require(entry, fields, number, f" {part}")
+                        side, length, word = (
+                            entry["side"], entry["length"], entry["codeword"]
+                        )
                         if side not in sides:
                             raise ValueError(
                                 f"malformed trace: record {number} {part} "
@@ -367,6 +363,7 @@ class _Replay:
                         # An M-entry describes the output of the schedule
                         # description it names, at that description's
                         # length.
+                        justify, n = entry["justify"], entry["n"]
                         output = output_of.get(justify)
                         if (
                             output is None
@@ -388,7 +385,6 @@ class _Replay:
                 stage + _repeat(record, number) - 1
                 if "repeat" in record else stage
             )
-            # Read by key, as a missing "b_added" is refused here.
             added = record["b_added"]
             if added is not None:
                 # a position in B gets no attention, so it enters B once
@@ -399,14 +395,14 @@ class _Replay:
                     )
                 replay.b_stage[added] = stage
                 acts += 1
-            for index in injured:
+            for index in record["injured"]:
                 if type(index) is not int:
                     raise ValueError(
                         f"malformed trace: record {number} injured index "
                         f"{index!r} is not an int"
                     )
                 replay.injuries.setdefault(index, []).append(stage)
-            for key, snap in markers.items():
+            for key, snap in record["markers"].items():
                 index = indices.get(key)
                 if index is None:
                     # One key per index: "0" and "00" may not both name
@@ -418,17 +414,9 @@ class _Replay:
                             "without leading zeros"
                         )
                     index = indices[key] = int(key)
-                if not (
-                    type(snap) is dict
-                    and type(c := snap.get("c")) is int
-                    and (type(pos := snap.get("pos")) is int or pos is None)
-                    and (
-                        not deficits
-                        or type(snap.get("p_a")) is str
-                        and type(snap.get("p_d")) is str
-                    )
-                ):
+                if not snap_fields.typed(snap):
                     _require(snap, snap_fields, number, " markers")
+                c = snap["c"]
                 # Markers appear one index at a time.  A marker's c is
                 # c_offset + index plus the acts of lower markers so far:
                 # set so at each placement, and one more at an injury,

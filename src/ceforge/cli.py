@@ -144,10 +144,16 @@ def cmd_kc(args: argparse.Namespace) -> int:
     try:
         for line in Path(args.requests).read_text().splitlines():
             fields = line.split()
-            if not fields or fields[0].startswith("#"):
+            if not fields or fields[0][:1] == "#":
                 continue
             target, field = fields
+            # ``int`` words what it refuses, and reads some lengths that
+            # are not ASCII decimal digits, such as "+3", "1_0" and "٣".
             length = int(field)
+            if not (field.isascii() and field.isdigit()):
+                raise ValueError(
+                    f"length {field!r} is not written in ASCII decimal digits"
+                )
             if length > KC_LENGTH_BOUND:
                 raise ValueError(
                     f"length {length} exceeds the bound {KC_LENGTH_BOUND}"

@@ -14,6 +14,7 @@ from ceforge.audit import (
     _M_ENTRY_FIELDS,
     _N_ENTRY_FIELDS,
     _RECORD_FIELDS,
+    _SNAPSHOT_FIELDS,
     _Replay,
     check_weights,
     stable_indices,
@@ -683,17 +684,13 @@ _JSON_VALUES = {
     "list": [],
     "object": {},
 }
-#: A dual snapshot's fields, as the replay's own table holds them.
-_SNAPSHOT_FIELDS = {
-    "pos": (int, type(None)), "c": (int,), "p_a": (str,), "p_d": (str,),
-}
 #: Each part of a stage record with its field table, and the path in the
 #: dual fixture to one well-formed instance: record number first.
 _TYPED_PARTS = {
     "": (_RECORD_FIELDS, (1,)),
     " m_entries": (_M_ENTRY_FIELDS, (5, "m_entries", 0)),
     " n_entries": (_N_ENTRY_FIELDS, (3, "n_entries", 0)),
-    " markers": (_SNAPSHOT_FIELDS, (1, "markers", "0")),
+    " markers": (_SNAPSHOT_FIELDS["dual"], (1, "markers", "0")),
 }
 #: Every field, and the part itself (``None``), with every value its table
 #: does not allow.
@@ -714,11 +711,12 @@ _TYPED_CASES = [
 def test_field_of_the_wrong_type_is_refused_as_its_table_words_it(
     capsys, tmp_path, data_dir, part, key, kind
 ):
-    """The replay tests every field's type inline; a value its field table
-    refuses must exit 2 with the message the table words, so an inline
-    test that lets it through fails here."""
+    """The field tables decide every field's type, through the test each
+    table compiles; a value its table refuses, a missing field that may be
+    null included, must exit 2 with the message the table words, so a
+    compiled test that lets it through fails here."""
     records = load_jsonl(data_dir / "dual_scripted_trace.jsonl")
-    table, path = _TYPED_PARTS[part]
+    _, path = _TYPED_PARTS[part]
     holder = records
     for step in path[:-1]:
         holder = holder[step]
@@ -739,10 +737,6 @@ def test_field_of_the_wrong_type_is_refused_as_its_table_words_it(
             f"record {number}{part} field {key!r} is missing or of the "
             "wrong type"
         )
-        if value is _MISSING and type(None) in table[key]:
-            # The table reads a missing field that may be null as null; the
-            # first read of it by key refuses the trace.
-            want = None
     trace = tmp_path / "trace.jsonl"
     trace.write_text("".join(json.dumps(r) + "\n" for r in records))
     code, out, err = run_cli(
@@ -751,9 +745,8 @@ def test_field_of_the_wrong_type_is_refused_as_its_table_words_it(
         "--scenario", str(data_dir / "dual_scripted.json"),
         "--trace", str(trace),
     )
-    message = f"malformed trace: {want}" if want else repr(key)
     assert (code, out, err) == (
-        EXIT_SCENARIO, "", f"trace error: {message}\n"
+        EXIT_SCENARIO, "", f"trace error: malformed trace: {want}\n"
     )
 
 
@@ -1283,6 +1276,12 @@ class TestKc:
         assert code == EXIT_OK
         assert out.splitlines() == ["0\tx", "10\ty", "11\tz"]
 
+    def test_leading_zeros_are_accepted(self, capsys, tmp_path):
+        requests = tmp_path / "req.txt"
+        requests.write_text("x 01\ny 002\n")
+        code, out, _ = run_cli(capsys, "kc", str(requests))
+        assert (code, out) == (EXIT_OK, "0\tx\n10\ty\n")
+
     def test_comments_and_blank_lines_are_skipped(self, capsys, tmp_path):
         requests = tmp_path / "req.txt"
         requests.write_text(
@@ -1300,6 +1299,26 @@ class TestKc:
         assert code == EXIT_SCENARIO
         assert out == ""
         assert err.startswith("request error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "length",
+        ["+3", "1_0", "\u0663"],
+        ids=["signed", "underscored", "arabic-indic"],
+    )
+    def test_length_not_in_ascii_digits_exits_two(
+        self, capsys, tmp_path, length
+    ):
+        """``int`` reads each of these lengths (3, 10 and 3), but a length
+        must be written in ASCII decimal digits."""
+        requests = tmp_path / "req.txt"
+        requests.write_text(f"x 1\ny {length}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "kc", str(requests))
+        assert (code, out, err) == (
+            EXIT_SCENARIO,
+            "",
+            f"request error: length {length!r} is not written in ASCII "
+            "decimal digits\n",
+        )
 
     def test_exhaustion_exits_two(self, capsys, tmp_path):
         requests = tmp_path / "req.txt"
