@@ -12,8 +12,9 @@ trace with the run written out.  The audit recomputes every machine weight
 from the ``m_entries`` and ``n_entries``: a machine's weight is the sum of
 2^-``length`` over its entries, summed as an int in units of 2^-(the
 longest entry) and compared by shifts, as are the deficits and their
-bounds; ``Dyadic`` values remain for the containers and the reuse bounds,
-which add weights of different scales, and for report strings.  The
+bounds and each set of codewords whose weight a container or reuse bound
+needs; ``Dyadic`` values remain where those weights of different scales
+are added and compared, and for report strings.  The
 engine writes no ``weights`` field, and the audit reads none, so a trace
 with or without one (older traces wrote it) audits to the same report.
 
@@ -23,24 +24,30 @@ refuse the trace (a ValueError, exit 2 at the command line): field types,
 stage order, sides, codewords, marker keys, c and deficits, the N-entry
 length bound and each M-entry's justifying description.  It does so in the one
 pass it makes over every record, entry and snapshot, before any named
-check runs.  So a report is written only for a well-formed trace, and the
-named checks never raise.  The field tables decide each field's type:
+check decides.  So a report is written only for a well-formed trace, and
+the named checks never raise.  The field tables decide each field's type:
 each table is compiled once, at import, into one test of its fields
 (``_Fields``), which a missing field fails even where null is allowed,
 and ``_require`` words the refusal once a test has failed.  The rules
 are tested in one fixed order, so a trace that breaks several gets the
 message of the first.
 
-The audit does work linear in the trace size.  ``_Replay.from_records``
-reads the records once and builds every per-marker index the checks need
-in that pass: the marker timelines (``marker_at`` bisects them by stage),
-the injury stages of each marker and the stage at which each position
-entered B.  ``check_weights`` walks the records once more, and its
-``UsageLedger`` files each reuse under the marker that caused it as the
-walk reaches it, so ``_check_reuse_bounds`` visits only the markers that
-caused a reuse.  ``check_markers`` re-tests marker order only at the pairs
-a record's marker changes touch, and ``check_coverage`` walks the records
-with one B buffer that it slices for every segment.
+The audit does work linear in the trace size, and it reads the records
+once.  The pass of ``_Replay.from_records`` that tests the rules also
+builds every index a named check reads: the marker timelines
+(``marker_at`` bisects them by stage), the injury stages of each marker,
+the stage at which each position entered B, each side's ``UsageLedger``,
+which files each reuse under the marker that caused it (so
+``_check_reuse_bounds`` visits only the markers that caused a reuse), the
+m-weights and n-entry lengths, and each side's K_M, read off one B buffer
+that it slices for every m-entry.  Where a violation decides a check
+(marker order in stage and in index, abandoned positions, deficits,
+active transitions), the pass keeps its witness: the last violation the
+full scan it replaced would report.  Marker order across indices is
+re-tested only at the pairs each snapshot touches.  The named checks turn
+these indexes into report entries and walk no record again;
+``check_weights`` sums the n-entry weights, whose lengths the pass has
+bounded by then.
 
 ``trace_to_jsonl`` writes each record with orjson, with sorted keys (it
 imports orjson itself, so commands that write no trace never load it); its
@@ -67,10 +74,10 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from .approx import JSON_INT_BOUND, Scenario
-from .bitcore import Dyadic, INFINITE, ZERO, dyadic_parts, dyadic_str
+from .bitcore import Dyadic, INFINITE, ZERO, decimal_int, dyadic_str
 
 
 class UsageLedger:
@@ -114,10 +121,10 @@ class UsageLedger:
 
 
 def _wgt(codewords: set[str]) -> Dyadic:
-    total = ZERO
-    for word in codewords:
-        total = total + Dyadic.pow2_neg(len(word))
-    return total
+    """The weight of ``codewords``, summed as an int in units of 2^-(the
+    longest); each is a schedule codeword, so the scenario bounds it."""
+    top = max(map(len, codewords), default=0)
+    return Dyadic(sum(1 << (top - len(word)) for word in codewords), top)
 
 
 def _check(
@@ -137,20 +144,27 @@ class _Fields(dict):
     """A field table: each field of one part of a stage record, with the
     types its value may have.  The table is the one statement of those
     rules.  ``typed`` is its test, compiled once into the ``type(...) is
-    T`` chain one would write by hand, fields in table order; ``_require``
-    words a refusal once the test has failed."""
+    T`` chain one would write by hand, fields in table order: it returns
+    the tuple of the values it tested, in table order, or None if one
+    fails, so each field is read once.  ``_require`` words a refusal once
+    the test has failed."""
 
     def __init__(self, **fields: tuple[type, ...]) -> None:
         super().__init__(fields)
         tests = ["type(v) is dict"]
-        for key, kinds in fields.items():
+        for number, (key, kinds) in enumerate(fields.items()):
             first, *rest = [kind.__name__ for kind in kinds]
             tests.append(
-                f"(type(x := v.get({key!r}, _MISSING)) is {first}"
-                + "".join(f" or type(x) is {name}" for name in rest) + ")"
+                f"(type(x{number} := v.get({key!r}, _MISSING)) is {first}"
+                + "".join(f" or type(x{number}) is {name}" for name in rest)
+                + ")"
             )
+        values = "".join(f"x{number}, " for number in range(len(fields)))
         namespace = {"_MISSING": _MISSING, "NoneType": type(None)}
-        self.typed = eval("lambda v: " + " and ".join(tests), namespace)
+        self.typed = eval(
+            f"lambda v: ({values}) if {' and '.join(tests)} else None",
+            namespace,
+        )
 
 
 # Field types the checks rely on, for each part of a stage record.
@@ -171,7 +185,6 @@ _N_ENTRY_FIELDS = _Fields(
     side=(str,), index=(int,), version=(int,), length=(int,),
     codeword=(str,),
 )
-_ENTRY_FIELDS = {"m_entries": _M_ENTRY_FIELDS, "n_entries": _N_ENTRY_FIELDS}
 _SNAPSHOT_FIELDS = {
     "single": _Fields(pos=_OPTIONAL_INT, c=(int,)),
     "dual": _Fields(pos=_OPTIONAL_INT, c=(int,), p_a=(str,), p_d=(str,)),
@@ -181,7 +194,8 @@ _SNAPSHOT_FIELDS = {
 def _require(value: Any, fields: _Fields, number: int, part: str) -> None:
     """Raise ValueError unless ``value``, the ``part`` of stage record
     ``number``, is an object with these fields.  ``from_records`` calls
-    this once ``fields.typed`` has failed, to word the refusal."""
+    this once ``fields.typed`` has failed, to word the refusal, so it
+    always raises there."""
     if type(value) is not dict:
         raise ValueError(
             f"malformed trace: record {number}{part} is not an object"
@@ -196,6 +210,7 @@ def _require(value: Any, fields: _Fields, number: int, part: str) -> None:
 
 #: The c of marker i starts at c_offset + i; each engine has its own offset.
 _C_OFFSETS = {"single": 3, "dual": 4}
+_SIDES = {"single": ("a",), "dual": ("a", "d")}
 
 
 def _repeat(record: dict[str, Any], number: int) -> int:
@@ -224,33 +239,65 @@ def _repeat(record: dict[str, Any], number: int) -> int:
     return repeat
 
 
-def _is_deficit(text: str, longest: int) -> bool:
-    """Whether ``text`` reads (``dyadic_parts``) as ``num/2^exp``, or a
-    bare ``num``, with both written in ASCII decimal digits (no sign,
-    space or underscore, which ``int`` would accept) and 0 <= exp <=
-    ``longest``, the longest schedule codeword.
+def _deficit(text: str, longest: int) -> tuple[int, int] | None:
+    """The ints ``(num, exp)`` if ``text`` reads as ``num/2^exp``, or a
+    bare ``num`` (exp 0), with both written in ASCII decimal digits (no
+    sign, space or underscore, which ``int`` would accept) and 0 <= exp
+    <= ``longest``, the longest schedule codeword; else None.
 
     A deficit is a sum of weights 2^-K(X|j), each a multiple of 2^-(that
     length), so no exponent outside the range can occur; one far outside
     it would cost memory in the first comparison or in parsing itself.
 
     ``int`` refuses a number past the interpreter's digit limit.  Past
-    it, a numerator is read only if a value below 1 could have it: such a
-    numerator lies below 2^``longest``, so it has at most ``longest`` // 3
-    + 1 digits, and no deficit makes the audit convert a number longer
-    than the scenario's longest codeword allows.
+    it, a numerator is read (``decimal_int``) only if a value below 1
+    could have it: such a numerator lies below 2^``longest``, so it has
+    at most ``longest`` // 3 + 1 digits, and no deficit makes the audit
+    convert a number longer than the scenario's longest codeword allows.
     """
     num, sep, exp = text.partition("/2^")
     if not (num.isascii() and num.isdigit()) or sep and not (
         exp.isascii() and exp.isdigit()
     ):
-        return False
+        return None
     try:
-        if sep and int(exp) > longest:
-            return False
-        return len(num) <= longest // 3 + 1 or int(num) >= 0
+        power = int(exp) if sep else 0
+        if power > longest:
+            return None
+        if len(num) <= longest // 3 + 1:
+            return decimal_int(num), power
+        return int(num), power
     except ValueError:
-        return False
+        return None
+
+
+def _refuse_entry(
+    number: int, part: str, side: str, length: int, engine: str
+) -> None:
+    """Raise the ValueError for an entry of stage record ``number`` whose
+    side is not an ``engine`` side or whose codeword is not ``length``
+    bits; ``from_records`` tests both at once and calls this to word the
+    refusal."""
+    if side not in _SIDES[engine]:
+        raise ValueError(
+            f"malformed trace: record {number} {part} side {side!r} is not "
+            f"a {engine} engine side"
+        )
+    raise ValueError(
+        f"malformed trace: record {number} {part} codeword is not {length} "
+        "bits of 0 and 1"
+    )
+
+
+def _keep_last(
+    witnesses: dict[str, dict[str, Any]], name: str, witness: dict[str, Any]
+) -> None:
+    """Keep ``witness`` as check ``name``'s unless one of a higher marker
+    index is kept.  Records come in stage order, so the witness kept is
+    the last violation in (index, stage) order."""
+    kept = witnesses.get(name)
+    if kept is None or witness["index"] >= kept["index"]:
+        witnesses[name] = witness
 
 
 def _is_index(key: str) -> bool:
@@ -268,7 +315,9 @@ def _is_index(key: str) -> bool:
 
 @dataclass
 class _Replay:
-    """State rebuilt from the trace records alone."""
+    """State rebuilt from the trace records alone, in one pass over them
+    (``from_records``): the per-marker indexes, and every index a named
+    check reads."""
 
     header: dict[str, Any]
     stages: list[dict[str, Any]]
@@ -285,6 +334,20 @@ class _Replay:
     # Every m- and n-entry is at most this long, so its weight is a whole
     # number of units of 2^-weight_exp.
     weight_exp: int = 0
+    # side -> the uses and reuses of its schedule descriptions
+    ledgers: dict[str, UsageLedger] = field(default_factory=dict)
+    # side -> the weight of its output machine, summed over its m-entries
+    m_weight: dict[str, Dyadic] = field(default_factory=dict)
+    # (side, index, version) -> the lengths of that N-machine's entries
+    n_lengths: dict[tuple[str, int, int], list[int]] = field(
+        default_factory=dict
+    )
+    # side -> K_M: each B segment an m-entry described -> its least length
+    k_m: dict[str, dict[str, int]] = field(default_factory=dict)
+    # B below the longest schedule output, as "0"/"1", after the last record
+    b_final: str = ""
+    # check name -> the witness of a check the pass found violated
+    witnesses: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     @classmethod
     def from_records(
@@ -294,7 +357,18 @@ class _Replay:
         unless it is well formed.  Every rule of a well-formed trace is
         tested here, so the named checks never meet a malformed one.  The
         field tables decide each field's type through their compiled
-        tests, and ``_require`` words a refusal."""
+        tests, which hand back the fields' values, and ``_require`` words
+        a refusal.
+
+        The same pass builds what the named checks read: the ledgers,
+        m-weights, n-entry lengths and the ``active-transitions``
+        witness (``check_weights``); each marker's consecutive snapshots
+        and the cross-index order (``check_markers``); B and each side's
+        K_M (``check_coverage``); and each placed snapshot's deficits
+        against 2^-c (``check_deficits``).  A check's witness is that of
+        the last violation the full scan it replaced would report.  Only
+        sizes a rule has bounded are shifted or sliced, and the n-entry
+        weights are left to ``check_weights``, after the length bound."""
         if (
             not records
             or not isinstance(records[0], dict)
@@ -316,12 +390,21 @@ class _Replay:
                 f"malformed trace: header c_offset {c_offset!r} is not the "
                 f"{engine} engine's {_C_OFFSETS[engine]}"
             )
-        sides = ("a", "d") if engine == "dual" else ("a",)
+        sides = _SIDES[engine]
         snap_fields = _SNAPSHOT_FIELDS[engine]
-        deficits = ["p_a", "p_d"] if engine == "dual" else []
         output_of = scenario.schedule.output_of
         longest = max(map(len, output_of), default=0)
         replay = cls(header=header, stages=records[1:], sides=sides)
+        b_stage, timelines = replay.b_stage, replay.timelines
+        ledgers = replay.ledgers = {
+            side: UsageLedger(scenario, side) for side in sides
+        }
+        k_m = replay.k_m = {side: {} for side in sides}
+        n_lengths, witnesses = replay.n_lengths, replay.witnesses
+        # m-entry weights in units of 2^-longest: an m-entry is as long
+        # as its justifying schedule codeword.
+        m_units = dict.fromkeys(sides, 0)
+        bits = bytearray(b"0" * max(map(len, output_of.values()), default=0))
         previous = 0  # the last stage the records so far cover
         acts = 0
         top_c = 0  # the largest c of any snapshot
@@ -329,53 +412,75 @@ class _Replay:
         # Each marker key seen so far, with its index: only a new key is
         # tested (``_is_index``) and converted.
         indices: dict[str, int] = {}
-        timelines = replay.timelines
+        # Cross-index order.  ``current`` holds each marker's position,
+        # ``placed`` the sorted placed indices, and ``bad`` each placed i
+        # whose pair with its placed successor is out of order.  A snapshot
+        # can only change the pairs that start at its index or at its
+        # placed predecessor, so only those are re-tested, snapshot by
+        # snapshot.  ``bad`` then depends on the configuration alone, so
+        # at the end of a record it describes the configuration the record
+        # leaves, which holds until the next change record.
+        current: list[int | None] = []
+        placed: list[int] = []
+        bad: set[int] = set()
         for number, record in enumerate(replay.stages, 1):
-            if not _RECORD_FIELDS.typed(record):
-                _require(record, _RECORD_FIELDS, number, "")
-            stage = record["stage"]
-            # Most records hold no entry: skip the loop's set-up for them.
-            if record["m_entries"] or record["n_entries"]:
-                for part, fields in _ENTRY_FIELDS.items():
-                    for entry in record[part]:
-                        if not fields.typed(entry):
-                            _require(entry, fields, number, f" {part}")
-                        side, length, word = (
-                            entry["side"], entry["length"], entry["codeword"]
-                        )
-                        if side not in sides:
-                            raise ValueError(
-                                f"malformed trace: record {number} {part} "
-                                f"side {side!r} is not a {engine} engine side"
-                            )
-                        # two counts run faster than one strip("01")
-                        if len(word) != length or (
-                            word.count("0") + word.count("1") != length
-                        ):
-                            raise ValueError(
-                                f"malformed trace: record {number} {part} "
-                                f"codeword is not {length} bits of 0 and 1"
-                            )
-                        if part == "n_entries":
-                            if length > n_longest:
-                                n_longest, n_number = length, number
-                            continue
-                        # An M-entry describes the output of the schedule
-                        # description it names, at that description's
-                        # length.
-                        justify, n = entry["justify"], entry["n"]
-                        output = output_of.get(justify)
-                        if (
-                            output is None
-                            or len(justify) != length
-                            or len(output) != n
-                        ):
-                            raise ValueError(
-                                f"malformed trace: record {number} m_entries "
-                                f"justify {justify!r} is not a schedule "
-                                f"codeword of {length} bits with an output "
-                                f"of {n} bits"
-                            )
+            stage, added, markers, injured, m_entries, n_entries = (
+                _RECORD_FIELDS.typed(record)
+                or _require(record, _RECORD_FIELDS, number, "")
+            )
+            # An m-entry describes B as it stands with this record's
+            # addition.
+            if added is not None and 0 <= added < len(bits):
+                bits[added] = 49  # "1"
+            for entry in m_entries:
+                side, justify, length, n, cause, word = (
+                    _M_ENTRY_FIELDS.typed(entry)
+                    or _require(entry, _M_ENTRY_FIELDS, number, " m_entries")
+                )
+                # two counts run faster than one strip("01")
+                if side not in sides or len(word) != length or (
+                    word.count("0") + word.count("1") != length
+                ):
+                    _refuse_entry(number, "m_entries", side, length, engine)
+                # An M-entry describes the output of the schedule
+                # description it names, at that description's length.
+                output = output_of.get(justify)
+                if output is None or len(justify) != length or (
+                    len(output) != n
+                ):
+                    raise ValueError(
+                        f"malformed trace: record {number} m_entries "
+                        f"justify {justify!r} is not a schedule codeword of "
+                        f"{length} bits with an output of {n} bits"
+                    )
+                ledger = ledgers[side]
+                m_units[side] += 1 << (longest - length)
+                # Only descriptions active at the stage of the transition
+                # may move one container deeper.
+                if ledger.record_use(justify, stage, cause) >= 2 and (
+                    not ledger.is_active(justify, stage)
+                ):
+                    witnesses["active-transitions"] = {
+                        "side": side, "codeword": justify, "stage": stage,
+                    }
+                described = bits[:n].decode()
+                known = k_m[side].get(described)
+                if known is None or length < known:
+                    k_m[side][described] = length
+            for entry in n_entries:
+                side, index, version, length, word = (
+                    _N_ENTRY_FIELDS.typed(entry)
+                    or _require(entry, _N_ENTRY_FIELDS, number, " n_entries")
+                )
+                if side not in sides or len(word) != length or (
+                    word.count("0") + word.count("1") != length
+                ):
+                    _refuse_entry(number, "n_entries", side, length, engine)
+                if length > n_longest:
+                    n_longest, n_number = length, number
+                n_lengths.setdefault((side, index, version), []).append(
+                    length
+                )
             if number > 1 and stage <= previous:
                 raise ValueError(
                     f"malformed trace: record {number} stage {stage} does "
@@ -385,24 +490,25 @@ class _Replay:
                 stage + _repeat(record, number) - 1
                 if "repeat" in record else stage
             )
-            added = record["b_added"]
             if added is not None:
                 # a position in B gets no attention, so it enters B once
-                if added in replay.b_stage:
+                if added in b_stage:
                     raise ValueError(
                         f"malformed trace: record {number} adds position "
                         f"{added} to B again"
                     )
-                replay.b_stage[added] = stage
+                b_stage[added] = stage
                 acts += 1
-            for index in record["injured"]:
+            for index in injured:
                 if type(index) is not int:
                     raise ValueError(
                         f"malformed trace: record {number} injured index "
                         f"{index!r} is not an int"
                     )
                 replay.injuries.setdefault(index, []).append(stage)
-            for key, snap in record["markers"].items():
+            if not markers:
+                continue
+            for key, snap in markers.items():
                 index = indices.get(key)
                 if index is None:
                     # One key per index: "0" and "00" may not both name
@@ -414,18 +520,18 @@ class _Replay:
                             "without leading zeros"
                         )
                     index = indices[key] = int(key)
-                if not snap_fields.typed(snap):
-                    _require(snap, snap_fields, number, " markers")
-                c = snap["c"]
+                pos, c, *deficits = snap_fields.typed(snap) or _require(
+                    snap, snap_fields, number, " markers"
+                )
                 # Markers appear one index at a time.  A marker's c is
                 # c_offset + index plus the acts of lower markers so far:
                 # set so at each placement, and one more at an injury,
                 # which is such an act.  So it lies between c_offset +
                 # index and c_offset + index + acts.
-                if index not in timelines and index != len(timelines):
+                if index > len(current):
                     raise ValueError(
                         f"malformed trace: record {number} marker {index} "
-                        f"appears before marker {len(timelines)}"
+                        f"appears before marker {len(current)}"
                     )
                 least = c_offset + index
                 if not least <= c <= least + acts:
@@ -433,15 +539,74 @@ class _Replay:
                         f"malformed trace: record {number} marker {index} c "
                         f"{c} lies outside {least}..{least + acts}"
                     )
-                top_c = max(top_c, c)
-                for name in deficits:
-                    if not _is_deficit(snap[name], longest):
+                if c > top_c:
+                    top_c = c
+                # Dual runs (whose snapshot table lists p_a, p_d in side
+                # order): every deficit of a placed marker stays at most
+                # 2^-c, num/2^exp <= 2^-c when num * 2^c <= 2^exp.
+                for side, text in zip(sides, deficits):
+                    parts = _deficit(text, longest)
+                    if parts is None:
                         raise ValueError(
                             f"malformed trace: record {number} marker "
-                            f"{index} {name} {snap[name]!r} is not num/2^exp "
+                            f"{index} p_{side} {text!r} is not num/2^exp "
                             f"with num >= 0 and exp in 0..{longest}"
                         )
-                timelines.setdefault(index, []).append((stage, snap))
+                    num, exp = parts
+                    if pos is not None and num << c > 1 << exp:
+                        _keep_last(witnesses, "deficit-bounds", {
+                            "stage": stage, "index": index, "side": side,
+                            "p": dyadic_str(num, exp),
+                            "bound": dyadic_str(1, c),
+                        })
+                if index == len(current):
+                    current.append(None)
+                    timelines[index] = []
+                timelines[index].append((stage, snap))
+                before = current[index]
+                if before is not None and pos is not None and pos != before:
+                    if pos < before:
+                        _keep_last(witnesses, "marker-monotone-stages", {
+                            "stage": stage, "index": index,
+                            "from": before, "to": pos,
+                        })
+                    if before not in b_stage:
+                        # an abandoned position must sit in B from that
+                        # stage on
+                        _keep_last(witnesses, "marker-consistency", {
+                            "stage": stage, "index": index,
+                            "abandoned": before,
+                        })
+                current[index] = pos
+                k = bisect.bisect_left(placed, index)
+                if pos is None:
+                    if k < len(placed) and placed[k] == index:
+                        del placed[k]
+                    bad.discard(index)
+                    starts: tuple[int, ...] = (k - 1,)
+                else:
+                    if k == len(placed) or placed[k] != index:
+                        placed.insert(k, index)
+                    starts = (k - 1, k)
+                for t in starts:
+                    if t < 0:
+                        continue
+                    i = placed[t]
+                    if t + 1 < len(placed) and not (
+                        current[i] < current[placed[t + 1]]
+                    ):
+                        bad.add(i)
+                    else:
+                        bad.discard(i)
+            if bad:
+                # the last violation a full scan would report: the
+                # greatest i in ``bad``, with j its placed successor
+                i = max(bad)
+                j = placed[bisect.bisect_right(placed, i)]
+                witnesses["marker-monotone-indices"] = {
+                    "stage": stage, "i": i, "j": j,
+                    "pos_i": current[i], "pos_j": current[j],
+                }
         if previous > header["stages"]:
             raise ValueError(
                 f"malformed trace: records run to stage {previous}, past "
@@ -458,21 +623,15 @@ class _Replay:
         replay.final_stage = previous
         # An m-entry is as long as its justifying schedule codeword.
         replay.weight_exp = max(longest, n_longest)
+        replay.m_weight = {
+            side: Dyadic(units, longest) for side, units in m_units.items()
+        }
+        replay.b_final = bits.decode()
         return replay
 
     def in_b(self, position: int, stage: int) -> bool:
         entered = self.b_stage.get(position)
         return entered is not None and entered <= stage
-
-    def b_walk(self, bits: bytearray) -> Iterator[dict[str, Any]]:
-        """Yield the records in order, first setting the position each one
-        adds to B, so that ``bits`` holds B below ``len(bits)``, as ``0``
-        and ``1`` bytes, at the stage of the record yielded."""
-        for record in self.stages:
-            added = record["b_added"]
-            if added is not None and 0 <= added < len(bits):
-                bits[added] = ord("1")
-            yield record
 
     def marker_at(self, index: int, stage: int) -> dict[str, Any] | None:
         """Marker state after the given stage, or None if never materialized."""
@@ -489,45 +648,25 @@ class _Replay:
         }
 
 
-def check_weights(
-    replay: _Replay, scenario: Scenario
-) -> tuple[list[dict[str, Any]], dict[str, UsageLedger]]:
-    """The weight checks.  Machine weights are summed as ints in units of
-    2^-``weight_exp`` (``_Replay``); a ``Dyadic`` is built only for the
-    containers, which compare weights of different scales, and for the
-    report strings."""
-    checks: list[dict[str, Any]] = []
-    ledgers = {side: UsageLedger(scenario, side) for side in replay.sides}
-    exp = replay.weight_exp
-    m_weight = {side: 0 for side in replay.sides}
-    transitions_ok = True
-    transition_witness: dict[str, Any] = {}
-    n_weights: dict[tuple[str, int, int], int] = {}
-    for record in replay.stages:
-        stage = record["stage"]
-        for entry in record["m_entries"]:
-            side = entry["side"]
-            ledger = ledgers[side]
-            count = ledger.record_use(entry["justify"], stage, entry["cause"])
-            m_weight[side] += 1 << (exp - entry["length"])
-            # Only descriptions active at the stage of the transition may
-            # move one container deeper.
-            if count >= 2 and not ledger.is_active(entry["justify"], stage):
-                transitions_ok = False
-                transition_witness = {
-                    "side": side,
-                    "codeword": entry["justify"],
-                    "stage": stage,
-                }
-        for entry in record["n_entries"]:
-            key = (entry["side"], entry["index"], entry["version"])
-            n_weights[key] = n_weights.get(key, 0) + (
-                1 << (exp - entry["length"])
-            )
-    _check(checks, "active-transitions", transitions_ok, transition_witness)
+def _decided(
+    checks: list[dict[str, Any]], replay: _Replay, name: str
+) -> None:
+    """Append check ``name``, which ``from_records`` decided: it fails
+    exactly when the pass kept a witness for it."""
+    witness = replay.witnesses.get(name, {})
+    _check(checks, name, not witness, witness)
 
+
+def check_weights(replay: _Replay) -> list[dict[str, Any]]:
+    """The weight checks, from the pass's ``active-transitions`` witness,
+    ledgers, m-weights and n-entry lengths.  N-machine weights are summed
+    here, as ints in units of 2^-``weight_exp`` (``_Replay``); a
+    ``Dyadic`` is built only for the containers, which compare weights of
+    different scales, and for the report strings."""
+    checks: list[dict[str, Any]] = []
+    _decided(checks, replay, "active-transitions")
     for side in replay.sides:
-        containers = ledgers[side].containers()
+        containers = replay.ledgers[side].containers()
         total = ZERO
         bounds_ok = True
         witness: dict[str, Any] = {}
@@ -540,7 +679,7 @@ def check_weights(
                 witness = {"k": k, "weight": str(weight), "bound": str(bound)}
                 break
         _check(checks, f"decanter-bounds-{side}", bounds_ok, witness)
-        m = Dyadic(m_weight[side], exp)
+        m = replay.m_weight[side]
         _check(
             checks,
             f"m-weight-{side}",
@@ -554,11 +693,13 @@ def check_weights(
         _check(checks, f"container-nesting-{side}", nesting_ok, {})
 
     # A weight w of 1/2 or more has 2w >= 1: 2w units against 2^exp.
+    exp = replay.weight_exp
     one = 1 << exp
     strict = replay.header["engine"] == "dual"
     n_ok = True
     n_witness: dict[str, Any] = {}
-    for key, weight in sorted(n_weights.items()):
+    for key, lengths in sorted(replay.n_lengths.items()):
+        weight = sum(1 << (exp - length) for length in lengths)
         ok = weight << 1 < one if strict else weight << 1 <= one
         if not ok:
             n_ok = False
@@ -571,99 +712,23 @@ def check_weights(
             }
             break
     _check(checks, "n-machine-bounds", n_ok, n_witness)
-    return checks, ledgers
+    return checks
 
 
 def check_markers(
-    replay: _Replay,
-    scenario: Scenario,
-    ledgers: dict[str, UsageLedger],
+    replay: _Replay, scenario: Scenario
 ) -> list[dict[str, Any]]:
+    """The marker checks: the pass's witnesses for marker order in stage
+    and in index and for abandoned positions, and the reuse bounds, read
+    off the ledgers' reuses and the marker timelines."""
     checks: list[dict[str, Any]] = []
-
-    mono_ok, mono_witness = True, {}
-    consist_ok, consist_witness = True, {}
-    for index, timeline in replay.timelines.items():
-        for (_, before), (stage, after) in zip(timeline, timeline[1:]):
-            if before["pos"] is None or after["pos"] is None:
-                continue
-            if after["pos"] < before["pos"]:
-                mono_ok = False
-                mono_witness = {
-                    "stage": stage, "index": index,
-                    "from": before["pos"], "to": after["pos"],
-                }
-            if after["pos"] != before["pos"] and not replay.in_b(
-                before["pos"], stage
-            ):
-                # an abandoned position must sit in B from that stage on
-                consist_ok = False
-                consist_witness = {
-                    "stage": stage, "index": index,
-                    "abandoned": before["pos"],
-                }
-    _check(checks, "marker-monotone-stages", mono_ok, mono_witness)
-
-    # Cross-index ordering: each placed marker's position lies below that
-    # of the next placed index.  Between change records the configuration
-    # is constant, and a record can only change the pairs that start at a
-    # changed index or at its placed predecessor.  So each change record
-    # first applies every change to ``current`` (markers appear one index
-    # at a time, ``from_records``) and to ``placed``, the sorted placed
-    # indices, and then re-tests just those pairs.  ``bad`` holds each
-    # placed i whose pair with its placed successor is out of order.  The
-    # witness is the last violation a full scan would report: the greatest
-    # i in ``bad`` at the last change record where ``bad`` is non-empty,
-    # with j its placed successor.
-    order_ok, order_witness = True, {}
-    current: list[int | None] = []
-    placed: list[int] = []
-    bad: set[int] = set()
-    for record in replay.stages:
-        if not record["markers"]:
-            continue
-        changed = []
-        for key, snap in record["markers"].items():
-            index = int(key)
-            pos = snap["pos"]
-            if index == len(current):
-                current.append(None)
-            if (current[index] is None) != (pos is None):
-                if pos is None:
-                    del placed[bisect.bisect_left(placed, index)]
-                else:
-                    bisect.insort(placed, index)
-            current[index] = pos
-            changed.append(index)
-        for index in changed:
-            k = bisect.bisect_left(placed, index)
-            if k < len(placed) and placed[k] == index:
-                starts = (k - 1, k)
-            else:
-                bad.discard(index)
-                starts = (k - 1,)
-            for t in starts:
-                if t < 0:
-                    continue
-                i = placed[t]
-                if t + 1 < len(placed) and not (
-                    current[i] < current[placed[t + 1]]
-                ):
-                    bad.add(i)
-                else:
-                    bad.discard(i)
-        if bad:
-            order_ok = False
-            i = max(bad)
-            j = placed[bisect.bisect_right(placed, i)]
-            order_witness = {
-                "stage": record["stage"], "i": i, "j": j,
-                "pos_i": current[i], "pos_j": current[j],
-            }
-    _check(checks, "marker-monotone-indices", order_ok, order_witness)
-    _check(checks, "marker-consistency", consist_ok, consist_witness)
-
-    checks.extend(_check_reuse_bounds(replay, scenario, ledgers))
+    for name in (
+        "marker-monotone-stages",
+        "marker-monotone-indices",
+        "marker-consistency",
+    ):
+        _decided(checks, replay, name)
+    checks.extend(_check_reuse_bounds(replay, scenario, replay.ledgers))
     return checks
 
 
@@ -784,25 +849,16 @@ def check_coverage(
 ) -> list[dict[str, Any]]:
     """At the final stage, the output machine describes B at least as
     tightly as the schedule describes the given set, below the region the
-    run has stopped disturbing."""
+    run has stopped disturbing.  K_M and the final B are the pass's
+    (``_Replay.from_records``): each m-entry described the stagewise B
+    segment of its length."""
     checks: list[dict[str, Any]] = []
     final = replay.final_stage
     cutoff = final - final // 4
     # Every segment here is a schedule output: an entry's n is the output
     # length of its justifying event (``_Replay.from_records``).
     width = max((len(e.output) for e in scenario.schedule.events), default=0)
-    # K_M over the replayed entries: each entry described the stagewise B
-    # segment of its length.
-    k_m: dict[str, dict[str, int]] = {side: {} for side in replay.sides}
-    bits = bytearray(b"0" * width)
-    for record in replay.b_walk(bits):
-        for entry in record["m_entries"]:
-            described = bits[: entry["n"]].decode()
-            side_k_m = k_m[entry["side"]]
-            known = side_k_m.get(described)
-            if known is None or entry["length"] < known:
-                side_k_m[described] = entry["length"]
-    b_final = bits.decode()
+    k_m, b_final = replay.k_m, replay.b_final
     for side in replay.sides:
         given = scenario.set_a if side == "a" else scenario.set_d
         # Largest n undisturbed over the final quarter: no B or given-set
@@ -844,27 +900,12 @@ def check_coverage(
 
 
 def check_deficits(replay: _Replay) -> list[dict[str, Any]]:
-    """Dual runs only: every recorded deficit stays at most 2^-c, compared
-    in ints: num/2^exp <= 2^-c when num * 2^c <= 2^exp."""
+    """Dual runs only: every deficit of a placed marker stays at most
+    2^-c.  The pass compared each snapshot's deficits as it read them
+    (``_Replay.from_records``)."""
     checks: list[dict[str, Any]] = []
-    if replay.header["engine"] != "dual":
-        return checks
-    ok = True
-    witness: dict[str, Any] = {}
-    for index, timeline in replay.timelines.items():
-        for stage, snap in timeline:
-            if snap["pos"] is None:
-                continue
-            c = snap["c"]
-            for side in replay.sides:
-                num, exp = dyadic_parts(snap[f"p_{side}"])
-                if num << c > 1 << exp:
-                    ok = False
-                    witness = {
-                        "stage": stage, "index": index, "side": side,
-                        "p": dyadic_str(num, exp), "bound": dyadic_str(1, c),
-                    }
-    _check(checks, "deficit-bounds", ok, witness)
+    if replay.header["engine"] == "dual":
+        _decided(checks, replay, "deficit-bounds")
     return checks
 
 
@@ -873,8 +914,8 @@ def audit_trace(
 ) -> dict[str, Any]:
     """Full audit of a trace against its scenario; pure and deterministic."""
     replay = _Replay.from_records(records, scenario)
-    checks, ledgers = check_weights(replay, scenario)
-    checks.extend(check_markers(replay, scenario, ledgers))
+    checks = check_weights(replay)
+    checks.extend(check_markers(replay, scenario))
     checks.extend(check_coverage(replay, scenario))
     checks.extend(check_deficits(replay))
     table = decode_halting(replay, scenario)

@@ -5,10 +5,22 @@ event, entry or trace record, so it shares no bookkeeping with the code it
 checks.
 """
 
+import bisect
 import json
+from typing import Any
 
-from ceforge.approx import block_range
-from ceforge.bitcore import Dyadic, INFINITE, ZERO
+from ceforge.approx import Scenario, block_range
+from ceforge.audit import (
+    UsageLedger,
+    _check,
+    _check_reuse_bounds,
+    _Replay,
+    _wgt,
+    decode_halting,
+    stability_horizon,
+    stable_indices,
+)
+from ceforge.bitcore import Dyadic, INFINITE, ZERO, dyadic_parts, dyadic_str
 from ceforge.machines import Exhausted
 
 
@@ -494,3 +506,320 @@ def trace_from_jsonl_naive(text: str) -> list:
     """The records of a JSONL trace, one ``json.loads`` per line that is
     not blank."""
     return [json.loads(line) for line in text.splitlines() if line.strip()]
+
+
+# The audit's record walks as they were before ``_Replay.from_records``
+# built every check's index in its one pass: each named check walks the
+# records or the marker timelines again.  ``audit_trace_walks`` is the
+# reference report the one-pass audit must equal byte for byte.
+
+
+def b_walk(replay, bits: bytearray):
+    """Yield the records in order, first setting the position each one
+    adds to B, so that ``bits`` holds B below ``len(bits)``, as ``0``
+    and ``1`` bytes, at the stage of the record yielded."""
+    for record in replay.stages:
+        added = record["b_added"]
+        if added is not None and 0 <= added < len(bits):
+            bits[added] = ord("1")
+        yield record
+
+
+def check_weights_walk(
+    replay: _Replay, scenario: Scenario
+) -> tuple[list[dict[str, Any]], dict[str, UsageLedger]]:
+    """The weight checks.  Machine weights are summed as ints in units of
+    2^-``weight_exp`` (``_Replay``); a ``Dyadic`` is built only for the
+    containers, which compare weights of different scales, and for the
+    report strings."""
+    checks: list[dict[str, Any]] = []
+    ledgers = {side: UsageLedger(scenario, side) for side in replay.sides}
+    exp = replay.weight_exp
+    m_weight = {side: 0 for side in replay.sides}
+    transitions_ok = True
+    transition_witness: dict[str, Any] = {}
+    n_weights: dict[tuple[str, int, int], int] = {}
+    for record in replay.stages:
+        stage = record["stage"]
+        for entry in record["m_entries"]:
+            side = entry["side"]
+            ledger = ledgers[side]
+            count = ledger.record_use(entry["justify"], stage, entry["cause"])
+            m_weight[side] += 1 << (exp - entry["length"])
+            # Only descriptions active at the stage of the transition may
+            # move one container deeper.
+            if count >= 2 and not ledger.is_active(entry["justify"], stage):
+                transitions_ok = False
+                transition_witness = {
+                    "side": side,
+                    "codeword": entry["justify"],
+                    "stage": stage,
+                }
+        for entry in record["n_entries"]:
+            key = (entry["side"], entry["index"], entry["version"])
+            n_weights[key] = n_weights.get(key, 0) + (
+                1 << (exp - entry["length"])
+            )
+    _check(checks, "active-transitions", transitions_ok, transition_witness)
+
+    for side in replay.sides:
+        containers = ledgers[side].containers()
+        total = ZERO
+        bounds_ok = True
+        witness: dict[str, Any] = {}
+        for k in sorted(containers):
+            weight = _wgt(containers[k])
+            total = total + weight
+            bound = Dyadic.pow2_neg(2 if k == 0 else k + 1)
+            if not weight < bound:
+                bounds_ok = False
+                witness = {"k": k, "weight": str(weight), "bound": str(bound)}
+                break
+        _check(checks, f"decanter-bounds-{side}", bounds_ok, witness)
+        m = Dyadic(m_weight[side], exp)
+        _check(
+            checks,
+            f"m-weight-{side}",
+            m <= total,
+            {"m": str(m), "container_sum": str(total)},
+        )
+        nesting_ok = all(
+            containers.get(k + 1, set()) <= containers[k]
+            for k in containers
+        )
+        _check(checks, f"container-nesting-{side}", nesting_ok, {})
+
+    # A weight w of 1/2 or more has 2w >= 1: 2w units against 2^exp.
+    one = 1 << exp
+    strict = replay.header["engine"] == "dual"
+    n_ok = True
+    n_witness: dict[str, Any] = {}
+    for key, weight in sorted(n_weights.items()):
+        ok = weight << 1 < one if strict else weight << 1 <= one
+        if not ok:
+            n_ok = False
+            side, index, version = key
+            n_witness = {
+                "side": side,
+                "index": index,
+                "version": version,
+                "weight": dyadic_str(weight, exp),
+            }
+            break
+    _check(checks, "n-machine-bounds", n_ok, n_witness)
+    return checks, ledgers
+
+
+def check_markers_walk(
+    replay: _Replay,
+    scenario: Scenario,
+    ledgers: dict[str, UsageLedger],
+) -> list[dict[str, Any]]:
+    checks: list[dict[str, Any]] = []
+
+    mono_ok, mono_witness = True, {}
+    consist_ok, consist_witness = True, {}
+    for index, timeline in replay.timelines.items():
+        for (_, before), (stage, after) in zip(timeline, timeline[1:]):
+            if before["pos"] is None or after["pos"] is None:
+                continue
+            if after["pos"] < before["pos"]:
+                mono_ok = False
+                mono_witness = {
+                    "stage": stage, "index": index,
+                    "from": before["pos"], "to": after["pos"],
+                }
+            if after["pos"] != before["pos"] and not replay.in_b(
+                before["pos"], stage
+            ):
+                # an abandoned position must sit in B from that stage on
+                consist_ok = False
+                consist_witness = {
+                    "stage": stage, "index": index,
+                    "abandoned": before["pos"],
+                }
+    _check(checks, "marker-monotone-stages", mono_ok, mono_witness)
+
+    # Cross-index ordering: each placed marker's position lies below that
+    # of the next placed index.  Between change records the configuration
+    # is constant, and a record can only change the pairs that start at a
+    # changed index or at its placed predecessor.  So each change record
+    # first applies every change to ``current`` (markers appear one index
+    # at a time, ``from_records``) and to ``placed``, the sorted placed
+    # indices, and then re-tests just those pairs.  ``bad`` holds each
+    # placed i whose pair with its placed successor is out of order.  The
+    # witness is the last violation a full scan would report: the greatest
+    # i in ``bad`` at the last change record where ``bad`` is non-empty,
+    # with j its placed successor.
+    order_ok, order_witness = True, {}
+    current: list[int | None] = []
+    placed: list[int] = []
+    bad: set[int] = set()
+    for record in replay.stages:
+        if not record["markers"]:
+            continue
+        changed = []
+        for key, snap in record["markers"].items():
+            index = int(key)
+            pos = snap["pos"]
+            if index == len(current):
+                current.append(None)
+            if (current[index] is None) != (pos is None):
+                if pos is None:
+                    del placed[bisect.bisect_left(placed, index)]
+                else:
+                    bisect.insort(placed, index)
+            current[index] = pos
+            changed.append(index)
+        for index in changed:
+            k = bisect.bisect_left(placed, index)
+            if k < len(placed) and placed[k] == index:
+                starts = (k - 1, k)
+            else:
+                bad.discard(index)
+                starts = (k - 1,)
+            for t in starts:
+                if t < 0:
+                    continue
+                i = placed[t]
+                if t + 1 < len(placed) and not (
+                    current[i] < current[placed[t + 1]]
+                ):
+                    bad.add(i)
+                else:
+                    bad.discard(i)
+        if bad:
+            order_ok = False
+            i = max(bad)
+            j = placed[bisect.bisect_right(placed, i)]
+            order_witness = {
+                "stage": record["stage"], "i": i, "j": j,
+                "pos_i": current[i], "pos_j": current[j],
+            }
+    _check(checks, "marker-monotone-indices", order_ok, order_witness)
+    _check(checks, "marker-consistency", consist_ok, consist_witness)
+
+    checks.extend(_check_reuse_bounds(replay, scenario, ledgers))
+    return checks
+
+
+def check_coverage_walk(
+    replay: _Replay, scenario: Scenario
+) -> list[dict[str, Any]]:
+    """At the final stage, the output machine describes B at least as
+    tightly as the schedule describes the given set, below the region the
+    run has stopped disturbing."""
+    checks: list[dict[str, Any]] = []
+    final = replay.final_stage
+    cutoff = final - final // 4
+    # Every segment here is a schedule output: an entry's n is the output
+    # length of its justifying event (``_Replay.from_records``).
+    width = max((len(e.output) for e in scenario.schedule.events), default=0)
+    # K_M over the replayed entries: each entry described the stagewise B
+    # segment of its length.
+    k_m: dict[str, dict[str, int]] = {side: {} for side in replay.sides}
+    bits = bytearray(b"0" * width)
+    for record in b_walk(replay, bits):
+        for entry in record["m_entries"]:
+            described = bits[: entry["n"]].decode()
+            side_k_m = k_m[entry["side"]]
+            known = side_k_m.get(described)
+            if known is None or entry["length"] < known:
+                side_k_m[described] = entry["length"]
+    b_final = bits.decode()
+    for side in replay.sides:
+        given = scenario.set_a if side == "a" else scenario.set_d
+        # Largest n undisturbed over the final quarter: no B or given-set
+        # change below it, and no late schedule event describing a segment
+        # at or below it.
+        quiet_bound = INFINITE
+        for position, stage in replay.b_stage.items():
+            if stage > cutoff and position < quiet_bound:
+                quiet_bound = position
+        for element, stage in given.schedule:
+            if stage > cutoff and element < quiet_bound:
+                quiet_bound = element
+        given_final = given.restrict(width, final)
+        k_a: dict[int, int] = {}
+        for event in scenario.schedule.events:
+            n = len(event.output)
+            if event.output == given_final[:n]:
+                known = k_a.get(n)
+                if known is None or len(event.codeword) < known:
+                    k_a[n] = len(event.codeword)
+            if event.stage > cutoff and n < quiet_bound:
+                quiet_bound = n
+        ok = True
+        witness: dict[str, Any] = {}
+        for n in sorted(k_a):
+            if n >= quiet_bound:
+                break
+            segment = b_final[:n]
+            if k_m[side].get(segment, INFINITE) > k_a[n]:
+                ok = False
+                witness = {
+                    "side": side, "n": n,
+                    "k_given": k_a[n],
+                    "k_m": k_m[side].get(segment),
+                }
+                break
+        _check(checks, f"coverage-{side}", ok, witness)
+    return checks
+
+
+def check_deficits_walk(replay: _Replay) -> list[dict[str, Any]]:
+    """Dual runs only: every recorded deficit stays at most 2^-c, compared
+    in ints: num/2^exp <= 2^-c when num * 2^c <= 2^exp."""
+    checks: list[dict[str, Any]] = []
+    if replay.header["engine"] != "dual":
+        return checks
+    ok = True
+    witness: dict[str, Any] = {}
+    for index, timeline in replay.timelines.items():
+        for stage, snap in timeline:
+            if snap["pos"] is None:
+                continue
+            c = snap["c"]
+            for side in replay.sides:
+                num, exp = dyadic_parts(snap[f"p_{side}"])
+                if num << c > 1 << exp:
+                    ok = False
+                    witness = {
+                        "stage": stage, "index": index, "side": side,
+                        "p": dyadic_str(num, exp), "bound": dyadic_str(1, c),
+                    }
+    _check(checks, "deficit-bounds", ok, witness)
+    return checks
+
+
+def audit_trace_walks(
+    records: list[dict[str, Any]], scenario: Scenario
+) -> dict[str, Any]:
+    """Full audit of a trace against its scenario; pure and deterministic."""
+    replay = _Replay.from_records(records, scenario)
+    checks, ledgers = check_weights_walk(replay, scenario)
+    checks.extend(check_markers_walk(replay, scenario, ledgers))
+    checks.extend(check_coverage_walk(replay, scenario))
+    checks.extend(check_deficits_walk(replay))
+    table = decode_halting(replay, scenario)
+    stable = set(stable_indices(replay))
+    coding_ok = all(
+        row["match"] for row in table if row["index"] in stable
+    )
+    coding_witness = next(
+        (
+            row for row in table
+            if row["index"] in stable and not row["match"]
+        ),
+        {},
+    )
+    _check(checks, "coding", coding_ok, dict(coding_witness))
+    return {
+        "engine": replay.header["engine"],
+        "stages": replay.header["stages"],
+        "stability_horizon": stability_horizon(replay),
+        "stable_markers": sorted(stable),
+        "coding_table": table,
+        "checks": checks,
+        "pass": all(c["pass"] for c in checks),
+    }

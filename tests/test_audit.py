@@ -23,7 +23,6 @@ from ceforge.audit import (
     _reused,
     audit_trace,
     check_markers,
-    check_weights,
     report_to_json,
     trace_from_jsonl,
     trace_to_jsonl,
@@ -155,6 +154,7 @@ class TestAuditVerdicts:
         records = load_jsonl(data_dir / "negative_control_trace.jsonl")
         report = audit_trace(records, single_scripted)
         assert not report["pass"]
+        _assert_report_matches_the_walks(records, single_scripted)
         by_name = {c["name"]: c["pass"] for c in report["checks"]}
         assert not by_name["marker-monotone-stages"]
         assert not by_name["marker-consistency"]
@@ -314,12 +314,32 @@ def _ordering_entry(checks):
     return entry["pass"], entry["witness"]
 
 
+def _assert_report_matches_the_walks(records, scenario):
+    """The one-pass audit's report equals, byte for byte, the one the
+    audit's former walks over the records and timelines build."""
+    assert report_to_json(audit_trace(records, scenario)) == report_to_json(
+        oracles.audit_trace_walks(records, scenario)
+    )
+
+
+@pytest.mark.parametrize("name", list(_WRITER_SCENARIOS))
+@pytest.mark.parametrize(
+    "engine_cls", [SingleEngine, DualEngine], ids=["single", "dual"]
+)
+def test_one_pass_report_matches_the_walks(engine_cls, name):
+    scenario = _WRITER_SCENARIOS[name]()
+    records = engine_cls(scenario).run(scenario.stages)
+    _assert_report_matches_the_walks(records, scenario)
+
+
 def _assert_indexes_match_oracles(records, scenario):
     """Every index the audit builds once equals the naive scan it replaced,
     and the same index of the trace with its ``repeat`` records written
-    out.  A trace with the ``weights`` field restored, as the engine once
-    wrote it, audits to the same report.  No two adjacent records of the
-    trace could be folded into one."""
+    out.  The report equals the one the audit's former record walks build
+    (``oracles.audit_trace_walks``).  A trace with the ``weights`` field
+    restored, as the engine once wrote it, audits to the same report.  No
+    two adjacent records of the trace could be folded into one."""
+    _assert_report_matches_the_walks(records, scenario)
     assert report_to_json(
         audit_trace(oracles.restore_weights(records), scenario)
     ) == report_to_json(audit_trace(records, scenario))
@@ -328,8 +348,8 @@ def _assert_indexes_match_oracles(records, scenario):
     expanded = _Replay.from_records(oracles.expand_repeats(records), scenario)
     for name in ("b_stage", "timelines", "injuries", "final_stage"):
         assert getattr(replay, name) == getattr(expanded, name), name
-    _, ledgers = check_weights(replay, scenario)
-    marker_checks = check_markers(replay, scenario, ledgers)
+    ledgers = replay.ledgers
+    marker_checks = check_markers(replay, scenario)
     assert _ordering_entry(marker_checks) == oracles.monotone_indices(replay)
     assert next(
         c for c in marker_checks if c["name"] == "reuse-bounds"
@@ -355,7 +375,7 @@ def _assert_indexes_match_oracles(records, scenario):
                 ), (index, side, start, end)
     width = max((len(e.output) for e in scenario.schedule.events), default=0)
     bits = bytearray(b"0" * width)
-    for record in replay.b_walk(bits):
+    for record in oracles.b_walk(replay, bits):
         if record["m_entries"] or record["b_added"] is not None:
             stage = record["stage"]
             assert bits.decode() == oracles.b_restrict(replay, width, stage)
@@ -385,9 +405,7 @@ _CAUSED_REUSES = GenParams(
 def test_caused_reuses_match_oracles():
     scenario = gen_scenario(9898, _CAUSED_REUSES)
     records = DualEngine(scenario).run(scenario.stages)
-    _, ledgers = check_weights(
-        _Replay.from_records(records, scenario), scenario
-    )
+    ledgers = _Replay.from_records(records, scenario).ledgers
     assert any(ledger.reuses for ledger in ledgers.values())
     _assert_indexes_match_oracles(records, scenario)
 
@@ -426,13 +444,12 @@ def test_ordering_check_matches_full_scan_when_corrupted(engine_cls, cases):
     snapshot positions to None or to a random int, audit to the same
     ordering verdict and witness as the full scan.  Most of them fail the
     check; some of those are repaired by a later record, so the witness is
-    not always the first violation."""
+    not always the first violation.  The replay is rebuilt from the
+    corrupted records, as the pass that reads them decides the order."""
     scenario = generated(0)
     records = engine_cls(scenario).run(scenario.stages)
-    replay = _Replay.from_records(records, scenario)
-    _, ledgers = check_weights(replay, scenario)
     snaps = [
-        snap for record in replay.stages for snap in record["markers"].values()
+        snap for record in records[1:] for snap in record["markers"].values()
     ]
     top = max(snap["pos"] for snap in snaps if snap["pos"] is not None)
     rng = random.Random(cases)
@@ -442,7 +459,8 @@ def test_ordering_check_matches_full_scan_when_corrupted(engine_cls, cases):
         saved = [snap["pos"] for snap in picked]
         for snap in picked:
             snap["pos"] = rng.choice([None, rng.randint(0, top + 1)])
-        got = _ordering_entry(check_markers(replay, scenario, ledgers))
+        replay = _Replay.from_records(records, scenario)
+        got = _ordering_entry(check_markers(replay, scenario))
         assert got == oracles.monotone_indices(replay), saved
         failed += not got[0]
         for snap, pos in zip(picked, saved):
@@ -461,9 +479,8 @@ class _CountingList(list):
 
 
 #: Passes ``audit_trace`` makes over the stage records after the replay is
-#: built: the entry scan of ``check_weights``, the marker ordering scan and
-#: the coverage walk.
-AUDIT_PASSES = 3
+#: built: none, as ``_Replay.from_records`` builds every check's index.
+AUDIT_PASSES = 0
 
 
 def test_audit_passes_do_not_grow_with_markers(

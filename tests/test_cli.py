@@ -9,14 +9,20 @@ import sys
 
 import pytest
 
-from ceforge import DualEngine, SingleEngine, audit_trace, trace_to_jsonl
+import oracles
+from ceforge import (
+    DualEngine,
+    SingleEngine,
+    audit_trace,
+    report_to_json,
+    trace_to_jsonl,
+)
 from ceforge.audit import (
     _M_ENTRY_FIELDS,
     _N_ENTRY_FIELDS,
     _RECORD_FIELDS,
     _SNAPSHOT_FIELDS,
     _Replay,
-    check_weights,
     stable_indices,
 )
 from ceforge.bitcore import Dyadic, ZERO
@@ -1003,9 +1009,8 @@ def _last_change(records, scenario, side="a"):
     """The replay, the ledger of ``side`` and the last record that is not a
     ``repeat`` record: entries added there come after every other use."""
     replay = _Replay.from_records(records, scenario)
-    _, ledgers = check_weights(replay, scenario)
     last = [r for r in records[1:] if "repeat" not in r][-1]
-    return replay, ledgers[side], last
+    return replay, replay.ledgers[side], last
 
 
 def _reused_inactive(records, scenario):
@@ -1077,11 +1082,7 @@ def _overdraw(records, scenario, index, number, end):
     bound = Dyadic.pow2_neg(snap["c"])
     if "p_a" in snap:
         bound += Dyadic.parse(snap["p_a"])
-    _, ledgers = check_weights(
-        _Replay.from_records(records[: number + 1], scenario),
-        scenario,
-    )
-    ledger = ledgers["a"]
+    ledger = _Replay.from_records(records[: number + 1], scenario).ledgers["a"]
     weight = ZERO
     for codeword in sorted(ledger.uses, key=len):
         if weight > bound:
@@ -1134,32 +1135,37 @@ def _overdrawn_first_interval(records, scenario):
     _overdraw(records, scenario, index, _record_at(records, end), end)
 
 
+#: One corruption of a passing sweep trace per named check: the engine,
+#: the one check the corrupted trace fails, and the mutation.
+_NAMED_CHECK_MUTANTS = [
+    (DualEngine, "deficit-bounds", _overdrawn_deficit),
+    (SingleEngine, "coverage-a", _drop_last_m_entries("a")),
+    (DualEngine, "coverage-a", _drop_last_m_entries("a")),
+    (DualEngine, "coverage-d", _drop_last_m_entries("d")),
+    (SingleEngine, "active-transitions", _reused_inactive),
+    (DualEngine, "active-transitions", _reused_inactive),
+    (SingleEngine, "reuse-bounds", _overdrawn_reuses),
+    (DualEngine, "reuse-bounds", _overdrawn_reuses),
+    (SingleEngine, "reuse-bounds", _overdrawn_first_interval),
+    (DualEngine, "reuse-bounds", _overdrawn_first_interval),
+    (SingleEngine, "decanter-bounds-a", _repeated_active("a")),
+    (DualEngine, "decanter-bounds-a", _repeated_active("a")),
+    (DualEngine, "decanter-bounds-d", _repeated_active("d")),
+    (SingleEngine, "coding", _moved_coding_position),
+    (DualEngine, "coding", _moved_coding_position),
+]
+_NAMED_CHECK_IDS = [
+    "dual-deficit-bounds", "single-coverage-a", "dual-coverage-a",
+    "dual-coverage-d", "single-active-transitions", "dual-active-transitions",
+    "single-reuse-bounds", "dual-reuse-bounds",
+    "single-reuse-bounds-first-interval", "dual-reuse-bounds-first-interval",
+    "single-decanter-bounds-a", "dual-decanter-bounds-a",
+    "dual-decanter-bounds-d", "single-coding", "dual-coding",
+]
+
+
 @pytest.mark.parametrize(
-    "engine_cls, check, mutate",
-    [
-        (DualEngine, "deficit-bounds", _overdrawn_deficit),
-        (SingleEngine, "coverage-a", _drop_last_m_entries("a")),
-        (DualEngine, "coverage-a", _drop_last_m_entries("a")),
-        (DualEngine, "coverage-d", _drop_last_m_entries("d")),
-        (SingleEngine, "active-transitions", _reused_inactive),
-        (DualEngine, "active-transitions", _reused_inactive),
-        (SingleEngine, "reuse-bounds", _overdrawn_reuses),
-        (DualEngine, "reuse-bounds", _overdrawn_reuses),
-        (SingleEngine, "reuse-bounds", _overdrawn_first_interval),
-        (DualEngine, "reuse-bounds", _overdrawn_first_interval),
-        (SingleEngine, "decanter-bounds-a", _repeated_active("a")),
-        (DualEngine, "decanter-bounds-a", _repeated_active("a")),
-        (DualEngine, "decanter-bounds-d", _repeated_active("d")),
-        (SingleEngine, "coding", _moved_coding_position),
-        (DualEngine, "coding", _moved_coding_position),
-    ],
-    ids=["dual-deficit-bounds", "single-coverage-a", "dual-coverage-a",
-         "dual-coverage-d", "single-active-transitions",
-         "dual-active-transitions", "single-reuse-bounds",
-         "dual-reuse-bounds", "single-reuse-bounds-first-interval",
-         "dual-reuse-bounds-first-interval", "single-decanter-bounds-a",
-         "dual-decanter-bounds-a", "dual-decanter-bounds-d", "single-coding",
-         "dual-coding"],
+    "engine_cls, check, mutate", _NAMED_CHECK_MUTANTS, ids=_NAMED_CHECK_IDS
 )
 def test_corrupted_trace_fails_its_check(
     capsys, tmp_path, engine_cls, check, mutate
@@ -1190,6 +1196,21 @@ def test_corrupted_trace_fails_its_check(
     assert code == EXIT_LEMMA, err
     failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
     assert failed == [check]
+
+
+@pytest.mark.parametrize(
+    "engine_cls, check, mutate", _NAMED_CHECK_MUTANTS, ids=_NAMED_CHECK_IDS
+)
+def test_corrupted_trace_report_matches_the_walks(engine_cls, check, mutate):
+    """Each corrupted trace above audits to the report that the audit's
+    former walks over the records and timelines build
+    (``oracles.audit_trace_walks``), witness for witness."""
+    scenario = generated(0)
+    records = engine_cls(scenario).run(scenario.stages)
+    mutate(records, scenario)
+    assert report_to_json(audit_trace(records, scenario)) == report_to_json(
+        oracles.audit_trace_walks(records, scenario)
+    )
 
 
 #: Arrays nested 100,000 deep, past the JSON parser's recursion limit:

@@ -30,7 +30,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceforge import DualEngine, SingleEngine, trace_to_jsonl
+import oracles
+from ceforge import DualEngine, SingleEngine, report_to_json, trace_to_jsonl
+from ceforge.audit import UsageLedger
 from ceforge.cli import EXIT_LEMMA, EXIT_OK, EXIT_SCENARIO, main
 
 from conftest import generated
@@ -273,6 +275,111 @@ def test_mutated_trace_keeps_the_audit_contract(
     trace.write_text("\n".join(lines) + "\n")
     result = _run("audit", "--scenario", str(scenario), "--trace", str(trace))
     _assert_audit_contract("audit", *result)
+
+
+def _lowered_positions(records, scenario):
+    """At every fourth record that changes a marker, one more marker
+    placed before it, taken in turn, gets a snapshot one below its
+    position: violations at many indices, out of stage order."""
+    snaps: dict[str, dict] = {}
+    changes = 0
+    for record in records[1:]:
+        markers = record["markers"]
+        if not markers:
+            continue
+        changes += 1
+        placed = sorted(
+            (key for key, snap in snaps.items()
+             if snap["pos"] and key not in markers),
+            key=int,
+        )
+        if changes % 4 == 0 and placed:
+            key = placed[changes // 4 % len(placed)]
+            markers[key] = {**snaps[key], "pos": snaps[key]["pos"] - 1}
+        snaps.update(markers)
+
+
+def _duplicated_inactive(records, scenario):
+    """Every side-a m-entry whose description no longer matches A at the
+    last change record is used once more there, with no cause."""
+    last = [r for r in records[1:] if "repeat" not in r][-1]
+    ledger = UsageLedger(scenario, "a")
+    again = [
+        {**entry, "cause": None}
+        for record in records[1:]
+        for entry in record["m_entries"]
+        if entry["side"] == "a"
+        and not ledger.is_active(entry["justify"], last["stage"])
+    ]
+    assert len({entry["justify"] for entry in again}) >= 2
+    last["m_entries"] += again
+
+
+def _overdrawn_deficits(records, scenario):
+    """``p_a`` of every fourth placed snapshot and ``p_d`` of every third
+    become 1/2, above every bound 2^-c (each c is at least 4)."""
+    placed = [
+        snap
+        for record in records[1:]
+        for snap in record["markers"].values()
+        if snap["pos"] is not None
+    ]
+    for snap in placed[::4]:
+        snap["p_a"] = "1/2^1"
+    for snap in placed[::3]:
+        snap["p_d"] = "1/2^1"
+
+
+#: Well-formed trace mutants with many violations of one named check, at
+#: several marker indices and stages: mutation, engines, check.
+NAMED_CHECK_MUTANTS = {
+    "lowered-positions": (
+        _lowered_positions, ENGINES, "marker-monotone-stages"
+    ),
+    "duplicated-inactive": (
+        _duplicated_inactive, ENGINES, "active-transitions"
+    ),
+    "overdrawn-deficits": (_overdrawn_deficits, ["dual"], "deficit-bounds"),
+}
+
+
+@pytest.mark.parametrize(
+    "mutant, name, engine",
+    [
+        (mutant, name, engine)
+        for mutant, (_, engines, _) in NAMED_CHECK_MUTANTS.items()
+        for name in SCENARIOS
+        for engine in engines
+    ],
+)
+def test_trace_failing_a_named_check_keeps_the_audit_contract(
+    workdir, mutant, name, engine
+):
+    """The exit-3 branch of the contract, which the derandomized mutants
+    do not reach: the audit writes one report that fails the check, and
+    that report equals the one the audit's former walks build
+    (``oracles.audit_trace_walks``), whose witness is the last violation
+    in (index, stage) order, or in record order for
+    ``active-transitions``."""
+    mutate, _, check = NAMED_CHECK_MUTANTS[mutant]
+    scenario = generated(*SCENARIOS[name])
+    records = [json.loads(line) for line in trace_lines(name, engine)]
+    mutate(records, scenario)
+    scenario_path = workdir / f"{name}.json"
+    if not scenario_path.exists():
+        scenario_path.write_text(scenario_text(name))
+    trace = workdir / "trace.jsonl"
+    trace.write_text(trace_to_jsonl(records))
+    code, out, err = _run(
+        "audit", "--scenario", str(scenario_path), "--trace", str(trace)
+    )
+    _assert_audit_contract("audit", code, out, err)
+    assert code == EXIT_LEMMA
+    report = json.loads(out)
+    assert check in [c["name"] for c in report["checks"] if not c["pass"]]
+    assert out == report_to_json(
+        oracles.audit_trace_walks(records, scenario)
+    ) + "\n"
 
 
 @settings(_FUZZ, max_examples=40)
