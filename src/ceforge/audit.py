@@ -57,16 +57,19 @@ strings, booleans, nulls and integers below 2^63 (a scenario's integers
 lie below 2^53, see ``approx.JSON_INT_BOUND``).  Everything that reads
 input from outside the program stays on the standard library's ``json``:
 reading traces, and all scenario I/O.  ``trace_from_jsonl`` decodes each
-line with one call to the standard library's C scanner, the one
-``json.loads`` uses, and hands a line to ``json.loads`` itself only when
-the scanner does not read it to the end; that call skips a blank line and
-words any refusal.  Writing reports, which can echo integers read from a
-trace, stays on the standard library too.  orjson 3.8.3 crashes the
-interpreter with a segmentation fault on a line nested about 200,000 deep
-(seen at 200,000 and 1,000,000; 100,000 parses), reads integers past 64
-bits as floats, and raises on such integers when it writes them; the
-standard library raises RecursionError on deep nesting and keeps every
-integer exact.
+record where it lies in the text, with one call to the standard library's
+C scanner (the one ``json.loads`` uses) at the line's offset, so no list
+of line copies is made; it hands a line to ``json.loads`` itself only when
+the scan does not end exactly at that line's ``\\n``, and that call skips a
+blank line and words any refusal.  Its lines are those of
+``str.splitlines``: a text that may hold another line break is first
+rewritten with ``\\n`` between those lines.  Writing reports, which can
+echo integers read from a trace, stays on the standard library too.
+orjson 3.8.3 crashes the interpreter with a segmentation fault on a line
+nested about 200,000 deep (seen at 200,000 and 1,000,000; 100,000
+parses), reads integers past 64 bits as floats, and raises on such
+integers when it writes them; the standard library raises RecursionError
+on deep nesting and keeps every integer exact.
 """
 
 from __future__ import annotations
@@ -967,27 +970,45 @@ def trace_to_jsonl(records: list[dict[str, Any]]) -> str:
 
 # The standard library's C scanner, as ``json.loads`` calls it.
 _SCAN = json.JSONDecoder().scan_once
+#: The ASCII characters other than ``\n`` at which ``str.splitlines``
+#: breaks a line; the others (``\x85``, ``\u2028``, ``\u2029``) are not
+#: ASCII.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 
 
 def trace_from_jsonl(text: str) -> list[dict[str, Any]]:
     """The records of a JSONL trace, one per line that is not blank.
 
-    Each line is decoded by one call to the standard library's C scanner.
-    Only a line it does not read to the end (leading or trailing
-    whitespace, a BOM, extra data, or no JSON value at all) goes to
-    ``json.loads``: that call skips a blank line, reads a padded one, and
-    otherwise raises what ``json.loads`` raises on the line, so a refusal
-    is worded as before.
+    Lines are those of ``text.splitlines()``.  Each record is decoded where
+    it lies in ``text``, by one call to the standard library's C scanner at
+    the line's offset, with no copy of the line, and is accepted only when
+    the scan ends exactly at the line's end.  Only a line that the scan
+    does not read to its end (leading or trailing whitespace, a BOM, extra
+    data, no JSON value at all, or a value that runs on past the line) goes
+    to ``json.loads``: that call skips a blank line, reads a padded one,
+    and otherwise raises what ``json.loads`` raises on the line, so a
+    refusal is worded as before.  A text that may hold a line break other
+    than ``\\n`` (any non-ASCII character, or one of ``\\r``, ``\\v``,
+    ``\\f`` and ``\\x1c``-``\\x1e``) is first rewritten with ``\\n`` between
+    its ``splitlines`` lines.
     """
+    if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
+        text = "\n".join(text.splitlines())
     records = []
-    for line in text.splitlines():
+    start, size = 0, len(text)
+    while start < size:
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = size
         try:
-            record, end = _SCAN(line, 0)
+            record, end = _SCAN(text, start)
         except (StopIteration, ValueError, RecursionError):
             end = -1
-        if end != len(line):
-            if not line.strip():
-                continue
-            record = json.loads(line)
-        records.append(record)
+        if end == stop:
+            records.append(record)
+        else:
+            line = text[start:stop]
+            if line.strip():
+                records.append(json.loads(line))
+        start = stop + 1
     return records

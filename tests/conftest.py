@@ -34,6 +34,16 @@ EMPTY = GenParams(
     max_output=1,
 )
 
+#: A scenario shape whose seed-9898 dual run has caused reuses: marker 0
+#: has no threshold before the first K(0^n) key, then acts at once and
+#: reuses descriptions that are still active.  Its dual audit fails
+#: ``reuse-bounds``.
+CAUSED_REUSES = GenParams(
+    stages=74, events=4, active_stages=12, set_size=2, element_bound=5,
+    halting_size=0, zero_budget_share=0.0, min_length=2, max_length=2,
+    max_output=4,
+)
+
 
 @functools.lru_cache(maxsize=None)
 def generated(seed: int, dense: bool = False) -> Scenario:

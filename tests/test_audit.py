@@ -30,6 +30,7 @@ from ceforge.audit import (
 from ceforge.engine import DualEngine, SingleEngine
 
 from conftest import (
+    CAUSED_REUSES,
     DATA,
     EMPTY,
     ONE_EVENT,
@@ -225,7 +226,7 @@ _WRITER_SCENARIOS = {
     "small-0": lambda: gen_scenario(
         0, GenParams(stages=1_000, events=60, active_stages=300)
     ),
-    "caused-reuses": lambda: gen_scenario(9898, _CAUSED_REUSES),
+    "caused-reuses": lambda: gen_scenario(9898, CAUSED_REUSES),
     "single-scripted": lambda: Scenario.from_json(
         (DATA / "single_scripted.json").read_text()
     ),
@@ -263,11 +264,18 @@ _JSON_VALUES = st.recursive(
 #: Padding around a line's value: JSON whitespace, and characters that
 #: ``str.strip`` removes but JSON does not allow.
 _PADDING = st.sampled_from(["", " ", "\t", " \t ", "\xa0", "\u3000"])
-#: Lines that the C scanner does not read to the end, or that raise.
+#: Lines that the C scanner does not read to the end, or that raise; a
+#: value split across two lines, which the scanner reads past its first
+#: line's end; and a string holding a raw ``\r``, which splits its line.
 _AWKWARD_LINES = [
     "", " ", "\t", "\xa0", "\ufeff{}", "\ufeff", "NaN", "-Infinity",
     "{} {}", "1 2", '{"a": 1}x', "{", "]", '"\\x"', "1" * 5000,
-    "[" * 100_000 + "]" * 100_000,
+    "[" * 100_000 + "]" * 100_000, '{"a":\n1}', '"a\rb"',
+]
+#: Every line break ``str.splitlines`` knows.
+_NEWLINES = [
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+    "\u2028", "\u2029",
 ]
 _LINES = st.one_of(
     st.builds(
@@ -292,9 +300,12 @@ def _decoded(decode, text):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     lines=st.lists(_LINES, max_size=6),
-    newline=st.sampled_from(["\n", "\r\n"]),
+    newline=st.sampled_from(_NEWLINES),
     final=st.booleans(),
 )
+@example(lines=['{"a":\n1}'], newline="\n", final=True)
+@example(lines=['{"a":', "1}"], newline="\u2028", final=False)
+@example(lines=["{}", '"a\rb"', "{}"], newline="\n", final=True)
 @example(lines=[" {}", "{} ", "", "  ", "{}"], newline="\n", final=True)
 @example(lines=["\ufeff{}"], newline="\n", final=False)
 @example(lines=["NaN", "[NaN, Infinity]"], newline="\n", final=True)
@@ -392,18 +403,8 @@ def test_indexes_match_oracles(engine_cls, dense):
     _assert_indexes_match_oracles(records, scenario)
 
 
-#: A scenario whose dual run has caused reuses: marker 0 has no threshold
-#: before the first K(0^n) key, then acts at once and reuses descriptions
-#: that are still active.
-_CAUSED_REUSES = GenParams(
-    stages=74, events=4, active_stages=12, set_size=2, element_bound=5,
-    halting_size=0, zero_budget_share=0.0, min_length=2, max_length=2,
-    max_output=4,
-)
-
-
 def test_caused_reuses_match_oracles():
-    scenario = gen_scenario(9898, _CAUSED_REUSES)
+    scenario = gen_scenario(9898, CAUSED_REUSES)
     records = DualEngine(scenario).run(scenario.stages)
     ledgers = _Replay.from_records(records, scenario).ledgers
     assert any(ledger.reuses for ledger in ledgers.values())

@@ -2,6 +2,7 @@
 
 import copy
 import decimal
+import gc
 import io
 import json
 import random
@@ -14,6 +15,7 @@ from ceforge import (
     DualEngine,
     SingleEngine,
     audit_trace,
+    gen_scenario,
     report_to_json,
     trace_to_jsonl,
 )
@@ -37,7 +39,7 @@ from ceforge.cli import (
 )
 from ceforge.machines import PrefixFreeMachine
 
-from conftest import DATA, generated, load_jsonl
+from conftest import CAUSED_REUSES, DATA, generated, load_jsonl
 from oracles import EagerFreeBlockSet
 
 
@@ -1604,3 +1606,135 @@ def test_main_parses_again_after_an_error(
     )
     assert main(argv) is None
     assert [args.command for args in ran] == [command]
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic garbage collector off for the test, then as it was.  The
+    objects made before the test are frozen out of its collections, so
+    that ``gc.collect`` walks only what the test makes, not the session's
+    heap."""
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
+def _cyclic_garbage(capsys, tmp_path, argv: list[str], code: int) -> int:
+    """How many unreachable objects ``gc.collect`` finds after
+    ``main(argv)``, which must exit ``code``.  A warm-up ``run`` that
+    writes a trace goes first: the first command in a process leaves
+    garbage once, from importing orjson (which imports ``datetime``) and
+    from building the shared parser's help formatters."""
+    main([
+        "run", "--scenario", str(DATA / "demo_scenario.json"),
+        "--trace-out", str(tmp_path / "warm-up.jsonl"),
+    ])
+    capsys.readouterr()
+    gc.collect()
+    assert main(argv) == code
+    found = gc.collect()
+    capsys.readouterr()
+    return found
+
+
+#: Scenarios whose ``run`` and ``audit`` must make no reference cycle; the
+#: caused-reuses scenario fails its dual audit (exit 3).
+_ACYCLIC_SCENARIOS = {
+    "sweep-0": lambda: generated(0),
+    "dense-x4-1": lambda: generated(1, dense=True),
+    "caused-reuses": lambda: gen_scenario(9898, CAUSED_REUSES),
+}
+
+
+@pytest.mark.parametrize("engine", ["single", "dual"])
+@pytest.mark.parametrize("name", list(_ACYCLIC_SCENARIOS))
+def test_run_and_audit_leave_no_cyclic_garbage(
+    capsys, tmp_path, collector_off, name, engine
+):
+    """``main`` pauses the cyclic collector for each command, which is sound
+    only while no command makes a reference cycle: with the collector off,
+    ``gc.collect`` finds nothing after a ``run`` or an ``audit``."""
+    scenario = _ACYCLIC_SCENARIOS[name]()
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(scenario.to_json())
+    trace = tmp_path / "trace.jsonl"
+    fails = (name, engine) == ("caused-reuses", "dual")
+    code = EXIT_LEMMA if fails else EXIT_OK
+    run = [
+        "run", "--scenario", str(scenario_path), "--engine", engine,
+        "--trace-out", str(trace),
+    ]
+    assert _cyclic_garbage(capsys, tmp_path, run, code) == 0
+    audit = ["audit", "--scenario", str(scenario_path), "--trace", str(trace)]
+    assert _cyclic_garbage(capsys, tmp_path, audit, code) == 0
+
+
+@pytest.mark.parametrize(
+    "case", ["kc", "kc-exhausted", "gen", "encode-real", "bad-scenario",
+             "bad-trace"],
+)
+def test_other_commands_leave_no_cyclic_garbage(
+    capsys, tmp_path, collector_off, case
+):
+    """The other commands and the refusals of malformed input make no
+    reference cycle either."""
+    (tmp_path / "req.txt").write_text("x 1\ny 2\nz 2\n")
+    (tmp_path / "heavy.txt").write_text("x 1\nx 1\nx 1\n")
+    (tmp_path / "real.json").write_text("[[0, 0], [0, 1]]")
+    (tmp_path / "bad.json").write_text("{oops")
+    bad = str(tmp_path / "bad.json")
+    argv, code = {
+        "kc": (["kc", str(tmp_path / "req.txt")], EXIT_OK),
+        "kc-exhausted": (["kc", str(tmp_path / "heavy.txt")], EXIT_SCENARIO),
+        "gen": (["gen", "--seed", "3"], EXIT_OK),
+        "encode-real": (["encode-real", str(tmp_path / "real.json")], EXIT_OK),
+        "bad-scenario": (["run", "--scenario", bad], EXIT_SCENARIO),
+        "bad-trace": (
+            ["audit", "--scenario", str(DATA / "demo_scenario.json"),
+             "--trace", bad],
+            EXIT_SCENARIO,
+        ),
+    }[case]
+    assert _cyclic_garbage(capsys, tmp_path, argv, code) == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("code", [EXIT_OK, EXIT_SCENARIO, EXIT_LEMMA])
+def test_main_leaves_the_collector_as_it_found_it(
+    capsys, monkeypatch, tmp_path, enabled, code
+):
+    """The command runs with the cyclic collector off, and ``main`` leaves
+    the collector on or off as it found it, whatever the exit code."""
+    scenario = tmp_path / "scenario.json"
+    if code == EXIT_OK:
+        scenario = DATA / "demo_scenario.json"
+    elif code == EXIT_SCENARIO:
+        scenario.write_text("{oops")
+    else:
+        scenario.write_text(gen_scenario(9898, CAUSED_REUSES).to_json())
+    real_cmd_run = cli.cmd_run
+    during = []
+
+    def cmd_run(args):
+        during.append(gc.isenabled())
+        return real_cmd_run(args)
+
+    monkeypatch.setattr(cli, "cmd_run", cmd_run)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        got = main(
+            ["run", "--scenario", str(scenario), "--engine", "dual"]
+        )
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert got == code
+    assert during == [False]

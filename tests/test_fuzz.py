@@ -4,7 +4,8 @@ Real inputs are mutated one fault at a time: the sweep seed-0 and dense-x4
 seed-1 scenarios, their traces from both engines, and a ``kc`` request
 file.  A mutation drops a key, changes a value's JSON type, shifts an int
 by +-1 or sets it to -1 or 2^53, swaps or duplicates records or entries,
-truncates a line, or inserts an unknown key.  Every mutant must meet the
+truncates a line, inserts an unknown key, or replaces one of a trace's line
+breaks with ``\\r\\n``, ``\\r`` or U+2028.  Every mutant must meet the
 contract each command keeps:
 
 * exit 0, 2 or 3, never 1, with no traceback, within 5 s;
@@ -161,6 +162,8 @@ VALUE_KINDS = [
     "duplicate-entry",
 ]
 LINE_KINDS = ["swap-lines", "duplicate-line", "truncate-line"]
+#: Line breaks other than ``\n`` that ``str.splitlines`` also breaks at.
+OTHER_BREAKS = ["\r\n", "\r", "\u2028"]
 
 
 def _mutate_lines(data, lines: list[str], pick, kind: str) -> None:
@@ -246,7 +249,7 @@ def workdir(tmp_path_factory):
     data=st.data(),
     name=st.sampled_from(list(SCENARIOS)),
     engine=st.sampled_from(list(ENGINES)),
-    kind=st.sampled_from(VALUE_KINDS + LINE_KINDS),
+    kind=st.sampled_from(VALUE_KINDS + LINE_KINDS + ["line-break"]),
 )
 def test_mutated_trace_keeps_the_audit_contract(
     workdir, data, name, engine, kind
@@ -262,17 +265,22 @@ def test_mutated_trace_keeps_the_audit_contract(
 
     if kind in LINE_KINDS:
         _mutate_lines(data, lines, pick, kind)
-    else:
+    elif kind in VALUE_KINDS:
         number = pick()
         record = json.loads(lines[number])
         if not _mutate_value(data, record, kind):
             return
         lines[number] = json.dumps(record)
+    breaks = ["\n"] * len(lines)
+    if kind == "line-break":
+        breaks[pick()] = data.draw(
+            st.sampled_from(OTHER_BREAKS), label="break"
+        )
     scenario = workdir / f"{name}.json"
     if not scenario.exists():
         scenario.write_text(scenario_text(name))
     trace = workdir / "trace.jsonl"
-    trace.write_text("\n".join(lines) + "\n")
+    trace.write_text("".join(line + end for line, end in zip(lines, breaks)))
     result = _run("audit", "--scenario", str(scenario), "--trace", str(trace))
     _assert_audit_contract("audit", *result)
 
