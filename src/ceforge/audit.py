@@ -28,7 +28,10 @@ check decides.  So a report is written only for a well-formed trace, and
 the named checks never raise.  The field tables decide each field's type:
 each table is compiled once, at import, into one test of its fields
 (``_Fields``), which a missing field fails even where null is allowed,
-and ``_require`` words the refusal once a test has failed.  The rules
+and ``_require`` names the field at fault once a test has failed.  Each
+rule reads ``if <violated>: _refuse(...)``: ``_refuse`` is the one
+function that words a refusal (``malformed trace: record N ...``), and
+only a trace with no header record at all is refused apart.  The rules
 are tested in one fixed order, so a trace that breaks several gets the
 message of the first.
 
@@ -61,10 +64,12 @@ record where it lies in the text, with one call to the standard library's
 C scanner (the one ``json.loads`` uses) at the line's offset, so no list
 of line copies is made; it hands a line to ``json.loads`` itself only when
 the scan does not end exactly at that line's ``\\n``, and that call skips a
-blank line and words any refusal.  Its lines are those of
-``str.splitlines``: a text that may hold another line break is first
-rewritten with ``\\n`` between those lines.  Writing reports, which can
-echo integers read from a trace, stays on the standard library too.
+blank line and words any refusal; a JSON syntax error is raised again at
+its place in the whole text, so its message names the trace line.  Its
+lines are those of ``str.splitlines``: a text that may hold another line
+break is first rewritten with ``\\n`` between those lines.  Writing
+reports, which can echo integers read from a trace, stays on the standard
+library too.
 orjson 3.8.3 crashes the interpreter with a segmentation fault on a line
 nested about 200,000 deep (seen at 200,000 and 1,000,000; 100,000
 parses), reads integers past 64 bits as floats, and raises on such
@@ -77,7 +82,7 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NoReturn
 
 from .approx import JSON_INT_BOUND, Scenario
 from .bitcore import Dyadic, INFINITE, ZERO, decimal_int, dyadic_str
@@ -149,8 +154,8 @@ class _Fields(dict):
     rules.  ``typed`` is its test, compiled once into the ``type(...) is
     T`` chain one would write by hand, fields in table order: it returns
     the tuple of the values it tested, in table order, or None if one
-    fails, so each field is read once.  ``_require`` words a refusal once
-    the test has failed."""
+    fails, so each field is read once.  ``_require`` names the field at
+    fault once the test has failed."""
 
     def __init__(self, **fields: tuple[type, ...]) -> None:
         super().__init__(fields)
@@ -194,21 +199,27 @@ _SNAPSHOT_FIELDS = {
 }
 
 
+def _refuse(number: int | None, what: str) -> NoReturn:
+    """Refuse a malformed trace: raise the ValueError that says ``what``
+    is wrong, in stage record ``number`` unless that is None.  Every rule
+    but the first (a header record leads the trace) words its refusal
+    here, so the ``malformed trace:`` format is stated once."""
+    where = "" if number is None else f"record {number} "
+    raise ValueError(f"malformed trace: {where}{what}")
+
+
 def _require(value: Any, fields: _Fields, number: int, part: str) -> None:
-    """Raise ValueError unless ``value``, the ``part`` of stage record
-    ``number``, is an object with these fields.  ``from_records`` calls
-    this once ``fields.typed`` has failed, to word the refusal, so it
-    always raises there."""
+    """Refuse (``_refuse``) the trace unless ``value``, the ``part`` of
+    stage record ``number`` (``""`` for the record itself, else the part's
+    name and a space), is an object with these fields.  ``from_records``
+    calls this once ``fields.typed`` has failed, to name the field at
+    fault, so it always raises there."""
     if type(value) is not dict:
-        raise ValueError(
-            f"malformed trace: record {number}{part} is not an object"
-        )
+        _refuse(number, f"{part}is not an object")
     for key, kinds in fields.items():
         if type(value.get(key, _MISSING)) not in kinds:
-            raise ValueError(
-                f"malformed trace: record {number}{part} field {key!r} is "
-                "missing or of the wrong type"
-            )
+            _refuse(number, f"{part}field {key!r} is missing or of the "
+                    "wrong type")
 
 
 #: The c of marker i starts at c_offset + i; each engine has its own offset.
@@ -228,17 +239,11 @@ def _repeat(record: dict[str, Any], number: int) -> int:
     """
     repeat = record["repeat"]
     if type(repeat) is not int or repeat < 2:
-        raise ValueError(
-            f"malformed trace: record {number} repeat {repeat!r} is not an "
-            "int of at least 2"
-        )
+        _refuse(number, f"repeat {repeat!r} is not an int of at least 2")
     if record["b_added"] is not None or any(
         record[key] for key in ("injured", "markers", "m_entries", "n_entries")
     ):
-        raise ValueError(
-            f"malformed trace: record {number} repeats a stage that changes "
-            "something"
-        )
+        _refuse(number, "repeats a stage that changes something")
     return repeat
 
 
@@ -276,20 +281,13 @@ def _deficit(text: str, longest: int) -> tuple[int, int] | None:
 
 def _refuse_entry(
     number: int, part: str, side: str, length: int, engine: str
-) -> None:
-    """Raise the ValueError for an entry of stage record ``number`` whose
-    side is not an ``engine`` side or whose codeword is not ``length``
-    bits; ``from_records`` tests both at once and calls this to word the
-    refusal."""
+) -> NoReturn:
+    """Refuse an entry of stage record ``number`` whose side is not an
+    ``engine`` side or whose codeword is not ``length`` bits;
+    ``from_records`` tests both at once and calls this to say which."""
     if side not in _SIDES[engine]:
-        raise ValueError(
-            f"malformed trace: record {number} {part} side {side!r} is not "
-            f"a {engine} engine side"
-        )
-    raise ValueError(
-        f"malformed trace: record {number} {part} codeword is not {length} "
-        "bits of 0 and 1"
-    )
+        _refuse(number, f"{part} side {side!r} is not a {engine} engine side")
+    _refuse(number, f"{part} codeword is not {length} bits of 0 and 1")
 
 
 def _keep_last(
@@ -360,8 +358,8 @@ class _Replay:
         unless it is well formed.  Every rule of a well-formed trace is
         tested here, so the named checks never meet a malformed one.  The
         field tables decide each field's type through their compiled
-        tests, which hand back the fields' values, and ``_require`` words
-        a refusal.
+        tests, which hand back the fields' values; each rule that fails
+        calls ``_refuse``, which words the refusal.
 
         The same pass builds what the named checks read: the ledgers,
         m-weights, n-entry lengths and the ``active-transitions``
@@ -381,18 +379,14 @@ class _Replay:
         header = records[0]
         engine = header.get("engine")
         if type(engine) is not str or engine not in _C_OFFSETS:
-            raise ValueError(f"malformed trace: unknown engine {engine!r}")
+            _refuse(None, f"unknown engine {engine!r}")
         if type(header.get("stages")) is not int:
-            raise ValueError(
-                "malformed trace: header field 'stages' is missing or of "
-                "the wrong type"
-            )
+            _refuse(None, "header field 'stages' is missing or of the "
+                    "wrong type")
         c_offset = header.get("c_offset")
         if type(c_offset) is not int or c_offset != _C_OFFSETS[engine]:
-            raise ValueError(
-                f"malformed trace: header c_offset {c_offset!r} is not the "
-                f"{engine} engine's {_C_OFFSETS[engine]}"
-            )
+            _refuse(None, f"header c_offset {c_offset!r} is not the {engine} "
+                    f"engine's {_C_OFFSETS[engine]}")
         sides = _SIDES[engine]
         snap_fields = _SNAPSHOT_FIELDS[engine]
         output_of = scenario.schedule.output_of
@@ -438,7 +432,7 @@ class _Replay:
             for entry in m_entries:
                 side, justify, length, n, cause, word = (
                     _M_ENTRY_FIELDS.typed(entry)
-                    or _require(entry, _M_ENTRY_FIELDS, number, " m_entries")
+                    or _require(entry, _M_ENTRY_FIELDS, number, "m_entries ")
                 )
                 # two counts run faster than one strip("01")
                 if side not in sides or len(word) != length or (
@@ -451,11 +445,9 @@ class _Replay:
                 if output is None or len(justify) != length or (
                     len(output) != n
                 ):
-                    raise ValueError(
-                        f"malformed trace: record {number} m_entries "
-                        f"justify {justify!r} is not a schedule codeword of "
-                        f"{length} bits with an output of {n} bits"
-                    )
+                    _refuse(number, f"m_entries justify {justify!r} is not a "
+                            f"schedule codeword of {length} bits with an "
+                            f"output of {n} bits")
                 ledger = ledgers[side]
                 m_units[side] += 1 << (longest - length)
                 # Only descriptions active at the stage of the transition
@@ -473,7 +465,7 @@ class _Replay:
             for entry in n_entries:
                 side, index, version, length, word = (
                     _N_ENTRY_FIELDS.typed(entry)
-                    or _require(entry, _N_ENTRY_FIELDS, number, " n_entries")
+                    or _require(entry, _N_ENTRY_FIELDS, number, "n_entries ")
                 )
                 if side not in sides or len(word) != length or (
                     word.count("0") + word.count("1") != length
@@ -485,10 +477,8 @@ class _Replay:
                     length
                 )
             if number > 1 and stage <= previous:
-                raise ValueError(
-                    f"malformed trace: record {number} stage {stage} does "
-                    f"not follow stage {previous}"
-                )
+                _refuse(number, f"stage {stage} does not follow stage "
+                        f"{previous}")
             previous = (
                 stage + _repeat(record, number) - 1
                 if "repeat" in record else stage
@@ -496,18 +486,12 @@ class _Replay:
             if added is not None:
                 # a position in B gets no attention, so it enters B once
                 if added in b_stage:
-                    raise ValueError(
-                        f"malformed trace: record {number} adds position "
-                        f"{added} to B again"
-                    )
+                    _refuse(number, f"adds position {added} to B again")
                 b_stage[added] = stage
                 acts += 1
             for index in injured:
                 if type(index) is not int:
-                    raise ValueError(
-                        f"malformed trace: record {number} injured index "
-                        f"{index!r} is not an int"
-                    )
+                    _refuse(number, f"injured index {index!r} is not an int")
                 replay.injuries.setdefault(index, []).append(stage)
             if not markers:
                 continue
@@ -517,14 +501,12 @@ class _Replay:
                     # One key per index: "0" and "00" may not both name
                     # marker 0.
                     if not _is_index(key):
-                        raise ValueError(
-                            f"malformed trace: record {number} marker key "
-                            f"{key!r} is not a natural below 2^53 in decimal "
-                            "without leading zeros"
-                        )
+                        _refuse(number, f"marker key {key!r} is not a "
+                                "natural below 2^53 in decimal without "
+                                "leading zeros")
                     index = indices[key] = int(key)
                 pos, c, *deficits = snap_fields.typed(snap) or _require(
-                    snap, snap_fields, number, " markers"
+                    snap, snap_fields, number, "markers "
                 )
                 # Markers appear one index at a time.  A marker's c is
                 # c_offset + index plus the acts of lower markers so far:
@@ -532,16 +514,12 @@ class _Replay:
                 # which is such an act.  So it lies between c_offset +
                 # index and c_offset + index + acts.
                 if index > len(current):
-                    raise ValueError(
-                        f"malformed trace: record {number} marker {index} "
-                        f"appears before marker {len(current)}"
-                    )
+                    _refuse(number, f"marker {index} appears before "
+                            f"marker {len(current)}")
                 least = c_offset + index
                 if not least <= c <= least + acts:
-                    raise ValueError(
-                        f"malformed trace: record {number} marker {index} c "
-                        f"{c} lies outside {least}..{least + acts}"
-                    )
+                    _refuse(number, f"marker {index} c {c} lies outside "
+                            f"{least}..{least + acts}")
                 if c > top_c:
                     top_c = c
                 # Dual runs (whose snapshot table lists p_a, p_d in side
@@ -550,11 +528,9 @@ class _Replay:
                 for side, text in zip(sides, deficits):
                     parts = _deficit(text, longest)
                     if parts is None:
-                        raise ValueError(
-                            f"malformed trace: record {number} marker "
-                            f"{index} p_{side} {text!r} is not num/2^exp "
-                            f"with num >= 0 and exp in 0..{longest}"
-                        )
+                        _refuse(number, f"marker {index} p_{side} {text!r} "
+                                "is not num/2^exp with num >= 0 and exp in "
+                                f"0..{longest}")
                     num, exp = parts
                     if pos is not None and num << c > 1 << exp:
                         _keep_last(witnesses, "deficit-bounds", {
@@ -611,18 +587,14 @@ class _Replay:
                     "pos_i": current[i], "pos_j": current[j],
                 }
         if previous > header["stages"]:
-            raise ValueError(
-                f"malformed trace: records run to stage {previous}, past "
-                f"the header's {header['stages']}"
-            )
+            _refuse(None, f"records run to stage {previous}, past the "
+                    f"header's {header['stages']}")
         # An N-entry is K(0^k) + c bits long for a schedule description of
         # 0^k and a counter c, and every counter a marker takes shows in a
         # snapshot.
         if n_longest > longest + top_c:
-            raise ValueError(
-                f"malformed trace: record {n_number} n_entries length "
-                f"{n_longest} exceeds {longest + top_c}"
-            )
+            _refuse(n_number, f"n_entries length {n_longest} exceeds "
+                    f"{longest + top_c}")
         replay.final_stage = previous
         # An m-entry is as long as its justifying schedule codeword.
         replay.weight_exp = max(longest, n_longest)
@@ -986,11 +958,13 @@ def trace_from_jsonl(text: str) -> list[dict[str, Any]]:
     does not read to its end (leading or trailing whitespace, a BOM, extra
     data, no JSON value at all, or a value that runs on past the line) goes
     to ``json.loads``: that call skips a blank line, reads a padded one,
-    and otherwise raises what ``json.loads`` raises on the line, so a
-    refusal is worded as before.  A text that may hold a line break other
-    than ``\\n`` (any non-ASCII character, or one of ``\\r``, ``\\v``,
-    ``\\f`` and ``\\x1c``-``\\x1e``) is first rewritten with ``\\n`` between
-    its ``splitlines`` lines.
+    and otherwise raises what ``json.loads`` raises on the line, except
+    that a JSONDecodeError is raised again at its place in the whole text:
+    its message gives the trace line and the column in that line, and its
+    ``char`` counts in the text with ``\\n`` between the lines.  A text
+    that may hold a line break other than ``\\n`` (any non-ASCII
+    character, or one of ``\\r``, ``\\v``, ``\\f`` and ``\\x1c``-``\\x1e``)
+    is first rewritten with ``\\n`` between its ``splitlines`` lines.
     """
     if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
         text = "\n".join(text.splitlines())
@@ -1009,6 +983,10 @@ def trace_from_jsonl(text: str) -> list[dict[str, Any]]:
         else:
             line = text[start:stop]
             if line.strip():
-                records.append(json.loads(line))
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    # placed in the text, so the message names the line
+                    raise json.JSONDecodeError(exc.msg, text, start + exc.pos)
         start = stop + 1
     return records

@@ -9,6 +9,7 @@ import gc
 import json
 import sys
 from pathlib import Path
+from typing import Any
 
 from .approx import (
     JSON_INT_BOUND,
@@ -59,6 +60,19 @@ def _write(path: str, text: str) -> bool:
     return True
 
 
+def _report(report: dict[str, Any], path: str | None) -> int:
+    """Write ``report`` to ``path``, or print it if there is none, and
+    return the exit code: EXIT_FAIL if it could not be written, else
+    EXIT_LEMMA if a check failed, else EXIT_OK."""
+    text = report_to_json(report)
+    if path:
+        if not _write(path, text + "\n"):
+            return EXIT_FAIL
+    else:
+        print(text)
+    return EXIT_OK if report["pass"] else EXIT_LEMMA
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
     if scenario is None:
@@ -81,17 +95,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not _write(args.trace_out, trace_to_jsonl(records)):
             return EXIT_FAIL
     report = audit_trace(records, scenario)
-    text = report_to_json(report)
-    if args.report_out:
-        if not _write(args.report_out, text + "\n"):
-            return EXIT_FAIL
-    else:
-        print(text)
-    if not report["pass"]:
+    code = _report(report, args.report_out)
+    if code == EXIT_LEMMA:
         failed = [c["name"] for c in report["checks"] if not c["pass"]]
         print(f"audit failed: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_LEMMA
-    return EXIT_OK
+    return code
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -119,18 +127,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if scenario is None:
         return EXIT_SCENARIO
     try:
-        trace_text = Path(args.trace).read_text(encoding="utf-8")
+        # Read as bytes and decoded whole, with no newline translation, so
+        # that the decoder alone decides where a line ends.
+        trace_text = Path(args.trace).read_bytes().decode("utf-8")
         report = audit_trace(trace_from_jsonl(trace_text), scenario)
     except (OSError, ValueError, KeyError, RecursionError) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
-    text = report_to_json(report)
-    if args.report_out:
-        if not _write(args.report_out, text + "\n"):
-            return EXIT_FAIL
-    else:
-        print(text)
-    return EXIT_OK if report["pass"] else EXIT_LEMMA
+    return _report(report, args.report_out)
 
 
 def cmd_kc(args: argparse.Namespace) -> int:

@@ -9,6 +9,11 @@ machine weights count units of 2^-(the machine's longest codeword)
 deficit becomes the string ``num/2^exp`` only in a marker snapshot
 (``bitcore.dyadic_str``).  The only floating value anywhere is the INFINITE
 length sentinel for undescribed strings.
+
+A machine whose weight would reach 1 raises its own ``WeightOverflow``, a
+``LemmaViolation`` (both in ``machines``), and the engines let it through
+as it is; ``LemmaViolation`` is imported here for the callers that catch
+it from this module.
 """
 
 from __future__ import annotations
@@ -19,11 +24,7 @@ from typing import Any, Iterable
 
 from .approx import CESetApprox, Scenario, ScheduleEvent
 from .bitcore import INFINITE, dyadic_str
-from .machines import PrefixFreeMachine, WeightOverflow
-
-
-class LemmaViolation(RuntimeError):
-    """A machine weight bound failed while the construction ran."""
+from .machines import LemmaViolation, PrefixFreeMachine
 
 
 #: (output, (length, stage, codeword)) of each event that improved the
@@ -519,10 +520,7 @@ class BaseEngine:
     ) -> None:
         tracker = self.sides[side]
         length, _, justify = tracker.k_best[k]
-        try:
-            entry = tracker.machine.describe(self.b_str[:k], length, stage)
-        except WeightOverflow as exc:
-            raise LemmaViolation(str(exc)) from exc
+        entry = tracker.machine.describe(self.b_str[:k], length, stage)
         tracker._dirty.add(k)
         record.append(
             {
@@ -545,10 +543,7 @@ class BaseEngine:
         record: list[dict[str, Any]],
     ) -> None:
         machine = marker.machines[side]
-        try:
-            entry = machine.describe(self.sides[side].x_str[:k], length, stage)
-        except WeightOverflow as exc:
-            raise LemmaViolation(str(exc)) from exc
+        entry = machine.describe(self.sides[side].x_str[:k], length, stage)
         self._dirty.add((marker.index, side))
         record.append(
             {

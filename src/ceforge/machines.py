@@ -21,8 +21,15 @@ class Exhausted(RuntimeError):
     """No free block can accommodate the requested codeword length."""
 
 
-class WeightOverflow(RuntimeError):
-    """Describing an output would push a machine's weight to 1 or beyond."""
+class LemmaViolation(RuntimeError):
+    """A machine weight bound failed while the construction ran.  The
+    engines raise what their machines raise, so ``ceforge run`` catches
+    this one class (exit 3)."""
+
+
+class WeightOverflow(LemmaViolation):
+    """Describing an output would push a machine's weight to 1 or beyond:
+    the lemma violation a machine itself detects."""
 
 
 class NotPrefixFree(ValueError):

@@ -504,8 +504,19 @@ def jsonl_stdlib(records) -> str:
 
 def trace_from_jsonl_naive(text: str) -> list:
     """The records of a JSONL trace, one ``json.loads`` per line that is
-    not blank."""
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    not blank.  A JSON syntax error is raised again at its place in the
+    lines joined with ``\\n``, so its message names the trace line."""
+    lines = text.splitlines()
+    joined = "\n".join(lines)
+    records, start = [], 0
+    for line in lines:
+        if line.strip():
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise json.JSONDecodeError(exc.msg, joined, start + exc.pos)
+        start += len(line) + 1
+    return records
 
 
 # The audit's record walks as they were before ``_Replay.from_records``

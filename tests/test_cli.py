@@ -17,6 +17,7 @@ from ceforge import (
     audit_trace,
     gen_scenario,
     report_to_json,
+    trace_from_jsonl,
     trace_to_jsonl,
 )
 from ceforge.audit import (
@@ -511,36 +512,6 @@ def _marker_key_not_a_number(records):
     records[1]["markers"]["x"] = records[1]["markers"].pop("0")
 
 
-#: Faults whose message must name the value at fault: a bare KeyError
-#: would print only the side.
-_NAMED = {
-    _engine_as_list: "unknown engine ['single']",
-    _c_below_offset: "marker 0 c -1 lies outside 3..3",
-    _n_side_unknown: "side 'q' is not",
-    _m_side_unknown: "side 'z' is not",
-    _m_codeword_short: "record 5 m_entries codeword is not 4 bits",
-    _n_codeword_not_bits: "record 3 n_entries codeword is not 7 bits",
-    _n_length_past_bound: "record 3 n_entries length 200 exceeds",
-    _m_justify_unknown: "record 5 m_entries justify '1111' is not a",
-    _m_length_not_justify: (
-        "record 5 m_entries justify '0000' is not a schedule codeword of 5 "
-        "bits"
-    ),
-    _m_n_not_output: (
-        "record 5 m_entries justify '0000' is not a schedule codeword of 4 "
-        "bits with an output of 3 bits"
-    ),
-    _deficit_not_a_number: "record 7 marker 1 p_a 'abc' is not num/2^exp",
-    _deficit_negative_unplaced: "record 7 marker 1 p_a '-5/2^3' is not",
-    _marker_key_padded: "record 1 marker key '00' is not a natural",
-    _deficit_signed: "record 1 marker 0 p_a '0/2^+0' is not num/2^exp",
-    _deficit_spaced: "record 1 marker 0 p_a ' 0/2^0' is not num/2^exp",
-    _deficit_underscored: "record 1 marker 0 p_a '0/2^0_0' is not num/2^exp",
-    _deficit_non_ascii_digits: "record 1 marker 0 p_d '\u0660/2^0' is not",
-    _marker_key_not_a_number: "record 1 marker key 'x' is not a natural",
-}
-
-
 def _stages_as_string(records):
     records[0]["stages"] = str(records[0]["stages"])
 
@@ -600,6 +571,182 @@ def _repeat_past_stages(records):
 def _repeat_huge(records):
     # must exit at once: no loop or allocation per stage
     records[-1]["repeat"] = 10**18
+
+
+#: The whole message that refuses each fault, as the audit words it.  Each
+#: must name the value at fault where there is one: a bare KeyError
+#: would print only the side.
+_NAMED = {
+    _markers_as_list: (
+        "malformed trace: record 1 field 'markers' is missing or of the "
+        "wrong type"
+    ),
+    _n_length_null: (
+        "malformed trace: record 3 n_entries field 'length' is missing or of "
+        "the wrong type"
+    ),
+    _m_justify_as_list: (
+        "malformed trace: record 5 m_entries field 'justify' is missing or of "
+        "the wrong type"
+    ),
+    _stage_as_string: "malformed trace: record 2 is not an object",
+    _stage_as_list: "malformed trace: record 2 is not an object",
+    _header_as_list: "trace must start with a header record",
+    _negative_deficit: (
+        "malformed trace: record 1 marker 0 p_a '-1/2^0' is not num/2^exp "
+        "with num >= 0 and exp in 0..4"
+    ),
+    _deficit_exponent_huge: (
+        "malformed trace: record 1 marker 0 p_a '1/2^1000000000000' is not "
+        "num/2^exp with num >= 0 and exp in 0..4"
+    ),
+    _deficit_exponent_negative: (
+        "malformed trace: record 1 marker 0 p_a '1/2^-1000000000000' is not "
+        "num/2^exp with num >= 0 and exp in 0..4"
+    ),
+    _m_n_huge: (
+        "malformed trace: record 5 m_entries justify '0000' is not a schedule "
+        "codeword of 4 bits with an output of 1000000000000 bits"
+    ),
+    _n_length_huge: (
+        "malformed trace: record 3 n_entries codeword is not 1000000000000 "
+        "bits of 0 and 1"
+    ),
+    _c_huge_with_n_length_huge: (
+        "malformed trace: record 1 marker 0 c 1000000000000 lies outside 3..3"
+    ),
+    _c_offset_missing: (
+        "malformed trace: header c_offset None is not the dual engine's 4"
+    ),
+    _marker_index_skipped: (
+        "malformed trace: record 1 marker 2 appears before marker 0"
+    ),
+    _stage_repeated: (
+        "malformed trace: record 2 stage 1 does not follow stage 1"
+    ),
+    _b_added_twice: "malformed trace: record 5 adds position 1 to B again",
+    _injured_as_string: (
+        "malformed trace: record 7 injured index '1' is not an int"
+    ),
+    _m_cause_as_list: (
+        "malformed trace: record 5 m_entries field 'cause' is missing or of "
+        "the wrong type"
+    ),
+    _c_offset_huge: (
+        "malformed trace: header c_offset 1000000000000 is not the single "
+        "engine's 3"
+    ),
+    _engine_unknown: "malformed trace: unknown engine 'triple'",
+    _engine_as_list: "malformed trace: unknown engine ['single']",
+    _engine_as_object: "malformed trace: unknown engine {'single': 3}",
+    _c_below_offset: (
+        "malformed trace: record 1 marker 0 c -1 lies outside 3..3"
+    ),
+    _c_offset_of_other_engine: (
+        "malformed trace: header c_offset 4 is not the single engine's 3"
+    ),
+    _stages_as_string: (
+        "malformed trace: header field 'stages' is missing or of the "
+        "wrong type"
+    ),
+    _stages_short: (
+        "malformed trace: records run to stage 8, past the header's 7"
+    ),
+    _repeat_as_string: (
+        "malformed trace: record 8 repeat '2' is not an int of at least 2"
+    ),
+    _repeat_as_bool: (
+        "malformed trace: record 8 repeat True is not an int of at least 2"
+    ),
+    _repeat_zero: (
+        "malformed trace: record 8 repeat 0 is not an int of at least 2"
+    ),
+    _repeat_one: (
+        "malformed trace: record 8 repeat 1 is not an int of at least 2"
+    ),
+    _repeat_with_b_added: (
+        "malformed trace: record 8 repeats a stage that changes something"
+    ),
+    _repeat_with_m_entry: (
+        "malformed trace: record 8 repeats a stage that changes something"
+    ),
+    _repeat_with_marker: (
+        "malformed trace: record 8 repeats a stage that changes something"
+    ),
+    _repeat_overlaps_next: (
+        "malformed trace: record 3 stage 3 does not follow stage 3"
+    ),
+    _repeat_past_stages: (
+        "malformed trace: records run to stage 9, past the header's 8"
+    ),
+    _repeat_huge: (
+        "malformed trace: records run to stage 1000000000000000007, past the "
+        "header's 8"
+    ),
+    _n_side_unknown: (
+        "malformed trace: record 3 n_entries side 'q' is not a single "
+        "engine side"
+    ),
+    _m_side_unknown: (
+        "malformed trace: record 5 m_entries side 'z' is not a dual "
+        "engine side"
+    ),
+    _m_codeword_short: (
+        "malformed trace: record 5 m_entries codeword is not 4 bits of 0 "
+        "and 1"
+    ),
+    _n_codeword_not_bits: (
+        "malformed trace: record 3 n_entries codeword is not 7 bits of 0 "
+        "and 1"
+    ),
+    _n_length_past_bound: (
+        "malformed trace: record 3 n_entries length 200 exceeds 10"
+    ),
+    _m_justify_unknown: (
+        "malformed trace: record 5 m_entries justify '1111' is not a schedule "
+        "codeword of 4 bits with an output of 2 bits"
+    ),
+    _m_length_not_justify: (
+        "malformed trace: record 5 m_entries justify '0000' is not a schedule "
+        "codeword of 5 bits with an output of 2 bits"
+    ),
+    _m_n_not_output: (
+        "malformed trace: record 5 m_entries justify '0000' is not a schedule "
+        "codeword of 4 bits with an output of 3 bits"
+    ),
+    _deficit_not_a_number: (
+        "malformed trace: record 7 marker 1 p_a 'abc' is not num/2^exp with "
+        "num >= 0 and exp in 0..4"
+    ),
+    _deficit_negative_unplaced: (
+        "malformed trace: record 7 marker 1 p_a '-5/2^3' is not num/2^exp "
+        "with num >= 0 and exp in 0..4"
+    ),
+    _marker_key_padded: (
+        "malformed trace: record 1 marker key '00' is not a natural below "
+        "2^53 in decimal without leading zeros"
+    ),
+    _marker_key_not_a_number: (
+        "malformed trace: record 1 marker key 'x' is not a natural below 2^53 "
+        "in decimal without leading zeros"
+    ),
+    _deficit_signed: (
+        "malformed trace: record 1 marker 0 p_a '0/2^+0' is not num/2^exp "
+        "with num >= 0 and exp in 0..4"
+    ),
+    _deficit_spaced: (
+        "malformed trace: record 1 marker 0 p_a ' 0/2^0' is not num/2^exp "
+        "with num >= 0 and exp in 0..4"
+    ),
+    _deficit_underscored: (
+        "malformed trace: record 1 marker 0 p_a '0/2^0_0' is not num/2^exp "
+        "with num >= 0 and exp in 0..4"
+    ),
+    _deficit_non_ascii_digits: (
+        "malformed trace: record 1 marker 0 p_d '\u0660/2^0' is not num/2^exp "
+        "with num >= 0 and exp in 0..4"
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -673,11 +820,9 @@ def test_malformed_trace_exits_two(
         "--scenario", str(data_dir / f"{fixture}.json"),
         "--trace", str(trace),
     )
-    assert code == EXIT_SCENARIO
-    assert out == ""
-    assert len(err.splitlines()) == 1, err
-    assert err.startswith("trace error:"), err
-    assert _NAMED.get(corrupt, "") in err, err
+    assert (code, out, err) == (
+        EXIT_SCENARIO, "", f"trace error: {_NAMED[corrupt]}\n"
+    )
 
 
 #: One JSON value of each kind, and a field taken out.
@@ -1259,6 +1404,58 @@ def test_unreadable_trace_exits_two(capsys, tmp_path, data_dir, case):
     assert out == ""
     assert len(err.splitlines()) == 1, err
     assert err.startswith("trace error:"), err
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_json_syntax_error_names_the_trace_line(
+    capsys, tmp_path, data_dir, newline
+):
+    """A JSON syntax error on the third line is refused at line 3, column
+    12: each line is decoded alone, but the message places it in the
+    trace, with ``char`` counted in the lines joined by ``\\n``."""
+    lines = (data_dir / "single_scripted_trace.jsonl").read_text().split("\n")
+    lines[2] = '{"stage":2,}'  # no name after the comma, at column 12
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes(newline.join(lines).encode())
+    code, out, err = run_cli(
+        capsys,
+        "audit",
+        "--scenario", str(data_dir / "single_scripted.json"),
+        "--trace", str(trace),
+    )
+    char = len(lines[0]) + len(lines[1]) + 2 + 11
+    assert (code, out, err) == (
+        EXIT_SCENARIO,
+        "",
+        "trace error: Expecting property name enclosed in double quotes: "
+        f"line 3 column 12 (char {char})\n",
+    )
+
+
+def test_audit_hands_the_decoder_the_trace_line_breaks(
+    capsys, monkeypatch, tmp_path, data_dir
+):
+    """``audit`` reads the trace file as bytes and decodes them whole, so
+    the decoder gets a CRLF trace's ``\\r\\n`` and its own rewrite decides
+    the lines; the report is the one of the LF trace."""
+    scenario = str(data_dir / "single_scripted.json")
+    plain = data_dir / "single_scripted_trace.jsonl"
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
+    texts = []
+
+    def decode(text):
+        texts.append(text)
+        return trace_from_jsonl(text)
+
+    monkeypatch.setattr(cli, "trace_from_jsonl", decode)
+    results = [
+        run_cli(capsys, "audit", "--scenario", scenario, "--trace", str(path))
+        for path in (plain, crlf)
+    ]
+    assert results[0] == results[1]
+    text = plain.read_text()
+    assert texts == [text, text.replace("\n", "\r\n")]
 
 
 @pytest.mark.parametrize("command", ["run", "audit"])

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from ceforge import (
     DualEngine,
     LemmaViolation,
+    PrefixFreeMachine,
     Scenario,
     SingleEngine,
+    WeightOverflow,
     audit_trace,
     gen_scenario,
     report_to_json,
@@ -196,6 +198,32 @@ class TestEngineProperties:
 
     def test_lemma_violation_is_raising_type(self):
         assert issubclass(LemmaViolation, RuntimeError)
+
+    def test_weight_overflow_is_a_lemma_violation(self):
+        assert issubclass(WeightOverflow, LemmaViolation)
+
+    @pytest.mark.parametrize(
+        "engine_cls", [SingleEngine, DualEngine], ids=["single", "dual"]
+    )
+    def test_engine_raises_the_machines_overflow(
+        self, monkeypatch, single_scripted, engine_cls
+    ):
+        """A machine that describes at length 0 reaches weight 1 with its
+        first entry; the run raises the machine's own WeightOverflow, with
+        no second exception wrapped around it."""
+        describe = PrefixFreeMachine.describe
+        monkeypatch.setattr(
+            PrefixFreeMachine,
+            "describe",
+            lambda self, output, length, stage: describe(
+                self, output, 0, stage
+            ),
+        )
+        engine = engine_cls(single_scripted)
+        with pytest.raises(WeightOverflow) as caught:
+            engine.run(single_scripted.stages)
+        assert type(caught.value) is WeightOverflow
+        assert str(caught.value).endswith(" v0: weight would reach 1/2^0")
 
 
 class _Naive:
