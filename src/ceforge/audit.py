@@ -65,7 +65,9 @@ C scanner (the one ``json.loads`` uses) at the line's offset, so no list
 of line copies is made; it hands a line to ``json.loads`` itself only when
 the scan does not end exactly at that line's ``\\n``, and that call skips a
 blank line and words any refusal; a JSON syntax error is raised again at
-its place in the whole text, so its message names the trace line.  Its
+its place in the whole text, so its message names the trace line, and a
+line nested too deep or holding an integer past the interpreter's digit
+limit is refused with ``line N: `` before the parser's message.  Its
 lines are those of ``str.splitlines``: a text that may hold another line
 break is first rewritten with ``\\n`` between those lines.  Writing
 reports, which can echo integers read from a trace, stays on the standard
@@ -703,7 +705,7 @@ def check_markers(
         "marker-consistency",
     ):
         _decided(checks, replay, name)
-    checks.extend(_check_reuse_bounds(replay, scenario, replay.ledgers))
+    checks.extend(_check_reuse_bounds(replay, scenario))
     return checks
 
 
@@ -715,9 +717,7 @@ def _reused(reuses: list[tuple[int, str]], start: int, end: int) -> set[str]:
 
 
 def _check_reuse_bounds(
-    replay: _Replay,
-    scenario: Scenario,
-    ledgers: dict[str, UsageLedger],
+    replay: _Replay, scenario: Scenario
 ) -> list[dict[str, Any]]:
     """Per uninjured interval of each marker, the weight of the schedule
     descriptions it reused and that stay active at the interval end is at
@@ -738,7 +738,7 @@ def _check_reuse_bounds(
     """
     checks: list[dict[str, Any]] = []
     dual = replay.header["engine"] == "dual"
-    final = replay.final_stage
+    final, ledgers = replay.final_stage, replay.ledgers
     causes = set().union(*(ledger.reuses for ledger in ledgers.values()))
     ok = True
     witness: dict[str, Any] = {}
@@ -831,8 +831,8 @@ def check_coverage(
     final = replay.final_stage
     cutoff = final - final // 4
     # Every segment here is a schedule output: an entry's n is the output
-    # length of its justifying event (``_Replay.from_records``).
-    width = max((len(e.output) for e in scenario.schedule.events), default=0)
+    # length of its justifying event, and the pass holds B up to the
+    # longest output (``_Replay.from_records``).
     k_m, b_final = replay.k_m, replay.b_final
     for side in replay.sides:
         given = scenario.set_a if side == "a" else scenario.set_d
@@ -846,7 +846,7 @@ def check_coverage(
         for element, stage in given.schedule:
             if stage > cutoff and element < quiet_bound:
                 quiet_bound = element
-        given_final = given.restrict(width, final)
+        given_final = given.restrict(len(b_final), final)
         k_a: dict[int, int] = {}
         for event in scenario.schedule.events:
             n = len(event.output)
@@ -961,10 +961,13 @@ def trace_from_jsonl(text: str) -> list[dict[str, Any]]:
     and otherwise raises what ``json.loads`` raises on the line, except
     that a JSONDecodeError is raised again at its place in the whole text:
     its message gives the trace line and the column in that line, and its
-    ``char`` counts in the text with ``\\n`` between the lines.  A text
-    that may hold a line break other than ``\\n`` (any non-ASCII
-    character, or one of ``\\r``, ``\\v``, ``\\f`` and ``\\x1c``-``\\x1e``)
-    is first rewritten with ``\\n`` between its ``splitlines`` lines.
+    ``char`` counts in the text with ``\\n`` between the lines.  Any other
+    ValueError (an integer past the interpreter's digit limit) or a
+    RecursionError (a value nested too deep) is raised again as the same
+    type, with ``line N: `` before its message.  A text that may hold a
+    line break other than ``\\n`` (any non-ASCII character, or one of
+    ``\\r``, ``\\v``, ``\\f`` and ``\\x1c``-``\\x1e``) is first rewritten
+    with ``\\n`` between its ``splitlines`` lines.
     """
     if not text.isascii() or any(c in text for c in _OTHER_BREAKS):
         text = "\n".join(text.splitlines())
@@ -988,5 +991,9 @@ def trace_from_jsonl(text: str) -> list[dict[str, Any]]:
                 except json.JSONDecodeError as exc:
                     # placed in the text, so the message names the line
                     raise json.JSONDecodeError(exc.msg, text, start + exc.pos)
+                except (ValueError, RecursionError) as exc:
+                    # nested too deep, or an integer past the digit limit
+                    number = text.count("\n", 0, start) + 1
+                    raise type(exc)(f"line {number}: {exc}")
         start = stop + 1
     return records

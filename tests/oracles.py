@@ -505,16 +505,20 @@ def jsonl_stdlib(records) -> str:
 def trace_from_jsonl_naive(text: str) -> list:
     """The records of a JSONL trace, one ``json.loads`` per line that is
     not blank.  A JSON syntax error is raised again at its place in the
-    lines joined with ``\\n``, so its message names the trace line."""
+    lines joined with ``\\n``, so its message names the trace line; any
+    other ValueError or a RecursionError is raised again as its type with
+    ``line N: `` before its message."""
     lines = text.splitlines()
     joined = "\n".join(lines)
     records, start = [], 0
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         if line.strip():
             try:
                 records.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise json.JSONDecodeError(exc.msg, joined, start + exc.pos)
+            except (ValueError, RecursionError) as exc:
+                raise type(exc)(f"line {number}: {exc}")
         start += len(line) + 1
     return records
 
@@ -538,7 +542,7 @@ def b_walk(replay, bits: bytearray):
 
 def check_weights_walk(
     replay: _Replay, scenario: Scenario
-) -> tuple[list[dict[str, Any]], dict[str, UsageLedger]]:
+) -> list[dict[str, Any]]:
     """The weight checks.  Machine weights are summed as ints in units of
     2^-``weight_exp`` (``_Replay``); a ``Dyadic`` is built only for the
     containers, which compare weights of different scales, and for the
@@ -618,13 +622,11 @@ def check_weights_walk(
             }
             break
     _check(checks, "n-machine-bounds", n_ok, n_witness)
-    return checks, ledgers
+    return checks
 
 
 def check_markers_walk(
-    replay: _Replay,
-    scenario: Scenario,
-    ledgers: dict[str, UsageLedger],
+    replay: _Replay, scenario: Scenario
 ) -> list[dict[str, Any]]:
     checks: list[dict[str, Any]] = []
 
@@ -710,7 +712,7 @@ def check_markers_walk(
     _check(checks, "marker-monotone-indices", order_ok, order_witness)
     _check(checks, "marker-consistency", consist_ok, consist_witness)
 
-    checks.extend(_check_reuse_bounds(replay, scenario, ledgers))
+    checks.extend(_check_reuse_bounds(replay, scenario))
     return checks
 
 
@@ -808,8 +810,8 @@ def audit_trace_walks(
 ) -> dict[str, Any]:
     """Full audit of a trace against its scenario; pure and deterministic."""
     replay = _Replay.from_records(records, scenario)
-    checks, ledgers = check_weights_walk(replay, scenario)
-    checks.extend(check_markers_walk(replay, scenario, ledgers))
+    checks = check_weights_walk(replay, scenario)
+    checks.extend(check_markers_walk(replay, scenario))
     checks.extend(check_coverage_walk(replay, scenario))
     checks.extend(check_deficits_walk(replay))
     table = decode_halting(replay, scenario)

@@ -245,9 +245,14 @@ _WRITER_SCENARIOS = {
     "engine_cls", [SingleEngine, DualEngine], ids=["single", "dual"]
 )
 def test_writer_matches_stdlib_encoder(engine_cls, name):
+    """The trace is written as the standard library's encoder writes it,
+    and decodes to the engine's records, so ``audit`` of a written trace
+    reads what ``run`` audited."""
     scenario = _WRITER_SCENARIOS[name]()
     records = engine_cls(scenario).run(scenario.stages)
-    assert_same_lines(trace_to_jsonl(records), oracles.jsonl_stdlib(records))
+    text = trace_to_jsonl(records)
+    assert_same_lines(text, oracles.jsonl_stdlib(records))
+    assert trace_from_jsonl(text) == records
 
 
 #: JSON values a trace line may hold, record or not.

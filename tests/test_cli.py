@@ -5,12 +5,16 @@ import decimal
 import gc
 import io
 import json
+import os
+import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
 
 import oracles
+import ceforge
 from ceforge import (
     DualEngine,
     SingleEngine,
@@ -491,6 +495,10 @@ def _deficit_signed(records):
     records[1]["markers"]["0"]["p_a"] = "0/2^+0"
 
 
+def _deficit_numerator_signed(records):
+    records[1]["markers"]["0"]["p_a"] = "+0/2^0"
+
+
 def _deficit_spaced(records):
     records[1]["markers"]["0"]["p_a"] = " 0/2^0"
 
@@ -734,6 +742,10 @@ _NAMED = {
         "malformed trace: record 1 marker 0 p_a '0/2^+0' is not num/2^exp "
         "with num >= 0 and exp in 0..4"
     ),
+    _deficit_numerator_signed: (
+        "malformed trace: record 1 marker 0 p_a '+0/2^0' is not num/2^exp "
+        "with num >= 0 and exp in 0..4"
+    ),
     _deficit_spaced: (
         "malformed trace: record 1 marker 0 p_a ' 0/2^0' is not num/2^exp "
         "with num >= 0 and exp in 0..4"
@@ -801,6 +813,7 @@ _NAMED = {
         ("dual_scripted", _marker_key_padded),
         ("single_scripted", _marker_key_not_a_number),
         ("dual_scripted", _deficit_signed),
+        ("dual_scripted", _deficit_numerator_signed),
         ("dual_scripted", _deficit_spaced),
         ("dual_scripted", _deficit_underscored),
         ("dual_scripted", _deficit_non_ascii_digits),
@@ -1406,15 +1419,30 @@ def test_unreadable_trace_exits_two(capsys, tmp_path, data_dir, case):
     assert err.startswith("trace error:"), err
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+#: Third lines that the trace decoder refuses, each with the line break
+#: written between the lines: a JSON syntax error, and two values that
+#: ``json.loads`` refuses with no position, nested too deep or holding an
+#: integer past the interpreter's 4,300-digit limit.
+_BAD_THIRD_LINES = {
+    "lf": ('{"stage":2,}', "\n"),  # no name after the comma, at column 12
+    "crlf": ('{"stage":2,}', "\r\n"),
+    "deep-nesting": (_DEEP, "\n"),
+    "long-int": ("9" * 5_000, "\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_THIRD_LINES))
 def test_json_syntax_error_names_the_trace_line(
-    capsys, tmp_path, data_dir, newline
+    capsys, tmp_path, data_dir, case
 ):
-    """A JSON syntax error on the third line is refused at line 3, column
-    12: each line is decoded alone, but the message places it in the
-    trace, with ``char`` counted in the lines joined by ``\\n``."""
+    """A third line the decoder refuses is refused naming line 3.  A JSON
+    syntax error is placed at line 3, column 12: each line is decoded
+    alone, but the message places it in the trace, with ``char`` counted
+    in the lines joined by ``\\n``.  The parser's own message for a line
+    nested too deep or an integer too long gets ``line 3: `` before it."""
+    line, newline = _BAD_THIRD_LINES[case]
     lines = (data_dir / "single_scripted_trace.jsonl").read_text().split("\n")
-    lines[2] = '{"stage":2,}'  # no name after the comma, at column 12
+    lines[2] = line
     trace = tmp_path / "trace.jsonl"
     trace.write_bytes(newline.join(lines).encode())
     code, out, err = run_cli(
@@ -1423,13 +1451,17 @@ def test_json_syntax_error_names_the_trace_line(
         "--scenario", str(data_dir / "single_scripted.json"),
         "--trace", str(trace),
     )
-    char = len(lines[0]) + len(lines[1]) + 2 + 11
-    assert (code, out, err) == (
-        EXIT_SCENARIO,
-        "",
-        "trace error: Expecting property name enclosed in double quotes: "
-        f"line 3 column 12 (char {char})\n",
-    )
+    if case in ("lf", "crlf"):
+        char = len(lines[0]) + len(lines[1]) + 2 + 11
+        message = (
+            "Expecting property name enclosed in double quotes: "
+            f"line 3 column 12 (char {char})"
+        )
+    else:
+        with pytest.raises((ValueError, RecursionError)) as refused:
+            json.loads(line)
+        message = f"line 3: {refused.value}"
+    assert (code, out, err) == (EXIT_SCENARIO, "", f"trace error: {message}\n")
 
 
 def test_audit_hands_the_decoder_the_trace_line_breaks(
@@ -1935,3 +1967,67 @@ def test_main_leaves_the_collector_as_it_found_it(
     capsys.readouterr()
     assert got == code
     assert during == [False]
+
+
+def _process(tmp_path, *argv: str, hashseed: str = "0"):
+    """``python -m ceforge.cli`` with ``argv`` in a new process, under the
+    string hash seed ``hashseed``.  The child imports the ``ceforge`` this
+    test imported, whatever the interpreter has installed."""
+    source = str(pathlib.Path(ceforge.__file__).parents[1])
+    path = [source, os.environ.get("PYTHONPATH")]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, path)),
+        "PYTHONHASHSEED": hashseed,
+    }
+    done = subprocess.run(
+        [sys.executable, "-m", "ceforge.cli", *argv],
+        capture_output=True, cwd=tmp_path, env=env, text=True, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_processes_write_the_same_bytes_under_two_hash_seeds(tmp_path):
+    """Real processes, where the tests above call ``main`` in this one.
+    Under ``PYTHONHASHSEED`` 0 and 1, which change the order in which a
+    set or dict of strings is walked, ``run`` writes the same trace and
+    report bytes on either engine, and ``audit`` of the trace writes the
+    run's report.  Each exit code passes through the process: 1 for a
+    report that cannot be written, 2 with one line for a malformed
+    scenario, and 3 for the caused-reuses scenario's dual run."""
+    assert _process(tmp_path, "gen", "--seed", "3", "--out", "s.json") == (
+        EXIT_OK, "", ""
+    )
+    for engine in ("single", "dual"):
+        written = []
+        for hashseed in ("0", "1"):
+            argv = ["--trace-out", f"{engine}{hashseed}.jsonl",
+                    "--report-out", f"{engine}{hashseed}.json"]
+            assert _process(
+                tmp_path, "run", "--scenario", "s.json", "--engine", engine,
+                *argv, hashseed=hashseed,
+            ) == (EXIT_OK, "", "")
+            written.append([(tmp_path / f).read_bytes() for f in argv[1::2]])
+        assert written[0] == written[1], engine
+        assert _process(
+            tmp_path, "audit", "--scenario", "s.json",
+            "--trace", f"{engine}0.jsonl", "--report-out", "audit.json",
+        ) == (EXIT_OK, "", "")
+        assert (tmp_path / "audit.json").read_bytes() == written[0][1]
+    code, out, err = _process(
+        tmp_path, "run", "--scenario", "s.json", "--report-out", "no/r.json"
+    )
+    assert (code, out) == (EXIT_FAIL, "")
+    assert err.startswith("output error:") and err.count("\n") == 1, err
+    (tmp_path / "bad.json").write_text("{oops")
+    code, out, err = _process(tmp_path, "run", "--scenario", "bad.json")
+    assert (code, out) == (EXIT_SCENARIO, "")
+    assert err.startswith("scenario error:") and err.count("\n") == 1, err
+    (tmp_path / "caused.json").write_text(
+        gen_scenario(9898, CAUSED_REUSES).to_json()
+    )
+    code, out, err = _process(
+        tmp_path, "run", "--scenario", "caused.json", "--engine", "dual"
+    )
+    assert (code, err) == (EXIT_LEMMA, "audit failed: reuse-bounds\n")
+    assert json.loads(out)["pass"] is False
