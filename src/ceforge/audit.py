@@ -17,23 +17,32 @@ needs; ``Dyadic`` values remain where those weights of different scales
 are added and compared, and for report strings.  The
 engine writes no ``weights`` field, and the audit reads none, so a trace
 with or without one (older traces wrote it) audits to the same report.
+Likewise older traces wrote four fields that restate the others: a
+record's ``acting``, ``placed`` and ``frozen``, and a marker snapshot's
+``frozen`` (README, "Trace").  The engine writes none of them and the
+audit reads none, so a trace that carries them audits the same.
 
 Whether a trace is well formed is decided in one place.
 ``_Replay.from_records`` tests every rule whose failure makes the audit
 refuse the trace (a ValueError, exit 2 at the command line): field types,
 stage order, sides, codewords, marker keys, c and deficits, the N-entry
-length bound and each M-entry's justifying description.  It does so in the one
-pass it makes over every record, entry and snapshot, before any named
-check decides.  So a report is written only for a well-formed trace, and
-the named checks never raise.  The field tables decide each field's type:
-each table is compiled once, at import, into one test of its fields
-(``_Fields``), which a missing field fails even where null is allowed,
-and ``_require`` names the field at fault once a test has failed.  Each
+length bound, each M-entry's justifying description, and each record's
+``action`` and ``clauses`` against its ``b_added`` and m-entries
+(``_action_fault``).  It does so in the one pass it makes over every
+record, entry and snapshot, before any named check decides.  So a report
+is written only for a well-formed trace, and the named checks never
+raise.  The field tables decide each field's type: each table is compiled
+once, at import, into one test of its fields (``_Fields``), which a
+missing field fails even where null is allowed, and ``_require`` names
+the field at fault once a test has failed.  Each
 rule reads ``if <violated>: _refuse(...)``: ``_refuse`` is the one
 function that words a refusal (``malformed trace: record N ...``), and
 only a trace with no header record at all is refused apart.  The rules
 are tested in one fixed order, so a trace that breaks several gets the
-message of the first.
+message of the first.  The action rules come after every other: the
+pass keeps the first record that breaks one and refuses it once every
+other rule has held, so a trace that breaks another rule as well is
+refused as it was before they existed.
 
 The audit does work linear in the trace size, and it reads the records
 once.  The pass of ``_Replay.from_records`` that tests the rules also
@@ -281,6 +290,35 @@ def _deficit(text: str, longest: int) -> tuple[int, int] | None:
         return None
 
 
+#: The actions a stage record may name.
+_ACTIONS = ("noop", "place", "describe", "act")
+
+
+def _action_fault(
+    record: dict[str, Any], added: int | None, m_entries: list[Any]
+) -> str | None:
+    """What is wrong with the ``action`` and ``clauses`` of a stage record
+    that adds ``added`` to B and holds ``m_entries``, by the first rule it
+    breaks, or None.  A record acts exactly when it adds to B, describes
+    exactly when it adds nothing and has m-entries, and names its clauses
+    exactly when it acts."""
+    action = record.get("action")
+    if action not in _ACTIONS:
+        return f"action {action!r} is not noop, place, describe or act"
+    if (action == "act") != (added is not None):
+        return (f"action {action!r} does not match b_added {added!r}: a "
+                "record acts exactly when it adds to B")
+    if (action == "describe") != (added is None and bool(m_entries)):
+        return (f"action {action!r} does not match b_added {added!r} and "
+                f"{len(m_entries)} m_entries: a record describes exactly "
+                "when it adds nothing to B and has m_entries")
+    clauses = record.get("clauses")
+    if (clauses is None) != (action != "act"):
+        return (f"action {action!r} does not match clauses {clauses!r}: a "
+                "record names its clauses exactly when it acts")
+    return None
+
+
 def _refuse_entry(
     number: int, part: str, side: str, length: int, engine: str
 ) -> NoReturn:
@@ -422,6 +460,9 @@ class _Replay:
         current: list[int | None] = []
         placed: list[int] = []
         bad: set[int] = set()
+        # The first record whose action breaks a rule, and what is wrong:
+        # it is refused only once every other rule has held.
+        action_fault: tuple[int, str] | None = None
         for number, record in enumerate(replay.stages, 1):
             stage, added, markers, injured, m_entries, n_entries = (
                 _RECORD_FIELDS.typed(record)
@@ -485,6 +526,10 @@ class _Replay:
                 stage + _repeat(record, number) - 1
                 if "repeat" in record else stage
             )
+            if action_fault is None:
+                what = _action_fault(record, added, m_entries)
+                if what is not None:
+                    action_fault = number, what
             if added is not None:
                 # a position in B gets no attention, so it enters B once
                 if added in b_stage:
@@ -597,6 +642,8 @@ class _Replay:
         if n_longest > longest + top_c:
             _refuse(n_number, f"n_entries length {n_longest} exceeds "
                     f"{longest + top_c}")
+        if action_fault is not None:
+            _refuse(*action_fault)
         replay.final_stage = previous
         # An m-entry is as long as its justifying schedule codeword.
         replay.weight_exp = max(longest, n_longest)

@@ -385,7 +385,7 @@ class BaseEngine:
         self._last_fresh = max(self._last_fresh, stage) + 1
         return self._last_fresh
 
-    def _place(self, index: int, position: int, stage: int) -> Marker:
+    def _place(self, index: int, position: int, stage: int) -> None:
         """Place the least unplaced marker, ``index``, on ``position``."""
         if index == len(self.markers):
             self.markers.append(
@@ -401,7 +401,6 @@ class BaseEngine:
             bisect.insort(self._t_sorted, (INFINITE, index, side))
         if self._can_act(marker, stage):
             self._candidates.append(index)
-        return marker
 
     def _can_act(self, marker: Marker, stage: int) -> bool:
         """Whether some clause can fire for the placed ``marker`` at
@@ -629,11 +628,8 @@ class BaseEngine:
         record: dict[str, Any] = {
             "stage": stage,
             "action": "noop",
-            "acting": None,
             "clauses": None,
-            "frozen": False,
             "b_added": None,
-            "placed": None,
             "z": None,
             "injured": [],
             "m_entries": [],
@@ -656,10 +652,9 @@ class BaseEngine:
                 describe = describe or z is not None
             record["z"] = cursors
             if place:
-                marker = self._place(index, self._fresh(stage), stage)
+                self._place(index, self._fresh(stage), stage)
                 self._dirty.update((index, side) for side in self.side_names)
                 record["action"] = "place"
-                record["placed"] = [index, marker.position]
                 touched.add(index)
             elif describe:
                 record["action"] = "describe"
@@ -673,7 +668,6 @@ class BaseEngine:
             marker = self.markers[attention_index]
             clause_a = self.scenario.halting.contains(attention_index, stage)
             record["action"] = "act"
-            record["acting"] = attention_index
             touched.add(attention_index)
             clause_letter = {"a": "b", "d": "c"}
             record["clauses"] = {
@@ -689,7 +683,6 @@ class BaseEngine:
                 # The coding position must stay put so that membership of the
                 # index in the halting set remains readable from B.
                 marker.frozen = True
-                record["frozen"] = True
             else:
                 marker.position = self._fresh(stage)
             for side, tracker in self.sides.items():
@@ -755,11 +748,7 @@ class BaseEngine:
         snapshot: dict[str, Any] = {}
         for index in sorted(touched):
             marker = self.markers[index]
-            entry: dict[str, Any] = {
-                "pos": marker.position,
-                "c": marker.c,
-                "frozen": marker.frozen,
-            }
+            entry: dict[str, Any] = {"pos": marker.position, "c": marker.c}
             if self.use_deficits:
                 for side in self.side_names:
                     entry[f"p_{side}"] = dyadic_str(

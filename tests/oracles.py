@@ -417,6 +417,56 @@ def injure_unplaced(records):
     return rewritten
 
 
+class Restater:
+    """``restore_restated`` one stage record at a time: called on each
+    stage record of a trace in order, it returns the record with the four
+    fields put back, from the positions and B that the records before it
+    and the record itself show."""
+
+    def __init__(self) -> None:
+        # each marker's last position; marker 0 is placed on position 1 at
+        # stage 0, before the first record
+        self.pos: dict[int, int | None] = {0: 1}
+        self.b: set[int] = set()  # the positions in B so far
+
+    def __call__(self, record):
+        added = record["b_added"]
+        acting = None
+        if added is not None:
+            acting = next(
+                (i for i, pos in self.pos.items() if pos == added), None
+            )
+            self.b.add(added)
+        markers = {
+            key: {**snap, "frozen": snap["pos"] in self.b}
+            for key, snap in record["markers"].items()
+        }
+        placed = None
+        if record["action"] == "place":
+            index = max(map(int, markers))
+            placed = [index, markers[str(index)]["pos"]]
+        frozen = acting is not None and markers[str(acting)]["pos"] == added
+        for key, snap in markers.items():
+            self.pos[int(key)] = snap["pos"]
+        return {
+            **record, "acting": acting, "placed": placed, "frozen": frozen,
+            "markers": markers,
+        }
+
+
+def restore_restated(records):
+    """The trace with the four fields the engine once wrote that restate
+    the others, rebuilt from them.  A stage record's ``acting`` is the
+    marker whose position before the record was ``b_added`` (marker 0's
+    is 1 before the first record), else None; its ``placed`` is ``[k,
+    pos]`` for the largest snapshot key k of a ``place`` record, else
+    None; its ``frozen`` says whether the acting marker's new ``pos`` is
+    ``b_added``.  A snapshot's ``frozen`` says whether its ``pos`` is not
+    None and already in B, this record's ``b_added`` included."""
+    restate = Restater()
+    return [records[0], *map(restate, records[1:])]
+
+
 def restore_weights(records):
     """The trace with the ``weights`` field the engine once wrote, rebuilt
     from the entries.  ``m_<side>`` is the running sum of 2^-``length`` over

@@ -209,7 +209,26 @@ class TestTraceSerialization:
         self, data_dir, name, digest
     ):
         records = load_jsonl(data_dir / f"{name}_scripted_trace.jsonl")
-        text = trace_to_jsonl(oracles.restore_weights(records))
+        text = trace_to_jsonl(
+            oracles.restore_weights(oracles.restore_restated(records))
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            # sha256 of the scripted fixtures as recorded when every record
+            # wrote ``acting``, ``placed`` and ``frozen`` and every marker
+            # snapshot ``frozen``.
+            ("single", "163af7e134a34324ed5d08b76c9fa641d002beeb145dae615ff1eecc5fdf0e04"),
+            ("dual", "d50188b97b81ea736d55078527517515cfa35f73b157098ec132aff2f338599a"),
+        ],
+    )
+    def test_restored_restatements_rebuild_the_old_fixture(
+        self, data_dir, name, digest
+    ):
+        records = load_jsonl(data_dir / f"{name}_scripted_trace.jsonl")
+        text = trace_to_jsonl(oracles.restore_restated(records))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -353,12 +372,16 @@ def _assert_indexes_match_oracles(records, scenario):
     and the same index of the trace with its ``repeat`` records written
     out.  The report equals the one the audit's former record walks build
     (``oracles.audit_trace_walks``).  A trace with the ``weights`` field
-    restored, as the engine once wrote it, audits to the same report.  No
-    two adjacent records of the trace could be folded into one."""
+    restored, or with the four fields that restate the others
+    (``oracles.restore_restated``), as the engine once wrote them, audits
+    to the same report.  No two adjacent records of the trace could be
+    folded into one."""
     _assert_report_matches_the_walks(records, scenario)
-    assert report_to_json(
-        audit_trace(oracles.restore_weights(records), scenario)
-    ) == report_to_json(audit_trace(records, scenario))
+    report = report_to_json(audit_trace(records, scenario))
+    for restore in (oracles.restore_weights, oracles.restore_restated):
+        assert report_to_json(
+            audit_trace(restore(records), scenario)
+        ) == report, restore.__name__
     assert not oracles.mergeable_pairs(records)
     replay = _Replay.from_records(records, scenario)
     expanded = _Replay.from_records(oracles.expand_repeats(records), scenario)

@@ -581,6 +581,27 @@ def _repeat_huge(records):
     records[-1]["repeat"] = 10**18
 
 
+# The action and clauses of a record must agree with what it does.  No
+# named check reads either, so each of these faults alone leaves the dual
+# fixture's checks passing.
+
+
+def _action_unknown(records):
+    records[4]["action"] = "wait"
+
+
+def _act_as_place(records):
+    records[3]["action"] = "place"
+
+
+def _describe_as_noop(records):
+    records[5]["action"] = "noop"
+
+
+def _act_without_clauses(records):
+    records[7]["clauses"] = None
+
+
 #: The whole message that refuses each fault, as the audit words it.  Each
 #: must name the value at fault where there is one: a bare KeyError
 #: would print only the side.
@@ -758,6 +779,23 @@ _NAMED = {
         "malformed trace: record 1 marker 0 p_d '\u0660/2^0' is not num/2^exp "
         "with num >= 0 and exp in 0..4"
     ),
+    _action_unknown: (
+        "malformed trace: record 4 action 'wait' is not noop, place, "
+        "describe or act"
+    ),
+    _act_as_place: (
+        "malformed trace: record 3 action 'place' does not match b_added 1: "
+        "a record acts exactly when it adds to B"
+    ),
+    _describe_as_noop: (
+        "malformed trace: record 5 action 'noop' does not match b_added None "
+        "and 1 m_entries: a record describes exactly when it adds nothing to "
+        "B and has m_entries"
+    ),
+    _act_without_clauses: (
+        "malformed trace: record 7 action 'act' does not match clauses None: "
+        "a record names its clauses exactly when it acts"
+    ),
 }
 
 
@@ -817,6 +855,10 @@ _NAMED = {
         ("dual_scripted", _deficit_spaced),
         ("dual_scripted", _deficit_underscored),
         ("dual_scripted", _deficit_non_ascii_digits),
+        ("dual_scripted", _action_unknown),
+        ("dual_scripted", _act_as_place),
+        ("dual_scripted", _describe_as_noop),
+        ("dual_scripted", _act_without_clauses),
     ],
     ids=lambda value: getattr(value, "__name__", value).lstrip("_"),
 )
@@ -1141,6 +1183,20 @@ def _record_at(records, stage):
     return number + (stage > first)
 
 
+def _as_it_reads(record):
+    """Name the action that the b_added and m_entries of ``record`` now
+    make it: an act stays one; a record that adds nothing to B is a
+    ``describe`` if it has m-entries, and a ``describe`` left with none is
+    a ``noop``.  So the audit, which refuses a record whose action
+    disagrees with them, reaches the named checks."""
+    if record["b_added"] is not None:
+        return
+    if record["m_entries"]:
+        record["action"] = "describe"
+    elif record["action"] == "describe":
+        record["action"] = "noop"
+
+
 def _drop_last_m_entries(side):
     """Drop the side's m-entries from the last record that has any."""
 
@@ -1152,6 +1208,7 @@ def _drop_last_m_entries(side):
         last["m_entries"] = [
             entry for entry in last["m_entries"] if entry["side"] != side
         ]
+        _as_it_reads(last)
 
     return mutate
 
@@ -1257,6 +1314,7 @@ def _overdraw(records, scenario, index, number, end):
                 "codeword": "0" * len(codeword),
             })
     assert weight > bound, (index, weight, bound)
+    _as_it_reads(record)
 
 
 def _overdrawn_reuses(records, scenario):
@@ -1973,6 +2031,13 @@ def _process(tmp_path, *argv: str, hashseed: str = "0"):
     """``python -m ceforge.cli`` with ``argv`` in a new process, under the
     string hash seed ``hashseed``.  The child imports the ``ceforge`` this
     test imported, whatever the interpreter has installed."""
+    return _python(tmp_path, "-m", "ceforge.cli", *argv, hashseed=hashseed)
+
+
+def _python(tmp_path, *argv: str, hashseed: str):
+    """(exit code, stdout, stderr) of ``python`` with ``argv`` in a new
+    process in ``tmp_path``, under the string hash seed ``hashseed``,
+    with the ``ceforge`` this test imported on its path."""
     source = str(pathlib.Path(ceforge.__file__).parents[1])
     path = [source, os.environ.get("PYTHONPATH")]
     env = {
@@ -1981,26 +2046,38 @@ def _process(tmp_path, *argv: str, hashseed: str = "0"):
         "PYTHONHASHSEED": hashseed,
     }
     done = subprocess.run(
-        [sys.executable, "-m", "ceforge.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True, cwd=tmp_path, env=env, text=True, timeout=60,
     )
     return done.returncode, done.stdout, done.stderr
 
 
+#: Two string hash seeds under which a set of two side names is walked in
+#: opposite orders.
+_HASH_SEEDS = ("0", "2")
+
+
 def test_processes_write_the_same_bytes_under_two_hash_seeds(tmp_path):
     """Real processes, where the tests above call ``main`` in this one.
-    Under ``PYTHONHASHSEED`` 0 and 1, which change the order in which a
-    set or dict of strings is walked, ``run`` writes the same trace and
-    report bytes on either engine, and ``audit`` of the trace writes the
-    run's report.  Each exit code passes through the process: 1 for a
-    report that cannot be written, 2 with one line for a malformed
-    scenario, and 3 for the caused-reuses scenario's dual run."""
+    Under ``PYTHONHASHSEED`` 0 and 2, which walk the set of side names
+    ``{"a", "d"}`` in opposite orders (seeds 0 and 1 walk it alike),
+    ``run`` writes the same trace and report bytes on either engine, and
+    ``audit`` of the trace writes the run's report.  Each exit code passes
+    through the process: 1 for a report that cannot be written, 2 with one
+    line for a malformed scenario, and 3 for the caused-reuses scenario's
+    dual run."""
     assert _process(tmp_path, "gen", "--seed", "3", "--out", "s.json") == (
         EXIT_OK, "", ""
     )
+    orders = [
+        _python(tmp_path, "-c", 'print(tuple({"a", "d"}))', hashseed=seed)
+        for seed in _HASH_SEEDS
+    ]
+    assert orders[0][0] == orders[1][0] == EXIT_OK
+    assert orders[0][1] != orders[1][1], orders
     for engine in ("single", "dual"):
         written = []
-        for hashseed in ("0", "1"):
+        for hashseed in _HASH_SEEDS:
             argv = ["--trace-out", f"{engine}{hashseed}.jsonl",
                     "--report-out", f"{engine}{hashseed}.json"]
             assert _process(

@@ -40,6 +40,7 @@ from oracles import (
     k_at_n,
     least_unplaced,
     machine_k_at,
+    restore_restated,
     restore_weights,
     thresholds,
 )
@@ -49,14 +50,14 @@ from oracles import (
 def single_run(single_scripted):
     engine = SingleEngine(single_scripted)
     records = engine.run(6)
-    return engine, records[1:]
+    return engine, restore_restated(records)[1:]
 
 
 @pytest.fixture(scope="module")
 def dual_run(dual_scripted):
     engine = DualEngine(dual_scripted)
     records = engine.run(8)
-    return engine, records[1:]
+    return engine, restore_restated(records)[1:]
 
 
 class TestSingleScripted:
@@ -400,7 +401,8 @@ def _fresh_floor(scenario, side_names):
 
 
 def _check_marker_invariants(engine, record, seen):
-    """The invariants of ``BaseEngine`` after the stage of ``record``,
+    """The invariants of ``BaseEngine`` after the stage of ``record``, a
+    stage record with its restated fields put back (``oracles.Restater``),
     against what the records before it showed.  ``seen`` holds each
     index's last position (``pos``), every position (``positions``), the
     acting index of each act record (``acting``) and how many machines the
@@ -578,7 +580,8 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     records = fast.run(1)
     assert_same_lines(trace_to_jsonl(records), trace_to_jsonl(naive.run(1)))
     seen = SimpleNamespace(pos={}, positions=set(), acting=[], archived=0)
-    _check_marker_invariants(fast, records[-1], seen)
+    restate = oracles.Restater()
+    _check_marker_invariants(fast, restate(records[-1]), seen)
     _check_indexes(fast)
     skipped = absorbed = 0  # the stages the clock would skip, and absorb
     jump = None  # the last bare no-op, while the clock would skip
@@ -615,7 +618,7 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
             )
         else:
             jump = None
-        _check_marker_invariants(fast, records[-1], seen)
+        _check_marker_invariants(fast, restate(records[-1]), seen)
         _check_indexes(fast)
     # Some marker sits above every described segment, where it is a
     # candidate only once its index has entered the halting set, the
@@ -640,7 +643,8 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
 
 
 #: sha256 of the full-horizon JSONL traces with the quiet tail written out,
-#: the ``weights`` field the engine once wrote restored and the injuries of
+#: the ``weights`` field and the restated ``acting``, ``placed`` and
+#: ``frozen`` fields the engine once wrote restored and the injuries of
 #: unplaced markers put back, recorded before the stamp cache gave way to
 #: the dirty set, and of their audit reports, recorded before the audit
 #: built its indexes in one pass.
@@ -660,8 +664,8 @@ FROZEN_REPORTS = {
 
 #: sha256 of the same traces with no ``weights`` field, folded as the
 #: engine wrote them before it folded every run of bare no-ops (the quiet
-#: tail alone, ``oracles.fold_quiet_tail``), and with the injuries of
-#: unplaced markers put back.
+#: tail alone, ``oracles.fold_quiet_tail``), and with the restated fields
+#: and the injuries of unplaced markers put back.
 FOLDED_TRACES = {
     (0, "single"): "7281418183957b5dc355159334f5bd6598af0cb6ce4669ddc8b733b48bd77231",
     (0, "dual"): "962b4291520d4c95a129173d1bc4da2ff70fc5aa10428e932d8d7c7d14272aef",
@@ -686,13 +690,16 @@ def _sha256(text):
 def test_generated_traces_are_byte_frozen(seed, engine_cls):
     """Full-horizon traces of generated scenarios, quiet phase and all
     markers included, and their audit reports stay byte-identical.  The
-    traces are pinned as written under the rules that only the quiet tail
-    is folded and that an act also injures unplaced markers, and such a
-    trace audits to the same report."""
+    traces are pinned as written under the rules that records restate
+    ``acting``, ``placed`` and ``frozen`` (``oracles.restore_restated``),
+    that only the quiet tail is folded and that an act also injures
+    unplaced markers, and such a trace audits to the same report."""
     scenario = generated(seed)
     records = engine_cls(scenario).run(scenario.stages)
     key = seed, engine_cls.engine_name
-    old_rule = injure_unplaced(fold_quiet_tail(records, scenario))
+    old_rule = injure_unplaced(
+        fold_quiet_tail(restore_restated(records), scenario)
+    )
     assert _sha256(trace_to_jsonl(old_rule)) == FOLDED_TRACES[key]
     assert _sha256(
         trace_to_jsonl(restore_weights(expand_repeats(old_rule)))
