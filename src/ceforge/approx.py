@@ -342,9 +342,9 @@ def gen_scenario(seed: int, params: GenParams | None = None) -> Scenario:
     params.validate()
     rng = random.Random(seed)
 
-    def gen_set(size: int, bound: int, lo: int = 1) -> CESetApprox:
+    def gen_set(size: int, bound: int) -> CESetApprox:
         ce = CESetApprox()
-        elements = rng.sample(range(lo, bound), min(size, bound - lo))
+        elements = rng.sample(range(1, bound), min(size, bound - 1))
         for element in elements:
             ce.add(element, rng.randint(1, params.active_stages))
         return ce

@@ -17,20 +17,22 @@ needs; ``Dyadic`` values remain where those weights of different scales
 are added and compared, and for report strings.  The
 engine writes no ``weights`` field, and the audit reads none, so a trace
 with or without one (older traces wrote it) audits to the same report.
-Likewise older traces wrote four fields that restate the others: a
-record's ``acting``, ``placed`` and ``frozen``, and a marker snapshot's
-``frozen`` (README, "Trace").  The engine writes none of them and the
-audit reads none, so a trace that carries them audits the same.
+Likewise older traces wrote fields that restate the others: a record's
+``acting``, ``placed`` and ``frozen``, a marker snapshot's ``frozen``,
+and each m- and n-entry's ``codeword``, which its machine's allocator
+fixes from the lengths of that machine's entries (README, "Trace").  The
+engine writes none of them and the audit reads none, so a trace that
+carries them audits the same.
 
 Whether a trace is well formed is decided in one place.
 ``_Replay.from_records`` tests every rule whose failure makes the audit
 refuse the trace (a ValueError, exit 2 at the command line): field types,
-stage order, sides, codewords, marker keys, c and deficits, the N-entry
-length bound, each M-entry's justifying description, and each record's
-``action`` and ``clauses`` against its ``b_added`` and m-entries
-(``_action_fault``).  It does so in the one pass it makes over every
-record, entry and snapshot, before any named check decides.  So a report
-is written only for a well-formed trace, and the named checks never
+stage order, sides, marker keys, c and deficits, each N-entry length (a
+natural, within the bound), each M-entry's justifying description, and
+each record's ``action`` and ``clauses`` against its ``b_added`` and
+m-entries (``_action_fault``).  It does so in the one pass it makes over
+every record, entry and snapshot, before any named check decides.  So a
+report is written only for a well-formed trace, and the named checks never
 raise.  The field tables decide each field's type: each table is compiled
 once, at import, into one test of its fields (``_Fields``), which a
 missing field fails even where null is allowed, and ``_require`` names
@@ -198,11 +200,10 @@ _RECORD_FIELDS = _Fields(
 )
 _M_ENTRY_FIELDS = _Fields(
     side=(str,), justify=(str,), length=(int,), n=(int,),
-    cause=_OPTIONAL_INT, codeword=(str,),
+    cause=_OPTIONAL_INT,
 )
 _N_ENTRY_FIELDS = _Fields(
     side=(str,), index=(int,), version=(int,), length=(int,),
-    codeword=(str,),
 )
 _SNAPSHOT_FIELDS = {
     "single": _Fields(pos=_OPTIONAL_INT, c=(int,)),
@@ -317,17 +318,6 @@ def _action_fault(
         return (f"action {action!r} does not match clauses {clauses!r}: a "
                 "record names its clauses exactly when it acts")
     return None
-
-
-def _refuse_entry(
-    number: int, part: str, side: str, length: int, engine: str
-) -> NoReturn:
-    """Refuse an entry of stage record ``number`` whose side is not an
-    ``engine`` side or whose codeword is not ``length`` bits;
-    ``from_records`` tests both at once and calls this to say which."""
-    if side not in _SIDES[engine]:
-        _refuse(number, f"{part} side {side!r} is not a {engine} engine side")
-    _refuse(number, f"{part} codeword is not {length} bits of 0 and 1")
 
 
 def _keep_last(
@@ -473,15 +463,13 @@ class _Replay:
             if added is not None and 0 <= added < len(bits):
                 bits[added] = 49  # "1"
             for entry in m_entries:
-                side, justify, length, n, cause, word = (
+                side, justify, length, n, cause = (
                     _M_ENTRY_FIELDS.typed(entry)
                     or _require(entry, _M_ENTRY_FIELDS, number, "m_entries ")
                 )
-                # two counts run faster than one strip("01")
-                if side not in sides or len(word) != length or (
-                    word.count("0") + word.count("1") != length
-                ):
-                    _refuse_entry(number, "m_entries", side, length, engine)
+                if side not in sides:
+                    _refuse(number, f"m_entries side {side!r} is not a "
+                            f"{engine} engine side")
                 # An M-entry describes the output of the schedule
                 # description it names, at that description's length.
                 output = output_of.get(justify)
@@ -506,14 +494,17 @@ class _Replay:
                 if known is None or length < known:
                     k_m[side][described] = length
             for entry in n_entries:
-                side, index, version, length, word = (
+                side, index, version, length = (
                     _N_ENTRY_FIELDS.typed(entry)
                     or _require(entry, _N_ENTRY_FIELDS, number, "n_entries ")
                 )
-                if side not in sides or len(word) != length or (
-                    word.count("0") + word.count("1") != length
-                ):
-                    _refuse_entry(number, "n_entries", side, length, engine)
+                if side not in sides:
+                    _refuse(number, f"n_entries side {side!r} is not a "
+                            f"{engine} engine side")
+                # a weight of 2^-length: check_weights shifts by it
+                if length < 0:
+                    _refuse(number, f"n_entries length {length} is not a "
+                            "natural")
                 if length > n_longest:
                     n_longest, n_number = length, number
                 n_lengths.setdefault((side, index, version), []).append(
@@ -942,17 +933,14 @@ def audit_trace(
     checks.extend(check_deficits(replay))
     table = decode_halting(replay, scenario)
     stable = set(stable_indices(replay))
-    coding_ok = all(
-        row["match"] for row in table if row["index"] in stable
-    )
-    coding_witness = next(
+    witness = next(
         (
             row for row in table
             if row["index"] in stable and not row["match"]
         ),
         {},
     )
-    _check(checks, "coding", coding_ok, dict(coding_witness))
+    _check(checks, "coding", not witness, dict(witness))
     return {
         "engine": replay.header["engine"],
         "stages": replay.header["stages"],

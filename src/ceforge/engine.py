@@ -519,14 +519,13 @@ class BaseEngine:
     ) -> None:
         tracker = self.sides[side]
         length, _, justify = tracker.k_best[k]
-        entry = tracker.machine.describe(self.b_str[:k], length, stage)
+        tracker.machine.describe(self.b_str[:k], length, stage)
         tracker._dirty.add(k)
         record.append(
             {
                 "side": side,
                 "n": k,
                 "length": length,
-                "codeword": entry.codeword,
                 "justify": justify,
                 "cause": cause,
             }
@@ -542,7 +541,7 @@ class BaseEngine:
         record: list[dict[str, Any]],
     ) -> None:
         machine = marker.machines[side]
-        entry = machine.describe(self.sides[side].x_str[:k], length, stage)
+        machine.describe(self.sides[side].x_str[:k], length, stage)
         self._dirty.add((marker.index, side))
         record.append(
             {
@@ -551,7 +550,6 @@ class BaseEngine:
                 "version": machine.version,
                 "n": k,
                 "length": length,
-                "codeword": entry.codeword,
             }
         )
 

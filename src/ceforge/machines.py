@@ -113,8 +113,8 @@ class PrefixFreeMachine:
     """Append-only prefix-free machine built by online allocation.
 
     ``reset`` hands back a fresh empty machine with a bumped version number;
-    the old object stops growing and serves as the immutable archive needed
-    for per-version weight audits.
+    the old object stops growing, and an engine keeps it in ``archived``
+    for inspection; the audit reads only the trace.
 
     The weight is kept as one int, ``_num`` units of 2^-``_exp``, where
     ``_exp`` is the longest length described so far, so a description costs

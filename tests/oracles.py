@@ -497,6 +497,41 @@ def restore_weights(records):
     return restored
 
 
+def restore_codewords(records):
+    """The trace with the ``codeword`` the engine once wrote in each m- and
+    n-entry, rebuilt from the lengths.  Output machine M_x's codewords are
+    what a fresh allocator (``EagerFreeBlockSet``) hands out for side x's
+    m-entry lengths in trace order; each N-machine version's are what a
+    fresh one hands out for the lengths of the n-entries with its side,
+    index and version."""
+    allocators = {}
+
+    def restored(entries, machine_of):
+        return [
+            {
+                **entry,
+                "codeword": allocators.setdefault(
+                    machine_of(entry), EagerFreeBlockSet()
+                ).allocate(entry["length"]),
+            }
+            for entry in entries
+        ]
+
+    return [records[0]] + [
+        {
+            **record,
+            "m_entries": restored(
+                record["m_entries"], lambda e: ("M", e["side"])
+            ),
+            "n_entries": restored(
+                record["n_entries"],
+                lambda e: ("N", e["side"], e["index"], e["version"]),
+            ),
+        }
+        for record in records[1:]
+    ]
+
+
 def pick_length_loop(rng, params, remaining) -> int:
     """The generator's codeword length found by raising the drawn length one
     bit at a time until the event costs at most half of ``remaining``."""

@@ -210,7 +210,9 @@ class TestTraceSerialization:
     ):
         records = load_jsonl(data_dir / f"{name}_scripted_trace.jsonl")
         text = trace_to_jsonl(
-            oracles.restore_weights(oracles.restore_restated(records))
+            oracles.restore_weights(
+                oracles.restore_restated(oracles.restore_codewords(records))
+            )
         )
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -228,7 +230,25 @@ class TestTraceSerialization:
         self, data_dir, name, digest
     ):
         records = load_jsonl(data_dir / f"{name}_scripted_trace.jsonl")
-        text = trace_to_jsonl(oracles.restore_restated(records))
+        text = trace_to_jsonl(
+            oracles.restore_restated(oracles.restore_codewords(records))
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            # sha256 of the scripted fixtures as recorded when every m- and
+            # n-entry wrote its ``codeword``.
+            ("single", "3ddd00b294c0201a126d2f93c00f7443d13c5c2de81a32af3bf2efef579ad009"),
+            ("dual", "9c115f3405c22b054a06bdbd91b4c035b3848c17e9eb71579fc211ae52cd53e1"),
+        ],
+    )
+    def test_restored_codewords_rebuild_the_old_fixture(
+        self, data_dir, name, digest
+    ):
+        records = load_jsonl(data_dir / f"{name}_scripted_trace.jsonl")
+        text = trace_to_jsonl(oracles.restore_codewords(records))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -372,13 +392,18 @@ def _assert_indexes_match_oracles(records, scenario):
     and the same index of the trace with its ``repeat`` records written
     out.  The report equals the one the audit's former record walks build
     (``oracles.audit_trace_walks``).  A trace with the ``weights`` field
-    restored, or with the four fields that restate the others
-    (``oracles.restore_restated``), as the engine once wrote them, audits
+    restored, with the four fields that restate the others
+    (``oracles.restore_restated``), or with the entries' codewords
+    (``oracles.restore_codewords``), as the engine once wrote them, audits
     to the same report.  No two adjacent records of the trace could be
     folded into one."""
     _assert_report_matches_the_walks(records, scenario)
     report = report_to_json(audit_trace(records, scenario))
-    for restore in (oracles.restore_weights, oracles.restore_restated):
+    for restore in (
+        oracles.restore_weights,
+        oracles.restore_restated,
+        oracles.restore_codewords,
+    ):
         assert report_to_json(
             audit_trace(restore(records), scenario)
         ) == report, restore.__name__

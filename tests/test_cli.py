@@ -438,35 +438,33 @@ def _m_side_unknown(records):
     entry["side"] = "z"
 
 
-def _m_codeword_short(records):
-    entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
-    entry["codeword"] = entry["codeword"][1:]
-
-
-def _n_codeword_not_bits(records):
-    entry = next(r for r in records[1:] if r["n_entries"])["n_entries"][0]
-    entry["codeword"] = "2" + entry["codeword"][1:]
-
-
 def _n_length_past_bound(records):
-    # the codeword matches, so the audit's N-entry length rule must refuse it
     entry = next(r for r in records[1:] if r["n_entries"])["n_entries"][0]
     entry["length"] = 200
-    entry["codeword"] = "0" * 200
+
+
+def _n_length_negative(records):
+    entry = next(r for r in records[1:] if r["n_entries"])["n_entries"][0]
+    entry["length"] = -1
+
+
+def _n_length_hugely_negative(records):
+    # 2^-length would take the memory of 10^12 bits, so it is refused
+    # before any weight is summed
+    entry = next(r for r in records[1:] if r["n_entries"])["n_entries"][0]
+    entry["length"] = -10**12
 
 
 def _m_justify_unknown(records):
-    # four bits, as the entry's codeword, but no schedule description
+    # four bits, as the entry's length, but no schedule description
     entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
     entry["justify"] = "1111"
 
 
 def _m_length_not_justify(records):
-    # the codeword matches, so the justifying description's length must
-    # refuse it
+    # one bit longer than its justifying description
     entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
     entry["length"] += 1
-    entry["codeword"] += "0"
 
 
 def _m_n_not_output(records):
@@ -638,8 +636,7 @@ _NAMED = {
         "codeword of 4 bits with an output of 1000000000000 bits"
     ),
     _n_length_huge: (
-        "malformed trace: record 3 n_entries codeword is not 1000000000000 "
-        "bits of 0 and 1"
+        "malformed trace: record 3 n_entries length 1000000000000 exceeds 10"
     ),
     _c_huge_with_n_length_huge: (
         "malformed trace: record 1 marker 0 c 1000000000000 lies outside 3..3"
@@ -720,16 +717,15 @@ _NAMED = {
         "malformed trace: record 5 m_entries side 'z' is not a dual "
         "engine side"
     ),
-    _m_codeword_short: (
-        "malformed trace: record 5 m_entries codeword is not 4 bits of 0 "
-        "and 1"
-    ),
-    _n_codeword_not_bits: (
-        "malformed trace: record 3 n_entries codeword is not 7 bits of 0 "
-        "and 1"
-    ),
     _n_length_past_bound: (
         "malformed trace: record 3 n_entries length 200 exceeds 10"
+    ),
+    _n_length_negative: (
+        "malformed trace: record 3 n_entries length -1 is not a natural"
+    ),
+    _n_length_hugely_negative: (
+        "malformed trace: record 3 n_entries length -1000000000000 is not a "
+        "natural"
     ),
     _m_justify_unknown: (
         "malformed trace: record 5 m_entries justify '1111' is not a schedule "
@@ -840,9 +836,9 @@ _NAMED = {
         ("dual_scripted", _repeat_huge),
         ("single_scripted", _n_side_unknown),
         ("dual_scripted", _m_side_unknown),
-        ("dual_scripted", _m_codeword_short),
-        ("single_scripted", _n_codeword_not_bits),
         ("single_scripted", _n_length_past_bound),
+        ("single_scripted", _n_length_negative),
+        ("dual_scripted", _n_length_hugely_negative),
         ("dual_scripted", _m_justify_unknown),
         ("dual_scripted", _m_length_not_justify),
         ("dual_scripted", _m_n_not_output),
@@ -1056,11 +1052,9 @@ def _overweight_n_machine(records, half=False):
         for bit in range(missing.num.bit_length()):
             if missing.num >> bit & 1:
                 length = missing.exp - bit
-                added.append(
-                    {**first, "length": length, "codeword": "0" * length}
-                )
+                added.append({**first, "length": length})
     while not half and weight <= Dyadic.pow2_neg(1):
-        added.append({**first, "length": 2, "codeword": "00"})
+        added.append({**first, "length": 2})
         weight += Dyadic.pow2_neg(2)
     assert added
     record["n_entries"] += added
@@ -1265,7 +1259,6 @@ def _repeated_active(side):
             last["m_entries"].append({
                 "side": side, "justify": codeword, "length": len(codeword),
                 "n": len(ledger.output_of[codeword]), "cause": None,
-                "codeword": "0" * len(codeword),
             })
 
     return mutate
@@ -1311,7 +1304,6 @@ def _overdraw(records, scenario, index, number, end):
             record["m_entries"].append({
                 "side": "a", "justify": codeword, "length": len(codeword),
                 "n": len(ledger.output_of[codeword]), "cause": index,
-                "codeword": "0" * len(codeword),
             })
     assert weight > bound, (index, weight, bound)
     _as_it_reads(record)

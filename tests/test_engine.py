@@ -40,6 +40,7 @@ from oracles import (
     k_at_n,
     least_unplaced,
     machine_k_at,
+    restore_codewords,
     restore_restated,
     restore_weights,
     thresholds,
@@ -643,11 +644,11 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
 
 
 #: sha256 of the full-horizon JSONL traces with the quiet tail written out,
-#: the ``weights`` field and the restated ``acting``, ``placed`` and
-#: ``frozen`` fields the engine once wrote restored and the injuries of
-#: unplaced markers put back, recorded before the stamp cache gave way to
-#: the dirty set, and of their audit reports, recorded before the audit
-#: built its indexes in one pass.
+#: the ``weights`` field, the entries' codewords and the restated
+#: ``acting``, ``placed`` and ``frozen`` fields the engine once wrote
+#: restored and the injuries of unplaced markers put back, recorded before
+#: the stamp cache gave way to the dirty set, and of their audit reports,
+#: recorded before the audit built its indexes in one pass.
 FROZEN_TRACES = {
     (0, "single"): "5f64da637600752872ea0cf612e23f90e53de2bcabf7ad6897615f8fea83896b",
     (0, "dual"): "825c63b8011b9b3add90bd9f791044f0acf9bf6d8a53094ddd1a862ba4857109",
@@ -664,8 +665,8 @@ FROZEN_REPORTS = {
 
 #: sha256 of the same traces with no ``weights`` field, folded as the
 #: engine wrote them before it folded every run of bare no-ops (the quiet
-#: tail alone, ``oracles.fold_quiet_tail``), and with the restated fields
-#: and the injuries of unplaced markers put back.
+#: tail alone, ``oracles.fold_quiet_tail``), and with the codewords, the
+#: restated fields and the injuries of unplaced markers put back.
 FOLDED_TRACES = {
     (0, "single"): "7281418183957b5dc355159334f5bd6598af0cb6ce4669ddc8b733b48bd77231",
     (0, "dual"): "962b4291520d4c95a129173d1bc4da2ff70fc5aa10428e932d8d7c7d14272aef",
@@ -690,7 +691,8 @@ def _sha256(text):
 def test_generated_traces_are_byte_frozen(seed, engine_cls):
     """Full-horizon traces of generated scenarios, quiet phase and all
     markers included, and their audit reports stay byte-identical.  The
-    traces are pinned as written under the rules that records restate
+    traces are pinned as written under the rules that entries spell out
+    their codewords (``oracles.restore_codewords``), that records restate
     ``acting``, ``placed`` and ``frozen`` (``oracles.restore_restated``),
     that only the quiet tail is folded and that an act also injures
     unplaced markers, and such a trace audits to the same report."""
@@ -698,7 +700,9 @@ def test_generated_traces_are_byte_frozen(seed, engine_cls):
     records = engine_cls(scenario).run(scenario.stages)
     key = seed, engine_cls.engine_name
     old_rule = injure_unplaced(
-        fold_quiet_tail(restore_restated(records), scenario)
+        fold_quiet_tail(
+            restore_restated(restore_codewords(records)), scenario
+        )
     )
     assert _sha256(trace_to_jsonl(old_rule)) == FOLDED_TRACES[key]
     assert _sha256(
@@ -835,20 +839,33 @@ def test_entry_lengths_sum_to_machine_weights(engine_cls, dense):
     """The trace holds every machine weight: the sum of 2^-``length`` over
     a side's m-entries is the weight of that output machine, and the sum
     over the n-entries of one (side, index, version) is the weight of that
-    N-machine version, live or archived.  Versions with no entry weigh 0."""
+    N-machine version, live or archived.  Versions with no entry weigh 0.
+    The trace writes no codeword: each machine's are what a fresh
+    allocator hands out for its entries' lengths, in trace order
+    (``oracles.restore_codewords``), and they are the codewords the
+    machine holds, in order."""
     scenario = generated(1 if dense else 0, dense)
     engine = engine_cls(scenario)
     records = engine.run(scenario.stages)
+    assert not any(
+        "codeword" in entry
+        for record in records[1:]
+        for entry in record["m_entries"] + record["n_entries"]
+    )
     m_sums = {side: ZERO for side in engine.side_names}
     n_sums = {}
-    for record in records[1:]:
+    codewords = {}
+    for record in restore_codewords(records)[1:]:
         for entry in record["m_entries"]:
-            m_sums[entry["side"]] += Dyadic.pow2_neg(entry["length"])
+            side = entry["side"]
+            m_sums[side] += Dyadic.pow2_neg(entry["length"])
+            codewords.setdefault(side, []).append(entry["codeword"])
         for entry in record["n_entries"]:
             key = entry["side"], entry["index"], entry["version"]
             n_sums[key] = n_sums.get(key, ZERO) + Dyadic.pow2_neg(
                 entry["length"]
             )
+            codewords.setdefault(key, []).append(entry["codeword"])
     assert all(m_sums.values()) and n_sums
     for side, tracker in engine.sides.items():
         assert tracker.machine.weight == m_sums[side], side
@@ -865,6 +882,13 @@ def test_entry_lengths_sum_to_machine_weights(engine_cls, dense):
     for key, machine in machines.items():
         assert machine.weight == n_sums.get(key, ZERO), key
     assert set(n_sums) <= set(machines)
+    for side, tracker in engine.sides.items():
+        machines[side] = tracker.machine
+    assert codewords == {
+        key: [entry.codeword for entry in machine.entries]
+        for key, machine in machines.items()
+        if machine.entries
+    }
 
 
 class TestAgainstOracles:
