@@ -10,7 +10,7 @@ stands for; such a record changes nothing, so the audit reads it once and
 only its stage span matters, and every index reads the same as on the
 trace with the run written out.  The audit recomputes every machine weight
 from the ``m_entries`` and ``n_entries``: a machine's weight is the sum of
-2^-``length`` over its entries, summed as an int in units of 2^-(the
+2^-length over its entries, summed as an int in units of 2^-(the
 longest entry) and compared by shifts, as are the deficits and their
 bounds and each set of codewords whose weight a container or reuse bound
 needs; ``Dyadic`` values remain where those weights of different scales
@@ -19,18 +19,23 @@ engine writes no ``weights`` field, and the audit reads none, so a trace
 with or without one (older traces wrote it) audits to the same report.
 Likewise older traces wrote fields that restate the others: a record's
 ``acting``, ``placed`` and ``frozen``, a marker snapshot's ``frozen``,
-and each m- and n-entry's ``codeword``, which its machine's allocator
-fixes from the lengths of that machine's entries (README, "Trace").  The
-engine writes none of them and the audit reads none, so a trace that
-carries them audits the same.
+each m- and n-entry's ``codeword``, which its machine's allocator
+fixes from the lengths of that machine's entries (README, "Trace"), and
+the entry fields the trace and scenario fix: an m-entry's ``length`` is
+that of its ``justify`` and its ``n`` that of the output ``justify``
+describes, and an n-entry's ``version`` is the number of injuries of its
+index in the records before.  The engine writes none of them and the
+audit reads none, so a trace that carries them audits the same, and a
+version written in an n-entry cannot move its weight to another
+N-machine.
 
 Whether a trace is well formed is decided in one place.
 ``_Replay.from_records`` tests every rule whose failure makes the audit
 refuse the trace (a ValueError, exit 2 at the command line): field types,
 stage order, sides, marker keys, c and deficits, each N-entry length (a
-natural, within the bound), each M-entry's justifying description, and
-each record's ``action`` and ``clauses`` against its ``b_added`` and
-m-entries (``_action_fault``).  It does so in the one pass it makes over
+natural, within the bound), each M-entry's justifying description (a
+schedule codeword), and each record's ``action`` and ``clauses`` against
+its ``b_added`` and m-entries (``_action_fault``).  It does so in the one pass it makes over
 every record, entry and snapshot, before any named check decides.  So a
 report is written only for a well-formed trace, and the named checks never
 raise.  The field tables decide each field's type: each table is compiled
@@ -53,8 +58,8 @@ builds every index a named check reads: the marker timelines
 the stage at which each position entered B, each side's ``UsageLedger``,
 which files each reuse under the marker that caused it (so
 ``_check_reuse_bounds`` visits only the markers that caused a reuse), the
-m-weights and n-entry lengths, and each side's K_M, read off one B buffer
-that it slices for every m-entry.  Where a violation decides a check
+m-weights and the n-entry lengths of each N-machine version, and each
+side's K_M, read off one B buffer that it slices for every m-entry.  Where a violation decides a check
 (marker order in stage and in index, abandoned positions, deficits,
 active transitions), the pass keeps its witness: the last violation the
 full scan it replaced would report.  Marker order across indices is
@@ -198,13 +203,8 @@ _RECORD_FIELDS = _Fields(
     m_entries=(list,),
     n_entries=(list,),
 )
-_M_ENTRY_FIELDS = _Fields(
-    side=(str,), justify=(str,), length=(int,), n=(int,),
-    cause=_OPTIONAL_INT,
-)
-_N_ENTRY_FIELDS = _Fields(
-    side=(str,), index=(int,), version=(int,), length=(int,),
-)
+_M_ENTRY_FIELDS = _Fields(side=(str,), justify=(str,), cause=_OPTIONAL_INT)
+_N_ENTRY_FIELDS = _Fields(side=(str,), index=(int,), length=(int,))
 _SNAPSHOT_FIELDS = {
     "single": _Fields(pos=_OPTIONAL_INT, c=(int,)),
     "dual": _Fields(pos=_OPTIONAL_INT, c=(int,), p_a=(str,), p_d=(str,)),
@@ -428,6 +428,7 @@ class _Replay:
         }
         k_m = replay.k_m = {side: {} for side in sides}
         n_lengths, witnesses = replay.n_lengths, replay.witnesses
+        injuries = replay.injuries
         # m-entry weights in units of 2^-longest: an m-entry is as long
         # as its justifying schedule codeword.
         m_units = dict.fromkeys(sides, 0)
@@ -463,7 +464,7 @@ class _Replay:
             if added is not None and 0 <= added < len(bits):
                 bits[added] = 49  # "1"
             for entry in m_entries:
-                side, justify, length, n, cause = (
+                side, justify, cause = (
                     _M_ENTRY_FIELDS.typed(entry)
                     or _require(entry, _M_ENTRY_FIELDS, number, "m_entries ")
                 )
@@ -473,12 +474,10 @@ class _Replay:
                 # An M-entry describes the output of the schedule
                 # description it names, at that description's length.
                 output = output_of.get(justify)
-                if output is None or len(justify) != length or (
-                    len(output) != n
-                ):
+                if output is None:
                     _refuse(number, f"m_entries justify {justify!r} is not a "
-                            f"schedule codeword of {length} bits with an "
-                            f"output of {n} bits")
+                            "schedule codeword")
+                length = len(justify)
                 ledger = ledgers[side]
                 m_units[side] += 1 << (longest - length)
                 # Only descriptions active at the stage of the transition
@@ -489,12 +488,12 @@ class _Replay:
                     witnesses["active-transitions"] = {
                         "side": side, "codeword": justify, "stage": stage,
                     }
-                described = bits[:n].decode()
+                described = bits[:len(output)].decode()
                 known = k_m[side].get(described)
                 if known is None or length < known:
                     k_m[side][described] = length
             for entry in n_entries:
-                side, index, version, length = (
+                side, index, length = (
                     _N_ENTRY_FIELDS.typed(entry)
                     or _require(entry, _N_ENTRY_FIELDS, number, "n_entries ")
                 )
@@ -507,6 +506,10 @@ class _Replay:
                             "natural")
                 if length > n_longest:
                     n_longest, n_number = length, number
+                # An injury resets the marker's N-machines, so the version
+                # is the number of injuries so far: this record's come
+                # after its n-entries.
+                version = len(injuries.get(index, ()))
                 n_lengths.setdefault((side, index, version), []).append(
                     length
                 )
@@ -530,7 +533,7 @@ class _Replay:
             for index in injured:
                 if type(index) is not int:
                     _refuse(number, f"injured index {index!r} is not an int")
-                replay.injuries.setdefault(index, []).append(stage)
+                injuries.setdefault(index, []).append(stage)
             if not markers:
                 continue
             for key, snap in markers.items():

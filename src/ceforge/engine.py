@@ -521,15 +521,7 @@ class BaseEngine:
         length, _, justify = tracker.k_best[k]
         tracker.machine.describe(self.b_str[:k], length, stage)
         tracker._dirty.add(k)
-        record.append(
-            {
-                "side": side,
-                "n": k,
-                "length": length,
-                "justify": justify,
-                "cause": cause,
-            }
-        )
+        record.append({"side": side, "justify": justify, "cause": cause})
 
     def _enumerate_n(
         self,
@@ -540,17 +532,12 @@ class BaseEngine:
         stage: int,
         record: list[dict[str, Any]],
     ) -> None:
-        machine = marker.machines[side]
-        machine.describe(self.sides[side].x_str[:k], length, stage)
+        marker.machines[side].describe(
+            self.sides[side].x_str[:k], length, stage
+        )
         self._dirty.add((marker.index, side))
         record.append(
-            {
-                "side": side,
-                "index": marker.index,
-                "version": machine.version,
-                "n": k,
-                "length": length,
-            }
+            {"side": side, "index": marker.index, "n": k, "length": length}
         )
 
     def _apply(self, stage: int) -> dict[int, int]:

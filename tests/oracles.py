@@ -497,6 +497,38 @@ def restore_weights(records):
     return restored
 
 
+def restore_entries(records, scenario):
+    """The trace with the fields the engine once wrote in each entry that
+    the trace and scenario fix, rebuilt from them.  An m-entry's
+    ``length`` is the length of its ``justify`` and its ``n`` the length
+    of that schedule description's output.  An n-entry's ``version`` is
+    the number of records before its own that injure its index: an injury
+    resets the marker's N-machines, and a record's n-entries come before
+    its injuries."""
+    output_of = scenario.schedule.output_of
+    injuries = {}
+    restored = [records[0]]
+    for record in records[1:]:
+        restored.append({
+            **record,
+            "m_entries": [
+                {
+                    **entry,
+                    "length": len(entry["justify"]),
+                    "n": len(output_of[entry["justify"]]),
+                }
+                for entry in record["m_entries"]
+            ],
+            "n_entries": [
+                {**entry, "version": injuries.get(entry["index"], 0)}
+                for entry in record["n_entries"]
+            ],
+        })
+        for index in record["injured"]:
+            injuries[index] = injuries.get(index, 0) + 1
+    return restored
+
+
 def restore_codewords(records):
     """The trace with the ``codeword`` the engine once wrote in each m- and
     n-entry, rebuilt from the lengths.  Output machine M_x's codewords are
@@ -893,8 +925,12 @@ def check_deficits_walk(replay: _Replay) -> list[dict[str, Any]]:
 def audit_trace_walks(
     records: list[dict[str, Any]], scenario: Scenario
 ) -> dict[str, Any]:
-    """Full audit of a trace against its scenario; pure and deterministic."""
+    """Full audit of a trace against its scenario; pure and deterministic.
+    The walks read the entry fields the trace no longer writes, so they
+    walk the trace with them put back (``restore_entries``), once
+    ``_Replay.from_records`` has found it well formed."""
     replay = _Replay.from_records(records, scenario)
+    replay.stages = restore_entries(records, scenario)[1:]
     checks = check_weights_walk(replay, scenario)
     checks.extend(check_markers_walk(replay, scenario))
     checks.extend(check_coverage_walk(replay, scenario))

@@ -208,7 +208,7 @@ class TestTraceSerialization:
     def test_restored_weights_rebuild_the_old_fixture(
         self, data_dir, name, digest
     ):
-        records = load_jsonl(data_dir / f"{name}_scripted_trace.jsonl")
+        records = _restored_fixture(data_dir, name)
         text = trace_to_jsonl(
             oracles.restore_weights(
                 oracles.restore_restated(oracles.restore_codewords(records))
@@ -229,7 +229,7 @@ class TestTraceSerialization:
     def test_restored_restatements_rebuild_the_old_fixture(
         self, data_dir, name, digest
     ):
-        records = load_jsonl(data_dir / f"{name}_scripted_trace.jsonl")
+        records = _restored_fixture(data_dir, name)
         text = trace_to_jsonl(
             oracles.restore_restated(oracles.restore_codewords(records))
         )
@@ -247,9 +247,35 @@ class TestTraceSerialization:
     def test_restored_codewords_rebuild_the_old_fixture(
         self, data_dir, name, digest
     ):
-        records = load_jsonl(data_dir / f"{name}_scripted_trace.jsonl")
+        records = _restored_fixture(data_dir, name)
         text = trace_to_jsonl(oracles.restore_codewords(records))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            # sha256 of the scripted fixtures as recorded when every
+            # m-entry wrote its ``length`` and ``n`` and every n-entry its
+            # ``version``.
+            ("single", "01979d8c675351dd9c155edbc0ef047bd7f2e8c8874084314096ee10f470d0e4"),
+            ("dual", "1938ec9d25c8f4da5d8a0b550932b4089dbfeb218f64b3c3372c546d84caf429"),
+        ],
+    )
+    def test_restored_entries_rebuild_the_old_fixture(
+        self, data_dir, name, digest
+    ):
+        text = trace_to_jsonl(_restored_fixture(data_dir, name))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _restored_fixture(data_dir, name):
+    """The scripted fixture ``name``'s trace with the entry fields the
+    engine once wrote put back (``oracles.restore_entries``)."""
+    scenario = Scenario.from_json(
+        (data_dir / f"{name}_scripted.json").read_text()
+    )
+    records = load_jsonl(data_dir / f"{name}_scripted_trace.jsonl")
+    return oracles.restore_entries(records, scenario)
 
 
 #: Scenarios whose traces ``trace_to_jsonl`` must write as the standard
@@ -390,28 +416,39 @@ def test_one_pass_report_matches_the_walks(engine_cls, name):
 def _assert_indexes_match_oracles(records, scenario):
     """Every index the audit builds once equals the naive scan it replaced,
     and the same index of the trace with its ``repeat`` records written
-    out.  The report equals the one the audit's former record walks build
-    (``oracles.audit_trace_walks``).  A trace with the ``weights`` field
-    restored, with the four fields that restate the others
+    out; the n-entry lengths of each N-machine version are grouped under
+    the versions ``oracles.restore_entries`` rebuilds.  The report equals
+    the one the audit's former record walks build
+    (``oracles.audit_trace_walks``).  A trace with the entry fields the
+    trace fixes (``oracles.restore_entries``) restored, and also with the
+    ``weights`` field, with the four fields that restate the others
     (``oracles.restore_restated``), or with the entries' codewords
     (``oracles.restore_codewords``), as the engine once wrote them, audits
     to the same report.  No two adjacent records of the trace could be
     folded into one."""
     _assert_report_matches_the_walks(records, scenario)
     report = report_to_json(audit_trace(records, scenario))
+    entries = oracles.restore_entries(records, scenario)
     for restore in (
+        list,
         oracles.restore_weights,
         oracles.restore_restated,
         oracles.restore_codewords,
     ):
         assert report_to_json(
-            audit_trace(restore(records), scenario)
+            audit_trace(restore(entries), scenario)
         ) == report, restore.__name__
     assert not oracles.mergeable_pairs(records)
     replay = _Replay.from_records(records, scenario)
     expanded = _Replay.from_records(oracles.expand_repeats(records), scenario)
     for name in ("b_stage", "timelines", "injuries", "final_stage"):
         assert getattr(replay, name) == getattr(expanded, name), name
+    n_lengths = {}
+    for record in entries[1:]:
+        for entry in record["n_entries"]:
+            key = entry["side"], entry["index"], entry["version"]
+            n_lengths.setdefault(key, []).append(entry["length"])
+    assert replay.n_lengths == n_lengths
     ledgers = replay.ledgers
     marker_checks = check_markers(replay, scenario)
     assert _ordering_entry(marker_checks) == oracles.monotone_indices(replay)

@@ -212,7 +212,7 @@ class TestRun:
         checks = json.loads(report.read_text())["checks"]
         witness = next(c for c in checks if c["name"] == "m-weight-a")
         lengths = [
-            entry["length"]
+            len(entry["justify"])
             for record in load_jsonl(trace)[1:]
             for entry in record["m_entries"]
             if entry["side"] == "a"
@@ -360,11 +360,6 @@ def _deficit_exponent_negative(records):
     records[1]["markers"]["0"]["p_a"] = "1/2^-1000000000000"
 
 
-def _m_n_huge(records):
-    entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
-    entry["n"] = 10**12
-
-
 def _n_length_huge(records):
     entry = next(r for r in records[1:] if r["n_entries"])["n_entries"][0]
     entry["length"] = 10**12
@@ -456,21 +451,9 @@ def _n_length_hugely_negative(records):
 
 
 def _m_justify_unknown(records):
-    # four bits, as the entry's length, but no schedule description
+    # four bits, as the schedule's codewords, but no schedule description
     entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
     entry["justify"] = "1111"
-
-
-def _m_length_not_justify(records):
-    # one bit longer than its justifying description
-    entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
-    entry["length"] += 1
-
-
-def _m_n_not_output(records):
-    # "0000" describes "00", so it cannot justify a segment of length 3
-    entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
-    entry["n"] = 3
 
 
 # Marker 1 is unplaced at stage 7, so no named check reads these deficits:
@@ -631,10 +614,6 @@ _NAMED = {
         "malformed trace: record 1 marker 0 p_a '1/2^-1000000000000' is not "
         "num/2^exp with num >= 0 and exp in 0..4"
     ),
-    _m_n_huge: (
-        "malformed trace: record 5 m_entries justify '0000' is not a schedule "
-        "codeword of 4 bits with an output of 1000000000000 bits"
-    ),
     _n_length_huge: (
         "malformed trace: record 3 n_entries length 1000000000000 exceeds 10"
     ),
@@ -729,15 +708,7 @@ _NAMED = {
     ),
     _m_justify_unknown: (
         "malformed trace: record 5 m_entries justify '1111' is not a schedule "
-        "codeword of 4 bits with an output of 2 bits"
-    ),
-    _m_length_not_justify: (
-        "malformed trace: record 5 m_entries justify '0000' is not a schedule "
-        "codeword of 5 bits with an output of 2 bits"
-    ),
-    _m_n_not_output: (
-        "malformed trace: record 5 m_entries justify '0000' is not a schedule "
-        "codeword of 4 bits with an output of 3 bits"
+        "codeword"
     ),
     _deficit_not_a_number: (
         "malformed trace: record 7 marker 1 p_a 'abc' is not num/2^exp with "
@@ -807,7 +778,6 @@ _NAMED = {
         ("dual_scripted", _negative_deficit),
         ("dual_scripted", _deficit_exponent_huge),
         ("dual_scripted", _deficit_exponent_negative),
-        ("dual_scripted", _m_n_huge),
         ("single_scripted", _n_length_huge),
         ("single_scripted", _c_huge_with_n_length_huge),
         ("dual_scripted", _c_offset_missing),
@@ -840,8 +810,6 @@ _NAMED = {
         ("single_scripted", _n_length_negative),
         ("dual_scripted", _n_length_hugely_negative),
         ("dual_scripted", _m_justify_unknown),
-        ("dual_scripted", _m_length_not_justify),
-        ("dual_scripted", _m_n_not_output),
         ("dual_scripted", _deficit_not_a_number),
         ("dual_scripted", _deficit_negative_unplaced),
         ("dual_scripted", _marker_key_padded),
@@ -1028,19 +996,25 @@ def test_bad_event_exits_two_naming_the_first_fault(capsys, tmp_path, case):
     )
 
 
-def _overweight_n_machine(records, half=False):
+def _overweight_n_machine(records, scenario, half=False):
     """Add n-entries to the record of the first n-entry until that entry's
     (side, index, version) weighs more than 1/2 in the trace, each of
     length 2, or exactly 1/2 when ``half``, one entry for each bit of the
     weight missing; return them.  Every length added lies within the
-    audit's N-entry length bound: 2, or at most that version's longest."""
-    record = next(r for r in records[1:] if r["n_entries"])
+    audit's N-entry length bound: 2, or at most that version's longest.
+    The versions are those the trace fixes (``oracles.restore_entries``):
+    the entries added come before the record's injuries, so they take the
+    first entry's."""
+    restored = oracles.restore_entries(records, scenario)
+    number = next(n for n, r in enumerate(records) if n and r["n_entries"])
+    record = records[number]
     first = record["n_entries"][0]
-    key = first["side"], first["index"], first["version"]
+    version = restored[number]["n_entries"][0]["version"]
+    key = first["side"], first["index"], version
     weight = sum(
         (
             Dyadic.pow2_neg(entry["length"])
-            for r in records[1:]
+            for r in restored[1:]
             for entry in r["n_entries"]
             if (entry["side"], entry["index"], entry["version"]) == key
         ),
@@ -1085,7 +1059,7 @@ def test_overweight_n_machine_fails_the_audit(
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(scenario.to_json())
     trace = tmp_path / "trace.jsonl"
-    added = _overweight_n_machine(records, half)
+    added = _overweight_n_machine(records, scenario, half)
     passes = half and engine_cls is SingleEngine
     sides = ((added[0]["side"], EXIT_OK if passes else EXIT_LEMMA),
              ("q", EXIT_SCENARIO))
@@ -1256,10 +1230,9 @@ def _repeated_active(side):
             key=len,
         )
         for _ in range(len(codeword) - ledger.uses.get(codeword, 0)):
-            last["m_entries"].append({
-                "side": side, "justify": codeword, "length": len(codeword),
-                "n": len(ledger.output_of[codeword]), "cause": None,
-            })
+            last["m_entries"].append(
+                {"side": side, "justify": codeword, "cause": None}
+            )
 
     return mutate
 
@@ -1301,10 +1274,9 @@ def _overdraw(records, scenario, index, number, end):
             ledger.is_active(codeword, at) for at in (record["stage"], end)
         ):
             weight += Dyadic.pow2_neg(len(codeword))
-            record["m_entries"].append({
-                "side": "a", "justify": codeword, "length": len(codeword),
-                "n": len(ledger.output_of[codeword]), "cause": index,
-            })
+            record["m_entries"].append(
+                {"side": "a", "justify": codeword, "cause": index}
+            )
     assert weight > bound, (index, weight, bound)
     _as_it_reads(record)
 
@@ -1345,6 +1317,26 @@ def _overdrawn_first_interval(records, scenario):
     _overdraw(records, scenario, index, _record_at(records, end), end)
 
 
+def _spread_n_machine(versions):
+    """Add to the record of the first n-entry one n-entry of length 2, on
+    that entry's side and index, for each of ``versions``: the fields each
+    new entry writes besides.  Three such entries weigh 3/4, past either
+    engine's N-machine bound.  An n-entry's version is the number of
+    injuries of its index so far, whatever version it writes, so written
+    versions cannot spread that weight over N-machines of their own."""
+
+    def mutate(records, scenario):
+        record = next(r for r in records[1:] if r["n_entries"])
+        first = record["n_entries"][0]
+        record["n_entries"] += [
+            {"side": first["side"], "index": first["index"], "length": 2,
+             **fields}
+            for fields in versions
+        ]
+
+    return mutate
+
+
 #: One corruption of a passing sweep trace per named check: the engine,
 #: the one check the corrupted trace fails, and the mutation.
 _NAMED_CHECK_MUTANTS = [
@@ -1363,6 +1355,12 @@ _NAMED_CHECK_MUTANTS = [
     (DualEngine, "decanter-bounds-d", _repeated_active("d")),
     (SingleEngine, "coding", _moved_coding_position),
     (DualEngine, "coding", _moved_coding_position),
+    (SingleEngine, "n-machine-bounds", _spread_n_machine([{}] * 3)),
+    (
+        SingleEngine,
+        "n-machine-bounds",
+        _spread_n_machine([{"version": v} for v in (1000, 1001, 1002)]),
+    ),
 ]
 _NAMED_CHECK_IDS = [
     "dual-deficit-bounds", "single-coverage-a", "dual-coverage-a",
@@ -1371,6 +1369,7 @@ _NAMED_CHECK_IDS = [
     "single-reuse-bounds-first-interval", "dual-reuse-bounds-first-interval",
     "single-decanter-bounds-a", "dual-decanter-bounds-a",
     "dual-decanter-bounds-d", "single-coding", "dual-coding",
+    "single-n-machine-bounds", "single-n-machine-bounds-written-versions",
 ]
 
 
@@ -1389,8 +1388,10 @@ def test_corrupted_trace_fails_its_check(
     than its bound fail ``reuse-bounds``, in the last uninjured interval
     and in a first one that starts before the marker appears, uncaused
     repeats of one active description that fill a container past its
-    bound fail that side's ``decanter-bounds``, and a stable marker moved
-    off its position in B fails ``coding``."""
+    bound fail that side's ``decanter-bounds``, a stable marker moved
+    off its position in B fails ``coding``, and n-entries that push one
+    N-machine past its bound fail ``n-machine-bounds``, with or without
+    versions written in them."""
     scenario = generated(0)
     records = engine_cls(scenario).run(scenario.stages)
     assert audit_trace(records, scenario)["pass"]
@@ -2019,29 +2020,62 @@ def test_main_leaves_the_collector_as_it_found_it(
     assert during == [False]
 
 
-def _process(tmp_path, *argv: str, hashseed: str = "0"):
+def _process(tmp_path, *argv: str, hashseed: str = "0", **environ: str):
     """``python -m ceforge.cli`` with ``argv`` in a new process, under the
-    string hash seed ``hashseed``.  The child imports the ``ceforge`` this
-    test imported, whatever the interpreter has installed."""
-    return _python(tmp_path, "-m", "ceforge.cli", *argv, hashseed=hashseed)
+    string hash seed ``hashseed`` and the further variables ``environ``.
+    The child imports the ``ceforge`` this test imported, whatever the
+    interpreter has installed."""
+    return _python(
+        tmp_path, "-m", "ceforge.cli", *argv, hashseed=hashseed, **environ
+    )
 
 
-def _python(tmp_path, *argv: str, hashseed: str):
+def _python(tmp_path, *argv: str, hashseed: str, **environ: str):
     """(exit code, stdout, stderr) of ``python`` with ``argv`` in a new
-    process in ``tmp_path``, under the string hash seed ``hashseed``,
-    with the ``ceforge`` this test imported on its path."""
+    process in ``tmp_path``, under the string hash seed ``hashseed`` and
+    the further variables ``environ``, with the ``ceforge`` this test
+    imported on its path.  Its output is decoded as UTF-8."""
     source = str(pathlib.Path(ceforge.__file__).parents[1])
     path = [source, os.environ.get("PYTHONPATH")]
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(filter(None, path)),
         "PYTHONHASHSEED": hashseed,
+        **environ,
     }
     done = subprocess.run(
-        [sys.executable, *argv],
-        capture_output=True, cwd=tmp_path, env=env, text=True, timeout=60,
+        [sys.executable, *argv], capture_output=True, cwd=tmp_path, env=env,
+        encoding="utf-8", timeout=60,
     )
     return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize(
+    "environ",
+    [{"PYTHONIOENCODING": "ascii"}, {"LC_ALL": "C", "PYTHONUTF8": "0"}],
+    ids=["ascii-stdout", "c-locale"],
+)
+def test_kc_and_encode_real_read_and_write_utf8_in_any_locale(
+    tmp_path, environ
+):
+    """``kc`` reads its requests as UTF-8 and writes its table as UTF-8
+    bytes, and ``encode-real`` reads its input as UTF-8, whatever
+    encoding the locale or ``PYTHONIOENCODING`` gives the process's
+    streams and files.  No input to ``encode-real`` that holds a
+    non-ASCII character is valid, so a no-break space after the vectors
+    shows the read: the JSON parser refuses it as extra data, where an
+    ASCII read would refuse the file's bytes."""
+    (tmp_path / "req.txt").write_text("caf\u00e9 2\n", encoding="utf-8")
+    (tmp_path / "real.json").write_text(
+        '[[0, 0], [0, 1]] \u00a0', encoding="utf-8"
+    )
+    assert _process(tmp_path, "kc", "req.txt", **environ) == (
+        EXIT_OK, "00\tcaf\u00e9\n", ""
+    )
+    assert _process(tmp_path, "encode-real", "real.json", **environ) == (
+        EXIT_SCENARIO, "", "real error: Extra data: line 1 column 18 "
+        "(char 17)\n"
+    )
 
 
 #: Two string hash seeds under which a set of two side names is walked in

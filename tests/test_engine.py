@@ -41,6 +41,7 @@ from oracles import (
     least_unplaced,
     machine_k_at,
     restore_codewords,
+    restore_entries,
     restore_restated,
     restore_weights,
     thresholds,
@@ -50,14 +51,14 @@ from oracles import (
 @pytest.fixture(scope="module")
 def single_run(single_scripted):
     engine = SingleEngine(single_scripted)
-    records = engine.run(6)
+    records = restore_entries(engine.run(6), single_scripted)
     return engine, restore_restated(records)[1:]
 
 
 @pytest.fixture(scope="module")
 def dual_run(dual_scripted):
     engine = DualEngine(dual_scripted)
-    records = engine.run(8)
+    records = restore_entries(engine.run(8), dual_scripted)
     return engine, restore_restated(records)[1:]
 
 
@@ -447,9 +448,11 @@ def _check_marker_invariants(engine, record, seen):
     )
     # An act describes B's old segments only strictly between the
     # abandoned position and the previous stage.
+    output_of = engine.scenario.schedule.output_of
     for entry in record["m_entries"]:
         if entry["cause"] is not None:
-            assert record["b_added"] < entry["n"] < record["stage"] - 1
+            n = len(output_of[entry["justify"]])
+            assert record["b_added"] < n < record["stage"] - 1
 
 
 def _written(**fields):
@@ -691,7 +694,8 @@ def _sha256(text):
 def test_generated_traces_are_byte_frozen(seed, engine_cls):
     """Full-horizon traces of generated scenarios, quiet phase and all
     markers included, and their audit reports stay byte-identical.  The
-    traces are pinned as written under the rules that entries spell out
+    traces are pinned as written under the rules that entries write the
+    fields the trace fixes (``oracles.restore_entries``) and spell out
     their codewords (``oracles.restore_codewords``), that records restate
     ``acting``, ``placed`` and ``frozen`` (``oracles.restore_restated``),
     that only the quiet tail is folded and that an act also injures
@@ -701,7 +705,10 @@ def test_generated_traces_are_byte_frozen(seed, engine_cls):
     key = seed, engine_cls.engine_name
     old_rule = injure_unplaced(
         fold_quiet_tail(
-            restore_restated(restore_codewords(records)), scenario
+            restore_restated(
+                restore_codewords(restore_entries(records, scenario))
+            ),
+            scenario,
         )
     )
     assert _sha256(trace_to_jsonl(old_rule)) == FOLDED_TRACES[key]
@@ -840,32 +847,43 @@ def test_entry_lengths_sum_to_machine_weights(engine_cls, dense):
     a side's m-entries is the weight of that output machine, and the sum
     over the n-entries of one (side, index, version) is the weight of that
     N-machine version, live or archived.  Versions with no entry weigh 0.
-    The trace writes no codeword: each machine's are what a fresh
-    allocator hands out for its entries' lengths, in trace order
-    (``oracles.restore_codewords``), and they are the codewords the
-    machine holds, in order."""
+    The trace writes no codeword, no m-entry ``length`` or ``n`` and no
+    n-entry ``version``: each is what the trace fixes
+    (``oracles.restore_entries``), and each machine's codewords are what a
+    fresh allocator hands out for its entries' lengths, in trace order
+    (``oracles.restore_codewords``).  Grouped so, each machine's entries
+    are those the engine's machine holds, in order: codeword, output
+    length and stage, for each output machine and each N-machine version,
+    live or archived."""
     scenario = generated(1 if dense else 0, dense)
     engine = engine_cls(scenario)
     records = engine.run(scenario.stages)
-    assert not any(
-        "codeword" in entry
-        for record in records[1:]
-        for entry in record["m_entries"] + record["n_entries"]
-    )
+    for part, fields in (
+        ("m_entries", {"side", "justify", "cause"}),
+        ("n_entries", {"side", "index", "n", "length"}),
+    ):
+        assert {
+            key for record in records[1:] for e in record[part] for key in e
+        } == fields, part
     m_sums = {side: ZERO for side in engine.side_names}
     n_sums = {}
-    codewords = {}
-    for record in restore_codewords(records)[1:]:
+    entries = {}
+    restored = restore_codewords(restore_entries(records, scenario))
+    for record in restored[1:]:
         for entry in record["m_entries"]:
             side = entry["side"]
             m_sums[side] += Dyadic.pow2_neg(entry["length"])
-            codewords.setdefault(side, []).append(entry["codeword"])
+            entries.setdefault(side, []).append(
+                (entry["codeword"], entry["n"], record["stage"])
+            )
         for entry in record["n_entries"]:
             key = entry["side"], entry["index"], entry["version"]
             n_sums[key] = n_sums.get(key, ZERO) + Dyadic.pow2_neg(
                 entry["length"]
             )
-            codewords.setdefault(key, []).append(entry["codeword"])
+            entries.setdefault(key, []).append(
+                (entry["codeword"], entry["n"], record["stage"])
+            )
     assert all(m_sums.values()) and n_sums
     for side, tracker in engine.sides.items():
         assert tracker.machine.weight == m_sums[side], side
@@ -884,8 +902,11 @@ def test_entry_lengths_sum_to_machine_weights(engine_cls, dense):
     assert set(n_sums) <= set(machines)
     for side, tracker in engine.sides.items():
         machines[side] = tracker.machine
-    assert codewords == {
-        key: [entry.codeword for entry in machine.entries]
+    assert entries == {
+        key: [
+            (entry.codeword, len(entry.output), entry.stage)
+            for entry in machine.entries
+        ]
         for key, machine in machines.items()
         if machine.entries
     }
