@@ -14,29 +14,29 @@ from the ``m_entries`` and ``n_entries``: a machine's weight is the sum of
 longest entry) and compared by shifts, as are the deficits and their
 bounds and each set of codewords whose weight a container or reuse bound
 needs; ``Dyadic`` values remain where those weights of different scales
-are added and compared, and for report strings.  The
-engine writes no ``weights`` field, and the audit reads none, so a trace
-with or without one (older traces wrote it) audits to the same report.
-Likewise older traces wrote fields that restate the others: a record's
-``acting``, ``placed`` and ``frozen``, a marker snapshot's ``frozen``,
-each m- and n-entry's ``codeword``, which its machine's allocator
-fixes from the lengths of that machine's entries (README, "Trace"), and
-the entry fields the trace and scenario fix: an m-entry's ``length`` is
-that of its ``justify`` and its ``n`` that of the output ``justify``
-describes, and an n-entry's ``version`` is the number of injuries of its
-index in the records before.  The engine writes none of them and the
-audit reads none, so a trace that carries them audits the same, and a
-version written in an n-entry cannot move its weight to another
-N-machine.
+are added and compared, and for report strings.  An m-entry's length
+is that of its ``justify`` and its n that of the output ``justify``
+describes, and an n-entry's version is the number of injuries of its
+index in the records before.
+
+Older traces wrote fields that the engine no longer writes and the audit
+ignores, so a trace that carries them audits to the same report:
+``weights``; a record's ``acting``, ``placed`` and ``frozen`` and a
+snapshot's ``frozen``; each entry's ``codeword``, which its machine's
+allocator fixes from the lengths (README, "Trace"); an m-entry's
+``length`` and ``n``; an n-entry's ``version`` and ``n``; a record's
+``z``; and the header's ``k_index``.  So a version written in an n-entry
+cannot move its weight to another N-machine.
 
 Whether a trace is well formed is decided in one place.
 ``_Replay.from_records`` tests every rule whose failure makes the audit
 refuse the trace (a ValueError, exit 2 at the command line): field types,
 stage order, sides, marker keys, c and deficits, each N-entry length (a
 natural, within the bound), each M-entry's justifying description (a
-schedule codeword), and each record's ``action`` and ``clauses`` against
-its ``b_added`` and m-entries (``_action_fault``).  It does so in the one pass it makes over
-every record, entry and snapshot, before any named check decides.  So a
+schedule codeword), and each record's ``action``, ``clauses`` and
+``injured`` against its ``b_added`` and m-entries (``_action_fault``).  It
+does so in the one pass it makes over every record, entry and snapshot,
+before any named check decides.  So a
 report is written only for a well-formed trace, and the named checks never
 raise.  The field tables decide each field's type: each table is compiled
 once, at import, into one test of its fields (``_Fields``), which a
@@ -46,10 +46,10 @@ rule reads ``if <violated>: _refuse(...)``: ``_refuse`` is the one
 function that words a refusal (``malformed trace: record N ...``), and
 only a trace with no header record at all is refused apart.  The rules
 are tested in one fixed order, so a trace that breaks several gets the
-message of the first.  The action rules come after every other: the
-pass keeps the first record that breaks one and refuses it once every
-other rule has held, so a trace that breaks another rule as well is
-refused as it was before they existed.
+message of the first.  The rules of ``_action_fault`` come after every
+other: the pass keeps the first record that breaks one and refuses it
+once every other rule has held, so a trace that breaks another rule as
+well is refused as it was before they existed.
 
 The audit does work linear in the trace size, and it reads the records
 once.  The pass of ``_Replay.from_records`` that tests the rules also
@@ -298,11 +298,11 @@ _ACTIONS = ("noop", "place", "describe", "act")
 def _action_fault(
     record: dict[str, Any], added: int | None, m_entries: list[Any]
 ) -> str | None:
-    """What is wrong with the ``action`` and ``clauses`` of a stage record
-    that adds ``added`` to B and holds ``m_entries``, by the first rule it
-    breaks, or None.  A record acts exactly when it adds to B, describes
-    exactly when it adds nothing and has m-entries, and names its clauses
-    exactly when it acts."""
+    """What is wrong with the ``action``, ``clauses`` and ``injured`` of a
+    stage record that adds ``added`` to B and holds ``m_entries``, by the
+    first rule it breaks, or None.  A record acts exactly when it adds to
+    B, describes exactly when it adds nothing and has m-entries, names its
+    clauses exactly when it acts, and injures only when it adds to B."""
     action = record.get("action")
     if action not in _ACTIONS:
         return f"action {action!r} is not noop, place, describe or act"
@@ -317,6 +317,9 @@ def _action_fault(
     if (clauses is None) != (action != "act"):
         return (f"action {action!r} does not match clauses {clauses!r}: a "
                 "record names its clauses exactly when it acts")
+    if record["injured"] and added is None:
+        return (f"injured {record['injured']} with b_added None: a record "
+                "injures only when it adds to B")
     return None
 
 
@@ -451,8 +454,9 @@ class _Replay:
         current: list[int | None] = []
         placed: list[int] = []
         bad: set[int] = set()
-        # The first record whose action breaks a rule, and what is wrong:
-        # it is refused only once every other rule has held.
+        # The first record whose action, clauses or injuries break a rule,
+        # and what is wrong: it is refused only once every other rule has
+        # held.
         action_fault: tuple[int, str] | None = None
         for number, record in enumerate(replay.stages, 1):
             stage, added, markers, injured, m_entries, n_entries = (

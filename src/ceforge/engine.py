@@ -312,7 +312,7 @@ class BaseEngine:
       given-set stamp (no halting stamp, and every other stop lies later)
       has its inputs applied by ``run`` first.  If K(0^n) did not drop, no
       side tracker has a dirty j and no element arrived, the stage repeats
-      the no-op, since the no-op's cursors emptied every side's
+      the no-op, since reading the no-op's cursors emptied every side's
       ``_dirty``; the clock goes on from it and ``step`` does not run.
       Otherwise ``step`` runs at that stage on the inputs already applied.
       Either way the schedule index folds a stage's events once, and a
@@ -536,9 +536,7 @@ class BaseEngine:
             self.sides[side].x_str[:k], length, stage
         )
         self._dirty.add((marker.index, side))
-        record.append(
-            {"side": side, "index": marker.index, "n": k, "length": length}
-        )
+        record.append({"side": side, "index": marker.index, "length": length})
 
     def _apply(self, stage: int) -> dict[int, int]:
         """Fold in the inputs that arrive at ``stage``: the schedule's
@@ -615,7 +613,6 @@ class BaseEngine:
             "action": "noop",
             "clauses": None,
             "b_added": None,
-            "z": None,
             "injured": [],
             "m_entries": [],
             "n_entries": n_entries,
@@ -635,7 +632,6 @@ class BaseEngine:
                 )
                 place = place and z is not None and index < z
                 describe = describe or z is not None
-            record["z"] = cursors
             if place:
                 self._place(index, self._fresh(stage), stage)
                 self._dirty.update((index, side) for side in self.side_names)
@@ -748,7 +744,6 @@ class BaseEngine:
             "engine": self.engine_name,
             "stages": stages,
             "c_offset": self.c_offset,
-            "k_index": "s+1",
         }
 
     def _next_stop(self) -> tuple[int | float, bool]:
@@ -786,10 +781,11 @@ class BaseEngine:
         """Execute stages 1..``stages``; returns the full trace.
 
         The trace has one record per stage, except that each maximal run of
-        bare no-ops (no-op records with no marker snapshot and no n-entry,
-        whose cursors are all None) is one record whose ``repeat`` counts
-        the stages it stands for: its own and those after it, which are
-        identical but for ``stage``.  The quiet tail is one such run.  After
+        bare no-ops (no-op records with no marker snapshot and no n-entry)
+        is one record whose ``repeat`` counts the stages it stands for: its
+        own and those after it, which are identical but for ``stage``.  (A
+        no-op found no deficiency cursor: one would have made it place or
+        describe.)  The quiet tail is one such run.  After
         a bare no-op the loop stops next at ``_next_stop``, not at every
         stage in between.  At a stop that is only an event or given-set
         stamp it applies the inputs first, and steps only if they change

@@ -333,11 +333,12 @@ def is_bare(record) -> bool:
 
 def mergeable_pairs(records) -> list[tuple[int, int]]:
     """The stages of each two adjacent stage records that could be written
-    as one: both bare no-ops with equal cursors ``z``."""
+    as one: both bare no-ops, which differ only in ``stage`` (a no-op
+    found no deficiency cursor, or it would have placed or described)."""
     return [
         (first["stage"], second["stage"])
         for first, second in zip(records[1:], records[2:])
-        if is_bare(first) and is_bare(second) and first["z"] == second["z"]
+        if is_bare(first) and is_bare(second)
     ]
 
 
@@ -465,6 +466,22 @@ def restore_restated(records):
     None and already in B, this record's ``b_added`` included."""
     restate = Restater()
     return [records[0], *map(restate, records[1:])]
+
+
+def restore_unread(records):
+    """The trace with the three fields the engine once wrote and no part of
+    the audit read put back: the header's ``k_index`` (always ``"s+1"``),
+    each stage record's deficiency cursors ``z`` and each n-entry's
+    segment length ``n``.  The cursors and lengths were engine state that
+    the trace cannot rebuild, so they are put back as null and 0."""
+    return [{**records[0], "k_index": "s+1"}] + [
+        {
+            **record,
+            "z": None,
+            "n_entries": [{**entry, "n": 0} for entry in record["n_entries"]],
+        }
+        for record in records[1:]
+    ]
 
 
 def restore_weights(records):

@@ -200,10 +200,12 @@ class TestTraceSerialization:
         "name, digest",
         [
             # sha256 of the scripted fixtures as recorded when every record
-            # wrote a ``weights`` field with both output-machine weights.
-            ("single", "3d1fee764c8b8fd654d633f3869eae0ec72aac07322575a0cde2c48e24e366a9"),
-            ("dual", "6c10b3164fa24a52c2f0b258c913e9101b7f4de3eebe67d171dcd82a270f6cdc"),
+            # wrote a ``weights`` field with both output-machine weights,
+            # less the fields no trace rebuilds (``_restored_fixture``).
+            ("single", "ebef1e2a84561ff4a21146f72a4d9ccb6a9f07ea78299ebc3d06c9ba4c1a01e9"),
+            ("dual", "a2bc2af363600ade273c35f4322e8d394b5c029aaa8d10b1a4cf56249c7a0721"),
         ],
+        ids=["single", "dual"],
     )
     def test_restored_weights_rebuild_the_old_fixture(
         self, data_dir, name, digest
@@ -221,10 +223,11 @@ class TestTraceSerialization:
         [
             # sha256 of the scripted fixtures as recorded when every record
             # wrote ``acting``, ``placed`` and ``frozen`` and every marker
-            # snapshot ``frozen``.
-            ("single", "163af7e134a34324ed5d08b76c9fa641d002beeb145dae615ff1eecc5fdf0e04"),
-            ("dual", "d50188b97b81ea736d55078527517515cfa35f73b157098ec132aff2f338599a"),
+            # snapshot ``frozen``, less the fields no trace rebuilds.
+            ("single", "f49d813cea98448538122df1a0d6b328157c4c8a988484c3508794c14c97531a"),
+            ("dual", "5d27e28b387fcbb2730cebea8f5566f115f3fe35a75cc6269d7b03f8dd20b621"),
         ],
+        ids=["single", "dual"],
     )
     def test_restored_restatements_rebuild_the_old_fixture(
         self, data_dir, name, digest
@@ -239,10 +242,12 @@ class TestTraceSerialization:
         "name, digest",
         [
             # sha256 of the scripted fixtures as recorded when every m- and
-            # n-entry wrote its ``codeword``.
-            ("single", "3ddd00b294c0201a126d2f93c00f7443d13c5c2de81a32af3bf2efef579ad009"),
-            ("dual", "9c115f3405c22b054a06bdbd91b4c035b3848c17e9eb71579fc211ae52cd53e1"),
+            # n-entry wrote its ``codeword``, less the fields no trace
+            # rebuilds.
+            ("single", "41266b5b37910b306ad661cc9056f3eb359fbefdc27ca9d95dc6d71580a06963"),
+            ("dual", "d8c36e45cecbd4245b0d09684189b0bf0d178c4ccc6c2220bcd930a993fa3f5e"),
         ],
+        ids=["single", "dual"],
     )
     def test_restored_codewords_rebuild_the_old_fixture(
         self, data_dir, name, digest
@@ -256,10 +261,11 @@ class TestTraceSerialization:
         [
             # sha256 of the scripted fixtures as recorded when every
             # m-entry wrote its ``length`` and ``n`` and every n-entry its
-            # ``version``.
-            ("single", "01979d8c675351dd9c155edbc0ef047bd7f2e8c8874084314096ee10f470d0e4"),
-            ("dual", "1938ec9d25c8f4da5d8a0b550932b4089dbfeb218f64b3c3372c546d84caf429"),
+            # ``version``, less the fields no trace rebuilds.
+            ("single", "bea69a3838503b0ae8e164a400620fd46e8d0d7735982532dd611043965f27f8"),
+            ("dual", "aea6296a174a56e42f44f2dc6152113fdd9bb977f47ba3bdabaccdcfd9dcfb78"),
         ],
+        ids=["single", "dual"],
     )
     def test_restored_entries_rebuild_the_old_fixture(
         self, data_dir, name, digest
@@ -270,7 +276,10 @@ class TestTraceSerialization:
 
 def _restored_fixture(data_dir, name):
     """The scripted fixture ``name``'s trace with the entry fields the
-    engine once wrote put back (``oracles.restore_entries``)."""
+    engine once wrote put back (``oracles.restore_entries``).  The fields
+    it once wrote that no trace rebuilds, the header's ``k_index``, each
+    record's ``z`` and each n-entry's ``n``, stay out: the pins were taken
+    from the old fixtures with exactly those removed."""
     scenario = Scenario.from_json(
         (data_dir / f"{name}_scripted.json").read_text()
     )
@@ -422,10 +431,11 @@ def _assert_indexes_match_oracles(records, scenario):
     (``oracles.audit_trace_walks``).  A trace with the entry fields the
     trace fixes (``oracles.restore_entries``) restored, and also with the
     ``weights`` field, with the four fields that restate the others
-    (``oracles.restore_restated``), or with the entries' codewords
-    (``oracles.restore_codewords``), as the engine once wrote them, audits
-    to the same report.  No two adjacent records of the trace could be
-    folded into one."""
+    (``oracles.restore_restated``), with the entries' codewords
+    (``oracles.restore_codewords``), as the engine once wrote them, or
+    with the three fields nothing read (``oracles.restore_unread``),
+    audits to the same report.  No two adjacent records of the trace could
+    be folded into one."""
     _assert_report_matches_the_walks(records, scenario)
     report = report_to_json(audit_trace(records, scenario))
     entries = oracles.restore_entries(records, scenario)
@@ -434,6 +444,7 @@ def _assert_indexes_match_oracles(records, scenario):
         oracles.restore_weights,
         oracles.restore_restated,
         oracles.restore_codewords,
+        oracles.restore_unread,
     ):
         assert report_to_json(
             audit_trace(restore(entries), scenario)

@@ -562,9 +562,10 @@ def _repeat_huge(records):
     records[-1]["repeat"] = 10**18
 
 
-# The action and clauses of a record must agree with what it does.  No
-# named check reads either, so each of these faults alone leaves the dual
-# fixture's checks passing.
+# The action, clauses and injuries of a record must agree with what it
+# does.  Each of these faults alone leaves the dual fixture's checks
+# passing: no named check reads the action or clauses, and the forged
+# injuries spread the n-entries they come with under the bound.
 
 
 def _action_unknown(records):
@@ -581,6 +582,19 @@ def _describe_as_noop(records):
 
 def _act_without_clauses(records):
     records[7]["clauses"] = None
+
+
+def _forged_injuries(records):
+    # Three length-2 n-entries of marker 0 weigh 3/4 with its first N-machine
+    # and fail ``n-machine-bounds``; two forged injuries of marker 0 in
+    # records that add nothing to B would spread them over three versions,
+    # each under the bound.
+    for number in (4, 5, 8):
+        records[number]["n_entries"].append(
+            {"side": "a", "index": 0, "length": 2}
+        )
+    for number in (4, 6):
+        records[number]["injured"] = [0]
 
 
 #: The whole message that refuses each fault, as the audit words it.  Each
@@ -763,6 +777,10 @@ _NAMED = {
         "malformed trace: record 7 action 'act' does not match clauses None: "
         "a record names its clauses exactly when it acts"
     ),
+    _forged_injuries: (
+        "malformed trace: record 4 injured [0] with b_added None: a record "
+        "injures only when it adds to B"
+    ),
 }
 
 
@@ -823,6 +841,7 @@ _NAMED = {
         ("dual_scripted", _act_as_place),
         ("dual_scripted", _describe_as_noop),
         ("dual_scripted", _act_without_clauses),
+        ("dual_scripted", _forged_injuries),
     ],
     ids=lambda value: getattr(value, "__name__", value).lstrip("_"),
 )

@@ -48,16 +48,47 @@ from oracles import (
 )
 
 
+def recording(engine_cls):
+    """``engine_cls`` made to keep what its trace does not write, from the
+    calls that compute it: ``cursors`` maps each stage that read the
+    deficiency cursors to each side's cursor, and ``n_of`` maps each stage
+    to the segment length n of each of its n-entries, in entry order."""
+
+    class Recording(engine_cls):
+        def __init__(self, scenario):
+            super().__init__(scenario)
+            self.cursors, self.n_of = {}, {}
+            for side, tracker in self.sides.items():
+                tracker.deficiency_cursor = self._recorded(
+                    side, tracker.deficiency_cursor
+                )
+
+        def _recorded(self, side, cursor):
+            def read(*args):
+                z = cursor(*args)
+                # ``step`` advances ``stage`` once the record is made
+                self.cursors.setdefault(self.stage + 1, {})[side] = z
+                return z
+
+            return read
+
+        def _enumerate_n(self, marker, side, k, length, stage, record):
+            self.n_of.setdefault(stage, []).append(k)
+            super()._enumerate_n(marker, side, k, length, stage, record)
+
+    return Recording
+
+
 @pytest.fixture(scope="module")
 def single_run(single_scripted):
-    engine = SingleEngine(single_scripted)
+    engine = recording(SingleEngine)(single_scripted)
     records = restore_entries(engine.run(6), single_scripted)
     return engine, restore_restated(records)[1:]
 
 
 @pytest.fixture(scope="module")
 def dual_run(dual_scripted):
-    engine = DualEngine(dual_scripted)
+    engine = recording(DualEngine)(dual_scripted)
     records = restore_entries(engine.run(8), dual_scripted)
     return engine, restore_restated(records)[1:]
 
@@ -77,22 +108,23 @@ class TestSingleScripted:
     def test_stage_three_moves_on_clause_b(self, single_run):
         # t_0 = 2, q_0 = 2^-(4+3); the stage-2 description of A|3 gives
         # sum 2^-4 >= 2^-7, so the marker moves and 1 enters B
-        _, stages = single_run
+        engine, stages = single_run
         act = stages[2]
         assert act["action"] == "act"
         assert act["clauses"] == {"a": False, "b": True}
         assert act["b_added"] == 1
         assert act["markers"]["0"]["pos"] == 5
         (enum,) = act["n_entries"]
-        assert (enum["n"], enum["length"]) == (2, 7)
+        (n,) = engine.n_of[act["stage"]]
+        assert (n, enum["length"]) == (2, 7)
 
     def test_stage_four_places_second_marker(self, single_run):
         # deficiency cursor z = 2 and marker 1 is undefined with 1 < z
-        _, stages = single_run
+        engine, stages = single_run
         place = stages[3]
         assert place["action"] == "place"
         assert place["placed"] == [1, 6]
-        assert place["z"] == {"a": 2}
+        assert engine.cursors[place["stage"]] == {"a": 2}
         # one prior move below index 1 bumps its counter to 3 + 1 + 1
         assert place["markers"]["1"]["c"] == 5
 
@@ -127,26 +159,31 @@ class TestDualScripted:
 
     def test_stage_three_fires_both_sides(self, dual_run):
         # both sums reach q - p = 2^-8 via the stage-2 description
-        _, stages = dual_run
+        engine, stages = dual_run
         act = stages[2]
         assert act["clauses"] == {"a": False, "b": True, "c": True}
-        sides = sorted((e["side"], e["n"], e["length"]) for e in act["n_entries"])
+        sides = sorted(
+            (e["side"], n, e["length"])
+            for e, n in zip(
+                act["n_entries"], engine.n_of[act["stage"]], strict=True
+            )
+        )
         assert sides == [("a", 2, 8), ("d", 2, 8)]
         assert act["markers"]["0"]["p_a"] == "0/2^0"
         assert act["markers"]["0"]["p_d"] == "0/2^0"
 
     def test_stage_four_places_when_below_both_cursors(self, dual_run):
-        _, stages = dual_run
+        engine, stages = dual_run
         assert stages[3]["placed"] == [1, 6]
-        assert stages[3]["z"] == {"a": 2, "d": 2}
+        assert engine.cursors[stages[3]["stage"]] == {"a": 2, "d": 2}
 
     def test_stage_five_describes_only_defined_side(self, dual_run):
         # the D-change kills every D-segment description, so z_d is gone
         # while the A-side deficiency at 2 gets repaired
-        _, stages = dual_run
+        engine, stages = dual_run
         desc = stages[4]
         assert desc["action"] == "describe"
-        assert desc["z"] == {"a": 2, "d": None}
+        assert engine.cursors[desc["stage"]] == {"a": 2, "d": None}
         (entry,) = desc["m_entries"]
         assert (entry["side"], entry["n"], entry["length"]) == ("a", 2, 4)
 
@@ -651,12 +688,16 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
 #: ``acting``, ``placed`` and ``frozen`` fields the engine once wrote
 #: restored and the injuries of unplaced markers put back, recorded before
 #: the stamp cache gave way to the dirty set, and of their audit reports,
-#: recorded before the audit built its indexes in one pass.
+#: recorded before the audit built its indexes in one pass.  The trace pins
+#: were re-recorded once the engine stopped writing the header's
+#: ``k_index``, each record's cursors ``z`` and each n-entry's ``n``, which
+#: no trace rebuilds: each is the sha256 of the bytes pinned before, with
+#: exactly those three fields removed.
 FROZEN_TRACES = {
-    (0, "single"): "5f64da637600752872ea0cf612e23f90e53de2bcabf7ad6897615f8fea83896b",
-    (0, "dual"): "825c63b8011b9b3add90bd9f791044f0acf9bf6d8a53094ddd1a862ba4857109",
-    (2, "single"): "d59c4de5f71ada45a5c2668002f79dac47dfbf9f5318963f0685eded4ad0a9a8",
-    (2, "dual"): "eb3086d38700e8b6e4f4c633deec585efb51ea5e723c1c29034776818f001b19",
+    (0, "single"): "f761e256184f9047ce3738fd0b0897c9328fa861141d8ce62f9e0182483bb85c",
+    (0, "dual"): "ebb35970c36bab282663f9a241b3a687e0ab9b833c5c701fb86d48a9109f5cbe",
+    (2, "single"): "70df955a2392e7f356a9133100c2b007a473656f3e16bb69a7430207f4dd99b4",
+    (2, "dual"): "e58c58b9aef7dd347f884dd457e329e77fa680eaba55fd529f60c3c588be2f37",
 }
 FROZEN_REPORTS = {
     (0, "single"): "ed9b0ea9c727a4e4ac6540ca3e8647b4a6ef8378f39818df46917e469acf4a7a",
@@ -669,12 +710,13 @@ FROZEN_REPORTS = {
 #: sha256 of the same traces with no ``weights`` field, folded as the
 #: engine wrote them before it folded every run of bare no-ops (the quiet
 #: tail alone, ``oracles.fold_quiet_tail``), and with the codewords, the
-#: restated fields and the injuries of unplaced markers put back.
+#: restated fields and the injuries of unplaced markers put back; re-recorded
+#: as ``FROZEN_TRACES`` was.
 FOLDED_TRACES = {
-    (0, "single"): "7281418183957b5dc355159334f5bd6598af0cb6ce4669ddc8b733b48bd77231",
-    (0, "dual"): "962b4291520d4c95a129173d1bc4da2ff70fc5aa10428e932d8d7c7d14272aef",
-    (2, "single"): "8baa312fa01cd49057d9d08f94b385afa1a59d9480fcde2bdea63336f1605808",
-    (2, "dual"): "5d1cac691e5fc58c798412c5ea11c192147121a4d45a521e4fbff0a46375e79f",
+    (0, "single"): "8aabf6ba6141045d67a44c5f937a077d9453515e224f5df4767b56171d827322",
+    (0, "dual"): "5ea26e2121251b010d093363c87b5ccf97341ab237d02481676665dfccd5b322",
+    (2, "single"): "7e11caeb11aa4c323a2a7ad046d3ad798cc4d81291e60f34c410a2b8a342a0d2",
+    (2, "dual"): "1dd6916b68b17dc59b78a27c9f1df05d0f5d4543b42a9d754384e2569cded45c",
 }
 
 
@@ -729,8 +771,8 @@ def test_generated_traces_are_byte_frozen(seed, engine_cls):
     "engine_cls", [SingleEngine, DualEngine], ids=["single", "dual"]
 )
 def test_no_op_runs_are_folded_maximally(engine_cls, seed, dense):
-    """No two adjacent records of a written trace are bare no-ops with
-    equal cursors, which ``run`` would have written as one.  Runs are
+    """No two adjacent records of a written trace are bare no-ops, which
+    ``run`` would have written as one.  Runs are
     folded before the quiet tail too, and the stage clock steps fewer
     stages than lie before the quiet point."""
     scenario = generated(seed, dense)
@@ -854,17 +896,38 @@ def test_entry_lengths_sum_to_machine_weights(engine_cls, dense):
     (``oracles.restore_codewords``).  Grouped so, each machine's entries
     are those the engine's machine holds, in order: codeword, output
     length and stage, for each output machine and each N-machine version,
-    live or archived."""
+    live or archived; an n-entry's output length is the n the engine
+    enumerated it at, which the trace does not write.  The header, stage
+    records, snapshots and entries hold exactly the fields the audit
+    reads, so a field it does not read cannot come back unseen."""
     scenario = generated(1 if dense else 0, dense)
-    engine = engine_cls(scenario)
+    engine = recording(engine_cls)(scenario)
     records = engine.run(scenario.stages)
-    for part, fields in (
-        ("m_entries", {"side", "justify", "cause"}),
-        ("n_entries", {"side", "index", "n", "length"}),
+    stages = records[1:]
+    deficits = {f"p_{side}" for side in engine.side_names}
+    for part, items, fields in (
+        ("header", records[:1], {"type", "engine", "stages", "c_offset"}),
+        ("record", stages, {
+            "stage", "action", "clauses", "b_added", "injured", "markers",
+            "m_entries", "n_entries", "repeat",
+        }),
+        (
+            "markers",
+            [snap for record in stages for snap in record["markers"].values()],
+            {"pos", "c"} | (deficits if engine.use_deficits else set()),
+        ),
+        (
+            "m_entries",
+            [e for record in stages for e in record["m_entries"]],
+            {"side", "justify", "cause"},
+        ),
+        (
+            "n_entries",
+            [e for record in stages for e in record["n_entries"]],
+            {"side", "index", "length"},
+        ),
     ):
-        assert {
-            key for record in records[1:] for e in record[part] for key in e
-        } == fields, part
+        assert {key for item in items for key in item} == fields, part
     m_sums = {side: ZERO for side in engine.side_names}
     n_sums = {}
     entries = {}
@@ -876,13 +939,14 @@ def test_entry_lengths_sum_to_machine_weights(engine_cls, dense):
             entries.setdefault(side, []).append(
                 (entry["codeword"], entry["n"], record["stage"])
             )
-        for entry in record["n_entries"]:
+        enumerated = engine.n_of.get(record["stage"], [])
+        for entry, n in zip(record["n_entries"], enumerated, strict=True):
             key = entry["side"], entry["index"], entry["version"]
             n_sums[key] = n_sums.get(key, ZERO) + Dyadic.pow2_neg(
                 entry["length"]
             )
             entries.setdefault(key, []).append(
-                (entry["codeword"], entry["n"], record["stage"])
+                (entry["codeword"], n, record["stage"])
             )
     assert all(m_sums.values()) and n_sums
     for side, tracker in engine.sides.items():
