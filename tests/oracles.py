@@ -21,7 +21,8 @@ from ceforge.audit import (
     stable_indices,
 )
 from ceforge.bitcore import Dyadic, INFINITE, ZERO, dyadic_parts, dyadic_str
-from ceforge.machines import Exhausted
+from ceforge.cli import EXIT_OK, EXIT_SCENARIO, KC_LENGTH_BOUND
+from ceforge.machines import Exhausted, FreeBlockSet
 
 
 def canonical_loop(num: int, exp: int) -> tuple[int, int]:
@@ -616,6 +617,34 @@ class EagerFreeBlockSet:
         for depth in range(base_len, length):
             self.free[depth + 1] = block + "0" * (depth - base_len) + "1"
         return block + "0" * (length - base_len)
+
+
+def kc_naive(text: str) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of ``ceforge kc`` on a request file
+    of ``text``, testing every line's length spelling on its own.  It
+    allocates with ``FreeBlockSet``, as ``kc`` does: ``EagerFreeBlockSet``
+    would spell out L^2/2 bits for a codeword of L bits."""
+    free = FreeBlockSet()
+    rows = []
+    try:
+        for line in text.splitlines():
+            fields = line.split()
+            if not fields or fields[0][:1] == "#":
+                continue
+            target, field = fields
+            length = int(field)
+            if not (field.isascii() and field.isdigit()):
+                raise ValueError(
+                    f"length {field!r} is not written in ASCII decimal digits"
+                )
+            if length > KC_LENGTH_BOUND:
+                raise ValueError(
+                    f"length {length} exceeds the bound {KC_LENGTH_BOUND}"
+                )
+            rows.append(f"{free.allocate(length)}\t{target}\n")
+    except (ValueError, Exhausted) as exc:
+        return EXIT_SCENARIO, "", f"request error: {exc}\n"
+    return EXIT_OK, "".join(rows), ""
 
 
 def spelled(free) -> dict[int, str]:

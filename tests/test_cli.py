@@ -1603,6 +1603,10 @@ class TestKc:
         requests.write_text("x 01\ny 002\n")
         code, out, _ = run_cli(capsys, "kc", str(requests))
         assert (code, out) == (EXIT_OK, "0\tx\n10\ty\n")
+        # Each spelling of 2, repeated, is its own key of ``kc``'s dict.
+        requests.write_text("a 2\nb 02\nc 2\nd 02\n")
+        code, out, _ = run_cli(capsys, "kc", str(requests))
+        assert (code, out) == (EXIT_OK, "00\ta\n01\tb\n10\tc\n11\td\n")
 
     def test_comments_and_blank_lines_are_skipped(self, capsys, tmp_path):
         requests = tmp_path / "req.txt"
@@ -1623,17 +1627,32 @@ class TestKc:
         assert err.startswith("request error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "length",
-        ["+3", "1_0", "\u0663"],
-        ids=["signed", "underscored", "arabic-indic"],
+        "before, length",
+        [
+            ("1", "+3"),
+            ("1", "1_0"),
+            ("1", "\u0663"),
+            ("3", "+3"),
+            ("10", "1_0"),
+            ("3", "\u0663"),
+        ],
+        ids=[
+            "signed",
+            "underscored",
+            "arabic-indic",
+            "signed-after-3",
+            "underscored-after-10",
+            "arabic-indic-after-3",
+        ],
     )
     def test_length_not_in_ascii_digits_exits_two(
-        self, capsys, tmp_path, length
+        self, capsys, tmp_path, before, length
     ):
         """``int`` reads each of these lengths (3, 10 and 3), but a length
-        must be written in ASCII decimal digits."""
+        must be written in ASCII decimal digits, also when its value was
+        already allocated under its ASCII spelling."""
         requests = tmp_path / "req.txt"
-        requests.write_text(f"x 1\ny {length}\n", encoding="utf-8")
+        requests.write_text(f"x {before}\ny {length}\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "kc", str(requests))
         assert (code, out, err) == (
             EXIT_SCENARIO,
@@ -1666,19 +1685,26 @@ class TestKc:
         assert out == "0" * KC_LENGTH_BOUND + "\tx\n1\ty\n"
 
     @pytest.mark.parametrize(
-        "length",
-        [str(KC_LENGTH_BOUND + 1), "99999999999999999999"],
-        ids=["bound+1", "10^20"],
+        "before, length",
+        [
+            ("x 1\n", str(KC_LENGTH_BOUND + 1)),
+            ("x 1\n", "99999999999999999999"),
+            ("x 20\nw 20\nv 20\n", str(KC_LENGTH_BOUND + 1)),
+        ],
+        ids=["bound+1", "10^20", "bound+1-after-repeats"],
     )
     def test_length_above_the_bound_exits_two(
-        self, capsys, tmp_path, length
+        self, capsys, tmp_path, before, length
     ):
         requests = tmp_path / "req.txt"
-        requests.write_text(f"x 1\ny {length}\n")
+        requests.write_text(f"{before}y {length}\n")
         code, out, err = run_cli(capsys, "kc", str(requests))
-        assert code == EXIT_SCENARIO
-        assert out == ""
-        assert err.startswith("request error:") and err.count("\n") == 1
+        assert (code, out, err) == (
+            EXIT_SCENARIO,
+            "",
+            f"request error: length {length} exceeds the bound "
+            f"{KC_LENGTH_BOUND}\n",
+        )
 
     def test_table_matches_per_row_output(self, capsys, tmp_path):
         rng = random.Random(8)

@@ -16,6 +16,9 @@ contract each command keeps:
   prefix-free.  The one exit 3 without a report is a ``run`` that the
   engine itself stops, with one ``lemma violation:`` line: the README's
   exit 3 covers a bound violated, engine- or audit-detected.
+
+A ``kc`` mutant's exit code, stdout and stderr must also equal those of
+``oracles.kc_naive``, which tests every line's length spelling on its own.
 """
 
 from __future__ import annotations
@@ -72,7 +75,9 @@ def rich_lines(name: str, engine: str) -> tuple[int, ...]:
 
 
 def kc_lines() -> list[str]:
-    """Requests of total weight below 1, with a comment and a blank."""
+    """Requests of total weight below 1, with a comment and a blank.  The
+    lengths 5..12 repeat, so every mutant meets spellings ``kc`` has already
+    tested."""
     lines = ["# fuzzed stream", ""]
     lines += [f"t{i} {5 + i % 8}" for i in range(40)]
     return lines
@@ -456,6 +461,9 @@ def test_mutated_kc_requests_keep_the_contract(workdir, data, kind):
                 data.draw(st.integers(0, 2), label="at"), "zz_unknown"
             )
         lines[number] = " ".join(fields)
+    text = "\n".join(lines) + "\n"
     requests_file = workdir / "requests.txt"
-    requests_file.write_text("\n".join(lines) + "\n")
-    _assert_kc_contract(lines, *_run("kc", str(requests_file)))
+    requests_file.write_text(text, encoding="utf-8")
+    result = _run("kc", str(requests_file))
+    assert result == oracles.kc_naive(text)
+    _assert_kc_contract(lines, *result)
