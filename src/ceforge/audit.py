@@ -19,29 +19,22 @@ is that of its ``justify`` and its n that of the output ``justify``
 describes, and an n-entry's version is the number of injuries of its
 index in the records before.
 
-Older traces wrote fields that the engine no longer writes and the audit
-ignores, so a trace that carries them audits to the same report:
-``weights``; a record's ``acting``, ``placed`` and ``frozen`` and a
-snapshot's ``frozen``; each entry's ``codeword``, which its machine's
-allocator fixes from the lengths (README, "Trace"); an m-entry's
-``length`` and ``n``; an n-entry's ``version`` and ``n``; a record's
-``z``; and the header's ``k_index``.  So a version written in an n-entry
-cannot move its weight to another N-machine.
-
 Whether a trace is well formed is decided in one place.
 ``_Replay.from_records`` tests every rule whose failure makes the audit
-refuse the trace (a ValueError, exit 2 at the command line): field types,
-stage order, sides, marker keys, c and deficits, each N-entry length (a
-natural, within the bound), each M-entry's justifying description (a
-schedule codeword), and each record's ``action``, ``clauses`` and
-``injured`` against its ``b_added`` and m-entries (``_action_fault``).  It
-does so in the one pass it makes over every record, entry and snapshot,
-before any named check decides.  So a
+refuse the trace (a ValueError, exit 2 at the command line): field types
+and key sets, stage order, sides, marker keys, c and deficits, each
+N-entry length (a natural, within the bound), each M-entry's justifying
+description (a schedule codeword), that each injured index names a
+marker placed before its record, and each record's ``action``,
+``clauses`` and ``injured`` against its ``b_added`` and m-entries
+(``_action_fault``).  It does so in the one pass it makes over every
+record, entry and snapshot, before any named check decides.  So a
 report is written only for a well-formed trace, and the named checks never
-raise.  The field tables decide each field's type: each table is compiled
-once, at import, into one test of its fields (``_Fields``), which a
-missing field fails even where null is allowed, and ``_require`` names
-the field at fault once a test has failed.  Each
+raise.  The field tables decide each part's keys and each field's type:
+each table is compiled once, at import, into one test of its fields
+(``_Fields``), which a missing field fails even where null is allowed,
+and so does a key the table does not list; ``_require`` names the field
+at fault once a test has failed.  Each
 rule reads ``if <violated>: _refuse(...)``: ``_refuse`` is the one
 function that words a refusal (``malformed trace: record N ...``), and
 only a trace with no header record at all is refused apart.  The rules
@@ -167,16 +160,22 @@ _MISSING = object()
 
 
 class _Fields(dict):
-    """A field table: each field of one part of a stage record, with the
-    types its value may have.  The table is the one statement of those
-    rules.  ``typed`` is its test, compiled once into the ``type(...) is
-    T`` chain one would write by hand, fields in table order: it returns
-    the tuple of the values it tested, in table order, or None if one
-    fails, so each field is read once.  ``_require`` names the field at
-    fault once the test has failed."""
+    """A field table: each field of one part of a trace, with the types
+    its value may have, and at most one ``optional`` key besides, which
+    the part may hold or not.  The table is the one statement of those
+    rules, and the part holds no other key.  ``typed`` is its test,
+    compiled once into the ``type(...) is T`` chain one would write by
+    hand, fields in table order, and then one test of the part's size,
+    which, once every field is present, holds only if no other key is:
+    it returns the tuple of the values it tested, in table order, or None
+    if one fails, so each field is read once.  ``_require`` names the
+    field at fault once the test has failed."""
 
-    def __init__(self, **fields: tuple[type, ...]) -> None:
+    def __init__(
+        self, optional: str | None = None, **fields: tuple[type, ...]
+    ) -> None:
         super().__init__(fields)
+        self.optional = optional
         tests = ["type(v) is dict"]
         for number, (key, kinds) in enumerate(fields.items()):
             first, *rest = [kind.__name__ for kind in kinds]
@@ -185,6 +184,11 @@ class _Fields(dict):
                 + "".join(f" or type(x{number}) is {name}" for name in rest)
                 + ")"
             )
+        size = f"len(v) == {len(fields)}"
+        if optional is not None:
+            size = (f"({size} or len(v) == {len(fields) + 1} and "
+                    f"{optional!r} in v)")
+        tests.append(size)
         values = "".join(f"x{number}, " for number in range(len(fields)))
         namespace = {"_MISSING": _MISSING, "NoneType": type(None)}
         self.typed = eval(
@@ -193,15 +197,21 @@ class _Fields(dict):
         )
 
 
-# Field types the checks rely on, for each part of a stage record.
+# The fields of each part of a trace, with the types the checks rely on.
 _OPTIONAL_INT = (int, type(None))
+_HEADER_FIELDS = _Fields(
+    type=(str,), engine=(str,), stages=(int,), c_offset=(int,)
+)
 _RECORD_FIELDS = _Fields(
+    "repeat",
     stage=(int,),
     b_added=_OPTIONAL_INT,
     markers=(dict,),
     injured=(list,),
     m_entries=(list,),
     n_entries=(list,),
+    action=(str,),
+    clauses=(dict, type(None)),
 )
 _M_ENTRY_FIELDS = _Fields(side=(str,), justify=(str,), cause=_OPTIONAL_INT)
 _N_ENTRY_FIELDS = _Fields(side=(str,), index=(int,), length=(int,))
@@ -220,18 +230,23 @@ def _refuse(number: int | None, what: str) -> NoReturn:
     raise ValueError(f"malformed trace: {where}{what}")
 
 
-def _require(value: Any, fields: _Fields, number: int, part: str) -> None:
-    """Refuse (``_refuse``) the trace unless ``value``, the ``part`` of
-    stage record ``number`` (``""`` for the record itself, else the part's
-    name and a space), is an object with these fields.  ``from_records``
-    calls this once ``fields.typed`` has failed, to name the field at
-    fault, so it always raises there."""
+def _require(
+    value: Any, fields: _Fields, number: int | None, part: str
+) -> NoReturn:
+    """Refuse (``_refuse``) the trace, naming what keeps ``value``, the
+    ``part`` of stage record ``number`` (``""`` for the record itself,
+    else the part's name and a space; ``number`` None and ``"header "``
+    for the header), from being an object with exactly these fields.
+    ``from_records`` calls this once ``fields.typed`` has failed, to name
+    the field at fault."""
     if type(value) is not dict:
         _refuse(number, f"{part}is not an object")
     for key, kinds in fields.items():
         if type(value.get(key, _MISSING)) not in kinds:
             _refuse(number, f"{part}field {key!r} is missing or of the "
                     "wrong type")
+    key = next(k for k in value if k not in fields and k != fields.optional)
+    _refuse(number, f"{part}field {key!r} is unknown")
 
 
 #: The c of marker i starts at c_offset + i; each engine has its own offset.
@@ -296,14 +311,17 @@ _ACTIONS = ("noop", "place", "describe", "act")
 
 
 def _action_fault(
-    record: dict[str, Any], added: int | None, m_entries: list[Any]
+    action: str,
+    clauses: dict[str, Any] | None,
+    injured: list[Any],
+    added: int | None,
+    m_entries: list[Any],
 ) -> str | None:
     """What is wrong with the ``action``, ``clauses`` and ``injured`` of a
     stage record that adds ``added`` to B and holds ``m_entries``, by the
     first rule it breaks, or None.  A record acts exactly when it adds to
     B, describes exactly when it adds nothing and has m-entries, names its
     clauses exactly when it acts, and injures only when it adds to B."""
-    action = record.get("action")
     if action not in _ACTIONS:
         return f"action {action!r} is not noop, place, describe or act"
     if (action == "act") != (added is not None):
@@ -313,13 +331,12 @@ def _action_fault(
         return (f"action {action!r} does not match b_added {added!r} and "
                 f"{len(m_entries)} m_entries: a record describes exactly "
                 "when it adds nothing to B and has m_entries")
-    clauses = record.get("clauses")
     if (clauses is None) != (action != "act"):
         return (f"action {action!r} does not match clauses {clauses!r}: a "
                 "record names its clauses exactly when it acts")
-    if record["injured"] and added is None:
-        return (f"injured {record['injured']} with b_added None: a record "
-                "injures only when it adds to B")
+    if injured and added is None:
+        return (f"injured {injured} with b_added None: a record injures "
+                "only when it adds to B")
     return None
 
 
@@ -390,9 +407,9 @@ class _Replay:
         """Replay ``records``, a trace of ``scenario``; raise ValueError
         unless it is well formed.  Every rule of a well-formed trace is
         tested here, so the named checks never meet a malformed one.  The
-        field tables decide each field's type through their compiled
-        tests, which hand back the fields' values; each rule that fails
-        calls ``_refuse``, which words the refusal.
+        field tables decide each part's keys and each field's type through
+        their compiled tests, which hand back the fields' values; each
+        rule that fails calls ``_refuse``, which words the refusal.
 
         The same pass builds what the named checks read: the ledgers,
         m-weights, n-entry lengths and the ``active-transitions``
@@ -420,6 +437,10 @@ class _Replay:
         if type(c_offset) is not int or c_offset != _C_OFFSETS[engine]:
             _refuse(None, f"header c_offset {c_offset!r} is not the {engine} "
                     f"engine's {_C_OFFSETS[engine]}")
+        # Each header field has held its rule, so only a key the table
+        # does not list can fail the table's test.
+        if _HEADER_FIELDS.typed(header) is None:
+            _require(header, _HEADER_FIELDS, None, "header ")
         sides = _SIDES[engine]
         snap_fields = _SNAPSHOT_FIELDS[engine]
         output_of = scenario.schedule.output_of
@@ -459,7 +480,10 @@ class _Replay:
         # held.
         action_fault: tuple[int, str] | None = None
         for number, record in enumerate(replay.stages, 1):
-            stage, added, markers, injured, m_entries, n_entries = (
+            (
+                stage, added, markers, injured, m_entries, n_entries, action,
+                clauses,
+            ) = (
                 _RECORD_FIELDS.typed(record)
                 or _require(record, _RECORD_FIELDS, number, "")
             )
@@ -525,7 +549,9 @@ class _Replay:
                 if "repeat" in record else stage
             )
             if action_fault is None:
-                what = _action_fault(record, added, m_entries)
+                what = _action_fault(
+                    action, clauses, injured, added, m_entries
+                )
                 if what is not None:
                     action_fault = number, what
             if added is not None:
@@ -537,6 +563,11 @@ class _Replay:
             for index in injured:
                 if type(index) is not int:
                     _refuse(number, f"injured index {index!r} is not an int")
+                # ``current`` holds the positions the records before this
+                # one left.
+                if not 0 <= index < len(current) or current[index] is None:
+                    _refuse(number, f"injured index {index} names no marker "
+                            "placed before the record")
                 injuries.setdefault(index, []).append(stage)
             if not markers:
                 continue

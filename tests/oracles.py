@@ -168,6 +168,19 @@ def reuse_bounds(replay, scenario) -> dict:
     return {"name": "reuse-bounds", "pass": ok, "witness": witness}
 
 
+def injures_unplaced(records) -> bool:
+    """Whether some stage record injures an index that holds no position
+    before it: its last snapshot in the records before has no ``pos``, or
+    it has none."""
+    pos = {}
+    for record in records[1:]:
+        if any(pos.get(index) is None for index in record["injured"]):
+            return True
+        for key, snap in record["markers"].items():
+            pos[int(key)] = snap["pos"]
+    return False
+
+
 def b_restrict(replay, n: int, stage: int) -> str:
     """The first ``n`` bits of B at ``stage``."""
     return "".join(
@@ -358,67 +371,6 @@ def quiet_after(scenario, inclusive: bool) -> int:
     )
 
 
-def fold_quiet_tail(records, scenario):
-    """The trace as the engine wrote it when it folded the quiet tail
-    alone: every ``repeat`` record written out, then the first no-op record
-    past ``quiet_after`` that carries no marker snapshot, unless it is the
-    last stage, stands with ``repeat`` for itself and every stage after
-    it, which must all be bare no-ops."""
-    expanded = expand_repeats(records)
-    stages = records[0]["stages"]
-    bound = quiet_after(scenario, records[0]["engine"] == "dual")
-    for number, record in enumerate(expanded[1:], 1):
-        stage = record["stage"]
-        if (
-            bound < stage < stages
-            and record["action"] == "noop"
-            and not record["markers"]
-        ):
-            assert all(map(is_bare, expanded[number:])), stage
-            tail = {**record, "repeat": stages - stage + 1}
-            return expanded[:number] + [tail]
-    return expanded
-
-
-def injure_unplaced(records):
-    """The trace as the engine wrote it when an act also injured the
-    markers above the acting one that were already unplaced.  Each such
-    index joins the act's ``injured`` list (kept sorted) and gets a
-    snapshot with no position, c + 1, not frozen, and deficits of 0 on the
-    dual engine; every later n-entry of that index takes a version one
-    higher.  A marker that comes back must have the c it would have had
-    under that rule."""
-    dual = records[0]["engine"] == "dual"
-    c, pos, bumps = {}, {}, {}
-    rewritten = [records[0]]
-    for record in records[1:]:
-        record = {
-            **record,
-            "markers": dict(record["markers"]),
-            "n_entries": [
-                {**e, "version": e["version"] + bumps.get(e["index"], 0)}
-                for e in record["n_entries"]
-            ],
-        }
-        if record["action"] == "act":
-            idle = [i for i in pos if i > record["acting"] and pos[i] is None]
-            record["injured"] = sorted(record["injured"] + idle)
-            for index in idle:
-                snap = {"pos": None, "c": c[index] + 1, "frozen": False}
-                if dual:
-                    snap.update(p_a="0/2^0", p_d="0/2^0")
-                record["markers"][str(index)] = snap
-                bumps[index] = bumps.get(index, 0) + 1
-        for key, snap in record["markers"].items():
-            index = int(key)
-            was_unplaced = index in pos and pos[index] is None
-            if was_unplaced and snap["pos"] is not None:
-                assert snap["c"] == c[index], (record["stage"], index)
-            c[index], pos[index] = snap["c"], snap["pos"]
-        rewritten.append(record)
-    return rewritten
-
-
 class Restater:
     """``restore_restated`` one stage record at a time: called on each
     stage record of a trace in order, it returns the record with the four
@@ -467,52 +419,6 @@ def restore_restated(records):
     None and already in B, this record's ``b_added`` included."""
     restate = Restater()
     return [records[0], *map(restate, records[1:])]
-
-
-def restore_unread(records):
-    """The trace with the three fields the engine once wrote and no part of
-    the audit read put back: the header's ``k_index`` (always ``"s+1"``),
-    each stage record's deficiency cursors ``z`` and each n-entry's
-    segment length ``n``.  The cursors and lengths were engine state that
-    the trace cannot rebuild, so they are put back as null and 0."""
-    return [{**records[0], "k_index": "s+1"}] + [
-        {
-            **record,
-            "z": None,
-            "n_entries": [{**entry, "n": 0} for entry in record["n_entries"]],
-        }
-        for record in records[1:]
-    ]
-
-
-def restore_weights(records):
-    """The trace with the ``weights`` field the engine once wrote, rebuilt
-    from the entries.  ``m_<side>`` is the running sum of 2^-``length`` over
-    that side's m-entries, written into every stage record (``"0/2^0"``
-    before the first).  ``n`` maps ``side:index:version`` to the running sum
-    over that N-machine version's n-entries, for each n-entry in the record
-    whose index is not injured in it: an injured marker's machine is reset
-    later in the same stage, so the engine wrote no weight for it."""
-    sides = ("a", "d") if records[0]["engine"] == "dual" else ("a",)
-    m_totals = {f"m_{side}": ZERO for side in sides}
-    n_totals = {}
-    restored = [records[0]]
-    for record in records[1:]:
-        for entry in record["m_entries"]:
-            key = f"m_{entry['side']}"
-            m_totals[key] += Dyadic.pow2_neg(entry["length"])
-        n_weights = {}
-        for entry in record["n_entries"]:
-            key = f"{entry['side']}:{entry['index']}:{entry['version']}"
-            n_totals[key] = n_totals.get(key, ZERO) + Dyadic.pow2_neg(
-                entry["length"]
-            )
-            if entry["index"] not in record["injured"]:
-                n_weights[key] = str(n_totals[key])
-        weights = {key: str(total) for key, total in m_totals.items()}
-        weights["n"] = n_weights
-        restored.append({**record, "weights": weights})
-    return restored
 
 
 def restore_entries(records, scenario):

@@ -597,6 +597,73 @@ def _forged_injuries(records):
         records[number]["injured"] = [0]
 
 
+def _injured_unknown(records):
+    records[5]["injured"] = [99]
+
+
+def _injured_unplaced(records):
+    # marker 1 appears unplaced in record 4, and record 5 injures it
+    records[4]["markers"]["1"]["pos"] = None
+
+
+# Fields that older traces wrote, each with a value the engine once wrote
+# in it.  The audit reads no such field, so it refuses each.
+
+
+def _header_k_index(records):
+    records[0]["k_index"] = "s+1"
+
+
+def _record_weights(records):
+    records[1]["weights"] = {"m_a": "0/2^0", "n": {}}
+
+
+def _record_acting(records):
+    records[3]["acting"] = 0
+
+
+def _record_placed(records):
+    records[4]["placed"] = [1, 6]
+
+
+def _record_frozen(records):
+    records[5]["frozen"] = True
+
+
+def _record_z(records):
+    records[1]["z"] = {"a": None}
+
+
+def _snapshot_frozen(records):
+    records[1]["markers"]["0"]["frozen"] = False
+
+
+def _m_codeword(records):
+    records[5]["m_entries"][0]["codeword"] = "0000"
+
+
+def _m_length(records):
+    records[5]["m_entries"][0]["length"] = 4
+
+
+def _m_n(records):
+    records[5]["m_entries"][0]["n"] = 2
+
+
+def _n_codeword(records):
+    records[3]["n_entries"][0]["codeword"] = "0000000"
+
+
+def _n_version(records):
+    # A version read from the trace could spread one N-machine's weight
+    # over versions of its own.
+    records[3]["n_entries"][0]["version"] = 1000
+
+
+def _n_n(records):
+    records[3]["n_entries"][0]["n"] = 2
+
+
 #: The whole message that refuses each fault, as the audit words it.  Each
 #: must name the value at fault where there is one: a bare KeyError
 #: would print only the side.
@@ -781,6 +848,35 @@ _NAMED = {
         "malformed trace: record 4 injured [0] with b_added None: a record "
         "injures only when it adds to B"
     ),
+    _injured_unknown: (
+        "malformed trace: record 5 injured index 99 names no marker placed "
+        "before the record"
+    ),
+    _injured_unplaced: (
+        "malformed trace: record 5 injured index 1 names no marker placed "
+        "before the record"
+    ),
+    _header_k_index: "malformed trace: header field 'k_index' is unknown",
+    _record_weights: "malformed trace: record 1 field 'weights' is unknown",
+    _record_acting: "malformed trace: record 3 field 'acting' is unknown",
+    _record_placed: "malformed trace: record 4 field 'placed' is unknown",
+    _record_frozen: "malformed trace: record 5 field 'frozen' is unknown",
+    _record_z: "malformed trace: record 1 field 'z' is unknown",
+    _snapshot_frozen: (
+        "malformed trace: record 1 markers field 'frozen' is unknown"
+    ),
+    _m_codeword: (
+        "malformed trace: record 5 m_entries field 'codeword' is unknown"
+    ),
+    _m_length: "malformed trace: record 5 m_entries field 'length' is unknown",
+    _m_n: "malformed trace: record 5 m_entries field 'n' is unknown",
+    _n_codeword: (
+        "malformed trace: record 3 n_entries field 'codeword' is unknown"
+    ),
+    _n_version: (
+        "malformed trace: record 3 n_entries field 'version' is unknown"
+    ),
+    _n_n: "malformed trace: record 3 n_entries field 'n' is unknown",
 }
 
 
@@ -842,6 +938,21 @@ _NAMED = {
         ("dual_scripted", _describe_as_noop),
         ("dual_scripted", _act_without_clauses),
         ("dual_scripted", _forged_injuries),
+        ("single_scripted", _injured_unknown),
+        ("single_scripted", _injured_unplaced),
+        ("single_scripted", _header_k_index),
+        ("single_scripted", _record_weights),
+        ("single_scripted", _record_acting),
+        ("single_scripted", _record_placed),
+        ("single_scripted", _record_frozen),
+        ("single_scripted", _record_z),
+        ("single_scripted", _snapshot_frozen),
+        ("dual_scripted", _m_codeword),
+        ("dual_scripted", _m_length),
+        ("dual_scripted", _m_n),
+        ("single_scripted", _n_codeword),
+        ("single_scripted", _n_version),
+        ("single_scripted", _n_n),
     ],
     ids=lambda value: getattr(value, "__name__", value).lstrip("_"),
 )
@@ -1336,24 +1447,16 @@ def _overdrawn_first_interval(records, scenario):
     _overdraw(records, scenario, index, _record_at(records, end), end)
 
 
-def _spread_n_machine(versions):
-    """Add to the record of the first n-entry one n-entry of length 2, on
-    that entry's side and index, for each of ``versions``: the fields each
-    new entry writes besides.  Three such entries weigh 3/4, past either
-    engine's N-machine bound.  An n-entry's version is the number of
-    injuries of its index so far, whatever version it writes, so written
-    versions cannot spread that weight over N-machines of their own."""
-
-    def mutate(records, scenario):
-        record = next(r for r in records[1:] if r["n_entries"])
-        first = record["n_entries"][0]
-        record["n_entries"] += [
-            {"side": first["side"], "index": first["index"], "length": 2,
-             **fields}
-            for fields in versions
-        ]
-
-    return mutate
+def _spread_n_machine(records, scenario):
+    """Add to the record of the first n-entry three n-entries of length 2,
+    on that entry's side and index: they weigh 3/4, past either engine's
+    N-machine bound."""
+    record = next(r for r in records[1:] if r["n_entries"])
+    first = record["n_entries"][0]
+    record["n_entries"] += [
+        {"side": first["side"], "index": first["index"], "length": 2}
+        for _ in range(3)
+    ]
 
 
 #: One corruption of a passing sweep trace per named check: the engine,
@@ -1374,12 +1477,7 @@ _NAMED_CHECK_MUTANTS = [
     (DualEngine, "decanter-bounds-d", _repeated_active("d")),
     (SingleEngine, "coding", _moved_coding_position),
     (DualEngine, "coding", _moved_coding_position),
-    (SingleEngine, "n-machine-bounds", _spread_n_machine([{}] * 3)),
-    (
-        SingleEngine,
-        "n-machine-bounds",
-        _spread_n_machine([{"version": v} for v in (1000, 1001, 1002)]),
-    ),
+    (SingleEngine, "n-machine-bounds", _spread_n_machine),
 ]
 _NAMED_CHECK_IDS = [
     "dual-deficit-bounds", "single-coverage-a", "dual-coverage-a",
@@ -1388,7 +1486,7 @@ _NAMED_CHECK_IDS = [
     "single-reuse-bounds-first-interval", "dual-reuse-bounds-first-interval",
     "single-decanter-bounds-a", "dual-decanter-bounds-a",
     "dual-decanter-bounds-d", "single-coding", "dual-coding",
-    "single-n-machine-bounds", "single-n-machine-bounds-written-versions",
+    "single-n-machine-bounds",
 ]
 
 
@@ -1409,8 +1507,7 @@ def test_corrupted_trace_fails_its_check(
     repeats of one active description that fill a container past its
     bound fail that side's ``decanter-bounds``, a stable marker moved
     off its position in B fails ``coding``, and n-entries that push one
-    N-machine past its bound fail ``n-machine-bounds``, with or without
-    versions written in them."""
+    N-machine past its bound fail ``n-machine-bounds``."""
     scenario = generated(0)
     records = engine_cls(scenario).run(scenario.stages)
     assert audit_trace(records, scenario)["pass"]

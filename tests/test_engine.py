@@ -35,15 +35,12 @@ import oracles
 from oracles import (
     expand_repeats,
     fires_dyadic,
-    fold_quiet_tail,
-    injure_unplaced,
     k_at_n,
     least_unplaced,
     machine_k_at,
     restore_codewords,
     restore_entries,
     restore_restated,
-    restore_weights,
     thresholds,
 )
 
@@ -683,40 +680,20 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     )
 
 
-#: sha256 of the full-horizon JSONL traces with the quiet tail written out,
-#: the ``weights`` field, the entries' codewords and the restated
-#: ``acting``, ``placed`` and ``frozen`` fields the engine once wrote
-#: restored and the injuries of unplaced markers put back, recorded before
-#: the stamp cache gave way to the dirty set, and of their audit reports,
-#: recorded before the audit built its indexes in one pass.  The trace pins
-#: were re-recorded once the engine stopped writing the header's
-#: ``k_index``, each record's cursors ``z`` and each n-entry's ``n``, which
-#: no trace rebuilds: each is the sha256 of the bytes pinned before, with
-#: exactly those three fields removed.
+#: sha256 of the full-horizon JSONL traces as ``run`` writes them, and of
+#: their audit reports, which were recorded before the audit built its
+#: indexes in one pass.
 FROZEN_TRACES = {
-    (0, "single"): "f761e256184f9047ce3738fd0b0897c9328fa861141d8ce62f9e0182483bb85c",
-    (0, "dual"): "ebb35970c36bab282663f9a241b3a687e0ab9b833c5c701fb86d48a9109f5cbe",
-    (2, "single"): "70df955a2392e7f356a9133100c2b007a473656f3e16bb69a7430207f4dd99b4",
-    (2, "dual"): "e58c58b9aef7dd347f884dd457e329e77fa680eaba55fd529f60c3c588be2f37",
+    (0, "single"): "6c16657aedfa5b0a43538eed12b7ea8add4a87c6a6485b13a67ebee53656ef7f",
+    (0, "dual"): "f57c62161403ceb8fa29d6e1c45bc6e412132344ff582e7d542d9f6bee222348",
+    (2, "single"): "b4276ff570a1c9bda540c7e1953103d99ceb5e998d6940abedbe403460ac0080",
+    (2, "dual"): "3da0cdf979e797efe054eb595c60a45144ecd84e552c8e42a07f7c5234135554",
 }
 FROZEN_REPORTS = {
     (0, "single"): "ed9b0ea9c727a4e4ac6540ca3e8647b4a6ef8378f39818df46917e469acf4a7a",
     (0, "dual"): "eb2746415661ee81b7c84ed003db9a16813eded48ec07aae052ec81da8cbdd9e",
     (2, "single"): "d786009cb102a1c210cf4ae20f82317d8af78dfb849616beab1f03f655a35871",
     (2, "dual"): "60ce6dbbfb53e4118af088ecf414e256e4c1cbc6836d0d645a3527597db5d94b",
-}
-
-
-#: sha256 of the same traces with no ``weights`` field, folded as the
-#: engine wrote them before it folded every run of bare no-ops (the quiet
-#: tail alone, ``oracles.fold_quiet_tail``), and with the codewords, the
-#: restated fields and the injuries of unplaced markers put back; re-recorded
-#: as ``FROZEN_TRACES`` was.
-FOLDED_TRACES = {
-    (0, "single"): "8aabf6ba6141045d67a44c5f937a077d9453515e224f5df4767b56171d827322",
-    (0, "dual"): "5ea26e2121251b010d093363c87b5ccf97341ab237d02481676665dfccd5b322",
-    (2, "single"): "7e11caeb11aa4c323a2a7ad046d3ad798cc4d81291e60f34c410a2b8a342a0d2",
-    (2, "dual"): "1dd6916b68b17dc59b78a27c9f1df05d0f5d4543b42a9d754384e2569cded45c",
 }
 
 
@@ -735,31 +712,13 @@ def _sha256(text):
 )
 def test_generated_traces_are_byte_frozen(seed, engine_cls):
     """Full-horizon traces of generated scenarios, quiet phase and all
-    markers included, and their audit reports stay byte-identical.  The
-    traces are pinned as written under the rules that entries write the
-    fields the trace fixes (``oracles.restore_entries``) and spell out
-    their codewords (``oracles.restore_codewords``), that records restate
-    ``acting``, ``placed`` and ``frozen`` (``oracles.restore_restated``),
-    that only the quiet tail is folded and that an act also injures
-    unplaced markers, and such a trace audits to the same report."""
+    markers included, and their audit reports stay byte-identical."""
     scenario = generated(seed)
     records = engine_cls(scenario).run(scenario.stages)
     key = seed, engine_cls.engine_name
-    old_rule = injure_unplaced(
-        fold_quiet_tail(
-            restore_restated(
-                restore_codewords(restore_entries(records, scenario))
-            ),
-            scenario,
-        )
-    )
-    assert _sha256(trace_to_jsonl(old_rule)) == FOLDED_TRACES[key]
-    assert _sha256(
-        trace_to_jsonl(restore_weights(expand_repeats(old_rule)))
-    ) == FROZEN_TRACES[key]
+    assert _sha256(trace_to_jsonl(records)) == FROZEN_TRACES[key]
     report = report_to_json(audit_trace(records, scenario))
     assert _sha256(report) == FROZEN_REPORTS[key]
-    assert report_to_json(audit_trace(old_rule, scenario)) == report
 
 
 @pytest.mark.parametrize(
