@@ -3,32 +3,46 @@
 Everything here is recomputed from the serialized trace plus the scenario;
 the auditor never reads engine internals, so it is an independent path over
 the same events.  Marker records in the trace are deltas: each stage lists
-the full state of just the markers that changed at that stage.  Each run
-of consecutive bare no-op stages (no marker snapshot, no entry), the quiet
-tail among them, is one record whose ``repeat`` field counts the stages it
-stands for; such a record changes nothing, so the audit reads it once and
-only its stage span matters, and every index reads the same as on the
-trace with the run written out.  The audit recomputes every machine weight
-from the ``m_entries`` and ``n_entries``: a machine's weight is the sum of
-2^-length over its entries, summed as an int in units of 2^-(the
-longest entry) and compared by shifts, as are the deficits and their
-bounds and each set of codewords whose weight a container or reuse bound
-needs; ``Dyadic`` values remain where those weights of different scales
-are added and compared, and for report strings.  An m-entry's length
+the position and deficits of just the markers it placed, moved or froze.
+Each run of consecutive bare no-op stages (no marker snapshot, no entry),
+the quiet tail among them, is one record whose ``repeat`` field counts
+the stages it stands for; such a record changes nothing, so the audit
+reads it once and only its stage span matters, and every index reads the
+same as on the trace with the run written out.  The audit recomputes
+every machine weight from the ``m_entries`` and ``n_entries``: a
+machine's weight is the sum of 2^-length over its entries, summed as an
+int in units of 2^-(the longest entry) and compared by shifts, as are
+the deficits and their bounds and each set of codewords whose weight a
+container or reuse bound needs; ``Dyadic`` values remain where those
+weights of different scales are added and compared, and for report
+strings.  An m-entry's length
 is that of its ``justify`` and its n that of the output ``justify``
 describes, and an n-entry's version is the number of injuries of its
 index in the records before.
 
+The trace does not write what an act implies; the pass derives it from
+``b_added`` and the positions the records before leave.  Marker 0 holds
+position 1 before the first record.  A record that adds a position to B
+acts, and its acting marker is the least placed index on that position.
+The act injures every marker placed above the acting one: each is
+unplaced, with c one more and zero deficits, and the timeline gets that
+snapshot.  A marker's c is ``c_offset`` + its index + the acts by lower
+indices so far, the record's own included (``_ActCounts``); a placed
+marker keeps its c, since a lower act would injure it.  An m-entry's
+cause is the record's acting marker, None in a record that does not act.
+
 Whether a trace is well formed is decided in one place.
 ``_Replay.from_records`` tests every rule whose failure makes the audit
 refuse the trace (a ValueError, exit 2 at the command line): field types
-and key sets, stage order, sides, marker keys, c and deficits, each
-N-entry length (a natural, within the bound), each M-entry's justifying
-description (a schedule codeword), that each injured index names a
-marker placed before its record, and each record's ``action``,
-``clauses`` and ``injured`` against its ``b_added`` and m-entries
-(``_action_fault``).  It does so in the one pass it makes over every
-record, entry and snapshot, before any named check decides.  So a
+and key sets, a header ``stages`` of at least 1, stage order, that the
+records end exactly at the header's ``stages``, sides, marker keys,
+deficits, each N-entry length (a natural, within the bound), each
+M-entry's justifying description (a schedule codeword), that each act
+adds the position of a placed marker, that ``injured`` lists exactly
+the markers the act injures and that none of them has a snapshot, and
+each record's ``action`` and ``clauses`` against its ``b_added`` and
+m-entries (``_action_fault``).  It does so in the one pass it makes over
+every record, entry and snapshot, before any named check decides.  So a
 report is written only for a well-formed trace, and the named checks never
 raise.  The field tables decide each part's keys and each field's type:
 each table is compiled once, at import, into one test of its fields
@@ -44,15 +58,17 @@ other: the pass keeps the first record that breaks one and refuses it
 once every other rule has held, so a trace that breaks another rule as
 well is refused as it was before they existed.
 
-The audit does work linear in the trace size, and it reads the records
-once.  The pass of ``_Replay.from_records`` that tests the rules also
-builds every index a named check reads: the marker timelines
-(``marker_at`` bisects them by stage), the injury stages of each marker,
-the stage at which each position entered B, each side's ``UsageLedger``,
-which files each reuse under the marker that caused it (so
-``_check_reuse_bounds`` visits only the markers that caused a reuse), the
-m-weights and the n-entry lengths of each N-machine version, and each
-side's K_M, read off one B buffer that it slices for every m-entry.  Where a violation decides a check
+The audit does work linear in the trace size, but for a logarithmic
+factor in each c that a placement derives (``_ActCounts``), and it reads
+the records once.  The pass of ``_Replay.from_records`` that tests the
+rules also builds every index a named check reads: the marker timelines,
+derived snapshots and c included (``marker_at`` bisects them by stage),
+the injury stages of each marker, the stage at which each position
+entered B, each side's ``UsageLedger``, which files each reuse under the
+marker that caused it (so ``_check_reuse_bounds`` visits only the
+markers that caused a reuse), the m-weights and the n-entry lengths of
+each N-machine version, and each side's K_M, read off one B buffer that
+it slices for every m-entry.  Where a violation decides a check
 (marker order in stage and in index, abandoned positions, deficits,
 active transitions), the pass keeps its witness: the last violation the
 full scan it replaced would report.  Marker order across indices is
@@ -213,11 +229,11 @@ _RECORD_FIELDS = _Fields(
     action=(str,),
     clauses=(dict, type(None)),
 )
-_M_ENTRY_FIELDS = _Fields(side=(str,), justify=(str,), cause=_OPTIONAL_INT)
+_M_ENTRY_FIELDS = _Fields(side=(str,), justify=(str,))
 _N_ENTRY_FIELDS = _Fields(side=(str,), index=(int,), length=(int,))
 _SNAPSHOT_FIELDS = {
-    "single": _Fields(pos=_OPTIONAL_INT, c=(int,)),
-    "dual": _Fields(pos=_OPTIONAL_INT, c=(int,), p_a=(str,), p_d=(str,)),
+    "single": _Fields(pos=_OPTIONAL_INT),
+    "dual": _Fields(pos=_OPTIONAL_INT, p_a=(str,), p_d=(str,)),
 }
 
 
@@ -313,15 +329,14 @@ _ACTIONS = ("noop", "place", "describe", "act")
 def _action_fault(
     action: str,
     clauses: dict[str, Any] | None,
-    injured: list[Any],
     added: int | None,
     m_entries: list[Any],
 ) -> str | None:
-    """What is wrong with the ``action``, ``clauses`` and ``injured`` of a
-    stage record that adds ``added`` to B and holds ``m_entries``, by the
-    first rule it breaks, or None.  A record acts exactly when it adds to
-    B, describes exactly when it adds nothing and has m-entries, names its
-    clauses exactly when it acts, and injures only when it adds to B."""
+    """What is wrong with the ``action`` and ``clauses`` of a stage record
+    that adds ``added`` to B and holds ``m_entries``, by the first rule it
+    breaks, or None.  A record acts exactly when it adds to B, describes
+    exactly when it adds nothing and has m-entries, and names its clauses
+    exactly when it acts."""
     if action not in _ACTIONS:
         return f"action {action!r} is not noop, place, describe or act"
     if (action == "act") != (added is not None):
@@ -334,9 +349,6 @@ def _action_fault(
     if (clauses is None) != (action != "act"):
         return (f"action {action!r} does not match clauses {clauses!r}: a "
                 "record names its clauses exactly when it acts")
-    if injured and added is None:
-        return (f"injured {injured} with b_added None: a record injures "
-                "only when it adds to B")
     return None
 
 
@@ -364,6 +376,38 @@ def _is_index(key: str) -> bool:
     )
 
 
+class _ActCounts:
+    """The acts of each marker index so far, with the number made by the
+    indices below any one in O(log n): a Fenwick tree, whose node k
+    (from 1) sums the acts of indices k - (k & -k) .. k - 1.  Marker 0 is
+    there from the start; each later index is added with no acts
+    (``grow``) when it first appears."""
+
+    def __init__(self) -> None:
+        self.tree = [0, 0]
+
+    def below(self, index: int) -> int:
+        """The acts of the indices below ``index``."""
+        total = 0
+        while index:
+            total += self.tree[index]
+            index &= index - 1
+        return total
+
+    def add(self, index: int) -> None:
+        """Count one act of ``index``."""
+        tree = self.tree
+        k = index + 1
+        while k < len(tree):
+            tree[k] += 1
+            k += k & -k
+
+    def grow(self) -> None:
+        """Add the next index, with no acts."""
+        k = len(self.tree)
+        self.tree.append(self.below(k - 1) - self.below(k & (k - 1)))
+
+
 @dataclass
 class _Replay:
     """State rebuilt from the trace records alone, in one pass over them
@@ -374,8 +418,9 @@ class _Replay:
     stages: list[dict[str, Any]]
     sides: tuple[str, ...]
     b_stage: dict[int, int] = field(default_factory=dict)
-    # index -> ordered (stage, snapshot) change events
-    timelines: dict[int, list[tuple[int, dict[str, Any]]]] = field(
+    # index -> ordered (stage, snapshot, c) change events: each snapshot
+    # the trace writes, and the one each injury implies
+    timelines: dict[int, list[tuple[int, dict[str, Any], int]]] = field(
         default_factory=dict
     )
     # index -> the stages at which it was injured, in order
@@ -411,8 +456,10 @@ class _Replay:
         their compiled tests, which hand back the fields' values; each
         rule that fails calls ``_refuse``, which words the refusal.
 
-        The same pass builds what the named checks read: the ledgers,
-        m-weights, n-entry lengths and the ``active-transitions``
+        The same pass derives what an act implies (the module docstring):
+        the acting marker, the injuries and their snapshots, every c and
+        every m-entry's cause.  It builds what the named checks read: the
+        ledgers, m-weights, n-entry lengths and the ``active-transitions``
         witness (``check_weights``); each marker's consecutive snapshots
         and the cross-index order (``check_markers``); B and each side's
         K_M (``check_coverage``); and each placed snapshot's deficits
@@ -430,9 +477,12 @@ class _Replay:
         engine = header.get("engine")
         if type(engine) is not str or engine not in _C_OFFSETS:
             _refuse(None, f"unknown engine {engine!r}")
-        if type(header.get("stages")) is not int:
+        stages = header.get("stages")
+        if type(stages) is not int:
             _refuse(None, "header field 'stages' is missing or of the "
                     "wrong type")
+        if stages < 1:
+            _refuse(None, f"header stages {stages} is below 1")
         c_offset = header.get("c_offset")
         if type(c_offset) is not int or c_offset != _C_OFFSETS[engine]:
             _refuse(None, f"header c_offset {c_offset!r} is not the {engine} "
@@ -443,6 +493,9 @@ class _Replay:
             _require(header, _HEADER_FIELDS, None, "header ")
         sides = _SIDES[engine]
         snap_fields = _SNAPSHOT_FIELDS[engine]
+        # The snapshot an injury implies: unplaced, with zero deficits.
+        unplaced = {key: "0/2^0" for key in snap_fields}
+        unplaced["pos"] = None
         output_of = scenario.schedule.output_of
         longest = max(map(len, output_of), default=0)
         replay = cls(header=header, stages=records[1:], sides=sides)
@@ -458,26 +511,30 @@ class _Replay:
         m_units = dict.fromkeys(sides, 0)
         bits = bytearray(b"0" * max(map(len, output_of.values()), default=0))
         previous = 0  # the last stage the records so far cover
-        acts = 0
         top_c = 0  # the largest c of any snapshot
         n_longest, n_number = 0, 0  # the longest N-entry and its record
         # Each marker key seen so far, with its index: only a new key is
         # tested (``_is_index``) and converted.
         indices: dict[str, int] = {}
-        # Cross-index order.  ``current`` holds each marker's position,
-        # ``placed`` the sorted placed indices, and ``bad`` each placed i
-        # whose pair with its placed successor is out of order.  A snapshot
-        # can only change the pairs that start at its index or at its
-        # placed predecessor, so only those are re-tested, snapshot by
-        # snapshot.  ``bad`` then depends on the configuration alone, so
-        # at the end of a record it describes the configuration the record
+        # The markers as the records so far leave them; marker 0 is placed
+        # on position 1 at stage 0, before the first record.  ``current``
+        # holds each marker's position, ``c_of`` its c, ``holders`` the
+        # placed indices on each position, ``placed`` the sorted placed
+        # indices, ``acts`` the acts of each index and ``bad`` each placed
+        # i whose pair with its placed successor is out of order.  A
+        # change can only change the pairs that start at its index or at
+        # its placed predecessor, so only those are re-tested, change by
+        # change.  ``bad`` then depends on the configuration alone, so at
+        # the end of a record it describes the configuration the record
         # leaves, which holds until the next change record.
-        current: list[int | None] = []
-        placed: list[int] = []
+        current: list[int | None] = [1]
+        c_of = [c_offset]
+        holders: dict[int, set[int]] = {1: {0}}
+        placed = [0]
+        acts = _ActCounts()
         bad: set[int] = set()
-        # The first record whose action, clauses or injuries break a rule,
-        # and what is wrong: it is refused only once every other rule has
-        # held.
+        # The first record whose action or clauses break a rule, and what
+        # is wrong: it is refused only once every other rule has held.
         action_fault: tuple[int, str] | None = None
         for number, record in enumerate(replay.stages, 1):
             (
@@ -487,12 +544,18 @@ class _Replay:
                 _RECORD_FIELDS.typed(record)
                 or _require(record, _RECORD_FIELDS, number, "")
             )
-            # An m-entry describes B as it stands with this record's
-            # addition.
-            if added is not None and 0 <= added < len(bits):
-                bits[added] = 49  # "1"
+            # The acting marker is the least placed index whose position
+            # the record adds to B; it causes each of the record's
+            # m-entries, which describe B with this record's addition.
+            acting = None
+            if added is not None:
+                holding = holders.get(added)
+                if holding:
+                    acting = min(holding)
+                if 0 <= added < len(bits):
+                    bits[added] = 49  # "1"
             for entry in m_entries:
-                side, justify, cause = (
+                side, justify = (
                     _M_ENTRY_FIELDS.typed(entry)
                     or _require(entry, _M_ENTRY_FIELDS, number, "m_entries ")
                 )
@@ -510,7 +573,7 @@ class _Replay:
                 m_units[side] += 1 << (longest - length)
                 # Only descriptions active at the stage of the transition
                 # may move one container deeper.
-                if ledger.record_use(justify, stage, cause) >= 2 and (
+                if ledger.record_use(justify, stage, acting) >= 2 and (
                     not ledger.is_active(justify, stage)
                 ):
                     witnesses["active-transitions"] = {
@@ -549,27 +612,48 @@ class _Replay:
                 if "repeat" in record else stage
             )
             if action_fault is None:
-                what = _action_fault(
-                    action, clauses, injured, added, m_entries
-                )
+                what = _action_fault(action, clauses, added, m_entries)
                 if what is not None:
                     action_fault = number, what
             if added is not None:
                 # a position in B gets no attention, so it enters B once
                 if added in b_stage:
                     _refuse(number, f"adds position {added} to B again")
+                if acting is None:
+                    _refuse(number, f"b_added {added} is the position of no "
+                            "marker placed before the record")
                 b_stage[added] = stage
-                acts += 1
-            for index in injured:
-                if type(index) is not int:
-                    _refuse(number, f"injured index {index!r} is not an int")
-                # ``current`` holds the positions the records before this
-                # one left.
-                if not 0 <= index < len(current) or current[index] is None:
-                    _refuse(number, f"injured index {index} names no marker "
-                            "placed before the record")
-                injuries.setdefault(index, []).append(stage)
-            if not markers:
+                acts.add(acting)
+                # The act injures every marker placed above the acting
+                # one: each is unplaced, with c one more and zero deficits.
+                cut = bisect.bisect_right(placed, acting)
+                above = placed[cut:]
+                if injured != above or any(
+                    type(index) is not int for index in injured
+                ):
+                    _refuse(number, f"injured {injured!r} is not {above}, "
+                            f"the markers placed above acting marker "
+                            f"{acting}")
+                for index in above:
+                    injuries.setdefault(index, []).append(stage)
+                    holding = holders[current[index]]
+                    holding.discard(index)
+                    if not holding:
+                        del holders[current[index]]
+                    current[index] = None
+                    c = c_of[index] = c_of[index] + 1
+                    if c > top_c:
+                        top_c = c
+                    timelines[index].append((stage, unplaced, c))
+                    bad.discard(index)
+                del placed[cut:]
+                bad.discard(acting)
+                # each snapshot is tested against the injured markers
+                injured = set(above)
+            elif injured:
+                _refuse(number, f"injured {injured!r} in a record that adds "
+                        "nothing to B: only an act injures")
+            if not markers and not injured:
                 continue
             for key, snap in markers.items():
                 index = indices.get(key)
@@ -581,21 +665,31 @@ class _Replay:
                                 "natural below 2^53 in decimal without "
                                 "leading zeros")
                     index = indices[key] = int(key)
-                pos, c, *deficits = snap_fields.typed(snap) or _require(
+                if index in injured:
+                    _refuse(number, f"marker {index} has a snapshot, but the "
+                            "record injures it")
+                pos, *deficits = snap_fields.typed(snap) or _require(
                     snap, snap_fields, number, "markers "
                 )
-                # Markers appear one index at a time.  A marker's c is
-                # c_offset + index plus the acts of lower markers so far:
-                # set so at each placement, and one more at an injury,
-                # which is such an act.  So it lies between c_offset +
-                # index and c_offset + index + acts.
-                if index > len(current):
-                    _refuse(number, f"marker {index} appears before "
-                            f"marker {len(current)}")
-                least = c_offset + index
-                if not least <= c <= least + acts:
-                    _refuse(number, f"marker {index} c {c} lies outside "
-                            f"{least}..{least + acts}")
+                # Markers appear one index at a time.
+                timeline = timelines.get(index)
+                if timeline is None:
+                    if index > len(timelines):
+                        _refuse(number, f"marker {index} appears before "
+                                f"marker {len(timelines)}")
+                    timeline = timelines[index] = []
+                    if index == len(current):
+                        current.append(None)
+                        c_of.append(0)
+                        acts.grow()
+                before = current[index]
+                # A marker's c is c_offset + index plus the acts of lower
+                # markers so far.  While it is placed no lower marker acts
+                # without injuring it, so its c changes only while it is
+                # unplaced, and at an injury.
+                if before is None:
+                    c_of[index] = c_offset + index + acts.below(index)
+                c = c_of[index]
                 if c > top_c:
                     top_c = c
                 # Dual runs (whose snapshot table lists p_a, p_d in side
@@ -614,24 +708,33 @@ class _Replay:
                             "p": dyadic_str(num, exp),
                             "bound": dyadic_str(1, c),
                         })
-                if index == len(current):
-                    current.append(None)
-                    timelines[index] = []
-                timelines[index].append((stage, snap))
-                before = current[index]
-                if before is not None and pos is not None and pos != before:
-                    if pos < before:
-                        _keep_last(witnesses, "marker-monotone-stages", {
-                            "stage": stage, "index": index,
-                            "from": before, "to": pos,
-                        })
-                    if before not in b_stage:
-                        # an abandoned position must sit in B from that
-                        # stage on
-                        _keep_last(witnesses, "marker-consistency", {
-                            "stage": stage, "index": index,
-                            "abandoned": before,
-                        })
+                timeline.append((stage, snap, c))
+                if pos == before:
+                    continue
+                if before is not None:
+                    if pos is not None:
+                        if pos < before:
+                            _keep_last(witnesses, "marker-monotone-stages", {
+                                "stage": stage, "index": index,
+                                "from": before, "to": pos,
+                            })
+                        if before not in b_stage:
+                            # an abandoned position must sit in B from
+                            # that stage on
+                            _keep_last(witnesses, "marker-consistency", {
+                                "stage": stage, "index": index,
+                                "abandoned": before,
+                            })
+                    holding = holders[before]
+                    holding.discard(index)
+                    if not holding:
+                        del holders[before]
+                if pos is not None:
+                    holding = holders.get(pos)
+                    if holding is None:
+                        holders[pos] = {index}
+                    else:
+                        holding.add(index)
                 current[index] = pos
                 k = bisect.bisect_left(placed, index)
                 if pos is None:
@@ -662,9 +765,10 @@ class _Replay:
                     "stage": stage, "i": i, "j": j,
                     "pos_i": current[i], "pos_j": current[j],
                 }
-        if previous > header["stages"]:
-            _refuse(None, f"records run to stage {previous}, past the "
-                    f"header's {header['stages']}")
+        if previous != stages:
+            where = "past" if previous > stages else "before"
+            _refuse(None, f"records run to stage {previous}, {where} the "
+                    f"header's {stages}")
         # An N-entry is K(0^k) + c bits long for a schedule description of
         # 0^k and a counter c, and every counter a marker takes shows in a
         # snapshot.
@@ -687,12 +791,16 @@ class _Replay:
         return entered is not None and entered <= stage
 
     def marker_at(self, index: int, stage: int) -> dict[str, Any] | None:
-        """Marker state after the given stage, or None if never materialized."""
+        """Marker state after the given stage, its c included, or None if
+        never materialized."""
         timeline = self.timelines.get(index)
         if not timeline:
             return None
         pos = bisect.bisect_right(timeline, stage, key=lambda e: e[0]) - 1
-        return timeline[pos][1] if pos >= 0 else None
+        if pos < 0:
+            return None
+        _, snap, c = timeline[pos]
+        return {**snap, "c": c}
 
     def final_markers(self) -> dict[int, dict[str, Any]]:
         return {
@@ -864,7 +972,7 @@ def stable_indices(replay: _Replay) -> list[int]:
     cutoff = final - final // 4
     result = []
     for index, timeline in replay.timelines.items():
-        last_stage, snap = timeline[-1]
+        last_stage, snap, _ = timeline[-1]
         if snap["pos"] is not None and last_stage <= cutoff:
             result.append(index)
     return sorted(result)

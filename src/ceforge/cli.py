@@ -147,13 +147,16 @@ def cmd_kc(args: argparse.Namespace) -> int:
     ``StringIO``) takes the text.
 
     A request stream repeats a few length spellings (nine in a 200,000-line
-    stream of lengths 18..26), so ``lengths`` maps each spelling that has
-    passed every test below to its int, and a spelling is tested only at its
-    first line.  A spelling that fails is never stored, so it is refused at
-    its first line, in the same order relative to ``Exhausted`` as without
-    the dict.  The key is the spelling, not its int: "3" passes where "+3"
-    and "٣" must not.  The dict holds one entry per distinct valid spelling,
-    so the file bounds it.
+    stream of lengths 18..26), so ``lengths`` maps each canonical spelling
+    that has passed every test below to its int, and such a spelling is
+    tested only at its first line.  A spelling that fails is never stored,
+    so it is refused at its first line, in the same order relative to
+    ``Exhausted`` as without the dict.  The key is the spelling, not its
+    int: "3" passes where "+3" and "٣" must not.  Only a canonical spelling
+    ("0", or digits with no leading zero) is stored: a padded one such as
+    "007" is tested at each of its lines.  So the dict holds at most one
+    entry per length up to ``KC_LENGTH_BOUND``, however many distinct
+    spellings the file holds.
     """
     allocate = FreeBlockSet().allocate
     lengths: dict[str, int] = {}
@@ -183,7 +186,8 @@ def cmd_kc(args: argparse.Namespace) -> int:
                     raise ValueError(
                         f"length {length} exceeds the bound {KC_LENGTH_BOUND}"
                     )
-                lengths[field] = length
+                if field[0] != "0" or field == "0":
+                    lengths[field] = length
             rows.append(f"{allocate(length)}\t{target}\n")
     except (OSError, ValueError, Exhausted) as exc:
         print(f"request error: {exc}", file=sys.stderr)

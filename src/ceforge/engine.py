@@ -514,14 +514,13 @@ class BaseEngine:
         side: str,
         k: int,
         stage: int,
-        cause: int | None,
         record: list[dict[str, Any]],
     ) -> None:
         tracker = self.sides[side]
         length, _, justify = tracker.k_best[k]
         tracker.machine.describe(self.b_str[:k], length, stage)
         tracker._dirty.add(k)
-        record.append({"side": side, "justify": justify, "cause": cause})
+        record.append({"side": side, "justify": justify})
 
     def _enumerate_n(
         self,
@@ -643,7 +642,7 @@ class BaseEngine:
                     z = cursors[side]
                     if z is not None:
                         self._describe_output(
-                            side, z, stage, None, record["m_entries"]
+                            side, z, stage, record["m_entries"]
                         )
         else:
             marker = self.markers[attention_index]
@@ -677,11 +676,12 @@ class BaseEngine:
                         <= tracker.k_best[k][0]
                     ):
                         self._describe_output(
-                            side, k, stage, attention_index, record["m_entries"]
+                            side, k, stage, record["m_entries"]
                         )
+            # The injured markers get no snapshot: each is unplaced with c
+            # one more and zero deficits, which the audit derives.
             for other in self.markers[attention_index + 1 : self.placed]:
                 record["injured"].append(other.index)
-                touched.add(other.index)
                 other.position = None
                 other.frozen = False
                 other.c += 1
@@ -725,11 +725,12 @@ class BaseEngine:
         return record
 
     def _marker_snapshot(self, touched: set[int]) -> dict[str, Any]:
-        """Delta snapshot: full state of just the markers touched this stage."""
+        """Delta snapshot: the position and deficits of just the markers
+        touched this stage.  c is not written: the audit derives it."""
         snapshot: dict[str, Any] = {}
         for index in sorted(touched):
             marker = self.markers[index]
-            entry: dict[str, Any] = {"pos": marker.position, "c": marker.c}
+            entry: dict[str, Any] = {"pos": marker.position}
             if self.use_deficits:
                 for side in self.side_names:
                     entry[f"p_{side}"] = dyadic_str(

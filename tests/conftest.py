@@ -45,6 +45,17 @@ CAUSED_REUSES = GenParams(
 )
 
 
+#: A scenario shape with no given-set element and no halting stamp, so that
+#: every description stays active.  Its seed-6 runs pass on both engines
+#: with one act, a sum-clause act by marker 0 at stage 22, whose reuses
+#: count against marker 0's bound over its one uninjured interval.
+SUM_CLAUSE_ACT = GenParams(
+    stages=200, events=8, active_stages=50, set_size=0, element_bound=13,
+    halting_size=0, zero_budget_share=0.0, min_length=5, max_length=5,
+    max_output=4,
+)
+
+
 @functools.lru_cache(maxsize=None)
 def generated(seed: int, dense: bool = False) -> Scenario:
     """``gen_scenario(seed)``, in the dense-x4 shape when ``dense``; built

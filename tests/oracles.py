@@ -98,11 +98,12 @@ def injury_stages(replay, index: int) -> list[int]:
 
 def reuses(replay, side: str) -> dict[int, list[tuple[int, str]]]:
     """Marker index -> ``(stage, codeword)`` of every use after the first of
-    a schedule description on ``side`` that names that marker as its cause,
-    in trace order, counted from the m-entries of every record."""
+    a schedule description on ``side`` whose cause is that marker, in trace
+    order, counted from the m-entries of every record with their causes
+    put back (``restore_implied``)."""
     uses: dict[str, int] = {}
     result: dict[int, list[tuple[int, str]]] = {}
-    for record in replay.stages:
+    for record in restore_implied([replay.header, *replay.stages])[1:]:
         for entry in record["m_entries"]:
             if entry["side"] != side:
                 continue
@@ -168,14 +169,26 @@ def reuse_bounds(replay, scenario) -> dict:
     return {"name": "reuse-bounds", "pass": ok, "witness": witness}
 
 
-def injures_unplaced(records) -> bool:
-    """Whether some stage record injures an index that holds no position
-    before it: its last snapshot in the records before has no ``pos``, or
-    it has none."""
-    pos = {}
+def breaks_act_rules(records) -> bool:
+    """Whether some act record adds to B a position that no marker placed
+    before it holds, or lists in ``injured`` other than exactly the
+    markers placed above its acting marker, the least index on that
+    position, in index order.  Marker 0 is placed on position 1 before
+    the first record, and an injury unplaces each injured marker."""
+    pos = {0: 1}
     for record in records[1:]:
-        if any(pos.get(index) is None for index in record["injured"]):
-            return True
+        added = record["b_added"]
+        if added is not None:
+            holders = [i for i, p in pos.items() if p == added]
+            if not holders:
+                return True
+            above = sorted(
+                i for i, p in pos.items() if p is not None and i > min(holders)
+            )
+            if record["injured"] != above:
+                return True
+            for index in above:
+                pos[index] = None
         for key, snap in record["markers"].items():
             pos[int(key)] = snap["pos"]
     return False
@@ -190,11 +203,12 @@ def b_restrict(replay, n: int, stage: int) -> str:
 
 def monotone_indices(replay):
     """``(ok, witness)`` of the cross-index ordering check from a full scan:
-    at each record that changes a marker, every pair of consecutive placed
-    indices is compared, and the witness is the last pair out of order."""
+    at each record that changes a marker, its injuries included
+    (``restore_implied``), every pair of consecutive placed indices is
+    compared, and the witness is the last pair out of order."""
     ok, witness = True, {}
     current = []
-    for record in replay.stages:
+    for record in restore_implied([replay.header, *replay.stages])[1:]:
         if not record["markers"]:
             continue
         for key, snap in record["markers"].items():
@@ -371,25 +385,42 @@ def quiet_after(scenario, inclusive: bool) -> int:
     )
 
 
-class Restater:
-    """``restore_restated`` one stage record at a time: called on each
-    stage record of a trace in order, it returns the record with the four
-    fields put back, from the positions and B that the records before it
-    and the record itself show."""
+class Positions:
+    """Each marker's last position, from the snapshots of the stage
+    records so far: the tracking that ``Restater`` and ``Implier`` share."""
 
     def __init__(self) -> None:
-        # each marker's last position; marker 0 is placed on position 1 at
-        # stage 0, before the first record
+        # marker 0 is placed on position 1 at stage 0, before the first
+        # record
         self.pos: dict[int, int | None] = {0: 1}
+
+    def acting(self, added):
+        """The least index whose position is ``added``, None if there is
+        none or ``added`` is None."""
+        if added is None:
+            return None
+        return next((i for i, pos in self.pos.items() if pos == added), None)
+
+    def track(self, markers) -> None:
+        for key, snap in markers.items():
+            self.pos[int(key)] = snap["pos"]
+
+
+class Restater(Positions):
+    """``restore_restated`` one stage record at a time: called on each
+    stage record of a trace in order, with its implied fields put back
+    (``Implier``), it returns the record with the four fields put back,
+    from the positions and B that the records before it and the record
+    itself show."""
+
+    def __init__(self) -> None:
+        super().__init__()
         self.b: set[int] = set()  # the positions in B so far
 
     def __call__(self, record):
         added = record["b_added"]
-        acting = None
+        acting = self.acting(added)
         if added is not None:
-            acting = next(
-                (i for i, pos in self.pos.items() if pos == added), None
-            )
             self.b.add(added)
         markers = {
             key: {**snap, "frozen": snap["pos"] in self.b}
@@ -400,18 +431,74 @@ class Restater:
             index = max(map(int, markers))
             placed = [index, markers[str(index)]["pos"]]
         frozen = acting is not None and markers[str(acting)]["pos"] == added
-        for key, snap in markers.items():
-            self.pos[int(key)] = snap["pos"]
+        self.track(markers)
         return {
             **record, "acting": acting, "placed": placed, "frozen": frozen,
             "markers": markers,
         }
 
 
+class Implier(Positions):
+    """``restore_implied`` one stage record at a time: called on each stage
+    record of the trace that ``header`` heads, in order, it returns the
+    record with what its act implies put back."""
+
+    def __init__(self, header) -> None:
+        super().__init__()
+        self.c_offset = header["c_offset"]
+        self.deficits = (
+            {"p_a": "0/2^0", "p_d": "0/2^0"}
+            if header["engine"] == "dual" else {}
+        )
+        self.acts: list[int] = []  # the acting index of each act so far
+
+    def __call__(self, record):
+        acting = self.acting(record["b_added"])
+        if acting is not None:
+            self.acts.append(acting)
+        markers = {
+            **record["markers"],
+            **{
+                str(index): {"pos": None, **self.deficits}
+                for index in record["injured"]
+            },
+        }
+        markers = {
+            key: {
+                **snap,
+                "c": self.c_offset + int(key)
+                + sum(index < int(key) for index in self.acts),
+            }
+            for key, snap in markers.items()
+        }
+        self.track(markers)
+        return {
+            **record,
+            "markers": markers,
+            "m_entries": [
+                {**entry, "cause": acting} for entry in record["m_entries"]
+            ],
+        }
+
+
+def restore_implied(records):
+    """The trace with what each act implies, which the engine once wrote,
+    put back.  The acting marker of a record is the one whose position
+    before it was ``b_added`` (``Positions``).  Each marker the record
+    injures gets a snapshot of ``pos`` None and, on the dual engine,
+    deficits ``0/2^0``; every snapshot gets its ``c``, c_offset + index +
+    the acts by lower indices so far, the record's own included; and every
+    m-entry gets its ``cause``, the acting marker, None in a record that
+    does not act."""
+    imply = Implier(records[0])
+    return [records[0], *map(imply, records[1:])]
+
+
 def restore_restated(records):
-    """The trace with the four fields the engine once wrote that restate
-    the others, rebuilt from them.  A stage record's ``acting`` is the
-    marker whose position before the record was ``b_added`` (marker 0's
+    """``records``, a trace with its implied fields put back
+    (``restore_implied``), with the four fields the engine once wrote that
+    restate the others rebuilt from them.  A stage record's ``acting`` is
+    the marker whose position before the record was ``b_added`` (marker 0's
     is 1 before the first record), else None; its ``placed`` is ``[k,
     pos]`` for the largest snapshot key k of a ``place`` record, else
     None; its ``frozen`` says whether the acting marker's new ``pos`` is
@@ -694,6 +781,16 @@ def check_weights_walk(
     return checks
 
 
+def walk_timelines(stages) -> dict[int, list[tuple[int, dict]]]:
+    """index -> ``(stage, snapshot)`` of each snapshot in ``stages``, the
+    stage records with their implied fields put back, in record order."""
+    timelines: dict[int, list[tuple[int, dict]]] = {}
+    for record in stages:
+        for key, snap in record["markers"].items():
+            timelines.setdefault(int(key), []).append((record["stage"], snap))
+    return timelines
+
+
 def check_markers_walk(
     replay: _Replay, scenario: Scenario
 ) -> list[dict[str, Any]]:
@@ -701,7 +798,10 @@ def check_markers_walk(
 
     mono_ok, mono_witness = True, {}
     consist_ok, consist_witness = True, {}
-    for index, timeline in replay.timelines.items():
+    # Marker 0 sits on position 1 from stage 0, before the first record.
+    timelines = walk_timelines(replay.stages)
+    timelines.setdefault(0, []).insert(0, (0, {"pos": 1}))
+    for index, timeline in timelines.items():
         for (_, before), (stage, after) in zip(timeline, timeline[1:]):
             if before["pos"] is None or after["pos"] is None:
                 continue
@@ -857,7 +957,7 @@ def check_deficits_walk(replay: _Replay) -> list[dict[str, Any]]:
         return checks
     ok = True
     witness: dict[str, Any] = {}
-    for index, timeline in replay.timelines.items():
+    for index, timeline in walk_timelines(replay.stages).items():
         for stage, snap in timeline:
             if snap["pos"] is None:
                 continue
@@ -878,11 +978,11 @@ def audit_trace_walks(
     records: list[dict[str, Any]], scenario: Scenario
 ) -> dict[str, Any]:
     """Full audit of a trace against its scenario; pure and deterministic.
-    The walks read the entry fields the trace no longer writes, so they
-    walk the trace with them put back (``restore_entries``), once
-    ``_Replay.from_records`` has found it well formed."""
+    The walks read the fields the trace no longer writes, so they walk the
+    trace with them put back (``restore_implied``, ``restore_entries``),
+    once ``_Replay.from_records`` has found it well formed."""
     replay = _Replay.from_records(records, scenario)
-    replay.stages = restore_entries(records, scenario)[1:]
+    replay.stages = restore_entries(restore_implied(records), scenario)[1:]
     checks = check_weights_walk(replay, scenario)
     checks.extend(check_markers_walk(replay, scenario))
     checks.extend(check_coverage_walk(replay, scenario))

@@ -339,7 +339,10 @@ def _assert_indexes_match_oracles(records, scenario):
     the one the audit's former record walks build
     (``oracles.audit_trace_walks``), and the trace with its ``repeat``
     records written out audits to the same report.  No two adjacent
-    records of the trace could be folded into one."""
+    records of the trace could be folded into one.  Each marker's
+    timeline, with the snapshots and every c the audit derives, is the one
+    the trace with what its acts imply put back
+    (``oracles.restore_implied``) writes out."""
     _assert_report_matches_the_walks(records, scenario)
     unfolded = oracles.expand_repeats(records)
     assert report_to_json(audit_trace(records, scenario)) == report_to_json(
@@ -350,6 +353,10 @@ def _assert_indexes_match_oracles(records, scenario):
     expanded = _Replay.from_records(unfolded, scenario)
     for name in ("b_stage", "timelines", "injuries", "final_stage"):
         assert getattr(replay, name) == getattr(expanded, name), name
+    assert {
+        index: [(stage, {**snap, "c": c}) for stage, snap, c in timeline]
+        for index, timeline in replay.timelines.items()
+    } == oracles.walk_timelines(oracles.restore_implied(records)[1:])
     n_lengths = {}
     for record in oracles.restore_entries(records, scenario)[1:]:
         for entry in record["n_entries"]:
@@ -444,9 +451,10 @@ def test_ordering_check_matches_full_scan_when_corrupted(engine_cls, cases):
     check; some of those are repaired by a later record, so the witness is
     not always the first violation.  The replay is rebuilt from the
     corrupted records, as the pass that reads them decides the order.  A
-    corruption that leaves a marker unplaced where a later act injures it
-    makes the trace malformed: the pass must refuse it for that, and it
-    does not count among the ``cases`` compared."""
+    corruption that moves the marker an act's ``b_added`` names, or the
+    markers placed above it, makes the trace malformed: the pass must
+    refuse it for that (``oracles.breaks_act_rules``), and it does not
+    count among the ``cases`` compared."""
     scenario = generated(0)
     records = engine_cls(scenario).run(scenario.stages)
     snaps = [
@@ -460,8 +468,10 @@ def test_ordering_check_matches_full_scan_when_corrupted(engine_cls, cases):
         saved = [snap["pos"] for snap in picked]
         for snap in picked:
             snap["pos"] = rng.choice([None, rng.randint(0, top + 1)])
-        if oracles.injures_unplaced(records):
-            with pytest.raises(ValueError, match="names no marker placed"):
+        if oracles.breaks_act_rules(records):
+            with pytest.raises(
+                ValueError, match="is the position of no marker|injured .* is"
+            ):
                 _Replay.from_records(records, scenario)
         else:
             replay = _Replay.from_records(records, scenario)

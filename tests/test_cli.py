@@ -44,7 +44,9 @@ from ceforge.cli import (
 )
 from ceforge.machines import PrefixFreeMachine
 
-from conftest import CAUSED_REUSES, DATA, generated, load_jsonl
+from conftest import (
+    CAUSED_REUSES, DATA, SUM_CLAUSE_ACT, generated, load_jsonl,
+)
 from oracles import EagerFreeBlockSet
 
 
@@ -366,6 +368,8 @@ def _n_length_huge(records):
 
 
 def _c_huge_with_n_length_huge(records):
+    # c is derived, never read: a written one cannot license a longer
+    # n-entry
     records[1]["markers"]["0"]["c"] = 10**12
     _n_length_huge(records)
 
@@ -387,6 +391,11 @@ def _b_added_twice(records):
     acts[1]["b_added"] = acts[0]["b_added"]
 
 
+def _b_added_unheld(records):
+    # marker 0 holds position 1 before record 3, and no marker holds 2
+    records[3]["b_added"] = 2
+
+
 def _injured_as_string(records):
     record = next(r for r in records[1:] if r["injured"])
     record["injured"] = [str(index) for index in record["injured"]]
@@ -394,7 +403,7 @@ def _injured_as_string(records):
 
 def _m_cause_as_list(records):
     entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
-    entry["cause"] = [entry["cause"]]
+    entry["cause"] = [None]
 
 
 def _c_offset_huge(records):
@@ -415,7 +424,7 @@ def _engine_as_object(records):
 
 
 def _c_below_offset(records):
-    # marker 0's c starts at the header's c_offset, 3
+    # marker 0's c is the header's c_offset, 3, which the audit derives
     records[1]["markers"]["0"]["c"] = -1
 
 
@@ -456,16 +465,16 @@ def _m_justify_unknown(records):
     entry["justify"] = "1111"
 
 
-# Marker 1 is unplaced at stage 7, so no named check reads these deficits:
-# the replay must refuse them itself.
+# Marker 1 appears unplaced in record 4 here, so no named check reads these
+# deficits: the replay must refuse them itself.
 
 
 def _deficit_not_a_number(records):
-    records[7]["markers"]["1"]["p_a"] = "abc"
+    records[4]["markers"]["1"].update(pos=None, p_a="abc")
 
 
 def _deficit_negative_unplaced(records):
-    records[7]["markers"]["1"]["p_a"] = "-5/2^3"
+    records[4]["markers"]["1"].update(pos=None, p_a="-5/2^3")
 
 
 # Spellings that ``int`` reads but a trace may not write: a deficit is
@@ -509,6 +518,20 @@ def _stages_short(records):
     records[0]["stages"] -= 1
 
 
+def _stages_zero(records):
+    records[0]["stages"] = 0
+
+
+def _records_cut(records):
+    # ``run`` writes every stage up to the header's: a trace cut after
+    # record 3 lacks stages 4 to 6
+    del records[4:]
+
+
+def _header_only(records):
+    del records[1:]
+
+
 # The dual fixture's last record is an empty no-op at stage 8; with the
 # horizon raised to 9 it may stand for stages 8 and 9 with ``repeat`` 2.
 # Each case below breaks one rule of that otherwise valid fold.
@@ -546,7 +569,7 @@ def _repeat_with_m_entry(records):
 
 
 def _repeat_with_marker(records):
-    _folded(records)["markers"] = {"1": records[7]["markers"]["1"]}
+    _folded(records)["markers"] = {"0": records[7]["markers"]["0"]}
 
 
 def _repeat_overlaps_next(records):
@@ -597,6 +620,17 @@ def _forged_injuries(records):
         records[number]["injured"] = [0]
 
 
+def _forged_injuries_in_acts(records):
+    # The same n-entries, with the forged injuries of marker 0 in the act
+    # records 3 and 7, whose acting marker is marker 0 itself.
+    for number in (4, 5, 8):
+        records[number]["n_entries"].append(
+            {"side": "a", "index": 0, "length": 2}
+        )
+    records[3]["injured"] = [0]
+    records[7]["injured"] = [0, 1]
+
+
 def _injured_unknown(records):
     records[5]["injured"] = [99]
 
@@ -604,6 +638,11 @@ def _injured_unknown(records):
 def _injured_unplaced(records):
     # marker 1 appears unplaced in record 4, and record 5 injures it
     records[4]["markers"]["1"]["pos"] = None
+
+
+def _injured_snapshot(records):
+    # record 5 injures marker 1, whose snapshot the audit derives
+    records[5]["markers"]["1"] = {"pos": None}
 
 
 # Fields that older traces wrote, each with a value the engine once wrote
@@ -636,6 +675,14 @@ def _record_z(records):
 
 def _snapshot_frozen(records):
     records[1]["markers"]["0"]["frozen"] = False
+
+
+def _snapshot_c(records):
+    records[1]["markers"]["0"]["c"] = 3
+
+
+def _m_cause(records):
+    records[5]["m_entries"][0]["cause"] = None
 
 
 def _m_codeword(records):
@@ -699,7 +746,7 @@ _NAMED = {
         "malformed trace: record 3 n_entries length 1000000000000 exceeds 10"
     ),
     _c_huge_with_n_length_huge: (
-        "malformed trace: record 1 marker 0 c 1000000000000 lies outside 3..3"
+        "malformed trace: record 1 markers field 'c' is unknown"
     ),
     _c_offset_missing: (
         "malformed trace: header c_offset None is not the dual engine's 4"
@@ -711,12 +758,16 @@ _NAMED = {
         "malformed trace: record 2 stage 1 does not follow stage 1"
     ),
     _b_added_twice: "malformed trace: record 5 adds position 1 to B again",
+    _b_added_unheld: (
+        "malformed trace: record 3 b_added 2 is the position of no marker "
+        "placed before the record"
+    ),
     _injured_as_string: (
-        "malformed trace: record 7 injured index '1' is not an int"
+        "malformed trace: record 7 injured ['1'] is not [1], the markers "
+        "placed above acting marker 0"
     ),
     _m_cause_as_list: (
-        "malformed trace: record 5 m_entries field 'cause' is missing or of "
-        "the wrong type"
+        "malformed trace: record 5 m_entries field 'cause' is unknown"
     ),
     _c_offset_huge: (
         "malformed trace: header c_offset 1000000000000 is not the single "
@@ -725,9 +776,7 @@ _NAMED = {
     _engine_unknown: "malformed trace: unknown engine 'triple'",
     _engine_as_list: "malformed trace: unknown engine ['single']",
     _engine_as_object: "malformed trace: unknown engine {'single': 3}",
-    _c_below_offset: (
-        "malformed trace: record 1 marker 0 c -1 lies outside 3..3"
-    ),
+    _c_below_offset: "malformed trace: record 1 markers field 'c' is unknown",
     _c_offset_of_other_engine: (
         "malformed trace: header c_offset 4 is not the single engine's 3"
     ),
@@ -737,6 +786,13 @@ _NAMED = {
     ),
     _stages_short: (
         "malformed trace: records run to stage 8, past the header's 7"
+    ),
+    _stages_zero: "malformed trace: header stages 0 is below 1",
+    _records_cut: (
+        "malformed trace: records run to stage 3, before the header's 6"
+    ),
+    _header_only: (
+        "malformed trace: records run to stage 0, before the header's 8"
     ),
     _repeat_as_string: (
         "malformed trace: record 8 repeat '2' is not an int of at least 2"
@@ -792,11 +848,11 @@ _NAMED = {
         "codeword"
     ),
     _deficit_not_a_number: (
-        "malformed trace: record 7 marker 1 p_a 'abc' is not num/2^exp with "
+        "malformed trace: record 4 marker 1 p_a 'abc' is not num/2^exp with "
         "num >= 0 and exp in 0..4"
     ),
     _deficit_negative_unplaced: (
-        "malformed trace: record 7 marker 1 p_a '-5/2^3' is not num/2^exp "
+        "malformed trace: record 4 marker 1 p_a '-5/2^3' is not num/2^exp "
         "with num >= 0 and exp in 0..4"
     ),
     _marker_key_padded: (
@@ -845,16 +901,24 @@ _NAMED = {
         "a record names its clauses exactly when it acts"
     ),
     _forged_injuries: (
-        "malformed trace: record 4 injured [0] with b_added None: a record "
-        "injures only when it adds to B"
+        "malformed trace: record 4 injured [0] in a record that adds nothing "
+        "to B: only an act injures"
+    ),
+    _forged_injuries_in_acts: (
+        "malformed trace: record 3 injured [0] is not [], the markers placed "
+        "above acting marker 0"
     ),
     _injured_unknown: (
-        "malformed trace: record 5 injured index 99 names no marker placed "
-        "before the record"
+        "malformed trace: record 5 injured [99] is not [1], the markers "
+        "placed above acting marker 0"
     ),
     _injured_unplaced: (
-        "malformed trace: record 5 injured index 1 names no marker placed "
-        "before the record"
+        "malformed trace: record 5 injured [1] is not [], the markers placed "
+        "above acting marker 0"
+    ),
+    _injured_snapshot: (
+        "malformed trace: record 5 marker 1 has a snapshot, but the record "
+        "injures it"
     ),
     _header_k_index: "malformed trace: header field 'k_index' is unknown",
     _record_weights: "malformed trace: record 1 field 'weights' is unknown",
@@ -865,6 +929,8 @@ _NAMED = {
     _snapshot_frozen: (
         "malformed trace: record 1 markers field 'frozen' is unknown"
     ),
+    _snapshot_c: "malformed trace: record 1 markers field 'c' is unknown",
+    _m_cause: "malformed trace: record 5 m_entries field 'cause' is unknown",
     _m_codeword: (
         "malformed trace: record 5 m_entries field 'codeword' is unknown"
     ),
@@ -898,6 +964,7 @@ _NAMED = {
         ("single_scripted", _marker_index_skipped),
         ("dual_scripted", _stage_repeated),
         ("single_scripted", _b_added_twice),
+        ("single_scripted", _b_added_unheld),
         ("dual_scripted", _injured_as_string),
         ("dual_scripted", _m_cause_as_list),
         ("single_scripted", _c_offset_huge),
@@ -908,6 +975,9 @@ _NAMED = {
         ("single_scripted", _c_offset_of_other_engine),
         ("dual_scripted", _stages_as_string),
         ("dual_scripted", _stages_short),
+        ("single_scripted", _stages_zero),
+        ("single_scripted", _records_cut),
+        ("dual_scripted", _header_only),
         ("dual_scripted", _repeat_as_string),
         ("dual_scripted", _repeat_as_bool),
         ("dual_scripted", _repeat_zero),
@@ -938,8 +1008,10 @@ _NAMED = {
         ("dual_scripted", _describe_as_noop),
         ("dual_scripted", _act_without_clauses),
         ("dual_scripted", _forged_injuries),
+        ("dual_scripted", _forged_injuries_in_acts),
         ("single_scripted", _injured_unknown),
         ("single_scripted", _injured_unplaced),
+        ("single_scripted", _injured_snapshot),
         ("single_scripted", _header_k_index),
         ("single_scripted", _record_weights),
         ("single_scripted", _record_acting),
@@ -947,6 +1019,8 @@ _NAMED = {
         ("single_scripted", _record_frozen),
         ("single_scripted", _record_z),
         ("single_scripted", _snapshot_frozen),
+        ("single_scripted", _snapshot_c),
+        ("dual_scripted", _m_cause),
         ("dual_scripted", _m_codeword),
         ("dual_scripted", _m_length),
         ("dual_scripted", _m_n),
@@ -994,14 +1068,23 @@ _TYPED_PARTS = {
     " n_entries": (_N_ENTRY_FIELDS, (3, "n_entries", 0)),
     " markers": (_SNAPSHOT_FIELDS["dual"], (1, "markers", "0")),
 }
+#: The field each part once held and the audit now derives: a snapshot's
+#: c and an m-entry's cause.  Its table lists no such key, so every value
+#: of it is refused as unknown.
+_RETIRED = {" markers": "c", " m_entries": "cause"}
 #: Every field, and the part itself (``None``), with every value its table
-#: does not allow.
+#: does not allow; and each retired field with every value.
 _TYPED_CASES = [
     (part, key, kind)
     for part, (table, _) in _TYPED_PARTS.items()
     for key, kinds in [(None, (dict,)), *table.items()]
     for kind, value in _JSON_VALUES.items()
     if (key is not None if value is _MISSING else type(value) not in kinds)
+] + [
+    (part, key, kind)
+    for part, key in _RETIRED.items()
+    for kind, value in _JSON_VALUES.items()
+    if value is not _MISSING
 ]
 
 
@@ -1016,7 +1099,8 @@ def test_field_of_the_wrong_type_is_refused_as_its_table_words_it(
     """The field tables decide every field's type, through the test each
     table compiles; a value its table refuses, a missing field that may be
     null included, must exit 2 with the message the table words, so a
-    compiled test that lets it through fails here."""
+    compiled test that lets it through fails here.  A retired field is a
+    key its table does not list, whatever its value."""
     records = load_jsonl(data_dir / "dual_scripted_trace.jsonl")
     _, path = _TYPED_PARTS[part]
     holder = records
@@ -1029,6 +1113,9 @@ def test_field_of_the_wrong_type_is_refused_as_its_table_words_it(
     if key is None:
         holder[path[-1]] = value
         want = f"record {number}{part} is not an object"
+    elif _RETIRED.get(part) == key:
+        holder[path[-1]][key] = value
+        want = f"record {number}{part} field {key!r} is unknown"
     else:
         fields = holder[path[-1]]
         if value is _MISSING:
@@ -1260,27 +1347,6 @@ def test_swapped_markers_fail_the_ordering_check(capsys, tmp_path, repaired):
     assert witness["pos_i"] >= witness["pos_j"]
 
 
-def _record_at(records, stage):
-    """The number of the record of ``stage``.  A ``repeat`` record that
-    stands for it is split first, around a record of the stage alone, so
-    that a mutation may add entries there."""
-    number, record = next(
-        (n, r) for n, r in enumerate(records) if n
-        and r["stage"] <= stage < r["stage"] + r.get("repeat", 1)
-    )
-    first, last = record["stage"], record["stage"] + record.get("repeat", 1)
-    base = {key: value for key, value in record.items() if key != "repeat"}
-    pieces = []
-    for lo, hi in ((first, stage), (stage, stage + 1), (stage + 1, last)):
-        if lo < hi:
-            piece = {**copy.deepcopy(base), "stage": lo}
-            if hi - lo > 1:
-                piece["repeat"] = hi - lo
-            pieces.append(piece)
-    records[number : number + 1] = pieces
-    return number + (stage > first)
-
-
 def _as_it_reads(record):
     """Name the action that the b_added and m_entries of ``record`` now
     make it: an act stays one; a record that adds nothing to B is a
@@ -1329,7 +1395,8 @@ def _last_change(records, scenario, side="a"):
 
 
 def _reused_inactive(records, scenario):
-    """Repeat, with no cause, a side-a m-entry whose justifying description
+    """Repeat, in a record that does not act, so with no cause, a side-a
+    m-entry whose justifying description
     was used once and no longer matches A at the last change record.  The
     repeat moves an inactive description one container deeper."""
     _, ledger, last = _last_change(records, scenario)
@@ -1341,11 +1408,12 @@ def _reused_inactive(records, scenario):
         and ledger.uses[entry["justify"]] == 1
         and not ledger.is_active(entry["justify"], last["stage"])
     )
-    last["m_entries"].append({**entry, "cause": None})
+    last["m_entries"].append(dict(entry))
 
 
 def _repeated_active(side):
-    """Repeat, with no cause, the shortest description on ``side`` that
+    """Repeat, in a record that does not act, so with no cause, the
+    shortest description on ``side`` that
     matches its given set at the last change record, until it is used as
     many times as it has bits.  Used u times, it lies in container
     S_(u-1), whose bound is 2^-u, and it alone weighs 2^-(its length)."""
@@ -1361,7 +1429,7 @@ def _repeated_active(side):
         )
         for _ in range(len(codeword) - ledger.uses.get(codeword, 0)):
             last["m_entries"].append(
-                {"side": side, "justify": codeword, "cause": None}
+                {"side": side, "justify": codeword}
             )
 
     return mutate
@@ -1384,67 +1452,80 @@ def _moved_coding_position(records, scenario):
     last["markers"][str(index)]["pos"] = pos
 
 
-def _overdraw(records, scenario, index, number, end):
-    """At record ``number``, file side-a reuses caused by marker ``index``
-    of descriptions used once so far that match A at that record and at
-    stage ``end``, the end of the marker's uninjured interval, until their
-    weight passes the bound there: 2^-c of the marker's snapshot at
-    ``end``, plus its ``p_a`` on the dual engine."""
+def _counted_act(records, scenario):
+    """The replay, and the number, acting marker and uninjured interval's
+    end of the last act record whose reuses count against the acting
+    marker's bound: the marker is placed at that end and outside the
+    halting set there."""
+    replay = _Replay.from_records(records, scenario)
+    restated = oracles.restore_restated(oracles.restore_implied(records))
+    for number in range(len(records) - 1, 0, -1):
+        index = restated[number]["acting"]
+        if index is None:
+            continue
+        stage = records[number]["stage"]
+        end = next(
+            (s - 1 for s in replay.injuries.get(index, []) if s > stage),
+            replay.final_stage,
+        )
+        if replay.marker_at(index, end)["pos"] is not None and not (
+            scenario.halting.contains(index, end)
+        ):
+            return replay, number, index, end
+    raise AssertionError("no act whose reuses count")
+
+
+def _overdraw(records, scenario, replay, number, index, end):
+    """At the act record ``number``, whose acting marker ``index`` the
+    audit names as the cause of each of its m-entries, use each side-a
+    description that matches A at that record and at stage ``end``, the
+    end of the marker's uninjured interval, and that the trace uses at
+    most once, no later than that record, until it is used twice, until
+    the weight of those reuses passes the bound there: 2^-c of the
+    marker's snapshot at ``end``, plus its ``p_a`` on the dual engine.
+    No container but S_0 and S_1 gains a description."""
     record = records[number]
-    snap = _Replay.from_records(records, scenario).marker_at(index, end)
+    snap = replay.marker_at(index, end)
     bound = Dyadic.pow2_neg(snap["c"])
     if "p_a" in snap:
         bound += Dyadic.parse(snap["p_a"])
-    ledger = _Replay.from_records(records[: number + 1], scenario).ledgers["a"]
+    ledger = replay.ledgers["a"]
+    before = {}
+    for earlier in records[1 : number + 1]:
+        for entry in earlier["m_entries"]:
+            if entry["side"] == "a":
+                before[entry["justify"]] = before.get(entry["justify"], 0) + 1
     weight = ZERO
-    for codeword in sorted(ledger.uses, key=len):
+    for codeword in sorted(ledger.output_of, key=len):
         if weight > bound:
             break
-        if ledger.uses[codeword] == 1 and all(
+        uses = ledger.uses.get(codeword, 0)
+        if uses == before.get(codeword, 0) <= 1 and all(
             ledger.is_active(codeword, at) for at in (record["stage"], end)
         ):
             weight += Dyadic.pow2_neg(len(codeword))
-            record["m_entries"].append(
-                {"side": "a", "justify": codeword, "cause": index}
-            )
+            record["m_entries"] += [
+                {"side": "a", "justify": codeword} for _ in range(2 - uses)
+            ]
     assert weight > bound, (index, weight, bound)
-    _as_it_reads(record)
 
 
 def _overdrawn_reuses(records, scenario):
-    """Overdraw (``_overdraw``), at the last change record, the last
-    uninjured interval of the highest marker that is placed at the end,
-    outside the halting set, and last injured, if ever, before that
-    record."""
-    replay, _, last = _last_change(records, scenario)
-    stage, final = last["stage"], replay.final_stage
-    index = max(
-        index
-        for index, snap in replay.final_markers().items()
-        if snap["pos"] is not None
-        and not scenario.halting.contains(index, final)
-        and replay.injuries.get(index, [0])[-1] < stage
-    )
-    _overdraw(records, scenario, index, records.index(last), final)
+    """Overdraw (``_overdraw``), at the last act record whose reuses
+    count, the acting marker's uninjured interval."""
+    _overdraw(records, scenario, *_counted_act(records, scenario))
 
 
 def _overdrawn_first_interval(records, scenario):
-    """Overdraw (``_overdraw``), at its last stage, the first uninjured
-    interval of the highest marker that first appears after stage 1 and
-    is later injured, outside the halting set at the interval's end.  The
-    interval starts at stage 1, before the marker's first snapshot."""
-    replay = _Replay.from_records(records, scenario)
-    firsts = [
-        (index, replay.injuries[index][0] - 1)
-        for index, timeline in replay.timelines.items()
-        if timeline[0][0] > 1 and index in replay.injuries
-    ]
-    index, end = max(
-        (index, end)
-        for index, end in firsts
-        if not scenario.halting.contains(index, end)
-    )
-    _overdraw(records, scenario, index, _record_at(records, end), end)
+    """Overdraw (``_overdraw``) the first uninjured interval of marker 0
+    at its act, with its snapshot of stage 1 dropped: the interval starts
+    at stage 1, before the marker's first snapshot.  Marker 0 is the one
+    marker placed before any record (on position 1), and so the one that
+    can act before its first snapshot is written."""
+    replay, number, index, end = _counted_act(records, scenario)
+    assert index == 0 and 0 not in replay.injuries
+    del records[1]["markers"]["0"]
+    _overdraw(records, scenario, replay, number, index, end)
 
 
 def _spread_n_machine(records, scenario):
@@ -1459,25 +1540,39 @@ def _spread_n_machine(records, scenario):
     ]
 
 
-#: One corruption of a passing sweep trace per named check: the engine,
-#: the one check the corrupted trace fails, and the mutation.
+def _sweep():
+    return generated(0)
+
+
+def _sum_clause_act():
+    return gen_scenario(6, SUM_CLAUSE_ACT)
+
+
+#: One corruption of a passing trace per named check: the engine, the one
+#: check the corrupted trace fails, the mutation, and the scenario: sweep
+#: seed 0, or, for the reuse bounds, one whose act by marker 0 counts
+#: (``SUM_CLAUSE_ACT``: on sweep seed 0 every act's marker is in the halting
+#: set by the end of its interval).
 _NAMED_CHECK_MUTANTS = [
-    (DualEngine, "deficit-bounds", _overdrawn_deficit),
-    (SingleEngine, "coverage-a", _drop_last_m_entries("a")),
-    (DualEngine, "coverage-a", _drop_last_m_entries("a")),
-    (DualEngine, "coverage-d", _drop_last_m_entries("d")),
-    (SingleEngine, "active-transitions", _reused_inactive),
-    (DualEngine, "active-transitions", _reused_inactive),
-    (SingleEngine, "reuse-bounds", _overdrawn_reuses),
-    (DualEngine, "reuse-bounds", _overdrawn_reuses),
-    (SingleEngine, "reuse-bounds", _overdrawn_first_interval),
-    (DualEngine, "reuse-bounds", _overdrawn_first_interval),
-    (SingleEngine, "decanter-bounds-a", _repeated_active("a")),
-    (DualEngine, "decanter-bounds-a", _repeated_active("a")),
-    (DualEngine, "decanter-bounds-d", _repeated_active("d")),
-    (SingleEngine, "coding", _moved_coding_position),
-    (DualEngine, "coding", _moved_coding_position),
-    (SingleEngine, "n-machine-bounds", _spread_n_machine),
+    (DualEngine, "deficit-bounds", _overdrawn_deficit, _sweep),
+    (SingleEngine, "coverage-a", _drop_last_m_entries("a"), _sweep),
+    (DualEngine, "coverage-a", _drop_last_m_entries("a"), _sweep),
+    (DualEngine, "coverage-d", _drop_last_m_entries("d"), _sweep),
+    (SingleEngine, "active-transitions", _reused_inactive, _sweep),
+    (DualEngine, "active-transitions", _reused_inactive, _sweep),
+    (SingleEngine, "reuse-bounds", _overdrawn_reuses, _sum_clause_act),
+    (DualEngine, "reuse-bounds", _overdrawn_reuses, _sum_clause_act),
+    (
+        SingleEngine, "reuse-bounds", _overdrawn_first_interval,
+        _sum_clause_act,
+    ),
+    (DualEngine, "reuse-bounds", _overdrawn_first_interval, _sum_clause_act),
+    (SingleEngine, "decanter-bounds-a", _repeated_active("a"), _sweep),
+    (DualEngine, "decanter-bounds-a", _repeated_active("a"), _sweep),
+    (DualEngine, "decanter-bounds-d", _repeated_active("d"), _sweep),
+    (SingleEngine, "coding", _moved_coding_position, _sweep),
+    (DualEngine, "coding", _moved_coding_position, _sweep),
+    (SingleEngine, "n-machine-bounds", _spread_n_machine, _sweep),
 ]
 _NAMED_CHECK_IDS = [
     "dual-deficit-bounds", "single-coverage-a", "dual-coverage-a",
@@ -1491,24 +1586,25 @@ _NAMED_CHECK_IDS = [
 
 
 @pytest.mark.parametrize(
-    "engine_cls, check, mutate", _NAMED_CHECK_MUTANTS, ids=_NAMED_CHECK_IDS
+    "engine_cls, check, mutate, scenario_of", _NAMED_CHECK_MUTANTS,
+    ids=_NAMED_CHECK_IDS,
 )
 def test_corrupted_trace_fails_its_check(
-    capsys, tmp_path, engine_cls, check, mutate
+    capsys, tmp_path, engine_cls, check, mutate, scenario_of
 ):
-    """A passing sweep trace with one corruption fails exactly the check
+    """A passing trace with one corruption fails exactly the check
     that exists for it (exit 3): a deficit above 2^-c fails
     ``deficit-bounds``, an output machine that misses the last
     descriptions of a side fails that side's coverage, a reuse of a
     description that no longer matches the given set fails
-    ``active-transitions``, reuses caused by one marker that weigh more
-    than its bound fail ``reuse-bounds``, in the last uninjured interval
-    and in a first one that starts before the marker appears, uncaused
+    ``active-transitions``, reuses in an act that weigh more than the
+    acting marker's bound fail ``reuse-bounds``, also in an interval that
+    starts before the marker's first snapshot, uncaused
     repeats of one active description that fill a container past its
     bound fail that side's ``decanter-bounds``, a stable marker moved
     off its position in B fails ``coding``, and n-entries that push one
     N-machine past its bound fail ``n-machine-bounds``."""
-    scenario = generated(0)
+    scenario = scenario_of()
     records = engine_cls(scenario).run(scenario.stages)
     assert audit_trace(records, scenario)["pass"]
     mutate(records, scenario)
@@ -1526,13 +1622,16 @@ def test_corrupted_trace_fails_its_check(
 
 
 @pytest.mark.parametrize(
-    "engine_cls, check, mutate", _NAMED_CHECK_MUTANTS, ids=_NAMED_CHECK_IDS
+    "engine_cls, check, mutate, scenario_of", _NAMED_CHECK_MUTANTS,
+    ids=_NAMED_CHECK_IDS,
 )
-def test_corrupted_trace_report_matches_the_walks(engine_cls, check, mutate):
+def test_corrupted_trace_report_matches_the_walks(
+    engine_cls, check, mutate, scenario_of
+):
     """Each corrupted trace above audits to the report that the audit's
     former walks over the records and timelines build
     (``oracles.audit_trace_walks``), witness for witness."""
-    scenario = generated(0)
+    scenario = scenario_of()
     records = engine_cls(scenario).run(scenario.stages)
     mutate(records, scenario)
     assert report_to_json(audit_trace(records, scenario)) == report_to_json(

@@ -40,6 +40,7 @@ from oracles import (
     machine_k_at,
     restore_codewords,
     restore_entries,
+    restore_implied,
     restore_restated,
     thresholds,
 )
@@ -79,14 +80,14 @@ def recording(engine_cls):
 @pytest.fixture(scope="module")
 def single_run(single_scripted):
     engine = recording(SingleEngine)(single_scripted)
-    records = restore_entries(engine.run(6), single_scripted)
+    records = restore_entries(restore_implied(engine.run(6)), single_scripted)
     return engine, restore_restated(records)[1:]
 
 
 @pytest.fixture(scope="module")
 def dual_run(dual_scripted):
     engine = recording(DualEngine)(dual_scripted)
-    records = restore_entries(engine.run(8), dual_scripted)
+    records = restore_entries(restore_implied(engine.run(8)), dual_scripted)
     return engine, restore_restated(records)[1:]
 
 
@@ -438,7 +439,8 @@ def _fresh_floor(scenario, side_names):
 
 def _check_marker_invariants(engine, record, seen):
     """The invariants of ``BaseEngine`` after the stage of ``record``, a
-    stage record with its restated fields put back (``oracles.Restater``),
+    stage record with its implied and restated fields put back
+    (``oracles.Implier``, ``oracles.Restater``),
     against what the records before it showed.  ``seen`` holds each
     index's last position (``pos``), every position (``positions``), the
     acting index of each act record (``acting``) and how many machines the
@@ -618,8 +620,8 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
     records = fast.run(1)
     assert_same_lines(trace_to_jsonl(records), trace_to_jsonl(naive.run(1)))
     seen = SimpleNamespace(pos={}, positions=set(), acting=[], archived=0)
-    restate = oracles.Restater()
-    _check_marker_invariants(fast, restate(records[-1]), seen)
+    imply, restate = oracles.Implier(records[0]), oracles.Restater()
+    _check_marker_invariants(fast, restate(imply(records[-1])), seen)
     _check_indexes(fast)
     skipped = absorbed = 0  # the stages the clock would skip, and absorb
     jump = None  # the last bare no-op, while the clock would skip
@@ -656,7 +658,9 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
             )
         else:
             jump = None
-        _check_marker_invariants(fast, restate(records[-1]), seen)
+        _check_marker_invariants(
+            fast, restate(imply(records[-1])), seen
+        )
         _check_indexes(fast)
     # Some marker sits above every described segment, where it is a
     # candidate only once its index has entered the halting set, the
@@ -684,6 +688,15 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
 #: their audit reports, which were recorded before the audit built its
 #: indexes in one pass.
 FROZEN_TRACES = {
+    (0, "single"): "57a5f44ee94e271b03c1c145c95dc78498d5b0ab00e319ad43850de2a78106e6",
+    (0, "dual"): "665ab7184fd3814f21b164fdae17f53ef226009542c9a17c83f041ad2369bade",
+    (2, "single"): "4d42974334e0e75e307ac140d6d6f8eda2390e1d1f856daa0b5993b1db29843e",
+    (2, "dual"): "0c6a481d830c0db41c5747b9c800cd30b6b529a8dfbc8cbadd97378bef77380f",
+}
+#: sha256 of the same traces with what each act implies put back
+#: (``oracles.restore_implied``): the bytes ``run`` wrote while the engine
+#: still wrote the injured markers' snapshots, every c and every cause.
+IMPLIED_TRACES = {
     (0, "single"): "6c16657aedfa5b0a43538eed12b7ea8add4a87c6a6485b13a67ebee53656ef7f",
     (0, "dual"): "f57c62161403ceb8fa29d6e1c45bc6e412132344ff582e7d542d9f6bee222348",
     (2, "single"): "b4276ff570a1c9bda540c7e1953103d99ceb5e998d6940abedbe403460ac0080",
@@ -719,6 +732,26 @@ def test_generated_traces_are_byte_frozen(seed, engine_cls):
     assert _sha256(trace_to_jsonl(records)) == FROZEN_TRACES[key]
     report = report_to_json(audit_trace(records, scenario))
     assert _sha256(report) == FROZEN_REPORTS[key]
+
+
+@pytest.mark.parametrize(
+    "seed, engine_cls",
+    [
+        (seed, cls)
+        for seed in (0, 2)
+        for cls in (SingleEngine, DualEngine)
+    ],
+    ids=lambda value: getattr(value, "engine_name", value),
+)
+def test_traces_imply_what_they_no_longer_write(seed, engine_cls):
+    """The same traces with the injured markers' snapshots, every c and
+    every cause put back from ``b_added`` and the positions the records
+    leave (``oracles.restore_implied``) are, byte for byte, the traces the
+    engine wrote while it still wrote them."""
+    scenario = generated(seed)
+    records = engine_cls(scenario).run(scenario.stages)
+    restored = trace_to_jsonl(restore_implied(records))
+    assert _sha256(restored) == IMPLIED_TRACES[seed, engine_cls.engine_name]
 
 
 @pytest.mark.parametrize(
@@ -848,9 +881,10 @@ def test_entry_lengths_sum_to_machine_weights(engine_cls, dense):
     a side's m-entries is the weight of that output machine, and the sum
     over the n-entries of one (side, index, version) is the weight of that
     N-machine version, live or archived.  Versions with no entry weigh 0.
-    The trace writes no codeword, no m-entry ``length`` or ``n`` and no
-    n-entry ``version``: each is what the trace fixes
-    (``oracles.restore_entries``), and each machine's codewords are what a
+    The trace writes no codeword, no m-entry ``length``, ``n`` or
+    ``cause``, no n-entry ``version`` and no snapshot ``c``: each is what
+    the trace fixes (``oracles.restore_entries``,
+    ``oracles.restore_implied``), and each machine's codewords are what a
     fresh allocator hands out for its entries' lengths, in trace order
     (``oracles.restore_codewords``).  Grouped so, each machine's entries
     are those the engine's machine holds, in order: codeword, output
@@ -873,12 +907,12 @@ def test_entry_lengths_sum_to_machine_weights(engine_cls, dense):
         (
             "markers",
             [snap for record in stages for snap in record["markers"].values()],
-            {"pos", "c"} | (deficits if engine.use_deficits else set()),
+            {"pos"} | (deficits if engine.use_deficits else set()),
         ),
         (
             "m_entries",
             [e for record in stages for e in record["m_entries"]],
-            {"side", "justify", "cause"},
+            {"side", "justify"},
         ),
         (
             "n_entries",

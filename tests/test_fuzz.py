@@ -4,9 +4,10 @@ Real inputs are mutated one fault at a time: the sweep seed-0 and dense-x4
 seed-1 scenarios, their traces from both engines, and a ``kc`` request
 file.  A mutation drops a key, changes a value's JSON type, shifts an int
 by +-1 or sets it to -1 or 2^53, swaps or duplicates records or entries,
-truncates a line, inserts an unknown key, or replaces one of a trace's line
-breaks with ``\\r\\n``, ``\\r`` or U+2028.  Every mutant must meet the
-contract each command keeps:
+truncates a line, drops a trace's trailing records, inserts an unknown
+key, or replaces one of a trace's line breaks with ``\\r\\n``, ``\\r`` or
+U+2028.  Every mutant must meet the contract each command keeps, and a
+trace cut short of its header's stages is refused:
 
 * exit 0, 2 or 3, never 1, with no traceback, within 5 s;
 * on exit 2, stderr is one ``trace error:``, ``scenario error:`` or
@@ -167,6 +168,8 @@ VALUE_KINDS = [
     "duplicate-entry",
 ]
 LINE_KINDS = ["swap-lines", "duplicate-line", "truncate-line"]
+#: A trace cut after one of its lines: the records after it are dropped.
+TRACE_KINDS = ["drop-trailing-records"]
 #: Line breaks other than ``\n`` that ``str.splitlines`` also breaks at.
 OTHER_BREAKS = ["\r\n", "\r", "\u2028"]
 
@@ -254,7 +257,9 @@ def workdir(tmp_path_factory):
     data=st.data(),
     name=st.sampled_from(list(SCENARIOS)),
     engine=st.sampled_from(list(ENGINES)),
-    kind=st.sampled_from(VALUE_KINDS + LINE_KINDS + ["line-break"]),
+    kind=st.sampled_from(
+        VALUE_KINDS + LINE_KINDS + TRACE_KINDS + ["line-break"]
+    ),
 )
 def test_mutated_trace_keeps_the_audit_contract(
     workdir, data, name, engine, kind
@@ -268,7 +273,9 @@ def test_mutated_trace_keeps_the_audit_contract(
             label="line",
         )
 
-    if kind in LINE_KINDS:
+    if kind == "drop-trailing-records":
+        del lines[pick() + 1 :]
+    elif kind in LINE_KINDS:
         _mutate_lines(data, lines, pick, kind)
     elif kind in VALUE_KINDS:
         number = pick()
@@ -288,22 +295,35 @@ def test_mutated_trace_keeps_the_audit_contract(
     trace.write_text("".join(line + end for line, end in zip(lines, breaks)))
     result = _run("audit", "--scenario", str(scenario), "--trace", str(trace))
     _assert_audit_contract("audit", *result)
+    if kind == "drop-trailing-records" and len(lines) < len(
+        trace_lines(name, engine)
+    ):
+        # every trace ``run`` writes ends at its header's stages
+        code, _, err = result
+        assert code == EXIT_SCENARIO and "before the header's" in err, err
 
 
 def _lowered_positions(records, scenario):
     """At every fourth record that changes a marker, one more marker
     placed before it, taken in turn, gets a snapshot one below its
-    position: violations at many indices, out of stage order."""
+    position: violations at many indices, out of stage order.  A marker
+    is lowered only if neither its position nor the one below is ever
+    added to B, so that every act still adds the position of the marker
+    that made it, and the trace stays well formed."""
+    added = {record["b_added"] for record in records[1:]}
     snaps: dict[str, dict] = {}
     changes = 0
     for record in records[1:]:
+        for index in record["injured"]:
+            snaps[str(index)] = {"pos": None}
         markers = record["markers"]
         if not markers:
             continue
         changes += 1
         placed = sorted(
             (key for key, snap in snaps.items()
-             if snap["pos"] and key not in markers),
+             if snap["pos"] and key not in markers
+             and not {snap["pos"], snap["pos"] - 1} & added),
             key=int,
         )
         if changes % 4 == 0 and placed:
@@ -318,7 +338,7 @@ def _duplicated_inactive(records, scenario):
     last = [r for r in records[1:] if "repeat" not in r][-1]
     ledger = UsageLedger(scenario, "a")
     again = [
-        {**entry, "cause": None}
+        dict(entry)
         for record in records[1:]
         for entry in record["m_entries"]
         if entry["side"] == "a"
