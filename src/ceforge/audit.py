@@ -15,10 +15,14 @@ int in units of 2^-(the longest entry) and compared by shifts, as are
 the deficits and their bounds and each set of codewords whose weight a
 container or reuse bound needs; ``Dyadic`` values remain where those
 weights of different scales are added and compared, and for report
-strings.  An m-entry's length
-is that of its ``justify`` and its n that of the output ``justify``
-describes, and an n-entry's version is the number of injuries of its
-index in the records before.
+strings.  An m-entry's ``justify`` is the index of the schedule event
+it copies in ``scenario.schedule.events``, which ``UniversalSchedule``
+sorts by (stage, codeword), so an index names one description whatever
+order the scenario file lists them in; the pass resolves it to that
+event's codeword, which every index and check after it reads.  An
+m-entry's length is that of the codeword and its n that of the event's
+output, and an n-entry's version is the number of injuries of its index
+in the records before.
 
 The trace does not write what an act implies; the pass derives it from
 ``b_added`` and the positions the records before leave.  Marker 0 holds
@@ -37,11 +41,12 @@ refuse the trace (a ValueError, exit 2 at the command line): field types
 and key sets, a header ``stages`` of at least 1, stage order, that the
 records end exactly at the header's ``stages``, sides, marker keys,
 deficits, each N-entry length (a natural, within the bound), each
-M-entry's justifying description (a schedule codeword), that each act
-adds the position of a placed marker, that ``injured`` lists exactly
-the markers the act injures and that none of them has a snapshot, and
-each record's ``action`` and ``clauses`` against its ``b_added`` and
-m-entries (``_action_fault``).  It does so in the one pass it makes over
+M-entry's justifying description (the index of a schedule event,
+enumerated by the record's stage), that each act adds the position of
+a placed marker, that ``injured`` lists exactly the markers the act
+injures and that none of them has a snapshot, and each record's
+``action`` and ``clauses`` against its ``b_added``, m-entries and
+snapshots (``_action_fault``).  It does so in the one pass it makes over
 every record, entry and snapshot, before any named check decides.  So a
 report is written only for a well-formed trace, and the named checks never
 raise.  The field tables decide each part's keys and each field's type:
@@ -229,7 +234,7 @@ _RECORD_FIELDS = _Fields(
     action=(str,),
     clauses=(dict, type(None)),
 )
-_M_ENTRY_FIELDS = _Fields(side=(str,), justify=(str,))
+_M_ENTRY_FIELDS = _Fields(side=(str,), justify=(int,))
 _N_ENTRY_FIELDS = _Fields(side=(str,), index=(int,), length=(int,))
 _SNAPSHOT_FIELDS = {
     "single": _Fields(pos=_OPTIONAL_INT),
@@ -331,12 +336,15 @@ def _action_fault(
     clauses: dict[str, Any] | None,
     added: int | None,
     m_entries: list[Any],
+    moved: bool,
 ) -> str | None:
     """What is wrong with the ``action`` and ``clauses`` of a stage record
-    that adds ``added`` to B and holds ``m_entries``, by the first rule it
+    that adds ``added`` to B, holds ``m_entries`` and, if ``moved``, gives
+    some marker a position it did not hold before, by the first rule it
     breaks, or None.  A record acts exactly when it adds to B, describes
-    exactly when it adds nothing and has m-entries, and names its clauses
-    exactly when it acts."""
+    exactly when it adds nothing and has m-entries, places exactly when it
+    does neither and moves a marker, and names its clauses exactly when it
+    acts."""
     if action not in _ACTIONS:
         return f"action {action!r} is not noop, place, describe or act"
     if (action == "act") != (added is not None):
@@ -346,6 +354,11 @@ def _action_fault(
         return (f"action {action!r} does not match b_added {added!r} and "
                 f"{len(m_entries)} m_entries: a record describes exactly "
                 "when it adds nothing to B and has m_entries")
+    if (action == "place") != (added is None and not m_entries and moved):
+        return (f"action {action!r} does not match the record's snapshots: "
+                "a record that neither acts nor describes places exactly "
+                "when it gives a marker a position the marker did not hold "
+                "before")
     if (clauses is None) != (action != "act"):
         return (f"action {action!r} does not match clauses {clauses!r}: a "
                 "record names its clauses exactly when it acts")
@@ -496,6 +509,7 @@ class _Replay:
         # The snapshot an injury implies: unplaced, with zero deficits.
         unplaced = {key: "0/2^0" for key in snap_fields}
         unplaced["pos"] = None
+        events = scenario.schedule.events
         output_of = scenario.schedule.output_of
         longest = max(map(len, output_of), default=0)
         replay = cls(header=header, stages=records[1:], sides=sides)
@@ -562,22 +576,29 @@ class _Replay:
                 if side not in sides:
                     _refuse(number, f"m_entries side {side!r} is not a "
                             f"{engine} engine side")
-                # An M-entry describes the output of the schedule
-                # description it names, at that description's length.
-                output = output_of.get(justify)
-                if output is None:
-                    _refuse(number, f"m_entries justify {justify!r} is not a "
-                            "schedule codeword")
-                length = len(justify)
+                # An M-entry names by index the schedule description whose
+                # output it describes, at that description's length; the
+                # universal machine must have enumerated it by the record's
+                # stage.
+                if not 0 <= justify < len(events):
+                    _refuse(number, f"m_entries justify {justify} is not the "
+                            f"index of one of the schedule's {len(events)} "
+                            "events")
+                enumerated, codeword, output = events[justify]
+                if enumerated > stage:
+                    _refuse(number, f"m_entries justify {justify} names a "
+                            f"description enumerated at stage {enumerated}, "
+                            f"after the record's {stage}")
+                length = len(codeword)
                 ledger = ledgers[side]
                 m_units[side] += 1 << (longest - length)
                 # Only descriptions active at the stage of the transition
                 # may move one container deeper.
-                if ledger.record_use(justify, stage, acting) >= 2 and (
-                    not ledger.is_active(justify, stage)
+                if ledger.record_use(codeword, stage, acting) >= 2 and (
+                    not ledger.is_active(codeword, stage)
                 ):
                     witnesses["active-transitions"] = {
-                        "side": side, "codeword": justify, "stage": stage,
+                        "side": side, "codeword": codeword, "stage": stage,
                     }
                 described = bits[:len(output)].decode()
                 known = k_m[side].get(described)
@@ -611,10 +632,6 @@ class _Replay:
                 stage + _repeat(record, number) - 1
                 if "repeat" in record else stage
             )
-            if action_fault is None:
-                what = _action_fault(action, clauses, added, m_entries)
-                if what is not None:
-                    action_fault = number, what
             if added is not None:
                 # a position in B gets no attention, so it enters B once
                 if added in b_stage:
@@ -653,8 +670,7 @@ class _Replay:
             elif injured:
                 _refuse(number, f"injured {injured!r} in a record that adds "
                         "nothing to B: only an act injures")
-            if not markers and not injured:
-                continue
+            moved = False  # whether a snapshot gives a new position
             for key, snap in markers.items():
                 index = indices.get(key)
                 if index is None:
@@ -711,6 +727,8 @@ class _Replay:
                 timeline.append((stage, snap, c))
                 if pos == before:
                     continue
+                if pos is not None:
+                    moved = True
                 if before is not None:
                     if pos is not None:
                         if pos < before:
@@ -756,7 +774,11 @@ class _Replay:
                         bad.add(i)
                     else:
                         bad.discard(i)
-            if bad:
+            if action_fault is None:
+                what = _action_fault(action, clauses, added, m_entries, moved)
+                if what is not None:
+                    action_fault = number, what
+            if bad and (markers or injured):
                 # the last violation a full scan would report: the
                 # greatest i in ``bad``, with j its placed successor
                 i = max(bad)

@@ -27,9 +27,9 @@ from .bitcore import INFINITE, dyadic_str
 from .machines import LemmaViolation, PrefixFreeMachine
 
 
-#: (output, (length, stage, codeword)) of each event that improved the
-#: least description of its output, as the schedule's ``apply`` returns.
-_Improved = list[tuple[str, tuple[int, int, str]]]
+#: (output, (length, stage, index)) of each event that improved the least
+#: description of its output, as the schedule's ``apply`` returns.
+_Improved = list[tuple[str, tuple[int, int, int]]]
 
 
 def _by_stage(pairs: Iterable[tuple[Any, int]]) -> dict[int, list[Any]]:
@@ -52,15 +52,24 @@ class _Schedule:
     description index that the K(0^n) table and every given set's K(X|j)
     table read, and none of them copies.
 
+    A description is ``(length, stage, index)``: its codeword's length,
+    its stage and its index in ``events``, the index an m-entry's
+    ``justify`` writes.  ``events`` are in (stage, codeword) order
+    (``UniversalSchedule``), so within a stage the index orders the
+    descriptions as their codewords do, and every comparison decides as
+    it would on ``(length, stage, codeword)``.
+
     ``_least`` holds the least applied description of every output,
     ``_lengths`` the distinct applied output lengths, sorted; ``sum_exp``
     is the longest codeword (the scale of the interval sums and deficits)
     and ``longest`` the longest output."""
 
     def __init__(self, events: list[ScheduleEvent]) -> None:
-        self._events_by_stage = _by_stage((e, e.stage) for e in events)
-        # output -> (length, stage, codeword), its least applied description
-        self._least: dict[str, tuple[int, int, str]] = {}
+        self._events_by_stage = _by_stage(
+            ((index, e), e.stage) for index, e in enumerate(events)
+        )
+        # output -> (length, stage, index), its least applied description
+        self._least: dict[str, tuple[int, int, int]] = {}
         self._lengths: list[int] = []
         self.sum_exp = max((len(e.codeword) for e in events), default=1)
         self.longest = max((len(e.output) for e in events), default=0)
@@ -69,8 +78,8 @@ class _Schedule:
         """Fold in the stage's events; returns (output, description) of
         each event that improved ``_least``, in event order."""
         improved = []
-        for event in self._events_by_stage.get(stage, []):
-            candidate = (len(event.codeword), event.stage, event.codeword)
+        for index, event in self._events_by_stage.get(stage, []):
+            candidate = (len(event.codeword), stage, index)
             least = self._least.get(event.output)
             if least is None:
                 j = len(event.output)
@@ -100,8 +109,8 @@ class _Table:
         # far; fresh positions lie above every element (``BaseEngine``).
         self._bits = bytearray(b"0" * schedule.longest)
         self.x_str = self._bits.decode()
-        # j -> (length, stage, codeword) of the least shortest description
-        self.k_best: dict[int, tuple[int, int, str]] = {}
+        # j -> (length, stage, index) of the least shortest description
+        self.k_best: dict[int, tuple[int, int, int]] = {}
         # The keys of ``k_best``, sorted.
         self._keys: list[int] = []
         self.min_changed_pos: int | None = None

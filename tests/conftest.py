@@ -47,12 +47,14 @@ CAUSED_REUSES = GenParams(
 
 #: A scenario shape with no given-set element and no halting stamp, so that
 #: every description stays active.  Its seed-6 runs pass on both engines
-#: with one act, a sum-clause act by marker 0 at stage 22, whose reuses
-#: count against marker 0's bound over its one uninjured interval.
+#: with one act, a sum-clause act by marker 0 at stage 4, whose reuses
+#: count against marker 0's bound over its one uninjured interval.  Every
+#: event is enumerated by stage 3, so descriptions that weigh more than
+#: that bound exist before the act.
 SUM_CLAUSE_ACT = GenParams(
-    stages=200, events=8, active_stages=50, set_size=0, element_bound=13,
-    halting_size=0, zero_budget_share=0.0, min_length=5, max_length=5,
-    max_output=4,
+    stages=200, events=8, active_stages=3, set_size=0, element_bound=13,
+    halting_size=0, zero_budget_share=0.0, min_length=4, max_length=4,
+    max_output=6,
 )
 
 

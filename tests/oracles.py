@@ -96,14 +96,15 @@ def injury_stages(replay, index: int) -> list[int]:
     ]
 
 
-def reuses(replay, side: str) -> dict[int, list[tuple[int, str]]]:
+def reuses(replay, scenario, side: str) -> dict[int, list[tuple[int, str]]]:
     """Marker index -> ``(stage, codeword)`` of every use after the first of
     a schedule description on ``side`` whose cause is that marker, in trace
     order, counted from the m-entries of every record with their causes
-    put back (``restore_implied``)."""
+    and codewords put back (``restore_implied``, ``restore_justify``)."""
     uses: dict[str, int] = {}
     result: dict[int, list[tuple[int, str]]] = {}
-    for record in restore_implied([replay.header, *replay.stages])[1:]:
+    records = restore_justify([replay.header, *replay.stages], scenario)
+    for record in restore_implied(records)[1:]:
         for entry in record["m_entries"]:
             if entry["side"] != side:
                 continue
@@ -116,12 +117,14 @@ def reuses(replay, side: str) -> dict[int, list[tuple[int, str]]]:
     return result
 
 
-def reused(replay, side: str, index: int, start: int, end: int) -> set[str]:
+def reused(
+    replay, scenario, side: str, index: int, start: int, end: int
+) -> set[str]:
     """Codewords on ``side`` whose uses after the first include one caused
     by marker ``index`` within stages ``[start, end]``, from the records."""
     return {
         codeword
-        for stage, codeword in reuses(replay, side).get(index, [])
+        for stage, codeword in reuses(replay, scenario, side).get(index, [])
         if start <= stage <= end
     }
 
@@ -134,7 +137,7 @@ def reuse_bounds(replay, scenario) -> dict:
     dual = replay.header["engine"] == "dual"
     final = replay.final_stage
     output_of = {e.codeword: e.output for e in scenario.schedule.events}
-    by_side = {side: reuses(replay, side) for side in replay.sides}
+    by_side = {side: reuses(replay, scenario, side) for side in replay.sides}
     ok, witness = True, {}
     for index in sorted(replay.timelines):
         cuts = [0] + injury_stages(replay, index) + [final + 1]
@@ -169,12 +172,15 @@ def reuse_bounds(replay, scenario) -> dict:
     return {"name": "reuse-bounds", "pass": ok, "witness": witness}
 
 
-def breaks_act_rules(records) -> bool:
+def breaks_action_rules(records) -> bool:
     """Whether some act record adds to B a position that no marker placed
     before it holds, or lists in ``injured`` other than exactly the
     markers placed above its acting marker, the least index on that
-    position, in index order.  Marker 0 is placed on position 1 before
-    the first record, and an injury unplaces each injured marker."""
+    position, in index order; or whether some record that adds nothing to
+    B and has no m-entries names ``place`` other than exactly when one of
+    its snapshots gives a marker a position the marker did not hold
+    before.  Marker 0 is placed on position 1 before the first record,
+    and an injury unplaces each injured marker."""
     pos = {0: 1}
     for record in records[1:]:
         added = record["b_added"]
@@ -189,6 +195,13 @@ def breaks_act_rules(records) -> bool:
                 return True
             for index in above:
                 pos[index] = None
+        elif not record["m_entries"]:
+            moved = any(
+                snap["pos"] is not None and snap["pos"] != pos.get(int(key))
+                for key, snap in record["markers"].items()
+            )
+            if (record["action"] == "place") != moved:
+                return True
         for key, snap in record["markers"].items():
             pos[int(key)] = snap["pos"]
     return False
@@ -281,18 +294,23 @@ def marked_from(engine, lowest, sides) -> set[tuple]:
 def recompute_matches(applied, x_str: str, k_best: dict):
     """A side tracker's full recompute after its set changed: every applied
     event that describes ``x_str`` is offered again from scratch.  Returns
-    the new best descriptions, j -> (length, stage, codeword), and the j to
+    the new best descriptions, j -> (length, stage, index), and the j to
     mark dirty: each j that had a description in ``k_best`` or has one
-    now."""
+    now.  ``applied`` holds ``(index, event)`` pairs, and the least
+    description is decided on ``(length, stage, codeword)``."""
     best = {}
-    for event in applied:
+    for index, event in applied:
         j = len(event.output)
         if event.output != x_str[:j]:
             continue
-        candidate = (len(event.codeword), event.stage, event.codeword)
+        candidate = (len(event.codeword), event.stage, event.codeword, index)
         if j not in best or candidate < best[j]:
             best[j] = candidate
-    return best, set(k_best) | set(best)
+    return (
+        {j: (length, stage, index) for j, (length, stage, _, index)
+         in best.items()},
+        set(k_best) | set(best),
+    )
 
 
 def stale_deficiency(tracker, b_str: str) -> set[int]:
@@ -508,15 +526,32 @@ def restore_restated(records):
     return [records[0], *map(restate, records[1:])]
 
 
+def restore_justify(records, scenario):
+    """The trace with each m-entry's ``justify``, the index of a schedule
+    event in ``scenario.schedule.events``, spelled out as that event's
+    codeword, as the engine once wrote it."""
+    events = scenario.schedule.events
+    return [records[0]] + [
+        {
+            **record,
+            "m_entries": [
+                {**entry, "justify": events[entry["justify"]].codeword}
+                for entry in record["m_entries"]
+            ],
+        }
+        for record in records[1:]
+    ]
+
+
 def restore_entries(records, scenario):
     """The trace with the fields the engine once wrote in each entry that
     the trace and scenario fix, rebuilt from them.  An m-entry's
-    ``length`` is the length of its ``justify`` and its ``n`` the length
-    of that schedule description's output.  An n-entry's ``version`` is
-    the number of records before its own that injure its index: an injury
-    resets the marker's N-machines, and a record's n-entries come before
-    its injuries."""
-    output_of = scenario.schedule.output_of
+    ``length`` and ``n`` are the lengths of the codeword and the output
+    of the schedule event its ``justify`` indexes.  An n-entry's
+    ``version`` is the number of records before its own that injure its
+    index: an injury resets the marker's N-machines, and a record's
+    n-entries come before its injuries."""
+    events = scenario.schedule.events
     injuries = {}
     restored = [records[0]]
     for record in records[1:]:
@@ -525,8 +560,8 @@ def restore_entries(records, scenario):
             "m_entries": [
                 {
                     **entry,
-                    "length": len(entry["justify"]),
-                    "n": len(output_of[entry["justify"]]),
+                    "length": len(events[entry["justify"]].codeword),
+                    "n": len(events[entry["justify"]].output),
                 }
                 for entry in record["m_entries"]
             ],
@@ -979,10 +1014,13 @@ def audit_trace_walks(
 ) -> dict[str, Any]:
     """Full audit of a trace against its scenario; pure and deterministic.
     The walks read the fields the trace no longer writes, so they walk the
-    trace with them put back (``restore_implied``, ``restore_entries``),
-    once ``_Replay.from_records`` has found it well formed."""
+    trace with them put back (``restore_implied``, ``restore_entries``,
+    ``restore_justify``), once ``_Replay.from_records`` has found it well
+    formed."""
     replay = _Replay.from_records(records, scenario)
-    replay.stages = restore_entries(restore_implied(records), scenario)[1:]
+    replay.stages = restore_justify(
+        restore_entries(restore_implied(records), scenario), scenario
+    )[1:]
     checks = check_weights_walk(replay, scenario)
     checks.extend(check_markers_walk(replay, scenario))
     checks.extend(check_coverage_walk(replay, scenario))

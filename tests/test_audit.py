@@ -375,7 +375,7 @@ def _assert_indexes_match_oracles(records, scenario):
         ), index
     final = replay.final_stage
     for side, ledger in ledgers.items():
-        assert ledger.reuses == oracles.reuses(replay, side), side
+        assert ledger.reuses == oracles.reuses(replay, scenario, side), side
         for index, reuses in ledger.reuses.items():
             cuts = [0] + replay.injuries.get(index, []) + [final + 1]
             # the uninjured intervals the check reads, and intervals that
@@ -386,7 +386,7 @@ def _assert_indexes_match_oracles(records, scenario):
                 intervals.append((stage + 1, final))
             for start, end in intervals:
                 assert _reused(reuses, start, end) == oracles.reused(
-                    replay, side, index, start, end
+                    replay, scenario, side, index, start, end
                 ), (index, side, start, end)
     width = max((len(e.output) for e in scenario.schedule.events), default=0)
     bits = bytearray(b"0" * width)
@@ -452,9 +452,10 @@ def test_ordering_check_matches_full_scan_when_corrupted(engine_cls, cases):
     not always the first violation.  The replay is rebuilt from the
     corrupted records, as the pass that reads them decides the order.  A
     corruption that moves the marker an act's ``b_added`` names, or the
-    markers placed above it, makes the trace malformed: the pass must
-    refuse it for that (``oracles.breaks_act_rules``), and it does not
-    count among the ``cases`` compared."""
+    markers placed above it, or that makes a place record move no marker
+    or a no-op move one, makes the trace malformed: the pass must refuse
+    it for that (``oracles.breaks_action_rules``), and it does not count
+    among the ``cases`` compared."""
     scenario = generated(0)
     records = engine_cls(scenario).run(scenario.stages)
     snaps = [
@@ -468,9 +469,11 @@ def test_ordering_check_matches_full_scan_when_corrupted(engine_cls, cases):
         saved = [snap["pos"] for snap in picked]
         for snap in picked:
             snap["pos"] = rng.choice([None, rng.randint(0, top + 1)])
-        if oracles.breaks_act_rules(records):
+        if oracles.breaks_action_rules(records):
             with pytest.raises(
-                ValueError, match="is the position of no marker|injured .* is"
+                ValueError,
+                match="is the position of no marker|injured .* is|"
+                "does not match the record's snapshots",
             ):
                 _Replay.from_records(records, scenario)
         else:

@@ -213,8 +213,11 @@ class TestRun:
         assert report.read_text() == paths["report"].read_text()
         checks = json.loads(report.read_text())["checks"]
         witness = next(c for c in checks if c["name"] == "m-weight-a")
+        events = ceforge.Scenario.from_json(
+            paths["scenario"].read_text()
+        ).schedule.events
         lengths = [
-            len(entry["justify"])
+            len(events[entry["justify"]].codeword)
             for record in load_jsonl(trace)[1:]
             for entry in record["m_entries"]
             if entry["side"] == "a"
@@ -460,9 +463,26 @@ def _n_length_hugely_negative(records):
 
 
 def _m_justify_unknown(records):
-    # four bits, as the schedule's codewords, but no schedule description
+    # the fixture's schedule has two events, 0 and 1
     entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
-    entry["justify"] = "1111"
+    entry["justify"] = 2
+
+
+def _m_justify_negative(records):
+    entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
+    entry["justify"] = -1
+
+
+def _m_justify_spelled(records):
+    # the codeword of event 0, as traces once spelled the description out
+    entry = next(r for r in records[1:] if r["m_entries"])["m_entries"][0]
+    entry["justify"] = "0000"
+
+
+def _m_justify_late(records):
+    # event 1 is enumerated at stage 2, after record 1
+    records[1]["action"] = "describe"
+    records[1]["m_entries"] = [{"side": "a", "justify": 1}]
 
 
 # Marker 1 appears unplaced in record 4 here, so no named check reads these
@@ -605,6 +625,20 @@ def _describe_as_noop(records):
 
 def _act_without_clauses(records):
     records[7]["clauses"] = None
+
+
+def _place_as_noop(records):
+    records[4]["action"] = "noop"
+
+
+def _noop_as_place(records):
+    records[6]["action"] = "place"
+
+
+def _noop_moves(records):
+    # marker 1 holds position 6 from record 4 on; the move alone would
+    # fail only ``marker-consistency``, as 6 never enters B
+    records[6]["markers"] = {"1": {"p_a": "0/2^0", "p_d": "0/2^0", "pos": 9}}
 
 
 def _forged_injuries(records):
@@ -844,8 +878,20 @@ _NAMED = {
         "natural"
     ),
     _m_justify_unknown: (
-        "malformed trace: record 5 m_entries justify '1111' is not a schedule "
-        "codeword"
+        "malformed trace: record 5 m_entries justify 2 is not the index of "
+        "one of the schedule's 2 events"
+    ),
+    _m_justify_negative: (
+        "malformed trace: record 5 m_entries justify -1 is not the index of "
+        "one of the schedule's 2 events"
+    ),
+    _m_justify_spelled: (
+        "malformed trace: record 5 m_entries field 'justify' is missing or of "
+        "the wrong type"
+    ),
+    _m_justify_late: (
+        "malformed trace: record 1 m_entries justify 1 names a description "
+        "enumerated at stage 2, after the record's 1"
     ),
     _deficit_not_a_number: (
         "malformed trace: record 4 marker 1 p_a 'abc' is not num/2^exp with "
@@ -899,6 +945,21 @@ _NAMED = {
     _act_without_clauses: (
         "malformed trace: record 7 action 'act' does not match clauses None: "
         "a record names its clauses exactly when it acts"
+    ),
+    _place_as_noop: (
+        "malformed trace: record 4 action 'noop' does not match the record's "
+        "snapshots: a record that neither acts nor describes places exactly "
+        "when it gives a marker a position the marker did not hold before"
+    ),
+    _noop_as_place: (
+        "malformed trace: record 6 action 'place' does not match the record's "
+        "snapshots: a record that neither acts nor describes places exactly "
+        "when it gives a marker a position the marker did not hold before"
+    ),
+    _noop_moves: (
+        "malformed trace: record 6 action 'noop' does not match the record's "
+        "snapshots: a record that neither acts nor describes places exactly "
+        "when it gives a marker a position the marker did not hold before"
     ),
     _forged_injuries: (
         "malformed trace: record 4 injured [0] in a record that adds nothing "
@@ -994,6 +1055,9 @@ _NAMED = {
         ("single_scripted", _n_length_negative),
         ("dual_scripted", _n_length_hugely_negative),
         ("dual_scripted", _m_justify_unknown),
+        ("dual_scripted", _m_justify_negative),
+        ("dual_scripted", _m_justify_spelled),
+        ("dual_scripted", _m_justify_late),
         ("dual_scripted", _deficit_not_a_number),
         ("dual_scripted", _deficit_negative_unplaced),
         ("dual_scripted", _marker_key_padded),
@@ -1007,6 +1071,9 @@ _NAMED = {
         ("dual_scripted", _act_as_place),
         ("dual_scripted", _describe_as_noop),
         ("dual_scripted", _act_without_clauses),
+        ("dual_scripted", _place_as_noop),
+        ("dual_scripted", _noop_as_place),
+        ("dual_scripted", _noop_moves),
         ("dual_scripted", _forged_injuries),
         ("dual_scripted", _forged_injuries_in_acts),
         ("single_scripted", _injured_unknown),
@@ -1046,6 +1113,137 @@ def test_malformed_trace_exits_two(
     assert (code, out, err) == (
         EXIT_SCENARIO, "", f"trace error: {_NAMED[corrupt]}\n"
     )
+
+
+
+def _audit_records(capsys, tmp_path, records, scenario):
+    """``ceforge audit`` of ``records`` against ``scenario``, both written
+    to ``tmp_path``: its exit code, stdout and stderr."""
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(scenario.to_json())
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(trace_to_jsonl(records))
+    return run_cli(
+        capsys,
+        "audit", "--scenario", str(scenario_path), "--trace", str(trace),
+    )
+
+
+def _refused(number, what):
+    """What ``ceforge audit`` writes as it refuses record ``number``."""
+    message = f"trace error: malformed trace: record {number} {what}\n"
+    return EXIT_SCENARIO, "", message
+
+
+@pytest.mark.parametrize(
+    "seed, engine_cls, stage, later",
+    [
+        (3, DualEngine, 260, 1003),
+        (3, SingleEngine, 1126, 1166),
+        (5, DualEngine, 361, 828),
+    ],
+    ids=["3-dual", "3-single", "5-dual"],
+)
+def test_description_enumerated_after_its_record_is_refused(
+    capsys, tmp_path, seed, engine_cls, stage, later
+):
+    """An m-entry that names a description the universal machine
+    enumerates only after the entry's record is refused, even where the
+    description has the output and length of the one the engine used, so
+    that every named check would pass: here the m-entry of the record at
+    ``stage`` is switched to such a description, enumerated at ``later``."""
+    scenario = generated(seed)
+    events = scenario.schedule.events
+    records = engine_cls(scenario).run(scenario.stages)
+    number, record = next(
+        (number, record) for number, record in enumerate(records)
+        if record.get("stage") == stage
+    )
+    entry = record["m_entries"][0]
+    used = events[entry["justify"]]
+    entry["justify"] = next(
+        index for index, event in enumerate(events)
+        if event.stage == later and event.output == used.output
+        and len(event.codeword) == len(used.codeword)
+    )
+    assert _audit_records(capsys, tmp_path, records, scenario) == _refused(
+        number, f"m_entries justify {entry['justify']} names a description "
+        f"enumerated at stage {later}, after the record's {stage}"
+    )
+
+
+def test_place_and_noop_are_told_apart(capsys, tmp_path):
+    """Relabelled, three place records of sweep seed 0 (single), the
+    first, one in the middle and the last, and its first bare no-op after
+    stage 1 are each refused: a record that neither acts nor describes
+    places exactly when it gives a marker a position it did not hold."""
+    scenario = generated(0)
+    records = SingleEngine(scenario).run(scenario.stages)
+    places = [n for n, r in enumerate(records) if r.get("action") == "place"]
+    noop = next(
+        n for n, r in enumerate(records[2:], 2) if oracles.is_bare(r)
+    )
+    for number, action in [
+        (places[0], "noop"),
+        (places[len(places) // 2], "noop"),
+        (places[-1], "noop"),
+        (noop, "place"),
+    ]:
+        corrupted = copy.deepcopy(records)
+        corrupted[number]["action"] = action
+        assert _audit_records(
+            capsys, tmp_path, corrupted, scenario
+        ) == _refused(
+            number, f"action {action!r} does not match the record's "
+            "snapshots: a record that neither acts nor describes places "
+            "exactly when it gives a marker a position the marker did not "
+            "hold before"
+        )
+
+
+#: For each engine, and each trace of sweep seed i audited against the
+#: scenario of sweep seed j != i: the record the audit refuses, the event
+#: index its m-entry names and the stage that event is enumerated at in
+#: scenario j, which comes after the record's stage.
+_CROSSED = {
+    "single": {
+        (0, 1): (5, 3, 17), (0, 2): (5, 3, 17), (0, 3): (5, 3, 10),
+        (1, 0): (164, 99, 291), (1, 2): (27, 10, 41), (1, 3): (31, 11, 37),
+        (2, 0): (155, 70, 203), (2, 1): (41, 21, 83), (2, 3): (45, 26, 72),
+        (3, 0): (127, 73, 216), (3, 1): (62, 24, 97), (3, 2): (9, 5, 24),
+    },
+    "dual": {
+        (0, 1): (5, 3, 17), (0, 2): (5, 3, 17), (0, 3): (5, 3, 10),
+        (1, 0): (162, 94, 275), (1, 2): (28, 10, 41), (1, 3): (32, 11, 37),
+        (2, 0): (122, 70, 203), (2, 1): (44, 19, 63), (2, 3): (53, 26, 72),
+        (3, 0): (138, 73, 216), (3, 1): (62, 24, 97), (3, 2): (9, 5, 24),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "engine_cls", [SingleEngine, DualEngine], ids=["single", "dual"]
+)
+def test_trace_audited_against_another_scenario_is_refused(
+    capsys, tmp_path, engine_cls
+):
+    """A trace names descriptions by their index in its own scenario's
+    schedule, so against another scenario's schedule the same indices name
+    other descriptions; on sweep seeds 0-3 each such audit meets one
+    enumerated after the record that names it, and exits 2."""
+    traces = {
+        seed: engine_cls(generated(seed)).run(generated(seed).stages)
+        for seed in range(4)
+    }
+    crossed = _CROSSED[engine_cls.engine_name]
+    for (own, other), (number, index, enumerated) in crossed.items():
+        stage = traces[own][number]["stage"]
+        assert _audit_records(
+            capsys, tmp_path, traces[own], generated(other)
+        ) == _refused(
+            number, f"m_entries justify {index} names a description "
+            f"enumerated at stage {enumerated}, after the record's {stage}"
+        ), (own, other)
 
 
 #: One JSON value of each kind, and a field taken out.
@@ -1400,37 +1598,40 @@ def _reused_inactive(records, scenario):
     was used once and no longer matches A at the last change record.  The
     repeat moves an inactive description one container deeper."""
     _, ledger, last = _last_change(records, scenario)
+    events = scenario.schedule.events
     entry = next(
         entry
         for record in records[1:]
         for entry in record["m_entries"]
         if entry["side"] == "a"
-        and ledger.uses[entry["justify"]] == 1
-        and not ledger.is_active(entry["justify"], last["stage"])
+        and ledger.uses[events[entry["justify"]].codeword] == 1
+        and not ledger.is_active(
+            events[entry["justify"]].codeword, last["stage"]
+        )
     )
     last["m_entries"].append(dict(entry))
 
 
 def _repeated_active(side):
     """Repeat, in a record that does not act, so with no cause, the
-    shortest description on ``side`` that
-    matches its given set at the last change record, until it is used as
-    many times as it has bits.  Used u times, it lies in container
-    S_(u-1), whose bound is 2^-u, and it alone weighs 2^-(its length)."""
+    shortest description on ``side`` enumerated by the last change record
+    that matches its given set there, until it is used as many times as
+    it has bits.  Used u times, it lies in container S_(u-1), whose bound
+    is 2^-u, and it alone weighs 2^-(its length)."""
 
     def mutate(records, scenario):
         _, ledger, last = _last_change(records, scenario, side)
-        codeword = min(
+        index, codeword = min(
             (
-                cw for cw in ledger.output_of
-                if ledger.is_active(cw, last["stage"])
+                (index, event.codeword)
+                for index, event in enumerate(scenario.schedule.events)
+                if event.stage <= last["stage"]
+                and ledger.is_active(event.codeword, last["stage"])
             ),
-            key=len,
+            key=lambda described: len(described[1]),
         )
         for _ in range(len(codeword) - ledger.uses.get(codeword, 0)):
-            last["m_entries"].append(
-                {"side": side, "justify": codeword}
-            )
+            last["m_entries"].append({"side": side, "justify": index})
 
     return mutate
 
@@ -1478,34 +1679,43 @@ def _counted_act(records, scenario):
 def _overdraw(records, scenario, replay, number, index, end):
     """At the act record ``number``, whose acting marker ``index`` the
     audit names as the cause of each of its m-entries, use each side-a
-    description that matches A at that record and at stage ``end``, the
-    end of the marker's uninjured interval, and that the trace uses at
-    most once, no later than that record, until it is used twice, until
-    the weight of those reuses passes the bound there: 2^-c of the
-    marker's snapshot at ``end``, plus its ``p_a`` on the dual engine.
-    No container but S_0 and S_1 gains a description."""
+    description enumerated by that record that matches A there and at
+    stage ``end``, the end of the marker's uninjured interval, and that
+    the trace uses at most once, no later than that record, until it is
+    used twice, until the weight of those reuses passes the bound there:
+    2^-c of the marker's snapshot at ``end``, plus its ``p_a`` on the dual
+    engine.  No container but S_0 and S_1 gains a description."""
     record = records[number]
     snap = replay.marker_at(index, end)
     bound = Dyadic.pow2_neg(snap["c"])
     if "p_a" in snap:
         bound += Dyadic.parse(snap["p_a"])
     ledger = replay.ledgers["a"]
+    events = scenario.schedule.events
     before = {}
     for earlier in records[1 : number + 1]:
         for entry in earlier["m_entries"]:
             if entry["side"] == "a":
                 before[entry["justify"]] = before.get(entry["justify"], 0) + 1
     weight = ZERO
-    for codeword in sorted(ledger.output_of, key=len):
+    for described in sorted(
+        range(len(events)), key=lambda i: len(events[i].codeword)
+    ):
         if weight > bound:
             break
+        stage, codeword, _ = events[described]
         uses = ledger.uses.get(codeword, 0)
-        if uses == before.get(codeword, 0) <= 1 and all(
-            ledger.is_active(codeword, at) for at in (record["stage"], end)
+        if (
+            stage <= record["stage"]
+            and uses == before.get(described, 0) <= 1
+            and all(
+                ledger.is_active(codeword, at)
+                for at in (record["stage"], end)
+            )
         ):
             weight += Dyadic.pow2_neg(len(codeword))
             record["m_entries"] += [
-                {"side": "a", "justify": codeword} for _ in range(2 - uses)
+                {"side": "a", "justify": described} for _ in range(2 - uses)
             ]
     assert weight > bound, (index, weight, bound)
 

@@ -41,6 +41,7 @@ from oracles import (
     restore_codewords,
     restore_entries,
     restore_implied,
+    restore_justify,
     restore_restated,
     thresholds,
 )
@@ -361,9 +362,13 @@ def _pin_indexes(engine):
 
 def _applied_events(engine, stage=None):
     """The scenario's events applied by the end of ``stage``, by default
-    ``engine.stage``."""
+    ``engine.stage``, each with its index in the schedule's events."""
     stage = engine.stage if stage is None else stage
-    return [e for e in engine.scenario.schedule.events if e.stage <= stage]
+    return [
+        (index, e)
+        for index, e in enumerate(engine.scenario.schedule.events)
+        if e.stage <= stage
+    ]
 
 
 def _pin_tracker(engine, tracker, folded):
@@ -407,7 +412,7 @@ def _check_indexes(engine):
     assert engine._t_sorted == oracles.t_sorted(engine)
     applied = _applied_events(engine)
     zeros = {}  # n -> the applied events whose output is 0^n
-    for event in applied:
+    for _, event in applied:
         if "1" not in event.output:
             zeros.setdefault(len(event.output), []).append(event)
     assert {n: best[0] for n, best in engine.zero.k_best.items()} == {
@@ -484,10 +489,10 @@ def _check_marker_invariants(engine, record, seen):
     )
     # An act describes B's old segments only strictly between the
     # abandoned position and the previous stage.
-    output_of = engine.scenario.schedule.output_of
+    events = engine.scenario.schedule.events
     for entry in record["m_entries"]:
         if entry["cause"] is not None:
-            n = len(output_of[entry["justify"]])
+            n = len(events[entry["justify"]].output)
             assert record["b_added"] < n < record["stage"] - 1
 
 
@@ -688,12 +693,21 @@ def test_shortcuts_match_naive_path(fast_cls, naive_cls, name):
 #: their audit reports, which were recorded before the audit built its
 #: indexes in one pass.
 FROZEN_TRACES = {
+    (0, "single"): "85651dba8ba72016b9ad0e4a7c03b250381e09f7223acc35b38f1cabec4241a4",
+    (0, "dual"): "1620cdfefd3cc9cc4f328356a902defcfad69f2bf2c55dedf0b534d061d90ad8",
+    (2, "single"): "ca312b063076b5a102dafecc5c421bdae184394622e27cdd3e04f3cb04b2ed20",
+    (2, "dual"): "4dc066b29ece5ce1d955f87177a2feeac4a2952ebfd5ba7c92e3d0db408dd444",
+}
+#: sha256 of the same traces with each m-entry's codeword spelled out in
+#: its ``justify`` (``oracles.restore_justify``): the bytes ``run`` wrote
+#: while m-entries still spelled their descriptions out.
+JUSTIFIED_TRACES = {
     (0, "single"): "57a5f44ee94e271b03c1c145c95dc78498d5b0ab00e319ad43850de2a78106e6",
     (0, "dual"): "665ab7184fd3814f21b164fdae17f53ef226009542c9a17c83f041ad2369bade",
     (2, "single"): "4d42974334e0e75e307ac140d6d6f8eda2390e1d1f856daa0b5993b1db29843e",
     (2, "dual"): "0c6a481d830c0db41c5747b9c800cd30b6b529a8dfbc8cbadd97378bef77380f",
 }
-#: sha256 of the same traces with what each act implies put back
+#: sha256 of those traces with what each act implies put back as well
 #: (``oracles.restore_implied``): the bytes ``run`` wrote while the engine
 #: still wrote the injured markers' snapshots, every c and every cause.
 IMPLIED_TRACES = {
@@ -744,14 +758,20 @@ def test_generated_traces_are_byte_frozen(seed, engine_cls):
     ids=lambda value: getattr(value, "engine_name", value),
 )
 def test_traces_imply_what_they_no_longer_write(seed, engine_cls):
-    """The same traces with the injured markers' snapshots, every c and
-    every cause put back from ``b_added`` and the positions the records
-    leave (``oracles.restore_implied``) are, byte for byte, the traces the
-    engine wrote while it still wrote them."""
+    """The same traces with each m-entry's codeword put back from the
+    event its ``justify`` indexes (``oracles.restore_justify``) are, byte
+    for byte, the traces the engine wrote while it spelled codewords out;
+    with the injured markers' snapshots, every c and every cause put back
+    as well, from ``b_added`` and the positions the records leave
+    (``oracles.restore_implied``), they are the traces it wrote while it
+    still wrote those."""
     scenario = generated(seed)
     records = engine_cls(scenario).run(scenario.stages)
-    restored = trace_to_jsonl(restore_implied(records))
-    assert _sha256(restored) == IMPLIED_TRACES[seed, engine_cls.engine_name]
+    key = seed, engine_cls.engine_name
+    justified = restore_justify(records, scenario)
+    assert _sha256(trace_to_jsonl(justified)) == JUSTIFIED_TRACES[key]
+    restored = trace_to_jsonl(restore_implied(justified))
+    assert _sha256(restored) == IMPLIED_TRACES[key]
 
 
 @pytest.mark.parametrize(
@@ -1028,11 +1048,12 @@ class TestAgainstOracles:
         assert apply(1) == {2: 6, 3: 6}
         assert apply(2) == {2: 5}
         assert apply(3) == {}
-        assert tracker.k_best == {2: (5, 2, "00011"), 3: (6, 1, "000010")}
+        # descriptions are (length, stage, index): 4 is "00011", 2 "000010"
+        assert tracker.k_best == {2: (5, 2, 4), 3: (6, 1, 2)}
         tracker._dirty.clear()
         assert apply(4) == {}
         assert tracker.min_changed_pos == 1
-        assert tracker.k_best == {2: (5, 2, "00010")}
+        assert tracker.k_best == {2: (5, 2, 3)}  # "00010"
         assert tracker._keys == [2]
         assert tracker._dirty == {2, 3}
 
@@ -1058,7 +1079,8 @@ class TestAgainstOracles:
         tracker._dirty.clear()
         assert tracker.apply(2, schedule.apply(2)) == {2: 5, 3: 6}
         assert tracker.min_changed_pos == 1
-        assert tracker.k_best == {2: (5, 2, "00010"), 3: (6, 2, "000011")}
+        # descriptions are (length, stage, index): 2 is "00010", 3 "000011"
+        assert tracker.k_best == {2: (5, 2, 2), 3: (6, 2, 3)}
         assert tracker._keys == [2, 3]
         assert tracker._dirty == {2, 3}
 

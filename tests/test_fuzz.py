@@ -337,12 +337,15 @@ def _duplicated_inactive(records, scenario):
     last change record is used once more there, with no cause."""
     last = [r for r in records[1:] if "repeat" not in r][-1]
     ledger = UsageLedger(scenario, "a")
+    events = scenario.schedule.events
     again = [
         dict(entry)
         for record in records[1:]
         for entry in record["m_entries"]
         if entry["side"] == "a"
-        and not ledger.is_active(entry["justify"], last["stage"])
+        and not ledger.is_active(
+            events[entry["justify"]].codeword, last["stage"]
+        )
     ]
     assert len({entry["justify"] for entry in again}) >= 2
     last["m_entries"] += again
