@@ -26,59 +26,65 @@ in the records before.
 
 The trace does not write what an act implies; the pass derives it from
 ``b_added`` and the positions the records before leave.  Marker 0 holds
-position 1 before the first record.  A record that adds a position to B
-acts, and its acting marker is the least placed index on that position.
-The act injures every marker placed above the acting one: each is
-unplaced, with c one more and zero deficits, and the timeline gets that
-snapshot.  A marker's c is ``c_offset`` + its index + the acts by lower
-indices so far, the record's own included (``_ActCounts``); a placed
-marker keeps its c, since a lower act would injure it.  An m-entry's
-cause is the record's acting marker, None in a record that does not act.
+position 1 before the first record.  As in the engine, the placed markers
+are always 0 .. placed - 1: a snapshot gives a position to a placed
+marker or to the least unplaced one, and only an act unplaces a marker.
+A record that adds a position to B acts, and its acting marker is the
+least placed index on that position.  The act injures every marker
+placed above the acting one: each is unplaced, with c one more and zero
+deficits, and the timeline gets that snapshot.  A marker's c is
+``c_offset`` + its index + the acts by lower indices so far, the record's
+own included.  Every act while a marker is unplaced is by a lower index,
+so a placement adds the acts since it was last unplaced (each act adds
+one position to B, so ``len(b_stage)`` counts them); a placed marker
+keeps its c, since a lower act would injure it.  An m-entry's cause is
+the record's acting marker, None in a record that does not act.
 
 Whether a trace is well formed is decided in one place.
 ``_Replay.from_records`` tests every rule whose failure makes the audit
 refuse the trace (a ValueError, exit 2 at the command line): field types
-and key sets, a header ``stages`` of at least 1, stage order, that the
-records end exactly at the header's ``stages``, sides, marker keys,
-deficits, each N-entry length (a natural, within the bound), each
-M-entry's justifying description (the index of a schedule event,
-enumerated by the record's stage), that each act adds the position of
-a placed marker, that ``injured`` lists exactly the markers the act
-injures and that none of them has a snapshot, and each record's
-``action`` and ``clauses`` against its ``b_added``, m-entries and
-snapshots (``_action_fault``).  It does so in the one pass it makes over
-every record, entry and snapshot, before any named check decides.  So a
-report is written only for a well-formed trace, and the named checks never
-raise.  The field tables decide each part's keys and each field's type:
-each table is compiled once, at import, into one test of its fields
-(``_Fields``), which a missing field fails even where null is allowed,
-and so does a key the table does not list; ``_require`` names the field
-at fault once a test has failed.  Each
-rule reads ``if <violated>: _refuse(...)``: ``_refuse`` is the one
-function that words a refusal (``malformed trace: record N ...``), and
-only a trace with no header record at all is refused apart.  The rules
-are tested in one fixed order, so a trace that breaks several gets the
-message of the first.  The rules of ``_action_fault`` come after every
-other: the pass keeps the first record that breaks one and refuses it
-once every other rule has held, so a trace that breaks another rule as
-well is refused as it was before they existed.
+and key sets (a snapshot's ``pos`` is an int), a header ``stages`` of at
+least 1, stage order, that the records end exactly at the header's
+``stages``, sides, marker keys, that markers appear one index at a time
+and that a snapshot places only the least unplaced marker, deficits,
+each N-entry length (a natural, within the bound), each M-entry's
+justifying description (the index of a schedule event, enumerated by the
+record's stage), that each act adds the position of a placed marker,
+that ``injured`` lists exactly the markers the act injures and that none
+of them has a snapshot, and each record's ``action`` and ``clauses``
+against its ``b_added``, m-entries and snapshots (``_action_fault``).
+It does so in the one pass it makes over every record, entry and
+snapshot, before any named check decides.  So a report is written only
+for a well-formed trace, and the named checks never raise.  The field
+tables decide each part's keys and each field's type: each table is
+compiled once, at import, into one test of its fields (``_Fields``),
+which a missing field fails even where null is allowed, and so does a
+key the table does not list; ``_require`` names the field at fault once
+a test has failed.  Each rule reads ``if <violated>: _refuse(...)``:
+``_refuse`` is the one function that words a refusal (``malformed
+trace: record N ...``), and only a trace with no header record at all is
+refused apart.  The rules are tested in one fixed order, so a trace
+that breaks several gets the message of the first.  The rules of
+``_action_fault`` come after every other: the pass keeps the first
+record that breaks one and refuses it once every other rule has held, so
+a trace that breaks another rule as well is refused as it was before
+they existed.
 
-The audit does work linear in the trace size, but for a logarithmic
-factor in each c that a placement derives (``_ActCounts``), and it reads
-the records once.  The pass of ``_Replay.from_records`` that tests the
-rules also builds every index a named check reads: the marker timelines,
-derived snapshots and c included (``marker_at`` bisects them by stage),
-the injury stages of each marker, the stage at which each position
-entered B, each side's ``UsageLedger``, which files each reuse under the
-marker that caused it (so ``_check_reuse_bounds`` visits only the
-markers that caused a reuse), the m-weights and the n-entry lengths of
-each N-machine version, and each side's K_M, read off one B buffer that
-it slices for every m-entry.  Where a violation decides a check
-(marker order in stage and in index, abandoned positions, deficits,
-active transitions), the pass keeps its witness: the last violation the
-full scan it replaced would report.  Marker order across indices is
-re-tested only at the pairs each snapshot touches.  The named checks turn
-these indexes into report entries and walk no record again;
+The audit does work linear in the trace size, and it reads the records
+once.  The pass of ``_Replay.from_records`` that tests the rules also
+builds every index a named check reads: the marker timelines, derived
+snapshots and c included (``marker_at`` bisects them by stage), the
+injury stages of each marker, the stage at which each position entered
+B, each side's ``UsageLedger``, which files each reuse under the marker
+that caused it (so ``_check_reuse_bounds`` visits only the markers that
+caused a reuse), the m-weights and the n-entry lengths of each N-machine
+version, and each side's K_M, read off one B buffer that it slices for
+every m-entry.  Where a violation decides a check (marker order in stage
+and in index, abandoned positions, deficits, active transitions), the
+pass keeps its witness: the last violation the full scan it replaced
+would report.  Marker order across indices is re-tested only at the two
+pairs of neighbouring indices each snapshot touches.  The named checks
+turn these indexes into report entries and walk no record again;
 ``check_weights`` sums the n-entry weights, whose lengths the pass has
 bounded by then.
 
@@ -237,8 +243,8 @@ _RECORD_FIELDS = _Fields(
 _M_ENTRY_FIELDS = _Fields(side=(str,), justify=(int,))
 _N_ENTRY_FIELDS = _Fields(side=(str,), index=(int,), length=(int,))
 _SNAPSHOT_FIELDS = {
-    "single": _Fields(pos=_OPTIONAL_INT),
-    "dual": _Fields(pos=_OPTIONAL_INT, p_a=(str,), p_d=(str,)),
+    "single": _Fields(pos=(int,)),
+    "dual": _Fields(pos=(int,), p_a=(str,), p_d=(str,)),
 }
 
 
@@ -389,38 +395,6 @@ def _is_index(key: str) -> bool:
     )
 
 
-class _ActCounts:
-    """The acts of each marker index so far, with the number made by the
-    indices below any one in O(log n): a Fenwick tree, whose node k
-    (from 1) sums the acts of indices k - (k & -k) .. k - 1.  Marker 0 is
-    there from the start; each later index is added with no acts
-    (``grow``) when it first appears."""
-
-    def __init__(self) -> None:
-        self.tree = [0, 0]
-
-    def below(self, index: int) -> int:
-        """The acts of the indices below ``index``."""
-        total = 0
-        while index:
-            total += self.tree[index]
-            index &= index - 1
-        return total
-
-    def add(self, index: int) -> None:
-        """Count one act of ``index``."""
-        tree = self.tree
-        k = index + 1
-        while k < len(tree):
-            tree[k] += 1
-            k += k & -k
-
-    def grow(self) -> None:
-        """Add the next index, with no acts."""
-        k = len(self.tree)
-        self.tree.append(self.below(k - 1) - self.below(k & (k - 1)))
-
-
 @dataclass
 class _Replay:
     """State rebuilt from the trace records alone, in one pass over them
@@ -469,14 +443,21 @@ class _Replay:
         their compiled tests, which hand back the fields' values; each
         rule that fails calls ``_refuse``, which words the refusal.
 
+        It holds the trace to the engine's invariant: the placed markers
+        are always 0 .. placed - 1.  Only an act unplaces a marker, so a
+        snapshot's ``pos`` is an int, and a snapshot of an unplaced marker
+        must be of marker ``placed``.  So each c is read off two ints, as
+        in the engine, and marker order is tested between neighbouring
+        indices.
+
         The same pass derives what an act implies (the module docstring):
         the acting marker, the injuries and their snapshots, every c and
         every m-entry's cause.  It builds what the named checks read: the
         ledgers, m-weights, n-entry lengths and the ``active-transitions``
         witness (``check_weights``); each marker's consecutive snapshots
         and the cross-index order (``check_markers``); B and each side's
-        K_M (``check_coverage``); and each placed snapshot's deficits
-        against 2^-c (``check_deficits``).  A check's witness is that of
+        K_M (``check_coverage``); and each snapshot's deficits against
+        2^-c (``check_deficits``).  A check's witness is that of
         the last violation the full scan it replaced would report.  Only
         sizes a rule has bounded are shifted or sliced, and the n-entry
         weights are left to ``check_weights``, after the length bound."""
@@ -531,21 +512,22 @@ class _Replay:
         # tested (``_is_index``) and converted.
         indices: dict[str, int] = {}
         # The markers as the records so far leave them; marker 0 is placed
-        # on position 1 at stage 0, before the first record.  ``current``
-        # holds each marker's position, ``c_of`` its c, ``holders`` the
-        # placed indices on each position, ``placed`` the sorted placed
-        # indices, ``acts`` the acts of each index and ``bad`` each placed
-        # i whose pair with its placed successor is out of order.  A
-        # change can only change the pairs that start at its index or at
-        # its placed predecessor, so only those are re-tested, change by
-        # change.  ``bad`` then depends on the configuration alone, so at
-        # the end of a record it describes the configuration the record
-        # leaves, which holds until the next change record.
+        # on position 1 at stage 0, before the first record.  The placed
+        # markers are always 0 .. ``placed`` - 1.  ``current`` holds each
+        # marker's position, ``c_of`` its c, ``unplaced_at`` the number of
+        # acts (``len(b_stage)``) when it was last unplaced, ``holders`` the
+        # placed indices on each position, and ``bad`` each placed i whose
+        # pair with i + 1 is out of order.  A change can only change the
+        # pairs that start at its index or at the index below, so only
+        # those are re-tested, change by change.  ``bad`` then depends on
+        # the configuration alone, so at the end of a record it describes
+        # the configuration the record leaves, which holds until the next
+        # change record.
         current: list[int | None] = [1]
         c_of = [c_offset]
+        unplaced_at = [0]
         holders: dict[int, set[int]] = {1: {0}}
-        placed = [0]
-        acts = _ActCounts()
+        placed = 1
         bad: set[int] = set()
         # The first record whose action or clauses break a rule, and what
         # is wrong: it is refused only once every other rule has held.
@@ -640,17 +622,15 @@ class _Replay:
                     _refuse(number, f"b_added {added} is the position of no "
                             "marker placed before the record")
                 b_stage[added] = stage
-                acts.add(acting)
                 # The act injures every marker placed above the acting
                 # one: each is unplaced, with c one more and zero deficits.
-                cut = bisect.bisect_right(placed, acting)
-                above = placed[cut:]
-                if injured != above or any(
+                above = range(acting + 1, placed)
+                if injured != list(above) or any(
                     type(index) is not int for index in injured
                 ):
-                    _refuse(number, f"injured {injured!r} is not {above}, "
-                            f"the markers placed above acting marker "
-                            f"{acting}")
+                    _refuse(number, f"injured {injured!r} is not "
+                            f"{list(above)}, the markers placed above "
+                            f"acting marker {acting}")
                 for index in above:
                     injuries.setdefault(index, []).append(stage)
                     holding = holders[current[index]]
@@ -659,14 +639,16 @@ class _Replay:
                         del holders[current[index]]
                     current[index] = None
                     c = c_of[index] = c_of[index] + 1
+                    unplaced_at[index] = len(b_stage)
                     if c > top_c:
                         top_c = c
                     timelines[index].append((stage, unplaced, c))
                     bad.discard(index)
-                del placed[cut:]
+                placed = acting + 1
                 bad.discard(acting)
-                # each snapshot is tested against the injured markers
-                injured = set(above)
+                # each snapshot is tested against the injured markers: a
+                # range tests membership in constant time
+                injured = above
             elif injured:
                 _refuse(number, f"injured {injured!r} in a record that adds "
                         "nothing to B: only an act injures")
@@ -696,15 +678,19 @@ class _Replay:
                     timeline = timelines[index] = []
                     if index == len(current):
                         current.append(None)
-                        c_of.append(0)
-                        acts.grow()
+                        c_of.append(c_offset + index)
+                        unplaced_at.append(0)
                 before = current[index]
-                # A marker's c is c_offset + index plus the acts of lower
-                # markers so far.  While it is placed no lower marker acts
-                # without injuring it, so its c changes only while it is
-                # unplaced, and at an injury.
                 if before is None:
-                    c_of[index] = c_offset + index + acts.below(index)
+                    # A place takes the least unplaced index.  Every act
+                    # since the marker was last unplaced was by a lower
+                    # index, and its c counts each; while it is placed no
+                    # lower marker acts without injuring it.
+                    if index != placed:
+                        _refuse(number, f"marker {index} is placed while "
+                                f"marker {placed} is not")
+                    c_of[index] += len(b_stage) - unplaced_at[index]
+                    placed += 1
                 c = c_of[index]
                 if c > top_c:
                     top_c = c
@@ -718,7 +704,7 @@ class _Replay:
                                 "is not num/2^exp with num >= 0 and exp in "
                                 f"0..{longest}")
                     num, exp = parts
-                    if pos is not None and num << c > 1 << exp:
+                    if num << c > 1 << exp:
                         _keep_last(witnesses, "deficit-bounds", {
                             "stage": stage, "index": index, "side": side,
                             "p": dyadic_str(num, exp),
@@ -727,65 +713,47 @@ class _Replay:
                 timeline.append((stage, snap, c))
                 if pos == before:
                     continue
-                if pos is not None:
-                    moved = True
+                moved = True
                 if before is not None:
-                    if pos is not None:
-                        if pos < before:
-                            _keep_last(witnesses, "marker-monotone-stages", {
-                                "stage": stage, "index": index,
-                                "from": before, "to": pos,
-                            })
-                        if before not in b_stage:
-                            # an abandoned position must sit in B from
-                            # that stage on
-                            _keep_last(witnesses, "marker-consistency", {
-                                "stage": stage, "index": index,
-                                "abandoned": before,
-                            })
+                    if pos < before:
+                        _keep_last(witnesses, "marker-monotone-stages", {
+                            "stage": stage, "index": index,
+                            "from": before, "to": pos,
+                        })
+                    if before not in b_stage:
+                        # an abandoned position must sit in B from that
+                        # stage on
+                        _keep_last(witnesses, "marker-consistency", {
+                            "stage": stage, "index": index,
+                            "abandoned": before,
+                        })
                     holding = holders[before]
                     holding.discard(index)
                     if not holding:
                         del holders[before]
-                if pos is not None:
-                    holding = holders.get(pos)
-                    if holding is None:
-                        holders[pos] = {index}
-                    else:
-                        holding.add(index)
-                current[index] = pos
-                k = bisect.bisect_left(placed, index)
-                if pos is None:
-                    if k < len(placed) and placed[k] == index:
-                        del placed[k]
-                    bad.discard(index)
-                    starts: tuple[int, ...] = (k - 1,)
+                holding = holders.get(pos)
+                if holding is None:
+                    holders[pos] = {index}
                 else:
-                    if k == len(placed) or placed[k] != index:
-                        placed.insert(k, index)
-                    starts = (k - 1, k)
-                for t in starts:
-                    if t < 0:
-                        continue
-                    i = placed[t]
-                    if t + 1 < len(placed) and not (
-                        current[i] < current[placed[t + 1]]
-                    ):
-                        bad.add(i)
-                    else:
-                        bad.discard(i)
+                    holding.add(index)
+                current[index] = pos
+                for i in (index - 1, index):
+                    if 0 <= i < placed - 1:
+                        if current[i] < current[i + 1]:
+                            bad.discard(i)
+                        else:
+                            bad.add(i)
             if action_fault is None:
                 what = _action_fault(action, clauses, added, m_entries, moved)
                 if what is not None:
                     action_fault = number, what
             if bad and (markers or injured):
                 # the last violation a full scan would report: the
-                # greatest i in ``bad``, with j its placed successor
+                # greatest i in ``bad``, with i + 1
                 i = max(bad)
-                j = placed[bisect.bisect_right(placed, i)]
                 witnesses["marker-monotone-indices"] = {
-                    "stage": stage, "i": i, "j": j,
-                    "pos_i": current[i], "pos_j": current[j],
+                    "stage": stage, "i": i, "j": i + 1,
+                    "pos_i": current[i], "pos_j": current[i + 1],
                 }
         if previous != stages:
             where = "past" if previous > stages else "before"

@@ -238,7 +238,6 @@ class Marker:
     sides: tuple[str, ...]
     c: int
     position: int | None = None
-    frozen: bool = False
     # The act count (``len(b_stage)``) when the marker was last unplaced.
     unplaced_at: int = 0
     machines: dict[str, PrefixFreeMachine] = field(default_factory=dict)
@@ -293,6 +292,7 @@ class BaseEngine:
       ``c_offset`` + i with a count of 0;
     * the attention walk visits only ``_candidates``, the sorted indices of
       the placed markers that ``_can_act`` at the stage: those not frozen
+      (a frozen marker's position is in B, kept there by a halting act)
       whose position lies within a described segment or whose index has
       entered the halting set.  The list changes only with these inputs: a
       place appends the new index if it can act, an act by i drops every
@@ -413,11 +413,11 @@ class BaseEngine:
 
     def _can_act(self, marker: Marker, stage: int) -> bool:
         """Whether some clause can fire for the placed ``marker`` at
-        ``stage``: it is not frozen (a frozen position is in B, and a
+        ``stage``: it is not frozen (its position is not in B, as a
         position enters B once), and its position lies within a described
         segment or its index has entered the halting set (above every
         segment the sums are 0).  This rule alone decides ``_candidates``."""
-        return not marker.frozen and (
+        return marker.position not in self.b_stage and (
             marker.position <= self._max_key_bound
             or self.scenario.halting.contains(marker.index, stage)
         )
@@ -472,8 +472,8 @@ class BaseEngine:
         # them; the initial position 1 (every fresh one is at least 2) and
         # frozen positions are the two legitimate exceptions.  Positions only
         # grow while t is kept, so checking when t changes is enough.
-        if found is not None and not marker.frozen and marker.position != 1:
-            assert found < marker.position, (
+        if found is not None and marker.position not in self.b_stage:
+            assert found < marker.position or marker.position == 1, (
                 f"t_{side}[{marker.index}]={found} not below marker position "
                 f"{marker.position}"
             )
@@ -668,11 +668,10 @@ class BaseEngine:
             old_b_str = self.b_str
             self._b_add(old_position, stage)
             record["b_added"] = old_position
-            if clause_a:
-                # The coding position must stay put so that membership of the
-                # index in the halting set remains readable from B.
-                marker.frozen = True
-            else:
+            # On a halting act the coding position stays put, so that
+            # membership of the index in the halting set remains readable
+            # from B: the marker is frozen.
+            if not clause_a:
                 marker.position = self._fresh(stage)
             for side, tracker in self.sides.items():
                 keys = tracker._keys
@@ -692,7 +691,6 @@ class BaseEngine:
             for other in self.markers[attention_index + 1 : self.placed]:
                 record["injured"].append(other.index)
                 other.position = None
-                other.frozen = False
                 other.c += 1
                 other.unplaced_at = len(self.b_stage)
                 for side in self.side_names:

@@ -446,29 +446,33 @@ def test_ordering_check_matches_full_scan(engine_cls, seed):
 )
 def test_ordering_check_matches_full_scan_when_corrupted(engine_cls, cases):
     """Seeded corruptions of a passing sweep trace, each setting 1-6
-    snapshot positions to None or to a random int, audit to the same
-    ordering verdict and witness as the full scan.  Most of them fail the
-    check; some of those are repaired by a later record, so the witness is
-    not always the first violation.  The replay is rebuilt from the
-    corrupted records, as the pass that reads them decides the order.  A
-    corruption that moves the marker an act's ``b_added`` names, or the
-    markers placed above it, or that makes a place record move no marker
-    or a no-op move one, makes the trace malformed: the pass must refuse
-    it for that (``oracles.breaks_action_rules``), and it does not count
-    among the ``cases`` compared."""
+    snapshot positions to a random int (a snapshot's ``pos`` is never
+    None), drawn up to one past the largest position or within 1 of the
+    old one, audit to the same ordering verdict and witness as the full
+    scan.  Most of them fail the check; some of those are repaired by a
+    later record, so the witness is not always the first violation.  The
+    replay is rebuilt from the corrupted records, as the pass that reads
+    them decides the order.  A corruption that moves the marker an act's
+    ``b_added`` names, or the markers placed above it, or that makes a
+    place record move no marker or a no-op move one, makes the trace
+    malformed: the pass must refuse it for that
+    (``oracles.breaks_action_rules``), and it does not count among the
+    ``cases`` compared."""
     scenario = generated(0)
     records = engine_cls(scenario).run(scenario.stages)
     snaps = [
         snap for record in records[1:] for snap in record["markers"].values()
     ]
-    top = max(snap["pos"] for snap in snaps if snap["pos"] is not None)
+    top = max(snap["pos"] for snap in snaps)
     rng = random.Random(cases)
     failed = audited = 0
     while audited < cases:
         picked = rng.sample(snaps, rng.randint(1, 6))
         saved = [snap["pos"] for snap in picked]
-        for snap in picked:
-            snap["pos"] = rng.choice([None, rng.randint(0, top + 1)])
+        for snap, old in zip(picked, saved):
+            snap["pos"] = rng.choice([
+                rng.randint(0, top + 1), rng.randint(max(old - 1, 0), old + 1)
+            ])
         if oracles.breaks_action_rules(records):
             with pytest.raises(
                 ValueError,

@@ -385,6 +385,13 @@ def _marker_index_skipped(records):
     records[1]["markers"]["2"] = records[1]["markers"].pop("0")
 
 
+def _marker_one_before_zero(records):
+    # Marker 1 is the least unplaced index, but marker 0, placed before
+    # record 1, has no snapshot yet; a trace that never writes marker 0
+    # would leave it out of the coding table.
+    records[1].update(action="place", markers={"1": {"pos": 10}})
+
+
 def _stage_repeated(records):
     records[2]["stage"] = records[1]["stage"]
 
@@ -485,16 +492,16 @@ def _m_justify_late(records):
     records[1]["m_entries"] = [{"side": "a", "justify": 1}]
 
 
-# Marker 1 appears unplaced in record 4 here, so no named check reads these
-# deficits: the replay must refuse them itself.
+# Record 4 places marker 1; the replay refuses a deficit it cannot read
+# before ``deficit-bounds`` compares it.
 
 
 def _deficit_not_a_number(records):
-    records[4]["markers"]["1"].update(pos=None, p_a="abc")
+    records[4]["markers"]["1"]["p_a"] = "abc"
 
 
 def _deficit_negative_unplaced(records):
-    records[4]["markers"]["1"].update(pos=None, p_a="-5/2^3")
+    records[4]["markers"]["1"]["p_a"] = "-5/2^3"
 
 
 # Spellings that ``int`` reads but a trace may not write: a deficit is
@@ -670,8 +677,21 @@ def _injured_unknown(records):
 
 
 def _injured_unplaced(records):
-    # marker 1 appears unplaced in record 4, and record 5 injures it
-    records[4]["markers"]["1"]["pos"] = None
+    # record 4 no longer places marker 1, so record 5 injures a marker that
+    # was never placed
+    records[4].update(action="noop", markers={})
+
+
+def _snapshot_pos_null(records):
+    # only an act unplaces a marker, and the audit derives its injuries
+    records[1]["markers"]["0"]["pos"] = None
+
+
+def _placed_over_unplaced(records):
+    # The last record places the least unplaced marker k; renamed k + 1,
+    # it is placed while marker k is not.
+    ((key, snap),) = records[-1]["markers"].items()
+    records[-1]["markers"] = {str(int(key) + 1): snap}
 
 
 def _injured_snapshot(records):
@@ -787,6 +807,9 @@ _NAMED = {
     ),
     _marker_index_skipped: (
         "malformed trace: record 1 marker 2 appears before marker 0"
+    ),
+    _marker_one_before_zero: (
+        "malformed trace: record 1 marker 1 appears before marker 0"
     ),
     _stage_repeated: (
         "malformed trace: record 2 stage 1 does not follow stage 1"
@@ -981,6 +1004,15 @@ _NAMED = {
         "malformed trace: record 5 marker 1 has a snapshot, but the record "
         "injures it"
     ),
+    _snapshot_pos_null: (
+        "malformed trace: record 1 markers field 'pos' is missing or of the "
+        "wrong type"
+    ),
+    # sweep seed 1's single trace, cut after its stage-97 record
+    # (``test_placed_over_unplaced_exits_two``)
+    _placed_over_unplaced: (
+        "malformed trace: record 55 marker 3 is placed while marker 2 is not"
+    ),
     _header_k_index: "malformed trace: header field 'k_index' is unknown",
     _record_weights: "malformed trace: record 1 field 'weights' is unknown",
     _record_acting: "malformed trace: record 3 field 'acting' is unknown",
@@ -1023,6 +1055,7 @@ _NAMED = {
         ("single_scripted", _c_huge_with_n_length_huge),
         ("dual_scripted", _c_offset_missing),
         ("single_scripted", _marker_index_skipped),
+        ("single_scripted", _marker_one_before_zero),
         ("dual_scripted", _stage_repeated),
         ("single_scripted", _b_added_twice),
         ("single_scripted", _b_added_unheld),
@@ -1079,6 +1112,7 @@ _NAMED = {
         ("single_scripted", _injured_unknown),
         ("single_scripted", _injured_unplaced),
         ("single_scripted", _injured_snapshot),
+        ("dual_scripted", _snapshot_pos_null),
         ("single_scripted", _header_k_index),
         ("single_scripted", _record_weights),
         ("single_scripted", _record_acting),
@@ -1114,6 +1148,55 @@ def test_malformed_trace_exits_two(
         EXIT_SCENARIO, "", f"trace error: {_NAMED[corrupt]}\n"
     )
 
+
+def _cut_after(records, stage):
+    """The trace ``records`` cut after its record at ``stage``, with the
+    header's ``stages`` there: well formed, as no record folds that stage
+    with later ones."""
+    number = next(
+        number for number, record in enumerate(records)
+        if record.get("stage") == stage
+    )
+    assert "repeat" not in records[number]
+    return [{**records[0], "stages": stage}, *records[1 : number + 1]]
+
+
+def test_placed_over_unplaced_exits_two(capsys, tmp_path):
+    """Sweep seed 1's single trace, cut after its stage-97 record, which
+    places marker 2 again after an injury, audits clean; with marker 3
+    placed there instead, over the unplaced marker 2, it is refused."""
+    scenario = generated(1)
+    records = _cut_after(SingleEngine(scenario).run(scenario.stages), 97)
+    assert audit_trace(records, scenario)["pass"]
+    _placed_over_unplaced(records)
+    assert _audit_records(capsys, tmp_path, records, scenario) == (
+        EXIT_SCENARIO, "", f"trace error: {_NAMED[_placed_over_unplaced]}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "engine_cls, seed, stage, index",
+    [
+        (SingleEngine, 0, 301, 5),
+        (DualEngine, 1, 102, 2),
+        (DualEngine, 0, 309, 5),
+    ],
+    ids=["single-0", "dual-1", "dual-0"],
+)
+def test_placed_over_unplaced_is_refused(engine_cls, seed, stage, index):
+    """More engine traces cut after a record that places marker ``index``
+    again after an injury: each audits clean, and is refused once the
+    record places marker ``index`` + 1 instead."""
+    scenario = generated(seed)
+    records = _cut_after(engine_cls(scenario).run(scenario.stages), stage)
+    assert audit_trace(records, scenario)["pass"]
+    _placed_over_unplaced(records)
+    with pytest.raises(
+        ValueError,
+        match=f"^malformed trace: record {len(records) - 1} marker "
+        f"{index + 1} is placed while marker {index} is not$",
+    ):
+        _Replay.from_records(records, scenario)
 
 
 def _audit_records(capsys, tmp_path, records, scenario):

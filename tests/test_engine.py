@@ -145,7 +145,7 @@ class TestSingleScripted:
     def test_final_state(self, single_run):
         engine, _ = single_run
         assert sorted(engine.b_stage) == [1, 5]
-        assert engine.markers[0].frozen
+        assert engine.markers[0].position in engine.b_stage  # frozen
         assert engine.markers[0].t["a"] == 3
         q, _ = thresholds(engine, engine.markers[0], "a")
         assert q == Dyadic.pow2_neg(7)
